@@ -48,11 +48,17 @@ def _fmt(v: float) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write through a temp file and a rename.  mkstemp creates the file with
+    mode 0600; the output gets the mode open() would give it, 0666 less the
+    process umask."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -319,7 +325,8 @@ def run_seed(cfg: dict, seed: int, solver_tol: float) -> dict:
     x_star = regret.select_comparator(led, comp["policy"], comp.get("point"))
     r_emp = regret.empirical_regret(led, x_star)
     r_fwd = regret.forward_regret(led, x_star)
-    residual = regret.decomposition_residual(led, x_star)
+    terms = regret.decomposition_terms(led, x_star)
+    residual = regret.decomposition_residual(led, x_star, terms)
     bi = _bound_inputs(cfg, seq, fs, led)
 
     reports = []
@@ -347,10 +354,12 @@ def run_seed(cfg: dict, seed: int, solver_tol: float) -> dict:
 
     primary = next((c for c in cfg["bounds"] if c in TABLE2_CASES), None)
     header = regret.ledger_header(fs.dim)
-    rows = regret.ledger_rows(led, x_star, bound_case=primary, inputs=bi)
+    rows = regret.ledger_rows(led, x_star, bound_case=primary, inputs=bi,
+                              terms=terms)
+    # t, then every float with 17 significant digits, as _fmt renders it
+    row_fmt = ",".join(["%d"] + ["%.17g"] * (len(header) - 1))
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join([str(int(row[0]))] + [_fmt(v) for v in row[1:]]))
+    lines += [row_fmt % tuple(row) for row in rows]
     csv_text = "\n".join(lines) + "\n"
 
     replay = replay_check(csv_text, cfg, x_star)

@@ -38,11 +38,11 @@ class SingularMetricError(ValueError):
 def as_point(x) -> np.ndarray:
     """Validate and return a finite 1-d float64 array."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
     if arr.ndim != 1:
-        raise ValueError(f"point must be 1-d, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+        if arr.ndim:
+            raise ValueError(f"point must be 1-d, got shape {arr.shape}")
+        arr = arr.reshape(1)
+    if not np.isfinite(arr).all():
         raise ValueError("point has non-finite entries")
     return arr
 
@@ -52,7 +52,7 @@ def dot(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise DimensionMismatch(f"shape mismatch {x.shape} vs {y.shape}")
-    return float(np.dot(x, y))
+    return float(x.dot(y))
 
 
 class QuadMetric:
@@ -82,19 +82,20 @@ class QuadMetric:
     @classmethod
     def scaled(cls, gamma: float, dim: int | None = None) -> "QuadMetric":
         gamma = float(gamma)
-        if gamma < _PSD_CLAMP:
-            raise ValueError(f"scaled-identity metric needs gamma >= 0, got {gamma}")
+        if not _PSD_CLAMP <= gamma < INF:
+            raise ValueError(f"scaled-identity metric needs a finite gamma >= 0, got {gamma}")
         return cls("scaled", gamma=max(gamma, 0.0), dim=dim)
 
     @classmethod
     def diagonal(cls, weights) -> "QuadMetric":
-        w = np.asarray(weights, dtype=float).copy()
+        w = np.array(weights, dtype=float)
         if w.ndim != 1:
             raise ValueError("diagonal metric needs a 1-d weight vector")
-        bad = np.where(w < _PSD_CLAMP)[0]
-        if bad.size:
-            j = int(bad[0])
-            raise ValueError(f"diagonal metric weight {j} is negative ({w[j]})")
+        # min and max are NaN when any weight is
+        if not (w.min(initial=0.0) >= _PSD_CLAMP and w.max(initial=0.0) < INF):
+            j = int(np.flatnonzero(~(w >= _PSD_CLAMP) | (w == INF))[0])
+            why = "negative" if w[j] < 0 else "not finite"
+            raise ValueError(f"diagonal metric weight {j} is {why} ({w[j]})")
         np.maximum(w, 0.0, out=w)
         return cls("diag", weights=w, dim=w.size)
 
@@ -103,6 +104,8 @@ class QuadMetric:
         a = np.asarray(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("full metric needs a square matrix")
+        if not np.isfinite(a).all():
+            raise ValueError("full metric has non-finite entries")
         a = 0.5 * (a + a.T)
         evals, evecs = np.linalg.eigh(a)
         scale = max(1.0, float(np.max(np.abs(evals))))
@@ -117,7 +120,7 @@ class QuadMetric:
 
     @classmethod
     def zero(cls, dim: int | None = None) -> "QuadMetric":
-        return cls.scaled(0.0, dim)
+        return cls("scaled", gamma=0.0, dim=dim)
 
     # -- basic queries ---------------------------------------------------
 
@@ -182,27 +185,44 @@ class QuadMetric:
                 f"metric dim {self._dim} vs vector dim {x.shape[0]}")
 
     def add(self, other: "QuadMetric") -> "QuadMetric":
+        """M + N.  Both summands were validated when they were built and a
+        sum of PSD forms is PSD, so the sum is not validated again; a full
+        sum computes its eigenpairs lazily, when a query needs them."""
         a, b = self, other
         if a.kind == "scaled" and b.kind == "scaled":
-            return QuadMetric.scaled(a.gamma + b.gamma, a._dim or b._dim)
+            return QuadMetric("scaled", gamma=a.gamma + b.gamma, dim=a._dim or b._dim)
+        if a.kind == "scaled" and a.gamma == 0.0:
+            return b
+        if b.kind == "scaled" and b.gamma == 0.0:
+            return a
         if "full" in (a.kind, b.kind):
             d = a._dim if a._dim is not None else b._dim
-            if d is None:
-                raise ValueError("cannot add dimension-free metrics as full")
-            return QuadMetric.full(a.as_array(d) + b.as_array(d))
-        # scaled+diag or diag+diag
+            return QuadMetric("full", matrix=a._summand(d) + b._summand(d), dim=d)
+        # scaled+diag or diag+diag: the scaled gamma broadcasts
         d = a._dim if a.kind == "diag" else b._dim
-        return QuadMetric.diagonal(a.diag_weights(d) + b.diag_weights(d))
+        return QuadMetric("diag", weights=a._summand() + b._summand(), dim=d)
+
+    def _summand(self, d: int | None = None):
+        """This metric as a term of a sum, without a copy: the weights or
+        gamma for a diagonal sum (d None), a d x d matrix for a full one."""
+        if self.kind == "full":
+            return self.matrix
+        if self.kind == "diag":
+            return self.weights if d is None else np.diag(self.weights)
+        return self.gamma if d is None else self.gamma * np.eye(d)
 
     def scale(self, c: float) -> "QuadMetric":
+        """c M for a finite c >= 0; the eigenvectors of M carry over."""
         c = float(c)
-        if c < 0:
-            raise ValueError("metric scaling must be non-negative")
+        if not 0.0 <= c < INF:
+            raise ValueError(f"metric scaling must be finite and non-negative, got {c}")
         if self.kind == "scaled":
-            return QuadMetric.scaled(c * self.gamma, self._dim)
+            return QuadMetric("scaled", gamma=c * self.gamma, dim=self._dim)
         if self.kind == "diag":
-            return QuadMetric.diagonal(c * self.weights)
-        return QuadMetric.full(c * self.matrix)
+            return QuadMetric("diag", weights=c * self.weights, dim=self._dim)
+        evals = None if self._evals is None else c * self._evals
+        return QuadMetric("full", matrix=c * self.matrix, dim=self._dim,
+                          _evals=evals, _evecs=self._evecs)
 
     def shift_identity(self, c: float) -> "QuadMetric":
         """Return M + c I.  Raises if the shift breaks positive semidefiniteness."""
@@ -235,9 +255,8 @@ class QuadMetric:
         return evecs @ ((evecs.T @ b) / evals)
 
     def _assert_pd_diag(self):
-        bad = np.where(self.weights <= 0.0)[0]
-        if bad.size:
-            j = int(bad[0])
+        if not (self.weights > 0.0).all():
+            j = int(np.flatnonzero(~(self.weights > 0.0))[0])
             raise SingularMetricError(
                 f"diagonal metric is singular at coordinate {j} (weight {self.weights[j]})")
 
@@ -270,7 +289,7 @@ class QuadMetric:
 def quad_norm_sq(metric: QuadMetric, x) -> float:
     """||x||_M^2 = x' M x."""
     x = np.asarray(x, dtype=float)
-    return float(np.dot(x, metric.matvec(x)))
+    return float(x.dot(metric.matvec(x)))
 
 
 def dual_norm_sq(metric: QuadMetric, g) -> float:
@@ -279,8 +298,8 @@ def dual_norm_sq(metric: QuadMetric, g) -> float:
     if metric.kind == "scaled":
         if metric.gamma <= 0:
             raise SingularMetricError("scaled-identity metric has gamma = 0")
-        return float(np.dot(g, g)) / metric.gamma
-    return float(np.dot(g, metric.solve(g)))
+        return float(g.dot(g)) / metric.gamma
+    return float(g.dot(metric.solve(g)))
 
 
 # -- directional derivatives ----------------------------------------------
@@ -295,10 +314,14 @@ def dir_derivative(f, x, z) -> float:
     numeric fallback here; tests that want the limit-based estimate call
     :func:`numeric_dir_derivative` explicitly.
     """
+    return _dir_deriv_of(f)(as_point(x), as_point(z))
+
+
+def _dir_deriv_of(f):
     dd = getattr(f, "dir_deriv", None)
     if dd is None:
         raise TypeError(f"{type(f).__name__} exposes no closed-form dir_deriv")
-    return dd(as_point(x), as_point(z))
+    return dd
 
 
 def numeric_dir_derivative(value_fn, x, z, alphas=_NUMERIC_ALPHAS, rtol=1e-3) -> float:
@@ -350,7 +373,7 @@ def bregman(f, y, x) -> float:
         return INF
     if math.isnan(fy):
         raise ValueError("f(y) is NaN")
-    d = dir_derivative(f, x, y - x)
+    d = _dir_deriv_of(f)(x, y - x)
     if d == -INF:
         return INF
     if d == INF:
@@ -367,7 +390,7 @@ def delta_term(f, x_t, x_star, g_t) -> float:
     x_t = as_point(x_t)
     x_star = as_point(x_star)
     g_t = as_point(g_t)
-    d = dir_derivative(f, x_t, x_star - x_t)
+    d = _dir_deriv_of(f)(x_t, x_star - x_t)
     if not math.isfinite(d):
         raise ValueError("delta term needs a finite directional derivative")
     return dot(g_t, x_star - x_t) - d

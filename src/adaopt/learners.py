@@ -63,7 +63,8 @@ class StepResult:
 
 def _quad_metric_of(reg, dim: int) -> QuadMetric | None:
     """Combined PSD metric of the quadratic parts, None if any signed part
-    makes the curvature uncertifiable."""
+    makes the curvature uncertifiable.  The parts' metrics were validated
+    when they were built; unit-scale parts enter as they are."""
     metric = QuadMetric.zero(dim)
 
     def walk(r):
@@ -74,7 +75,8 @@ def _quad_metric_of(reg, dim: int) -> QuadMetric | None:
             if r.scale < 0:
                 metric = None
             else:
-                metric = metric.add(r.metric.scale(r.scale))
+                metric = metric.add(r.metric if r.scale == 1.0
+                                    else r.metric.scale(r.scale))
         elif isinstance(r, Sum):
             for part in r.parts:
                 walk(part)
@@ -144,15 +146,9 @@ class LearnerBase:
     def round_solver_calls(self) -> int:
         return self.solver_calls - self.init_solver_calls
 
-    def _check_feedback(self, g) -> np.ndarray:
-        g = as_point(g)
-        if g.size != self.dim:
-            raise ValueError(f"gradient has dim {g.size}, learner has {self.dim}")
-        return g
-
     def _finish(self, res: StepResult) -> StepResult:
         self.t = res.t
-        self.x = res.x_next.copy()
+        self.x = res.x_next
         return res
 
 
@@ -183,7 +179,7 @@ class FtrlLearner(LearnerBase):
 
     def ftrl_step(self, g, p_t=None, q_t=None, *, q_tilde=None, hint_next=None,
                   psi=None, eta=None) -> StepResult:
-        g = self._check_feedback(g)
+        """One round on the gradient g, which Driver.round has validated."""
         p_t = p_t if p_t is not None else Zero()
         q_t = q_t if q_t is not None else Zero()
         q_tilde = q_tilde if q_tilde is not None else q_t
@@ -198,7 +194,7 @@ class FtrlLearner(LearnerBase):
 
         self._obj.add_regularizer(p_t)
         self._obj.add_regularizer(q_t)
-        self._obj.add_linear(g)
+        self._obj.lin = self._obj.lin + g
         self._obj.init = x_t
         x_next = solvers.minimize(self._obj, tol=self.solver_tol)
         self.solver_calls += 1
@@ -215,7 +211,7 @@ class FtrlLearner(LearnerBase):
         hint_next = (self.hint if hint_next is None
                      else as_point(hint_next).copy())
         return self._finish(StepResult(
-            t=self.t + 1, x=x_t, x_next=x_next, g=g, hint=self.hint.copy(),
+            t=self.t + 1, x=x_t, x_next=x_next, g=g, hint=self.hint,
             hint_next=hint_next, p=p_t, q=q_t, q_tilde=q_tilde, psi=psi,
             r_metric=r_metric, breg_r=breg, eta=eta, certified=self._cert_ok))
 
@@ -276,8 +272,8 @@ class FtrlLearner(LearnerBase):
         self._r_l1 = r_l1 + _l1_alpha_of(q_tilde)
 
         return self._finish(StepResult(
-            t=self.t + 1, x=x_t, x_next=x_next, g=g, hint=self.hint.copy(),
-            hint_next=self.hint.copy(), p=p_t, q=q_eff, q_tilde=q_eff,
+            t=self.t + 1, x=x_t, x_next=x_next, g=g, hint=self.hint,
+            hint_next=self.hint, p=p_t, q=q_eff, q_tilde=q_eff,
             psi=None, r_metric=r_metric, breg_r=breg, eta=eta,
             certified=self._cert_ok))
 
@@ -300,7 +296,7 @@ class MdLearner(LearnerBase):
 
     def md_step(self, g, q_t=None, r_t=None, *, q_tilde=None, hint_next=None,
                 psi=None, eta=None, losses=()) -> StepResult:
-        g = self._check_feedback(g)
+        """One round on the gradient g, which Driver.round has validated."""
         q_t = q_t if q_t is not None else Zero()
         r_t = r_t if r_t is not None else Zero()
         q_tilde = q_tilde if q_tilde is not None else q_t
@@ -328,7 +324,7 @@ class MdLearner(LearnerBase):
         hint_next = (self.hint if hint_next is None
                      else as_point(hint_next).copy())
         return self._finish(StepResult(
-            t=self.t + 1, x=x_t, x_next=x_next, g=g, hint=self.hint.copy(),
+            t=self.t + 1, x=x_t, x_next=x_next, g=g, hint=self.hint,
             hint_next=hint_next, p=p_t, q=q_t, q_tilde=q_tilde, psi=psi,
             r_metric=r_metric, breg_r=breg, eta=eta, certified=self._cert_ok))
 
@@ -378,8 +374,8 @@ class MdLearner(LearnerBase):
         self._q_prev = q_eff
 
         return self._finish(StepResult(
-            t=self.t + 1, x=x_t, x_next=x_next, g=g, hint=self.hint.copy(),
-            hint_next=self.hint.copy(), p=p_t, q=q_eff, q_tilde=q_eff,
+            t=self.t + 1, x=x_t, x_next=x_next, g=g, hint=self.hint,
+            hint_next=self.hint, p=p_t, q=q_eff, q_tilde=q_eff,
             psi=None, r_metric=r_metric, breg_r=breg, eta=eta,
             certified=self._cert_ok))
 
@@ -429,7 +425,8 @@ class Driver:
 
     ``round`` emits the round's regularizers, invokes the matching step,
     and threads hint and step-size state.  Presets needing the loss handle
-    itself (implicit, non-linearized) set ``needs_loss``.
+    itself (implicit, non-linearized) set ``needs_loss``.  The preset's
+    parameters are parsed once, here; ``round`` validates the gradient.
     """
 
     def __init__(self, preset: str, feasible_set, params: dict | None = None,
@@ -450,6 +447,8 @@ class Driver:
         self.needs_loss = preset in ("implicit-md", "nonlin-ftrl")
 
         d = feasible_set.dim
+        # the center of every origin-centered quadratic the schedules emit
+        self._origin = np.zeros(d)
         self.hint_policy = merged.get("hints", "none")
         if self.hint_policy not in HINT_POLICIES:
             raise ValueError(f"unknown hint policy {self.hint_policy!r}")
@@ -463,6 +462,7 @@ class Driver:
                 feasible_set, (solvers.Unconstrained, solvers.Box)):
             raise ValueError("composite runs support box and free sets only")
         self.composite = self.composite_alpha > 0
+        self._parse_schedule(merged)
 
         q0 = self._initial_regularizer(d)
         if self.composite and self.composite_setting == "known-before":
@@ -475,42 +475,62 @@ class Driver:
 
     # -- schedule pieces ------------------------------------------------
 
-    def _initial_regularizer(self, d):
-        p = self.params
+    def _parse_schedule(self, p: dict):
+        """Check and store the preset's numeric parameters."""
         if self.preset == "ogd":
-            return Quadratic(np.zeros(d), QuadMetric.scaled(1.0 / _positive(p, "eta"), d))
-        if self.preset == "da":
-            return Quadratic(np.zeros(d), QuadMetric.scaled(_positive(p, "alpha0"), d))
-        if self.preset in ("adagrad-da", "ftrl-prox", "adagrad-md"):
-            eta = _positive(p, "eta")
-            gamma0 = _non_negative(p, "gamma0")
+            self._eta = _positive(p, "eta")
+        elif self.preset == "da":
+            self._alpha0 = _positive(p, "alpha0")
+            self._alpha_growth = _non_negative(p, "alpha_growth")
+        elif self.preset in ("adagrad-da", "ftrl-prox", "adagrad-md"):
+            self._eta = _positive(p, "eta")
+            self._gamma0 = _non_negative(p, "gamma0")
             if p["metric"] not in ("diag", "full"):
                 raise ValueError(f"metric must be diag or full, got {p['metric']!r}")
-            if self.preset == "adagrad-da" and gamma0 <= 0:
+            self._adagrad_step = adagrad_full_step if p["metric"] == "full" \
+                else adagrad_diag_step
+        elif self.preset == "ao-ftrl-prox":
+            if p["eta_schedule"] == "scale-free":
+                self._eta0 = _positive(p, "eta0")
+            elif p["eta_schedule"] == "final-attack":
+                self._radius = self._schedule_radius()
+                self._smooth_l = _non_negative(p, "smooth_l")
+            else:
+                raise ValueError(f"unknown eta schedule {p['eta_schedule']!r}")
+        else:
+            self._q0_scale = _non_negative(p, "q0_scale")
+            if "sigma_r" in p:
+                self._sigma_r = _non_negative(p, "sigma_r")
+
+    def _initial_regularizer(self, d):
+        if self.preset == "ogd":
+            return Quadratic(self._origin, QuadMetric.scaled(1.0 / self._eta, d))
+        if self.preset == "da":
+            return Quadratic(self._origin, QuadMetric.scaled(self._alpha0, d))
+        if self.preset in ("adagrad-da", "ftrl-prox", "adagrad-md"):
+            if self.preset == "adagrad-da" and self._gamma0 <= 0:
                 raise ValueError("adagrad-da needs gamma0 > 0 to keep round-1 "
                                  "regularization non-degenerate")
-            if gamma0 > 0 and self.preset != "adagrad-md":
-                return Quadratic(np.zeros(d), adagrad_initial_metric(d, eta, gamma0))
+            if self._gamma0 > 0 and self.preset != "adagrad-md":
+                return Quadratic(self._origin,
+                                 adagrad_initial_metric(d, self._eta, self._gamma0))
             return Zero()
         if self.preset in ("md", "ao-md", "implicit-md", "nonlin-ftrl"):
-            c = _non_negative(p, "q0_scale")
-            if c == 0.0:
+            if self._q0_scale == 0.0:
                 return Zero()
-            return Quadratic(np.zeros(d), QuadMetric.scaled(c, d))
+            return Quadratic(self._origin, QuadMetric.scaled(self._q0_scale, d))
         if self.preset == "ao-ftrl-prox":
             return Zero()
         raise AssertionError(self.preset)
 
     def _md_r(self, t: int, d: int):
-        c = _non_negative(self.params, "q0_scale")
-        sigma = _non_negative(self.params, "sigma_r")
         if t == 1:
-            scale = c + sigma
+            scale = self._q0_scale + self._sigma_r
         else:
-            scale = sigma
+            scale = self._sigma_r
         if scale == 0.0:
             return Zero()
-        return Quadratic(np.zeros(d), QuadMetric.scaled(scale, d))
+        return Quadratic(self._origin, QuadMetric.scaled(scale, d))
 
     def _psi(self, t: int):
         return L1(self.composite_alpha) if self.composite else None
@@ -529,10 +549,10 @@ class Driver:
             info["name"] = self.params["eta_schedule"]
             info["smooth_l"] = self.params["smooth_l"]
             if self.params["eta_schedule"] == "final-attack":
-                info["radius"] = self._radius()
+                info["radius"] = self._radius
         return info
 
-    def _radius(self) -> float:
+    def _schedule_radius(self) -> float:
         r = self.params.get("radius")
         if r is not None:
             return _positive({"radius": r}, "radius")
@@ -546,7 +566,6 @@ class Driver:
     def round(self, t: int, loss=None, g=None) -> StepResult:
         d = self.feasible_set.dim
         lrn = self.learner
-        p = self.params
 
         if self.needs_loss:
             if loss is None:
@@ -555,7 +574,13 @@ class Driver:
                 return lrn.implicit_step(loss, q_tilde=Zero(), r_t=self._md_r(t, d))
             return lrn.nonlinearized_step(loss, q_tilde=Zero(), p_t=Zero())
 
-        g = as_point(g)
+        # the round's one validation of g; the schedule and step trust it
+        try:
+            g = as_point(g)
+        except ValueError as e:
+            raise ValueError(f"round {t}: gradient: {e}") from None
+        if g.size != d:
+            raise ValueError(f"round {t}: gradient has dim {g.size}, learner has {d}")
         psi = self._psi(t)
         if self.composite:
             if self.composite_setting == "known-before":
@@ -568,28 +593,27 @@ class Driver:
         if self.preset == "ogd":
             return lrn.ftrl_step(g, psi=psi)
         if self.preset == "da":
-            growth = _non_negative(p, "alpha_growth")
-            alpha_t = growth * (math.sqrt(t + 1.0) - math.sqrt(float(t)))
+            alpha_t = self._alpha_growth * (math.sqrt(t + 1.0) - math.sqrt(float(t)))
             q_t = Zero() if alpha_t == 0.0 else \
-                Quadratic(np.zeros(d), QuadMetric.scaled(alpha_t, d))
+                Quadratic(self._origin, QuadMetric.scaled(alpha_t, d))
             return lrn.ftrl_step(g, q_t=q_t, psi=psi)
         if self.preset == "adagrad-da":
-            incr, _ = self._adagrad_incr(g)
-            return lrn.ftrl_step(g, q_t=Quadratic(np.zeros(d), incr), psi=psi)
+            incr, _ = self._adagrad_step(self._sched, g, self._eta, self._gamma0)
+            return lrn.ftrl_step(g, q_t=Quadratic(self._origin, incr), psi=psi)
         if self.preset == "ftrl-prox":
-            incr, _ = self._adagrad_incr(g)
+            incr, _ = self._adagrad_step(self._sched, g, self._eta, self._gamma0)
             p_t = ftrl_prox_increment(lrn.x, incr)
             q_t = composite_wrap(Zero(), folded, self.composite_setting)
             return lrn.ftrl_step(g, p_t=p_t, q_t=q_t, psi=psi)
         if self.preset == "adagrad-md":
-            incr, _ = self._adagrad_incr(g)
+            incr, _ = self._adagrad_step(self._sched, g, self._eta, self._gamma0)
             return lrn.md_step(g, r_t=ftrl_prox_increment(lrn.x, incr), psi=psi)
         if self.preset == "md":
             q_t = composite_wrap(Zero(), folded, self.composite_setting)
             return lrn.md_step(g, q_t=q_t, r_t=self._md_r(t, d), psi=psi)
         if self.preset == "ao-ftrl-prox":
             hint_t = lrn.hint
-            eta_t = self._eta(g, hint_t)
+            eta_t = self._eta_t(g, hint_t)
             p_t = proximal_eta_increment(lrn.x, eta_t, self._eta_prev)
             self._eta_prev = eta_t
             q_tilde = composite_wrap(Zero(), folded, self.composite_setting)
@@ -602,22 +626,10 @@ class Driver:
                                   r_t=self._md_r(t, d), psi=psi)
         raise AssertionError(self.preset)
 
-    def _adagrad_incr(self, g):
-        p = self.params
-        eta = _positive(p, "eta")
-        gamma0 = _non_negative(p, "gamma0")
-        if p["metric"] == "full":
-            return adagrad_full_step(self._sched, g, eta, gamma0)
-        return adagrad_diag_step(self._sched, g, eta, gamma0)
-
-    def _eta(self, g, hint):
-        p = self.params
-        if p["eta_schedule"] == "scale-free":
-            return scale_free_eta(self._sched, g, hint, _positive(p, "eta0"))
-        if p["eta_schedule"] == "final-attack":
-            return final_attack_eta(self._sched, g, hint, self._radius(),
-                                    _non_negative(p, "smooth_l"))
-        raise ValueError(f"unknown eta schedule {p['eta_schedule']!r}")
+    def _eta_t(self, g, hint):
+        if self.params["eta_schedule"] == "scale-free":
+            return scale_free_eta(self._sched, g, hint, self._eta0)
+        return final_attack_eta(self._sched, g, hint, self._radius, self._smooth_l)
 
     def _next_hint(self, t: int, g):
         h = self._hint(t + 1, g)
@@ -646,7 +658,12 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
             res = driver.round(t, loss=loss_t)
             sigma = None
         else:
-            g, sigma = seq.gradient(t, x_t, rng)
+            if seq.stochastic:
+                g, sigma = seq.gradient(t, x_t, rng)
+            else:
+                # exact feedback is the revealed loss's own gradient
+                g = loss_t.grad(x_t)
+                sigma = np.zeros_like(g)
             res = driver.round(t, g=g)
         records.append(regret.RoundRecord(
             t=t, x=x_t, x_next=res.x_next, g=res.g, hint=res.hint,

@@ -68,7 +68,6 @@ def linear_loss(v) -> Loss:
         grad=lambda x: v.copy(),
         dir_deriv=lambda x, z: dot(v, z),
         smoothness=0.0,
-        lipschitz=float(np.linalg.norm(v)),
     )
 
 

@@ -164,9 +164,14 @@ def decomposition_terms(ledger: Ledger, x_star) -> dict:
     return out
 
 
-def decomposition_residual(ledger: Ledger, x_star) -> float:
-    """|R_T - (R+_T + drift - breg + delta)|; zero in exact arithmetic."""
-    terms = decomposition_terms(ledger, x_star)
+def decomposition_residual(ledger: Ledger, x_star, terms: dict | None = None) -> float:
+    """|R_T - (R+_T + drift - breg + delta)|; zero in exact arithmetic.
+
+    ``terms`` takes the arrays ``decomposition_terms`` already returned for
+    this ledger and comparator, so a caller that also exports them computes
+    them once."""
+    if terms is None:
+        terms = decomposition_terms(ledger, x_star)
     rhs = (float(np.sum(terms["lin_fwd"])) + float(np.sum(terms["drift"]))
            - float(np.sum(terms["breg_loss"])) + float(np.sum(terms["delta"])))
     return abs(empirical_regret(ledger, x_star, composite=False) - rhs)
@@ -577,17 +582,18 @@ def ledger_header(dim: int) -> list:
 
 
 def ledger_rows(ledger: Ledger, x_star, bound_case: str | None = None,
-                inputs: BoundInputs | None = None) -> list:
+                inputs: BoundInputs | None = None, terms: dict | None = None) -> list:
     """Fixed-layout rows: t, iterate, gradient, the four decomposition
     terms, then running regret, running bound, and their gap.
 
     The running bound at row t is the bound of the run truncated after
     round t (with its final q term included), accumulated incrementally so
     the export stays linear in T; the last row matches the full-run
-    calculator.
+    calculator.  ``terms`` is as in :func:`decomposition_residual`.
     """
     x_star = as_point(x_star)
-    terms = decomposition_terms(ledger, x_star)
+    if terms is None:
+        terms = decomposition_terms(ledger, x_star)
     if bound_case is None:
         bound_case = "oo-ftrl" if ledger.kind == "ftrl" else "oo-md"
     if bound_case not in TABLE2_CASES:
@@ -625,8 +631,8 @@ def ledger_rows(ledger: Ledger, x_star, bound_case: str | None = None,
             dual_acc += 0.5 * dual_norm_sq(m, v)
         cum_bound = const + q_acc + comp_acc + dual_acc
         row = [float(rec.t)]
-        row += [float(v) for v in rec.x]
-        row += [float(v) for v in rec.g]
+        row += rec.x.tolist()
+        row += rec.g.tolist()
         row += [float(terms[k][i]) for k in CSV_TERMS]
         row += [cum_regret, cum_bound, cum_bound - cum_regret]
         rows.append(row)

@@ -297,11 +297,12 @@ def check_proximal(p: Regularizer, x_t, feasible_set, rng=None, n_probes: int = 
     """Assert p(x_t) <= p(x) + tol on probe points of the set.
 
     Quadratics centered at x_t with PSD metric and non-negative scale are
-    proximal by construction and skip the probe loop.
+    proximal by construction and skip the probe loop; x_t is only validated
+    when the probes need its value.
     """
-    x_t = as_point(x_t)
     if _structurally_proximal(p, x_t):
         return
+    x_t = as_point(x_t)
     if rng is None:
         rng = np.random.default_rng(0)
     base = p.value(x_t)
@@ -377,16 +378,23 @@ def adagrad_diag_step(state: ScheduleState, g, eta: float, gamma0: float):
         raise ValueError(f"gamma0 must be >= 0, got {gamma0}")
     if state.accum_sq is None:
         state.accum_sq = np.full(g.shape, float(gamma0))
-    prev_root = np.sqrt(state.accum_sq)
+        state._prev_root = None
+    if state._prev_root is None:
+        state._prev_root = np.sqrt(state.accum_sq)
+    prev_root = state._prev_root
     state.accum_sq = state.accum_sq + g * g
     new_root = np.sqrt(state.accum_sq)
+    state._prev_root = new_root
     state.round += 1
     return QuadMetric.diagonal((new_root - prev_root) / eta), state
 
 
 def adagrad_full_step(state: ScheduleState, g, eta: float, gamma0: float,
                       max_dim: int = 256):
-    """Full-matrix adaptive-metric increment (Q_{0:t}^{1/2} - Q_{0:t-1}^{1/2}) / eta."""
+    """Full-matrix adaptive-metric increment (Q_{0:t}^{1/2} - Q_{0:t-1}^{1/2}) / eta.
+
+    Each root comes from one eigendecomposition of the accumulator, which is
+    PSD by construction; the increment is validated as a full metric."""
     g = as_point(g)
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
@@ -399,13 +407,22 @@ def adagrad_full_step(state: ScheduleState, g, eta: float, gamma0: float,
         state.accum_sq = float(gamma0) * np.eye(d)
         state._prev_root = None
     if state._prev_root is None:
-        state._prev_root = QuadMetric.full(state.accum_sq).sqrt().as_array(d)
-    prev_root = state._prev_root
-    state.accum_sq = state.accum_sq + np.outer(g, g)
-    new_root = QuadMetric.full(state.accum_sq).sqrt().as_array(d)
+        state._prev_root = _psd_root(state.accum_sq)
+    accum = state.accum_sq + np.outer(g, g)
+    new_root = _psd_root(accum)
+    incr = QuadMetric.full((new_root - state._prev_root) / eta)
+    state.accum_sq = accum
     state._prev_root = new_root
     state.round += 1
-    return QuadMetric.full((new_root - prev_root) / eta), state
+    return incr, state
+
+
+def _psd_root(a: np.ndarray) -> np.ndarray:
+    """Symmetric square root of a symmetric PSD matrix (rounding-level
+    negative eigenvalues are taken as zero)."""
+    evals, evecs = np.linalg.eigh(a)
+    root = (evecs * np.sqrt(np.maximum(evals, 0.0))) @ evecs.T
+    return 0.5 * (root + root.T)
 
 
 def adagrad_initial_metric(dim: int, eta: float, gamma0: float) -> QuadMetric:
@@ -417,7 +434,7 @@ def adagrad_initial_metric(dim: int, eta: float, gamma0: float) -> QuadMetric:
 
 def ftrl_prox_increment(x_t, metric_increment: QuadMetric) -> Regularizer:
     """Proximal quadratic (1/2)||x - x_t||^2 under the given metric increment."""
-    return Quadratic(as_point(x_t), metric_increment, 1.0)
+    return Quadratic(x_t, metric_increment, 1.0)
 
 
 def optimistic_shift(q_tilde: Regularizer, hint_prev, hint_next) -> Regularizer:
@@ -477,7 +494,7 @@ def proximal_eta_increment(x_t, eta_t: float, eta_prev: float) -> Regularizer:
     gamma = max(eta_t - eta_prev, 0.0)
     if gamma == 0.0:
         return Zero()
-    return Quadratic(as_point(x_t), QuadMetric.scaled(gamma), 1.0)
+    return Quadratic(x_t, QuadMetric.scaled(gamma), 1.0)
 
 
 # -- composite wrapping ------------------------------------------------------

@@ -47,6 +47,12 @@ class FeasibleSet:
         raise NotImplementedError
 
     def project(self, y) -> np.ndarray:
+        """Euclidean projection of a point onto the set."""
+        return self._project(as_point(y))
+
+    def _project(self, y: np.ndarray) -> np.ndarray:
+        """The projection of a float64 vector the caller already holds as
+        one; the solvers call it on iterates they computed themselves."""
         raise NotImplementedError
 
     def center(self) -> np.ndarray:
@@ -74,8 +80,8 @@ class Unconstrained(FeasibleSet):
     def contains(self, x, tol=_FEAS_TOL):
         return True
 
-    def project(self, y):
-        return as_point(y).copy()
+    def _project(self, y):
+        return y.copy()
 
     def center(self):
         return np.zeros(self.dim)
@@ -110,8 +116,8 @@ class Box(FeasibleSet):
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
 
-    def project(self, y):
-        return np.clip(as_point(y), self.lo, self.hi)
+    def _project(self, y):
+        return y.clip(self.lo, self.hi)
 
     def center(self):
         return 0.5 * (self.lo + self.hi)
@@ -151,10 +157,9 @@ class Ball(FeasibleSet):
         d = float(np.linalg.norm(np.asarray(x, dtype=float) - self._center))
         return d <= self.radius * (1.0 + tol) + tol
 
-    def project(self, y):
-        y = as_point(y)
+    def _project(self, y):
         d = y - self._center
-        n = float(np.linalg.norm(d))
+        n = _norm(d)
         if n <= self.radius:
             return y.copy()
         return self._center + d * (self.radius / n)
@@ -208,8 +213,8 @@ class Simplex(FeasibleSet):
         s = 1.0 + self.scale
         return bool(np.all(x >= -tol * s) and abs(float(np.sum(x)) - self.scale) <= tol * s)
 
-    def project(self, y):
-        return simplex_project(as_point(y), self.scale)
+    def _project(self, y):
+        return simplex_project(y, self.scale)
 
     def center(self):
         return np.full(self.dim, self.scale / self.dim)
@@ -333,12 +338,14 @@ class Objective:
 
     def add_quadratic(self, center, metric: QuadMetric, scale: float):
         """Fold scale/2 ||x - center||_M^2 into the combined form."""
+        self._fold_quadratic(as_point(center), metric, scale)
+
+    def _fold_quadratic(self, center: np.ndarray, metric: QuadMetric, scale: float):
         if scale == 0.0:
             return
-        center = as_point(center)
         d = self.lin.size
         if metric.kind == "scaled":
-            if np.any(center):
+            if center.any():
                 # a shifted isotropic quadratic is no longer pure gamma*I in
                 # x'Mx form; fold the cross term into lin and keep gamma
                 self.lin = self.lin - scale * metric.gamma * center
@@ -349,13 +356,13 @@ class Objective:
             w = metric.weights
             if self.diag is None:
                 self.diag = np.zeros(d)
-            self.diag = self.diag + scale * w
+            self.diag = self.diag + (w if scale == 1.0 else scale * w)
         else:
             m = metric.matrix
             if self.full is None:
                 self.full = np.zeros((d, d))
-            self.full = self.full + scale * m
-        mc = metric.matvec(center) if np.any(center) else None
+            self.full = self.full + (m if scale == 1.0 else scale * m)
+        mc = metric.matvec(center) if center.any() else None
         if mc is not None:
             self.lin = self.lin - scale * mc
             self.const += 0.5 * scale * float(np.dot(center, mc))
@@ -368,7 +375,7 @@ class Objective:
                 self.add_regularizer(part, scale)
             return
         if isinstance(reg, Quadratic):
-            self.add_quadratic(reg.center, reg.metric, scale * reg.scale)
+            self._fold_quadratic(reg.center, reg.metric, scale * reg.scale)
             return
         if isinstance(reg, Linear):
             self.lin = self.lin + scale * reg.v
@@ -395,7 +402,7 @@ class Objective:
                 self.add_bregman_anchor(part, point)
             return
         if isinstance(reg, Quadratic):
-            self.add_quadratic(point, reg.metric, reg.scale)
+            self._fold_quadratic(point, reg.metric, reg.scale)
             return
         if isinstance(reg, Linear):
             return
@@ -430,36 +437,28 @@ class Objective:
             v += self.l1_alpha * float(np.sum(np.abs(x)))
         return v
 
-    def quad_min_eig(self) -> float:
-        lo = self.gamma
+    def quad_curvature(self) -> tuple:
+        """(min, max) eigenvalue of the quadratic part, from at most one
+        eigvalsh."""
+        lo = hi = self.gamma
         if self.diag is not None:
-            lo += float(np.min(self.diag))
+            lo += float(self.diag.min())
+            hi += float(self.diag.max())
         if self.full is not None:
-            lo += float(np.linalg.eigvalsh(0.5 * (self.full + self.full.T))[0])
-        return lo
+            evals = np.linalg.eigvalsh(0.5 * (self.full + self.full.T))
+            lo += float(evals[0])
+            hi += float(evals[-1])
+        return lo, hi
 
-    def quad_max_eig(self) -> float:
-        hi = self.gamma
-        if self.diag is not None:
-            hi += float(np.max(self.diag))
-        if self.full is not None:
-            hi += float(np.linalg.eigvalsh(0.5 * (self.full + self.full.T))[-1])
-        return hi
-
-    def strong_convexity(self) -> float:
-        sigma = self.quad_min_eig()
+    def curvature(self) -> tuple:
+        """(strong convexity, smoothness) of the smooth part; the smoothness
+        is +inf when a loss declares none."""
+        sigma, big = self.quad_curvature()
         for loss in self.losses:
             sigma += max(getattr(loss, "strong_convexity", 0.0) or 0.0, 0.0)
-        return sigma
-
-    def smoothness(self) -> float:
-        big = self.quad_max_eig()
-        for loss in self.losses:
             l = getattr(loss, "smoothness", None)
-            if l is None or not math.isfinite(l):
-                return INF
-            big += l
-        return big
+            big = INF if l is None or not math.isfinite(l) else big + l
+        return sigma, big
 
     def is_isotropic(self) -> bool:
         return self.diag is None and self.full is None
@@ -470,15 +469,14 @@ class Objective:
 
 # -- solvers -----------------------------------------------------------------
 
-def _optimality_residual(obj: Objective, x: np.ndarray) -> float:
-    """Norm of the projected-gradient fixed-point residual at step 1/L."""
-    l = obj.smoothness()
-    step = 1.0 / max(l, 1.0)
+def _optimality_residual(obj: Objective, x: np.ndarray, smooth: float) -> float:
+    """Norm of the projected-gradient fixed-point residual at step 1/L, for
+    the objective's smoothness L."""
+    step = 1.0 / max(smooth, 1.0)
     ahead = x - step * obj.smooth_grad(x)
     if obj.l1_alpha:
         ahead = _soft_threshold(ahead, step * obj.l1_alpha)
-    nxt = obj.feasible_set.project(ahead)
-    return float(np.linalg.norm(x - nxt)) / step
+    return _norm(x - obj.feasible_set._project(ahead)) / step
 
 
 def argmin_quadratic(obj: Objective) -> np.ndarray:
@@ -487,18 +485,20 @@ def argmin_quadratic(obj: Objective) -> np.ndarray:
     Constrained instances are solved in closed form only for isotropic
     quadratics, where clipping the unconstrained minimizer onto the set is
     exact; anisotropic constrained instances delegate to the numeric route.
+    The result is certified by its projected-gradient residual, which also
+    rejects non-finite values.
     """
     if obj.has_losses() or obj.l1_alpha:
         raise ValueError("argmin_quadratic expects a pure linear-quadratic objective")
-    sigma = obj.quad_min_eig()
-    if sigma <= 0.0:
-        raise IllPosedError(
-            f"ill-posed argmin: quadratic part has min curvature {sigma}")
     unconstrained = isinstance(obj.feasible_set, Unconstrained)
     # a diagonal quadratic over a box is separable: clipping is exact
     separable = isinstance(obj.feasible_set, Box) and obj.full is None
     if not unconstrained and not obj.is_isotropic() and not separable:
         return argmin_numeric(obj)
+    sigma, smooth = obj.quad_curvature()
+    if sigma <= 0.0:
+        raise IllPosedError(
+            f"ill-posed argmin: quadratic part has min curvature {sigma}")
     if obj.is_isotropic():
         x = -obj.lin / obj.gamma
     elif obj.full is not None:
@@ -510,12 +510,18 @@ def argmin_quadratic(obj: Objective) -> np.ndarray:
     else:
         x = -obj.lin / (obj.diag + obj.gamma)
     if not unconstrained:
-        x = obj.feasible_set.project(x)
-    resid = _optimality_residual(obj, x)
-    scale = 1.0 + float(np.linalg.norm(obj.lin)) + obj.quad_max_eig()
-    if resid > 1e-8 * scale:
+        x = obj.feasible_set._project(x)
+    resid = _optimality_residual(obj, x, smooth)
+    scale = 1.0 + _norm(obj.lin) + smooth
+    if not resid <= 1e-8 * scale:
         raise IllPosedError(f"argmin residual {resid:.3e} exceeds tolerance")
     return x
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm, computed as np.linalg.norm computes it for a vector
+    but without its dispatch overhead."""
+    return math.sqrt(v.dot(v))
 
 
 def _soft_threshold(v: np.ndarray, thresh) -> np.ndarray:
@@ -542,7 +548,7 @@ def argmin_l1_composite(g, metric: QuadMetric, alpha: float, feasible_set) -> np
     if isinstance(feasible_set, Unconstrained):
         pass
     elif isinstance(feasible_set, Box):
-        x = feasible_set.project(x)
+        x = feasible_set._project(x)
     else:
         raise ValueError("l1 composite route supports unconstrained and box sets")
     _check_l1_optimality(g, w, alpha, x, feasible_set)
@@ -584,11 +590,10 @@ def argmin_numeric(obj: Objective, tol: float = 1e-10, max_iter: int = 10000) ->
     accepted proximal step.  Hitting max_iter raises; there is no silent
     best-effort return.
     """
-    sigma = obj.strong_convexity()
+    sigma, l = obj.curvature()
     if sigma <= 0.0:
         raise IllPosedError(
             f"numeric argmin needs strong convexity, found modulus {sigma}")
-    l = obj.smoothness()
     if not math.isfinite(l):
         raise ValueError("numeric argmin needs a finite smoothness bound")
     if obj.l1_alpha and not isinstance(obj.feasible_set, (Unconstrained, Box)):
@@ -604,7 +609,7 @@ def argmin_numeric(obj: Objective, tol: float = 1e-10, max_iter: int = 10000) ->
             ahead = x - step * gx
             if obj.l1_alpha:
                 ahead = _soft_threshold(ahead, step * obj.l1_alpha)
-            x_new = obj.feasible_set.project(ahead)
+            x_new = obj.feasible_set._project(ahead)
             diff = x_new - x
             dn2 = float(np.dot(diff, diff))
             if dn2 == 0.0:
@@ -620,8 +625,11 @@ def argmin_numeric(obj: Objective, tol: float = 1e-10, max_iter: int = 10000) ->
         # u = grad s(x+) - grad s(x) + (x - x+)/step lies in the sub-differential
         # of the full objective at x+, so sigma ||x+ - x*|| <= ||u||
         u = g_new - gx + (x - x_new) / step
-        if float(np.linalg.norm(u)) <= sigma * tol:
+        un = _norm(u)
+        if un <= sigma * tol:
             return x_new
+        if not math.isfinite(un):
+            raise ValueError("numeric argmin reached non-finite values")
         x, gx = x_new, g_new
         sx = obj.smooth_value(x)
         step = min(step * 1.25, 1.0 / sigma)

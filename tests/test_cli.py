@@ -2,7 +2,9 @@
 commands, on-disk artifacts, and cross-process determinism."""
 
 import copy
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -140,6 +142,83 @@ def test_run_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", path, "--out", str(tmp_path / "r")]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["where"] == "runtime"
+
+
+def test_run_outputs_honour_the_umask(tmp_path):
+    cfg_path = write_cfg(tmp_path, cfg_with(seeds=[0]))
+    for mask, mode in ((0o022, 0o644), (0o027, 0o640)):
+        out = tmp_path / f"out{mask:o}"
+        old = os.umask(mask)
+        try:
+            assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        for name in ("demo.json", "demo.seed0.csv"):
+            assert os.stat(out / name).st_mode & 0o777 == mode, (name, oct(mask))
+
+
+# Reference outputs of fixed runs, recorded before the per-round path was
+# reworked.  The diagonal presets must stay bit for bit the same; the
+# full-matrix run takes the numeric argmin and matches at the acceptance
+# tolerances (c07: iterates to 1e-9, c01: 1e-8 * (1 + |regret|)).
+GUARD = {"name": "guard", "set": {"kind": "box", "dim": 6},
+         "losses": {"kind": "random-linear", "seed": 7}, "T": 60,
+         "seeds": [3], "bounds": ["oo-ftrl", "forward"]}
+GUARD_SHA256 = {
+    "ogd": ({"eta": 0.2},
+            "087ec6ee4eabe27ebb09e34db897fc5d45feb46941d8bd50dcdf44e886b9ab20",
+            "6e67c4563183dc051cf4ce7a2f6e95c4beeb7461f81c7d1761371df5127809dd"),
+    "adagrad-da": ({"metric": "diag"},
+                   "eba304ad11706fbeb71d10e6f36fb909570da433933e27cebeb1b64ed4525793",
+                   "c2a973ca4b6f2a594e28f27cd955a7f268cfbcf9b30515bd6e08caad9f25df7e"),
+}
+GUARD_FULL = {
+    "regret": 20.143480789673188,
+    "forward_regret": -5.31797477429992,
+    "bounds": [31.265137337354115, 0.7655335184282279],
+    "final_point": [-6.412526723284852e-05, 0.06871910784241086, 1.0, -1.0,
+                    -0.19539502350380225, 0.8018976123025413,
+                    -0.7474423146236362, 1.0],
+    "rows": {10: [0.30370394649702676, -0.048428369070827586, 0.03536296827023912,
+                  0.45869145770445763, 1.0, 0.39797777222618547,
+                  -0.2201222987242286, 1.0],
+             20: [-0.41546573999498687, 0.926586980379782, 0.5240469533578929,
+                  0.7218704355281393, -0.048578969095302245, 0.7083671173035226,
+                  0.18905379952620488, 1.0]},
+}
+
+
+def _guard_run(tmp_path, preset, params, **over):
+    cfg = dict(copy.deepcopy(GUARD), preset=preset, params=params, **over)
+    out = tmp_path / preset
+    assert main(["run", "--config", write_cfg(tmp_path, cfg, f"{preset}.json"),
+                 "--out", str(out)]) == 0
+    return (out / "guard.json").read_bytes(), (out / "guard.seed3.csv").read_bytes()
+
+
+@pytest.mark.parametrize("preset", sorted(GUARD_SHA256))
+def test_run_outputs_match_recorded_digests(tmp_path, preset):
+    params, json_sha, csv_sha = GUARD_SHA256[preset]
+    doc, csv = _guard_run(tmp_path, preset, params)
+    assert hashlib.sha256(csv).hexdigest() == csv_sha
+    assert hashlib.sha256(doc).hexdigest() == json_sha
+
+
+def test_full_matrix_run_matches_recorded_values(tmp_path):
+    doc, csv = _guard_run(tmp_path, "adagrad-da", {"metric": "full"},
+                          set={"kind": "box", "dim": 8}, T=30)
+    res = json.loads(doc)["results"][0]
+    c01 = 1e-8 * (1.0 + abs(GUARD_FULL["regret"]))
+    assert abs(res["regret"] - GUARD_FULL["regret"]) <= c01
+    assert abs(res["forward_regret"] - GUARD_FULL["forward_regret"]) <= c01
+    assert res["residual"] <= c01
+    assert [b["value"] for b in res["bounds"]] == pytest.approx(
+        GUARD_FULL["bounds"], abs=c01)
+    assert res["final_point"] == pytest.approx(GUARD_FULL["final_point"], abs=1e-9)
+    lines = csv.decode().strip().split("\n")
+    for t, ref in GUARD_FULL["rows"].items():
+        row = [float(v) for v in lines[t].split(",")[1:9]]
+        assert row == pytest.approx(ref, abs=1e-9), t
 
 
 # -- sweep ------------------------------------------------------------------------

@@ -219,6 +219,6 @@ def test_minimize_routes_loss_objectives_numerically():
 def test_objective_curvature_summaries():
     obj = Objective.build(Box(-np.ones(2), np.ones(2)), linear=np.zeros(2))
     obj.add_quadratic(np.zeros(2), QuadMetric.diagonal([0.5, 2.0]), 1.0)
-    assert obj.quad_min_eig() == pytest.approx(0.5)
-    assert obj.quad_max_eig() == pytest.approx(2.0)
+    assert obj.quad_curvature() == pytest.approx((0.5, 2.0))
+    assert obj.curvature() == pytest.approx((0.5, 2.0))
     assert not obj.is_isotropic()

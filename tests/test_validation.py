@@ -1,0 +1,125 @@
+"""Input validation at the boundaries: a bad gradient stops the run at the
+round it enters, and the public constructors and schedule functions reject
+bad input when they are called directly."""
+
+import numpy as np
+import pytest
+
+from adaopt import losses, regret, solvers
+from adaopt.core import QuadMetric
+from adaopt.learners import Driver, run_rounds
+from adaopt.regularizers import (Linear, Quadratic, ScheduleState,
+                                 adagrad_diag_step, adagrad_full_step)
+
+NON_FINITE = (np.nan, np.inf, -np.inf)
+
+DRIVERS = [
+    ("ogd", {}),
+    ("adagrad-da", {"metric": "diag"}),
+    ("adagrad-da", {"metric": "full"}),
+    ("ftrl-prox", {}),
+    ("adagrad-md", {}),
+]
+
+
+def _stream_breaking_at(k: int, d: int, bad: str) -> losses.LinearStream:
+    """Random linear losses whose vector turns bad from round k on."""
+    rng = np.random.default_rng(5)
+    good = [rng.uniform(-1.0, 1.0, d) for _ in range(k)]
+
+    def vec(t):
+        if t < k:
+            return good[t - 1]
+        if bad == "short":
+            return good[0][:-1]
+        if bad == "long":
+            return np.append(good[0], 0.5)
+        v = good[0].copy()
+        v[1] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[bad]
+        return v
+
+    return losses.LinearStream(vec, d)
+
+
+@pytest.mark.parametrize("bad", ["nan", "+inf", "-inf", "short", "long"])
+@pytest.mark.parametrize("preset,params", DRIVERS)
+def test_bad_gradient_stops_the_run_at_its_round(monkeypatch, preset, params, bad):
+    k, d = 4, 3
+    recorded = []
+    make_record = regret.RoundRecord
+
+    def record(**kw):
+        recorded.append(kw["t"])
+        return make_record(**kw)
+
+    monkeypatch.setattr(regret, "RoundRecord", record)
+    driver = Driver(preset, solvers.Box(-np.ones(d), np.ones(d)), params)
+    with pytest.raises(ValueError):
+        run_rounds(driver, _stream_breaking_at(k, d, bad), 6)
+    assert recorded == list(range(1, k))
+    assert driver.learner.t == k - 1
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_public_entry_points_reject_non_finite_vectors(value):
+    bad = np.array([1.0, value])
+    with pytest.raises(ValueError):
+        Quadratic(bad, QuadMetric.scaled(1.0))
+    with pytest.raises(ValueError):
+        Linear(bad)
+    with pytest.raises(ValueError):
+        adagrad_diag_step(ScheduleState(), bad, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        adagrad_full_step(ScheduleState(), bad, 1.0, 1.0)
+    obj = solvers.Objective.build(solvers.Box(-np.ones(2), np.ones(2)))
+    with pytest.raises(ValueError):
+        obj.add_linear(bad)
+    with pytest.raises(ValueError):
+        obj.add_quadratic(bad, QuadMetric.scaled(1.0), 1.0)
+    with pytest.raises(ValueError):
+        solvers.Objective.build(obj.feasible_set, linear=bad)
+
+
+def test_metrics_reject_negative_curvature():
+    with pytest.raises(ValueError):
+        QuadMetric.diagonal([1.0, -1.0])
+    with pytest.raises(ValueError):
+        QuadMetric.diagonal([1.0, -np.inf])
+    with pytest.raises(ValueError):
+        QuadMetric.full(np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        QuadMetric.scaled(-1.0)
+    with pytest.raises(ValueError):
+        QuadMetric.diagonal([1.0, 2.0]).scale(-1.0)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_metrics_reject_non_finite_entries(value):
+    # sums and unit-scale copies of metrics are not validated again, so the
+    # constructors are where a non-finite weight has to stop
+    with pytest.raises(ValueError):
+        QuadMetric.diagonal([1.0, value])
+    with pytest.raises(ValueError):
+        QuadMetric.full(np.diag([1.0, value]))
+    with pytest.raises(ValueError):
+        QuadMetric.scaled(value)
+    with pytest.raises(ValueError):
+        QuadMetric.diagonal([1.0, 2.0]).scale(value)
+
+
+def test_metric_sums_match_the_validated_constructors():
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(4, 4))
+    full = QuadMetric.full(a @ a.T)
+    diag = QuadMetric.diagonal(rng.uniform(0.1, 2.0, 4))
+    iso = QuadMetric.scaled(0.7, 4)
+    zero = QuadMetric.zero(4)
+    for m, n in ((diag, iso), (diag, diag), (full, iso), (full, diag), (full, full)):
+        s = m.add(n)
+        ref = m.as_array(4) + n.as_array(4)
+        assert np.array_equal(s.as_array(4), ref)
+        assert s.min_eig() == pytest.approx(np.linalg.eigvalsh(ref)[0], abs=1e-12)
+        assert s.max_eig() == pytest.approx(np.linalg.eigvalsh(ref)[-1], rel=1e-12)
+    assert diag.add(zero) is diag and zero.add(full) is full
+    assert np.array_equal(full.scale(2.5).as_array(), 2.5 * full.as_array())
+    assert full.scale(2.5).max_eig() == pytest.approx(2.5 * full.max_eig(), rel=1e-12)
