@@ -10,7 +10,7 @@ from .core import (INF, DimensionMismatch, QuadMetric, SingularMetricError,
                    dual_norm_sq, quad_norm_sq)
 from .regularizers import (L1, Difference, Indicatrix, Linear,
                            ProximalConditionError, Quadratic, Regularizer,
-                           RegularizerTriple, ScheduleState, Sum, Zero,
+                           ScheduleState, Sum, Zero,
                            adagrad_diag_step, adagrad_full_step,
                            adagrad_initial_metric, check_proximal,
                            composite_wrap, final_attack_eta,
@@ -20,7 +20,7 @@ from .regularizers import (L1, Difference, Indicatrix, Linear,
 from .solvers import (Ball, Box, FeasibleSet, IllPosedError,
                       NumericArgminError, Objective, Simplex, Unconstrained,
                       argmin_l1_composite, argmin_numeric, argmin_quadratic,
-                      linear_argmin, minimize, project, simplex_project)
+                      linear_argmin, minimize, simplex_project)
 from .losses import (BregmanAround, DriftingQuadratic, FixedLoss, LinearStream,
                      Loss, LossSequence, StochasticLoss, alternating_stream,
                      check_pl, drift_then_constant_stream, estimate_tau,

@@ -28,10 +28,9 @@ import numpy as np
 
 from . import __version__, losses, regret, solvers, suites
 from .core import as_point, dot
-from .learners import PRESETS, Driver, preset_defaults, run_rounds
+from .learners import PRESET_TABLE, PRESETS, Driver, preset_defaults, run_rounds
 from .regret import TABLE2_CASES, BoundInputs
 
-_MD_PRESETS = ("adagrad-md", "md", "ao-md", "implicit-md")
 _BOUND_LABELS = TABLE2_CASES + ("forward", "ao")
 _COMPARATOR_POLICIES = ("offline-best", "star-center", "explicit")
 
@@ -225,7 +224,7 @@ def validate_run_config(raw: dict) -> dict:
         if not fs.contains(point):
             raise ConfigError("comparator.point", "lies outside the feasible set")
 
-    kind = "md" if preset in _MD_PRESETS else "ftrl"
+    kind = PRESET_TABLE[preset][0]
     default_case = "oo-ftrl" if kind == "ftrl" else "oo-md"
     bounds = cfg.setdefault("bounds", [default_case])
     if not isinstance(bounds, list) or not bounds:
@@ -241,7 +240,7 @@ def validate_run_config(raw: dict) -> dict:
     inputs = cfg.setdefault("inputs", {})
     if not isinstance(inputs, dict):
         raise ConfigError("inputs", "must be an object")
-    bad = set(inputs) - {"lipschitz", "radius", "smoothness", "tau", "d_init"}
+    bad = set(inputs) - {"radius", "smoothness", "d_init"}
     if bad:
         raise ConfigError("inputs", f"unknown keys: {sorted(bad)}")
     for k, v in inputs.items():
@@ -293,8 +292,7 @@ def _bound_inputs(cfg: dict, seq, fs, led) -> BoundInputs:
             variation = float(np.sum(per))
         else:
             variation, quality = losses.variation_estimate(seq, fs, led.T)
-    return BoundInputs(lipschitz=given.get("lipschitz"), radius=radius,
-                       smoothness=L, tau=given.get("tau"), variation=variation,
+    return BoundInputs(radius=radius, smoothness=L, variation=variation,
                        variation_terms=variation_terms,
                        variation_quality=quality, d_init=d_init)
 
@@ -330,6 +328,7 @@ def run_seed(cfg: dict, seed: int, solver_tol: float) -> dict:
     bi = _bound_inputs(cfg, seq, fs, led)
 
     reports = []
+    primary = None      # the first Table-2 report: the CSV's running bound
     for label in cfg["bounds"]:
         if label == "forward":
             rep = regret.bound_forward_ftrl(led, x_star) if led.kind == "ftrl" \
@@ -342,6 +341,7 @@ def run_seed(cfg: dict, seed: int, solver_tol: float) -> dict:
         else:
             rep = regret.bound_table2(led, x_star, label, inputs=bi)
             reports.append(_report_dict(rep, r_emp))
+            primary = primary or rep
     if cfg["variational"]:
         try:
             rep = regret.bound_variational_smooth(led, x_star, bi)
@@ -352,10 +352,8 @@ def run_seed(cfg: dict, seed: int, solver_tol: float) -> dict:
             rep = regret.bound_final_attack(led, bi)
             reports.append(_report_dict(rep, r_emp))
 
-    primary = next((c for c in cfg["bounds"] if c in TABLE2_CASES), None)
     header = regret.ledger_header(fs.dim)
-    rows = regret.ledger_rows(led, x_star, bound_case=primary, inputs=bi,
-                              terms=terms)
+    rows = regret.ledger_rows(led, x_star, inputs=bi, terms=terms, report=primary)
     # t, then every float with 17 significant digits, as _fmt renders it
     row_fmt = ",".join(["%d"] + ["%.17g"] * (len(header) - 1))
     lines = [",".join(header)]

@@ -14,7 +14,8 @@ regret calculators need.
 Optimistic variants are implemented literally as the plain updates with the
 hint shift folded into the round regularizer (ftrl) or the round's linear
 term (md), so the claimed equivalences hold by construction and tests only
-have to confirm them.
+have to confirm them.  Implicit and non-linearized updates are the plain
+updates too, with the loss's divergence from x_t folded into q_t.
 """
 
 from __future__ import annotations
@@ -37,10 +38,26 @@ from . import regret, solvers
 
 HINT_POLICIES = ("none", "prev-gradient", "custom")
 
-PRESETS = (
-    "ogd", "da", "adagrad-da", "ftrl-prox", "adagrad-md", "md",
-    "ao-ftrl-prox", "ao-md", "implicit-md", "nonlin-ftrl",
-)
+# preset -> (update family, default parameters)
+PRESET_TABLE = {
+    "ogd": ("ftrl", {"eta": 0.1}),
+    "da": ("ftrl", {"alpha0": 1.0, "alpha_growth": 0.0}),
+    "adagrad-da": ("ftrl", {"eta": 1.0, "gamma0": 1.0, "metric": "diag"}),
+    "ftrl-prox": ("ftrl", {"eta": 1.0, "gamma0": 0.0, "metric": "diag",
+                           "composite_alpha": 0.0,
+                           "composite_setting": "revealed-after"}),
+    "adagrad-md": ("md", {"eta": 1.0, "gamma0": 1.0, "metric": "diag"}),
+    "md": ("md", {"q0_scale": 1.0, "sigma_r": 0.0, "composite_alpha": 0.0,
+                  "composite_setting": "revealed-after"}),
+    "ao-ftrl-prox": ("ftrl", {"eta_schedule": "scale-free", "eta0": 1.0,
+                              "radius": None, "smooth_l": 0.0,
+                              "hints": "prev-gradient", "composite_alpha": 0.0,
+                              "composite_setting": "revealed-after"}),
+    "ao-md": ("md", {"q0_scale": 0.0, "sigma_r": 1.0, "hints": "prev-gradient"}),
+    "implicit-md": ("md", {"q0_scale": 0.0, "sigma_r": 1.0}),
+    "nonlin-ftrl": ("ftrl", {"q0_scale": 1.0}),
+}
+PRESETS = tuple(PRESET_TABLE)
 
 
 @dataclass
@@ -50,7 +67,6 @@ class StepResult:
     x_next: np.ndarray
     g: np.ndarray
     hint: np.ndarray
-    hint_next: np.ndarray
     p: Regularizer
     q: Regularizer
     q_tilde: Regularizer
@@ -61,10 +77,15 @@ class StepResult:
     certified: bool
 
 
-def _quad_metric_of(reg, dim: int) -> QuadMetric | None:
+def _quad_metric_of(reg, dim: int, extra: list | None = None) -> QuadMetric | None:
     """Combined PSD metric of the quadratic parts, None if any signed part
     makes the curvature uncertifiable.  The parts' metrics were validated
-    when they were built; unit-scale parts enter as they are."""
+    when they were built; unit-scale parts enter as they are.
+
+    A quadratic loss's divergence is exactly (w/2)||. - x_t||^2 and enters
+    as the metric w I; any other loss divergence is appended to ``extra``,
+    since folding a strong-convexity estimate on top of the handle would
+    count the curvature twice."""
     metric = QuadMetric.zero(dim)
 
     def walk(r):
@@ -82,6 +103,11 @@ def _quad_metric_of(reg, dim: int) -> QuadMetric | None:
                 walk(part)
         elif isinstance(r, Difference):
             metric = None
+        elif isinstance(r, BregmanAround):
+            if r.loss.name == "quadratic":
+                metric = metric.add(QuadMetric.scaled(r.loss.smoothness, dim))
+            elif extra is not None:
+                extra.append(r)
 
     walk(reg)
     return metric
@@ -124,7 +150,6 @@ class LearnerBase:
         self.prox_probes = int(prox_probes)
         self._rng = np.random.default_rng(seed)
         self.solver_calls = 0
-        self.init_solver_calls = 0
         self._cert_ok = _certified(self.q0_tilde)
         self.x1 = self._solve_init()
         self.x = self.x1.copy()
@@ -139,12 +164,7 @@ class LearnerBase:
                                       regularizer=self.q0_tilde)
         x1 = solvers.minimize(obj, tol=self.solver_tol)
         self.solver_calls += 1
-        self.init_solver_calls += 1
         return x1
-
-    @property
-    def round_solver_calls(self) -> int:
-        return self.solver_calls - self.init_solver_calls
 
     def _finish(self, res: StepResult) -> StepResult:
         self.t = res.t
@@ -177,9 +197,12 @@ class FtrlLearner(LearnerBase):
             total += h.bregman(y, x)
         return total
 
-    def ftrl_step(self, g, p_t=None, q_t=None, *, q_tilde=None, hint_next=None,
-                  psi=None, eta=None) -> StepResult:
-        """One round on the gradient g, which Driver.round has validated."""
+    def ftrl_step(self, g, p_t=None, q_t=None, *, q_tilde=None, psi=None,
+                  eta=None) -> StepResult:
+        """One round on the gradient g, which Driver.round has validated.
+
+        A q_t carrying a loss's divergence from x_t keeps that loss itself
+        in the objective: the non-linearized update."""
         p_t = p_t if p_t is not None else Zero()
         q_t = q_t if q_t is not None else Zero()
         q_tilde = q_tilde if q_tilde is not None else q_t
@@ -203,16 +226,14 @@ class FtrlLearner(LearnerBase):
         self._cert_ok = (self._cert_ok and r_metric is not None
                          and _certified(p_t) and _certified(q_t))
 
-        qm = _quad_metric_of(q_t, self.dim)
+        qm = _quad_metric_of(q_t, self.dim, self._r_extra)
         self._r_metric = None if (r_metric is None or qm is None) \
             else r_metric.add(qm)
         self._r_l1 = r_l1 + _l1_alpha_of(q_t)
 
-        hint_next = (self.hint if hint_next is None
-                     else as_point(hint_next).copy())
         return self._finish(StepResult(
             t=self.t + 1, x=x_t, x_next=x_next, g=g, hint=self.hint,
-            hint_next=hint_next, p=p_t, q=q_t, q_tilde=q_tilde, psi=psi,
+            p=p_t, q=q_t, q_tilde=q_tilde, psi=psi,
             r_metric=r_metric, breg_r=breg, eta=eta, certified=self._cert_ok))
 
     def ao_ftrl_step(self, g, hint_next, p_t=None, q_tilde=None, psi=None,
@@ -224,58 +245,9 @@ class FtrlLearner(LearnerBase):
         hint_next = as_point(hint_next)
         q_t = optimistic_shift(q_tilde, self.hint, hint_next)
         res = self.ftrl_step(g, p_t=p_t, q_t=q_t, q_tilde=q_tilde,
-                             hint_next=hint_next, psi=psi, eta=eta)
+                             psi=psi, eta=eta)
         self.hint = hint_next.copy()
         return res
-
-    def nonlinearized_step(self, loss, q_tilde=None, p_t=None, eta=None) -> StepResult:
-        """Keep the losses themselves in the objective instead of their
-        linearizations.  As an instance of the linear update this emits
-        q_t = (divergence of the loss from x_t) + q~_t, with g_t the loss
-        gradient at x_t."""
-        q_tilde = q_tilde if q_tilde is not None else Zero()
-        p_t = p_t if p_t is not None else Zero()
-        x_t = self.x
-        g = loss.grad(x_t)
-        psi_r = BregmanAround(loss, x_t)
-        q_eff = Sum([psi_r, q_tilde])
-        check_proximal(p_t, x_t, self.feasible_set, rng=self._rng,
-                       n_probes=self.prox_probes)
-
-        pm = _quad_metric_of(p_t, self.dim)
-        r_metric = None if (self._r_metric is None or pm is None) \
-            else self._r_metric.add(pm)
-        r_l1 = self._r_l1 + _l1_alpha_of(p_t)
-
-        self._obj.add_regularizer(p_t)
-        self._obj.add_regularizer(q_tilde)
-        self._obj.losses.append(loss)
-        self._obj.init = x_t
-        x_next = solvers.minimize(self._obj, tol=self.solver_tol)
-        self.solver_calls += 1
-
-        breg = self._breg_r(r_metric, r_l1, x_next, x_t)
-        self._cert_ok = (self._cert_ok and r_metric is not None
-                         and _certified(p_t) and _certified(q_tilde))
-
-        qm = _quad_metric_of(q_tilde, self.dim)
-        if loss.name == "quadratic":
-            # the loss divergence is exactly (w/2)||.||^2, fold it in
-            if qm is not None:
-                qm = qm.add(QuadMetric.scaled(loss.smoothness, self.dim))
-        else:
-            # the divergence handle carries the loss curvature exactly;
-            # folding a strong-convexity estimate on top would double count
-            self._r_extra.append(psi_r)
-        self._r_metric = None if (r_metric is None or qm is None) \
-            else r_metric.add(qm)
-        self._r_l1 = r_l1 + _l1_alpha_of(q_tilde)
-
-        return self._finish(StepResult(
-            t=self.t + 1, x=x_t, x_next=x_next, g=g, hint=self.hint,
-            hint_next=self.hint, p=p_t, q=q_eff, q_tilde=q_eff,
-            psi=None, r_metric=r_metric, breg_r=breg, eta=eta,
-            certified=self._cert_ok))
 
 
 class MdLearner(LearnerBase):
@@ -294,9 +266,12 @@ class MdLearner(LearnerBase):
         self._r_metric = QuadMetric.zero(self.dim)
         self._q_prev = self.q0
 
-    def md_step(self, g, q_t=None, r_t=None, *, q_tilde=None, hint_next=None,
-                psi=None, eta=None, losses=()) -> StepResult:
-        """One round on the gradient g, which Driver.round has validated."""
+    def md_step(self, g, q_t=None, r_t=None, *, q_tilde=None, psi=None,
+                eta=None) -> StepResult:
+        """One round on the gradient g, which Driver.round has validated.
+
+        A q_t carrying a loss's divergence from x_t keeps that loss itself
+        in the objective: the implicit update."""
         q_t = q_t if q_t is not None else Zero()
         r_t = r_t if r_t is not None else Zero()
         q_tilde = q_tilde if q_tilde is not None else q_t
@@ -310,7 +285,7 @@ class MdLearner(LearnerBase):
         p_t = Difference(r_t, self._q_prev)
 
         obj = solvers.Objective.build(self.feasible_set, linear=g,
-                                      regularizer=q_t, losses=losses)
+                                      regularizer=q_t)
         obj.add_quadratic(x_t, r_metric, 1.0)
         obj.init = x_t
         x_next = solvers.minimize(obj, tol=self.solver_tol)
@@ -321,11 +296,9 @@ class MdLearner(LearnerBase):
         self._r_metric = r_metric
         self._q_prev = q_t
 
-        hint_next = (self.hint if hint_next is None
-                     else as_point(hint_next).copy())
         return self._finish(StepResult(
             t=self.t + 1, x=x_t, x_next=x_next, g=g, hint=self.hint,
-            hint_next=hint_next, p=p_t, q=q_t, q_tilde=q_tilde, psi=psi,
+            p=p_t, q=q_t, q_tilde=q_tilde, psi=psi,
             r_metric=r_metric, breg_r=breg, eta=eta, certified=self._cert_ok))
 
     def ao_md_step(self, g, hint_next, q_tilde=None, r_t=None, psi=None,
@@ -337,73 +310,17 @@ class MdLearner(LearnerBase):
         hint_next = as_point(hint_next)
         q_t = optimistic_shift(q_tilde, self.hint, hint_next)
         res = self.md_step(g, q_t=q_t, r_t=r_t, q_tilde=q_tilde,
-                           hint_next=hint_next, psi=psi, eta=eta)
+                           psi=psi, eta=eta)
         self.hint = hint_next.copy()
         return res
-
-    def implicit_step(self, loss, q_tilde=None, r_t=None, eta=None) -> StepResult:
-        """Minimize the loss itself plus the anchor divergence.
-
-        Equivalent to a composite round with the linear part taken at x_t
-        and the loss divergence from x_t folded into q_t, which is how it
-        is recorded."""
-        q_tilde = q_tilde if q_tilde is not None else Zero()
-        r_t = r_t if r_t is not None else Zero()
-        if not _pure_quadratic(r_t):
-            raise ValueError("mirror-descent rounds need quadratic-family r_t")
-        rm = _quad_metric_of(r_t, self.dim)
-        if rm is None:
-            raise ValueError("r_t has negative curvature, anchor undefined")
-        x_t = self.x
-        g = loss.grad(x_t)
-        psi_r = BregmanAround(loss, x_t)
-        q_eff = Sum([psi_r, q_tilde])
-        r_metric = self._r_metric.add(rm)
-        p_t = Difference(r_t, self._q_prev)
-
-        obj = solvers.Objective.build(self.feasible_set,
-                                      regularizer=q_tilde, losses=[loss])
-        obj.add_quadratic(x_t, r_metric, 1.0)
-        obj.init = x_t
-        x_next = solvers.minimize(obj, tol=self.solver_tol)
-        self.solver_calls += 1
-
-        breg = 0.5 * quad_norm_sq(r_metric, x_next - x_t)
-        self._cert_ok = self._cert_ok and _certified(q_tilde)
-        self._r_metric = r_metric
-        self._q_prev = q_eff
-
-        return self._finish(StepResult(
-            t=self.t + 1, x=x_t, x_next=x_next, g=g, hint=self.hint,
-            hint_next=self.hint, p=p_t, q=q_eff, q_tilde=q_eff,
-            psi=None, r_metric=r_metric, breg_r=breg, eta=eta,
-            certified=self._cert_ok))
 
 
 # -- preset schedules ----------------------------------------------------------
 
-_PRESET_DEFAULTS = {
-    "ogd": {"eta": 0.1},
-    "da": {"alpha0": 1.0, "alpha_growth": 0.0},
-    "adagrad-da": {"eta": 1.0, "gamma0": 1.0, "metric": "diag"},
-    "ftrl-prox": {"eta": 1.0, "gamma0": 0.0, "metric": "diag",
-                  "composite_alpha": 0.0, "composite_setting": "revealed-after"},
-    "adagrad-md": {"eta": 1.0, "gamma0": 1.0, "metric": "diag"},
-    "md": {"q0_scale": 1.0, "sigma_r": 0.0,
-           "composite_alpha": 0.0, "composite_setting": "revealed-after"},
-    "ao-ftrl-prox": {"eta_schedule": "scale-free", "eta0": 1.0, "radius": None,
-                     "smooth_l": 0.0, "hints": "prev-gradient",
-                     "composite_alpha": 0.0, "composite_setting": "revealed-after"},
-    "ao-md": {"q0_scale": 0.0, "sigma_r": 1.0, "hints": "prev-gradient"},
-    "implicit-md": {"q0_scale": 0.0, "sigma_r": 1.0},
-    "nonlin-ftrl": {"q0_scale": 1.0},
-}
-
-
 def preset_defaults(preset: str) -> dict:
-    if preset not in _PRESET_DEFAULTS:
+    if preset not in PRESET_TABLE:
         raise ValueError(f"unknown preset {preset!r}; known: {', '.join(PRESETS)}")
-    return dict(_PRESET_DEFAULTS[preset])
+    return dict(PRESET_TABLE[preset][1])
 
 
 def _positive(params, key):
@@ -431,8 +348,6 @@ class Driver:
 
     def __init__(self, preset: str, feasible_set, params: dict | None = None,
                  hint_fn=None, solver_tol: float = 1e-10, seed: int = 0):
-        if preset not in _PRESET_DEFAULTS:
-            raise ValueError(f"unknown preset {preset!r}; known: {', '.join(PRESETS)}")
         merged = preset_defaults(preset)
         unknown = set(params or ()) - set(merged)
         if unknown:
@@ -468,8 +383,7 @@ class Driver:
         if self.composite and self.composite_setting == "known-before":
             q0 = composite_wrap(q0, self._psi(1), "known-before")
         hint1 = self._hint(1, None)
-        cls = MdLearner if preset in ("adagrad-md", "md", "ao-md", "implicit-md") \
-            else FtrlLearner
+        cls = MdLearner if PRESET_TABLE[preset][0] == "md" else FtrlLearner
         self.learner = cls(feasible_set, q0=q0, hint1=hint1,
                            solver_tol=solver_tol, seed=seed)
 
@@ -570,9 +484,13 @@ class Driver:
         if self.needs_loss:
             if loss is None:
                 raise ValueError(f"preset {self.preset} needs the loss handle")
-            if self.preset == "implicit-md":
-                return lrn.implicit_step(loss, q_tilde=Zero(), r_t=self._md_r(t, d))
-            return lrn.nonlinearized_step(loss, q_tilde=Zero(), p_t=Zero())
+            # implicit / non-linearized: g_t is the loss gradient at x_t and
+            # q_t = B_f(., x_t) + q~_t, with q~_t = 0
+            div = BregmanAround(loss, lrn.x)
+            q_t = Sum([div, Zero()])
+            if lrn.kind == "md":
+                return lrn.md_step(div.g_anchor, q_t=q_t, r_t=self._md_r(t, d))
+            return lrn.ftrl_step(div.g_anchor, q_t=q_t)
 
         # the round's one validation of g; the schedule and step trust it
         try:

@@ -252,21 +252,21 @@ class BregmanAround:
     def __init__(self, loss: Loss, anchor):
         self.loss = loss
         self.anchor = as_point(anchor)
-        self._f_a = loss.value(self.anchor)
-        self._g_a = loss.grad(self.anchor)
+        self.f_anchor = loss.value(self.anchor)
+        self.g_anchor = loss.grad(self.anchor)
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        return self.loss.value(x) - self._f_a - dot(self._g_a, x - self.anchor)
+        return self.loss.value(x) - self.f_anchor - dot(self.g_anchor, x - self.anchor)
 
     def grad(self, x) -> np.ndarray:
-        return self.loss.grad(x) - self._g_a
+        return self.loss.grad(x) - self.g_anchor
 
     def dir_deriv(self, x, z) -> float:
         base = self.loss.dir_deriv(x, z)
         if not math.isfinite(base):
             return base
-        return base - dot(self._g_a, np.asarray(z, dtype=float))
+        return base - dot(self.g_anchor, np.asarray(z, dtype=float))
 
     def bregman(self, y, x) -> float:
         return core.bregman(self, y, x)
@@ -452,11 +452,6 @@ class StochasticLoss(LossSequence):
         if first is None:
             return None
         return [first] + [0.0] * (T - 1)
-
-
-def stochastic_gradient(seq: LossSequence, t: int, x, rng):
-    """Draw the round-t feedback (g_t, sigma_t) from the sequence's oracle."""
-    return seq.gradient(t, as_point(x), rng)
 
 
 def _sup_grad_norm_sq(loss: Loss, feasible_set):

@@ -11,6 +11,12 @@ linearization gap.  The calculators in this module evaluate every term from
 a recorded run, bound R+_T through the emitted regularizers, and evaluate
 the closed-form full-regret bounds for the standard schedule families.
 
+There is one accounting path.  The forward, Table-2 and optimistic bounds
+are all built by ``_bound`` from per-round term arrays; a report carries
+the running sum of its terms, its value is the last entry, and the CSV's
+``cum_bound`` column is that same running bound, so a report and its
+ledger cannot disagree.
+
 All q-sums run over t = 0..T by default; since the regret never depends on
 the last emitted regularizer, each calculator can also drop the final q
 term (``include_final_q=False``), which is the bound obtained by re-running
@@ -24,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import INF, QuadMetric, SingularMetricError, as_point, dot, quad_norm_sq, dual_norm_sq
-from .regularizers import Regularizer, Zero
+from .core import INF, QuadMetric, SingularMetricError, as_point, dot, dual_norm_sq
+from .regularizers import Regularizer
 from . import solvers
 
 TABLE2_CASES = (
@@ -97,10 +103,8 @@ class BoundInputs:
     """Problem-level constants that bounds may need beyond the ledger."""
 
     x_star: np.ndarray | None = None
-    lipschitz: float | None = None     # G
     radius: float | None = None        # R, feasible-set width
     smoothness: float | None = None    # L
-    tau: float | None = None
     variation: float | None = None     # D, total gradient variation
     variation_terms: list | None = None
     variation_quality: str = "exact"
@@ -115,6 +119,7 @@ class BoundReport:
     certified: bool = True
     quality: str = "exact"
     notes: list = field(default_factory=list)
+    running: np.ndarray | None = field(default=None, repr=False)
 
 
 # -- decomposition -----------------------------------------------------------
@@ -177,130 +182,158 @@ def decomposition_residual(ledger: Ledger, x_star, terms: dict | None = None) ->
     return abs(empirical_regret(ledger, x_star, composite=False) - rhs)
 
 
-# -- shared bound pieces -------------------------------------------------------
+# -- the per-round terms: one accounting path -----------------------------------
 
-def _q_sum(ledger: Ledger, x_star, include_final_q: bool, tilde: bool) -> float:
-    """sum over t of q_t(x*) - q_t(x_{t+1}), starting at the round-0 term."""
-    q0 = ledger.q0_tilde if tilde else ledger.q0
-    total = q0.value(x_star) - q0.value(ledger.x1)
-    recs = ledger.records if include_final_q else ledger.records[:-1]
-    for rec in recs:
-        q = rec.q_tilde if tilde else rec.q
-        vs = q.value(x_star)
-        if vs == INF:
-            return INF
-        total += vs - q.value(rec.x_next)
-    return total
+_FORWARD_CASES = ("forward-ftrl", "forward-md")
+_AO_CASES = ("ao-ftrl", "ao-md")
 
 
-def _p_sum(ledger: Ledger, x_star) -> float:
-    total = 0.0
-    for rec in ledger.records:
-        vs = rec.p.value(x_star)
-        if vs == INF:
-            return INF
-        total += vs - rec.p.value(rec.x)
-    return total
+def _per_round(ledger: Ledger, term) -> np.ndarray:
+    """term(rec) for every round, +inf from the first +inf on: a running
+    total is +inf from there, so later rounds are not evaluated."""
+    out = np.full(ledger.T, INF)
+    for i, rec in enumerate(ledger.records):
+        v = term(rec)
+        if v == INF:
+            break
+        out[i] = v
+    return out
 
 
-def _bp_sum(ledger: Ledger, x_star) -> float:
-    total = 0.0
-    for rec in ledger.records:
-        b = rec.p.bregman(x_star, rec.x)
-        if b == INF:
-            return INF
-        total += b
-    return total
+def _diff(reg, x_star, x) -> float:
+    """reg(x*) - reg(x), +inf when reg(x*) is."""
+    vs = reg.value(x_star)
+    return INF if vs == INF else vs - reg.value(x)
 
 
-def _breg_r_sum(ledger: Ledger) -> float:
-    return sum(rec.breg_r for rec in ledger.records)
-
-
-def _dual_sum(ledger: Ledger, vec_of, report: BoundReport, shift: float = 0.0) -> float:
-    """sum_t 1/2 ||v_t||^2 under each round's certified metric (optionally
-    shifted by -shift * identity for the smooth-loss rows)."""
-    total = 0.0
-    for rec in ledger.records:
+def _dual_term(report: BoundReport, vec_of, shift: float):
+    """1/2 ||v_t||^2 under round t's certified metric (shifted by
+    -shift * identity for the smooth rows); +inf, with a note naming the
+    round, where the metric cannot certify it."""
+    def term(rec):
         v = vec_of(rec)
         if v is None:
-            report.certified = False
-            report.notes.append(f"round {rec.t}: missing vector for dual norm")
-            return INF
+            return _uncertify(report, f"round {rec.t}: missing vector for dual norm")
         if not np.any(v):
-            continue
+            return 0.0
         m = rec.r_metric
         if m is None:
-            report.certified = False
-            report.notes.append(f"round {rec.t}: no certified metric")
-            return INF
+            return _uncertify(report, f"round {rec.t}: no certified metric")
         if shift:
             try:
                 m = m.shift_identity(-shift)
             except ValueError:
-                report.certified = False
-                report.notes.append(
-                    f"round {rec.t}: metric cannot absorb smoothness {shift}")
-                return INF
+                return _uncertify(report, f"round {rec.t}: metric cannot "
+                                  f"absorb smoothness {shift}")
         try:
-            total += 0.5 * dual_norm_sq(m, v)
+            return 0.5 * dual_norm_sq(m, v)
         except SingularMetricError as e:
-            report.certified = False
-            report.notes.append(f"round {rec.t}: {e}")
-            return INF
-    return total
+            return _uncertify(report, f"round {rec.t}: {e}")
+    return term
+
+
+def _uncertify(report: BoundReport, note: str) -> float:
+    """Withdraw the report's certificate, say why, and return +inf."""
+    report.certified = False
+    report.notes.append(note)
+    return INF
 
 
 def _check_certified(ledger: Ledger, report: BoundReport):
     if not ledger.certified():
-        report.certified = False
-        report.notes.append("run emitted uncertified regularizers")
+        _uncertify(report, "run emitted uncertified regularizers")
 
 
-# -- forward-regret bounds -----------------------------------------------------
+def _bound(ledger: Ledger, x_star, case: str, inputs: BoundInputs | None = None,
+           include_final_q: bool = True) -> BoundReport:
+    """Every bound of this module except the variational and schedule ones.
+
+    Each term is a per-round array; the report's running bound is the
+    left-to-right running sum of the terms (np.cumsum, which adds in the
+    order a loop would, unlike the pairwise np.sum), its total the last
+    entry, so a report and the CSV built from it agree bit for bit.  Row t
+    of the running bound is the bound of the run truncated after round t.
+    """
+    if case not in TABLE2_CASES + _FORWARD_CASES + _AO_CASES:
+        raise ValueError(f"unknown bound case {case!r}")
+    ftrl_case = case.endswith("ftrl")
+    if ftrl_case != (ledger.kind == "ftrl"):
+        raise ValueError(f"case {case} does not match a {ledger.kind} ledger")
+    forward = case in _FORWARD_CASES
+    optimistic = case in _AO_CASES
+    strong = case.endswith("md-strong")
+    smooth = case.startswith("smooth")
+    x_star = as_point(x_star)
+    inputs = inputs or BoundInputs()
+    report = BoundReport(case, 0.0, {})
+    _check_certified(ledger, report)
+    if strong and any(rec.loss.bregman(x_star, rec.x)
+                      < rec.p.bregman(x_star, rec.x) - 1e-9
+                      for rec in ledger.records):
+        _uncertify(report, "loss curvature does not dominate B_{p_t}(x*, x_t)")
+
+    # q_0 term, then one per round; the optimistic bounds use q~ and, like
+    # include_final_q=False, stop one q term short of each row
+    q0 = ledger.q0_tilde if optimistic else ledger.q0
+    q_terms = np.concatenate((
+        [q0.value(x_star) - q0.value(ledger.x1)],
+        _per_round(ledger, lambda rec: _diff(
+            rec.q_tilde if optimistic else rec.q, x_star, rec.x_next))))
+    q_run = np.cumsum(q_terms)
+    parts = {"q_sum": q_run[:-1] if optimistic or not include_final_q
+             else q_run[1:]}
+    if ftrl_case:
+        parts["p_sum"] = np.cumsum(_per_round(
+            ledger, lambda rec: _diff(rec.p, x_star, rec.x)))
+    elif not strong:
+        parts["bp_sum"] = np.cumsum(_per_round(
+            ledger, lambda rec: rec.p.bregman(x_star, rec.x)))
+
+    if smooth:
+        L = inputs.smoothness
+        if L is None or L <= 0:
+            raise ValueError("smooth cases need a positive smoothness constant")
+        if inputs.d_init is None:
+            raise ValueError("smooth cases need d_init = f(x_1) - inf f")
+        if not ledger.stochastic:
+            report.notes.append("smooth case evaluated on a deterministic run")
+        anchor = x_star if ftrl_case else x_star - ledger.x1
+        parts["smooth_anchor"] = 0.5 * L * float(np.dot(anchor, anchor))
+        parts["d_init"] = float(inputs.d_init)
+        parts["noise_sum"] = np.cumsum(_per_round(
+            ledger, _dual_term(report, lambda rec: rec.sigma, L)))
+    elif optimistic:
+        parts["hint_err_sum"] = np.cumsum(_per_round(
+            ledger, _dual_term(report, lambda rec: rec.g - rec.hint, 0.0)))
+    elif not forward:
+        parts["grad_sum"] = np.cumsum(_per_round(
+            ledger, _dual_term(report, lambda rec: rec.g, 0.0)))
+
+    running = 0.0
+    for part in parts.values():
+        running = running + part
+    if forward:
+        parts["breg_r_sum"] = np.cumsum(_per_round(ledger, lambda rec: rec.breg_r))
+        running = running - parts["breg_r_sum"]
+    report.terms = {k: float(v[-1]) if isinstance(v, np.ndarray) else v
+                    for k, v in parts.items()}
+    report.running = running
+    report.value = float(running[-1])
+    return report
+
+
+# -- the entry points ------------------------------------------------------------
 
 def bound_forward_ftrl(ledger: Ledger, x_star, include_final_q: bool = True) -> BoundReport:
     """Follow-the-regularized-leader forward bound:
     sum (q_t(x*) - q_t(x_{t+1})) + sum (p_t(x*) - p_t(x_t)) - sum B_{r_{1:t}}(x_{t+1}, x_t)."""
-    if ledger.kind != "ftrl":
-        raise ValueError(f"forward FTRL bound on a {ledger.kind} ledger")
-    x_star = as_point(x_star)
-    report = BoundReport("forward-ftrl", 0.0, {})
-    _check_certified(ledger, report)
-    q = _q_sum(ledger, x_star, include_final_q, tilde=False)
-    p = _p_sum(ledger, x_star)
-    b = _breg_r_sum(ledger)
-    report.terms = {"q_sum": q, "p_sum": p, "breg_r_sum": b}
-    report.value = q + p - b
-    return report
+    return _bound(ledger, x_star, "forward-ftrl", include_final_q=include_final_q)
 
 
 def bound_forward_md(ledger: Ledger, x_star, include_final_q: bool = True) -> BoundReport:
     """Mirror-descent forward bound: the FTRL bound with B_{p_t}(x*, x_t)
     in place of p_t(x*) - p_t(x_t)."""
-    if ledger.kind != "md":
-        raise ValueError(f"forward MD bound on a {ledger.kind} ledger")
-    x_star = as_point(x_star)
-    report = BoundReport("forward-md", 0.0, {})
-    _check_certified(ledger, report)
-    q = _q_sum(ledger, x_star, include_final_q, tilde=False)
-    bp = _bp_sum(ledger, x_star)
-    b = _breg_r_sum(ledger)
-    report.terms = {"q_sum": q, "bp_sum": bp, "breg_r_sum": b}
-    report.value = q + bp - b
-    return report
-
-
-# -- full-regret bounds --------------------------------------------------------
-
-def _assumption7_holds(ledger: Ledger, x_star, tol: float = 1e-9) -> bool:
-    """Per-round check B_{f_t}(x*, x_t) >= B_{p_t}(x*, x_t)."""
-    for rec in ledger.records:
-        bf = rec.loss.bregman(x_star, rec.x)
-        bp = rec.p.bregman(x_star, rec.x)
-        if bf < bp - tol:
-            return False
-    return True
+    return _bound(ledger, x_star, "forward-md", include_final_q=include_final_q)
 
 
 def bound_table2(ledger: Ledger, x_star, case: str, inputs: BoundInputs | None = None,
@@ -312,52 +345,13 @@ def bound_table2(ledger: Ledger, x_star, case: str, inputs: BoundInputs | None =
     stochastic cases charge only the noise part 1/2 ||sigma_t||^2 under the
     metric reduced by the smoothness constant, plus the one-time terms
     L/2 ||x*||^2 (or L/2 ||x* - x_1||^2 for mirror descent) and
-    f(x_1) - inf f.
+    f(x_1) - inf f.  The strongly convex mirror-descent cases drop the
+    B_{p_t} terms and are certified only where B_{f_t}(x*, x_t) >=
+    B_{p_t}(x*, x_t) in every round.
     """
     if case not in TABLE2_CASES:
         raise ValueError(f"unknown bound case {case!r}")
-    x_star = as_point(x_star)
-    inputs = inputs or BoundInputs()
-    report = BoundReport(case, 0.0, {})
-    _check_certified(ledger, report)
-
-    ftrl_case = case.endswith("ftrl")
-    strong = case.endswith("md-strong")
-    smooth = case.startswith("smooth")
-    if ftrl_case and ledger.kind != "ftrl" or not ftrl_case and ledger.kind != "md":
-        raise ValueError(f"case {case} does not match a {ledger.kind} ledger")
-
-    terms = {}
-    terms["q_sum"] = _q_sum(ledger, x_star, include_final_q, tilde=False)
-    if ftrl_case:
-        terms["p_sum"] = _p_sum(ledger, x_star)
-    elif strong:
-        if not _assumption7_holds(ledger, x_star):
-            report.certified = False
-            report.notes.append(
-                "loss curvature does not dominate B_{p_t}(x*, x_t)")
-    else:
-        terms["bp_sum"] = _bp_sum(ledger, x_star)
-
-    if smooth:
-        L = inputs.smoothness
-        if L is None or L <= 0:
-            raise ValueError("smooth cases need a positive smoothness constant")
-        if not ledger.stochastic:
-            report.notes.append("smooth case evaluated on a deterministic run")
-        if inputs.d_init is None:
-            raise ValueError("smooth cases need d_init = f(x_1) - inf f")
-        anchor = x_star if ftrl_case else x_star - ledger.x1
-        terms["smooth_anchor"] = 0.5 * L * float(np.dot(anchor, anchor))
-        terms["d_init"] = float(inputs.d_init)
-        terms["noise_sum"] = _dual_sum(
-            ledger, lambda rec: rec.sigma, report, shift=L)
-    else:
-        terms["grad_sum"] = _dual_sum(ledger, lambda rec: rec.g, report)
-
-    report.terms = terms
-    report.value = float(sum(terms.values()))
-    return report
+    return _bound(ledger, x_star, case, inputs, include_final_q)
 
 
 def bound_ao_ftrl(ledger: Ledger, x_star) -> BoundReport:
@@ -365,36 +359,12 @@ def bound_ao_ftrl(ledger: Ledger, x_star) -> BoundReport:
     sum_{t=0}^{T-1} (q~_t(x*) - q~_t(x_{t+1})) + sum (p_t(x*) - p_t(x_t))
     + sum 1/2 ||g_t - hint_t||^2 dual.  With zero hints this is the plain
     FTRL bound with the final q term dropped, term by term."""
-    if ledger.kind != "ftrl":
-        raise ValueError("optimistic FTRL bound needs an ftrl ledger")
-    x_star = as_point(x_star)
-    report = BoundReport("ao-ftrl", 0.0, {})
-    _check_certified(ledger, report)
-    terms = {
-        "q_sum": _q_sum(ledger, x_star, include_final_q=False, tilde=True),
-        "p_sum": _p_sum(ledger, x_star),
-        "hint_err_sum": _dual_sum(ledger, lambda rec: rec.g - rec.hint, report),
-    }
-    report.terms = terms
-    report.value = float(sum(terms.values()))
-    return report
+    return _bound(ledger, x_star, "ao-ftrl")
 
 
 def bound_ao_md(ledger: Ledger, x_star) -> BoundReport:
     """Optimistic mirror-descent analog of :func:`bound_ao_ftrl`."""
-    if ledger.kind != "md":
-        raise ValueError("optimistic MD bound needs an md ledger")
-    x_star = as_point(x_star)
-    report = BoundReport("ao-md", 0.0, {})
-    _check_certified(ledger, report)
-    terms = {
-        "q_sum": _q_sum(ledger, x_star, include_final_q=False, tilde=True),
-        "bp_sum": _bp_sum(ledger, x_star),
-        "hint_err_sum": _dual_sum(ledger, lambda rec: rec.g - rec.hint, report),
-    }
-    report.terms = terms
-    report.value = float(sum(terms.values()))
-    return report
+    return _bound(ledger, x_star, "ao-md")
 
 
 def bound_variational_smooth(ledger: Ledger, x_star, inputs: BoundInputs) -> BoundReport:
@@ -582,54 +552,28 @@ def ledger_header(dim: int) -> list:
 
 
 def ledger_rows(ledger: Ledger, x_star, bound_case: str | None = None,
-                inputs: BoundInputs | None = None, terms: dict | None = None) -> list:
+                inputs: BoundInputs | None = None, terms: dict | None = None,
+                report: BoundReport | None = None) -> list:
     """Fixed-layout rows: t, iterate, gradient, the four decomposition
     terms, then running regret, running bound, and their gap.
 
-    The running bound at row t is the bound of the run truncated after
-    round t (with its final q term included), accumulated incrementally so
-    the export stays linear in T; the last row matches the full-run
-    calculator.  ``terms`` is as in :func:`decomposition_residual`.
+    The running bound is ``report``'s, by default the Table-2 report for
+    ``bound_case`` (the run kind's online case when None); its last row is
+    the report's value.  ``terms`` is as in :func:`decomposition_residual`.
     """
     x_star = as_point(x_star)
     if terms is None:
         terms = decomposition_terms(ledger, x_star)
-    if bound_case is None:
-        bound_case = "oo-ftrl" if ledger.kind == "ftrl" else "oo-md"
-    if bound_case not in TABLE2_CASES:
-        raise ValueError(f"unknown bound case {bound_case!r}")
-    ftrl_case = bound_case.endswith("ftrl")
-    strong = bound_case.endswith("md-strong")
-    smooth = bound_case.startswith("smooth")
-    inputs = inputs or BoundInputs()
-    const = 0.0
-    if smooth:
-        L = inputs.smoothness
-        if L is None or L <= 0 or inputs.d_init is None:
-            raise ValueError("smooth cases need smoothness and d_init")
-        anchor = x_star if ftrl_case else x_star - ledger.x1
-        const = 0.5 * L * float(np.dot(anchor, anchor)) + float(inputs.d_init)
-    shift = inputs.smoothness if smooth else 0.0
-
+    if report is None:
+        report = bound_table2(ledger, x_star, bound_case or f"oo-{ledger.kind}",
+                              inputs)
     rows = []
     cum_regret = 0.0
-    q_acc = ledger.q0.value(x_star) - ledger.q0.value(ledger.x1)
-    comp_acc = 0.0   # p differences, Bregman of p, or nothing (strong)
-    dual_acc = 0.0
-    for i, rec in enumerate(ledger.records):
+    for i, (rec, cum_bound) in enumerate(zip(ledger.records,
+                                             report.running.tolist())):
         cum_regret += rec.loss_value - rec.loss.value(x_star)
         if ledger.composite and rec.psi is not None:
             cum_regret += rec.psi.value(rec.x) - rec.psi.value(x_star)
-        q_acc += rec.q.value(x_star) - rec.q.value(rec.x_next)
-        if ftrl_case:
-            comp_acc += rec.p.value(x_star) - rec.p.value(rec.x)
-        elif not strong:
-            comp_acc += rec.p.bregman(x_star, rec.x)
-        v = rec.sigma if smooth else rec.g
-        if v is not None and np.any(v) and rec.r_metric is not None:
-            m = rec.r_metric.shift_identity(-shift) if shift else rec.r_metric
-            dual_acc += 0.5 * dual_norm_sq(m, v)
-        cum_bound = const + q_acc + comp_acc + dual_acc
         row = [float(rec.t)]
         row += rec.x.tolist()
         row += rec.g.tolist()

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (INF, QuadMetric, as_point, dot, dir_derivative,
-                   quad_norm_sq)
+from .core import INF, QuadMetric, as_point, dot, quad_norm_sq
 
 
 class ProximalConditionError(ValueError):
@@ -325,25 +324,6 @@ def _structurally_proximal(p: Regularizer, x_t: np.ndarray) -> bool:
     return False
 
 
-@dataclass
-class RegularizerTriple:
-    """One round's (p_t, q_t) pair together with r_t = p_t + q_{t-1}."""
-
-    p: Regularizer
-    q: Regularizer
-    r: Regularizer
-
-    @classmethod
-    def build(cls, p_t: Regularizer, q_t: Regularizer, q_prev: Regularizer,
-              x_t=None, feasible_set=None, rng=None, n_probes: int = 8):
-        if x_t is not None and feasible_set is not None:
-            check_proximal(p_t, x_t, feasible_set, rng=rng, n_probes=n_probes)
-        return cls(p=p_t, q=q_t, r=Sum([p_t, q_prev]))
-
-    def certified(self) -> bool:
-        return _certified(self.p) and _certified(self.q)
-
-
 def _certified(reg: Regularizer) -> bool:
     if isinstance(reg, Quadratic):
         return reg.certified()
@@ -360,8 +340,6 @@ class ScheduleState:
 
     accum_sq: np.ndarray | None = None     # per-coordinate or full-matrix sums
     accum_hint_err: float = 0.0            # sum of ||g_t - hint_t||^2
-    eta_prev: float = 0.0
-    round: int = 0
     _prev_root: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -385,7 +363,6 @@ def adagrad_diag_step(state: ScheduleState, g, eta: float, gamma0: float):
     state.accum_sq = state.accum_sq + g * g
     new_root = np.sqrt(state.accum_sq)
     state._prev_root = new_root
-    state.round += 1
     return QuadMetric.diagonal((new_root - prev_root) / eta), state
 
 
@@ -413,7 +390,6 @@ def adagrad_full_step(state: ScheduleState, g, eta: float, gamma0: float,
     incr = QuadMetric.full((new_root - state._prev_root) / eta)
     state.accum_sq = accum
     state._prev_root = new_root
-    state.round += 1
     return incr, state
 
 
@@ -461,9 +437,7 @@ def scale_free_eta(state: ScheduleState, g, hint, eta0: float) -> float:
         raise ValueError(f"eta0 must be positive, got {eta0}")
     err = g - hint
     state.accum_hint_err += float(np.dot(err, err))
-    state.round += 1
     eta = eta0 * math.sqrt(state.accum_hint_err)
-    state.eta_prev = eta
     return eta
 
 
@@ -481,9 +455,7 @@ def final_attack_eta(state: ScheduleState, g, hint, radius: float, smooth_l: flo
     hint = as_point(hint)
     err = g - hint
     state.accum_hint_err += float(np.dot(err, err))
-    state.round += 1
     eta = 4.0 * radius * smooth_l ** 2 + (2.0 / radius) * math.sqrt(state.accum_hint_err)
-    state.eta_prev = eta
     return eta
 
 

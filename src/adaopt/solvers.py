@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import INF, DimensionMismatch, QuadMetric, as_point
+from .losses import BregmanAround
 from .regularizers import (L1, Indicatrix, Linear, Quadratic, Regularizer,
-                           Sum, Zero)
+                           Sum)
 
 _FEAS_TOL = 1e-9
 
@@ -264,11 +265,6 @@ def simplex_project(v: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def project(feasible_set: FeasibleSet, y) -> np.ndarray:
-    """Euclidean projection onto the set (closed form per shape)."""
-    return feasible_set.project(y)
-
-
 def linear_argmin(feasible_set: FeasibleSet, v) -> np.ndarray:
     """Exact minimizer of <v, x> over a compact set (support point of -v).
 
@@ -303,7 +299,8 @@ class Objective:
     The quadratic part is stored pre-combined: ``gamma`` (scaled identity),
     ``diag`` and ``full`` slots add up, with centers already folded into the
     linear term.  ``losses`` lists smooth loss handles that enter the
-    objective directly (implicit and non-linearized updates).
+    objective directly: a loss divergence folded in as a regularizer
+    (implicit and non-linearized updates) leaves its loss here.
     """
 
     feasible_set: FeasibleSet
@@ -389,6 +386,15 @@ class Objective:
         if isinstance(reg, Indicatrix):
             if reg.set is not self.feasible_set:
                 raise ValueError("indicatrix set differs from the objective's set")
+            return
+        if isinstance(reg, BregmanAround):
+            # f - f(a) - <grad f(a), . - a>: the loss, its anchor gradient
+            # out of the linear slot, the rest into the constant
+            if scale != 1.0:
+                raise ValueError("a loss divergence enters an objective unscaled")
+            self.losses.append(reg.loss)
+            self.lin = self.lin - reg.g_anchor
+            self.const += float(np.dot(reg.g_anchor, reg.anchor)) - reg.f_anchor
             return
         raise TypeError(f"cannot collect {type(reg).__name__} into an objective")
 

@@ -4,6 +4,7 @@ commands, on-disk artifacts, and cross-process determinism."""
 import copy
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -67,10 +68,20 @@ def test_validate_fills_defaults():
     cfg_with(set={"kind": "torus", "dim": 2}),
     cfg_with(losses={"kind": "warm-start"}),
     cfg_with(params={"eta": 0.2, "hints": "custom"}),
+    cfg_with(inputs={"lipschitz": 1.0}),              # read by no bound
+    cfg_with(inputs={"tau": 0.5}),
 ])
 def test_validate_rejects(broken):
     with pytest.raises(ConfigError):
         validate_run_config(broken)
+
+
+@pytest.mark.parametrize("key", ["lipschitz", "tau"])
+def test_run_names_an_input_no_bound_reads(tmp_path, capsys, key):
+    path = write_cfg(tmp_path, cfg_with(inputs={key: 1.0}))
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["where"] == "inputs" and key in err["message"]
 
 
 def test_validate_accepts_forward_and_ao_on_both_kinds():
@@ -219,6 +230,38 @@ def test_full_matrix_run_matches_recorded_values(tmp_path):
     for t, ref in GUARD_FULL["rows"].items():
         row = [float(v) for v in lines[t].split(",")[1:9]]
         assert row == pytest.approx(ref, abs=1e-9), t
+
+
+# A smooth-loss bound whose metric cannot absorb the smoothness in round 1:
+# the report is uncertified and says why, whichever position its label has,
+# and the CSV's running bound, which is that report's, reads inf from there.
+SMOOTH_MD = {"name": "smooth", "preset": "adagrad-md",
+             "set": {"kind": "box", "dim": 3},
+             "losses": {"kind": "fixed-quadratic", "center": 0.2, "noise": 0.3},
+             "T": 60, "seeds": [0]}
+
+
+def test_uncertifiable_primary_bound_runs_and_reads_inf(tmp_path):
+    def run(bounds, name):
+        out = tmp_path / name
+        cfg = dict(SMOOTH_MD, bounds=bounds)
+        assert main(["run", "--config", write_cfg(tmp_path, cfg, f"{name}.json"),
+                     "--out", str(out)]) == 0
+        res = json.loads((out / "smooth.json").read_text())["results"][0]
+        lines = (out / "smooth.seed0.csv").read_text().strip().split("\n")
+        col = lines[0].split(",").index("cum_bound")
+        return (next(r for r in res["bounds"] if r["case"] == "smooth-so-md"),
+                [float(line.split(",")[col]) for line in lines[1:]])
+
+    rep, cum_bound = run(["smooth-so-md"], "first")
+    assert not rep["certified"]
+    assert rep["notes"] == ["round 1: metric cannot absorb smoothness 1.0"]
+    assert rep["value"] == float("inf")
+    assert cum_bound == [float("inf")] * 60
+    # listed second, the label gives the same report; the CSV follows oo-md
+    rep2, cum_bound2 = run(["oo-md", "smooth-so-md"], "second")
+    assert rep2 == rep
+    assert all(math.isfinite(v) for v in cum_bound2)
 
 
 # -- sweep ------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adaopt import losses, solvers, suites
-from adaopt.core import INF
+from adaopt.core import INF, dual_norm_sq
 from adaopt.learners import Driver, run_rounds
 from adaopt.regret import (
     TABLE2_CASES, BoundInputs, bound_ao_ftrl, bound_ao_md, bound_final_attack,
@@ -326,24 +326,81 @@ def test_forward_bound_holds_per_variant(variant):
 
 # -- ledger export -----------------------------------------------------------------
 
-def test_ledger_rows_layout_and_totals():
-    rng = np.random.default_rng(13)
-    driver, seq, T = suites.random_run(rng, "adagrad-da")
-    led = run_rounds(driver, seq, T, rng=rng)
-    x_star = led.feasible_set.sample(rng)
+def _noisy_quadratic_run(kind, seed=13, T=30):
+    """A stochastic run whose metric absorbs smoothness 1 from round 1."""
+    fs = solvers.Box(-np.ones(3), np.ones(3))
+    seq = losses.StochasticLoss(losses.quadratic_loss(np.full(3, 0.2), 1.0), 3,
+                                noise=0.3)
+    driver = (Driver("ogd", fs, {"eta": 0.1}, solver_tol=1e-12) if kind == "ftrl"
+              else Driver("md", fs, {"q0_scale": 2.0, "sigma_r": 2.0},
+                          solver_tol=1e-12))
+    return run_rounds(driver, seq, T, rng=np.random.default_rng(seed))
+
+
+def _inputs_for(case):
+    return BoundInputs(smoothness=1.0, d_init=0.5) if case.startswith("smooth") \
+        else None
+
+
+@pytest.mark.parametrize("case", TABLE2_CASES)
+def test_ledger_rows_layout_and_totals(case):
+    led = _noisy_quadratic_run("ftrl" if case.endswith("ftrl") else "md")
+    x_star = select_comparator(led)
     header = ledger_header(led.dim)
-    rows = ledger_rows(led, x_star, "oo-ftrl")
+    rows = ledger_rows(led, x_star, case, inputs=_inputs_for(case))
     assert header[0] == "t" and header[-3:] == ["cum_regret", "cum_bound", "slack"]
     assert len(rows) == led.T
     assert all(len(r) == len(header) for r in rows)
     last = rows[-1]
     assert last[header.index("cum_regret")] == pytest.approx(
         empirical_regret(led, x_star), rel=1e-12, abs=1e-12)
-    assert last[header.index("cum_bound")] == pytest.approx(
-        bound_table2(led, x_star, "oo-ftrl").value, rel=1e-9, abs=1e-9)
-    assert last[header.index("slack")] == pytest.approx(
-        last[header.index("cum_bound")] - last[header.index("cum_regret")],
-        abs=1e-9)
+    rep = bound_table2(led, x_star, case, inputs=_inputs_for(case))
+    assert math.isfinite(rep.value)
+    assert last[header.index("cum_bound")] == rep.value
+    assert last[header.index("slack")] == \
+        last[header.index("cum_bound")] - last[header.index("cum_regret")]
+
+
+@pytest.mark.parametrize("kind", ["ftrl", "md"])
+def test_report_terms_equal_the_loop_sums(kind):
+    # the running sums add in loop order, so the totals are the loop's bit
+    # for bit (a pairwise np.sum would not be)
+    led = _noisy_quadratic_run(kind)
+    x_star = select_comparator(led)
+    q = led.q0.value(x_star) - led.q0.value(led.x1)
+    comp = grad = 0.0
+    for rec in led.records:
+        q += rec.q.value(x_star) - rec.q.value(rec.x_next)
+        comp += (rec.p.value(x_star) - rec.p.value(rec.x) if kind == "ftrl"
+                 else rec.p.bregman(x_star, rec.x))
+        grad += 0.5 * dual_norm_sq(rec.r_metric, rec.g)
+    rep = bound_table2(led, x_star, f"oo-{kind}")
+    comp_name = "p_sum" if kind == "ftrl" else "bp_sum"
+    assert rep.terms == {"q_sum": q, comp_name: comp, "grad_sum": grad}
+    assert rep.value == q + comp + grad
+
+
+_OTHER_BOUNDS = {"forward-ftrl": bound_forward_ftrl, "forward-md": bound_forward_md,
+                 "ao-ftrl": bound_ao_ftrl, "ao-md": bound_ao_md}
+
+
+@pytest.mark.parametrize("case", TABLE2_CASES + tuple(_OTHER_BOUNDS))
+def test_running_bound_is_the_truncated_runs_bound(case):
+    # row t of a report's running bound is the report of the run cut after
+    # round t, bit for bit
+    led = _noisy_quadratic_run("ftrl" if case.endswith("ftrl") else "md", T=12)
+    x_star = select_comparator(led)
+
+    def report(ledger):
+        if case in _OTHER_BOUNDS:
+            return _OTHER_BOUNDS[case](ledger, x_star)
+        return bound_table2(ledger, x_star, case, inputs=_inputs_for(case))
+
+    full = report(led)
+    assert len(full.running) == led.T and full.running[-1] == full.value
+    for t in (1, 5, 11):
+        cut = dataclasses.replace(led, records=led.records[:t])
+        assert report(cut).value == full.running[t - 1], t
 
 
 def test_ledger_rows_reject_unknown_case():

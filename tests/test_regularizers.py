@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from adaopt.core import INF, QuadMetric, bregman
 from adaopt.regularizers import (
     L1, Difference, Indicatrix, Linear, ProximalConditionError, Quadratic,
-    RegularizerTriple, ScheduleState, Sum, Zero, adagrad_diag_step,
+    ScheduleState, Sum, Zero, adagrad_diag_step,
     adagrad_full_step, adagrad_initial_metric, affine_shift, check_proximal,
     composite_wrap, final_attack_eta, ftrl_prox_increment, optimistic_shift,
     proximal_eta_increment, scale_free_eta, validate_psi_sequence,
@@ -139,20 +139,15 @@ def test_check_proximal_rejects_linear():
                        rng=np.random.default_rng(0))
 
 
-def test_triple_certification():
+def test_check_proximal_rejects_negative_scale():
     x_t = np.zeros(2)
-    p = Quadratic(x_t, QuadMetric.scaled(1.0), 1.0)
-    triple = RegularizerTriple.build(p, Zero(), Zero(), x_t, BOX)
-    assert triple.certified()
-    assert triple.r.value(np.array([1.0, 0.0])) == pytest.approx(0.5, abs=1e-14)
-    # non-proximal p is rejected outright, not merely flagged
+    # a negative-scale centred quadratic as p_t is rejected outright
     with pytest.raises(ProximalConditionError):
-        RegularizerTriple.build(
-            Quadratic(x_t, QuadMetric.scaled(1.0), -1.0), Zero(), Zero(), x_t, BOX)
-    # a negative-scale q only drops the certificate
-    shrinking_q = Quadratic(x_t, QuadMetric.scaled(1.0), -0.5)
-    flagged = RegularizerTriple.build(p, shrinking_q, Zero(), x_t, BOX)
-    assert not flagged.certified()
+        check_proximal(Quadratic(x_t, QuadMetric.scaled(1.0), -1.0), x_t, BOX,
+                       rng=np.random.default_rng(0))
+    # as q_t it only drops the certificate
+    assert Quadratic(x_t, QuadMetric.scaled(1.0), 1.0).certified()
+    assert not Quadratic(x_t, QuadMetric.scaled(1.0), -0.5).certified()
 
 
 # -- adaptive schedules ----------------------------------------------------------
@@ -166,7 +161,6 @@ def test_adagrad_diag_increments_hand_values():
     assert np.allclose(m1.diag_weights(2), [1.0, 0.0])
     m2, state = adagrad_diag_step(state, np.array([0.0, 4.0]), eta=2.0, gamma0=9.0)
     assert np.allclose(m2.diag_weights(2), [0.0, 1.0])
-    assert state.round == 2
     total = adagrad_initial_metric(2, 2.0, 9.0).add(m1).add(m2)
     assert np.allclose(total.diag_weights(2), [2.5, 2.5])
 
