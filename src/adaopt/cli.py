@@ -266,8 +266,8 @@ def validate_run_config(raw: dict) -> dict:
 
 def _auto_d_init(seq, fs, x1) -> float | None:
     f1 = seq.loss(1)
-    if f1.name == "quadratic" and f1.star_center is not None:
-        # isotropic quadratic: the projection of the center minimizes it
+    if losses.is_isotropic_quadratic(f1):
+        # the projection of the center minimizes an isotropic quadratic
         xm = fs.project(as_point(f1.star_center))
         return f1.value(x1) - f1.value(xm)
     return None

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import QuadMetric, as_point, quad_norm_sq
-from .losses import BregmanAround
+from .losses import BregmanAround, is_isotropic_quadratic
 from .regularizers import (Difference, L1, Linear, Quadratic, Regularizer,
                            ScheduleState, Sum, Zero, _certified,
                            adagrad_diag_step, adagrad_full_step,
@@ -104,7 +104,7 @@ def _quad_metric_of(reg, dim: int, extra: list | None = None) -> QuadMetric | No
         elif isinstance(r, Difference):
             metric = None
         elif isinstance(r, BregmanAround):
-            if r.loss.name == "quadratic":
+            if is_isotropic_quadratic(r.loss):
                 metric = metric.add(QuadMetric.scaled(r.loss.smoothness, dim))
             elif extra is not None:
                 extra.append(r)
@@ -201,8 +201,8 @@ class FtrlLearner(LearnerBase):
                   eta=None) -> StepResult:
         """One round on the gradient g, which Driver.round has validated.
 
-        A q_t carrying a loss's divergence from x_t keeps that loss itself
-        in the objective: the non-linearized update."""
+        A q_t carrying a loss's divergence from x_t is the non-linearized
+        update: the objective folds that divergence in (see Objective)."""
         p_t = p_t if p_t is not None else Zero()
         q_t = q_t if q_t is not None else Zero()
         q_tilde = q_tilde if q_tilde is not None else q_t
@@ -270,8 +270,8 @@ class MdLearner(LearnerBase):
                 eta=None) -> StepResult:
         """One round on the gradient g, which Driver.round has validated.
 
-        A q_t carrying a loss's divergence from x_t keeps that loss itself
-        in the objective: the implicit update."""
+        A q_t carrying a loss's divergence from x_t is the implicit
+        update: the objective folds that divergence in (see Objective)."""
         q_t = q_t if q_t is not None else Zero()
         r_t = r_t if r_t is not None else Zero()
         q_tilde = q_tilde if q_tilde is not None else q_t

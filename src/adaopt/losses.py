@@ -88,6 +88,12 @@ def quadratic_loss(center, weight: float = 1.0) -> Loss:
     )
 
 
+def is_isotropic_quadratic(loss: Loss) -> bool:
+    """True for a loss built by ``quadratic_loss``: (w/2) ||x - c||_2^2 with
+    w = ``loss.smoothness`` and c = ``loss.star_center``."""
+    return loss.name == "quadratic" and loss.star_center is not None
+
+
 def l1_loss(alpha: float = 1.0, dim: int = 1) -> Loss:
     alpha = float(alpha)
 
@@ -459,7 +465,7 @@ def _sup_grad_norm_sq(loss: Loss, feasible_set):
     if loss.name == "linear":
         g = loss.grad(np.zeros(feasible_set.dim))
         return float(np.dot(g, g))
-    if loss.name == "quadratic" and loss.star_center is not None:
+    if is_isotropic_quadratic(loss):
         w = loss.smoothness
         reach = feasible_set.max_dist_to(loss.star_center)
         if not math.isfinite(reach):

@@ -6,14 +6,19 @@ Every learner update in this package is one minimization of
 
 over a feasible set.  The quadratic part collects regularizer quadratics
 (signed scales allowed) into one scalar/diagonal/full form, so closed-form
-routes stay O(d).  Three routes exist and are deliberately kept separate so
-they can cross-check each other in tests:
+routes stay O(d).  The divergence of an isotropic quadratic loss, as
+implicit and non-linearized updates fold it in, is itself such a quadratic
+and lands in that form too; only other losses stay in the objective as
+handles.  Three routes exist and are deliberately kept separate so they can
+cross-check each other in tests:
 
-* ``argmin_quadratic``  - exact solve; constrained only for isotropic metrics,
-  where projecting the unconstrained minimizer is exact,
+* ``argmin_quadratic``  - exact solve: a linear system without a set; on a
+  set, projection for an isotropic quadratic, clipping for a diagonal one on
+  a box, and the secular equation for a diagonal one on a ball,
 * ``argmin_l1_composite`` - coordinate soft-thresholding, boxes only,
 * ``argmin_numeric``    - proximal gradient with backtracking and an
-  a-posteriori distance certificate from strong convexity.
+  a-posteriori distance certificate from strong convexity; the reference,
+  and the route for other losses and other constrained quadratics.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import INF, DimensionMismatch, QuadMetric, as_point
-from .losses import BregmanAround
+from .losses import BregmanAround, is_isotropic_quadratic
 from .regularizers import (L1, Indicatrix, Linear, Quadratic, Regularizer,
                            Sum)
 
@@ -298,9 +303,10 @@ class Objective:
 
     The quadratic part is stored pre-combined: ``gamma`` (scaled identity),
     ``diag`` and ``full`` slots add up, with centers already folded into the
-    linear term.  ``losses`` lists smooth loss handles that enter the
-    objective directly: a loss divergence folded in as a regularizer
-    (implicit and non-linearized updates) leaves its loss here.
+    linear term.  A loss divergence folded in as a regularizer (implicit and
+    non-linearized updates) goes into the ``gamma`` slot when the loss is an
+    isotropic quadratic, and otherwise leaves its loss in ``losses``, the
+    smooth loss handles that enter the objective directly.
     """
 
     feasible_set: FeasibleSet
@@ -342,12 +348,7 @@ class Objective:
             return
         d = self.lin.size
         if metric.kind == "scaled":
-            if center.any():
-                # a shifted isotropic quadratic is no longer pure gamma*I in
-                # x'Mx form; fold the cross term into lin and keep gamma
-                self.lin = self.lin - scale * metric.gamma * center
-                self.const += 0.5 * scale * metric.gamma * float(np.dot(center, center))
-            self.gamma += scale * metric.gamma
+            self._fold_isotropic(center, scale * metric.gamma)
             return
         if metric.kind == "diag":
             w = metric.weights
@@ -363,6 +364,15 @@ class Objective:
         if mc is not None:
             self.lin = self.lin - scale * mc
             self.const += 0.5 * scale * float(np.dot(center, mc))
+
+    def _fold_isotropic(self, center: np.ndarray, gamma: float):
+        """Fold gamma/2 ||x - center||^2."""
+        if center.any():
+            # a shifted isotropic quadratic is no longer pure gamma*I in
+            # x'Mx form; fold the cross term into lin and keep gamma
+            self.lin = self.lin - gamma * center
+            self.const += 0.5 * gamma * float(np.dot(center, center))
+        self.gamma += gamma
 
     def add_regularizer(self, reg: Regularizer, scale: float = 1.0):
         if reg.is_zero():
@@ -392,7 +402,11 @@ class Objective:
             # out of the linear slot, the rest into the constant
             if scale != 1.0:
                 raise ValueError("a loss divergence enters an objective unscaled")
-            self.losses.append(reg.loss)
+            loss = reg.loss
+            if is_isotropic_quadratic(loss):
+                self._fold_isotropic(loss.star_center, loss.smoothness)
+            else:
+                self.losses.append(loss)
             self.lin = self.lin - reg.g_anchor
             self.const += float(np.dot(reg.g_anchor, reg.anchor)) - reg.f_anchor
             return
@@ -488,24 +502,35 @@ def _optimality_residual(obj: Objective, x: np.ndarray, smooth: float) -> float:
 def argmin_quadratic(obj: Objective) -> np.ndarray:
     """Exact minimizer of a strictly convex linear-plus-quadratic objective.
 
-    Constrained instances are solved in closed form only for isotropic
-    quadratics, where clipping the unconstrained minimizer onto the set is
-    exact; anisotropic constrained instances delegate to the numeric route.
-    The result is certified by its projected-gradient residual, which also
-    rejects non-finite values.
+    Without a set it solves the linear system.  On a set:
+
+    * isotropic quadratic, any set: project the unconstrained minimizer,
+    * diagonal quadratic on a box: clip it (the problem is separable),
+    * diagonal quadratic on a ball: take the ball's multiplier from its
+      secular equation (``_diag_ball_argmin``).
+
+    Other constrained instances (a full metric on a set, a diagonal one on
+    a simplex) delegate to the numeric route.  The result is certified by
+    its projected-gradient residual, which also rejects non-finite values;
+    a failed certificate raises.
     """
     if obj.has_losses() or obj.l1_alpha:
         raise ValueError("argmin_quadratic expects a pure linear-quadratic objective")
-    unconstrained = isinstance(obj.feasible_set, Unconstrained)
-    # a diagonal quadratic over a box is separable: clipping is exact
-    separable = isinstance(obj.feasible_set, Box) and obj.full is None
-    if not unconstrained and not obj.is_isotropic() and not separable:
+    fs = obj.feasible_set
+    unconstrained = isinstance(fs, Unconstrained)
+    # a diagonal quadratic over a box is separable, so clipping is exact;
+    # over a ball it has one multiplier, the root of a secular equation
+    separable = isinstance(fs, Box) and obj.full is None
+    diagonal_on_ball = isinstance(fs, Ball) and obj.full is None and not obj.is_isotropic()
+    if not (unconstrained or obj.is_isotropic() or separable or diagonal_on_ball):
         return argmin_numeric(obj)
     sigma, smooth = obj.quad_curvature()
     if sigma <= 0.0:
         raise IllPosedError(
             f"ill-posed argmin: quadratic part has min curvature {sigma}")
-    if obj.is_isotropic():
+    if diagonal_on_ball:
+        x = _diag_ball_argmin(obj.lin, obj.diag + obj.gamma, fs._center, fs.radius)
+    elif obj.is_isotropic():
         x = -obj.lin / obj.gamma
     elif obj.full is not None:
         m = 0.5 * (obj.full + obj.full.T) + (obj.gamma * np.eye(obj.lin.size)
@@ -516,12 +541,43 @@ def argmin_quadratic(obj: Objective) -> np.ndarray:
     else:
         x = -obj.lin / (obj.diag + obj.gamma)
     if not unconstrained:
-        x = obj.feasible_set._project(x)
+        x = fs._project(x)
     resid = _optimality_residual(obj, x, smooth)
     scale = 1.0 + _norm(obj.lin) + smooth
     if not resid <= 1e-8 * scale:
         raise IllPosedError(f"argmin residual {resid:.3e} exceeds tolerance")
     return x
+
+
+def _diag_ball_argmin(lin: np.ndarray, w: np.ndarray, z: np.ndarray,
+                      radius: float) -> np.ndarray:
+    """argmin <lin, x> + 1/2 sum_j w_j x_j^2 over ||x - z|| <= radius, w > 0.
+
+    The minimizer is x(lam) = (lam z - lin) / (w + lam) for the ball's
+    multiplier lam >= 0, and x(lam) - z = -b / (w + lam) with b = lin + w z,
+    whose norm falls as lam grows.  lam = 0 when x(0) is inside the ball;
+    otherwise lam is the root of the secular equation
+    phi(lam) = 1/||b / (w + lam)|| - 1/radius.  phi is concave and
+    increasing (Moré & Sorensen 1983), so Newton's method from lam = 0
+    rises monotonically to the root; it stops when a step makes no progress
+    (in tests that takes at most a dozen steps; the loop bound is a guard).
+    """
+    b = lin + w * z
+    lam = 0.0
+    u = b / w
+    n = _norm(u)
+    for _ in range(100):
+        if not n > radius:
+            break
+        # phi'(lam) = sum_j b_j^2 / (w_j + lam)^3 / n^3
+        s3 = float((u * u).dot(1.0 / (w + lam)))
+        nxt = lam + (n - radius) * n * n / (radius * s3)
+        if not nxt > lam:
+            break
+        lam = nxt
+        u = b / (w + lam)
+        n = _norm(u)
+    return z - u
 
 
 def _norm(v: np.ndarray) -> float:

@@ -264,6 +264,27 @@ def test_uncertifiable_primary_bound_runs_and_reads_inf(tmp_path):
     assert all(math.isfinite(v) for v in cum_bound2)
 
 
+# adagrad-md with its default gamma0 on a ball: round 1's metric has an
+# entry of 7.4e-7, where the numeric route's certificate ||u|| <= sigma * tol
+# lies below double precision and the run used to exit 3.  The ball route
+# solves the round exactly.
+BALL_TINY_METRIC = {"name": "cell", "preset": "adagrad-md",
+                    "params": {"metric": "diag"},
+                    "set": {"kind": "ball", "dim": 10},
+                    "losses": {"kind": "random-linear", "seed": 1734586549},
+                    "T": 1, "seeds": [54925]}
+
+
+def test_diagonal_metric_with_a_tiny_entry_on_a_ball_certifies(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, BALL_TINY_METRIC),
+                 "--out", str(out)]) == 0
+    res = json.loads((out / "cell.json").read_text())["results"][0]
+    assert res["certified"] is True
+    assert res["replay"]["ok"] is True
+    assert all(rep["certified"] for rep in res["bounds"])
+
+
 # -- sweep ------------------------------------------------------------------------
 
 def test_sweep_two_cells(tmp_path, capsys):

@@ -125,6 +125,82 @@ def test_argmin_bregman_anchor():
     assert np.allclose(argmin_quadratic(obj), [0.0, 2.0], atol=1e-12)
 
 
+def _ball_objective(lin, weights, center, radius):
+    obj = Objective.build(Ball(np.asarray(center, float), radius),
+                          linear=np.asarray(lin, float))
+    obj.add_quadratic(np.zeros(len(lin)), QuadMetric.diagonal(weights), 1.0)
+    return obj
+
+
+def test_ball_route_hand_values():
+    # free minimizer (-1, 0.5) under diag(1, 2) with lin (1, -1): inside the
+    # radius-2 ball, so the multiplier is 0
+    obj = _ball_objective([1.0, -1.0], [1.0, 2.0], [0.0, 0.0], 2.0)
+    assert np.allclose(argmin_quadratic(obj), [-1.0, 0.5], atol=1e-14)
+    # lin (-3, 0) under diag(1, 4): the free minimizer (3, 0) is outside the
+    # unit ball and x(lam) = (3 / (1 + lam), 0) meets it at lam = 2
+    obj = _ball_objective([-3.0, 0.0], [1.0, 4.0], [0.0, 0.0], 1.0)
+    assert np.allclose(argmin_quadratic(obj), [1.0, 0.0], atol=1e-14)
+
+
+# distance of the free minimizer from the centre, in radii
+_BALL_CASES = {"interior": (0.0, 1.0), "boundary": (1.5, 3.0), "off-centre": (0.0, 3.0)}
+
+
+@pytest.mark.parametrize("case", sorted(_BALL_CASES))
+def test_ball_route_matches_numeric(case):
+    rng = np.random.default_rng(sorted(_BALL_CASES).index(case))
+    for _ in range(25):
+        d = int(rng.integers(1, 7))
+        w = rng.uniform(0.3, 3.0, d)
+        center = rng.normal(size=d) if case == "off-centre" else np.zeros(d)
+        radius = float(rng.uniform(0.5, 2.0))
+        u = rng.normal(size=d)
+        free = center + u * (radius * rng.uniform(*_BALL_CASES[case]) / np.linalg.norm(u))
+        obj = _ball_objective(-w * free, w, center, radius)
+        x = argmin_quadratic(obj)
+        dist = np.linalg.norm(x - center)
+        if case == "interior":
+            assert np.allclose(x, free, atol=1e-12)
+        elif case == "boundary":
+            assert dist == pytest.approx(radius, rel=1e-12)
+        assert np.max(np.abs(x - argmin_numeric(obj, tol=1e-11))) <= 1e-9
+
+
+def test_ball_route_with_weights_spread_over_ten_decades():
+    # metric entries from 1e-7 to 1e3, as in an AdaGrad metric whose first
+    # gradient has a near-zero coordinate.  The numeric route cannot always
+    # certify there; where it does, the two agree, and the ball route always
+    # meets the KKT conditions: grad F = -lam (x - z) with lam >= 0.
+    rng = np.random.default_rng(7)
+    compared = 0
+    for _ in range(40):
+        d = int(rng.integers(2, 11))
+        w = 10.0 ** rng.uniform(-7.0, 3.0, d)
+        center = rng.normal(size=d)
+        obj = _ball_objective(rng.normal(size=d), w, center, float(rng.uniform(0.2, 2.0)))
+        x = argmin_quadratic(obj)
+        grad = obj.smooth_grad(x)
+        off = x - center
+        lam = -float(np.dot(grad, off)) / float(np.dot(off, off))
+        assert lam >= -1e-12
+        assert np.linalg.norm(grad + lam * off) <= 1e-9 * (1.0 + np.linalg.norm(obj.lin))
+        try:
+            x_num = argmin_numeric(obj, tol=1e-11)
+        except NumericArgminError:
+            continue
+        assert np.max(np.abs(x - x_num)) <= 1e-9
+        compared += 1
+    assert compared >= 30
+
+
+def test_ball_route_certificate_rejects_non_finite_input():
+    obj = _ball_objective([1.0, 0.0], [1.0, 2.0], [0.0, 0.0], 1.0)
+    obj.lin[0] = float("nan")
+    with pytest.raises(IllPosedError):
+        argmin_quadratic(obj)
+
+
 def test_argmin_rejects_zero_curvature():
     obj = Objective.build(Ball(np.zeros(2), 1.0), linear=np.array([1.0, 0.0]))
     with pytest.raises(IllPosedError):
@@ -214,6 +290,27 @@ def test_minimize_routes_loss_objectives_numerically():
     obj.init = np.zeros(1)
     assert obj.has_losses()
     assert np.allclose(minimize(obj, tol=1e-11), [1.0], atol=1e-8)
+
+
+def test_quadratic_loss_divergence_folds_into_the_quadratic_slot():
+    # B_f(., a) for f = (w/2)||. - c||^2 is (w/2)||. - a||^2: folded, it
+    # leaves no loss handle, and it agrees with the same function kept as a
+    # loss (the affine wrapper hides it from the fold)
+    rng = np.random.default_rng(3)
+    d = 4
+    fs = Ball(np.zeros(d), 1.0)
+    f = losses.quadratic_loss(rng.normal(size=d), 2.5)
+    kept_f = losses.affine_shift_loss(f, np.zeros(d))
+    anchor, g = 0.3 * rng.normal(size=d), rng.normal(size=d)
+    folded = Objective.build(fs, linear=g, regularizer=losses.BregmanAround(f, anchor))
+    kept = Objective.build(fs, linear=g, regularizer=losses.BregmanAround(kept_f, anchor))
+    assert folded.losses == [] and kept.losses == [kept_f]
+    assert folded.is_isotropic() and folded.gamma == 2.5
+    for _ in range(10):
+        x = rng.normal(size=d)
+        assert folded.smooth_value(x) == pytest.approx(kept.smooth_value(x), rel=1e-12)
+        assert np.allclose(folded.smooth_grad(x), kept.smooth_grad(x), rtol=1e-12, atol=1e-12)
+    assert np.allclose(minimize(folded), minimize(kept, tol=1e-11), atol=1e-9)
 
 
 def test_objective_curvature_summaries():
