@@ -94,13 +94,31 @@ def _need(cfg: dict, key: str, types, where: str):
     return v
 
 
+def _finite(v) -> bool:
+    """True for a JSON number (int or float) with a finite float value."""
+    try:
+        return isinstance(v, (int, float)) and math.isfinite(v)
+    except OverflowError:       # an int beyond the float range
+        return False
+
+
+def _number(cfg: dict, key: str, default, where: str, positive: bool = False,
+            cast=float):
+    v = cfg.get(key, default)
+    if not _finite(v):
+        raise ConfigError(f"{where}.{key}", "must be a finite number")
+    if positive and v <= 0:
+        raise ConfigError(f"{where}.{key}", "must be positive")
+    return cast(v)
+
+
 def _vector(v, dim: int, where: str) -> np.ndarray:
     if isinstance(v, (int, float)):
-        return np.full(dim, float(v))
-    if isinstance(v, list) and len(v) == dim and \
-            all(isinstance(u, (int, float)) for u in v):
+        v = [v] * dim
+    if isinstance(v, list) and len(v) == dim and all(_finite(u) for u in v):
         return np.asarray(v, dtype=float)
-    raise ConfigError(where, f"expected a number or a list of {dim} numbers")
+    raise ConfigError(where, f"expected a finite number or a list of {dim} "
+                      "finite numbers")
 
 
 def build_set(cfg: dict) -> solvers.FeasibleSet:
@@ -117,15 +135,10 @@ def build_set(cfg: dict) -> solvers.FeasibleSet:
             raise ConfigError("set", "box needs lo < hi in every coordinate")
         return solvers.Box(lo, hi)
     if kind == "ball":
-        radius = float(cfg.get("radius", 1.0))
-        if radius <= 0:
-            raise ConfigError("set.radius", "must be positive")
+        radius = _number(cfg, "radius", 1.0, "set", positive=True)
         return solvers.Ball(_vector(cfg.get("center", 0.0), dim, "set.center"), radius)
     if kind == "simplex":
-        scale = float(cfg.get("scale", 1.0))
-        if scale <= 0:
-            raise ConfigError("set.scale", "must be positive")
-        return solvers.Simplex(dim, scale)
+        return solvers.Simplex(dim, _number(cfg, "scale", 1.0, "set", positive=True))
     raise ConfigError("set.kind", f"unknown kind {kind!r}; use unconstrained, "
                       "box, ball, or simplex")
 
@@ -133,8 +146,9 @@ def build_set(cfg: dict) -> solvers.FeasibleSet:
 def build_losses(cfg: dict, dim: int) -> losses.LossSequence:
     kind = _need(cfg, "kind", str, "losses")
     if kind == "random-linear":
-        return losses.random_stream(dim, seed=int(cfg.get("seed", 0)),
-                                    scale=float(cfg.get("scale", 1.0)))
+        return losses.random_stream(
+            dim, seed=_number(cfg, "seed", 0, "losses", cast=int),
+            scale=_number(cfg, "scale", 1.0, "losses"))
     if kind == "alternating":
         base = _vector(_need(cfg, "base", (list, int, float), "losses"), dim,
                        "losses.base")
@@ -142,22 +156,20 @@ def build_losses(cfg: dict, dim: int) -> losses.LossSequence:
     if kind == "drift-then-constant":
         base = _vector(_need(cfg, "base", (list, int, float), "losses"), dim,
                        "losses.base")
-        flips = int(cfg.get("flips", 8))
+        flips = _number(cfg, "flips", 8, "losses", cast=int)
         if flips < 1:
             raise ConfigError("losses.flips", "must be a positive integer")
         return losses.drift_then_constant_stream(base, flips)
     if kind == "sine-quadratic":
         return losses.sine_drift_quadratic(
-            dim, amplitude=float(cfg.get("amplitude", 0.5)),
-            period=float(cfg.get("period", 8.0)),
-            weight=float(cfg.get("weight", 1.0)))
+            dim, amplitude=_number(cfg, "amplitude", 0.5, "losses"),
+            period=_number(cfg, "period", 8.0, "losses", positive=True),
+            weight=_number(cfg, "weight", 1.0, "losses", positive=True))
     if kind == "fixed-quadratic":
         center = _vector(cfg.get("center", 0.0), dim, "losses.center")
-        weight = float(cfg.get("weight", 1.0))
-        if weight <= 0:
-            raise ConfigError("losses.weight", "must be positive")
+        weight = _number(cfg, "weight", 1.0, "losses", positive=True)
         base = losses.quadratic_loss(center, weight)
-        noise = float(cfg.get("noise", 0.0))
+        noise = _number(cfg, "noise", 0.0, "losses")
         if noise < 0:
             raise ConfigError("losses.noise", "must be non-negative")
         if noise == 0.0:
@@ -192,16 +204,17 @@ def validate_run_config(raw: dict) -> dict:
     params = cfg.setdefault("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params", "must be an object")
-    unknown = set(params) - set(preset_defaults(preset))
-    if unknown:
-        raise ConfigError("params", f"preset {preset} does not take "
-                          f"{sorted(unknown)}")
-    if params.get("hints") == "custom":
-        raise ConfigError("params.hints", "custom hints need a hint function "
-                          "and are library-only")
 
     fs = build_set(_need(cfg, "set", dict, "config"))
     seq = build_losses(_need(cfg, "losses", dict, "config"), fs.dim)
+    # the preset's own parse: unknown or bad parameters, and custom hints,
+    # which need a hint function and are library-only
+    try:
+        Driver(preset, fs, params)
+    except solvers.IllPosedError:
+        raise                   # no first iterate: a runtime failure
+    except (TypeError, ValueError) as e:
+        raise ConfigError("params", str(e)) from None
     T = _need(cfg, "T", int, "config")
     if T < 1:
         raise ConfigError("T", "must be a positive integer")

@@ -366,8 +366,12 @@ def adagrad_diag_step(state: ScheduleState, g, eta: float, gamma0: float):
     return QuadMetric.diagonal((new_root - prev_root) / eta), state
 
 
-def adagrad_full_step(state: ScheduleState, g, eta: float, gamma0: float,
-                      max_dim: int = 256):
+# the largest dimension the full-matrix schedule takes: each round costs
+# O(d^3) for the accumulator's eigendecomposition
+FULL_MATRIX_MAX_DIM = 256
+
+
+def adagrad_full_step(state: ScheduleState, g, eta: float, gamma0: float):
     """Full-matrix adaptive-metric increment (Q_{0:t}^{1/2} - Q_{0:t-1}^{1/2}) / eta.
 
     Each root comes from one eigendecomposition of the accumulator, which is
@@ -378,8 +382,9 @@ def adagrad_full_step(state: ScheduleState, g, eta: float, gamma0: float,
     if gamma0 < 0:
         raise ValueError(f"gamma0 must be >= 0, got {gamma0}")
     d = g.shape[0]
-    if d > max_dim:
-        raise ValueError(f"full-matrix schedule capped at dim {max_dim}, got {d}")
+    if d > FULL_MATRIX_MAX_DIM:
+        raise ValueError(f"full-matrix schedule capped at dim {FULL_MATRIX_MAX_DIM}, "
+                         f"got {d}")
     if state.accum_sq is None:
         state.accum_sq = float(gamma0) * np.eye(d)
         state._prev_root = None

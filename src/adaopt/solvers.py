@@ -155,8 +155,8 @@ class Ball(FeasibleSet):
     def __init__(self, center, radius: float):
         self._center = as_point(center)
         self.radius = float(radius)
-        if self.radius <= 0:
-            raise ValueError("ball needs a positive radius")
+        if not math.isfinite(self.radius) or self.radius <= 0:
+            raise ValueError("ball needs a positive finite radius")
         self.dim = self._center.size
 
     def contains(self, x, tol=_FEAS_TOL):
@@ -211,8 +211,8 @@ class Simplex(FeasibleSet):
     def __init__(self, dim: int, scale: float = 1.0):
         self.dim = int(dim)
         self.scale = float(scale)
-        if self.scale <= 0:
-            raise ValueError("simplex needs a positive scale")
+        if not math.isfinite(self.scale) or self.scale <= 0:
+            raise ValueError("simplex needs a positive finite scale")
 
     def contains(self, x, tol=_FEAS_TOL):
         x = np.asarray(x, dtype=float)

@@ -70,6 +70,33 @@ def test_validate_fills_defaults():
     cfg_with(params={"eta": 0.2, "hints": "custom"}),
     cfg_with(inputs={"lipschitz": 1.0}),              # read by no bound
     cfg_with(inputs={"tau": 0.5}),
+    # scalars and vectors of the set and the losses: numbers, finite, and
+    # positive where a size or a period is meant
+    cfg_with(losses={"kind": "sine-quadratic", "period": 0}),
+    cfg_with(losses={"kind": "sine-quadratic", "weight": -1.0}),
+    cfg_with(losses={"kind": "sine-quadratic", "amplitude": math.inf}),
+    cfg_with(losses={"kind": "fixed-quadratic", "weight": math.nan}),
+    cfg_with(losses={"kind": "fixed-quadratic", "noise": math.nan}),
+    cfg_with(losses={"kind": "random-linear", "seed": math.inf}),
+    cfg_with(losses={"kind": "random-linear", "scale": "big"}),
+    cfg_with(set={"kind": "ball", "dim": 3, "radius": math.nan}),
+    cfg_with(set={"kind": "ball", "dim": 3, "radius": math.inf}),
+    cfg_with(set={"kind": "ball", "dim": 3, "radius": "big"}),
+    cfg_with(set={"kind": "simplex", "dim": 3, "scale": 0}),
+    cfg_with(set={"kind": "simplex", "dim": 3, "scale": math.nan}),
+    cfg_with(set={"kind": "box", "dim": 3, "lo": [-1.0, math.nan, -1.0]}),
+    cfg_with(set={"kind": "box", "dim": 3, "hi": 10 ** 400}),
+    # the preset's own parameter parse
+    cfg_with(params={"eta": math.nan}),
+    cfg_with(params={"eta": None}),
+    cfg_with(preset="ao-md", params={"hints": "bogus"}, bounds=["oo-md"]),
+    cfg_with(preset="md", params={"composite_alpha": 0.1,
+                                  "composite_setting": "bogus"},
+             bounds=["oo-md"]),
+    cfg_with(preset="ao-ftrl-prox", params={"eta_schedule": "bogus"}),
+    cfg_with(preset="adagrad-da", params={"metric": "bogus"}),
+    cfg_with(preset="ao-ftrl-prox", params={"eta_schedule": "final-attack"},
+             set={"kind": "unconstrained", "dim": 3}),
 ])
 def test_validate_rejects(broken):
     with pytest.raises(ConfigError):
@@ -168,20 +195,55 @@ def test_run_outputs_honour_the_umask(tmp_path):
             assert os.stat(out / name).st_mode & 0o777 == mode, (name, oct(mask))
 
 
-# Reference outputs of fixed runs, recorded before the per-round path was
-# reworked.  The diagonal presets must stay bit for bit the same; the
-# full-matrix run takes the numeric argmin and matches at the acceptance
-# tolerances (c07: iterates to 1e-9, c01: 1e-8 * (1 + |regret|)).
+# Reference outputs of fixed runs: ogd and adagrad-da were recorded before
+# the per-round path was reworked for speed, the others before every preset
+# went through one round path.  Each entry is (preset, params, config
+# overrides, JSON SHA-256, CSV SHA-256); every run takes a closed-form
+# route, so the outputs must stay bit for bit the same.  The full-matrix run takes the numeric argmin and
+# matches at the acceptance tolerances (c07: iterates to 1e-9, c01:
+# 1e-8 * (1 + |regret|)).
 GUARD = {"name": "guard", "set": {"kind": "box", "dim": 6},
          "losses": {"kind": "random-linear", "seed": 7}, "T": 60,
          "seeds": [3], "bounds": ["oo-ftrl", "forward"]}
+_MD = {"bounds": ["oo-md", "forward"]}
+_SINE = {"losses": {"kind": "sine-quadratic", "amplitude": 0.5, "period": 8}}
 GUARD_SHA256 = {
-    "ogd": ({"eta": 0.2},
+    "ogd": ("ogd", {"eta": 0.2}, {},
             "087ec6ee4eabe27ebb09e34db897fc5d45feb46941d8bd50dcdf44e886b9ab20",
             "6e67c4563183dc051cf4ce7a2f6e95c4beeb7461f81c7d1761371df5127809dd"),
-    "adagrad-da": ({"metric": "diag"},
+    "adagrad-da": ("adagrad-da", {"metric": "diag"}, {},
                    "eba304ad11706fbeb71d10e6f36fb909570da433933e27cebeb1b64ed4525793",
                    "c2a973ca4b6f2a594e28f27cd955a7f268cfbcf9b30515bd6e08caad9f25df7e"),
+    "da": ("da", {"alpha_growth": 1.0}, {},
+           "8c9482729b469134df1c8694b433d7f35f0d84c830d83c6353dc1b141bae40c7",
+           "ac39070c326d9fc586f5625ca7feab2ac0d0d71f3962759423c8d886bb980bd6"),
+    "ftrl-prox-revealed-after": (
+        "ftrl-prox", {"composite_alpha": 0.1}, {},
+        "7a73cdb1ea0f3a657e2aef5f46ad6884c39044d51b819728d34d56ec62f335d3",
+        "0ab50cec231375b5adc6cbe1e78a0eb3f5e7d1aa5529e5c38ed87a3e3bc0d32c"),
+    "ftrl-prox-known-before": (
+        "ftrl-prox", {"composite_alpha": 0.1, "gamma0": 0.5,
+                      "composite_setting": "known-before"}, {},
+        "884a5cdd415f3c155eb33f1a6711e969493b6b714acde761ad2f22ccb5021611",
+        "b3c2cbb3d2e684e0d5d77b84cf67a269993c7dd07acb18bb5b9f414b3649bf2c"),
+    "adagrad-md": ("adagrad-md", {}, _MD,
+                   "a722f40369d36fedc704e19ebe3e77b607894e657888381fc87e135869fe8946",
+                   "07875d20130829b48f043a392ccf1107e0d35b84eb0afe45d11260427cf1aaad"),
+    "md": ("md", {"composite_alpha": 0.05}, _MD,
+           "c5f43b68d1eda974474da1fc5d8967186f09991e102e5afa3ee8b0dd107baaca",
+           "e3289c3a2f58a917104a113e9d1cf3239e857265912c9abc8f22d3e607af0b91"),
+    "ao-ftrl-prox": ("ao-ftrl-prox", {"hints": "prev-gradient"}, {},
+                     "a452d84d365f908f5abc937d34f1251b2877a3b00fadd0adc3cf3de7578d66df",
+                     "8fa2d78c4a6ec87fb9cd70f005c75cfaa9b7245b2a2e690f38c9bc117e37c161"),
+    "ao-md": ("ao-md", {}, _MD,
+              "8c267acd72b13bfefafbeaad320967695f3b7a80c8805909d6e77e233c3a7076",
+              "d8b773721d95cfef0554a5a4648b758e936a6ea2621237bf764af214891e09ed"),
+    "implicit-md": ("implicit-md", {}, dict(_MD, **_SINE),
+                    "93a93d9064b5cd3d8d0406fc78e831d692af554b2a49e9f29f450cac3fede25f",
+                    "938b228179abb0f0b5ba5458ae43fb5f9d1c894004c4229bee3b994f59b5ee47"),
+    "nonlin-ftrl": ("nonlin-ftrl", {}, _SINE,
+                    "088b3ec7ff7c9c2df371f17f249a1fa8830a90a8813ac4e42d418ba8148958c5",
+                    "09cea945a5a2bb81deb4d23e2d2d18fd11481de8223a5a94630f8b6c38967eaa"),
 }
 GUARD_FULL = {
     "regret": 20.143480789673188,
@@ -207,10 +269,10 @@ def _guard_run(tmp_path, preset, params, **over):
     return (out / "guard.json").read_bytes(), (out / "guard.seed3.csv").read_bytes()
 
 
-@pytest.mark.parametrize("preset", sorted(GUARD_SHA256))
-def test_run_outputs_match_recorded_digests(tmp_path, preset):
-    params, json_sha, csv_sha = GUARD_SHA256[preset]
-    doc, csv = _guard_run(tmp_path, preset, params)
+@pytest.mark.parametrize("case", sorted(GUARD_SHA256))
+def test_run_outputs_match_recorded_digests(tmp_path, case):
+    preset, params, over, json_sha, csv_sha = GUARD_SHA256[case]
+    doc, csv = _guard_run(tmp_path, preset, params, **over)
     assert hashlib.sha256(csv).hexdigest() == csv_sha
     assert hashlib.sha256(doc).hexdigest() == json_sha
 

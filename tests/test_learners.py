@@ -159,6 +159,8 @@ def test_driver_rejects_bad_configurations():
     with pytest.raises(ValueError):
         Driver("ao-ftrl-prox", UNC2, {"hints": "custom"})
     with pytest.raises(ValueError):
+        Driver("md", UNC2, {"composite_setting": "bogus"})
+    with pytest.raises(ValueError):
         run_rounds(Driver("ogd", UNC2, {}), seq, 0)
 
 

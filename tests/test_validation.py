@@ -80,6 +80,14 @@ def test_public_entry_points_reject_non_finite_vectors(value):
         solvers.Objective.build(obj.feasible_set, linear=bad)
 
 
+@pytest.mark.parametrize("value", NON_FINITE + (0.0, -1.0))
+def test_sets_reject_a_size_that_is_not_positive_and_finite(value):
+    with pytest.raises(ValueError):
+        solvers.Ball(np.zeros(2), value)
+    with pytest.raises(ValueError):
+        solvers.Simplex(2, value)
+
+
 def test_metrics_reject_negative_curvature():
     with pytest.raises(ValueError):
         QuadMetric.diagonal([1.0, -1.0])
