@@ -335,6 +335,12 @@ class Driver:
 
         q0 = self._parse(merged)
         if self.composite and self.composite_setting == "known-before":
+            if q0.is_zero():
+                # x_1 would minimize psi alone, which has no unique minimizer
+                raise ValueError(
+                    f"preset {preset} with composite_setting known-before needs "
+                    "a q~_0 with quadratic curvature, and its parameters give "
+                    "none")
             q0 = composite_wrap(q0, self.psi, "known-before")
         self.hint = self._hint(1, None).copy()
         cls = MdLearner if self.family == "md" else FtrlLearner

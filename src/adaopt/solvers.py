@@ -14,11 +14,12 @@ cross-check each other in tests:
 
 * ``argmin_quadratic``  - exact solve: a linear system without a set; on a
   set, projection for an isotropic quadratic, clipping for a diagonal one on
-  a box, and the secular equation for a diagonal one on a ball,
+  a box, a primal active-set method for a full one on a box, and the
+  secular equation for a diagonal one on a ball,
 * ``argmin_l1_composite`` - coordinate soft-thresholding, boxes only,
 * ``argmin_numeric``    - proximal gradient with backtracking and an
   a-posteriori distance certificate from strong convexity; the reference,
-  and the route for other losses and other constrained quadratics.
+  and the route for the instances listed in its docstring.
 """
 
 from __future__ import annotations
@@ -506,47 +507,123 @@ def argmin_quadratic(obj: Objective) -> np.ndarray:
 
     * isotropic quadratic, any set: project the unconstrained minimizer,
     * diagonal quadratic on a box: clip it (the problem is separable),
+    * full quadratic on a box: a primal active-set method
+      (``_full_box_argmin``), warm-started from ``obj.init``,
     * diagonal quadratic on a ball: take the ball's multiplier from its
       secular equation (``_diag_ball_argmin``).
 
-    Other constrained instances (a full metric on a set, a diagonal one on
-    a simplex) delegate to the numeric route.  The result is certified by
-    its projected-gradient residual, which also rejects non-finite values;
-    a failed certificate raises.
+    Other constrained instances (a full metric on a ball, a full or
+    diagonal one on a simplex) delegate to the numeric route.  The result
+    is certified by its projected-gradient residual, which also rejects
+    non-finite values; a failed certificate raises.
     """
     if obj.has_losses() or obj.l1_alpha:
         raise ValueError("argmin_quadratic expects a pure linear-quadratic objective")
     fs = obj.feasible_set
     unconstrained = isinstance(fs, Unconstrained)
-    # a diagonal quadratic over a box is separable, so clipping is exact;
-    # over a ball it has one multiplier, the root of a secular equation
-    separable = isinstance(fs, Box) and obj.full is None
+    # any quadratic over a box is a bound-constrained QP with an exact
+    # finite method (clipping when it is separable); over a ball a diagonal
+    # one has one multiplier, the root of a secular equation
+    on_box = isinstance(fs, Box)
     diagonal_on_ball = isinstance(fs, Ball) and obj.full is None and not obj.is_isotropic()
-    if not (unconstrained or obj.is_isotropic() or separable or diagonal_on_ball):
+    if not (unconstrained or obj.is_isotropic() or on_box or diagonal_on_ball):
         return argmin_numeric(obj)
     sigma, smooth = obj.quad_curvature()
     if sigma <= 0.0:
         raise IllPosedError(
             f"ill-posed argmin: quadratic part has min curvature {sigma}")
+    scale = 1.0 + _norm(obj.lin) + smooth
     if diagonal_on_ball:
         x = _diag_ball_argmin(obj.lin, obj.diag + obj.gamma, fs._center, fs.radius)
     elif obj.is_isotropic():
         x = -obj.lin / obj.gamma
+    elif obj.full is not None and on_box:
+        x = _full_box_argmin(obj, 1e-12 * scale)
     elif obj.full is not None:
-        m = 0.5 * (obj.full + obj.full.T) + (obj.gamma * np.eye(obj.lin.size)
-                                             if obj.gamma else 0.0)
-        if obj.diag is not None:
-            m = m + np.diag(obj.diag)
-        x = np.linalg.solve(m, -obj.lin)
+        x = np.linalg.solve(_hessian(obj), -obj.lin)
     else:
         x = -obj.lin / (obj.diag + obj.gamma)
     if not unconstrained:
         x = fs._project(x)
     resid = _optimality_residual(obj, x, smooth)
-    scale = 1.0 + _norm(obj.lin) + smooth
     if not resid <= 1e-8 * scale:
         raise IllPosedError(f"argmin residual {resid:.3e} exceeds tolerance")
     return x
+
+
+def _hessian(obj: Objective) -> np.ndarray:
+    """The dense matrix of the quadratic part: sym(full) + gamma I + diag."""
+    m = 0.5 * (obj.full + obj.full.T)
+    on_diag = m.reshape(-1)[::m.shape[0] + 1]     # a view of m's diagonal
+    if obj.gamma:
+        on_diag += obj.gamma
+    if obj.diag is not None:
+        on_diag += obj.diag
+    return m
+
+
+def _full_box_argmin(obj: Objective, mult_tol: float) -> np.ndarray:
+    """argmin <lin, x> + 1/2 x'Mx over lo <= x <= hi for a positive-definite M.
+
+    A primal active-set method (Nocedal & Wright, Alg. 16.3) on the bound
+    constraints.  The iterate stays feasible.  The working set W holds the
+    coordinates fixed at a bound; it starts as the coordinates where
+    ``obj.init`` (the previous iterate; without one, the clipped
+    unconstrained minimizer) sits at one and the gradient does not point
+    into the box.  Each step solves the reduced Newton system
+    M_FF x_F = -(lin_F + M_FW x_W) on the free coordinates F and moves
+    towards that point until a bound blocks it, adding the blocking
+    coordinates to W.  Once the point is reached, a coordinate at its lower
+    bound with multiplier (lin + M x)_j < -mult_tol, or at its upper bound
+    with one > mult_tol, leaves W (the worst one); if none does, x is the
+    minimizer.  The objective falls strictly between reduced minimizers, so
+    no working set repeats and the method ends after finitely many steps;
+    coordinates with lo == hi never leave W.  The loop bound is a guard
+    against rounding cycles and raises.
+    """
+    fs = obj.feasible_set
+    lo, hi, lin = fs.lo, fs.hi, obj.lin
+    m = _hessian(obj)
+    x = fs._project(obj.init if obj.init is not None else np.linalg.solve(m, -lin))
+    # W may start as any subset of the bounds x sits at: leave out those
+    # whose gradient points into the box (lo == hi has no inside)
+    grad = lin + m @ x
+    inward = ((x == lo) & (grad < 0.0) | (x == hi) & (grad > 0.0)) & (lo < hi)
+    at_lo, at_hi = (x == lo) & ~inward, (x == hi) & ~inward
+    guard = 20 * lin.size + 20
+    for _ in range(guard):
+        fixed = at_lo | at_hi
+        free = np.flatnonzero(~fixed)
+        if free.size:
+            rows = m.take(free, 0)
+            target = np.linalg.solve(rows.take(free, 1),
+                                     -(lin[free] + rows @ np.where(fixed, x, 0.0)))
+            below, above = target < lo[free], target > hi[free]
+            out = below | above
+            if out.any():
+                # the bounds that the segment from x_F to the target crosses
+                # first stop the step there and join W
+                o = free[out]
+                bound = np.where(below[out], lo[o], hi[o])
+                frac = (bound - x[o]) / (target[out] - x[o])
+                alpha = float(frac.min())
+                x[free] = (x[free] + alpha * (target - x[free])).clip(lo[free], hi[free])
+                first = frac == alpha
+                hit = o[first]
+                x[hit] = bound[first]
+                at_lo[hit] = below[out][first]
+                at_hi[hit] = above[out][first]
+                continue
+            x[free] = target
+        grad = lin + m @ x
+        # a bound's multiplier must be >= 0 at lo and <= 0 at hi; lo == hi
+        # puts a coordinate at both, where its sign is free
+        wrong = np.where(at_lo ^ at_hi, np.where(at_lo, -grad, grad), 0.0)
+        j = int(np.argmax(wrong))
+        if not wrong[j] > mult_tol:
+            return x
+        at_lo[j] = at_hi[j] = False
+    raise NumericArgminError(f"active-set argmin did not settle after {guard} steps")
 
 
 def _diag_ball_argmin(lin: np.ndarray, w: np.ndarray, z: np.ndarray,
@@ -621,32 +698,33 @@ def _check_l1_optimality(g, w, alpha, x, feasible_set, tol=1e-8):
     """Sub-gradient stationarity of each coordinate, with box activity."""
     r = g + w * x
     scale = 1.0 + float(np.max(np.abs(g))) + alpha
-    for j in range(x.size):
-        lo_j, hi_j = -INF, INF
-        if isinstance(feasible_set, Box):
-            lo_j, hi_j = feasible_set.lo[j], feasible_set.hi[j]
-        ok = False
-        if x[j] > lo_j + tol and x[j] < hi_j - tol:
-            if x[j] > tol:
-                ok = abs(r[j] + alpha) <= tol * scale
-            elif x[j] < -tol:
-                ok = abs(r[j] - alpha) <= tol * scale
-            else:
-                ok = abs(r[j]) <= alpha + tol * scale
-        elif x[j] <= lo_j + tol:
-            sub = r[j] + (alpha if x[j] > tol else -alpha if x[j] < -tol else 0.0)
-            ok = sub >= -tol * scale or abs(r[j]) <= alpha + tol * scale
-        else:
-            sub = r[j] + (alpha if x[j] > tol else -alpha if x[j] < -tol else 0.0)
-            ok = sub <= tol * scale or abs(r[j]) <= alpha + tol * scale
-        if not ok:
-            raise IllPosedError(f"l1 composite optimality failed at coordinate {j}")
+    slack = tol * scale
+    lo, hi = ((feasible_set.lo, feasible_set.hi) if isinstance(feasible_set, Box)
+              else (-INF, INF))
+    pos, neg = x > tol, x < -tol
+    # off zero the l1 term's gradient is +-alpha; at zero its sub-gradients
+    # cover [-alpha, alpha], which ``loose`` allows
+    sub = r + np.where(pos, alpha, np.where(neg, -alpha, 0.0))
+    loose = np.abs(r) <= alpha + slack
+    ok = np.where((x > lo + tol) & (x < hi - tol),
+                  np.where(pos | neg, np.abs(sub) <= slack, loose),
+                  np.where(x <= lo + tol, sub >= -slack, sub <= slack) | loose)
+    if not ok.all():
+        raise IllPosedError(
+            f"l1 composite optimality failed at coordinate {int(np.argmin(ok))}")
 
 
 def argmin_numeric(obj: Objective, tol: float = 1e-10, max_iter: int = 10000) -> np.ndarray:
     """Proximal gradient with backtracking and a strong-convexity certificate.
 
-    Initialization is deterministic (the set center, projected).  On exit the
+    ``minimize`` sends it what no exact route covers: objectives that keep
+    loss handles (every loss but an isotropic quadratic, see ``Objective``),
+    an l1 term with a full metric or on a set other than a box, and,
+    through ``argmin_quadratic``, a full metric on a ball or a full or
+    diagonal one on a simplex.
+
+    Initialization is deterministic (``obj.init``, else the set center,
+    projected).  On exit the
     returned point x satisfies ||x - x*|| <= tol, certified through the
     sub-gradient bound sigma ||x - x*|| <= ||u|| with u constructed from the
     accepted proximal step.  Hitting max_iter raises; there is no silent
@@ -699,15 +777,15 @@ def argmin_numeric(obj: Objective, tol: float = 1e-10, max_iter: int = 10000) ->
         f"no certificate after {max_iter} iterations (tol {tol})")
 
 
-def minimize(obj: Objective, tol: float = 1e-10, max_iter: int = 10000) -> np.ndarray:
+def minimize(obj: Objective, tol: float = 1e-10) -> np.ndarray:
     """Route an objective to the cheapest admissible solver."""
     if obj.has_losses():
-        return argmin_numeric(obj, tol=tol, max_iter=max_iter)
+        return argmin_numeric(obj, tol=tol)
     if obj.l1_alpha:
         if obj.full is None and isinstance(obj.feasible_set, (Unconstrained, Box)):
             d = obj.lin.size
             w = np.full(d, obj.gamma) if obj.diag is None else obj.diag + obj.gamma
             return argmin_l1_composite(obj.lin, QuadMetric.diagonal(w),
                                        obj.l1_alpha, obj.feasible_set)
-        return argmin_numeric(obj, tol=tol, max_iter=max_iter)
+        return argmin_numeric(obj, tol=tol)
     return argmin_quadratic(obj)

@@ -117,6 +117,7 @@ def solver_suite(n: int = 500, seed: int = 0, tol: float = 1e-6) -> dict:
         "closed_vs_numeric": _entry(),
         "l1_vs_numeric": _entry(),
         "argmin_margin": _entry(),
+        "full_box_vs_numeric": _entry(),
     }
     for _ in range(n):
         dim = int(rng.integers(1, 6))
@@ -171,7 +172,57 @@ def solver_suite(n: int = 500, seed: int = 0, tol: float = 1e-6) -> dict:
         margin = (dot(g, probe - x_plus) + r.value(probe) - r.value(x_plus)
                   - r.bregman(probe, x_plus))
         _note(out["argmin_margin"], margin >= -1e-7, margin)
+
+    # a child generator, so the draws above stay what they were
+    full_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    for _ in range(n):
+        obj, x_star, cond = _full_box_instance(full_rng)
+        x = solvers.argmin_quadratic(obj)
+        d = float(np.linalg.norm(x - x_star))
+        # the numeric route's certificate needs eps * cond well below its
+        # tol and about cond iterations, so it is the reference only for
+        # well-conditioned metrics; x_star is exact by construction
+        if cond <= 100.0:
+            d = max(d, float(np.linalg.norm(x - solvers.argmin_numeric(obj, tol=1e-11))))
+        _note(out["full_box_vs_numeric"], d <= tol, -d)
     return _finish(out)
+
+
+def _full_box_instance(rng):
+    """(objective, its minimizer, condition number) for a random
+    positive-definite full metric on a box.
+
+    The condition number reaches 1e6, about a fifth of the coordinates have
+    lo == hi, and the minimizer x_star is fixed first: each coordinate is
+    free, at lo or at hi, and lin = mu - M x_star with multipliers mu that
+    vanish off the bounds, have the sign that keeps x_star optimal on them
+    and are exactly zero on about a third of the bound coordinates."""
+    dim = int(rng.integers(1, 8))
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    cond = 10.0 ** rng.uniform(0.0, 6.0)
+    ev = np.exp(rng.uniform(0.0, math.log(cond), dim))
+    ev[0], ev[-1] = 1.0, cond
+    ev *= 10.0 ** rng.uniform(-1.0, 1.0)
+    m = (q * ev) @ q.T
+    m = 0.5 * (m + m.T)
+    lo = rng.uniform(-2.0, -0.2, dim)
+    hi = rng.uniform(0.2, 2.0, dim)
+    pinned = rng.uniform(size=dim) < 0.2
+    hi[pinned] = lo[pinned]
+    status = rng.integers(0, 3, dim)            # 0 free, 1 at lo, 2 at hi
+    x_star = np.where(status == 1, lo, np.where(status == 2, hi, rng.uniform(lo, hi)))
+    size = rng.uniform(0.1, 2.0, dim) * (rng.uniform(size=dim) < 0.67) * ev.max()
+    mu = np.where(status == 1, size, np.where(status == 2, -size, 0.0))
+    mu[pinned] = rng.normal(size=int(pinned.sum()))
+    obj = solvers.Objective.build(solvers.Box(lo, hi), linear=mu - m @ x_star)
+    obj.full = m
+    # a warm start that is right, wrong, or absent
+    pick = int(rng.integers(0, 3))
+    if pick == 0:
+        obj.init = x_star
+    elif pick == 1:
+        obj.init = np.where(rng.uniform(size=dim) < 0.5, lo, hi)
+    return obj, x_star, float(np.linalg.cond(m))
 
 
 # -- suite: the decomposition and forward bounds on randomized runs -------------

@@ -111,6 +111,22 @@ def test_run_names_an_input_no_bound_reads(tmp_path, capsys, key):
     assert err["where"] == "inputs" and key in err["message"]
 
 
+@pytest.mark.parametrize("preset", ["ao-ftrl-prox", "ftrl-prox"])
+def test_known_before_composite_without_curvature_is_a_config_error(
+        tmp_path, capsys, preset):
+    # known-before makes x_1 the minimizer of q~_0 + psi; with no curvature in
+    # q~_0 (ao-ftrl-prox always, ftrl-prox at its default gamma0 = 0) it has
+    # none, which used to surface as exit 3 before round 1
+    cfg = cfg_with(preset=preset, set={"kind": "box", "dim": 5}, seeds=[0],
+                   params={"composite_alpha": 0.1,
+                           "composite_setting": "known-before"})
+    assert main(["run", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["where"] == "params"
+    assert preset in err["message"] and "known-before" in err["message"]
+
+
 def test_validate_accepts_forward_and_ao_on_both_kinds():
     validate_run_config(cfg_with(bounds=["forward"]))
     md = cfg_with(preset="ao-md", params={}, bounds=["forward", "ao", "oo-md"])
@@ -199,9 +215,10 @@ def test_run_outputs_honour_the_umask(tmp_path):
 # the per-round path was reworked for speed, the others before every preset
 # went through one round path.  Each entry is (preset, params, config
 # overrides, JSON SHA-256, CSV SHA-256); every run takes a closed-form
-# route, so the outputs must stay bit for bit the same.  The full-matrix run takes the numeric argmin and
-# matches at the acceptance tolerances (c07: iterates to 1e-9, c01:
-# 1e-8 * (1 + |regret|)).
+# route, so the outputs must stay bit for bit the same.  The full-matrix
+# run's values were recorded from the numeric argmin; it now takes the
+# active-set route and matches at the acceptance tolerances (c07: iterates
+# to 1e-9, c01: 1e-8 * (1 + |regret|)).
 GUARD = {"name": "guard", "set": {"kind": "box", "dim": 6},
          "losses": {"kind": "random-linear", "seed": 7}, "T": 60,
          "seeds": [3], "bounds": ["oo-ftrl", "forward"]}

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adaopt.core import QuadMetric
+from adaopt.core import INF, QuadMetric
 from adaopt.regularizers import L1, Linear, Quadratic, Sum
 from adaopt.solvers import (
     Ball, Box, IllPosedError, NumericArgminError, Objective, Simplex,
     Unconstrained, argmin_l1_composite, argmin_numeric, argmin_quadratic,
     linear_argmin, minimize, simplex_project,
 )
-from adaopt import losses
+from adaopt import losses, solvers
 
 
 def pts(dim, lo=-3.0, hi=3.0):
@@ -125,6 +125,68 @@ def test_argmin_bregman_anchor():
     assert np.allclose(argmin_quadratic(obj), [0.0, 2.0], atol=1e-12)
 
 
+def _full_box_objective(rng, d):
+    """A random positive-definite full metric on a box, with lin large enough
+    that the minimizer has coordinates at both bounds and free ones."""
+    a = rng.normal(size=(d, d))
+    obj = Objective.build(Box(-np.ones(d), np.ones(d)), linear=3.0 * rng.normal(size=d))
+    obj.full = a @ a.T / d + 0.2 * np.eye(d)
+    return obj
+
+
+def test_full_box_route_ignores_a_wrong_warm_start():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        obj = _full_box_objective(rng, 8)
+        x = argmin_quadratic(obj)
+        lo, hi = obj.feasible_set.lo, obj.feasible_set.hi
+        opposite = np.where(x == lo, hi, lo)
+        for init in (x, obj.feasible_set.center(), opposite):
+            obj.init = init
+            assert np.allclose(argmin_quadratic(obj), x, rtol=0.0, atol=1e-12)
+    # the draws put coordinates at both bounds and strictly inside
+    assert np.any(x == lo) and np.any(x == hi) and np.any((x > lo) & (x < hi))
+
+
+def test_full_box_route_in_one_dim_matches_clipping():
+    box = Box(-np.ones(1), np.ones(1))
+    for lin, w in ((0.3, 2.0), (-5.0, 0.7), (4.0, 1e-3), (0.0, 3.0)):
+        full = Objective.build(box, linear=np.array([lin]))
+        full.full = np.array([[w]])
+        diag = Objective.build(box, linear=np.array([lin]))
+        diag.diag = np.array([w])
+        assert np.allclose(argmin_quadratic(full), argmin_quadratic(diag),
+                           rtol=0.0, atol=1e-15)
+
+
+def test_full_box_route_rejects_a_singular_metric():
+    v = np.array([1.0, 2.0])
+    obj = Objective.build(Box(-np.ones(2), np.ones(2)), linear=np.array([1.0, -1.0]))
+    obj.full = np.outer(v, v)
+    with pytest.raises(IllPosedError):
+        argmin_quadratic(obj)
+
+
+def test_full_box_route_is_exact_and_never_numeric(monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("the numeric route was called")
+
+    monkeypatch.setattr(solvers, "argmin_numeric", refuse)
+    rng = np.random.default_rng(9)
+    obj = _full_box_objective(rng, 6)
+    lo = obj.feasible_set.lo
+    obj.feasible_set.hi[2] = lo[2]          # a coordinate with lo == hi
+    hi = obj.feasible_set.hi
+    x = minimize(obj)
+    g = obj.smooth_grad(x)
+    free = (x > lo) & (x < hi)
+    assert x[2] == lo[2]
+    assert np.max(np.abs(g[free]), initial=0.0) <= 1e-12
+    # KKT signs on the bounds; lo == hi leaves the sign free
+    assert np.all(g[(x == lo) & (lo < hi)] >= -1e-12)
+    assert np.all(g[(x == hi) & (lo < hi)] <= 1e-12)
+
+
 def _ball_objective(lin, weights, center, radius):
     obj = Objective.build(Ball(np.asarray(center, float), radius),
                           linear=np.asarray(lin, float))
@@ -226,6 +288,74 @@ def test_l1_composite_route_guards():
     with pytest.raises(IllPosedError):
         argmin_l1_composite(np.zeros(2), QuadMetric.diagonal([1.0, 0.0]), 1.0,
                             Unconstrained(2))
+
+
+def _l1_optimality_loop(g, w, alpha, x, feasible_set, tol=1e-8):
+    """The coordinate loop the vector check replaced, kept as its reference."""
+    r = g + w * x
+    scale = 1.0 + float(np.max(np.abs(g))) + alpha
+    for j in range(x.size):
+        lo_j, hi_j = -INF, INF
+        if isinstance(feasible_set, Box):
+            lo_j, hi_j = feasible_set.lo[j], feasible_set.hi[j]
+        ok = False
+        if x[j] > lo_j + tol and x[j] < hi_j - tol:
+            if x[j] > tol:
+                ok = abs(r[j] + alpha) <= tol * scale
+            elif x[j] < -tol:
+                ok = abs(r[j] - alpha) <= tol * scale
+            else:
+                ok = abs(r[j]) <= alpha + tol * scale
+        elif x[j] <= lo_j + tol:
+            sub = r[j] + (alpha if x[j] > tol else -alpha if x[j] < -tol else 0.0)
+            ok = sub >= -tol * scale or abs(r[j]) <= alpha + tol * scale
+        else:
+            sub = r[j] + (alpha if x[j] > tol else -alpha if x[j] < -tol else 0.0)
+            ok = sub <= tol * scale or abs(r[j]) <= alpha + tol * scale
+        if not ok:
+            raise IllPosedError(f"l1 composite optimality failed at coordinate {j}")
+
+
+def _l1_verdict(check, *args):
+    try:
+        check(*args)
+    except IllPosedError as e:
+        return str(e)
+    return None
+
+
+def test_l1_optimality_check_matches_the_coordinate_loop():
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for i in range(3000):
+        d = int(rng.integers(1, 7))
+        lo = -rng.uniform(0.0, 2.0, d)
+        hi = rng.uniform(0.0, 2.0, d)
+        pinned = rng.uniform(size=d) < 0.2
+        hi[pinned] = lo[pinned]
+        fs = Box(lo, hi) if i % 4 else Unconstrained(d)
+        g = rng.normal(size=d)
+        w = rng.uniform(0.3, 2.0, d)
+        alpha = float(rng.uniform(0.0, 1.5)) if i % 5 else 0.0
+        if i % 2:
+            # the route's own point, which mostly passes, and nudges of it
+            x = fs.project(solvers._soft_threshold(-g, alpha) / w)
+            x = x + rng.choice([0.0, 1e-9, -1e-9, 1e-3], size=d)
+        else:
+            # x_j at 0, at lo, at hi or anywhere, so every branch is taken
+            pick = rng.integers(0, 4, d)
+            lo_b = lo if isinstance(fs, Box) else -np.ones(d)
+            hi_b = hi if isinstance(fs, Box) else np.ones(d)
+            x = np.where(pick == 0, 0.0, np.where(pick == 1, lo_b, np.where(
+                pick == 2, hi_b, rng.uniform(-2.0, 2.0, d))))
+            # sub-gradients exactly at the edge of their ranges
+            edge = -w * x + rng.choice([-alpha, alpha], size=d)
+            g = np.where(rng.uniform(size=d) < 0.3, edge, g)
+        args = (g, w, alpha, x, fs)
+        want = _l1_verdict(_l1_optimality_loop, *args)
+        assert _l1_verdict(solvers._check_l1_optimality, *args) == want, (i, args)
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
 
 
 # -- numeric solver ---------------------------------------------------------------
