@@ -538,7 +538,7 @@ def argmin_quadratic(obj: Objective) -> np.ndarray:
     elif obj.is_isotropic():
         x = -obj.lin / obj.gamma
     elif obj.full is not None and on_box:
-        x = _full_box_argmin(obj, 1e-12 * scale)
+        x = _full_box_argmin(obj, scale)
     elif obj.full is not None:
         x = np.linalg.solve(_hessian(obj), -obj.lin)
     else:
@@ -553,30 +553,27 @@ def argmin_quadratic(obj: Objective) -> np.ndarray:
 
 def _hessian(obj: Objective) -> np.ndarray:
     """The dense matrix of the quadratic part: sym(full) + gamma I + diag."""
-    m = 0.5 * (obj.full + obj.full.T)
-    on_diag = m.reshape(-1)[::m.shape[0] + 1]     # a view of m's diagonal
-    if obj.gamma:
-        on_diag += obj.gamma
+    m = 0.5 * (obj.full + obj.full.T) + (obj.gamma * np.eye(obj.lin.size)
+                                         if obj.gamma else 0.0)
     if obj.diag is not None:
-        on_diag += obj.diag
+        m = m + np.diag(obj.diag)
     return m
 
 
-def _full_box_argmin(obj: Objective, mult_tol: float) -> np.ndarray:
+def _full_box_argmin(obj: Objective, scale: float) -> np.ndarray:
     """argmin <lin, x> + 1/2 x'Mx over lo <= x <= hi for a positive-definite M.
 
     A primal active-set method (Nocedal & Wright, Alg. 16.3) on the bound
     constraints.  The iterate stays feasible.  The working set W holds the
     coordinates fixed at a bound; it starts as the coordinates where
     ``obj.init`` (the previous iterate; without one, the clipped
-    unconstrained minimizer) sits at one and the gradient does not point
-    into the box.  Each step solves the reduced Newton system
-    M_FF x_F = -(lin_F + M_FW x_W) on the free coordinates F and moves
-    towards that point until a bound blocks it, adding the blocking
-    coordinates to W.  Once the point is reached, a coordinate at its lower
-    bound with multiplier (lin + M x)_j < -mult_tol, or at its upper bound
-    with one > mult_tol, leaves W (the worst one); if none does, x is the
-    minimizer.  The objective falls strictly between reduced minimizers, so
+    unconstrained minimizer) sits at one.  Each step solves the reduced
+    Newton system M_FF x_F = -(lin_F + M_FW x_W) on the free coordinates F
+    and moves towards that point until a bound blocks it, adding the
+    blocking coordinates to W.  Once the point is reached, a coordinate at
+    its lower bound with multiplier (lin + M x)_j < -1e-12 scale, or at its
+    upper bound with one > 1e-12 scale, leaves W (the worst one); if none
+    does, x is the minimizer.  The objective falls strictly between reduced minimizers, so
     no working set repeats and the method ends after finitely many steps;
     coordinates with lo == hi never leave W.  The loop bound is a guard
     against rounding cycles and raises.
@@ -585,11 +582,8 @@ def _full_box_argmin(obj: Objective, mult_tol: float) -> np.ndarray:
     lo, hi, lin = fs.lo, fs.hi, obj.lin
     m = _hessian(obj)
     x = fs._project(obj.init if obj.init is not None else np.linalg.solve(m, -lin))
-    # W may start as any subset of the bounds x sits at: leave out those
-    # whose gradient points into the box (lo == hi has no inside)
-    grad = lin + m @ x
-    inward = ((x == lo) & (grad < 0.0) | (x == hi) & (grad > 0.0)) & (lo < hi)
-    at_lo, at_hi = (x == lo) & ~inward, (x == hi) & ~inward
+    at_lo, at_hi = x == lo, x == hi
+    mult_tol = 1e-12 * scale
     guard = 20 * lin.size + 20
     for _ in range(guard):
         fixed = at_lo | at_hi
@@ -698,20 +692,26 @@ def _check_l1_optimality(g, w, alpha, x, feasible_set, tol=1e-8):
     """Sub-gradient stationarity of each coordinate, with box activity."""
     r = g + w * x
     scale = 1.0 + float(np.max(np.abs(g))) + alpha
-    slack = tol * scale
-    lo, hi = ((feasible_set.lo, feasible_set.hi) if isinstance(feasible_set, Box)
-              else (-INF, INF))
-    pos, neg = x > tol, x < -tol
-    # off zero the l1 term's gradient is +-alpha; at zero its sub-gradients
-    # cover [-alpha, alpha], which ``loose`` allows
-    sub = r + np.where(pos, alpha, np.where(neg, -alpha, 0.0))
-    loose = np.abs(r) <= alpha + slack
-    ok = np.where((x > lo + tol) & (x < hi - tol),
-                  np.where(pos | neg, np.abs(sub) <= slack, loose),
-                  np.where(x <= lo + tol, sub >= -slack, sub <= slack) | loose)
-    if not ok.all():
-        raise IllPosedError(
-            f"l1 composite optimality failed at coordinate {int(np.argmin(ok))}")
+    for j in range(x.size):
+        lo_j, hi_j = -INF, INF
+        if isinstance(feasible_set, Box):
+            lo_j, hi_j = feasible_set.lo[j], feasible_set.hi[j]
+        ok = False
+        if x[j] > lo_j + tol and x[j] < hi_j - tol:
+            if x[j] > tol:
+                ok = abs(r[j] + alpha) <= tol * scale
+            elif x[j] < -tol:
+                ok = abs(r[j] - alpha) <= tol * scale
+            else:
+                ok = abs(r[j]) <= alpha + tol * scale
+        elif x[j] <= lo_j + tol:
+            sub = r[j] + (alpha if x[j] > tol else -alpha if x[j] < -tol else 0.0)
+            ok = sub >= -tol * scale or abs(r[j]) <= alpha + tol * scale
+        else:
+            sub = r[j] + (alpha if x[j] > tol else -alpha if x[j] < -tol else 0.0)
+            ok = sub <= tol * scale or abs(r[j]) <= alpha + tol * scale
+        if not ok:
+            raise IllPosedError(f"l1 composite optimality failed at coordinate {j}")
 
 
 def argmin_numeric(obj: Objective, tol: float = 1e-10, max_iter: int = 10000) -> np.ndarray:
