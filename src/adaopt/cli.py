@@ -273,7 +273,6 @@ def validate_run_config(raw: dict) -> dict:
         if L is None:
             raise ConfigError("inputs.smoothness", "required for smooth bounds "
                               "and not derivable from these losses")
-    _ = (fs, seq, T)
     return cfg
 
 

@@ -140,33 +140,12 @@ class QuadMetric:
             self._evals, self._evecs = np.linalg.eigh(self.matrix)
         return self._evals, self._evecs
 
-    def as_array(self, dim: int | None = None) -> np.ndarray:
-        if self.kind == "scaled":
-            return self.gamma * np.eye(self._need_dim(dim))
-        if self.kind == "diag":
-            return np.diag(self.weights)
-        return self.matrix.copy()
-
     def diag_weights(self, dim: int | None = None) -> np.ndarray:
         if self.kind == "scaled":
             return np.full(self._need_dim(dim), self.gamma)
         if self.kind == "diag":
             return self.weights.copy()
         raise ValueError("full metric has no diagonal representation")
-
-    def min_eig(self) -> float:
-        if self.kind == "scaled":
-            return self.gamma
-        if self.kind == "diag":
-            return float(np.min(self.weights)) if self.weights.size else 0.0
-        return float(self._eig()[0][0])
-
-    def max_eig(self) -> float:
-        if self.kind == "scaled":
-            return self.gamma
-        if self.kind == "diag":
-            return float(np.max(self.weights)) if self.weights.size else 0.0
-        return float(self._eig()[0][-1])
 
     # -- algebra ---------------------------------------------------------
 
@@ -232,15 +211,6 @@ class QuadMetric:
             return QuadMetric.diagonal(self.weights + c)
         return QuadMetric.full(self.matrix + c * np.eye(self._dim))
 
-    def sqrt(self) -> "QuadMetric":
-        if self.kind == "scaled":
-            return QuadMetric.scaled(math.sqrt(self.gamma), self._dim)
-        if self.kind == "diag":
-            return QuadMetric.diagonal(np.sqrt(self.weights))
-        evals, evecs = self._eig()
-        root = (evecs * np.sqrt(np.maximum(evals, 0.0))) @ evecs.T
-        return QuadMetric.full(root)
-
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve M x = b.  Requires strict positive definiteness."""
         if self.kind == "scaled":
@@ -265,18 +235,6 @@ class QuadMetric:
         if evals[0] <= tol:
             raise SingularMetricError(
                 f"full metric is singular: eigenvalue 0 is {evals[0]}")
-
-    def is_pd(self) -> bool:
-        try:
-            if self.kind == "scaled":
-                return self.gamma > 0
-            if self.kind == "diag":
-                self._assert_pd_diag()
-            else:
-                self._assert_pd_full(self._eig()[0])
-            return True
-        except SingularMetricError:
-            return False
 
     def __repr__(self):
         if self.kind == "scaled":

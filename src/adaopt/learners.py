@@ -5,12 +5,13 @@ Two update families, both reduced to one argmin per round:
     ftrl:  x_{t+1} = argmin_X <g_{1:t}, x> + p_{1:t}(x) + q_{0:t}(x)
     md:    x_{t+1} = argmin_X <g_t, x> + q_t(x) + B_{r_{1:t}}(x, x_t)
 
-Each family has one ``step(g, prox, q_t)``; the proximal term is p_t for
-ftrl and r_t for md.  The learners keep running aggregates (cumulative
-linear term, combined quadratic slots, the quadratic part of r_{1:t}) so a
-T-round run costs T solver calls, each O(d) for the closed-form routes.  A
-step returns what the regret calculators need besides the emitted handles:
-p_t, the metric of r_{1:t} and the round's r-divergence.
+Both families play a round through ``LearnerBase.step(g, prox, q_t)``; the
+proximal term is p_t for ftrl and r_t for md, what r_{1:t} adds to r_{1:t-1}
+either way.  A family adds only its argmin (``_solve``) and what q_t carries
+into r (``_carry``).  The learners keep running aggregates so a T-round run
+costs T solver calls, each O(d) for the closed-form routes.  A step returns
+what the regret calculators need besides the emitted handles: p_t, the
+metric of r_{1:t} and the round's r-divergence.
 
 Every preset plays its rounds through one path, ``Driver.round``.  The
 preset's schedule emits the proximal term and q~_t; a composite term is
@@ -119,9 +120,13 @@ def _pure_quadratic(reg) -> bool:
 
 
 class LearnerBase:
-    """Shared state: the feasible set, the iterate, and whether every
-    regularizer emitted so far is certified.  The first iterate minimizes
-    q_0 = q~_0 + <hint_1, .> over the set."""
+    """Shared state: the feasible set, the iterate, whether every
+    regularizer emitted so far is certified, and r_{1:t}'s quadratic metric
+    (None once a signed part makes it uncertifiable), l1 weight and
+    non-quadratic divergence handles.  The first iterate minimizes
+    q_0 = q~_0 + <hint_1, .> over the set.  A family supplies
+    ``_solve(g, prox, q_t, r_metric)`` -> (p_t, x_{t+1}) and ``_carry(q_t)``,
+    the part of q_t that r_{1:t+1} includes."""
 
     kind = ""
 
@@ -143,6 +148,10 @@ class LearnerBase:
         self.x1 = self._solve_init()
         self.x = self.x1.copy()
         self.t = 0
+        carried = self._carry(self.q0_tilde)
+        self._r_metric = _quad_metric_of(carried, self.dim)
+        self._r_l1 = _l1_alpha_of(carried)
+        self._r_extra = []      # non-quadratic divergence handles inside r
 
     def _solve_init(self) -> np.ndarray:
         if self.q0_tilde.is_zero():
@@ -155,12 +164,38 @@ class LearnerBase:
         self.solver_calls += 1
         return x1
 
-    def _advance(self, x_next, p_t, r_metric, breg_r):
-        """Move to x_{t+1}; return (p_t, metric of r_{1:t}, B_{r_{1:t}}(x_{t+1}, x_t))."""
+    def step(self, g, prox: Regularizer, q_t: Regularizer):
+        """One round on the gradient g, which Driver.round has validated;
+        returns (p_t, metric of r_{1:t}, B_{r_{1:t}}(x_{t+1}, x_t)).
+
+        A q_t carrying a loss's divergence from x_t is the implicit or
+        non-linearized update: the objective folds that divergence in."""
+        x_t = self.x
+        pm = _quad_metric_of(prox, self.dim)
+        r_metric = None if (self._r_metric is None or pm is None) \
+            else self._r_metric.add(pm)
+        r_l1 = self._r_l1 + _l1_alpha_of(prox)
+        p_t, x_next = self._solve(g, prox, q_t, r_metric)
+
+        breg = 0.0
+        if r_metric is not None:
+            breg += 0.5 * quad_norm_sq(r_metric, x_next - x_t)
+        if r_l1 > 0.0:
+            breg += L1(r_l1).bregman(x_next, x_t)
+        for h in self._r_extra:
+            breg += h.bregman(x_next, x_t)
+        self.certified = (self.certified and r_metric is not None
+                          and _certified(prox) and _certified(q_t))
+
+        carried = self._carry(q_t)
+        qm = _quad_metric_of(carried, self.dim, self._r_extra)
+        self._r_metric = None if (r_metric is None or qm is None) \
+            else r_metric.add(qm)
+        self._r_l1 = r_l1 + _l1_alpha_of(carried)
         self.solver_calls += 1
         self.t += 1
         self.x = x_next
-        return p_t, r_metric, breg_r
+        return p_t, r_metric, breg
 
 
 class FtrlLearner(LearnerBase):
@@ -174,49 +209,19 @@ class FtrlLearner(LearnerBase):
         super().__init__(feasible_set, q0, hint1, **kw)
         self._obj = solvers.Objective.build(self.feasible_set, linear=self.hint1,
                                             regularizer=self.q0_tilde)
-        self._r_metric = _quad_metric_of(self.q0_tilde, self.dim)
-        self._r_l1 = _l1_alpha_of(self.q0_tilde)
-        self._r_extra = []      # non-quadratic divergence handles inside r
 
-    def _breg_r(self, r_metric, r_l1, y, x) -> float:
-        total = 0.0
-        if r_metric is not None:
-            total += 0.5 * quad_norm_sq(r_metric, y - x)
-        if r_l1 > 0.0:
-            total += L1(r_l1).bregman(y, x)
-        for h in self._r_extra:
-            total += h.bregman(y, x)
-        return total
-
-    def step(self, g, p_t: Regularizer, q_t: Regularizer):
-        """One round on the gradient g, which Driver.round has validated.
-
-        A q_t carrying a loss's divergence from x_t is the non-linearized
-        update: the objective folds that divergence in (see Objective)."""
+    def _solve(self, g, p_t, q_t, r_metric):
         x_t = self.x
         check_proximal(p_t, x_t, self.feasible_set, rng=self._rng,
                        n_probes=PROX_PROBES)
-
-        pm = _quad_metric_of(p_t, self.dim)
-        r_metric = None if (self._r_metric is None or pm is None) \
-            else self._r_metric.add(pm)
-        r_l1 = self._r_l1 + _l1_alpha_of(p_t)
-
         self._obj.add_regularizer(p_t)
         self._obj.add_regularizer(q_t)
         self._obj.lin = self._obj.lin + g
         self._obj.init = x_t
-        x_next = solvers.minimize(self._obj, tol=self.solver_tol)
+        return p_t, solvers.minimize(self._obj, tol=self.solver_tol)
 
-        breg = self._breg_r(r_metric, r_l1, x_next, x_t)
-        self.certified = (self.certified and r_metric is not None
-                          and _certified(p_t) and _certified(q_t))
-
-        qm = _quad_metric_of(q_t, self.dim, self._r_extra)
-        self._r_metric = None if (r_metric is None or qm is None) \
-            else r_metric.add(qm)
-        self._r_l1 = r_l1 + _l1_alpha_of(q_t)
-        return self._advance(x_next, p_t, r_metric, breg)
+    def _carry(self, q_t):
+        return q_t
 
 
 class MdLearner(LearnerBase):
@@ -224,6 +229,7 @@ class MdLearner(LearnerBase):
 
     Each round solves argmin <g_t, x> + q_t(x) + B_{r_{1:t}}(x, x_t) in one
     call; r_t must be quadratic-family so the anchor divergence is exact.
+    r_t already carries q_{t-1}'s share of r, so q_t carries nothing.
     p_t := r_t - q_{t-1} is reported for the bound calculators, with the
     convention that (+inf) - (+inf) = +inf.
     """
@@ -232,34 +238,25 @@ class MdLearner(LearnerBase):
 
     def __init__(self, feasible_set, q0=None, hint1=None, **kw):
         super().__init__(feasible_set, q0, hint1, **kw)
-        self._r_metric = QuadMetric.zero(self.dim)
         self._q_prev = self.q0
 
-    def step(self, g, r_t: Regularizer, q_t: Regularizer):
-        """One round on the gradient g, which Driver.round has validated.
-
-        A q_t carrying a loss's divergence from x_t is the implicit
-        update: the objective folds that divergence in (see Objective)."""
+    def _solve(self, g, r_t, q_t, r_metric):
         if not _pure_quadratic(r_t):
             raise ValueError("mirror-descent rounds need quadratic-family r_t")
-        rm = _quad_metric_of(r_t, self.dim)
-        if rm is None:
+        if r_metric is None:
             raise ValueError("r_t has negative curvature, anchor undefined")
         x_t = self.x
-        r_metric = self._r_metric.add(rm)
         p_t = Difference(r_t, self._q_prev)
-
         obj = solvers.Objective.build(self.feasible_set, linear=g,
                                       regularizer=q_t)
         obj.add_quadratic(x_t, r_metric, 1.0)
         obj.init = x_t
         x_next = solvers.minimize(obj, tol=self.solver_tol)
-
-        breg = 0.5 * quad_norm_sq(r_metric, x_next - x_t)
-        self.certified = self.certified and _certified(q_t)
-        self._r_metric = r_metric
         self._q_prev = q_t
-        return self._advance(x_next, p_t, r_metric, breg)
+        return p_t, x_next
+
+    def _carry(self, q_t):
+        return Zero()
 
 
 # -- preset schedules ----------------------------------------------------------
@@ -370,6 +367,11 @@ class Driver:
                 raise ValueError(f"metric must be diag or full, got {p['metric']!r}")
             self._adagrad_step = adagrad_full_step if p["metric"] == "full" \
                 else adagrad_diag_step
+            if self.family == "md" and p["metric"] == "full" \
+                    and self.feasible_set.dim > 1:
+                # an md round has no curvature but r_1's, which is rank one
+                raise ValueError(f"preset {self.preset} with metric full needs "
+                                 "dim 1: its round-1 metric is rank one")
             if self.preset == "adagrad-da" and self._gamma0 <= 0:
                 raise ValueError("adagrad-da needs gamma0 > 0 to keep round-1 "
                                  "regularization non-degenerate")
@@ -516,6 +518,6 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
         records.append(driver.round(t, loss_t, g, sigma))
     return regret.Ledger(
         records=records, x1=lrn.x1, q0=lrn.q0, q0_tilde=lrn.q0_tilde,
-        feasible_set=driver.feasible_set, kind=lrn.kind, seq=seq,
+        feasible_set=driver.feasible_set, kind=lrn.kind,
         composite=driver.composite, stochastic=bool(seq.stochastic),
         schedule=driver.schedule_info(), solver_calls=lrn.solver_calls)

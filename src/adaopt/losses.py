@@ -224,26 +224,6 @@ def power_product(powers) -> Loss:
     )
 
 
-def affine_shift_loss(loss: Loss, v, w: float = 0.0) -> Loss:
-    """loss + <v, .> + w, for probing affine invariance of the divergence."""
-    v = as_point(v)
-
-    def dd(x, z):
-        base = loss.dir_deriv(x, z)
-        if not math.isfinite(base):
-            return base
-        return base + dot(v, z)
-
-    return Loss(
-        f"{loss.name}+affine",
-        value=lambda x: loss.value(x) + dot(v, x) + w,
-        grad=lambda x: loss.grad(x) + v,
-        dir_deriv=dd,
-        smoothness=loss.smoothness,
-        strong_convexity=loss.strong_convexity,
-    )
-
-
 class BregmanAround:
     """The divergence of a loss from a fixed anchor, as a round-regularizer
     handle: psi(x) = f(x) - f(a) - <grad f(a), x - a>.

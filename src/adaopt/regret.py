@@ -77,7 +77,6 @@ class Ledger:
     q0_tilde: Regularizer
     feasible_set: object
     kind: str                      # "ftrl" or "md"
-    seq: object = None             # loss sequence, for comparators/variation
     composite: bool = False
     stochastic: bool = False
     schedule: dict = field(default_factory=dict)
@@ -124,17 +123,28 @@ class BoundReport:
 
 # -- decomposition -----------------------------------------------------------
 
-def empirical_regret(ledger: Ledger, x_star, composite: bool | None = None) -> float:
-    """sum_t f_t(x_t) - f_t(x*), plus the composite terms when requested."""
+def _running_regret(ledger: Ledger, x_star, composite: bool | None = None) -> np.ndarray:
+    """Entry t: sum_{s<=t} f_s(x_s) - f_s(x*), plus the composite terms when
+    requested (the run's own setting by default).  The one loop behind both
+    the reported regret and the CSV's ``cum_regret``."""
     x_star = as_point(x_star)
     if composite is None:
         composite = ledger.composite
+    out = np.empty(ledger.T)
     total = 0.0
-    for rec in ledger.records:
+    for i, rec in enumerate(ledger.records):
         total += rec.loss_value - rec.loss.value(x_star)
         if composite and rec.psi is not None:
             total += rec.psi.value(rec.x) - rec.psi.value(x_star)
-    return total
+        out[i] = total
+    return out
+
+
+def empirical_regret(ledger: Ledger, x_star, composite: bool | None = None) -> float:
+    """sum_t f_t(x_t) - f_t(x*), plus the composite terms when requested:
+    the last entry of :func:`_running_regret`."""
+    running = _running_regret(ledger, x_star, composite)
+    return float(running[-1]) if running.size else 0.0
 
 
 def forward_regret(ledger: Ledger, x_star) -> float:
@@ -555,7 +565,9 @@ def ledger_rows(ledger: Ledger, x_star, bound_case: str | None = None,
                 inputs: BoundInputs | None = None, terms: dict | None = None,
                 report: BoundReport | None = None) -> list:
     """Fixed-layout rows: t, iterate, gradient, the four decomposition
-    terms, then running regret, running bound, and their gap.
+    terms, then running regret, running bound, and their gap.  The running
+    regret is :func:`_running_regret`'s, so its last row is
+    :func:`empirical_regret` bit for bit.
 
     The running bound is ``report``'s, by default the Table-2 report for
     ``bound_case`` (the run kind's online case when None); its last row is
@@ -568,12 +580,9 @@ def ledger_rows(ledger: Ledger, x_star, bound_case: str | None = None,
         report = bound_table2(ledger, x_star, bound_case or f"oo-{ledger.kind}",
                               inputs)
     rows = []
-    cum_regret = 0.0
-    for i, (rec, cum_bound) in enumerate(zip(ledger.records,
-                                             report.running.tolist())):
-        cum_regret += rec.loss_value - rec.loss.value(x_star)
-        if ledger.composite and rec.psi is not None:
-            cum_regret += rec.psi.value(rec.x) - rec.psi.value(x_star)
+    for i, (rec, cum_regret, cum_bound) in enumerate(zip(
+            ledger.records, _running_regret(ledger, x_star).tolist(),
+            report.running.tolist())):
         row = [float(rec.t)]
         row += rec.x.tolist()
         row += rec.g.tolist()

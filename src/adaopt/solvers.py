@@ -20,6 +20,10 @@ cross-check each other in tests:
 * ``argmin_numeric``    - proximal gradient with backtracking and an
   a-posteriori distance certificate from strong convexity; the reference,
   and the route for the instances listed in its docstring.
+
+The exact routes share one certificate, ``_certify``: the proximal-gradient
+fixed-point residual (soft-thresholded, then projected) must stay within
+1e-8 (1 + ||lin|| + L), for the quadratic part's largest curvature L.
 """
 
 from __future__ import annotations
@@ -452,12 +456,6 @@ class Objective:
             g = g + loss.grad(x)
         return g
 
-    def value(self, x: np.ndarray) -> float:
-        v = self.smooth_value(x)
-        if self.l1_alpha:
-            v += self.l1_alpha * float(np.sum(np.abs(x)))
-        return v
-
     def quad_curvature(self) -> tuple:
         """(min, max) eigenvalue of the quadratic part, from at most one
         eigvalsh."""
@@ -490,14 +488,18 @@ class Objective:
 
 # -- solvers -----------------------------------------------------------------
 
-def _optimality_residual(obj: Objective, x: np.ndarray, smooth: float) -> float:
-    """Norm of the projected-gradient fixed-point residual at step 1/L, for
-    the objective's smoothness L."""
+def _certify(obj: Objective, x: np.ndarray, smooth: float) -> np.ndarray:
+    """x, if its projected-gradient fixed-point residual at step 1/L, for
+    the objective's smoothness L, is within 1e-8 (1 + ||lin|| + L); the
+    residual also rejects non-finite values.  Otherwise raise."""
     step = 1.0 / max(smooth, 1.0)
     ahead = x - step * obj.smooth_grad(x)
     if obj.l1_alpha:
         ahead = _soft_threshold(ahead, step * obj.l1_alpha)
-    return _norm(x - obj.feasible_set._project(ahead)) / step
+    resid = _norm(x - obj.feasible_set._project(ahead)) / step
+    if not resid <= 1e-8 * (1.0 + _norm(obj.lin) + smooth):
+        raise IllPosedError(f"argmin residual {resid:.3e} exceeds tolerance")
+    return x
 
 
 def argmin_quadratic(obj: Objective) -> np.ndarray:
@@ -514,8 +516,7 @@ def argmin_quadratic(obj: Objective) -> np.ndarray:
 
     Other constrained instances (a full metric on a ball, a full or
     diagonal one on a simplex) delegate to the numeric route.  The result
-    is certified by its projected-gradient residual, which also rejects
-    non-finite values; a failed certificate raises.
+    is certified by ``_certify``.
     """
     if obj.has_losses() or obj.l1_alpha:
         raise ValueError("argmin_quadratic expects a pure linear-quadratic objective")
@@ -532,23 +533,19 @@ def argmin_quadratic(obj: Objective) -> np.ndarray:
     if sigma <= 0.0:
         raise IllPosedError(
             f"ill-posed argmin: quadratic part has min curvature {sigma}")
-    scale = 1.0 + _norm(obj.lin) + smooth
     if diagonal_on_ball:
         x = _diag_ball_argmin(obj.lin, obj.diag + obj.gamma, fs._center, fs.radius)
     elif obj.is_isotropic():
         x = -obj.lin / obj.gamma
     elif obj.full is not None and on_box:
-        x = _full_box_argmin(obj, scale)
+        x = _full_box_argmin(obj, 1.0 + _norm(obj.lin) + smooth)
     elif obj.full is not None:
         x = np.linalg.solve(_hessian(obj), -obj.lin)
     else:
         x = -obj.lin / (obj.diag + obj.gamma)
     if not unconstrained:
         x = fs._project(x)
-    resid = _optimality_residual(obj, x, smooth)
-    if not resid <= 1e-8 * scale:
-        raise IllPosedError(f"argmin residual {resid:.3e} exceeds tolerance")
-    return x
+    return _certify(obj, x, smooth)
 
 
 def _hessian(obj: Objective) -> np.ndarray:
@@ -666,7 +663,8 @@ def argmin_l1_composite(g, metric: QuadMetric, alpha: float, feasible_set) -> np
 
     Soft-threshold then clip; exact because the objective is separable and
     each 1-d piece is convex.  Supports unconstrained and box sets with a
-    strictly positive diagonal (or scaled-identity) metric.
+    strictly positive diagonal (or scaled-identity) metric.  The result is
+    certified by ``_certify``.
     """
     g = as_point(g)
     if alpha < 0:
@@ -677,41 +675,11 @@ def argmin_l1_composite(g, metric: QuadMetric, alpha: float, feasible_set) -> np
     if np.any(w <= 0):
         j = int(np.where(w <= 0)[0][0])
         raise IllPosedError(f"ill-posed argmin: zero curvature at coordinate {j}")
-    x = _soft_threshold(-g, alpha) / w
-    if isinstance(feasible_set, Unconstrained):
-        pass
-    elif isinstance(feasible_set, Box):
-        x = feasible_set._project(x)
-    else:
+    if not isinstance(feasible_set, (Unconstrained, Box)):
         raise ValueError("l1 composite route supports unconstrained and box sets")
-    _check_l1_optimality(g, w, alpha, x, feasible_set)
-    return x
-
-
-def _check_l1_optimality(g, w, alpha, x, feasible_set, tol=1e-8):
-    """Sub-gradient stationarity of each coordinate, with box activity."""
-    r = g + w * x
-    scale = 1.0 + float(np.max(np.abs(g))) + alpha
-    for j in range(x.size):
-        lo_j, hi_j = -INF, INF
-        if isinstance(feasible_set, Box):
-            lo_j, hi_j = feasible_set.lo[j], feasible_set.hi[j]
-        ok = False
-        if x[j] > lo_j + tol and x[j] < hi_j - tol:
-            if x[j] > tol:
-                ok = abs(r[j] + alpha) <= tol * scale
-            elif x[j] < -tol:
-                ok = abs(r[j] - alpha) <= tol * scale
-            else:
-                ok = abs(r[j]) <= alpha + tol * scale
-        elif x[j] <= lo_j + tol:
-            sub = r[j] + (alpha if x[j] > tol else -alpha if x[j] < -tol else 0.0)
-            ok = sub >= -tol * scale or abs(r[j]) <= alpha + tol * scale
-        else:
-            sub = r[j] + (alpha if x[j] > tol else -alpha if x[j] < -tol else 0.0)
-            ok = sub <= tol * scale or abs(r[j]) <= alpha + tol * scale
-        if not ok:
-            raise IllPosedError(f"l1 composite optimality failed at coordinate {j}")
+    x = feasible_set._project(_soft_threshold(-g, alpha) / w)
+    return _certify(Objective(feasible_set, lin=g, diag=w, l1_alpha=alpha), x,
+                    float(w.max()))
 
 
 def argmin_numeric(obj: Objective, tol: float = 1e-10, max_iter: int = 10000) -> np.ndarray:

@@ -127,6 +127,22 @@ def test_known_before_composite_without_curvature_is_a_config_error(
     assert preset in err["message"] and "known-before" in err["message"]
 
 
+@pytest.mark.parametrize("set_cfg", [{"kind": "box", "dim": 8},
+                                     {"kind": "ball", "dim": 3}])
+def test_full_metric_mirror_descent_above_dim_one_is_a_config_error(
+        tmp_path, capsys, set_cfg):
+    # adagrad-md's round-1 metric under metric full is rank one, and an md
+    # round has no other curvature; the run used to exit 3 in round 1
+    cfg = cfg_with(preset="adagrad-md", params={"metric": "full"},
+                   set=set_cfg, losses={"kind": "random-linear", "seed": 7},
+                   seeds=[0], bounds=["oo-md"])
+    assert main(["run", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["where"] == "params"
+    assert "adagrad-md" in err["message"] and "full" in err["message"]
+
+
 def test_validate_accepts_forward_and_ao_on_both_kinds():
     validate_run_config(cfg_with(bounds=["forward"]))
     md = cfg_with(preset="ao-md", params={}, bounds=["forward", "ao", "oo-md"])
@@ -292,6 +308,18 @@ def test_run_outputs_match_recorded_digests(tmp_path, case):
     doc, csv = _guard_run(tmp_path, preset, params, **over)
     assert hashlib.sha256(csv).hexdigest() == csv_sha
     assert hashlib.sha256(doc).hexdigest() == json_sha
+
+
+@pytest.mark.parametrize("case", ["md", "ftrl-prox-revealed-after",
+                                  "adagrad-da"])
+def test_reported_regret_is_the_last_cum_regret(tmp_path, case):
+    # one running sum feeds both outputs, composite terms included
+    preset, params, over, _, _ = GUARD_SHA256[case]
+    doc, csv = _guard_run(tmp_path, preset, params, **over)
+    lines = csv.decode().strip().split("\n")
+    col = lines[0].split(",").index("cum_regret")
+    last = float(lines[-1].split(",")[col])
+    assert json.loads(doc)["results"][0]["regret"] == last
 
 
 def test_full_matrix_run_matches_recorded_values(tmp_path):

@@ -47,19 +47,13 @@ def test_metric_add_mixes_kinds():
     m = QuadMetric.scaled(2.0).add(QuadMetric.diagonal([1.0, 3.0]))
     assert np.allclose(m.diag_weights(2), [3.0, 5.0])
     full = m.add(QuadMetric.full([[1.0, 0.5], [0.5, 1.0]]))
-    assert np.allclose(full.as_array(), [[4.0, 0.5], [0.5, 6.0]])
+    assert np.allclose(full.matrix, [[4.0, 0.5], [0.5, 6.0]])
 
 
 def test_metric_eigs_full_matrix():
     # [[2, 1], [1, 2]] has eigenvalues 1 and 3
     m = QuadMetric.full([[2.0, 1.0], [1.0, 2.0]])
-    assert m.min_eig() == pytest.approx(1.0, abs=1e-12)
-    assert m.max_eig() == pytest.approx(3.0, abs=1e-12)
-
-
-def test_metric_sqrt_diagonal():
-    m = QuadMetric.diagonal([4.0, 9.0]).sqrt()
-    assert np.allclose(m.diag_weights(), [2.0, 3.0])
+    assert np.linalg.eigvalsh(m.matrix) == pytest.approx([1.0, 3.0], abs=1e-12)
 
 
 def test_metric_solve_roundtrip():
@@ -77,7 +71,6 @@ def test_metric_shift_identity():
 
 def test_singular_metric_raises_on_dual_norm():
     m = QuadMetric.diagonal([1.0, 0.0])
-    assert not m.is_pd()
     with pytest.raises(SingularMetricError):
         dual_norm_sq(m, [1.0, 1.0])
 

@@ -127,13 +127,15 @@ def test_composite_settings_both_run():
 
 
 def test_adagrad_full_equals_diag_in_one_dim():
+    # adagrad-md takes a full metric in one dimension only
     seq = losses.random_stream(1, seed=6)
-    led_d = run("adagrad-da", solvers.Box(-np.ones(1), np.ones(1)),
-                {"metric": "diag"}, seq, 8)
-    led_f = run("adagrad-da", solvers.Box(-np.ones(1), np.ones(1)),
-                {"metric": "full"}, seq, 8)
-    for a, b in zip(led_d.records, led_f.records):
-        assert np.allclose(a.x_next, b.x_next, atol=1e-10)
+    for preset in ("adagrad-da", "adagrad-md"):
+        led_d = run(preset, solvers.Box(-np.ones(1), np.ones(1)),
+                    {"metric": "diag"}, seq, 8)
+        led_f = run(preset, solvers.Box(-np.ones(1), np.ones(1)),
+                    {"metric": "full"}, seq, 8)
+        for a, b in zip(led_d.records, led_f.records):
+            assert np.allclose(a.x_next, b.x_next, atol=1e-10)
 
 
 def test_schedule_info_recorded():

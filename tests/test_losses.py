@@ -63,14 +63,6 @@ def test_power_product_hand_values():
     assert g[1] == pytest.approx(1.4, abs=1e-12)
 
 
-def test_affine_shift_loss():
-    base = losses.quadratic_loss(np.zeros(2), 1.0)
-    f = losses.affine_shift_loss(base, np.array([1.0, -1.0]), 2.0)
-    x = np.array([1.0, 1.0])
-    assert f.value(x) == pytest.approx(base.value(x) + 0.0 + 2.0, abs=1e-14)
-    assert np.allclose(f.grad(x), base.grad(x) + np.array([1.0, -1.0]))
-
-
 def test_bregman_around_matches_direct():
     around = np.array([0.7, -0.4])
     for f in (losses.quadratic_loss(np.array([1.0, 1.0]), 1.3),

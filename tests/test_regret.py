@@ -352,8 +352,7 @@ def test_ledger_rows_layout_and_totals(case):
     assert len(rows) == led.T
     assert all(len(r) == len(header) for r in rows)
     last = rows[-1]
-    assert last[header.index("cum_regret")] == pytest.approx(
-        empirical_regret(led, x_star), rel=1e-12, abs=1e-12)
+    assert last[header.index("cum_regret")] == empirical_regret(led, x_star)
     rep = bound_table2(led, x_star, case, inputs=_inputs_for(case))
     assert math.isfinite(rep.value)
     assert last[header.index("cum_bound")] == rep.value

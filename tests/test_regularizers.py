@@ -175,8 +175,8 @@ def test_adagrad_full_matches_diag_in_one_dim():
     for g in ([2.0], [-1.0], [0.5]):
         md, sd = adagrad_diag_step(sd, np.array(g), eta=1.5, gamma0=0.25)
         mf, sf = adagrad_full_step(sf, np.array(g), eta=1.5, gamma0=0.25)
-        assert mf.as_array(1)[0, 0] == pytest.approx(md.diag_weights(1)[0],
-                                                     abs=1e-12)
+        assert mf.matrix[0, 0] == pytest.approx(md.diag_weights(1)[0],
+                                                abs=1e-12)
 
 
 def test_adagrad_full_increments_sum_to_root():
@@ -187,11 +187,11 @@ def test_adagrad_full_increments_sum_to_root():
     for _ in range(6):
         g = rng.normal(size=3)
         m, state = adagrad_full_step(state, g, eta=1.0, gamma0=0.5)
-        total += m.as_array(3)
+        total += m.matrix
         gram += np.outer(g, g)
-    root = QuadMetric.full(gram).sqrt().as_array(3)
-    start = QuadMetric.full(0.5 * np.eye(3)).sqrt().as_array(3)
-    assert np.allclose(total, root - start, atol=1e-9)
+    evals, evecs = np.linalg.eigh(gram)
+    root = (evecs * np.sqrt(evals)) @ evecs.T
+    assert np.allclose(total, root - np.sqrt(0.5) * np.eye(3), atol=1e-9)
 
 
 def test_ftrl_prox_increment_is_proximal():

@@ -290,6 +290,18 @@ def test_l1_composite_route_guards():
                             Unconstrained(2))
 
 
+def test_l1_composite_certifies_a_coordinate_with_lo_equal_to_hi():
+    # coordinate 1 is pinned at -1.566 and its gradient pushes it up: it sits
+    # at both bounds, so no sign of its multiplier is wrong
+    box = Box([-1.0, -1.566], [1.0, -1.566])
+    g, m = np.array([0.3, -5.0]), QuadMetric.diagonal([1.0, 1.0])
+    x = argmin_l1_composite(g, m, 0.5, box)
+    assert np.array_equal(x, [-0.0, -1.566])
+    ref = argmin_numeric(Objective.build(box, linear=g, regularizer=Sum(
+        [Quadratic(np.zeros(2), m, 1.0), L1(0.5)])))
+    assert np.allclose(x, ref, atol=1e-9)
+
+
 # -- numeric solver ---------------------------------------------------------------
 
 def _random_objective(rng, fs):
@@ -357,12 +369,14 @@ def test_minimize_routes_loss_objectives_numerically():
 def test_quadratic_loss_divergence_folds_into_the_quadratic_slot():
     # B_f(., a) for f = (w/2)||. - c||^2 is (w/2)||. - a||^2: folded, it
     # leaves no loss handle, and it agrees with the same function kept as a
-    # loss (the affine wrapper hides it from the fold)
+    # loss (a plain Loss wrapper hides it from the fold)
     rng = np.random.default_rng(3)
     d = 4
     fs = Ball(np.zeros(d), 1.0)
     f = losses.quadratic_loss(rng.normal(size=d), 2.5)
-    kept_f = losses.affine_shift_loss(f, np.zeros(d))
+    kept_f = losses.Loss("quadratic-kept", value=f.value, grad=f.grad,
+                         dir_deriv=f.dir_deriv, smoothness=f.smoothness,
+                         strong_convexity=f.strong_convexity)
     anchor, g = 0.3 * rng.normal(size=d), rng.normal(size=d)
     folded = Objective.build(fs, linear=g, regularizer=losses.BregmanAround(f, anchor))
     kept = Objective.build(fs, linear=g, regularizer=losses.BregmanAround(kept_f, anchor))
