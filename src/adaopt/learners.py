@@ -7,11 +7,13 @@ Two update families, both reduced to one argmin per round:
 
 Both families play a round through ``LearnerBase.step(g, prox, q_t)``; the
 proximal term is p_t for ftrl and r_t for md, what r_{1:t} adds to r_{1:t-1}
-either way.  A family adds only its argmin (``_solve``) and what q_t carries
-into r (``_carry``).  The learners keep running aggregates so a T-round run
-costs T solver calls, each O(d) for the closed-form routes.  A step returns
-what the regret calculators need besides the emitted handles: p_t, the
-metric of r_{1:t} and the round's r-divergence.
+either way.  ``step`` classifies the proximal term and q_t once each
+(``regularizers.classify``); a family adds only its argmin (``_solve``)
+and ``carries_q``, whether q_t enters r (ftrl) or not (md).  The learners
+keep running aggregates so a T-round run costs T solver calls, each O(d)
+for the closed-form routes.  A step returns what the regret calculators
+need besides the emitted handles: p_t, the metric of r_{1:t} and the
+round's r-divergence.
 
 Every preset plays its rounds through one path, ``Driver.round``.  The
 preset's schedule emits the proximal term and q~_t; a composite term is
@@ -29,11 +31,11 @@ import math
 import numpy as np
 
 from .core import QuadMetric, as_point, quad_norm_sq
-from .losses import BregmanAround, is_isotropic_quadratic
+from .losses import BregmanAround
 from .regularizers import (COMPOSITE_SETTINGS, Difference, L1, Linear,
                            Quadratic, Regularizer, ScheduleState, Sum, Zero,
-                           _certified, adagrad_diag_step, adagrad_full_step,
-                           adagrad_initial_metric, check_proximal,
+                           adagrad_diag_step, adagrad_full_step,
+                           adagrad_initial_metric, check_proximal, classify,
                            composite_wrap, final_attack_eta,
                            ftrl_prox_increment, optimistic_shift,
                            proximal_eta_increment, scale_free_eta)
@@ -67,68 +69,17 @@ PRESETS = tuple(PRESET_TABLE)
 PROX_PROBES = 8
 
 
-def _quad_metric_of(reg, dim: int, extra: list | None = None) -> QuadMetric | None:
-    """Combined PSD metric of the quadratic parts, None if any signed part
-    makes the curvature uncertifiable.  The parts' metrics were validated
-    when they were built; unit-scale parts enter as they are.
-
-    A quadratic loss's divergence is exactly (w/2)||. - x_t||^2 and enters
-    as the metric w I; any other loss divergence is appended to ``extra``,
-    since folding a strong-convexity estimate on top of the handle would
-    count the curvature twice."""
-    metric = QuadMetric.zero(dim)
-
-    def walk(r):
-        nonlocal metric
-        if metric is None or r is None or r.is_zero():
-            return
-        if isinstance(r, Quadratic):
-            if r.scale < 0:
-                metric = None
-            else:
-                metric = metric.add(r.metric if r.scale == 1.0
-                                    else r.metric.scale(r.scale))
-        elif isinstance(r, Sum):
-            for part in r.parts:
-                walk(part)
-        elif isinstance(r, Difference):
-            metric = None
-        elif isinstance(r, BregmanAround):
-            if is_isotropic_quadratic(r.loss):
-                metric = metric.add(QuadMetric.scaled(r.loss.smoothness, dim))
-            elif extra is not None:
-                extra.append(r)
-
-    walk(reg)
-    return metric
-
-
-def _l1_alpha_of(reg) -> float:
-    if isinstance(reg, L1):
-        return reg.alpha
-    if isinstance(reg, Sum):
-        return sum(_l1_alpha_of(p) for p in reg.parts)
-    return 0.0
-
-
-def _pure_quadratic(reg) -> bool:
-    if reg is None or reg.is_zero() or isinstance(reg, (Quadratic, Linear)):
-        return True
-    if isinstance(reg, Sum):
-        return all(_pure_quadratic(p) for p in reg.parts)
-    return False
-
-
 class LearnerBase:
     """Shared state: the feasible set, the iterate, whether every
     regularizer emitted so far is certified, and r_{1:t}'s quadratic metric
     (None once a signed part makes it uncertifiable), l1 weight and
     non-quadratic divergence handles.  The first iterate minimizes
     q_0 = q~_0 + <hint_1, .> over the set.  A family supplies
-    ``_solve(g, prox, q_t, r_metric)`` -> (p_t, x_{t+1}) and ``_carry(q_t)``,
-    the part of q_t that r_{1:t+1} includes."""
+    ``_solve(g, prox, q_t, r_metric, prox_terms)`` -> (p_t, x_{t+1}) and
+    ``carries_q``, whether q_t enters r_{1:t+1}."""
 
     kind = ""
+    carries_q = True
 
     def __init__(self, feasible_set, q0: Regularizer | None = None, hint1=None,
                  solver_tol: float = 1e-10, seed: int = 0):
@@ -144,22 +95,24 @@ class LearnerBase:
         self.solver_tol = float(solver_tol)
         self._rng = np.random.default_rng(seed)
         self.solver_calls = 0
-        self.certified = _certified(self.q0_tilde)
-        self.x1 = self._solve_init()
+        self.x1 = self._solve_init(solvers.Objective.build(
+            self.feasible_set, linear=self.hint1, regularizer=self.q0_tilde))
         self.x = self.x1.copy()
         self.t = 0
-        carried = self._carry(self.q0_tilde)
-        self._r_metric = _quad_metric_of(carried, self.dim)
-        self._r_l1 = _l1_alpha_of(carried)
+        q0_terms = classify(self.q0_tilde, self.dim)
+        self.certified = q0_terms.certified
+        if self.carries_q:
+            self._r_metric, self._r_l1 = q0_terms.metric, q0_terms.l1
+        else:
+            self._r_metric, self._r_l1 = QuadMetric.zero(self.dim), 0.0
         self._r_extra = []      # non-quadratic divergence handles inside r
 
-    def _solve_init(self) -> np.ndarray:
+    def _solve_init(self, obj) -> np.ndarray:
+        """x_1, the argmin of ``obj`` = q~_0 + <hint_1, .>."""
         if self.q0_tilde.is_zero():
             if not np.any(self.hint1):
                 return self.feasible_set.center()
             return solvers.linear_argmin(self.feasible_set, self.hint1)
-        obj = solvers.Objective.build(self.feasible_set, linear=self.hint1,
-                                      regularizer=self.q0_tilde)
         x1 = solvers.minimize(obj, tol=self.solver_tol)
         self.solver_calls += 1
         return x1
@@ -171,11 +124,11 @@ class LearnerBase:
         A q_t carrying a loss's divergence from x_t is the implicit or
         non-linearized update: the objective folds that divergence in."""
         x_t = self.x
-        pm = _quad_metric_of(prox, self.dim)
-        r_metric = None if (self._r_metric is None or pm is None) \
-            else self._r_metric.add(pm)
-        r_l1 = self._r_l1 + _l1_alpha_of(prox)
-        p_t, x_next = self._solve(g, prox, q_t, r_metric)
+        pt = classify(prox, self.dim)
+        r_metric = None if (self._r_metric is None or pt.metric is None) \
+            else self._r_metric.add(pt.metric)
+        r_l1 = self._r_l1 + pt.l1
+        p_t, x_next = self._solve(g, prox, q_t, r_metric, pt)
 
         breg = 0.0
         if r_metric is not None:
@@ -184,14 +137,16 @@ class LearnerBase:
             breg += L1(r_l1).bregman(x_next, x_t)
         for h in self._r_extra:
             breg += h.bregman(x_next, x_t)
-        self.certified = (self.certified and r_metric is not None
-                          and _certified(prox) and _certified(q_t))
 
-        carried = self._carry(q_t)
-        qm = _quad_metric_of(carried, self.dim, self._r_extra)
-        self._r_metric = None if (r_metric is None or qm is None) \
-            else r_metric.add(qm)
-        self._r_l1 = r_l1 + _l1_alpha_of(carried)
+        qt = classify(q_t, self.dim)
+        self.certified = (self.certified and r_metric is not None
+                          and pt.certified and qt.certified)
+        self._r_metric, self._r_l1 = r_metric, r_l1
+        if self.carries_q:
+            self._r_extra.extend(qt.handles)
+            self._r_metric = None if (r_metric is None or qt.metric is None) \
+                else r_metric.add(qt.metric)
+            self._r_l1 = r_l1 + qt.l1
         self.solver_calls += 1
         self.t += 1
         self.x = x_next
@@ -205,12 +160,11 @@ class FtrlLearner(LearnerBase):
 
     kind = "ftrl"
 
-    def __init__(self, feasible_set, q0=None, hint1=None, **kw):
-        super().__init__(feasible_set, q0, hint1, **kw)
-        self._obj = solvers.Objective.build(self.feasible_set, linear=self.hint1,
-                                            regularizer=self.q0_tilde)
+    def _solve_init(self, obj):
+        self._obj = obj     # the running objective starts at q~_0 + <hint_1, .>
+        return super()._solve_init(obj)
 
-    def _solve(self, g, p_t, q_t, r_metric):
+    def _solve(self, g, p_t, q_t, r_metric, p_terms):
         x_t = self.x
         check_proximal(p_t, x_t, self.feasible_set, rng=self._rng,
                        n_probes=PROX_PROBES)
@@ -220,28 +174,26 @@ class FtrlLearner(LearnerBase):
         self._obj.init = x_t
         return p_t, solvers.minimize(self._obj, tol=self.solver_tol)
 
-    def _carry(self, q_t):
-        return q_t
-
 
 class MdLearner(LearnerBase):
     """Mirror descent anchored at the running iterate.
 
     Each round solves argmin <g_t, x> + q_t(x) + B_{r_{1:t}}(x, x_t) in one
     call; r_t must be quadratic-family so the anchor divergence is exact.
-    r_t already carries q_{t-1}'s share of r, so q_t carries nothing.
+    r_t already carries q_{t-1}'s share of r, so q_t does not enter r.
     p_t := r_t - q_{t-1} is reported for the bound calculators, with the
     convention that (+inf) - (+inf) = +inf.
     """
 
     kind = "md"
+    carries_q = False
 
     def __init__(self, feasible_set, q0=None, hint1=None, **kw):
         super().__init__(feasible_set, q0, hint1, **kw)
         self._q_prev = self.q0
 
-    def _solve(self, g, r_t, q_t, r_metric):
-        if not _pure_quadratic(r_t):
+    def _solve(self, g, r_t, q_t, r_metric, r_terms):
+        if not r_terms.quadratic:
             raise ValueError("mirror-descent rounds need quadratic-family r_t")
         if r_metric is None:
             raise ValueError("r_t has negative curvature, anchor undefined")
@@ -254,9 +206,6 @@ class MdLearner(LearnerBase):
         x_next = solvers.minimize(obj, tol=self.solver_tol)
         self._q_prev = q_t
         return p_t, x_next
-
-    def _carry(self, q_t):
-        return Zero()
 
 
 # -- preset schedules ----------------------------------------------------------
@@ -338,7 +287,7 @@ class Driver:
                     f"preset {preset} with composite_setting known-before needs "
                     "a q~_0 with quadratic curvature, and its parameters give "
                     "none")
-            q0 = composite_wrap(q0, self.psi, "known-before")
+            q0 = composite_wrap(q0, self.psi)
         self.hint = self._hint(1, None).copy()
         cls = MdLearner if self.family == "md" else FtrlLearner
         self.learner = cls(feasible_set, q0=q0, hint1=self.hint,
@@ -470,7 +419,7 @@ class Driver:
 
         prox, q_tilde, eta = self._emit(t, g, x_t)
         if self.composite:
-            q_tilde = composite_wrap(q_tilde, self.psi, self.composite_setting)
+            q_tilde = composite_wrap(q_tilde, self.psi)
         if self.needs_loss:
             # implicit / non-linearized: q_t = B_f(., x_t) + q~_t
             q_tilde = Sum([div, q_tilde])

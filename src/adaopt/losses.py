@@ -2,10 +2,10 @@
 
 A loss carries closed-form value / local sub-gradient / directional
 derivative callables plus whatever curvature metadata is known about it
-(smoothness and strong convexity w.r.t. the Euclidean norm, a star center,
-a star-convexity modulus tau).  Sequences generate one loss per round and,
-for stochastic ones, a noisy gradient whose deviation from the conditional
-mean is recorded so bound calculators can use it.
+(smoothness and strong convexity w.r.t. the Euclidean norm, a star
+center).  Sequences generate one loss per round and, for stochastic ones,
+a noisy gradient whose deviation from the conditional mean is recorded so
+bound calculators can use it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class Loss:
     """
 
     def __init__(self, name, value, grad, dir_deriv=None, smoothness=None,
-                 strong_convexity=0.0, star_center=None, tau=None, lipschitz=None):
+                 strong_convexity=0.0, star_center=None):
         self.name = name
         self._value = value
         self._grad = grad
@@ -35,8 +35,6 @@ class Loss:
         self.smoothness = smoothness
         self.strong_convexity = float(strong_convexity)
         self.star_center = None if star_center is None else as_point(star_center)
-        self.tau = tau
-        self.lipschitz = lipschitz
 
     def value(self, x) -> float:
         return float(self._value(np.asarray(x, dtype=float)))
@@ -84,7 +82,6 @@ def quadratic_loss(center, weight: float = 1.0) -> Loss:
         smoothness=weight,
         strong_convexity=weight,
         star_center=center,
-        tau=2.0,
     )
 
 
@@ -109,8 +106,6 @@ def l1_loss(alpha: float = 1.0, dim: int = 1) -> Loss:
         dir_deriv=dd,
         smoothness=None,
         star_center=np.zeros(dim),
-        tau=1.0,
-        lipschitz=alpha * math.sqrt(dim),
     )
 
 
@@ -151,7 +146,6 @@ def two_slope_abs(dim: int = 1) -> Loss:
         grad=grad,
         dir_deriv=dd,
         star_center=np.zeros(dim),
-        tau=1.0,
     )
 
 
@@ -180,7 +174,6 @@ def sqrt_abs(dim: int = 1) -> Loss:
         grad=grad,
         dir_deriv=dd,
         star_center=np.zeros(dim),
-        tau=0.5,
     )
 
 
@@ -220,7 +213,6 @@ def power_product(powers) -> Loss:
         grad=grad,
         dir_deriv=dd,
         star_center=np.zeros(p.size),
-        tau=float(np.sum(p)),
     )
 
 
@@ -518,29 +510,18 @@ def estimate_tau(loss: Loss, center, feasible_set=None, probes=None,
     Returns the infimum of the probe ratios, clipped at 0; a genuinely
     star-convex loss gives at least 1, a quadratic gives 2.
     """
-    center = as_point(center)
-    fc = loss.value(center)
-    best = INF
-    for x in _probe_points(center.size, feasible_set, probes, n_probes, rng):
-        gap = loss.value(x) - fc
-        if gap <= 1e-12:
-            continue
-        d = loss.dir_deriv(x, center - x)
-        if d == INF:
-            return 0.0
-        ratio = -d / gap
-        if ratio <= 0.0:
-            return 0.0
-        best = min(best, ratio)
-    if best is INF:
-        raise ValueError("no probe separated f(x) from f(center)")
-    return best
+    return _tau_probe(loss, None, center, feasible_set, probes, n_probes, rng)
 
 
 def estimate_tau_strong(loss: Loss, reg, center, feasible_set=None, probes=None,
                         n_probes: int = 10 ** 4, rng=None) -> float:
     """Like estimate_tau but with the divergence of ``reg`` subtracted:
     tau (f(x) - f(center)) <= -f'(x; center - x) - B_reg(center, x)."""
+    return _tau_probe(loss, reg, center, feasible_set, probes, n_probes, rng)
+
+
+def _tau_probe(loss, reg, center, feasible_set, probes, n_probes, rng) -> float:
+    """The probe loop of both tau estimates; reg None subtracts nothing."""
     center = as_point(center)
     fc = loss.value(center)
     best = INF
@@ -551,7 +532,7 @@ def estimate_tau_strong(loss: Loss, reg, center, feasible_set=None, probes=None,
         d = loss.dir_deriv(x, center - x)
         if d == INF:
             return 0.0
-        ratio = (-d - reg.bregman(center, x)) / gap
+        ratio = (-d if reg is None else -d - reg.bregman(center, x)) / gap
         if ratio <= 0.0:
             return 0.0
         best = min(best, ratio)

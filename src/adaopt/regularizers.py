@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import INF, QuadMetric, as_point, dot, quad_norm_sq
+from .losses import BregmanAround, is_isotropic_quadratic
 
 
 class ProximalConditionError(ValueError):
@@ -324,12 +326,52 @@ def _structurally_proximal(p: Regularizer, x_t: np.ndarray) -> bool:
     return False
 
 
-def _certified(reg: Regularizer) -> bool:
-    if isinstance(reg, Quadratic):
-        return reg.certified()
-    if isinstance(reg, Sum):
-        return all(_certified(p) for p in reg.parts)
-    return True
+class Terms(NamedTuple):
+    """What one emitted regularizer brings to a round, from ``classify``."""
+
+    metric: QuadMetric | None   # PSD metric of the quadratic parts, None if signed
+    l1: float                   # total l1 weight
+    handles: list               # non-isotropic loss divergences
+    certified: bool             # every quadratic part has a non-negative scale
+    quadratic: bool             # only quadratic and linear parts
+
+
+def classify(reg: Regularizer, dim: int) -> Terms:
+    """One pass over the parts of ``reg`` (sums are flat, zeros dropped).
+
+    Unit-scale quadratic parts enter the metric as they are, others scaled;
+    a negative-scale quadratic or a Difference makes the curvature
+    uncertifiable, and the metric stays None from there on.  A quadratic
+    loss's divergence is exactly (w/2)||. - x_t||^2 and enters as the
+    metric w I; any other loss divergence is a handle, collected while the
+    metric is still defined, since folding a strong-convexity estimate on
+    top of the handle would count the curvature twice."""
+    metric = QuadMetric.zero(dim)
+    l1 = 0.0
+    handles = []
+    certified = quadratic = True
+    for part in Sum([reg]).parts:
+        if isinstance(part, Quadratic):
+            certified = certified and part.certified()
+            if part.scale < 0:
+                metric = None
+            elif metric is not None:
+                metric = metric.add(part.metric if part.scale == 1.0
+                                    else part.metric.scale(part.scale))
+            continue
+        if isinstance(part, Linear):
+            continue
+        quadratic = False
+        if isinstance(part, L1):
+            l1 += part.alpha
+        elif isinstance(part, Difference):
+            metric = None
+        elif isinstance(part, BregmanAround) and metric is not None:
+            if is_isotropic_quadratic(part.loss):
+                metric = metric.add(QuadMetric.scaled(part.loss.smoothness, dim))
+            else:
+                handles.append(part)
+    return Terms(metric, l1, handles, certified, quadratic)
 
 
 # -- schedules ---------------------------------------------------------------
@@ -479,16 +521,15 @@ def proximal_eta_increment(x_t, eta_t: float, eta_prev: float) -> Regularizer:
 COMPOSITE_SETTINGS = ("known-before", "revealed-after")
 
 
-def composite_wrap(q_tilde: Regularizer, psi: Regularizer | None, setting: str) -> Regularizer:
-    """Fold a composite term into the round regularizer.
+def composite_wrap(q_tilde: Regularizer, psi: Regularizer | None) -> Regularizer:
+    """Fold a composite term into the round regularizer: psi + q~_t.
 
-    ``known-before`` folds the NEXT round's composite term (psi_{t+1}) into
-    q_t; ``revealed-after`` folds the current one (psi_t) and leaves q_0
-    untouched.  Callers pass psi=None at the boundary rounds where the
-    folded term is defined to be zero.
+    Both ``COMPOSITE_SETTINGS`` fold this way and differ only in which
+    round's term the caller passes: ``known-before`` folds the NEXT round's
+    composite term (psi_{t+1}) into q_t, ``revealed-after`` the current one
+    (psi_t) and leaves q_0 untouched.  Callers pass psi=None at the boundary
+    rounds where the folded term is defined to be zero.
     """
-    if setting not in COMPOSITE_SETTINGS:
-        raise ValueError(f"unknown composite setting {setting!r}")
     if psi is None or psi.is_zero():
         return q_tilde
     return Sum([psi, q_tilde])

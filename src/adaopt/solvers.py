@@ -10,16 +10,19 @@ routes stay O(d).  The divergence of an isotropic quadratic loss, as
 implicit and non-linearized updates fold it in, is itself such a quadratic
 and lands in that form too; only other losses stay in the objective as
 handles.  Three routes exist and are deliberately kept separate so they can
-cross-check each other in tests:
+cross-check each other in tests.  ``minimize`` is the one place that picks
+among them; the two exact routes raise ``ValueError`` on an objective
+outside their domain instead of handing it on:
 
 * ``argmin_quadratic``  - exact solve: a linear system without a set; on a
   set, projection for an isotropic quadratic, clipping for a diagonal one on
   a box, a primal active-set method for a full one on a box, and the
   secular equation for a diagonal one on a ball,
-* ``argmin_l1_composite`` - coordinate soft-thresholding, boxes only,
+* ``argmin_l1_composite`` - coordinate soft-thresholding for a diagonal
+  quadratic, on a box or the free set,
 * ``argmin_numeric``    - proximal gradient with backtracking and an
   a-posteriori distance certificate from strong convexity; the reference,
-  and the route for the instances listed in its docstring.
+  and the route for the instances listed in ``minimize``.
 
 The exact routes share one certificate, ``_certify``: the proximal-gradient
 fixed-point residual (soft-thresholded, then projected) must stay within
@@ -502,6 +505,23 @@ def _certify(obj: Objective, x: np.ndarray, smooth: float) -> np.ndarray:
     return x
 
 
+def _quadratic_has_route(obj: Objective) -> bool:
+    """True when ``argmin_quadratic`` has an exact method for the set and
+    the shape of the quadratic part: any quadratic over a box is a
+    bound-constrained QP with an exact finite method (clipping when it is
+    separable), and over a ball a diagonal one has one multiplier, the root
+    of a secular equation."""
+    fs = obj.feasible_set
+    return (isinstance(fs, (Unconstrained, Box)) or obj.is_isotropic()
+            or (isinstance(fs, Ball) and obj.full is None))
+
+
+def _l1_has_route(obj: Objective) -> bool:
+    """True when ``argmin_l1_composite`` covers the set and the shape of
+    the quadratic part: a separable objective on a separable set."""
+    return obj.full is None and isinstance(obj.feasible_set, (Unconstrained, Box))
+
+
 def argmin_quadratic(obj: Objective) -> np.ndarray:
     """Exact minimizer of a strictly convex linear-plus-quadratic objective.
 
@@ -514,21 +534,18 @@ def argmin_quadratic(obj: Objective) -> np.ndarray:
     * diagonal quadratic on a ball: take the ball's multiplier from its
       secular equation (``_diag_ball_argmin``).
 
-    Other constrained instances (a full metric on a ball, a full or
-    diagonal one on a simplex) delegate to the numeric route.  The result
-    is certified by ``_certify``.
+    Any other objective raises ``ValueError``.  The result is certified by
+    ``_certify``.
     """
     if obj.has_losses() or obj.l1_alpha:
         raise ValueError("argmin_quadratic expects a pure linear-quadratic objective")
+    if not _quadratic_has_route(obj):
+        raise ValueError(f"argmin_quadratic has no exact route for a "
+                         f"{'full' if obj.full is not None else 'diagonal'} "
+                         f"metric on {type(obj.feasible_set).__name__}")
     fs = obj.feasible_set
     unconstrained = isinstance(fs, Unconstrained)
-    # any quadratic over a box is a bound-constrained QP with an exact
-    # finite method (clipping when it is separable); over a ball a diagonal
-    # one has one multiplier, the root of a secular equation
-    on_box = isinstance(fs, Box)
-    diagonal_on_ball = isinstance(fs, Ball) and obj.full is None and not obj.is_isotropic()
-    if not (unconstrained or obj.is_isotropic() or on_box or diagonal_on_ball):
-        return argmin_numeric(obj)
+    diagonal_on_ball = isinstance(fs, Ball) and not obj.is_isotropic()
     sigma, smooth = obj.quad_curvature()
     if sigma <= 0.0:
         raise IllPosedError(
@@ -537,7 +554,7 @@ def argmin_quadratic(obj: Objective) -> np.ndarray:
         x = _diag_ball_argmin(obj.lin, obj.diag + obj.gamma, fs._center, fs.radius)
     elif obj.is_isotropic():
         x = -obj.lin / obj.gamma
-    elif obj.full is not None and on_box:
+    elif obj.full is not None and isinstance(fs, Box):
         x = _full_box_argmin(obj, 1.0 + _norm(obj.lin) + smooth)
     elif obj.full is not None:
         x = np.linalg.solve(_hessian(obj), -obj.lin)
@@ -658,45 +675,42 @@ def _soft_threshold(v: np.ndarray, thresh) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
 
 
-def argmin_l1_composite(g, metric: QuadMetric, alpha: float, feasible_set) -> np.ndarray:
-    """Coordinate-wise minimizer of <g, x> + 1/2 ||x||_M^2 + alpha ||x||_1.
+def argmin_l1_composite(obj: Objective) -> np.ndarray:
+    """Coordinate-wise minimizer of <lin, x> + 1/2 x'Wx + alpha ||x||_1 for
+    the objective's diagonal (or scaled-identity) quadratic W.
 
     Soft-threshold then clip; exact because the objective is separable and
-    each 1-d piece is convex.  Supports unconstrained and box sets with a
-    strictly positive diagonal (or scaled-identity) metric.  The result is
-    certified by ``_certify``.
+    each 1-d piece is convex.  Objectives with loss handles or a full
+    metric, and sets other than a box or the free set, raise
+    ``ValueError``; a diagonal entry that is not positive and finite raises
+    ``IllPosedError``.  The result is certified by ``_certify``.
     """
-    g = as_point(g)
-    if alpha < 0:
-        raise ValueError("l1 coefficient must be >= 0")
-    if metric.kind == "full":
-        raise ValueError("l1 composite route needs a diagonal metric")
-    w = metric.diag_weights(g.size)
-    if np.any(w <= 0):
-        j = int(np.where(w <= 0)[0][0])
-        raise IllPosedError(f"ill-posed argmin: zero curvature at coordinate {j}")
-    if not isinstance(feasible_set, (Unconstrained, Box)):
-        raise ValueError("l1 composite route supports unconstrained and box sets")
-    x = feasible_set._project(_soft_threshold(-g, alpha) / w)
-    return _certify(Objective(feasible_set, lin=g, diag=w, l1_alpha=alpha), x,
-                    float(w.max()))
+    if obj.has_losses() or obj.l1_alpha < 0 or not _l1_has_route(obj):
+        raise ValueError("argmin_l1_composite expects a diagonal quadratic "
+                         "and a non-negative l1 term on a box or the free set")
+    w = np.full(obj.lin.size, obj.gamma) if obj.diag is None else obj.diag + obj.gamma
+    positive = (w > 0.0) & (w < INF)
+    if not positive.all():
+        j = int(np.argmin(positive))
+        raise IllPosedError(f"ill-posed argmin: curvature {w[j]} at coordinate {j}")
+    x = obj.feasible_set._project(_soft_threshold(-obj.lin, obj.l1_alpha) / w)
+    return _certify(obj, x, float(w.max()))
 
 
-def argmin_numeric(obj: Objective, tol: float = 1e-10, max_iter: int = 10000) -> np.ndarray:
+# the iteration budget of argmin_numeric; reaching it raises
+NUMERIC_MAX_ITER = 10000
+
+
+def argmin_numeric(obj: Objective, tol: float = 1e-10) -> np.ndarray:
     """Proximal gradient with backtracking and a strong-convexity certificate.
 
-    ``minimize`` sends it what no exact route covers: objectives that keep
-    loss handles (every loss but an isotropic quadratic, see ``Objective``),
-    an l1 term with a full metric or on a set other than a box, and,
-    through ``argmin_quadratic``, a full metric on a ball or a full or
-    diagonal one on a simplex.
-
-    Initialization is deterministic (``obj.init``, else the set center,
-    projected).  On exit the
-    returned point x satisfies ||x - x*|| <= tol, certified through the
-    sub-gradient bound sigma ||x - x*|| <= ||u|| with u constructed from the
-    accepted proximal step.  Hitting max_iter raises; there is no silent
-    best-effort return.
+    The reference route, and the one ``minimize`` takes where no exact
+    route applies.  Initialization is deterministic (``obj.init``, else the
+    set center, projected).  On exit the returned point x satisfies
+    ||x - x*|| <= tol, certified through the sub-gradient bound
+    sigma ||x - x*|| <= ||u|| with u constructed from the accepted proximal
+    step.  Reaching ``NUMERIC_MAX_ITER`` iterations raises; there is no
+    silent best-effort return.
     """
     sigma, l = obj.curvature()
     if sigma <= 0.0:
@@ -712,7 +726,7 @@ def argmin_numeric(obj: Objective, tol: float = 1e-10, max_iter: int = 10000) ->
     step = 1.0 / max(l, sigma)
     gx = obj.smooth_grad(x)
     sx = obj.smooth_value(x)
-    for _ in range(max_iter):
+    for _ in range(NUMERIC_MAX_ITER):
         while True:
             ahead = x - step * gx
             if obj.l1_alpha:
@@ -742,18 +756,28 @@ def argmin_numeric(obj: Objective, tol: float = 1e-10, max_iter: int = 10000) ->
         sx = obj.smooth_value(x)
         step = min(step * 1.25, 1.0 / sigma)
     raise NumericArgminError(
-        f"no certificate after {max_iter} iterations (tol {tol})")
+        f"no certificate after {NUMERIC_MAX_ITER} iterations (tol {tol})")
 
 
 def minimize(obj: Objective, tol: float = 1e-10) -> np.ndarray:
-    """Route an objective to the cheapest admissible solver."""
+    """The one router: send an objective to the exact route that covers it,
+    else to ``argmin_numeric``.
+
+    * ``argmin_l1_composite``: an l1 term with a diagonal or isotropic
+      quadratic on a box or the free set;
+    * ``argmin_quadratic``: no l1 term and no loss handles, on a box or the
+      free set, or an isotropic quadratic on any set, or a diagonal one on a
+      ball;
+    * ``argmin_numeric``: the rest, that is objectives that keep loss
+      handles (every loss but an isotropic quadratic, see ``Objective``),
+      an l1 term with a full metric or on a ball or simplex, a full metric
+      on a ball, and a full or diagonal one on a simplex.
+    """
     if obj.has_losses():
         return argmin_numeric(obj, tol=tol)
     if obj.l1_alpha:
-        if obj.full is None and isinstance(obj.feasible_set, (Unconstrained, Box)):
-            d = obj.lin.size
-            w = np.full(d, obj.gamma) if obj.diag is None else obj.diag + obj.gamma
-            return argmin_l1_composite(obj.lin, QuadMetric.diagonal(w),
-                                       obj.l1_alpha, obj.feasible_set)
-        return argmin_numeric(obj, tol=tol)
-    return argmin_quadratic(obj)
+        if _l1_has_route(obj):
+            return argmin_l1_composite(obj)
+    elif _quadratic_has_route(obj):
+        return argmin_quadratic(obj)
+    return argmin_numeric(obj, tol=tol)

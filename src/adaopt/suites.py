@@ -140,14 +140,14 @@ def solver_suite(n: int = 500, seed: int = 0, tol: float = 1e-6) -> dict:
                    and np.all(resid[~active] <= float(np.min(theta)) + 1e-9))
             _note(out["simplex_kkt"], feas and kkt)
 
-        # strongly convex quadratic: closed route vs numeric route
+        # strongly convex quadratic: the routed argmin vs the numeric route
         fs2 = _random_set(rng, dim)
         lin = rng.normal(size=dim)
         obj = solvers.Objective.build(fs2, linear=lin)
         obj.gamma = float(rng.uniform(0.2, 2.0))
         if rng.uniform() < 0.5:
             obj.diag = rng.uniform(0.0, 2.0, dim)
-        x_closed = solvers.argmin_quadratic(obj)
+        x_closed = solvers.minimize(obj)
         x_num = solvers.argmin_numeric(obj, tol=1e-11)
         d = float(np.linalg.norm(x_closed - x_num))
         _note(out["closed_vs_numeric"], d <= tol, -d)
@@ -157,8 +157,7 @@ def solver_suite(n: int = 500, seed: int = 0, tol: float = 1e-6) -> dict:
         obj3 = solvers.Objective.build(fs3, linear=rng.normal(size=dim))
         obj3.diag = rng.uniform(0.3, 2.0, dim)
         obj3.l1_alpha = float(rng.uniform(0.1, 1.5))
-        x_l1 = solvers.argmin_l1_composite(obj3.lin, QuadMetric.diagonal(obj3.diag),
-                                           obj3.l1_alpha, fs3)
+        x_l1 = solvers.argmin_l1_composite(obj3)
         x_num3 = solvers.argmin_numeric(obj3, tol=1e-11)
         d3 = float(np.linalg.norm(x_l1 - x_num3))
         _note(out["l1_vs_numeric"], d3 <= tol, -d3)

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from adaopt import losses, solvers
-from adaopt.learners import PRESETS, Driver, preset_defaults, run_rounds
+from adaopt.core import QuadMetric
+from adaopt.learners import (PRESETS, Driver, FtrlLearner, MdLearner,
+                             preset_defaults, run_rounds)
+from adaopt.regularizers import L1, Quadratic, Sum, Zero
 
 
 UNC2 = solvers.Unconstrained(2)
@@ -192,3 +195,54 @@ def test_ledger_shape_and_kinds():
     assert np.array_equal(led.final_point(), led.records[-1].x_next)
     assert not led.stochastic
     assert led.certified()
+
+
+# -- one round on hand-built terms ----------------------------------------------
+
+def _iso(scale, dim=1):
+    """(scale/2) ||x||^2."""
+    return Quadratic(np.zeros(dim), QuadMetric.scaled(1.0, dim), scale)
+
+
+def test_negative_scale_quadratic_in_q_uncertifies_and_drops_the_r_metric():
+    lrn = FtrlLearner(UNC2, q0=_iso(2.0, 2))
+    _, r_metric, _ = lrn.step(np.array([1.0, -1.0]), Zero(), _iso(-0.5, 2))
+    assert r_metric is not None and r_metric.gamma == 2.0
+    assert lrn.certified is False
+    # r_2 = r_1 + q_1 has a signed part, so it has no metric
+    _, r_metric, breg = lrn.step(np.array([0.5, 0.5]), Zero(), Zero())
+    assert r_metric is None and breg == 0.0
+    assert lrn.certified is False
+
+
+def test_l1_part_of_q_enters_the_next_r_divergence():
+    # x_2 = argmin -1.5 x + x^2/2 + |x|/2 = 1; x_3 = argmin 1.5 x + x^2/2 + |x|/2 = -1
+    lrn = FtrlLearner(solvers.Unconstrained(1), q0=_iso(1.0))
+    _, _, breg = lrn.step(np.array([-1.5]), Zero(), L1(0.5))
+    assert breg == 0.5      # r_{1:1} = q~_0 alone: (1/2)(x_2 - x_1)^2
+    _, _, breg = lrn.step(np.array([3.0]), Zero(), Zero())
+    assert lrn.x == pytest.approx([-1.0], abs=1e-12)
+    # (1/2)(x_3 - x_2)^2 plus B_{|.|/2}(-1, 1) = (1 - 1 + 2) / 2
+    assert breg == pytest.approx(2.0 + 1.0, abs=1e-12)
+
+
+def test_loss_divergence_in_q_is_carried_as_a_handle_unless_isotropic():
+    f = losses.quadratic_loss(np.array([2.0]), 3.0)
+    kept = losses.Loss("quadratic-kept", value=f.value, grad=f.grad,
+                       smoothness=f.smoothness, strong_convexity=f.strong_convexity)
+    for loss in (f, kept):
+        lrn = FtrlLearner(solvers.Unconstrained(1), q0=_iso(1.0), solver_tol=1e-12)
+        lrn.step(np.array([0.5]), Zero(), losses.BregmanAround(loss, lrn.x))
+        x_2 = lrn.x
+        _, r_metric, breg = lrn.step(np.array([-1.0]), Zero(), Zero())
+        # the isotropic divergence is the metric 3 I; the other is a handle
+        assert r_metric.gamma == (4.0 if loss is f else 1.0)
+        assert breg == pytest.approx(0.5 * 4.0 * float(lrn.x[0] - x_2[0]) ** 2,
+                                     rel=1e-9)
+
+
+def test_md_rejects_an_r_with_an_l1_part():
+    lrn = MdLearner(UNC2)
+    r_t = Sum([_iso(1.0, 2), L1(0.1)])
+    with pytest.raises(ValueError, match="quadratic-family"):
+        lrn.step(np.array([1.0, 0.0]), r_t, Zero())

@@ -250,13 +250,10 @@ def test_composite_wrap_settings():
     q = Quadratic(np.zeros(2), QuadMetric.scaled(1.0), 1.0)
     psi = L1(0.5)
     x = np.array([1.0, -1.0])
-    for setting in ("known-before", "revealed-after"):
-        wrapped = composite_wrap(q, psi, setting)
-        assert wrapped.value(x) == pytest.approx(q.value(x) + 1.0, abs=1e-14)
-    assert composite_wrap(q, None, "revealed-after") is q
-    assert composite_wrap(q, Zero(), "revealed-after") is q
-    with pytest.raises(ValueError):
-        composite_wrap(q, psi, "sometime")
+    wrapped = composite_wrap(q, psi)
+    assert wrapped.value(x) == pytest.approx(q.value(x) + 1.0, abs=1e-14)
+    assert composite_wrap(q, None) is q
+    assert composite_wrap(q, Zero()) is q
 
 
 def test_validate_psi_sequence():

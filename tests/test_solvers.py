@@ -269,37 +269,41 @@ def test_argmin_rejects_zero_curvature():
         argmin_quadratic(obj)
 
 
+def _l1_objective(fs, g, metric, alpha):
+    """<g, x> + 1/2 ||x||_M^2 + alpha ||x||_1 on fs."""
+    return Objective.build(fs, linear=np.asarray(g, float), regularizer=Sum(
+        [Quadratic(np.zeros(fs.dim), metric, 1.0), L1(alpha)]))
+
+
 def test_l1_composite_hand_values():
     # min <g, x> + 1/2 ||x||^2 + |x|_1: soft-threshold of -g at 1
     m = QuadMetric.diagonal([1.0, 1.0])
-    x = argmin_l1_composite(np.array([1.5, 0.5]), m, 1.0, Unconstrained(2))
+    x = argmin_l1_composite(_l1_objective(Unconstrained(2), [1.5, 0.5], m, 1.0))
     assert np.allclose(x, [-0.5, 0.0], atol=1e-14)
     assert x[1] == 0.0
     # box clip after thresholding
-    x = argmin_l1_composite(np.array([-5.0, 0.0]), m, 1.0,
-                            Box(-np.ones(2), np.ones(2)))
+    x = argmin_l1_composite(_l1_objective(Box(-np.ones(2), np.ones(2)),
+                                          [-5.0, 0.0], m, 1.0))
     assert np.allclose(x, [1.0, 0.0], atol=1e-14)
 
 
 def test_l1_composite_route_guards():
     with pytest.raises(ValueError):
-        argmin_l1_composite(np.zeros(2), QuadMetric.full(np.eye(2)), 1.0,
-                            Unconstrained(2))
+        argmin_l1_composite(_l1_objective(Unconstrained(2), np.zeros(2),
+                                          QuadMetric.full(np.eye(2)), 1.0))
     with pytest.raises(IllPosedError):
-        argmin_l1_composite(np.zeros(2), QuadMetric.diagonal([1.0, 0.0]), 1.0,
-                            Unconstrained(2))
+        argmin_l1_composite(_l1_objective(Unconstrained(2), np.zeros(2),
+                                          QuadMetric.diagonal([1.0, 0.0]), 1.0))
 
 
 def test_l1_composite_certifies_a_coordinate_with_lo_equal_to_hi():
     # coordinate 1 is pinned at -1.566 and its gradient pushes it up: it sits
     # at both bounds, so no sign of its multiplier is wrong
     box = Box([-1.0, -1.566], [1.0, -1.566])
-    g, m = np.array([0.3, -5.0]), QuadMetric.diagonal([1.0, 1.0])
-    x = argmin_l1_composite(g, m, 0.5, box)
+    obj = _l1_objective(box, [0.3, -5.0], QuadMetric.diagonal([1.0, 1.0]), 0.5)
+    x = argmin_l1_composite(obj)
     assert np.array_equal(x, [-0.0, -1.566])
-    ref = argmin_numeric(Objective.build(box, linear=g, regularizer=Sum(
-        [Quadratic(np.zeros(2), m, 1.0), L1(0.5)])))
-    assert np.allclose(x, ref, atol=1e-9)
+    assert np.allclose(x, argmin_numeric(obj), atol=1e-9)
 
 
 # -- numeric solver ---------------------------------------------------------------
@@ -328,13 +332,13 @@ def test_numeric_matches_closed_form():
     worst = 0.0
     for i in range(60):
         obj = _random_objective(rng, sets[i % len(sets)])
-        x_closed = argmin_quadratic(obj)
+        x_closed = minimize(obj)
         x_num = argmin_numeric(obj, tol=1e-11)
         worst = max(worst, float(np.max(np.abs(x_closed - x_num))))
     assert worst <= 1e-8
 
 
-def test_numeric_certificate_honesty():
+def test_numeric_certificate_honesty(monkeypatch):
     # no strong convexity: the certificate cannot be produced
     obj = Objective.build(Box(-np.ones(2), np.ones(2)), linear=np.array([1.0, 0.0]))
     with pytest.raises(IllPosedError):
@@ -344,8 +348,28 @@ def test_numeric_certificate_honesty():
     m = QuadMetric.diagonal([1e-4, 1.0, 1.0])
     hard = Objective.build(Ball(np.zeros(3), 1.0), linear=np.array([3.0, -2.0, 1.0]),
                            regularizer=Quadratic(np.ones(3), m, 1.0))
+    monkeypatch.setattr(solvers, "NUMERIC_MAX_ITER", 2)
     with pytest.raises(NumericArgminError):
-        argmin_numeric(hard, tol=1e-12, max_iter=2)
+        argmin_numeric(hard, tol=1e-12)
+
+
+def test_minimize_sends_a_diagonal_metric_on_a_simplex_to_the_numeric_route(monkeypatch):
+    obj = Objective.build(Simplex(3, 1.0), linear=np.array([0.5, -0.2, 0.1]),
+                          regularizer=Quadratic(np.zeros(3),
+                                                QuadMetric.diagonal([1.0, 2.0, 3.0]), 1.0))
+    with pytest.raises(ValueError, match="no exact route"):
+        argmin_quadratic(obj)
+    calls = []
+    numeric = solvers.argmin_numeric
+
+    def record(o, **kw):
+        calls.append(o)
+        return numeric(o, **kw)
+
+    monkeypatch.setattr(solvers, "argmin_numeric", record)
+    x = minimize(obj)
+    assert calls == [obj]
+    assert np.array_equal(x, numeric(obj))
 
 
 def test_minimize_routes_l1():
