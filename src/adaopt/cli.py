@@ -146,9 +146,11 @@ def build_set(cfg: dict) -> solvers.FeasibleSet:
 def build_losses(cfg: dict, dim: int) -> losses.LossSequence:
     kind = _need(cfg, "kind", str, "losses")
     if kind == "random-linear":
+        seed = _number(cfg, "seed", 0, "losses", cast=int)
+        if seed < 0:
+            raise ConfigError("losses.seed", "must be a non-negative integer")
         return losses.random_stream(
-            dim, seed=_number(cfg, "seed", 0, "losses", cast=int),
-            scale=_number(cfg, "scale", 1.0, "losses"))
+            dim, seed=seed, scale=_number(cfg, "scale", 1.0, "losses"))
     if kind == "alternating":
         base = _vector(_need(cfg, "base", (list, int, float), "losses"), dim,
                        "losses.base")

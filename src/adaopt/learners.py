@@ -105,7 +105,8 @@ class LearnerBase:
             self._r_metric, self._r_l1 = q0_terms.metric, q0_terms.l1
         else:
             self._r_metric, self._r_l1 = QuadMetric.zero(self.dim), 0.0
-        self._r_extra = []      # non-quadratic divergence handles inside r
+        # non-quadratic divergence handles inside r
+        self._r_extra = list(q0_terms.handles) if self.carries_q else []
 
     def _solve_init(self, obj) -> np.ndarray:
         """x_1, the argmin of ``obj`` = q~_0 + <hint_1, .>."""
@@ -129,6 +130,7 @@ class LearnerBase:
             else self._r_metric.add(pt.metric)
         r_l1 = self._r_l1 + pt.l1
         p_t, x_next = self._solve(g, prox, q_t, r_metric, pt)
+        self._r_extra.extend(pt.handles)
 
         breg = 0.0
         if r_metric is not None:

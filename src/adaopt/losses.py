@@ -6,11 +6,17 @@ derivative callables plus whatever curvature metadata is known about it
 center).  Sequences generate one loss per round and, for stochastic ones,
 a noisy gradient whose deviation from the conditional mean is recorded so
 bound calculators can use it.
+
+The seeded ``random_stream`` draws its vectors a block of rounds at a time
+with a numpy port of SeedSequence and PCG64; round t equals
+``scale * np.random.default_rng((seed, t)).uniform(-1, 1, d)`` bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -326,13 +332,17 @@ def alternating_stream(base, dim=None) -> LinearStream:
 
 
 def random_stream(dim: int, seed: int, scale: float = 1.0) -> LinearStream:
-    """Seeded oblivious stream: g_t uniform in [-scale, scale]^d, regenerable."""
+    """Seeded oblivious stream: g_t uniform in [-scale, scale]^d, regenerable.
 
-    def vec(t):
-        rng = np.random.default_rng((seed, t))
-        return scale * rng.uniform(-1.0, 1.0, dim)
-
-    return LinearStream(vec, dim, "random")
+    g_t equals ``scale * np.random.default_rng((seed, t)).uniform(-1, 1, dim)``
+    bit for bit, for t in [1, 2**32).  The vectors are drawn a block of
+    rounds at a time (see ``_UniformBlocks``).  A negative seed raises
+    ValueError here, a round outside that range when it is asked for.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"stream seed must be a non-negative integer, got {seed}")
+    return LinearStream(_UniformBlocks(seed, dim, scale), dim, "random")
 
 
 def drift_then_constant_stream(base, flips: int) -> LinearStream:
@@ -584,3 +594,178 @@ def _probe_points(dim, feasible_set, probes, n_probes, rng):
             yield feasible_set.sample(rng)
         else:
             yield rng.standard_normal(dim)
+
+
+# -- the random stream's block kernel -----------------------------------------
+#
+# default_rng((seed, t)) seeds PCG64 through SeedSequence (O'Neill 2014), and
+# both are fixed integer recurrences, so a block of rounds is a few dozen
+# numpy operations: SeedSequence's hash mix vectorized over t on uint32 (where
+# wrap-around is free), PCG64's seeding on 128-bit states held as uint64
+# (hi, lo) pairs, and a jump ahead instead of d steps.  The constants are
+# numpy's; the kernel must agree with every numpy the package accepts.
+
+_U32, _U64 = np.uint32, np.uint64
+_X16, _S32 = _U32(16), _U64(32)     # shift counts
+_MASK32 = 0xFFFFFFFF
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+_LOW32 = _U64(_MASK32)
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875     # SeedSequence hash mix
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED     # SeedSequence.generate_state
+_SS_MIX_L, _SS_MIX_R = _U32(0xCA01F9DD), _U32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_BLOCK_FIRST = 64            # rounds in the first block; each next one doubles
+_BLOCK_FLOATS = 2 ** 14      # until rounds x dim would pass this
+
+
+class _UniformBlocks:
+    """t -> scale * default_rng((seed, t)).uniform(-1, 1, dim), looked up in
+    the one cached block that holds round t.
+
+    Blocks hold 64, 128, 256, ... rounds, capped at 2**14 // dim rounds:
+    past the first block a run draws less than twice its horizon, and a
+    block's temporaries stay small.  The rows handed out are read-only
+    views of the block."""
+
+    def __init__(self, seed: int, dim: int, scale: float):
+        self.words = [seed & _MASK32]       # numpy's uint32 words of the seed
+        seed >>= 32
+        while seed:
+            self.words.append(seed & _MASK32)
+            seed >>= 32
+        self.dim = dim
+        self.scale = scale
+        self.cap = max(1, _BLOCK_FLOATS // dim)
+        self.start = 0
+        self.block = np.empty((0, dim))
+
+    def __call__(self, t: int) -> np.ndarray:
+        i = t - self.start
+        if not 0 <= i < len(self.block):
+            if not 1 <= t < 2 ** 32:
+                raise ValueError(f"random stream round t={t} is outside "
+                                 "[1, 2**32)")
+            start, size = 1, min(_BLOCK_FIRST, self.cap)
+            while size < self.cap and t >= start + size:
+                start += size
+                size = min(2 * size, self.cap)
+            start += (t - start) // size * size
+            rounds = np.arange(start, min(start + size, 2 ** 32), dtype=_U32)
+            self.block = _uniform_block(self.words, rounds, self.dim, self.scale)
+            self.block.flags.writeable = False
+            self.start = start
+            i = t - start
+        return self.block[i]
+
+
+def _uniform_block(words, rounds, dim: int, scale: float) -> np.ndarray:
+    """Row k: scale * default_rng((seed, rounds[k])).uniform(-1, 1, dim),
+    where ``words`` are the seed's uint32 words."""
+    # PCG64 seeding from s and q: inc = 2 q + 1, state = (inc + s) MULT +
+    # inc.  Draw j is the state j steps on, A_j s + B_j inc = A_j s + D_j q +
+    # B_j with D_j = 2 B_j; both products run in one pass over (2, rounds,
+    # dim) arrays
+    states = _seed_states(words, rounds)[:, :, None]
+    x_hi, x_lo = states[0::2], states[1::2]         # (s, q), high and low
+    y_hi, y_lo, y_lo0, y_lo1, b_hi, b_lo = _pcg_jumps(dim)
+    p_lo, p_hi = _mul_64x64(x_lo, y_lo, y_lo0, y_lo1)
+    p_hi += x_hi * y_lo + x_lo * y_hi
+    lo = p_lo[0] + p_lo[1]
+    hi = p_hi[0] + p_hi[1] + (lo < p_lo[0])
+    lo += b_lo
+    hi += b_hi + (lo < b_lo)
+    # XSL-RR output, the 53-bit double, then uniform's low + (high - low) u
+    x = hi ^ lo
+    rot = hi >> _U64(58)
+    x = (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
+    u2 = (x >> _U64(11)).astype(np.float64) * 2.0 ** -52     # exactly 2 u
+    return scale * (-1.0 + u2)
+
+
+def _seed_states(words, rounds):
+    """SeedSequence(words + [t]).generate_state(4, np.uint64) for each t in
+    ``rounds``, as four uint64 rows: PCG64's initial state (hi, lo) and
+    sequence (hi, lo)."""
+    entropy = list(words) + [rounds]
+    xa, ma, xb, mb = _seed_sequence_constants(len(entropy))
+    pool = np.zeros((4, rounds.size), _U32)
+    for i, w in enumerate(entropy[:4]):
+        pool[i] = w
+    pool = _hashmix(pool, xa[0], ma[0])
+    # each pool word mixes into the other three; its own row is restored
+    for src in range(4):
+        mixed = _mix(pool, _hashmix(pool[src], xa[1 + src], ma[1 + src]))
+        mixed[src] = pool[src]
+        pool = mixed
+    for e, w in enumerate(entropy[4:]):
+        pool = _mix(pool, _hashmix(np.asarray(w, _U32), xa[5 + e], ma[5 + e]))
+    out = _hashmix(np.concatenate([pool, pool]), xb, mb).astype(_U64)
+    return out[0::2] | (out[1::2] << _S32)     # little-endian word pairs
+
+
+def _hashmix(v, xor, mult):
+    v = (v ^ xor) * mult
+    return v ^ (v >> _X16)
+
+
+def _mix(x, y):
+    r = x * _SS_MIX_L - y * _SS_MIX_R
+    return r ^ (r >> _X16)
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_sequence_constants(n_words: int):
+    """The hash constants SeedSequence xors and multiplies by, in call order,
+    as (4, 1) uint32 columns: mix_entropy's first pass over the pool, its
+    four pool-word passes (0 in the source word's own row, which they skip),
+    one pass for each entropy word past the pool; then generate_state's 8
+    as (8, 1) columns."""
+
+    def chain(init, mult, n):
+        h = [init]
+        for _ in range(n):
+            h.append(h[-1] * mult & _MASK32)
+        return h[:-1], h[1:]
+
+    n_extra = max(0, n_words - 4)
+    xs, ms = chain(_SS_INIT_A, _SS_MULT_A, 16 + 4 * n_extra)
+    xa, ma = [xs[:4]], [ms[:4]]
+    for src in range(4):
+        k = 4 + 3 * src
+        xa.append(xs[k:k + src] + [0] + xs[k + src:k + 3])
+        ma.append(ms[k:k + src] + [0] + ms[k + src:k + 3])
+    xa += [xs[16 + 4 * e:20 + 4 * e] for e in range(n_extra)]
+    ma += [ms[16 + 4 * e:20 + 4 * e] for e in range(n_extra)]
+    xb, mb = chain(_SS_INIT_B, _SS_MULT_B, 8)
+    return (np.array(xa, _U32)[:, :, None], np.array(ma, _U32)[:, :, None],
+            np.array(xb, _U32)[:, None], np.array(mb, _U32)[:, None])
+
+
+@functools.lru_cache(maxsize=64)
+def _pcg_jumps(dim: int):
+    """For draws j = 1..dim, with A_j = MULT^{j+1} and B_j = sum_{i<=j+1}
+    MULT^i mod 2**128: (A_j, 2 B_j) stacked as (2, 1, dim) uint64 arrays of
+    high words, low words and the low words' two 32-bit limbs, then B_j's
+    high and low words."""
+    a, b = _PCG_MULT, 1 + _PCG_MULT
+    cols = []
+    for _ in range(dim):
+        a = a * _PCG_MULT & _MASK128
+        b = (b + a) & _MASK128
+        b2 = 2 * b & _MASK128
+        cols.append((a >> 64, b2 >> 64, a & _MASK64, b2 & _MASK64,
+                     b >> 64, b & _MASK64))
+    a_hi, b2_hi, a_lo, b2_lo, b_hi, b_lo = np.array(cols, _U64).T
+    y_hi = np.array([a_hi, b2_hi])[:, None]
+    y_lo = np.array([a_lo, b2_lo])[:, None]
+    return y_hi, y_lo, y_lo & _LOW32, y_lo >> _S32, b_hi, b_lo
+
+
+def _mul_64x64(x, y, y0, y1):
+    """(low, high) 64-bit halves of x * y, with y's 32-bit limbs y0, y1
+    (Hacker's Delight's mulhu: no partial sum passes 2**64)."""
+    x0, x1 = x & _LOW32, x >> _S32
+    mid = x1 * y0 + ((x0 * y0) >> _S32)
+    low_mid = x0 * y1 + (mid & _LOW32)
+    hi = x1 * y1 + (mid >> _S32) + (low_mid >> _S32)
+    return x * y, hi

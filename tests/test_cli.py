@@ -97,6 +97,7 @@ def test_validate_fills_defaults():
     cfg_with(preset="adagrad-da", params={"metric": "bogus"}),
     cfg_with(preset="ao-ftrl-prox", params={"eta_schedule": "final-attack"},
              set={"kind": "unconstrained", "dim": 3}),
+    cfg_with(losses={"kind": "random-linear", "seed": -1}),
 ])
 def test_validate_rejects(broken):
     with pytest.raises(ConfigError):
@@ -109,6 +110,14 @@ def test_run_names_an_input_no_bound_reads(tmp_path, capsys, key):
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["where"] == "inputs" and key in err["message"]
+
+
+def test_negative_stream_seed_is_a_config_error(tmp_path, capsys):
+    # it used to exit 3 with numpy's "expected non-negative integer"
+    cfg = cfg_with(losses={"kind": "random-linear", "seed": -1})
+    assert main(["run", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["where"] == "losses.seed"
 
 
 @pytest.mark.parametrize("preset", ["ao-ftrl-prox", "ftrl-prox"])

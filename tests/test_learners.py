@@ -241,6 +241,22 @@ def test_loss_divergence_in_q_is_carried_as_a_handle_unless_isotropic():
                                      rel=1e-9)
 
 
+def test_loss_divergence_in_p_or_q0_enters_the_r_divergence():
+    # a 3-smooth quadratic kept as a plain Loss stays a handle; in p_1 or in
+    # q~_0 it is part of r_{1:1}, so with q~_0's x^2/2 alongside,
+    # x_2 = argmin x/2 + 2 x^2 = -1/8 and B_{r_{1:1}}(x_2, x_1) = 2 x_2^2
+    f = losses.quadratic_loss(np.array([0.0]), 3.0)
+    kept = losses.Loss("quadratic-kept", value=f.value, grad=f.grad,
+                       smoothness=f.smoothness, strong_convexity=f.strong_convexity)
+    handle = losses.BregmanAround(kept, np.zeros(1))
+    for q0, p_1 in ((_iso(1.0), handle), (Sum([_iso(1.0), handle]), Zero())):
+        lrn = FtrlLearner(solvers.Unconstrained(1), q0=q0, solver_tol=1e-12)
+        _, r_metric, breg = lrn.step(np.array([0.5]), p_1, Zero())
+        assert lrn.x == pytest.approx([-0.125], abs=1e-9)
+        assert r_metric.gamma == 1.0
+        assert breg == pytest.approx(0.03125, rel=1e-6)
+
+
 def test_md_rejects_an_r_with_an_l1_part():
     lrn = MdLearner(UNC2)
     r_t = Sum([_iso(1.0, 2), L1(0.1)])

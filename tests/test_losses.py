@@ -1,5 +1,7 @@
 """Loss handles, streams, and the probe-based curvature certificates."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,84 @@ def test_random_stream_reproducible():
     assert np.array_equal(s1.vector(5), s2.vector(5))
     assert not np.array_equal(s1.vector(5), s1.vector(6))
     assert np.all(np.abs(s1.vector(1)) <= 1.0)
+
+
+def _rng_vector(seed, t, d, scale=1.0):
+    """The reference the block kernel must match bit for bit."""
+    return scale * np.random.default_rng((seed, t)).uniform(-1.0, 1.0, d)
+
+
+def _block_starts(d, upto):
+    """First rounds of the stream's blocks up to round ``upto``: 64, 128,
+    256, ... rounds, capped at 2**14 // d."""
+    cap = max(1, losses._BLOCK_FLOATS // d)
+    starts, size = [1], min(losses._BLOCK_FIRST, cap)
+    while starts[-1] + size <= upto:
+        starts.append(starts[-1] + size)
+        size = min(2 * size, cap)
+    return starts
+
+
+_RANDOM_SEEDS = [random.Random(11).getrandbits(bits)
+                 for bits in (8, 31, 40, 70, 130)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5,
+                                  2 ** 100 + 3] + _RANDOM_SEEDS)
+@pytest.mark.parametrize("d, scale", [(1, 1.0), (10, 1.0), (50, 0.37), (10, 2.5)])
+def test_random_stream_matches_default_rng_across_block_boundaries(seed, d, scale):
+    # every block start up to round 6 cap (the doubling blocks and a few
+    # capped ones) and the rounds on both sides of it; seeds of 1 to 5 uint32
+    # words put the round's word inside the SeedSequence pool or past it
+    stream = losses.random_stream(d, seed, scale)
+    cap = max(1, losses._BLOCK_FLOATS // d)
+    starts = _block_starts(d, 6 * cap)
+    for s in starts:
+        for t in (s - 1, s, s + 1):
+            if t >= 1:
+                ref = _rng_vector(seed, t, d, scale)
+                assert np.array_equal(stream.vector(t), ref), t
+
+
+@pytest.mark.parametrize("d", [1, 10, 50])
+def test_random_stream_matches_default_rng_in_any_access_order(d):
+    stream = losses.random_stream(d, 1734586549, 0.5)
+    order = (list(range(300, 0, -7)) + [5, 5, 5, 200, 5, 2 ** 32 - 1, 1]
+             + list(range(2 ** 32 - 3, 2 ** 32)) + [2 ** 20, 2 ** 20 - 1])
+    for t in order:
+        ref = _rng_vector(1734586549, t, d, 0.5)
+        assert np.array_equal(stream.vector(t), ref), t
+
+
+def test_random_streams_with_one_seed_share_no_state():
+    a, b = losses.random_stream(4, 9), losses.random_stream(4, 9)
+    va = a.vector(3)
+    assert np.array_equal(b.vector(5000), _rng_vector(9, 5000, 4))
+    assert np.array_equal(a.vector(3), va)
+    assert np.array_equal(a.vector(4), _rng_vector(9, 4, 4))
+    with pytest.raises(ValueError):
+        va[0] = 0.0       # a view of the cached block cannot be written
+
+
+def test_random_stream_variation_matches_per_round_reference():
+    d, T = 6, 150
+    seq = losses.random_stream(d, 31, scale=1.5)
+    ref, prev = [], np.zeros(d)
+    for t in range(1, T + 1):
+        g = _rng_vector(31, t, d, 1.5)
+        ref.append(float(np.dot(g - prev, g - prev)))
+        prev = g
+    assert seq.per_round_variation(T, solvers.Box(-np.ones(d), np.ones(d))) == ref
+
+
+def test_random_stream_rejects_negative_seeds_and_rounds_out_of_range():
+    for seed in (-1, -(2 ** 40)):
+        with pytest.raises(ValueError, match="seed"):
+            losses.random_stream(3, seed)
+    stream = losses.random_stream(3, 2)
+    for t in (0, -1, 2 ** 32, 2 ** 40):
+        with pytest.raises(ValueError, match=f"t={t}"):
+            stream.vector(t)
 
 
 def test_alternating_stream_variation():
