@@ -27,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__, losses, regret, solvers, suites
-from .core import as_point, dot
+from .core import as_point, rowdot
 from .learners import PRESET_TABLE, PRESETS, Driver, preset_defaults, run_rounds
 from .regret import TABLE2_CASES, BoundInputs
 
@@ -102,14 +102,21 @@ def _finite(v) -> bool:
         return False
 
 
-def _number(cfg: dict, key: str, default, where: str, positive: bool = False,
-            cast=float):
+def _number(cfg: dict, key: str, default, where: str, positive: bool = False):
     v = cfg.get(key, default)
     if not _finite(v):
         raise ConfigError(f"{where}.{key}", "must be a finite number")
     if positive and v <= 0:
         raise ConfigError(f"{where}.{key}", "must be positive")
-    return cast(v)
+    return float(v)
+
+
+def _integer(v, where: str, least: int) -> int:
+    """A JSON integer (not a bool) of at least ``least``."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < least:
+        raise ConfigError(where, "must be a positive integer" if least > 0
+                          else "must be a non-negative integer")
+    return v
 
 
 def _vector(v, dim: int, where: str) -> np.ndarray:
@@ -123,9 +130,7 @@ def _vector(v, dim: int, where: str) -> np.ndarray:
 
 def build_set(cfg: dict) -> solvers.FeasibleSet:
     kind = _need(cfg, "kind", str, "set")
-    dim = _need(cfg, "dim", int, "set")
-    if dim < 1:
-        raise ConfigError("set.dim", "must be a positive integer")
+    dim = _integer(_need(cfg, "dim", int, "set"), "set.dim", 1)
     if kind == "unconstrained":
         return solvers.Unconstrained(dim)
     if kind == "box":
@@ -146,9 +151,7 @@ def build_set(cfg: dict) -> solvers.FeasibleSet:
 def build_losses(cfg: dict, dim: int) -> losses.LossSequence:
     kind = _need(cfg, "kind", str, "losses")
     if kind == "random-linear":
-        seed = _number(cfg, "seed", 0, "losses", cast=int)
-        if seed < 0:
-            raise ConfigError("losses.seed", "must be a non-negative integer")
+        seed = _integer(cfg.get("seed", 0), "losses.seed", 0)
         return losses.random_stream(
             dim, seed=seed, scale=_number(cfg, "scale", 1.0, "losses"))
     if kind == "alternating":
@@ -158,9 +161,7 @@ def build_losses(cfg: dict, dim: int) -> losses.LossSequence:
     if kind == "drift-then-constant":
         base = _vector(_need(cfg, "base", (list, int, float), "losses"), dim,
                        "losses.base")
-        flips = _number(cfg, "flips", 8, "losses", cast=int)
-        if flips < 1:
-            raise ConfigError("losses.flips", "must be a positive integer")
+        flips = _integer(cfg.get("flips", 8), "losses.flips", 1)
         return losses.drift_then_constant_stream(base, flips)
     if kind == "sine-quadratic":
         return losses.sine_drift_quadratic(
@@ -217,14 +218,13 @@ def validate_run_config(raw: dict) -> dict:
         raise                   # no first iterate: a runtime failure
     except (TypeError, ValueError) as e:
         raise ConfigError("params", str(e)) from None
-    T = _need(cfg, "T", int, "config")
-    if T < 1:
-        raise ConfigError("T", "must be a positive integer")
+    _integer(_need(cfg, "T", int, "config"), "T", 1)
     seeds = cfg.setdefault("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or \
-            not all(isinstance(s, int) and s >= 0 for s in seeds):
+    if not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds", "must be a non-empty list of non-negative "
                           "integers")
+    for s in seeds:
+        _integer(s, "seeds", 0)
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds", "must not repeat")
 
@@ -335,9 +335,11 @@ def run_seed(cfg: dict, seed: int, solver_tol: float) -> dict:
 
     comp = cfg["comparator"]
     x_star = regret.select_comparator(led, comp["policy"], comp.get("point"))
-    r_emp = regret.empirical_regret(led, x_star)
-    r_fwd = regret.forward_regret(led, x_star)
+    # one set of columns: the terms, the running regret and R+_T all come
+    # from it
     terms = regret.decomposition_terms(led, x_star)
+    r_emp = regret.empirical_regret(led, x_star, terms=terms)
+    r_fwd = regret.forward_regret(led, x_star, terms=terms)
     residual = regret.decomposition_residual(led, x_star, terms)
     bi = _bound_inputs(cfg, seq, fs, led)
 
@@ -367,12 +369,12 @@ def run_seed(cfg: dict, seed: int, solver_tol: float) -> dict:
             reports.append(_report_dict(rep, r_emp))
 
     header = regret.ledger_header(fs.dim)
-    rows = regret.ledger_rows(led, x_star, inputs=bi, terms=terms, report=primary)
-    # t, then every float with 17 significant digits, as _fmt renders it
+    # t, then every float with 17 significant digits, as _fmt renders it;
+    # the rows and lines are gone before the replay allocates its own
     row_fmt = ",".join(["%d"] + ["%.17g"] * (len(header) - 1))
-    lines = [",".join(header)]
-    lines += [row_fmt % tuple(row) for row in rows]
-    csv_text = "\n".join(lines) + "\n"
+    csv_text = "\n".join([",".join(header)] + [
+        row_fmt % tuple(row) for row in regret.ledger_rows(
+            led, x_star, inputs=bi, terms=terms, report=primary)]) + "\n"
 
     replay = replay_check(csv_text, cfg, x_star)
     return {
@@ -395,39 +397,42 @@ def run_seed(cfg: dict, seed: int, solver_tol: float) -> dict:
 def replay_check(csv_text: str, cfg: dict, x_star, tol: float = 1e-9) -> dict:
     """Re-derive the per-round quantities from the written CSV.
 
-    The iterates and gradients are parsed back (17 significant digits round
-    float64 exactly), the losses are regenerated from the config, and the
-    decomposition columns are recomputed from scratch.  A mismatch means the
-    export lost information.
+    The body is parsed back in one call (17 significant digits round
+    float64 exactly), the losses of its rounds are regenerated from the
+    config as one ``LossColumn``, and every check is a column expression:
+    the forward and drift terms against <g_t, x_t - x*>, the divergence and
+    the linearization gap against the regenerated loss, and each
+    ``cum_regret`` step against f_t(x_t) - f_t(x*) plus the composite term.
+    Each row's error is scaled by 1 + |cum_regret| + ||g_t|| ||x_t - x*||.
+    Nothing is read from the ledger: a mismatch means the export lost
+    information.
     """
     fs = build_set(cfg["set"])
     seq = build_losses(cfg["losses"], fs.dim)
     d = fs.dim
     x_star = as_point(x_star)
     alpha = float(cfg["params"].get("composite_alpha", 0.0))
-    lines = csv_text.strip().split("\n")
-    worst = 0.0
-    cum_prev = 0.0
-    for line in lines[1:]:
-        parts = line.split(",")
-        t = int(parts[0])
-        x = np.array([float(v) for v in parts[1:1 + d]])
-        g = np.array([float(v) for v in parts[1 + d:1 + 2 * d]])
-        lin_fwd, drift, breg_loss, delta = (float(v) for v in
-                                            parts[1 + 2 * d:5 + 2 * d])
-        cum = float(parts[5 + 2 * d])
-        loss = seq.loss(t)
-        scale = 1.0 + abs(cum) + float(np.linalg.norm(g)) * float(np.linalg.norm(x - x_star))
-        err = abs((lin_fwd + drift) - dot(g, x - x_star))
-        err = max(err, abs(breg_loss - loss.bregman(x_star, x)))
-        err = max(err, abs(delta - (dot(g, x_star - x) - loss.dir_deriv(x, x_star - x))))
-        inc = loss.value(x) - loss.value(x_star)
-        if alpha > 0.0:
-            inc += alpha * (float(np.sum(np.abs(x))) - float(np.sum(np.abs(x_star))))
-        err = max(err, abs((cum - cum_prev) - inc))
-        cum_prev = cum
-        worst = max(worst, err / scale)
-    return {"ok": worst <= tol, "worst_error": float(worst), "rows": len(lines) - 1}
+    # a list of lines, not a StringIO, which would hold the text as UCS-4;
+    # the CSV has no comments, and not looking for them parses faster
+    table = np.loadtxt(csv_text.splitlines(), delimiter=",", skiprows=1,
+                       ndmin=2, usecols=range(6 + 2 * d), comments=None)
+    x, g = table[:, 1:1 + d], table[:, 1 + d:1 + 2 * d]
+    lin_fwd, drift, breg_loss, delta, cum = table[:, 1 + 2 * d:].T
+    loss = seq.column(table[:, 0].astype(np.int64).tolist())
+    off, to_star = x - x_star, x_star - x
+    f_x, f_star = loss.value(x), loss.value(x_star)
+    dd = loss.dir_deriv(x, to_star)
+    inc = f_x - f_star
+    if alpha > 0.0:
+        inc += alpha * (np.abs(x).sum(axis=1) - float(np.sum(np.abs(x_star))))
+    err = np.max([
+        np.abs((lin_fwd + drift) - rowdot(g, off)),
+        np.abs(breg_loss - (f_star - f_x - dd)),
+        np.abs(delta - (rowdot(g, to_star) - dd)),
+        np.abs(np.diff(cum, prepend=0.0) - inc)], axis=0)
+    scale = 1.0 + np.abs(cum) + np.sqrt(rowdot(g, g)) * np.sqrt(rowdot(off, off))
+    worst = float(np.max(err / scale, initial=0.0))
+    return {"ok": worst <= tol, "worst_error": worst, "rows": len(table)}
 
 
 def _aggregate(results: list) -> dict:

@@ -55,6 +55,16 @@ def dot(x, y) -> float:
     return float(x.dot(y))
 
 
+def rowdot(a, b) -> np.ndarray:
+    """Row i: ``a[i].dot(b[i])``, or ``a[i].dot(b)`` for one shared row b.
+
+    Bit for bit the per-row ``dot``: a stack of 1 x d by d x 1 products goes
+    to the same BLAS ddot as a vector dot, row by row.  ``a @ b``, einsum
+    and ``(a * b).sum(1)`` sum in another order and can differ in the last
+    bit."""
+    return np.matmul(a[:, None, :], b[..., :, None])[:, 0, 0]
+
+
 class QuadMetric:
     """Symmetric PSD quadratic form in scaled-identity, diagonal, or full shape.
 

@@ -454,21 +454,34 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
     if rng is None:
         rng = np.random.default_rng(0)
     lrn = driver.learner
+    # the ledger's columns; each record's x, x_next and g become row views
+    x = np.empty((T + 1, lrn.dim))
+    g_col = np.empty((T, lrn.dim))
+    loss_value = np.empty(T)
+    x[0] = lrn.x1
     records = []
     for t in range(1, T + 1):
         loss_t = seq.loss(t)
         if driver.needs_loss:
-            records.append(driver.round(t, loss_t))
-            continue
-        if seq.stochastic:
-            g, sigma = seq.gradient(t, lrn.x, rng)
+            rec = driver.round(t, loss_t)
         else:
-            # exact feedback is the revealed loss's own gradient
-            g = loss_t.grad(lrn.x)
-            sigma = np.zeros_like(g)
-        records.append(driver.round(t, loss_t, g, sigma))
+            if seq.stochastic:
+                g, sigma = seq.gradient(t, lrn.x, rng)
+            else:
+                # exact feedback is the revealed loss's own gradient
+                g = loss_t.grad(lrn.x)
+                sigma = np.zeros_like(g)
+            rec = driver.round(t, loss_t, g, sigma)
+        i = t - 1
+        x[t], g_col[i], loss_value[i] = rec.x_next, rec.g, rec.loss_value
+        # the learner plays on from the column's row, so whatever the next
+        # round centres at x_{t+1} (a proximal term, a divergence anchor)
+        # shares the ledger's copy
+        lrn.x = rec.x_next = x[t]
+        rec.x, rec.g = x[i], g_col[i]
+        records.append(rec)
     return regret.Ledger(
-        records=records, x1=lrn.x1, q0=lrn.q0, q0_tilde=lrn.q0_tilde,
-        feasible_set=driver.feasible_set, kind=lrn.kind,
+        records=records, x=x, g=g_col, loss_value=loss_value, q0=lrn.q0,
+        q0_tilde=lrn.q0_tilde, feasible_set=driver.feasible_set, kind=lrn.kind,
         composite=driver.composite, stochastic=bool(seq.stochastic),
         schedule=driver.schedule_info(), solver_calls=lrn.solver_calls)

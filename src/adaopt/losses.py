@@ -15,6 +15,7 @@ with a numpy port of SeedSequence and PCG64; round t equals
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 
@@ -29,12 +30,14 @@ class Loss:
 
     ``grad`` returns a local sub-gradient: a vector g with <g, z> bounded by
     the directional derivative f'(x; z) for every z.  Where f is
-    differentiable that is the gradient.
+    differentiable that is the gradient.  ``vector`` is the v of a linear
+    loss <v, x>, which ``LossColumn`` evaluates as a matrix row.
     """
 
     def __init__(self, name, value, grad, dir_deriv=None, smoothness=None,
-                 strong_convexity=0.0, star_center=None):
+                 strong_convexity=0.0, star_center=None, vector=None):
         self.name = name
+        self.vector = vector
         self._value = value
         self._grad = grad
         self._dir = dir_deriv
@@ -72,6 +75,7 @@ def linear_loss(v) -> Loss:
         grad=lambda x: v.copy(),
         dir_deriv=lambda x, z: dot(v, z),
         smoothness=0.0,
+        vector=v,
     )
 
 
@@ -262,6 +266,84 @@ class BregmanAround:
         return f"BregmanAround({self.loss!r}, anchor={self.anchor!r})"
 
 
+class LossColumn:
+    """A run's losses, evaluated a column of rounds at a time.
+
+    Linear losses <v_t, x> are held as the rows v_t, isotropic quadratics
+    (w_t/2) ||x - c_t||^2 as centers and weights.  Each column repeats the
+    handle's own floating-point steps, dot products through ``core.rowdot``,
+    so it equals the per-round handle values bit for bit.  Any other loss
+    stays a handle and is evaluated row by row: the accounting's only
+    per-row path.  Points are (n, d) arrays, one row per loss, or one
+    shared (d,) point.
+    """
+
+    def __init__(self, n: int, groups: list):
+        self.n = n
+        # (rows, kind, data): rows index the column, slice(None) for all of it
+        self.groups = groups
+
+    @classmethod
+    def of(cls, losses) -> "LossColumn":
+        losses = list(losses)
+        kinds = ["linear" if isinstance(f, Loss) and f.vector is not None
+                 else "quadratic" if isinstance(f, Loss) and is_isotropic_quadratic(f)
+                 else "handle" for f in losses]
+        groups = []
+        for kind in ("linear", "quadratic", "handle"):
+            rows = [i for i, k in enumerate(kinds) if k == kind]
+            fs = [losses[i] for i in rows]
+            if not fs:
+                continue
+            if kind == "linear":
+                data = np.array([f.vector for f in fs])
+            elif kind == "quadratic":
+                data = (np.array([f.star_center for f in fs]),
+                        np.array([f.smoothness for f in fs], dtype=float))
+            else:
+                data = fs
+            groups.append((slice(None) if len(fs) == len(losses)
+                           else np.array(rows), kind, data))
+        return cls(len(losses), groups)
+
+    def value(self, x) -> np.ndarray:
+        """f_t(x_t) for every row."""
+        out = np.empty(self.n)
+        for rows, kind, data in self.groups:
+            xr = x[rows] if x.ndim == 2 else x
+            if kind == "linear":
+                out[rows] = core.rowdot(data, xr)
+            elif kind == "quadratic":
+                c, w = data
+                diff = xr - c
+                out[rows] = 0.5 * w * core.rowdot(diff, diff)
+            else:
+                out[rows] = [f.value(xi) for f, xi in zip(data, _row_iter(xr))]
+        return out
+
+    def dir_deriv(self, x, z) -> np.ndarray:
+        """f_t'(x_t; z_t) for every row."""
+        out = np.empty(self.n)
+        for rows, kind, data in self.groups:
+            xr = x[rows] if x.ndim == 2 else x
+            zr = z[rows] if z.ndim == 2 else z
+            if kind == "linear":
+                out[rows] = core.rowdot(data, zr)
+            elif kind == "quadratic":
+                c, w = data
+                # the handle's dot(grad f(x), z), grad f(x) = w (x - c)
+                out[rows] = core.rowdot(w[:, None] * (xr - c), zr)
+            else:
+                out[rows] = [f.dir_deriv(xi, zi) for f, xi, zi in
+                             zip(data, _row_iter(xr), _row_iter(zr))]
+        return out
+
+
+def _row_iter(a):
+    """The rows of an (n, d) array, or one (d,) point repeated."""
+    return a if a.ndim == 2 else itertools.repeat(a)
+
+
 # -- sequences ---------------------------------------------------------------
 
 class LossSequence:
@@ -278,6 +360,10 @@ class LossSequence:
         from the conditional mean (zero vector for exact feedback)."""
         g = self.loss(t).grad(x)
         return g, np.zeros_like(g)
+
+    def column(self, ts) -> LossColumn:
+        """The losses of rounds ``ts`` as one ``LossColumn``."""
+        return LossColumn.of(self.loss(t) for t in ts)
 
     def per_round_variation(self, T: int, feasible_set):
         """Exact per-round sup ||grad f_t - grad f_{t-1}||^2 terms, or None."""
@@ -313,6 +399,10 @@ class LinearStream(LossSequence):
 
     def loss(self, t):
         return linear_loss(self.vector(t))
+
+    def column(self, ts):
+        vs = np.array([self.vector(t) for t in ts], dtype=float)
+        return LossColumn(len(vs), [(slice(None), "linear", vs)])
 
     def per_round_variation(self, T, feasible_set):
         out = []
@@ -378,6 +468,11 @@ class DriftingQuadratic(LossSequence):
 
     def loss(self, t):
         return quadratic_loss(self.center(t), self.weight)
+
+    def column(self, ts):
+        centers = np.array([self.center(t) for t in ts])
+        return LossColumn(len(centers), [(slice(None), "quadratic", (
+            centers, np.full(len(centers), self.weight)))])
 
     def per_round_variation(self, T, feasible_set):
         first = _sup_grad_norm_sq(self.loss(1), feasible_set)

@@ -17,6 +17,14 @@ the running sum of its terms, its value is the last entry, and the CSV's
 ``cum_bound`` column is that same running bound, so a report and its
 ledger cannot disagree.
 
+A ledger stores each round's iterates, gradients and loss values once, as
+columns, and the decomposition terms, the running regret and the CSV rows
+are array expressions over them.  Each equals the per-round loop it
+replaced bit for bit: row dot products go through ``core.rowdot``, running
+sums through np.cumsum (which adds in loop order), and the losses through
+``losses.LossColumn``, whose per-row path for losses outside the linear
+and isotropic-quadratic families is the only row loop left.
+
 All q-sums run over t = 0..T by default; since the regret never depends on
 the last emitted regularizer, each calculator can also drop the final q
 term (``include_final_q=False``), which is the bound obtained by re-running
@@ -30,7 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import INF, QuadMetric, SingularMetricError, as_point, dot, dual_norm_sq
+from .core import INF, QuadMetric, SingularMetricError, as_point, dual_norm_sq, rowdot
+from .losses import LossColumn
 from .regularizers import Regularizer
 from . import solvers
 
@@ -48,7 +57,8 @@ class RoundRecord:
     ``p``, ``q``, ``q_tilde`` are the emitted regularizer handles, kept as
     objects so any comparator can be evaluated after the fact.  ``r_metric``
     is the quadratic part of r_{1:t} = p_{1:t} + q_{0:t-1}; it certifies the
-    round's strong-convexity norm, so dual-norm terms use it.
+    round's strong-convexity norm, so dual-norm terms use it.  In a ledger,
+    ``x``, ``x_next`` and ``g`` are row views of the ledger's columns.
     """
 
     t: int
@@ -71,8 +81,19 @@ class RoundRecord:
 
 @dataclass
 class Ledger:
+    """A run's rounds: a list of records, plus the columns they view.
+
+    ``x`` is (T+1) x d, with rows t-1 and t the x_t and x_{t+1} of round t;
+    ``g`` is T x d and ``loss_value`` holds f_t(x_t).  Each record's ``x``,
+    ``x_next`` and ``g`` are rows of these, so every iterate is stored once.
+    The columns are cut to the records' length, so a ledger rebuilt on a
+    prefix of the records (``dataclasses.replace``) is the truncated run.
+    """
+
     records: list
-    x1: np.ndarray
+    x: np.ndarray
+    g: np.ndarray
+    loss_value: np.ndarray
     q0: Regularizer
     q0_tilde: Regularizer
     feasible_set: object
@@ -82,16 +103,25 @@ class Ledger:
     schedule: dict = field(default_factory=dict)
     solver_calls: int = 0
 
+    def __post_init__(self):
+        T = len(self.records)
+        self.x, self.g = self.x[:T + 1], self.g[:T]
+        self.loss_value = self.loss_value[:T]
+
     @property
     def T(self) -> int:
         return len(self.records)
 
     @property
     def dim(self) -> int:
-        return self.x1.size
+        return self.x.shape[1]
+
+    @property
+    def x1(self) -> np.ndarray:
+        return self.x[0]
 
     def final_point(self) -> np.ndarray:
-        return self.records[-1].x_next if self.records else self.x1
+        return self.x[-1]
 
     def certified(self) -> bool:
         return all(r.certified for r in self.records)
@@ -123,37 +153,70 @@ class BoundReport:
 
 # -- decomposition -----------------------------------------------------------
 
-def _running_regret(ledger: Ledger, x_star, composite: bool | None = None) -> np.ndarray:
-    """Entry t: sum_{s<=t} f_s(x_s) - f_s(x*), plus the composite terms when
-    requested (the run's own setting by default).  The one loop behind both
-    the reported regret and the CSV's ``cum_regret``."""
+def _running(*cols) -> np.ndarray:
+    """Entry t: ``total`` after row t of the loop ``total = 0.0``, then per
+    row ``total += c[t]`` for each column c in turn.  np.cumsum adds in
+    that order; the leading 0.0 is the loop's start."""
+    steps = np.concatenate(([0.0], np.column_stack(cols).ravel()))
+    return np.cumsum(steps)[len(cols)::len(cols)]
+
+
+def _running_regret(ledger: Ledger, x_star, composite: bool | None = None,
+                    regret=None) -> np.ndarray:
+    """Entry t: sum_{s<=t} f_s(x_s) - f_s(x*), plus psi_s(x_s) - psi_s(x*)
+    after each round's loss term when ``composite`` (the run's own setting
+    by default).  ``regret`` takes the per-round f_t(x_t) - f_t(x*) when
+    the caller has it."""
     x_star = as_point(x_star)
     if composite is None:
         composite = ledger.composite
-    out = np.empty(ledger.T)
-    total = 0.0
-    for i, rec in enumerate(ledger.records):
-        total += rec.loss_value - rec.loss.value(x_star)
-        if composite and rec.psi is not None:
-            total += rec.psi.value(rec.x) - rec.psi.value(x_star)
-        out[i] = total
-    return out
+    if regret is None:
+        regret = ledger.loss_value - _losses(ledger).value(x_star)
+    if not composite:
+        return _running(regret)
+    # psi is l1 or absent; an absent psi adds +0.0, which leaves a total as it is
+    alpha = np.array([0.0 if rec.psi is None else rec.psi.alpha
+                      for rec in ledger.records])
+    psi = (alpha * np.abs(ledger.x[:-1]).sum(axis=1)
+           - alpha * float(np.sum(np.abs(x_star))))
+    return _running(regret, psi)
 
 
-def empirical_regret(ledger: Ledger, x_star, composite: bool | None = None) -> float:
+def _losses(ledger: Ledger) -> LossColumn:
+    return LossColumn.of(rec.loss for rec in ledger.records)
+
+
+def _lin_fwd(ledger: Ledger, x_star) -> np.ndarray:
+    return rowdot(ledger.g, ledger.x[1:] - x_star)
+
+
+def empirical_regret(ledger: Ledger, x_star, composite: bool | None = None,
+                     terms: dict | None = None) -> float:
     """sum_t f_t(x_t) - f_t(x*), plus the composite terms when requested:
-    the last entry of :func:`_running_regret`."""
-    running = _running_regret(ledger, x_star, composite)
+    the last entry of the running regret.  ``terms`` is as in
+    :func:`decomposition_residual`."""
+    if composite is None:
+        composite = ledger.composite
+    if terms is not None and composite == ledger.composite:
+        running = terms["cum_regret"]
+    else:
+        running = _running_regret(ledger, x_star, composite,
+                                  None if terms is None else terms["regret"])
     return float(running[-1]) if running.size else 0.0
 
 
-def forward_regret(ledger: Ledger, x_star) -> float:
-    x_star = as_point(x_star)
-    return sum(dot(rec.g, rec.x_next - x_star) for rec in ledger.records)
+def forward_regret(ledger: Ledger, x_star, terms: dict | None = None) -> float:
+    """R+_T = sum_t <g_t, x_{t+1} - x*>, summed in round order."""
+    lin_fwd = _lin_fwd(ledger, as_point(x_star)) if terms is None \
+        else terms["lin_fwd"]
+    return float(_running(lin_fwd)[-1]) if lin_fwd.size else 0.0
 
 
 def decomposition_terms(ledger: Ledger, x_star) -> dict:
-    """Per-round arrays of the four decomposition terms.
+    """Per-round columns of the four decomposition terms, plus ``regret``,
+    f_t(x_t) - f_t(x*), and ``cum_regret``, the running regret under the
+    run's composite setting (the CSV's column and, last entry,
+    :func:`empirical_regret`).
 
     The directional derivative f_t'(x_t; x* - x_t) is evaluated once per
     round and shared between the divergence and the linearization gap, so
@@ -161,35 +224,39 @@ def decomposition_terms(ledger: Ledger, x_star) -> dict:
     by cancellation luck.
     """
     x_star = as_point(x_star)
-    T = ledger.T
-    out = {
-        "lin_fwd": np.zeros(T), "drift": np.zeros(T),
-        "breg_loss": np.zeros(T), "delta": np.zeros(T),
+    x, x_next, g = ledger.x[:-1], ledger.x[1:], ledger.g
+    to_star = x_star - x
+    losses = _losses(ledger)
+    f_star = losses.value(x_star)
+    d = losses.dir_deriv(x, to_star)
+    bad = np.flatnonzero(~np.isfinite(d))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"round {ledger.records[i].t}: directional "
+                         f"derivative toward x* is {d[i]}")
+    regret = ledger.loss_value - f_star
+    return {
+        "lin_fwd": _lin_fwd(ledger, x_star),
+        "drift": rowdot(g, x - x_next),
+        "breg_loss": f_star - ledger.loss_value - d,
+        "delta": rowdot(g, to_star) - d,
+        "regret": regret,
+        "cum_regret": _running_regret(ledger, x_star, regret=regret),
     }
-    for i, rec in enumerate(ledger.records):
-        to_star = x_star - rec.x
-        out["lin_fwd"][i] = dot(rec.g, rec.x_next - x_star)
-        out["drift"][i] = dot(rec.g, rec.x - rec.x_next)
-        d = rec.loss.dir_deriv(rec.x, to_star)
-        if not math.isfinite(d):
-            raise ValueError(
-                f"round {rec.t}: directional derivative toward x* is {d}")
-        out["breg_loss"][i] = rec.loss.value(x_star) - rec.loss_value - d
-        out["delta"][i] = dot(rec.g, to_star) - d
-    return out
 
 
 def decomposition_residual(ledger: Ledger, x_star, terms: dict | None = None) -> float:
     """|R_T - (R+_T + drift - breg + delta)|; zero in exact arithmetic.
 
-    ``terms`` takes the arrays ``decomposition_terms`` already returned for
+    ``terms`` takes the columns ``decomposition_terms`` already returned for
     this ledger and comparator, so a caller that also exports them computes
     them once."""
     if terms is None:
         terms = decomposition_terms(ledger, x_star)
     rhs = (float(np.sum(terms["lin_fwd"])) + float(np.sum(terms["drift"]))
            - float(np.sum(terms["breg_loss"])) + float(np.sum(terms["delta"])))
-    return abs(empirical_regret(ledger, x_star, composite=False) - rhs)
+    return abs(empirical_regret(ledger, x_star, composite=False, terms=terms)
+               - rhs)
 
 
 # -- the per-round terms: one accounting path -----------------------------------
@@ -566,7 +633,7 @@ def ledger_rows(ledger: Ledger, x_star, bound_case: str | None = None,
                 report: BoundReport | None = None) -> list:
     """Fixed-layout rows: t, iterate, gradient, the four decomposition
     terms, then running regret, running bound, and their gap.  The running
-    regret is :func:`_running_regret`'s, so its last row is
+    regret is ``terms["cum_regret"]``, so its last row is
     :func:`empirical_regret` bit for bit.
 
     The running bound is ``report``'s, by default the Table-2 report for
@@ -579,14 +646,8 @@ def ledger_rows(ledger: Ledger, x_star, bound_case: str | None = None,
     if report is None:
         report = bound_table2(ledger, x_star, bound_case or f"oo-{ledger.kind}",
                               inputs)
-    rows = []
-    for i, (rec, cum_regret, cum_bound) in enumerate(zip(
-            ledger.records, _running_regret(ledger, x_star).tolist(),
-            report.running.tolist())):
-        row = [float(rec.t)]
-        row += rec.x.tolist()
-        row += rec.g.tolist()
-        row += [float(terms[k][i]) for k in CSV_TERMS]
-        row += [cum_regret, cum_bound, cum_bound - cum_regret]
-        rows.append(row)
-    return rows
+    t = np.array([rec.t for rec in ledger.records], dtype=float)
+    cum_regret, cum_bound = terms["cum_regret"], report.running
+    return np.column_stack(
+        [t, ledger.x[:-1], ledger.g] + [terms[k] for k in CSV_TERMS]
+        + [cum_regret, cum_bound, cum_bound - cum_regret]).tolist()

@@ -49,6 +49,21 @@ def test_validate_fills_defaults():
     assert md["bounds"] == ["oo-md"]
 
 
+# (config, the key its error names): integer fields given a bool or a
+# fraction.  Each used to validate; a fractional seed ran truncated.
+INTEGER_FIELDS = [
+    (cfg_with(losses={"kind": "random-linear", "seed": 1.7}), "losses.seed"),
+    (cfg_with(losses={"kind": "random-linear", "seed": True}), "losses.seed"),
+    (cfg_with(losses={"kind": "drift-then-constant", "base": 1.0,
+                      "flips": 2.5}), "losses.flips"),
+    (cfg_with(losses={"kind": "drift-then-constant", "base": 1.0,
+                      "flips": True}), "losses.flips"),
+    (cfg_with(T=True), "T"),
+    (cfg_with(set={"kind": "box", "dim": True}), "set.dim"),
+    (cfg_with(seeds=[True]), "seeds"),
+]
+
+
 @pytest.mark.parametrize("broken", [
     cfg_with(extra_key=1),
     cfg_with(preset="sgd"),
@@ -98,6 +113,8 @@ def test_validate_fills_defaults():
     cfg_with(preset="ao-ftrl-prox", params={"eta_schedule": "final-attack"},
              set={"kind": "unconstrained", "dim": 3}),
     cfg_with(losses={"kind": "random-linear", "seed": -1}),
+    # integer fields take a JSON int: no bool, no fraction
+    *(cfg for cfg, _ in INTEGER_FIELDS),
 ])
 def test_validate_rejects(broken):
     with pytest.raises(ConfigError):
@@ -110,6 +127,13 @@ def test_run_names_an_input_no_bound_reads(tmp_path, capsys, key):
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["where"] == "inputs" and key in err["message"]
+
+
+@pytest.mark.parametrize("cfg, where", INTEGER_FIELDS)
+def test_integer_fields_name_their_key(tmp_path, capsys, cfg, where):
+    assert main(["run", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["where"] == where
 
 
 def test_negative_stream_seed_is_a_config_error(tmp_path, capsys):
