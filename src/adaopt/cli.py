@@ -282,7 +282,7 @@ def _auto_d_init(seq, fs, x1) -> float | None:
     f1 = seq.loss(1)
     if losses.is_isotropic_quadratic(f1):
         # the projection of the center minimizes an isotropic quadratic
-        xm = fs.project(as_point(f1.star_center))
+        xm = fs.project(f1.isotropic[1])
         return f1.value(x1) - f1.value(xm)
     return None
 

@@ -138,24 +138,10 @@ class QuadMetric:
     def dim(self) -> int | None:
         return self._dim
 
-    def _need_dim(self, d: int | None) -> int:
-        if d is None:
-            d = self._dim
-        if d is None:
-            raise ValueError("scaled-identity metric has no intrinsic dimension")
-        return d
-
     def _eig(self):
         if self._evals is None:
             self._evals, self._evecs = np.linalg.eigh(self.matrix)
         return self._evals, self._evecs
-
-    def diag_weights(self, dim: int | None = None) -> np.ndarray:
-        if self.kind == "scaled":
-            return np.full(self._need_dim(dim), self.gamma)
-        if self.kind == "diag":
-            return self.weights.copy()
-        raise ValueError("full metric has no diagonal representation")
 
     # -- algebra ---------------------------------------------------------
 
@@ -254,6 +240,46 @@ class QuadMetric:
         return f"QuadMetric.full({self.matrix!r})"
 
 
+class MetricColumn:
+    """One metric per round.  Row i is ``gamma[i]`` I where ``kind[i]`` is
+    0, the diagonal ``wide[i]`` where it is 1, and the full ``QuadMetric``
+    ``wide[i]`` (its eigenpairs computed once) where it is 2.  The first row
+    that needs ``wide`` allocates it: T x d weights, or a list of T metrics."""
+
+    __slots__ = ("dim", "kind", "gamma", "wide")
+
+    def __init__(self, T: int, dim: int):
+        self.dim = dim
+        self.kind = np.zeros(T, dtype=np.int8)
+        self.gamma = np.zeros(T)
+        self.wide = None
+
+    def put(self, i: int, m: QuadMetric) -> None:
+        if m.kind == "scaled":
+            self.gamma[i] = m.gamma
+            return
+        full = m.kind == "full"
+        if self.wide is None:
+            T = self.kind.size
+            self.wide = [None] * T if full else np.zeros((T, self.dim))
+        self.kind[i] = 2 if full else 1
+        self.wide[i] = m if full else m.weights
+
+    def __getitem__(self, i: int) -> QuadMetric:
+        k = self.kind[i]
+        if k == 0:
+            return QuadMetric("scaled", gamma=float(self.gamma[i]), dim=self.dim)
+        if k == 1:
+            return QuadMetric("diag", weights=self.wide[i], dim=self.dim)
+        return self.wide[i]
+
+    def cut(self, T: int) -> "MetricColumn":
+        out = MetricColumn(0, self.dim)
+        out.kind, out.gamma = self.kind[:T], self.gamma[:T]
+        out.wide = None if self.wide is None else self.wide[:T]
+        return out
+
+
 def quad_norm_sq(metric: QuadMetric, x) -> float:
     """||x||_M^2 = x' M x."""
     x = np.asarray(x, dtype=float)
@@ -331,17 +357,23 @@ def bregman(f, y, x) -> float:
     directional derivative with finite f(y) would make the divergence -inf,
     which no caller is allowed to store, so that case raises.
     """
+    return bregman_of(f.value, _dir_deriv_of(f), y, x)
+
+
+def bregman_of(value, dir_deriv, y, x) -> float:
+    """:func:`bregman` of the function whose value and directional
+    derivative are the callables ``value(x)`` and ``dir_deriv(x, z)``."""
     y = as_point(y)
     x = as_point(x)
-    fx = float(f.value(x))
+    fx = float(value(x))
     if not math.isfinite(fx):
         raise ValueError("B_f(y, x) needs f(x) finite")
-    fy = float(f.value(y))
+    fy = float(value(y))
     if fy == INF:
         return INF
     if math.isnan(fy):
         raise ValueError("f(y) is NaN")
-    d = _dir_deriv_of(f)(x, y - x)
+    d = dir_deriv(x, y - x)
     if d == -INF:
         return INF
     if d == INF:

@@ -7,38 +7,40 @@ Two update families, both reduced to one argmin per round:
 
 Both families play a round through ``LearnerBase.step(g, prox, q_t)``; the
 proximal term is p_t for ftrl and r_t for md, what r_{1:t} adds to r_{1:t-1}
-either way.  ``step`` classifies the proximal term and q_t once each
-(``regularizers.classify``); a family adds only its argmin (``_solve``)
-and ``carries_q``, whether q_t enters r (ftrl) or not (md).  The learners
-keep running aggregates so a T-round run costs T solver calls, each O(d)
-for the closed-form routes.  A step returns what the regret calculators
-need besides the emitted handles: p_t, the metric of r_{1:t} and the
-round's r-divergence.
+either way.  A term is a parameter tuple, ``regularizers.Terms``, which
+``step`` folds into the argmin's objective once
+(``solvers.Objective.add_terms``) and adds to r; a hand-built
+``Regularizer`` is read into one by ``regularizers.classify``.  A family
+adds only its argmin (``_solve``) and ``carries_q``, whether q_t enters r
+(ftrl) or not (md).  The learners keep running aggregates so a T-round run
+costs T solver calls, each O(d) for the closed-form routes.  A step returns
+the metric of r_{1:t} and the round's r-divergence.
 
 Every preset plays its rounds through one path, ``Driver.round``.  The
-preset's schedule emits the proximal term and q~_t; a composite term is
-folded into q~_t; an implicit or non-linearized preset adds the loss's
-divergence from x_t; an optimistic preset shifts q~_t by the hint change.
-So the composite, implicit, non-linearized and optimistic variants are the
-plain updates with one more term in q_t: the claimed equivalences hold by
-construction and tests only have to confirm them.
+preset's schedule emits the metrics of the proximal term and of q~_t; a
+composite l1 weight and an implicit or non-linearized preset's loss
+divergence from x_t join q~_t; an optimistic preset shifts q~_t by the hint
+change.  So the composite, implicit, non-linearized and optimistic variants
+are the plain updates with one more part in q_t: the claimed equivalences
+hold by construction and tests only have to confirm them.  ``run_rounds``
+writes each round's parameters into the ledger's columns.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
-from .core import QuadMetric, as_point, quad_norm_sq
-from .losses import BregmanAround
-from .regularizers import (COMPOSITE_SETTINGS, Difference, L1, Linear,
-                           Quadratic, Regularizer, ScheduleState, Sum, Zero,
+from .core import MetricColumn, QuadMetric, as_point, quad_norm_sq
+from .losses import anchored_bregman, is_isotropic_quadratic
+from .regularizers import (COMPOSITE_SETTINGS, L1, Linear, Quadratic,
+                           Regularizer, ScheduleState, Sum, Terms, Zero,
                            adagrad_diag_step, adagrad_full_step,
                            adagrad_initial_metric, check_proximal, classify,
-                           composite_wrap, final_attack_eta,
-                           ftrl_prox_increment, optimistic_shift,
-                           proximal_eta_increment, scale_free_eta)
+                           composite_wrap, eta_increment, final_attack_eta,
+                           l1_bregman, scale_free_eta)
 from . import regret, solvers
 
 HINT_POLICIES = ("none", "prev-gradient", "custom")
@@ -73,9 +75,9 @@ class LearnerBase:
     """Shared state: the feasible set, the iterate, whether every
     regularizer emitted so far is certified, and r_{1:t}'s quadratic metric
     (None once a signed part makes it uncertifiable), l1 weight and
-    non-quadratic divergence handles.  The first iterate minimizes
+    non-quadratic divergences.  The first iterate minimizes
     q_0 = q~_0 + <hint_1, .> over the set.  A family supplies
-    ``_solve(g, prox, q_t, r_metric, prox_terms)`` -> (p_t, x_{t+1}) and
+    ``_solve(g, prox, q_t, r_metric, prox_terms, div)`` -> x_{t+1} and
     ``carries_q``, whether q_t enters r_{1:t+1}."""
 
     kind = ""
@@ -105,8 +107,9 @@ class LearnerBase:
             self._r_metric, self._r_l1 = q0_terms.metric, q0_terms.l1
         else:
             self._r_metric, self._r_l1 = QuadMetric.zero(self.dim), 0.0
-        # non-quadratic divergence handles inside r
-        self._r_extra = list(q0_terms.handles) if self.carries_q else []
+        # B(y, x) of each non-quadratic divergence inside r
+        self._r_extra = [h.bregman for h in q0_terms.handles] \
+            if self.carries_q else []
 
     def _solve_init(self, obj) -> np.ndarray:
         """x_1, the argmin of ``obj`` = q~_0 + <hint_1, .>."""
@@ -118,41 +121,59 @@ class LearnerBase:
         self.solver_calls += 1
         return x1
 
-    def step(self, g, prox: Regularizer, q_t: Regularizer):
-        """One round on the gradient g, which Driver.round has validated;
-        returns (p_t, metric of r_{1:t}, B_{r_{1:t}}(x_{t+1}, x_t)).
+    def _terms(self, term, x_t, proximal: bool) -> Terms:
+        """An emitted tuple as it is; a hand-built regularizer classified,
+        after the proximal check when it is an ftrl p_t."""
+        if isinstance(term, Terms):
+            return term
+        if proximal:
+            check_proximal(term, x_t, self.feasible_set, rng=self._rng,
+                           n_probes=PROX_PROBES)
+        return classify(term, self.dim)
 
-        A q_t carrying a loss's divergence from x_t is the implicit or
-        non-linearized update: the objective folds that divergence in."""
+    def step(self, g, prox, q_t, loss=None, f_t=None):
+        """One round on the gradient g, which Driver.round has validated;
+        returns (metric of r_{1:t}, B_{r_{1:t}}(x_{t+1}, x_t)).
+
+        ``prox`` and ``q_t`` are ``Terms`` or hand-built regularizers.  A
+        q_t whose ``loss`` flag is set carries B_f(., x_t) for the round
+        loss f = ``loss``, with f_t = f(x_t) and g = grad f(x_t): the
+        implicit or non-linearized update."""
         x_t = self.x
-        pt = classify(prox, self.dim)
+        pt = self._terms(prox, x_t, self.kind == "ftrl")
+        qt = self._terms(q_t, x_t, False)
+        div = (loss, f_t, g) if qt.loss else None
         r_metric = None if (self._r_metric is None or pt.metric is None) \
             else self._r_metric.add(pt.metric)
         r_l1 = self._r_l1 + pt.l1
-        p_t, x_next = self._solve(g, prox, q_t, r_metric, pt)
-        self._r_extra.extend(pt.handles)
+        x_next = self._solve(g, prox, q_t, r_metric, pt, div)
+        self._r_extra.extend(h.bregman for h in pt.handles)
 
         breg = 0.0
         if r_metric is not None:
             breg += 0.5 * quad_norm_sq(r_metric, x_next - x_t)
         if r_l1 > 0.0:
-            breg += L1(r_l1).bregman(x_next, x_t)
-        for h in self._r_extra:
-            breg += h.bregman(x_next, x_t)
+            breg += l1_bregman(r_l1, x_next, x_t)
+        for b in self._r_extra:
+            breg += b(x_next, x_t)
 
-        qt = classify(q_t, self.dim)
         self.certified = (self.certified and r_metric is not None
                           and pt.certified and qt.certified)
         self._r_metric, self._r_l1 = r_metric, r_l1
         if self.carries_q:
-            self._r_extra.extend(qt.handles)
-            self._r_metric = None if (r_metric is None or qt.metric is None) \
-                else r_metric.add(qt.metric)
+            q_metric = qt.metric
+            self._r_extra.extend(h.bregman for h in qt.handles)
+            if qt.loss and is_isotropic_quadratic(loss):
+                q_metric = QuadMetric.scaled(loss.isotropic[0], self.dim).add(q_metric)
+            elif qt.loss:
+                self._r_extra.append(partial(anchored_bregman, loss, x_t, f_t, g))
+            self._r_metric = None if (r_metric is None or q_metric is None) \
+                else r_metric.add(q_metric)
             self._r_l1 = r_l1 + qt.l1
         self.solver_calls += 1
         self.t += 1
         self.x = x_next
-        return p_t, r_metric, breg
+        return r_metric, breg
 
 
 class FtrlLearner(LearnerBase):
@@ -166,15 +187,13 @@ class FtrlLearner(LearnerBase):
         self._obj = obj     # the running objective starts at q~_0 + <hint_1, .>
         return super()._solve_init(obj)
 
-    def _solve(self, g, p_t, q_t, r_metric, p_terms):
+    def _solve(self, g, p_t, q_t, r_metric, p_terms, div):
         x_t = self.x
-        check_proximal(p_t, x_t, self.feasible_set, rng=self._rng,
-                       n_probes=PROX_PROBES)
-        self._obj.add_regularizer(p_t)
-        self._obj.add_regularizer(q_t)
+        self._obj.add_terms(p_t, x_t, div)
+        self._obj.add_terms(q_t, x_t, div)
         self._obj.lin = self._obj.lin + g
         self._obj.init = x_t
-        return p_t, solvers.minimize(self._obj, tol=self.solver_tol)
+        return solvers.minimize(self._obj, tol=self.solver_tol)
 
 
 class MdLearner(LearnerBase):
@@ -182,32 +201,24 @@ class MdLearner(LearnerBase):
 
     Each round solves argmin <g_t, x> + q_t(x) + B_{r_{1:t}}(x, x_t) in one
     call; r_t must be quadratic-family so the anchor divergence is exact.
-    r_t already carries q_{t-1}'s share of r, so q_t does not enter r.
-    p_t := r_t - q_{t-1} is reported for the bound calculators, with the
-    convention that (+inf) - (+inf) = +inf.
+    r_t already carries q_{t-1}'s share of r, so q_t does not enter r.  The
+    ledger reports p_t := r_t - q_{t-1} for the bound calculators.
     """
 
     kind = "md"
     carries_q = False
 
-    def __init__(self, feasible_set, q0=None, hint1=None, **kw):
-        super().__init__(feasible_set, q0, hint1, **kw)
-        self._q_prev = self.q0
-
-    def _solve(self, g, r_t, q_t, r_metric, r_terms):
+    def _solve(self, g, r_t, q_t, r_metric, r_terms, div):
         if not r_terms.quadratic:
             raise ValueError("mirror-descent rounds need quadratic-family r_t")
         if r_metric is None:
             raise ValueError("r_t has negative curvature, anchor undefined")
         x_t = self.x
-        p_t = Difference(r_t, self._q_prev)
-        obj = solvers.Objective.build(self.feasible_set, linear=g,
-                                      regularizer=q_t)
+        obj = solvers.Objective.build(self.feasible_set, linear=g)
+        obj.add_terms(q_t, x_t, div)
         obj.add_quadratic(x_t, r_metric, 1.0)
         obj.init = x_t
-        x_next = solvers.minimize(obj, tol=self.solver_tol)
-        self._q_prev = q_t
-        return p_t, x_next
+        return solvers.minimize(obj, tol=self.solver_tol)
 
 
 # -- preset schedules ----------------------------------------------------------
@@ -238,11 +249,14 @@ class Driver:
     ``__init__`` parses the preset's parameters once, and q~_0 with them.
     ``round`` is the one round path of every preset: it validates g_t (a
     preset that ``needs_loss`` takes g_t = grad f_t(x_t) and
-    q~_t = B_f(., x_t) instead), asks the schedule for (proximal term, q~_t,
-    eta_t), folds the composite term psi in when the run is composite,
-    shifts q~_t by the hint change when the preset has hints, calls the
-    family's ``step`` and returns the round's ``regret.RoundRecord``.
-    Preset names are read in two places only: ``_parse`` and ``_emit``.
+    q~_t = B_f(., x_t) instead), asks the schedule for the metrics of the
+    proximal term and of q~_t and for eta_t, adds the composite weight when
+    the run is composite, shifts q~_t by the hint change when the preset has
+    hints, calls the family's ``step`` and returns the round's parameters.
+    A ``ValueError`` or ``NumericArgminError`` raised on the way is raised
+    again as the same type, its message prefixed by the round and the layer
+    (gradient, schedule, fold or step).  Preset names are read in two places
+    only: ``_parse`` and ``_emit``.
     """
 
     def __init__(self, preset: str, feasible_set, params: dict | None = None,
@@ -260,9 +274,12 @@ class Driver:
         self._sched = ScheduleState()
         self._eta_prev = 0.0
         self.needs_loss = preset in ("implicit-md", "nonlin-ftrl")
+        # whether the proximal term is centred at x_t (else at the origin)
+        self.prox_at_x = False
 
         # the center of every origin-centered quadratic the schedules emit
         self._origin = np.zeros(feasible_set.dim)
+        self._zero = QuadMetric.zero(feasible_set.dim)
         self.optimistic = "hints" in merged
         self.hint_policy = merged.get("hints", "none")
         if self.hint_policy not in HINT_POLICIES:
@@ -279,7 +296,7 @@ class Driver:
                 feasible_set, (solvers.Unconstrained, solvers.Box)):
             raise ValueError("composite runs support box and free sets only")
         self.composite = alpha > 0
-        self.psi = L1(alpha) if self.composite else None
+        self.alpha = alpha if self.composite else 0.0
 
         q0 = self._parse(merged)
         if self.composite and self.composite_setting == "known-before":
@@ -289,7 +306,7 @@ class Driver:
                     f"preset {preset} with composite_setting known-before needs "
                     "a q~_0 with quadratic curvature, and its parameters give "
                     "none")
-            q0 = composite_wrap(q0, self.psi)
+            q0 = composite_wrap(q0, L1(alpha))
         self.hint = self._hint(1, None).copy()
         cls = MdLearner if self.family == "md" else FtrlLearner
         self.learner = cls(feasible_set, q0=q0, hint1=self.hint,
@@ -323,6 +340,7 @@ class Driver:
                 # an md round has no curvature but r_1's, which is rank one
                 raise ValueError(f"preset {self.preset} with metric full needs "
                                  "dim 1: its round-1 metric is rank one")
+            self.prox_at_x = self.preset != "adagrad-da"
             if self.preset == "adagrad-da" and self._gamma0 <= 0:
                 raise ValueError("adagrad-da needs gamma0 > 0 to keep round-1 "
                                  "regularization non-degenerate")
@@ -331,6 +349,7 @@ class Driver:
                     self.feasible_set.dim, self._eta, self._gamma0))
             return Zero()
         if self.preset == "ao-ftrl-prox":
+            self.prox_at_x = True
             if p["eta_schedule"] == "scale-free":
                 self._eta0 = _positive(p, "eta0")
             elif p["eta_schedule"] == "final-attack":
@@ -345,32 +364,34 @@ class Driver:
             self._sigma_r = _non_negative(p, "sigma_r")
         return self._iso(self._q0_scale)
 
-    def _emit(self, t: int, g, x_t):
-        """Round t's (proximal term, q~_t, eta_t): the proximal term is p_t
-        for ftrl and r_t for md; eta_t is recorded for the optimistic
-        step-size schedules and None elsewhere."""
+    def _emit(self, t: int, g):
+        """Round t's (metric of the proximal term, metric of q~_t's
+        quadratic, eta_t): the proximal term is p_t for ftrl and r_t for md,
+        centred where ``prox_at_x`` says; eta_t is recorded for the
+        optimistic step-size schedules and None elsewhere."""
+        zero = self._zero
         if self.preset in ("adagrad-da", "ftrl-prox", "adagrad-md"):
             incr, _ = self._adagrad_step(self._sched, g, self._eta, self._gamma0)
             if self.preset == "adagrad-da":
-                return Zero(), Quadratic(self._origin, incr), None
-            return ftrl_prox_increment(x_t, incr), Zero(), None
+                return zero, incr, None
+            return incr, zero, None
         if self.preset == "ao-ftrl-prox":
             if self.params["eta_schedule"] == "scale-free":
                 eta_t = scale_free_eta(self._sched, g, self.hint, self._eta0)
             else:
                 eta_t = final_attack_eta(self._sched, g, self.hint,
                                          self._radius, self._smooth_l)
-            p_t = proximal_eta_increment(x_t, eta_t, self._eta_prev)
+            gamma = eta_increment(eta_t, self._eta_prev)
             self._eta_prev = eta_t
-            return p_t, Zero(), eta_t
+            return QuadMetric.scaled(gamma, self.feasible_set.dim), zero, eta_t
         if self.preset == "da":
             alpha_t = self._alpha_growth * (math.sqrt(t + 1.0) - math.sqrt(float(t)))
-            return Zero(), self._iso(alpha_t), None
+            return zero, QuadMetric.scaled(alpha_t, self.feasible_set.dim), None
         if self.family == "md":
             # md, ao-md, implicit-md: r_1 also carries q~_0's scale
             scale = self._q0_scale + self._sigma_r if t == 1 else self._sigma_r
-            return self._iso(scale), Zero(), None
-        return Zero(), Zero(), None     # ogd, nonlin-ftrl
+            return QuadMetric.scaled(scale, self.feasible_set.dim), zero, None
+        return zero, zero, None     # ogd, nonlin-ftrl
 
     def _hint(self, t: int, g_prev):
         """The hint for round t's gradient, decided before g_t arrives."""
@@ -400,15 +421,15 @@ class Driver:
 
     # -- the round ---------------------------------------------------------
 
-    def round(self, t: int, loss, g=None, sigma=None) -> regret.RoundRecord:
+    def round(self, t: int, loss, g=None) -> tuple:
         """Play round t on the revealed loss: g is the gradient feedback at
-        x_t and sigma its noise level; a preset that ``needs_loss`` takes
-        g from the loss itself."""
+        x_t; a preset that ``needs_loss`` takes g from the loss itself.
+        Returns (g_t, f_t(x_t), the proximal term and q~_t as ``Terms``,
+        eta_t, the metric of r_{1:t}, B_{r_{1:t}}(x_{t+1}, x_t))."""
         lrn = self.learner
         x_t = lrn.x
         if self.needs_loss:
-            div = BregmanAround(loss, x_t)
-            g = div.g_anchor
+            f_t, g = loss.value(x_t), loss.grad(x_t)
         else:
             # the round's one validation of g; the schedule and step trust it
             try:
@@ -418,26 +439,30 @@ class Driver:
             if g.size != lrn.dim:
                 raise ValueError(f"round {t}: gradient has dim {g.size}, "
                                  f"learner has {lrn.dim}")
+            f_t = loss.value(x_t)
 
-        prox, q_tilde, eta = self._emit(t, g, x_t)
-        if self.composite:
-            q_tilde = composite_wrap(q_tilde, self.psi)
-        if self.needs_loss:
-            # implicit / non-linearized: q_t = B_f(., x_t) + q~_t
-            q_tilde = Sum([div, q_tilde])
-        hint = self.hint
-        q_t = q_tilde
-        if self.optimistic:
-            hint_next = self._hint(t + 1, g)
-            q_t = optimistic_shift(q_tilde, hint, hint_next)
-            self.hint = hint_next.copy()
-
-        p_t, r_metric, breg = lrn.step(g, prox, q_t)
-        return regret.RoundRecord(
-            t=t, x=x_t.copy(), x_next=lrn.x, g=g, hint=hint, loss=loss,
-            loss_value=loss.value(x_t), sigma=sigma, psi=self.psi, p=p_t,
-            q=q_t, q_tilde=q_tilde, r_metric=r_metric, breg_r=breg, eta=eta,
-            certified=lrn.certified)
+        layer = "schedule"
+        try:
+            prox_metric, q_metric, eta = self._emit(t, g)
+            layer = "fold"
+            prox = Terms(prox_metric, center=x_t if self.prox_at_x else self._origin)
+            # q~_t: the schedule's quadratic, psi when the run is composite,
+            # and B_f(., x_t) for an implicit or non-linearized preset
+            q_tilde = Terms(q_metric, self.alpha, center=self._origin,
+                            quadratic=not (self.alpha or self.needs_loss),
+                            loss=self.needs_loss)
+            q_t = q_tilde
+            if self.optimistic:
+                hint_next = self._hint(t + 1, g)
+                shift = hint_next - self.hint
+                if np.any(shift):
+                    q_t = q_tilde._replace(shift=shift)
+                self.hint = hint_next.copy()
+            layer = "step"
+            r_metric, breg = lrn.step(g, prox, q_t, loss, f_t)
+        except (ValueError, solvers.NumericArgminError) as e:
+            raise type(e)(f"round {t}: {layer}: {e}") from e
+        return g, f_t, prox, q_tilde, eta, r_metric, breg
 
 
 def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
@@ -446,6 +471,7 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
     The feedback order is fixed: the loss is revealed, the (possibly noisy)
     gradient is drawn at the current iterate, the learner steps.  All
     randomness comes from ``rng``, so runs are reproducible bit for bit.
+    Every round writes into the ledger's preallocated columns.
     """
     if T < 1:
         raise ValueError("need at least one round")
@@ -454,34 +480,52 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
     if rng is None:
         rng = np.random.default_rng(0)
     lrn = driver.learner
-    # the ledger's columns; each record's x, x_next and g become row views
-    x = np.empty((T + 1, lrn.dim))
-    g_col = np.empty((T, lrn.dim))
+    d = lrn.dim
+    x = np.empty((T + 1, d))
+    g_col = np.empty((T, d))
     loss_value = np.empty(T)
+    losses = [None] * T
+    sigma = np.empty((T, d)) if seq.stochastic else None
+    hint = np.empty((T + 1, d)) if driver.optimistic else None
+    prox, q_metric, r_metric = (MetricColumn(T, d) for _ in range(3))
+    breg = np.empty(T)
+    eta = None
+    certified = np.empty(T, dtype=bool)
     x[0] = lrn.x1
-    records = []
+    # the learner plays on from the column's rows, so whatever a round
+    # centres at x_t (a proximal term, a divergence anchor) shares the
+    # ledger's copy
+    lrn.x = x[0]
     for t in range(1, T + 1):
-        loss_t = seq.loss(t)
-        if driver.needs_loss:
-            rec = driver.round(t, loss_t)
-        else:
-            if seq.stochastic:
-                g, sigma = seq.gradient(t, lrn.x, rng)
-            else:
-                # exact feedback is the revealed loss's own gradient
-                g = loss_t.grad(lrn.x)
-                sigma = np.zeros_like(g)
-            rec = driver.round(t, loss_t, g, sigma)
         i = t - 1
-        x[t], g_col[i], loss_value[i] = rec.x_next, rec.g, rec.loss_value
-        # the learner plays on from the column's row, so whatever the next
-        # round centres at x_{t+1} (a proximal term, a divergence anchor)
-        # shares the ledger's copy
-        lrn.x = rec.x_next = x[t]
-        rec.x, rec.g = x[i], g_col[i]
-        records.append(rec)
+        loss_t = losses[i] = seq.loss(t)
+        if hint is not None:
+            hint[i] = driver.hint
+        g = None
+        if seq.stochastic:
+            g, sigma[i] = seq.gradient(t, lrn.x, rng)
+        elif not driver.needs_loss:
+            # exact feedback is the revealed loss's own gradient
+            g = loss_t.grad(lrn.x)
+        g, f, prox_t, q_t, eta_t, r_t, breg[i] = driver.round(t, loss_t, g)
+        x[t], g_col[i], loss_value[i] = lrn.x, g, f
+        lrn.x = x[t]
+        prox.put(i, prox_t.metric)
+        q_metric.put(i, q_t.metric)
+        r_metric.put(i, r_t)
+        certified[i] = lrn.certified
+        if eta_t is not None:
+            if eta is None:
+                eta = np.empty(T)
+            eta[i] = eta_t
+    if hint is not None:
+        hint[T] = driver.hint
     return regret.Ledger(
-        records=records, x=x, g=g_col, loss_value=loss_value, q0=lrn.q0,
+        x=x, g=g_col, loss_value=loss_value, losses=losses, sigma=sigma,
+        hint=hint, prox=prox, q_metric=q_metric, r_metric=r_metric,
+        breg_r=breg, eta=eta, round_certified=certified, q0=lrn.q0,
         q0_tilde=lrn.q0_tilde, feasible_set=driver.feasible_set, kind=lrn.kind,
-        composite=driver.composite, stochastic=bool(seq.stochastic),
-        schedule=driver.schedule_info(), solver_calls=lrn.solver_calls)
+        prox_at_x=driver.prox_at_x, psi_alpha=driver.alpha,
+        needs_loss=driver.needs_loss, composite=driver.composite,
+        stochastic=bool(seq.stochastic), schedule=driver.schedule_info(),
+        solver_calls=lrn.solver_calls)

@@ -31,13 +31,19 @@ class Loss:
     ``grad`` returns a local sub-gradient: a vector g with <g, z> bounded by
     the directional derivative f'(x; z) for every z.  Where f is
     differentiable that is the gradient.  ``vector`` is the v of a linear
-    loss <v, x>, which ``LossColumn`` evaluates as a matrix row.
+    loss <v, x>, which ``LossColumn`` evaluates as a matrix row, and
+    ``isotropic`` the (w, c) of a quadratic (w/2) ||x - c||_2^2, which the
+    accounting and the argmin fold in closed form.  Only ``linear_loss`` and
+    ``quadratic_loss`` set them: a loss is what its handles compute, whatever
+    its name.
     """
 
     def __init__(self, name, value, grad, dir_deriv=None, smoothness=None,
-                 strong_convexity=0.0, star_center=None, vector=None):
+                 strong_convexity=0.0, star_center=None, vector=None,
+                 isotropic=None):
         self.name = name
         self.vector = vector
+        self.isotropic = isotropic
         self._value = value
         self._grad = grad
         self._dir = dir_deriv
@@ -92,13 +98,14 @@ def quadratic_loss(center, weight: float = 1.0) -> Loss:
         smoothness=weight,
         strong_convexity=weight,
         star_center=center,
+        isotropic=(weight, center),
     )
 
 
 def is_isotropic_quadratic(loss: Loss) -> bool:
-    """True for a loss built by ``quadratic_loss``: (w/2) ||x - c||_2^2 with
-    w = ``loss.smoothness`` and c = ``loss.star_center``."""
-    return loss.name == "quadratic" and loss.star_center is not None
+    """True for a loss built by ``quadratic_loss``, whose ``isotropic`` mark
+    holds its weight w and centre c: (w/2) ||x - c||_2^2."""
+    return getattr(loss, "isotropic", None) is not None
 
 
 def l1_loss(alpha: float = 1.0, dim: int = 1) -> Loss:
@@ -244,17 +251,14 @@ class BregmanAround:
         self.g_anchor = loss.grad(self.anchor)
 
     def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return self.loss.value(x) - self.f_anchor - dot(self.g_anchor, x - self.anchor)
+        return _anchored_value(self.loss, self.anchor, self.f_anchor,
+                               self.g_anchor, x)
 
     def grad(self, x) -> np.ndarray:
         return self.loss.grad(x) - self.g_anchor
 
     def dir_deriv(self, x, z) -> float:
-        base = self.loss.dir_deriv(x, z)
-        if not math.isfinite(base):
-            return base
-        return base - dot(self.g_anchor, np.asarray(z, dtype=float))
+        return _anchored_dir_deriv(self.loss, self.g_anchor, x, z)
 
     def bregman(self, y, x) -> float:
         return core.bregman(self, y, x)
@@ -264,6 +268,26 @@ class BregmanAround:
 
     def __repr__(self):
         return f"BregmanAround({self.loss!r}, anchor={self.anchor!r})"
+
+
+def _anchored_value(loss, anchor, f_anchor, g_anchor, x) -> float:
+    x = np.asarray(x, dtype=float)
+    return loss.value(x) - f_anchor - dot(g_anchor, x - anchor)
+
+
+def _anchored_dir_deriv(loss, g_anchor, x, z) -> float:
+    base = loss.dir_deriv(x, z)
+    if not math.isfinite(base):
+        return base
+    return base - dot(g_anchor, np.asarray(z, dtype=float))
+
+
+def anchored_bregman(loss, anchor, f_anchor, g_anchor, y, x) -> float:
+    """``BregmanAround(loss, anchor).bregman(y, x)`` from the anchor's
+    f(a) and grad f(a), without building the handle."""
+    return core.bregman_of(
+        lambda p: _anchored_value(loss, anchor, f_anchor, g_anchor, p),
+        lambda p, z: _anchored_dir_deriv(loss, g_anchor, p, z), y, x)
 
 
 class LossColumn:
@@ -298,8 +322,8 @@ class LossColumn:
             if kind == "linear":
                 data = np.array([f.vector for f in fs])
             elif kind == "quadratic":
-                data = (np.array([f.star_center for f in fs]),
-                        np.array([f.smoothness for f in fs], dtype=float))
+                data = (np.array([f.isotropic[1] for f in fs]),
+                        np.array([f.isotropic[0] for f in fs], dtype=float))
             else:
                 data = fs
             groups.append((slice(None) if len(fs) == len(losses)
@@ -539,12 +563,12 @@ class StochasticLoss(LossSequence):
 
 def _sup_grad_norm_sq(loss: Loss, feasible_set):
     """Closed-form sup over the set of ||grad f||_2^2 where available."""
-    if loss.name == "linear":
-        g = loss.grad(np.zeros(feasible_set.dim))
+    if loss.vector is not None:
+        g = loss.vector
         return float(np.dot(g, g))
     if is_isotropic_quadratic(loss):
-        w = loss.smoothness
-        reach = feasible_set.max_dist_to(loss.star_center)
+        w, center = loss.isotropic
+        reach = feasible_set.max_dist_to(center)
         if not math.isfinite(reach):
             return None
         return (w * reach) ** 2

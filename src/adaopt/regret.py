@@ -11,19 +11,22 @@ linearization gap.  The calculators in this module evaluate every term from
 a recorded run, bound R+_T through the emitted regularizers, and evaluate
 the closed-form full-regret bounds for the standard schedule families.
 
-There is one accounting path.  The forward, Table-2 and optimistic bounds
-are all built by ``_bound`` from per-round term arrays; a report carries
-the running sum of its terms, its value is the last entry, and the CSV's
-``cum_bound`` column is that same running bound, so a report and its
-ledger cannot disagree.
+A ledger is columns that ``learners.run_rounds`` fills in place, one row
+per round (see ``Ledger``); a ``RoundRecord`` is a view of one row, whose
+regularizer handles are rebuilt from the row on demand.
 
-A ledger stores each round's iterates, gradients and loss values once, as
-columns, and the decomposition terms, the running regret and the CSV rows
-are array expressions over them.  Each equals the per-round loop it
-replaced bit for bit: row dot products go through ``core.rowdot``, running
-sums through np.cumsum (which adds in loop order), and the losses through
-``losses.LossColumn``, whose per-row path for losses outside the linear
-and isotropic-quadratic families is the only row loop left.
+There is one accounting path.  The decomposition terms, the running
+regret, the CSV rows and the forward, Table-2 and optimistic bounds are
+column expressions over the ledger, each equal bit for bit to the loop
+over the records that it replaced: row dot products go through
+``core.rowdot``, running sums through np.cumsum (which adds in loop
+order), the losses through ``losses.LossColumn``, and a term's parts add
+in the order of its ``Sum``.  Loops over rows remain for full metrics,
+losses outside the linear and isotropic-quadratic families, and mirror
+descent's B_{p_t} where q_{t-1} is not Zero.  A report carries the running
+sum of its terms, its value is the last entry, and the CSV's ``cum_bound``
+column is that same running bound, so a report and its ledger cannot
+disagree.
 
 All q-sums run over t = 0..T by default; since the regret never depends on
 the last emitted regularizer, each calculator can also drop the final q
@@ -33,14 +36,17 @@ the last round with q_T set to zero.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import INF, QuadMetric, SingularMetricError, as_point, dual_norm_sq, rowdot
-from .losses import LossColumn
-from .regularizers import Regularizer
+from .core import (INF, MetricColumn, SingularMetricError, as_point,
+                   dual_norm_sq, rowdot)
+from .losses import BregmanAround, LossColumn, is_isotropic_quadratic
+from .regularizers import (L1, Difference, Quadratic, Regularizer, Sum, Zero,
+                           composite_wrap, optimistic_shift)
 from . import solvers
 
 TABLE2_CASES = (
@@ -51,66 +57,50 @@ TABLE2_CASES = (
 
 
 @dataclass
-class RoundRecord:
-    """Everything round t leaves behind.
-
-    ``p``, ``q``, ``q_tilde`` are the emitted regularizer handles, kept as
-    objects so any comparator can be evaluated after the fact.  ``r_metric``
-    is the quadratic part of r_{1:t} = p_{1:t} + q_{0:t-1}; it certifies the
-    round's strong-convexity norm, so dual-norm terms use it.  In a ledger,
-    ``x``, ``x_next`` and ``g`` are row views of the ledger's columns.
-    """
-
-    t: int
-    x: np.ndarray
-    x_next: np.ndarray
-    g: np.ndarray
-    hint: np.ndarray
-    loss: object
-    loss_value: float
-    sigma: np.ndarray | None
-    psi: object | None
-    p: Regularizer
-    q: Regularizer
-    q_tilde: Regularizer
-    r_metric: QuadMetric | None
-    breg_r: float
-    eta: float | None
-    certified: bool
-
-
-@dataclass
 class Ledger:
-    """A run's rounds: a list of records, plus the columns they view.
+    """A run's rounds as columns, row t-1 for round t.
 
-    ``x`` is (T+1) x d, with rows t-1 and t the x_t and x_{t+1} of round t;
-    ``g`` is T x d and ``loss_value`` holds f_t(x_t).  Each record's ``x``,
-    ``x_next`` and ``g`` are rows of these, so every iterate is stored once.
-    The columns are cut to the records' length, so a ledger rebuilt on a
-    prefix of the records (``dataclasses.replace``) is the truncated run.
+    ``x`` is (T+1) x d, rows t-1 and t the x_t and x_{t+1} of round t, and
+    ``hint`` (an optimistic run's, else None) likewise holds hint_t and
+    hint_{t+1}, whose difference shifts q_t.  ``sigma`` is a stochastic
+    run's gradient noise (else None).  ``prox`` holds the metric of the
+    proximal term (p_t for ftrl, r_t for md), centred at x_t when
+    ``prox_at_x`` and at the origin otherwise; ``q_metric`` that of q~_t's
+    quadratic, centred at the origin.  q~_t also holds
+    psi = ``psi_alpha`` ||.||_1 when ``composite``, and B_{f_t}(., x_t)
+    when ``needs_loss``.  ``r_metric`` holds the metric of r_{1:t},
+    ``breg_r`` B_{r_{1:t}}(x_{t+1}, x_t), ``eta`` eta_t (None for a
+    schedule without one), ``round_certified`` whether every term up to
+    round t was certified.
     """
 
-    records: list
     x: np.ndarray
     g: np.ndarray
     loss_value: np.ndarray
+    losses: list
+    sigma: np.ndarray | None
+    hint: np.ndarray | None
+    prox: MetricColumn
+    q_metric: MetricColumn
+    r_metric: MetricColumn
+    breg_r: np.ndarray
+    eta: np.ndarray | None
+    round_certified: np.ndarray
     q0: Regularizer
     q0_tilde: Regularizer
     feasible_set: object
     kind: str                      # "ftrl" or "md"
+    prox_at_x: bool
+    psi_alpha: float
+    needs_loss: bool
     composite: bool = False
     stochastic: bool = False
     schedule: dict = field(default_factory=dict)
     solver_calls: int = 0
 
-    def __post_init__(self):
-        T = len(self.records)
-        self.x, self.g = self.x[:T + 1], self.g[:T]
-        self.loss_value = self.loss_value[:T]
-
     @property
     def T(self) -> int:
-        return len(self.records)
+        return self.loss_value.size
 
     @property
     def dim(self) -> int:
@@ -120,11 +110,114 @@ class Ledger:
     def x1(self) -> np.ndarray:
         return self.x[0]
 
+    @property
+    def records(self) -> list:
+        """A view of each round, built on demand."""
+        return [RoundRecord(self, i) for i in range(self.T)]
+
     def final_point(self) -> np.ndarray:
         return self.x[-1]
 
     def certified(self) -> bool:
-        return all(r.certified for r in self.records)
+        return bool(self.round_certified.all())
+
+    def prefix(self, T: int) -> "Ledger":
+        """The run cut after round T."""
+        def cut(col, n=T):
+            return None if col is None else col[:n]
+        return dataclasses.replace(
+            self, x=self.x[:T + 1], g=self.g[:T], loss_value=self.loss_value[:T],
+            losses=self.losses[:T], sigma=cut(self.sigma),
+            hint=cut(self.hint, T + 1), prox=self.prox.cut(T),
+            q_metric=self.q_metric.cut(T), r_metric=self.r_metric.cut(T),
+            breg_r=self.breg_r[:T], eta=cut(self.eta),
+            round_certified=self.round_certified[:T])
+
+
+class RoundRecord:
+    """Round t of a ledger, read from row t-1 of its columns.
+
+    ``p``, ``q`` and ``q_tilde`` are the round's regularizer handles, built
+    from the row when asked for, so any comparator can be evaluated after
+    the fact; for mirror descent ``p`` is r_t - q_{t-1}, with the convention
+    (+inf) - (+inf) = +inf.  ``r_metric`` is the metric of
+    r_{1:t} = p_{1:t} + q_{0:t-1}; it certifies the round's strong-convexity
+    norm, so dual-norm terms use it.  ``x``, ``x_next`` and ``g`` are row
+    views of the ledger's columns.
+    """
+
+    __slots__ = ("ledger", "i")
+
+    def __init__(self, ledger: Ledger, i: int):
+        self.ledger = ledger
+        self.i = i
+
+    t = property(lambda self: self.i + 1)
+    x = property(lambda self: self.ledger.x[self.i])
+    x_next = property(lambda self: self.ledger.x[self.i + 1])
+    g = property(lambda self: self.ledger.g[self.i])
+    loss = property(lambda self: self.ledger.losses[self.i])
+    loss_value = property(lambda self: float(self.ledger.loss_value[self.i]))
+    breg_r = property(lambda self: float(self.ledger.breg_r[self.i]))
+    certified = property(lambda self: bool(self.ledger.round_certified[self.i]))
+    r_metric = property(lambda self: self.ledger.r_metric[self.i])
+
+    @property
+    def hint(self) -> np.ndarray:
+        led = self.ledger
+        return np.zeros(led.dim) if led.hint is None else led.hint[self.i]
+
+    @property
+    def sigma(self) -> np.ndarray | None:
+        led = self.ledger
+        if led.sigma is not None:
+            return led.sigma[self.i]
+        # exact feedback has no noise; a needs-loss preset takes no feedback
+        return None if led.needs_loss else np.zeros(led.dim)
+
+    @property
+    def eta(self) -> float | None:
+        eta = self.ledger.eta
+        return None if eta is None else float(eta[self.i])
+
+    @property
+    def psi(self) -> L1 | None:
+        led = self.ledger
+        return L1(led.psi_alpha) if led.composite else None
+
+    @property
+    def q_tilde(self) -> Regularizer:
+        led = self.ledger
+        q = _quadratic(led.q_metric[self.i], np.zeros(led.dim))
+        q = composite_wrap(q, self.psi)
+        if led.needs_loss:
+            q = Sum([BregmanAround(self.loss, self.x), q])
+        return q
+
+    @property
+    def q(self) -> Regularizer:
+        hint = self.ledger.hint
+        if hint is None:
+            return self.q_tilde
+        return optimistic_shift(self.q_tilde, hint[self.i], hint[self.i + 1])
+
+    @property
+    def p(self) -> Regularizer:
+        led = self.ledger
+        center = self.x if led.prox_at_x else np.zeros(led.dim)
+        prox = _quadratic(led.prox[self.i], center)
+        if led.kind == "ftrl":
+            return prox
+        q_prev = led.q0 if self.i == 0 else RoundRecord(led, self.i - 1).q
+        return Difference(prox, q_prev)
+
+
+def _quadratic(metric, center) -> Regularizer:
+    """(1/2) ||x - center||_metric^2, or Zero for a zero scaled metric, as the
+    schedules emit it."""
+    if metric.kind == "scaled" and metric.gamma == 0.0:
+        return Zero()
+    return Quadratic(center, metric)
 
 
 @dataclass
@@ -174,16 +267,15 @@ def _running_regret(ledger: Ledger, x_star, composite: bool | None = None,
         regret = ledger.loss_value - _losses(ledger).value(x_star)
     if not composite:
         return _running(regret)
-    # psi is l1 or absent; an absent psi adds +0.0, which leaves a total as it is
-    alpha = np.array([0.0 if rec.psi is None else rec.psi.alpha
-                      for rec in ledger.records])
+    # an uncomposite ledger has alpha 0, whose +0.0 leaves a total as it is
+    alpha = ledger.psi_alpha
     psi = (alpha * np.abs(ledger.x[:-1]).sum(axis=1)
            - alpha * float(np.sum(np.abs(x_star))))
     return _running(regret, psi)
 
 
 def _losses(ledger: Ledger) -> LossColumn:
-    return LossColumn.of(rec.loss for rec in ledger.records)
+    return LossColumn.of(ledger.losses)
 
 
 def _lin_fwd(ledger: Ledger, x_star) -> np.ndarray:
@@ -232,7 +324,7 @@ def decomposition_terms(ledger: Ledger, x_star) -> dict:
     bad = np.flatnonzero(~np.isfinite(d))
     if bad.size:
         i = int(bad[0])
-        raise ValueError(f"round {ledger.records[i].t}: directional "
+        raise ValueError(f"round {i + 1}: directional "
                          f"derivative toward x* is {d[i]}")
     regret = ledger.loss_value - f_star
     return {
@@ -265,48 +357,144 @@ _FORWARD_CASES = ("forward-ftrl", "forward-md")
 _AO_CASES = ("ao-ftrl", "ao-md")
 
 
-def _per_round(ledger: Ledger, term) -> np.ndarray:
-    """term(rec) for every round, +inf from the first +inf on: a running
-    total is +inf from there, so later rounds are not evaluated."""
-    out = np.full(ledger.T, INF)
-    for i, rec in enumerate(ledger.records):
-        v = term(rec)
-        if v == INF:
-            break
-        out[i] = v
+def _capped(col: np.ndarray) -> np.ndarray:
+    """``col``, +inf from its first +inf on: the running total is +inf from
+    there, and the loop over rounds stopped evaluating terms."""
+    hit = np.flatnonzero(col == INF)
+    if hit.size:
+        col[hit[0]:] = INF
+    return col
+
+
+def _matvec(m: MetricColumn, D) -> np.ndarray:
+    """Row i: M_i D_i, as ``QuadMetric.matvec`` computes it.  A quadratic's
+    value is then 0.5 * rowdot(D, M D) and its directional derivative
+    rowdot(M D, Z), the float steps of ``Quadratic`` (whose scale 1.0
+    leaves a product as it is); full rows are a loop."""
+    out = m.gamma[:, None] * D
+    diag = m.kind == 1
+    if diag.any():
+        out[diag] = m.wide[diag] * D[diag]
+    for i in np.flatnonzero(m.kind == 2):
+        out[i] = m.wide[i].matrix @ D[i]
     return out
 
 
-def _diff(reg, x_star, x) -> float:
-    """reg(x*) - reg(x), +inf when reg(x*) is."""
-    vs = reg.value(x_star)
-    return INF if vs == INF else vs - reg.value(x)
+def _quad_values(m: MetricColumn, D) -> np.ndarray:
+    return 0.5 * rowdot(D, _matvec(m, D))
 
 
-def _dual_term(report: BoundReport, vec_of, shift: float):
-    """1/2 ||v_t||^2 under round t's certified metric (shifted by
-    -shift * identity for the smooth rows); +inf, with a note naming the
-    round, where the metric cannot certify it."""
-    def term(rec):
-        v = vec_of(rec)
-        if v is None:
-            return _uncertify(report, f"round {rec.t}: missing vector for dual norm")
-        if not np.any(v):
-            return 0.0
-        m = rec.r_metric
-        if m is None:
-            return _uncertify(report, f"round {rec.t}: no certified metric")
-        if shift:
-            try:
-                m = m.shift_identity(-shift)
-            except ValueError:
-                return _uncertify(report, f"round {rec.t}: metric cannot "
-                                  f"absorb smoothness {shift}")
+def _q_values(ledger: Ledger, y, tilde: bool) -> np.ndarray:
+    """Row i: q_t(y_i), or q~_t(y_i) when ``tilde``, for round t = i + 1 and
+    a column of points y (or one shared point).  The parts add in the order
+    of the record's ``Sum``: 0.0, the loss divergence, psi, the quadratic (a
+    dropped Zero adds 0.0, which leaves a total as it is), the linear shift;
+    a term that is one bare quadratic, or Zero, is its value alone."""
+    T = ledger.T
+    Y = np.broadcast_to(y, (T, ledger.dim))
+    quad = _quad_values(ledger.q_metric, Y)
+    hint = None if tilde else ledger.hint
+    summed = ledger.needs_loss or ledger.composite
+    if not summed and hint is None:
+        return quad
+    total = np.zeros(T)
+    if ledger.needs_loss:
+        # BregmanAround.value: f(y) - f(x_t) - <grad f(x_t), y - x_t>
+        total = total + (_losses(ledger).value(Y) - ledger.loss_value
+                         - rowdot(ledger.g, Y - ledger.x[:-1]))
+    if ledger.composite:
+        total = total + ledger.psi_alpha * np.abs(Y).sum(axis=1)
+    total = total + quad
+    if hint is None:
+        return total
+    # optimistic_shift leaves q~_t as it is where the hint did not move
+    shift = hint[1:] - hint[:-1]
+    moved = shift.any(axis=1)
+    return np.where(moved, total + (rowdot(shift, Y) + 0.0),
+                    total if summed else quad)
+
+
+def _diff_values(vs: np.ndarray, vx: np.ndarray) -> np.ndarray:
+    """reg(x*) - reg(x) per row, +inf where reg(x*) is."""
+    return _capped(np.where(vs == INF, INF, vs - vx))
+
+
+def _bp_md(ledger: Ledger, x_star) -> np.ndarray:
+    """Row i: B_{p_t}(x*, x_t) for the md p_t = r_t - q_{t-1}.
+
+    Where every q_t is Zero (no hint shift, psi or loss divergence, and a
+    zero q~ metric), q_{t-1} subtracts 0.0 from the ``Difference``'s
+    values and directional derivative, and ``core.bregman`` of it is
+    (r_t(x*) - r_t(x_t)) - r_t'(x_t; x* - x_t) from round 2 on.  Round 1
+    (whose q_0 is a handle) and every other run are a loop over the records."""
+    records = ledger.records
+    q = ledger.q_metric
+    if (ledger.hint is not None or ledger.needs_loss or ledger.composite
+            or q.kind.any() or q.gamma.any()):
+        return _capped(np.array([rec.p.bregman(x_star, rec.x) for rec in records]))
+    x = ledger.x[:-1]
+    center = x if ledger.prox_at_x else 0.0
+    Ds, Dx = np.broadcast_to(x_star - center, x.shape), x - center
+    out = (_quad_values(ledger.prox, Ds) - _quad_values(ledger.prox, Dx)
+           - rowdot(_matvec(ledger.prox, Dx), x_star - x))
+    out[0] = records[0].p.bregman(x_star, x[0])
+    return _capped(out)
+
+
+def _dual_row(v, m, shift: float):
+    """(1/2 ||v||^2 under m - shift I, None), or (+inf, why) where that
+    metric cannot certify it."""
+    if shift:
         try:
-            return 0.5 * dual_norm_sq(m, v)
-        except SingularMetricError as e:
-            return _uncertify(report, f"round {rec.t}: {e}")
-    return term
+            m = m.shift_identity(-shift)
+        except ValueError:
+            return INF, f"metric cannot absorb smoothness {shift}"
+    try:
+        return 0.5 * dual_norm_sq(m, v), None
+    except SingularMetricError as e:
+        return INF, str(e)
+
+
+def _dual_values(report: BoundReport, ledger: Ledger, V, shift: float) -> np.ndarray:
+    """Row i: 1/2 ||V_i||^2 under round i's certified metric, less
+    shift * identity for the smooth rows; +inf from the first round whose
+    metric cannot certify it, with a note naming the round.
+
+    A zero vector costs 0.0.  Scaled and diagonal rows are the steps of
+    ``shift_identity`` and ``dual_norm_sq`` as column expressions: a row
+    is certified where every shifted weight w has 0 < w (< inf when
+    shifted).  Full rows are a loop over ``_dual_row``."""
+    T = ledger.T
+    if V is None:
+        _uncertify(report, "round 1: missing vector for dual norm")
+        return np.full(T, INF)
+    m = ledger.r_metric
+    live = V.any(axis=1)
+    out = np.zeros(T)
+    ok = ~live
+    for k in (0, 1):
+        rows = np.flatnonzero(live & (m.kind == k))
+        if rows.size:
+            w = m.gamma[rows, None] if k == 0 else m.wide[rows]
+            if shift:
+                w = w + (-shift)
+            Vr = V[rows]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out[rows] = 0.5 * (rowdot(Vr, Vr) / w[:, 0] if k == 0
+                                   else rowdot(Vr, Vr / w))
+            ok[rows] = (w > 0.0).all(axis=1) & ((w < INF).all(axis=1) | (not shift))
+    for i in np.flatnonzero(live & (m.kind == 2)):
+        out[i], why = _dual_row(V[i], m[i], shift)
+        ok[i] = why is None
+        if why is not None:
+            break
+    stop = np.flatnonzero(~ok | (out == INF))
+    if stop.size:
+        i = int(stop[0])
+        if not ok[i]:
+            _uncertify(report, f"round {i + 1}: {_dual_row(V[i], m[i], shift)[1]}")
+        out[i:] = INF
+    return out
 
 
 def _uncertify(report: BoundReport, note: str) -> float:
@@ -325,7 +513,7 @@ def _bound(ledger: Ledger, x_star, case: str, inputs: BoundInputs | None = None,
            include_final_q: bool = True) -> BoundReport:
     """Every bound of this module except the variational and schedule ones.
 
-    Each term is a per-round array; the report's running bound is the
+    Each term is a per-round column; the report's running bound is the
     left-to-right running sum of the terms (np.cumsum, which adds in the
     order a loop would, unlike the pairwise np.sum), its total the last
     entry, so a report and the CSV built from it agree bit for bit.  Row t
@@ -344,27 +532,32 @@ def _bound(ledger: Ledger, x_star, case: str, inputs: BoundInputs | None = None,
     inputs = inputs or BoundInputs()
     report = BoundReport(case, 0.0, {})
     _check_certified(ledger, report)
-    if strong and any(rec.loss.bregman(x_star, rec.x)
-                      < rec.p.bregman(x_star, rec.x) - 1e-9
-                      for rec in ledger.records):
-        _uncertify(report, "loss curvature does not dominate B_{p_t}(x*, x_t)")
+    x, x_next = ledger.x[:-1], ledger.x[1:]
+    bp = None if ftrl_case else _bp_md(ledger, x_star)
+    if strong:
+        losses = _losses(ledger)
+        breg_loss = (losses.value(x_star) - ledger.loss_value
+                     - losses.dir_deriv(x, x_star - x))
+        if np.any(breg_loss < bp - 1e-9):
+            _uncertify(report, "loss curvature does not dominate B_{p_t}(x*, x_t)")
 
     # q_0 term, then one per round; the optimistic bounds use q~ and, like
     # include_final_q=False, stop one q term short of each row
     q0 = ledger.q0_tilde if optimistic else ledger.q0
     q_terms = np.concatenate((
         [q0.value(x_star) - q0.value(ledger.x1)],
-        _per_round(ledger, lambda rec: _diff(
-            rec.q_tilde if optimistic else rec.q, x_star, rec.x_next))))
+        _diff_values(_q_values(ledger, x_star, optimistic),
+                     _q_values(ledger, x_next, optimistic))))
     q_run = np.cumsum(q_terms)
     parts = {"q_sum": q_run[:-1] if optimistic or not include_final_q
              else q_run[1:]}
     if ftrl_case:
-        parts["p_sum"] = np.cumsum(_per_round(
-            ledger, lambda rec: _diff(rec.p, x_star, rec.x)))
+        center = x if ledger.prox_at_x else 0.0
+        parts["p_sum"] = np.cumsum(_diff_values(
+            _quad_values(ledger.prox, np.broadcast_to(x_star - center, x.shape)),
+            _quad_values(ledger.prox, x - center)))
     elif not strong:
-        parts["bp_sum"] = np.cumsum(_per_round(
-            ledger, lambda rec: rec.p.bregman(x_star, rec.x)))
+        parts["bp_sum"] = np.cumsum(bp)
 
     if smooth:
         L = inputs.smoothness
@@ -377,20 +570,21 @@ def _bound(ledger: Ledger, x_star, case: str, inputs: BoundInputs | None = None,
         anchor = x_star if ftrl_case else x_star - ledger.x1
         parts["smooth_anchor"] = 0.5 * L * float(np.dot(anchor, anchor))
         parts["d_init"] = float(inputs.d_init)
-        parts["noise_sum"] = np.cumsum(_per_round(
-            ledger, _dual_term(report, lambda rec: rec.sigma, L)))
+        sigma = ledger.sigma if ledger.sigma is not None or ledger.needs_loss \
+            else np.zeros_like(ledger.g)
+        parts["noise_sum"] = np.cumsum(_dual_values(report, ledger, sigma, L))
     elif optimistic:
-        parts["hint_err_sum"] = np.cumsum(_per_round(
-            ledger, _dual_term(report, lambda rec: rec.g - rec.hint, 0.0)))
+        hint = ledger.hint[:-1] if ledger.hint is not None else 0.0
+        parts["hint_err_sum"] = np.cumsum(_dual_values(
+            report, ledger, ledger.g - hint, 0.0))
     elif not forward:
-        parts["grad_sum"] = np.cumsum(_per_round(
-            ledger, _dual_term(report, lambda rec: rec.g, 0.0)))
+        parts["grad_sum"] = np.cumsum(_dual_values(report, ledger, ledger.g, 0.0))
 
     running = 0.0
     for part in parts.values():
         running = running + part
     if forward:
-        parts["breg_r_sum"] = np.cumsum(_per_round(ledger, lambda rec: rec.breg_r))
+        parts["breg_r_sum"] = np.cumsum(_capped(ledger.breg_r.copy()))
         running = running - parts["breg_r_sum"]
     report.terms = {k: float(v[-1]) if isinstance(v, np.ndarray) else v
                     for k, v in parts.items()}
@@ -450,7 +644,7 @@ def bound_variational_smooth(ledger: Ledger, x_star, inputs: BoundInputs) -> Bou
     valid when eta_t eta_{t+1} >= 8 L^2 along the schedule."""
     x_star = as_point(x_star)
     L = inputs.smoothness if inputs.smoothness is not None else 0.0
-    etas = [rec.eta for rec in ledger.records]
+    etas = [None] * ledger.T if ledger.eta is None else ledger.eta.tolist()
     if any(e is None or e <= 0 for e in etas):
         raise ValueError("variational bound needs a positive eta trail")
     chain = etas + [etas[-1]]
@@ -463,10 +657,14 @@ def bound_variational_smooth(ledger: Ledger, x_star, inputs: BoundInputs) -> Bou
     report = BoundReport("variational-smooth", 0.0, {},
                          quality=inputs.variation_quality)
     _check_certified(ledger, report)
-    q = ledger.q0_tilde.value(x_star)
-    for rec in ledger.records:
-        q += rec.q_tilde.value(x_star)
-    p = sum(rec.p.value(x_star) for rec in ledger.records)
+    center = ledger.x[:-1] if ledger.prox_at_x else 0.0
+    q = float(np.cumsum(np.concatenate((
+        [ledger.q0_tilde.value(x_star)], _q_values(ledger, x_star, True))))[-1])
+    p_at_star = _quad_values(ledger.prox, np.broadcast_to(
+        x_star - center, (ledger.T, ledger.dim))) \
+        if ledger.kind == "ftrl" \
+        else np.array([rec.p.value(x_star) for rec in ledger.records])
+    p = float(_running(p_at_star)[-1])
     v = 2.0 * sum(term / eta for term, eta in zip(inputs.variation_terms, etas))
     report.terms = {"q_at_star": q, "p_at_star": p, "variation_sum": v}
     report.value = q + p + v
@@ -540,7 +738,7 @@ def select_comparator(ledger: Ledger, policy: str = "offline-best",
             raise ValueError("explicit comparator is infeasible")
         return x
     if policy == "star-center":
-        c = ledger.records[0].loss.star_center
+        c = ledger.losses[0].star_center
         if c is None:
             raise ValueError("losses carry no star center")
         if not fs.contains(c):
@@ -553,39 +751,28 @@ def select_comparator(ledger: Ledger, policy: str = "offline-best",
 
 def _offline_best(ledger: Ledger) -> np.ndarray:
     fs = ledger.feasible_set
-    names = {rec.loss.name for rec in ledger.records}
-    psi_alpha = _total_psi_alpha(ledger) if ledger.composite else 0.0
-    if names == {"linear"}:
-        g_total = np.sum([rec.loss.grad(ledger.x1) for rec in ledger.records], axis=0)
+    losses = ledger.losses
+    # the run's psi_t are all alpha ||.||_1: their total, added round by round
+    psi_alpha = float(_running(np.full(ledger.T, ledger.psi_alpha))[-1]) \
+        if ledger.composite else 0.0
+    if all(f.vector is not None for f in losses):
+        g_total = np.sum([f.grad(ledger.x1) for f in losses], axis=0)
         return _linear_offline(fs, g_total, psi_alpha)
     if ledger.composite:
         raise ValueError("offline comparator for composite runs needs linear losses")
-    if names == {"quadratic"}:
-        centers = np.array([rec.loss.star_center for rec in ledger.records])
-        weights = np.array([rec.loss.smoothness for rec in ledger.records])
+    if all(is_isotropic_quadratic(f) for f in losses):
+        centers = np.array([f.isotropic[1] for f in losses])
+        weights = np.array([f.isotropic[0] for f in losses])
         mean = np.average(centers, axis=0, weights=weights)
         return fs.project(mean)
-    center = ledger.records[0].loss.star_center
+    center = losses[0].star_center
     if center is not None and all(
-            rec.loss.star_center is not None
-            and np.array_equal(rec.loss.star_center, center)
-            for rec in ledger.records):
+            f.star_center is not None and np.array_equal(f.star_center, center)
+            for f in losses):
         if not fs.contains(center):
             raise ValueError("shared star center is infeasible")
         return as_point(center)
     raise ValueError("no exact offline comparator for this loss mix")
-
-
-def _total_psi_alpha(ledger: Ledger) -> float:
-    total = 0.0
-    for rec in ledger.records:
-        if rec.psi is None:
-            continue
-        alpha = getattr(rec.psi, "alpha", None)
-        if alpha is None:
-            raise ValueError("composite comparator needs l1 composite terms")
-        total += alpha
-    return total
 
 
 def _linear_offline(fs, g_total: np.ndarray, psi_alpha: float) -> np.ndarray:
@@ -646,7 +833,7 @@ def ledger_rows(ledger: Ledger, x_star, bound_case: str | None = None,
     if report is None:
         report = bound_table2(ledger, x_star, bound_case or f"oo-{ledger.kind}",
                               inputs)
-    t = np.array([rec.t for rec in ledger.records], dtype=float)
+    t = np.arange(1.0, ledger.T + 1.0)
     cum_regret, cum_bound = terms["cum_regret"], report.running
     return np.column_stack(
         [t, ledger.x[:-1], ledger.g] + [terms[k] for k in CSV_TERMS]

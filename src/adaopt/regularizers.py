@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import INF, QuadMetric, as_point, dot, quad_norm_sq
+from .core import INF, QuadMetric, as_point, bregman_of, dot, quad_norm_sq
 from .losses import BregmanAround, is_isotropic_quadratic
 
 
@@ -148,25 +148,39 @@ class L1(Regularizer):
         self.alpha = alpha
 
     def value(self, x):
-        return self.alpha * float(np.sum(np.abs(x)))
+        return _l1_value(self.alpha, x)
 
     def grad(self, x):
         # sign(x) with 0 at zero coordinates is a valid local sub-gradient
         return self.alpha * np.sign(np.asarray(x, dtype=float))
 
     def dir_deriv(self, x, z):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        at_zero = x == 0.0
-        val = float(np.sum(np.sign(x[~at_zero]) * z[~at_zero]))
-        val += float(np.sum(np.abs(z[at_zero])))
-        return self.alpha * val
+        return _l1_dir_deriv(self.alpha, x, z)
 
     def is_zero(self):
         return self.alpha == 0.0
 
     def __repr__(self):
         return f"L1({self.alpha})"
+
+
+def _l1_value(alpha: float, x) -> float:
+    return alpha * float(np.sum(np.abs(x)))
+
+
+def _l1_dir_deriv(alpha: float, x, z) -> float:
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    at_zero = x == 0.0
+    val = float(np.sum(np.sign(x[~at_zero]) * z[~at_zero]))
+    val += float(np.sum(np.abs(z[at_zero])))
+    return alpha * val
+
+
+def l1_bregman(alpha: float, y, x) -> float:
+    """``L1(alpha).bregman(y, x)`` without building the handle."""
+    return bregman_of(lambda p: _l1_value(alpha, p),
+                      lambda p, z: _l1_dir_deriv(alpha, p, z), y, x)
 
 
 class Indicatrix(Regularizer):
@@ -327,13 +341,23 @@ def _structurally_proximal(p: Regularizer, x_t: np.ndarray) -> bool:
 
 
 class Terms(NamedTuple):
-    """What one emitted regularizer brings to a round, from ``classify``."""
+    """One round term as parameters: what it adds to the objective and to r.
+
+    ``Driver.round`` emits each term in this form, with its parts in the
+    order every fold takes them: the round loss's divergence from x_t
+    (``loss``), the l1 weight, the quadratic (1/2) ||x - center||_metric^2
+    (centred at the origin or at x_t), the linear part <shift, x>.
+    ``classify`` reads a hand-built ``Regularizer`` into the first five
+    fields; such a term folds into an objective as the handle it is."""
 
     metric: QuadMetric | None   # PSD metric of the quadratic parts, None if signed
-    l1: float                   # total l1 weight
-    handles: list               # non-isotropic loss divergences
-    certified: bool             # every quadratic part has a non-negative scale
-    quadratic: bool             # only quadratic and linear parts
+    l1: float = 0.0             # total l1 weight
+    handles: list = ()          # non-isotropic loss divergences
+    certified: bool = True      # every quadratic part has a non-negative scale
+    quadratic: bool = True      # only quadratic and linear parts
+    center: np.ndarray | None = None   # the emitted quadratic's centre
+    shift: np.ndarray | None = None    # the emitted linear part, or None
+    loss: bool = False                 # B_{f_t}(., x_t) is a part
 
 
 def classify(reg: Regularizer, dim: int) -> Terms:
@@ -368,7 +392,7 @@ def classify(reg: Regularizer, dim: int) -> Terms:
             metric = None
         elif isinstance(part, BregmanAround) and metric is not None:
             if is_isotropic_quadratic(part.loss):
-                metric = metric.add(QuadMetric.scaled(part.loss.smoothness, dim))
+                metric = metric.add(QuadMetric.scaled(part.loss.isotropic[0], dim))
             else:
                 handles.append(part)
     return Terms(metric, l1, handles, certified, quadratic)
@@ -506,11 +530,16 @@ def final_attack_eta(state: ScheduleState, g, hint, radius: float, smooth_l: flo
     return eta
 
 
-def proximal_eta_increment(x_t, eta_t: float, eta_prev: float) -> Regularizer:
-    """p_t = ((eta_t - eta_prev)/2) ||x - x_t||^2 for a non-decreasing eta schedule."""
+def eta_increment(eta_t: float, eta_prev: float) -> float:
+    """eta_t - eta_prev for a non-decreasing eta schedule."""
     if eta_t < eta_prev - 1e-12:
         raise ValueError(f"eta schedule must be non-decreasing ({eta_prev} -> {eta_t})")
-    gamma = max(eta_t - eta_prev, 0.0)
+    return max(eta_t - eta_prev, 0.0)
+
+
+def proximal_eta_increment(x_t, eta_t: float, eta_prev: float) -> Regularizer:
+    """p_t = ((eta_t - eta_prev)/2) ||x - x_t||^2 for a non-decreasing eta schedule."""
+    gamma = eta_increment(eta_t, eta_prev)
     if gamma == 0.0:
         return Zero()
     return Quadratic(x_t, QuadMetric.scaled(gamma), 1.0)

@@ -39,7 +39,7 @@ import numpy as np
 from .core import INF, DimensionMismatch, QuadMetric, as_point
 from .losses import BregmanAround, is_isotropic_quadratic
 from .regularizers import (L1, Indicatrix, Linear, Quadratic, Regularizer,
-                           Sum)
+                           Sum, Terms)
 
 _FEAS_TOL = 1e-9
 
@@ -382,6 +382,37 @@ class Objective:
             self.const += 0.5 * gamma * float(np.dot(center, center))
         self.gamma += gamma
 
+    def add_terms(self, term, anchor: np.ndarray, div=None):
+        """Fold one round term.  A ``Terms`` tuple folds its parts in order:
+        the loss divergence, when flagged, from ``div`` = (loss, f(anchor),
+        grad f(anchor)) at the anchor x_t; the l1 weight; the quadratic
+        around its centre (a zero scaled metric is no part); the linear
+        shift.  A hand-built ``Regularizer`` folds through
+        ``add_regularizer``."""
+        if not isinstance(term, Terms):
+            self.add_regularizer(term)
+            return
+        if term.loss:
+            self._fold_divergence(div[0], anchor, div[1], div[2])
+        self.l1_alpha += term.l1
+        m = term.metric
+        if m.kind != "scaled" or m.gamma != 0.0:
+            self._fold_quadratic(term.center, m, 1.0)
+        if term.shift is not None:
+            self.lin = self.lin + term.shift
+
+    def _fold_divergence(self, loss, anchor, f_anchor, g_anchor):
+        """Fold B_f(., anchor) = f - f(a) - <grad f(a), . - a>: the loss (in
+        closed form when isotropic), its anchor gradient out of the linear
+        slot, the rest into the constant."""
+        if is_isotropic_quadratic(loss):
+            weight, center = loss.isotropic
+            self._fold_isotropic(center, weight)
+        else:
+            self.losses.append(loss)
+        self.lin = self.lin - g_anchor
+        self.const += float(np.dot(g_anchor, anchor)) - f_anchor
+
     def add_regularizer(self, reg: Regularizer, scale: float = 1.0):
         if reg.is_zero():
             return
@@ -406,17 +437,9 @@ class Objective:
                 raise ValueError("indicatrix set differs from the objective's set")
             return
         if isinstance(reg, BregmanAround):
-            # f - f(a) - <grad f(a), . - a>: the loss, its anchor gradient
-            # out of the linear slot, the rest into the constant
             if scale != 1.0:
                 raise ValueError("a loss divergence enters an objective unscaled")
-            loss = reg.loss
-            if is_isotropic_quadratic(loss):
-                self._fold_isotropic(loss.star_center, loss.smoothness)
-            else:
-                self.losses.append(loss)
-            self.lin = self.lin - reg.g_anchor
-            self.const += float(np.dot(reg.g_anchor, reg.anchor)) - reg.f_anchor
+            self._fold_divergence(reg.loss, reg.anchor, reg.f_anchor, reg.g_anchor)
             return
         raise TypeError(f"cannot collect {type(reg).__name__} into an objective")
 

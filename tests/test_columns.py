@@ -9,7 +9,6 @@ np.cumsum (which adds in loop order); both are numpy implementation
 details, so these tests also run on the oldest numpy the package accepts.
 """
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -213,7 +212,7 @@ def test_a_prefix_of_the_records_is_the_truncated_run():
     led = LEDGERS["composite-ftrl"]()
     x_star = _comparator(led)
     full = regret.decomposition_terms(led, x_star)
-    cut = dataclasses.replace(led, records=led.records[:17])
+    cut = led.prefix(17)
     assert cut.x.shape[0] == 18 and cut.g.shape[0] == 17
     part = regret.decomposition_terms(cut, x_star)
     for k in regret.CSV_TERMS + ("cum_regret",):

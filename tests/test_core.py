@@ -45,7 +45,7 @@ def test_metric_norms_hand_values():
 
 def test_metric_add_mixes_kinds():
     m = QuadMetric.scaled(2.0).add(QuadMetric.diagonal([1.0, 3.0]))
-    assert np.allclose(m.diag_weights(2), [3.0, 5.0])
+    assert np.allclose(m.weights, [3.0, 5.0])
     full = m.add(QuadMetric.full([[1.0, 0.5], [0.5, 1.0]]))
     assert np.allclose(full.matrix, [[4.0, 0.5], [0.5, 6.0]])
 
@@ -66,7 +66,7 @@ def test_metric_solve_roundtrip():
 
 def test_metric_shift_identity():
     m = QuadMetric.diagonal([3.0, 5.0]).shift_identity(-1.0)
-    assert np.allclose(m.diag_weights(), [2.0, 4.0])
+    assert np.allclose(m.weights, [2.0, 4.0])
 
 
 def test_singular_metric_raises_on_dual_norm():

@@ -4,7 +4,7 @@ hint plumbing, and the composite path."""
 import numpy as np
 import pytest
 
-from adaopt import losses, solvers
+from adaopt import learners, losses, solvers
 from adaopt.core import QuadMetric
 from adaopt.learners import (PRESETS, Driver, FtrlLearner, MdLearner,
                              preset_defaults, run_rounds)
@@ -206,11 +206,11 @@ def _iso(scale, dim=1):
 
 def test_negative_scale_quadratic_in_q_uncertifies_and_drops_the_r_metric():
     lrn = FtrlLearner(UNC2, q0=_iso(2.0, 2))
-    _, r_metric, _ = lrn.step(np.array([1.0, -1.0]), Zero(), _iso(-0.5, 2))
+    r_metric, _ = lrn.step(np.array([1.0, -1.0]), Zero(), _iso(-0.5, 2))
     assert r_metric is not None and r_metric.gamma == 2.0
     assert lrn.certified is False
     # r_2 = r_1 + q_1 has a signed part, so it has no metric
-    _, r_metric, breg = lrn.step(np.array([0.5, 0.5]), Zero(), Zero())
+    r_metric, breg = lrn.step(np.array([0.5, 0.5]), Zero(), Zero())
     assert r_metric is None and breg == 0.0
     assert lrn.certified is False
 
@@ -218,9 +218,9 @@ def test_negative_scale_quadratic_in_q_uncertifies_and_drops_the_r_metric():
 def test_l1_part_of_q_enters_the_next_r_divergence():
     # x_2 = argmin -1.5 x + x^2/2 + |x|/2 = 1; x_3 = argmin 1.5 x + x^2/2 + |x|/2 = -1
     lrn = FtrlLearner(solvers.Unconstrained(1), q0=_iso(1.0))
-    _, _, breg = lrn.step(np.array([-1.5]), Zero(), L1(0.5))
+    _, breg = lrn.step(np.array([-1.5]), Zero(), L1(0.5))
     assert breg == 0.5      # r_{1:1} = q~_0 alone: (1/2)(x_2 - x_1)^2
-    _, _, breg = lrn.step(np.array([3.0]), Zero(), Zero())
+    _, breg = lrn.step(np.array([3.0]), Zero(), Zero())
     assert lrn.x == pytest.approx([-1.0], abs=1e-12)
     # (1/2)(x_3 - x_2)^2 plus B_{|.|/2}(-1, 1) = (1 - 1 + 2) / 2
     assert breg == pytest.approx(2.0 + 1.0, abs=1e-12)
@@ -234,7 +234,7 @@ def test_loss_divergence_in_q_is_carried_as_a_handle_unless_isotropic():
         lrn = FtrlLearner(solvers.Unconstrained(1), q0=_iso(1.0), solver_tol=1e-12)
         lrn.step(np.array([0.5]), Zero(), losses.BregmanAround(loss, lrn.x))
         x_2 = lrn.x
-        _, r_metric, breg = lrn.step(np.array([-1.0]), Zero(), Zero())
+        r_metric, breg = lrn.step(np.array([-1.0]), Zero(), Zero())
         # the isotropic divergence is the metric 3 I; the other is a handle
         assert r_metric.gamma == (4.0 if loss is f else 1.0)
         assert breg == pytest.approx(0.5 * 4.0 * float(lrn.x[0] - x_2[0]) ** 2,
@@ -251,7 +251,7 @@ def test_loss_divergence_in_p_or_q0_enters_the_r_divergence():
     handle = losses.BregmanAround(kept, np.zeros(1))
     for q0, p_1 in ((_iso(1.0), handle), (Sum([_iso(1.0), handle]), Zero())):
         lrn = FtrlLearner(solvers.Unconstrained(1), q0=q0, solver_tol=1e-12)
-        _, r_metric, breg = lrn.step(np.array([0.5]), p_1, Zero())
+        r_metric, breg = lrn.step(np.array([0.5]), p_1, Zero())
         assert lrn.x == pytest.approx([-0.125], abs=1e-9)
         assert r_metric.gamma == 1.0
         assert breg == pytest.approx(0.03125, rel=1e-6)
@@ -262,3 +262,51 @@ def test_md_rejects_an_r_with_an_l1_part():
     r_t = Sum([_iso(1.0, 2), L1(0.1)])
     with pytest.raises(ValueError, match="quadratic-family"):
         lrn.step(np.array([1.0, 0.0]), r_t, Zero())
+
+
+# -- play emits parameters, not objects ----------------------------------------
+
+_PLAY = [(p, {}) for p in PRESETS] + [
+    ("ftrl-prox", {"gamma0": 0.5, "composite_alpha": 0.1,
+                   "composite_setting": "revealed-after"}),
+    ("ftrl-prox", {"gamma0": 0.5, "composite_alpha": 0.1,
+                   "composite_setting": "known-before"}),
+    ("md", {"composite_alpha": 0.1}),
+    ("adagrad-da", {"metric": "full"}),
+]
+
+
+@pytest.mark.parametrize("stream", ["random-linear", "drifting-quadratic"])
+@pytest.mark.parametrize("preset,params", _PLAY)
+def test_play_builds_no_regularizer_objects(monkeypatch, preset, params, stream):
+    # every term of a preset's round is a parameter tuple: during play no
+    # regularizer handle, Sum, Difference, loss divergence or record is
+    # built, and nothing is classified or folded as a handle
+    d, T = 3, 8
+    centers = np.random.default_rng(5).uniform(-0.8, 0.8, (T, d))
+    seq = losses.random_stream(d, seed=4) if stream == "random-linear" \
+        else losses.DriftingQuadratic(lambda t: centers[t - 1], d)
+    driver = Driver(preset, solvers.Box(-np.ones(d), np.ones(d)), params)
+    built = []
+
+    def spy(name, fn=None):
+        def call(*args, **kw):
+            built.append(name)
+            return None if fn is None else fn(*args, **kw)
+        return call
+
+    from adaopt import regret, regularizers
+    classes = [losses.BregmanAround, regret.RoundRecord, regularizers.Regularizer]
+    for cls in classes:
+        classes.extend(cls.__subclasses__())
+    for cls in classes:
+        monkeypatch.setattr(cls, "__init__", spy(cls.__name__, cls.__init__))
+    monkeypatch.setattr(regularizers, "classify", spy("classify"))
+    monkeypatch.setattr(learners, "classify", spy("classify"))
+    monkeypatch.setattr(solvers.Objective, "add_regularizer",
+                        spy("Objective.add_regularizer"))
+    led = run_rounds(driver, seq, T)
+    monkeypatch.undo()
+    assert built == []
+    assert led.T == T and led.certified()
+    assert np.isfinite(regret.bound_table2(led, led.x1, f"oo-{led.kind}").value)

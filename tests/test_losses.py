@@ -307,3 +307,26 @@ def test_check_pl_sharp_constant():
         f = losses.quadratic_loss(np.zeros(2), w)
         assert losses.check_pl(f, w, rng=rng)
         assert not losses.check_pl(f, 1.1 * w, rng=rng)
+
+
+def test_a_loss_named_quadratic_is_what_its_handles_compute():
+    # a library loss with quadratic_loss's name and a star centre but another
+    # value: only quadratic_loss's mark makes a loss a closed-form quadratic,
+    # for the loss column, the objective fold and the comparator alike
+    f = losses.Loss("quadratic", value=lambda x: float(np.sum(x ** 4)),
+                    grad=lambda x: 4.0 * x ** 3, smoothness=1.0,
+                    star_center=[0.0, 0.0])
+    x = np.array([0.5, 2.0])
+    assert f.value(x) == 16.0625
+    assert not losses.is_isotropic_quadratic(f)
+    assert losses.LossColumn.of([f]).value(x)[0] == 16.0625
+    fold = solvers.Objective.build(solvers.Unconstrained(2),
+                                   regularizer=losses.BregmanAround(f, x))
+    assert fold.losses == [f] and fold.gamma == 0.0
+    q = losses.quadratic_loss([0.0, 0.0])
+    assert losses.is_isotropic_quadratic(q)
+    assert losses.LossColumn.of([q]).value(x)[0] == q.value(x) == 2.125
+    # likewise a loss named "linear" has no closed-form variation
+    named_linear = losses.Loss("linear", value=f.value, grad=f.grad)
+    box = solvers.Box(-np.ones(2), np.ones(2))
+    assert losses.FixedLoss(named_linear, 2).per_round_variation(3, box) is None

@@ -1,7 +1,6 @@
 """Regret accounting: the decomposition identity, the bound calculators,
 comparator selection, and the ledger export."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from adaopt import losses, solvers, suites
 from adaopt.core import INF, dual_norm_sq
-from adaopt.learners import Driver, run_rounds
+from adaopt.learners import PRESETS, Driver, run_rounds
 from adaopt.regret import (
     TABLE2_CASES, BoundInputs, bound_ao_ftrl, bound_ao_md, bound_final_attack,
     bound_forward_ftrl, bound_forward_md, bound_table2,
@@ -225,11 +224,11 @@ def test_scale_tau_formula_and_guards():
 
 def test_uncertified_metric_reports_inf_not_a_number():
     led = two_round_ledger()
-    patched = dataclasses.replace(led.records[0], r_metric=None)
-    broken = dataclasses.replace(led, records=[patched, led.records[1]])
-    rep = bound_table2(broken, np.zeros(1), "oo-ftrl")
-    assert rep.value == INF
+    led.r_metric.gamma[1] = 0.0     # round 2's metric cannot take a dual norm
+    rep = bound_table2(led, np.zeros(1), "oo-ftrl")
+    assert rep.value == INF and math.isfinite(rep.running[0])
     assert not rep.certified
+    assert rep.notes == ["round 2: scaled-identity metric has gamma = 0"]
 
 
 # -- comparator selection -----------------------------------------------------------
@@ -398,7 +397,7 @@ def test_running_bound_is_the_truncated_runs_bound(case):
     full = report(led)
     assert len(full.running) == led.T and full.running[-1] == full.value
     for t in (1, 5, 11):
-        cut = dataclasses.replace(led, records=led.records[:t])
+        cut = led.prefix(t)
         assert report(cut).value == full.running[t - 1], t
 
 
@@ -427,3 +426,53 @@ def test_sum_sqrt_frozen_values():
 def test_sum_sqrt_inequality(a):
     lhs, rhs = sum_sqrt_check(np.array(a))
     assert lhs <= rhs + 1e-9 * rhs
+
+
+# every preset's bound terms against the loop over its record handles
+_BOUND_RUNS = [(p, {}) for p in PRESETS] + [
+    ("ftrl-prox", {"gamma0": 0.5, "composite_alpha": 0.1}),
+    ("ftrl-prox", {"gamma0": 0.5, "composite_alpha": 0.1,
+                   "composite_setting": "known-before"}),
+    ("md", {"composite_alpha": 0.05}),
+    ("md", {"sigma_r": 0.5}),
+    ("adagrad-da", {"metric": "full"}),
+    ("ao-ftrl-prox", {"hints": "none"}),
+]
+
+
+@pytest.mark.parametrize("preset,params", _BOUND_RUNS)
+def test_bound_terms_are_the_loops_over_the_record_handles(preset, params):
+    # the bound columns add in the order of the per-round loop over the
+    # records' p, q, q~ and r_metric, so they equal it bit for bit
+    d, T = 3, 15
+    centers = np.random.default_rng(2).uniform(-0.8, 0.8, (T, d))
+    seq = losses.DriftingQuadratic(lambda t: centers[t - 1], d) \
+        if preset in ("implicit-md", "nonlin-ftrl") \
+        else losses.random_stream(d, seed=11)
+    led = run_rounds(Driver(preset, solvers.Box(-np.ones(d), np.ones(d)),
+                            params, solver_tol=1e-12), seq, T)
+    x_star = select_comparator(led)
+    loop = {k: [] for k in ("q", "q~", "p", "grad", "hint_err", "breg")}
+    for rec in led.records:
+        for key, q in (("q", rec.q), ("q~", rec.q_tilde)):
+            loop[key].append(q.value(x_star) - q.value(rec.x_next))
+        loop["p"].append(rec.p.value(x_star) - rec.p.value(rec.x)
+                         if led.kind == "ftrl" else rec.p.bregman(x_star, rec.x))
+        v = rec.g - rec.hint
+        loop["grad"].append(0.5 * dual_norm_sq(rec.r_metric, rec.g))
+        loop["hint_err"].append(0.5 * dual_norm_sq(rec.r_metric, v)
+                                if np.any(v) else 0.0)
+        loop["breg"].append(rec.breg_r)
+    total = {k: float(np.cumsum(v)[-1]) for k, v in loop.items()}
+    q0, q0_tilde = (q.value(x_star) - q.value(led.x1)
+                    for q in (led.q0, led.q0_tilde))
+    comp = "p_sum" if led.kind == "ftrl" else "bp_sum"
+    oo = bound_table2(led, x_star, f"oo-{led.kind}")
+    assert oo.terms == {"q_sum": float(np.cumsum([q0] + loop["q"])[-1]),
+                        comp: total["p"], "grad_sum": total["grad"]}
+    fwd = (bound_forward_ftrl if led.kind == "ftrl" else bound_forward_md)(led, x_star)
+    assert fwd.terms == {"q_sum": oo.terms["q_sum"], comp: total["p"],
+                         "breg_r_sum": total["breg"]}
+    ao = (bound_ao_ftrl if led.kind == "ftrl" else bound_ao_md)(led, x_star)
+    assert ao.terms == {"q_sum": float(np.cumsum([q0_tilde] + loop["q~"])[-2]),
+                        comp: total["p"], "hint_err_sum": total["hint_err"]}

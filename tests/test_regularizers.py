@@ -158,11 +158,11 @@ def test_adagrad_diag_increments_hand_values():
     # Increments divided by eta: (1, 0) then (0, 1).
     state = ScheduleState()
     m1, state = adagrad_diag_step(state, np.array([4.0, 0.0]), eta=2.0, gamma0=9.0)
-    assert np.allclose(m1.diag_weights(2), [1.0, 0.0])
+    assert np.allclose(m1.weights, [1.0, 0.0])
     m2, state = adagrad_diag_step(state, np.array([0.0, 4.0]), eta=2.0, gamma0=9.0)
-    assert np.allclose(m2.diag_weights(2), [0.0, 1.0])
+    assert np.allclose(m2.weights, [0.0, 1.0])
     total = adagrad_initial_metric(2, 2.0, 9.0).add(m1).add(m2)
-    assert np.allclose(total.diag_weights(2), [2.5, 2.5])
+    assert np.allclose(total.weights, [2.5, 2.5])
 
 
 def test_adagrad_diag_rejects_bad_eta():
@@ -175,8 +175,7 @@ def test_adagrad_full_matches_diag_in_one_dim():
     for g in ([2.0], [-1.0], [0.5]):
         md, sd = adagrad_diag_step(sd, np.array(g), eta=1.5, gamma0=0.25)
         mf, sf = adagrad_full_step(sf, np.array(g), eta=1.5, gamma0=0.25)
-        assert mf.matrix[0, 0] == pytest.approx(md.diag_weights(1)[0],
-                                                abs=1e-12)
+        assert mf.matrix[0, 0] == pytest.approx(md.weights[0], abs=1e-12)
 
 
 def test_adagrad_full_increments_sum_to_root():

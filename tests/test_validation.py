@@ -5,7 +5,7 @@ bad input when they are called directly."""
 import numpy as np
 import pytest
 
-from adaopt import losses, regret, solvers
+from adaopt import losses, solvers
 from adaopt.core import QuadMetric
 from adaopt.learners import Driver, run_rounds
 from adaopt.regularizers import (Linear, Quadratic, ScheduleState,
@@ -43,21 +43,17 @@ def _stream_breaking_at(k: int, d: int, bad: str) -> losses.LinearStream:
 
 @pytest.mark.parametrize("bad", ["nan", "+inf", "-inf", "short", "long"])
 @pytest.mark.parametrize("preset,params", DRIVERS)
-def test_bad_gradient_stops_the_run_at_its_round(monkeypatch, preset, params, bad):
+def test_bad_gradient_stops_the_run_at_its_round(preset, params, bad):
+    # rounds 1..k-1 were played, and round k left the learner where it was;
+    # a vector of the wrong length reaches the gradient check, which names
+    # the round (a non-finite one fails in the stream, before the round)
     k, d = 4, 3
-    recorded = []
-    make_record = regret.RoundRecord
-
-    def record(**kw):
-        recorded.append(kw["t"])
-        return make_record(**kw)
-
-    monkeypatch.setattr(regret, "RoundRecord", record)
     driver = Driver(preset, solvers.Box(-np.ones(d), np.ones(d)), params)
-    with pytest.raises(ValueError):
+    match = f"^round {k}: gradient has dim" if bad in ("short", "long") else None
+    with pytest.raises(ValueError, match=match):
         run_rounds(driver, _stream_breaking_at(k, d, bad), 6)
-    assert recorded == list(range(1, k))
     assert driver.learner.t == k - 1
+    assert np.isfinite(driver.learner.x).all()
 
 
 @pytest.mark.parametrize("value", NON_FINITE)
@@ -141,3 +137,35 @@ def test_metric_sums_match_the_validated_constructors():
     assert np.array_equal(scaled.matrix, 2.5 * full.matrix)
     # the scaled metric carries the eigenpairs over
     assert np.allclose(scaled.solve(scaled.matrix @ x), x, atol=1e-10)
+
+
+# the ROADMAP's robustness probes on a box with d = 4: an overflowing
+# accumulator (scale 1e160), curvature that underflows to 0 (scale 1e-150),
+# and a gradient coordinate that is always 0 on ftrl-prox at its default
+# gamma0 (scale 0.0 below)
+_PROBES = [
+    ("ao-ftrl-prox", 1e160, ValueError, "round 1: schedule: "),
+    ("adagrad-da", 1e160, ValueError, "round 1: schedule: "),
+    ("adagrad-md", 1e160, ValueError, "round 1: schedule: "),
+    ("ftrl-prox", 1e160, ValueError, "round 1: schedule: "),
+    ("adagrad-md", 1e-150, solvers.IllPosedError, "round 1: step: "),
+    ("ftrl-prox", 0.0, solvers.IllPosedError, "round 1: step: "),
+]
+
+
+@pytest.mark.parametrize("preset,scale,error,prefix", _PROBES)
+def test_errors_raised_in_a_round_name_it(preset, scale, error, prefix):
+    d = 4
+    if scale == 0.0:
+        # coordinate 2 is 0 in every round: p_1 has no curvature there
+        G = np.random.default_rng(1).uniform(-1.0, 1.0, (20, d))
+        G[:, 2] = 0.0
+        seq = losses.LinearStream(lambda t: G[t - 1], d)
+    else:
+        seq = losses.random_stream(d, seed=0, scale=scale)
+    driver = Driver(preset, solvers.Box(-np.ones(d), np.ones(d)))
+    with np.errstate(over="ignore"), pytest.raises(error) as info:
+        run_rounds(driver, seq, 20)
+    assert type(info.value) is error
+    assert str(info.value).startswith(prefix), str(info.value)
+    assert driver.learner.t == int(prefix.split()[1][:-1]) - 1
