@@ -23,10 +23,10 @@ over the records that it replaced: row dot products go through
 order), the losses through ``losses.LossColumn``, and a term's parts add
 in the order of its ``Sum``.  Loops over rows remain for full metrics,
 losses outside the linear and isotropic-quadratic families, and mirror
-descent's B_{p_t} where q_{t-1} is not Zero.  A report carries the running
-sum of its terms, its value is the last entry, and the CSV's ``cum_bound``
-column is that same running bound, so a report and its ledger cannot
-disagree.
+descent's B_{p_t} where q_{t-1} has psi or a loss divergence.  A report
+carries the running sum of its terms, its value is the last entry, and the
+CSV's ``cum_bound`` column is that same running bound, so a report and its
+ledger cannot disagree.
 
 All q-sums run over t = 0..T by default; since the regret never depends on
 the last emitted regularizer, each calculator can also drop the final q
@@ -420,23 +420,35 @@ def _diff_values(vs: np.ndarray, vx: np.ndarray) -> np.ndarray:
 
 
 def _bp_md(ledger: Ledger, x_star) -> np.ndarray:
-    """Row i: B_{p_t}(x*, x_t) for the md p_t = r_t - q_{t-1}.
+    """Row i: B_{p_t}(x*, x_t) for the md p_t = r_t - q_{t-1}, as
+    ``core.bregman`` takes it of the ``Difference``: f(x*) - f(x_t) -
+    f'(x_t; x* - x_t) with f = r_t - q_{t-1}.
 
-    Where every q_t is Zero (no hint shift, psi or loss divergence, and a
-    zero q~ metric), q_{t-1} subtracts 0.0 from the ``Difference``'s
-    values and directional derivative, and ``core.bregman`` of it is
-    (r_t(x*) - r_t(x_t)) - r_t'(x_t; x* - x_t) from round 2 on.  Round 1
-    (whose q_0 is a handle) and every other run are a loop over the records."""
+    From round 2 on q_{t-1} is Zero, or its hint shift alone, whose ``Sum``
+    starts at 0.0.  Round 1 (whose q_0 is a handle) is a loop over the
+    records, and so is every round of a run whose q_t has psi or a loss
+    divergence: their directional derivatives sum over the nonzero
+    coordinates only."""
     records = ledger.records
     q = ledger.q_metric
-    if (ledger.hint is not None or ledger.needs_loss or ledger.composite
-            or q.kind.any() or q.gamma.any()):
+    if ledger.needs_loss or ledger.composite or q.kind.any() or q.gamma.any():
         return _capped(np.array([rec.p.bregman(x_star, rec.x) for rec in records]))
     x = ledger.x[:-1]
+    Z = x_star - x
     center = x if ledger.prox_at_x else 0.0
-    Ds, Dx = np.broadcast_to(x_star - center, x.shape), x - center
-    out = (_quad_values(ledger.prox, Ds) - _quad_values(ledger.prox, Dx)
-           - rowdot(_matvec(ledger.prox, Dx), x_star - x))
+    Dx = x - center
+    r_star = _quad_values(ledger.prox, np.broadcast_to(x_star - center, x.shape))
+    r_x, r_dir = _quad_values(ledger.prox, Dx), rowdot(_matvec(ledger.prox, Dx), Z)
+    q_star, q_x, q_dir = np.zeros((3, ledger.T))
+    if ledger.hint is not None:
+        # q_{t-1}'s shift, hint_t - hint_{t-1}, for t = 2..T
+        shift = ledger.hint[1:-1] - ledger.hint[:-2]
+        moved = shift.any(axis=1)
+        for col, v in ((q_star, np.broadcast_to(x_star, shift.shape)),
+                       (q_x, x[1:])):
+            col[1:] = np.where(moved, 0.0 + (rowdot(shift, v) + 0.0), 0.0)
+        q_dir[1:] = np.where(moved, 0.0 + rowdot(shift, Z[1:]), 0.0)
+    out = (r_star - q_star) - (r_x - q_x) - (r_dir - q_dir)
     out[0] = records[0].p.bregman(x_star, x[0])
     return _capped(out)
 
