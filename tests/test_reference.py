@@ -25,7 +25,8 @@ from adaopt.learners import Driver, run_rounds
 LO, HI = -0.5, 0.75
 TOL = 1e-9
 
-# (preset, params); every gamma0 is positive, see ROADMAP item 6(b)
+# (preset, params); every gamma0 is positive: at gamma0 = 0 a coordinate
+# whose gradients are all 0 has no curvature, and the argmin is ill-posed
 CASES = [
     ("ogd", {"eta": 0.7}),
     ("da", {"alpha0": 1.5, "alpha_growth": 0.8}),
@@ -45,7 +46,7 @@ CASES = [
     ("ao-md", {"q0_scale": 0.0, "sigma_r": 1.3, "hints": "prev-gradient"}),
 ]
 # adagrad-md's r_1 has no curvature on a coordinate whose g_1 is 0, so its
-# round-1 argmin is ill-posed there (ROADMAP item 6(b)); it gets no zeros
+# round-1 argmin is ill-posed there; it gets no zeros
 NO_ZERO_COORDINATES = {"adagrad-md"}
 
 

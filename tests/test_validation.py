@@ -139,7 +139,7 @@ def test_metric_sums_match_the_validated_constructors():
     assert np.allclose(scaled.solve(scaled.matrix @ x), x, atol=1e-10)
 
 
-# the ROADMAP's robustness probes on a box with d = 4: an overflowing
+# robustness probes on a box with d = 4: an overflowing
 # accumulator (scale 1e160), curvature that underflows to 0 (scale 1e-150),
 # and a gradient coordinate that is always 0 on ftrl-prox at its default
 # gamma0 (scale 0.0 below)
