@@ -122,14 +122,12 @@ class LearnerBase:
         return x1
 
     def _terms(self, term, x_t, proximal: bool) -> Terms:
-        """An emitted tuple as it is; a hand-built regularizer classified,
-        after the proximal check when it is an ftrl p_t."""
-        if isinstance(term, Terms):
-            return term
+        """An emitted tuple as it is, a hand-built regularizer classified;
+        either passes the proximal check first when it is an ftrl p_t."""
         if proximal:
             check_proximal(term, x_t, self.feasible_set, rng=self._rng,
                            n_probes=PROX_PROBES)
-        return classify(term, self.dim)
+        return term if isinstance(term, Terms) else classify(term, self.dim)
 
     def step(self, g, prox, q_t, loss=None, f_t=None):
         """One round on the gradient g, which Driver.round has validated;
@@ -461,7 +459,10 @@ class Driver:
             layer = "step"
             r_metric, breg = lrn.step(g, prox, q_t, loss, f_t)
         except (ValueError, solvers.NumericArgminError) as e:
-            raise type(e)(f"round {t}: {layer}: {e}") from e
+            # the same exception, its type and attributes kept
+            head = e.args[0] if e.args else ""
+            e.args = (f"round {t}: {layer}: {head}",) + e.args[1:]
+            raise
         return g, f_t, prox, q_tilde, eta, r_metric, breg
 
 

@@ -22,9 +22,9 @@ over the records that it replaced: row dot products go through
 ``core.rowdot``, running sums through np.cumsum (which adds in loop
 order), the losses through ``losses.LossColumn``, and a term's parts add
 in the order of its ``Sum``.  Loops over rows remain for full metrics,
-losses outside the linear and isotropic-quadratic families, and mirror
-descent's B_{p_t} where q_{t-1} has psi or a loss divergence.  A report
-carries the running sum of its terms, its value is the last entry, and the
+losses outside the linear and isotropic-quadratic families, a composite or
+optimistic q_t, and mirror descent's B_{p_t} in round 1 and wherever q_t is
+not Zero.  A report carries the running sum of its terms, its value is the last entry, and the
 CSV's ``cum_bound`` column is that same running bound, so a report and its
 ledger cannot disagree.
 
@@ -384,34 +384,30 @@ def _quad_values(m: MetricColumn, D) -> np.ndarray:
     return 0.5 * rowdot(D, _matvec(m, D))
 
 
+def _from_prox_center(ledger: Ledger, y) -> np.ndarray:
+    """Row i: y_i (or the one point y) less the centre of round i + 1's
+    proximal term, x_t or the origin."""
+    center = ledger.x[:-1] if ledger.prox_at_x else 0.0
+    return np.broadcast_to(y - center, (ledger.T, ledger.dim))
+
+
 def _q_values(ledger: Ledger, y, tilde: bool) -> np.ndarray:
     """Row i: q_t(y_i), or q~_t(y_i) when ``tilde``, for round t = i + 1 and
-    a column of points y (or one shared point).  The parts add in the order
-    of the record's ``Sum``: 0.0, the loss divergence, psi, the quadratic (a
-    dropped Zero adds 0.0, which leaves a total as it is), the linear shift;
-    a term that is one bare quadratic, or Zero, is its value alone."""
-    T = ledger.T
-    Y = np.broadcast_to(y, (T, ledger.dim))
+    a column of points y (or one shared point).  A quadratic q~_t is a
+    column, and so is one with a loss divergence, whose ``Sum`` adds 0.0,
+    the divergence, then the quadratic (a dropped Zero adds 0.0, which
+    leaves a total as it is).  A composite or optimistic q_t is a loop over
+    the records' handles."""
+    Y = np.broadcast_to(y, (ledger.T, ledger.dim))
+    if ledger.composite or (ledger.hint is not None and not tilde):
+        return np.array([(rec.q_tilde if tilde else rec.q).value(Y[rec.i])
+                         for rec in ledger.records])
     quad = _quad_values(ledger.q_metric, Y)
-    hint = None if tilde else ledger.hint
-    summed = ledger.needs_loss or ledger.composite
-    if not summed and hint is None:
+    if not ledger.needs_loss:
         return quad
-    total = np.zeros(T)
-    if ledger.needs_loss:
-        # BregmanAround.value: f(y) - f(x_t) - <grad f(x_t), y - x_t>
-        total = total + (_losses(ledger).value(Y) - ledger.loss_value
-                         - rowdot(ledger.g, Y - ledger.x[:-1]))
-    if ledger.composite:
-        total = total + ledger.psi_alpha * np.abs(Y).sum(axis=1)
-    total = total + quad
-    if hint is None:
-        return total
-    # optimistic_shift leaves q~_t as it is where the hint did not move
-    shift = hint[1:] - hint[:-1]
-    moved = shift.any(axis=1)
-    return np.where(moved, total + (rowdot(shift, Y) + 0.0),
-                    total if summed else quad)
+    # BregmanAround.value: f(y) - f(x_t) - <grad f(x_t), y - x_t>
+    return 0.0 + (_losses(ledger).value(Y) - ledger.loss_value
+                  - rowdot(ledger.g, Y - ledger.x[:-1])) + quad
 
 
 def _diff_values(vs: np.ndarray, vx: np.ndarray) -> np.ndarray:
@@ -421,34 +417,23 @@ def _diff_values(vs: np.ndarray, vx: np.ndarray) -> np.ndarray:
 
 def _bp_md(ledger: Ledger, x_star) -> np.ndarray:
     """Row i: B_{p_t}(x*, x_t) for the md p_t = r_t - q_{t-1}, as
-    ``core.bregman`` takes it of the ``Difference``: f(x*) - f(x_t) -
-    f'(x_t; x* - x_t) with f = r_t - q_{t-1}.
+    ``core.bregman`` takes it of the ``Difference``.
 
-    From round 2 on q_{t-1} is Zero, or its hint shift alone, whose ``Sum``
-    starts at 0.0.  Round 1 (whose q_0 is a handle) is a loop over the
-    records, and so is every round of a run whose q_t has psi or a loss
-    divergence: their directional derivatives sum over the nonzero
-    coordinates only."""
+    Where every q_t is Zero (no hints, psi, loss divergence or q~ metric),
+    p_t is r_t less 0.0 from round 2 on, and B_{p_t} is
+    r_t(x*) - r_t(x_t) - r_t'(x_t; x* - x_t) as a column.  Round 1 (whose
+    q_0 is a handle) and every round of any other run are a loop over the
+    records."""
     records = ledger.records
     q = ledger.q_metric
-    if ledger.needs_loss or ledger.composite or q.kind.any() or q.gamma.any():
+    if (ledger.hint is not None or ledger.needs_loss or ledger.composite
+            or q.kind.any() or q.gamma.any()):
         return _capped(np.array([rec.p.bregman(x_star, rec.x) for rec in records]))
     x = ledger.x[:-1]
-    Z = x_star - x
-    center = x if ledger.prox_at_x else 0.0
-    Dx = x - center
-    r_star = _quad_values(ledger.prox, np.broadcast_to(x_star - center, x.shape))
-    r_x, r_dir = _quad_values(ledger.prox, Dx), rowdot(_matvec(ledger.prox, Dx), Z)
-    q_star, q_x, q_dir = np.zeros((3, ledger.T))
-    if ledger.hint is not None:
-        # q_{t-1}'s shift, hint_t - hint_{t-1}, for t = 2..T
-        shift = ledger.hint[1:-1] - ledger.hint[:-2]
-        moved = shift.any(axis=1)
-        for col, v in ((q_star, np.broadcast_to(x_star, shift.shape)),
-                       (q_x, x[1:])):
-            col[1:] = np.where(moved, 0.0 + (rowdot(shift, v) + 0.0), 0.0)
-        q_dir[1:] = np.where(moved, 0.0 + rowdot(shift, Z[1:]), 0.0)
-    out = (r_star - q_star) - (r_x - q_x) - (r_dir - q_dir)
+    Dx = _from_prox_center(ledger, x)
+    out = (_quad_values(ledger.prox, _from_prox_center(ledger, x_star))
+           - _quad_values(ledger.prox, Dx)
+           - rowdot(_matvec(ledger.prox, Dx), x_star - x))
     out[0] = records[0].p.bregman(x_star, x[0])
     return _capped(out)
 
@@ -564,10 +549,9 @@ def _bound(ledger: Ledger, x_star, case: str, inputs: BoundInputs | None = None,
     parts = {"q_sum": q_run[:-1] if optimistic or not include_final_q
              else q_run[1:]}
     if ftrl_case:
-        center = x if ledger.prox_at_x else 0.0
         parts["p_sum"] = np.cumsum(_diff_values(
-            _quad_values(ledger.prox, np.broadcast_to(x_star - center, x.shape)),
-            _quad_values(ledger.prox, x - center)))
+            _quad_values(ledger.prox, _from_prox_center(ledger, x_star)),
+            _quad_values(ledger.prox, _from_prox_center(ledger, x))))
     elif not strong:
         parts["bp_sum"] = np.cumsum(bp)
 
@@ -669,14 +653,10 @@ def bound_variational_smooth(ledger: Ledger, x_star, inputs: BoundInputs) -> Bou
     report = BoundReport("variational-smooth", 0.0, {},
                          quality=inputs.variation_quality)
     _check_certified(ledger, report)
-    center = ledger.x[:-1] if ledger.prox_at_x else 0.0
     q = float(np.cumsum(np.concatenate((
         [ledger.q0_tilde.value(x_star)], _q_values(ledger, x_star, True))))[-1])
-    p_at_star = _quad_values(ledger.prox, np.broadcast_to(
-        x_star - center, (ledger.T, ledger.dim))) \
-        if ledger.kind == "ftrl" \
-        else np.array([rec.p.value(x_star) for rec in ledger.records])
-    p = float(_running(p_at_star)[-1])
+    p = float(_running(np.array([rec.p.value(x_star)
+                                 for rec in ledger.records]))[-1])
     v = 2.0 * sum(term / eta for term, eta in zip(inputs.variation_terms, etas))
     report.terms = {"q_at_star": q, "p_at_star": p, "variation_sum": v}
     report.value = q + p + v

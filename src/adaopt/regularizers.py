@@ -307,16 +307,19 @@ def affine_shift(f: Regularizer, v, w: float = 0.0) -> Regularizer:
 
 # -- proximal-condition checking -------------------------------------------
 
-def check_proximal(p: Regularizer, x_t, feasible_set, rng=None, n_probes: int = 50,
+def check_proximal(p, x_t, feasible_set, rng=None, n_probes: int = 50,
                    tol: float = 1e-9) -> None:
     """Assert p(x_t) <= p(x) + tol on probe points of the set.
 
     Quadratics centered at x_t with PSD metric and non-negative scale are
     proximal by construction and skip the probe loop; x_t is only validated
-    when the probes need its value.
+    when the probes need its value.  An emitted ``Terms`` p_t has no value
+    to probe: it passes only by its structure.
     """
     if _structurally_proximal(p, x_t):
         return
+    if isinstance(p, Terms):
+        raise ProximalConditionError("p_t is a quadratic not centred at x_t")
     x_t = as_point(x_t)
     if rng is None:
         rng = np.random.default_rng(0)
@@ -330,7 +333,14 @@ def check_proximal(p: Regularizer, x_t, feasible_set, rng=None, n_probes: int = 
                 f"p_t(x_t) = {base} exceeds p_t(probe) = {p.value(probe)}")
 
 
-def _structurally_proximal(p: Regularizer, x_t: np.ndarray) -> bool:
+def _structurally_proximal(p, x_t: np.ndarray) -> bool:
+    if isinstance(p, Terms):
+        # an emitted p_t: one quadratic, zero or centred at x_t
+        m = p.metric
+        return (m is not None and p.l1 == 0.0 and p.shift is None
+                and not p.loss and not p.handles
+                and (m.kind == "scaled" and m.gamma == 0.0 or p.center is x_t
+                     or bool(np.array_equal(p.center, x_t))))
     if p.is_zero():
         return True
     if isinstance(p, Quadratic):

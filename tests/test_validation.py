@@ -169,3 +169,31 @@ def test_errors_raised_in_a_round_name_it(preset, scale, error, prefix):
     assert type(info.value) is error
     assert str(info.value).startswith(prefix), str(info.value)
     assert driver.learner.t == int(prefix.split()[1][:-1]) - 1
+
+
+class _CodedError(ValueError):
+    """An error whose constructor takes two arguments."""
+
+    def __init__(self, message, code):
+        super().__init__(message, code)
+        self.code = code
+
+
+def test_a_named_round_error_keeps_its_type_and_attributes():
+    # a library loss whose value fails once the argmin's fold evaluates it:
+    # its first call is f_1(x_1), before the round's terms are folded
+    calls = []
+
+    def value(x):
+        calls.append(x)
+        if len(calls) > 1:
+            raise _CodedError("loss diverged", 7)
+        return float(np.sum(x ** 4))
+
+    f = losses.Loss("quartic", value=value, grad=lambda x: 4.0 * x ** 3,
+                    smoothness=12.0)
+    driver = Driver("nonlin-ftrl", solvers.Box(-np.ones(2), np.ones(2)))
+    with pytest.raises(_CodedError) as info:
+        run_rounds(driver, losses.FixedLoss(f, 2), 3)
+    assert type(info.value) is _CodedError and info.value.code == 7
+    assert info.value.args == ("round 1: step: loss diverged", 7)
