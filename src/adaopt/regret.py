@@ -24,9 +24,9 @@ order), the losses through ``losses.LossColumn``, and a term's parts add
 in the order of its ``Sum``.  Loops over rows remain for full metrics,
 losses outside the linear and isotropic-quadratic families, a composite or
 optimistic q_t, and mirror descent's B_{p_t} in round 1 and wherever q_t is
-not Zero.  A report carries the running sum of its terms, its value is the last entry, and the
-CSV's ``cum_bound`` column is that same running bound, so a report and its
-ledger cannot disagree.
+not Zero.  A report carries the running sum of its terms, its value is the
+last entry, and the CSV's ``cum_bound`` column is that same running bound,
+so a report and its ledger cannot disagree.
 
 All q-sums run over t = 0..T by default; since the regret never depends on
 the last emitted regularizer, each calculator can also drop the final q
