@@ -357,23 +357,17 @@ def bregman(f, y, x) -> float:
     directional derivative with finite f(y) would make the divergence -inf,
     which no caller is allowed to store, so that case raises.
     """
-    return bregman_of(f.value, _dir_deriv_of(f), y, x)
-
-
-def bregman_of(value, dir_deriv, y, x) -> float:
-    """:func:`bregman` of the function whose value and directional
-    derivative are the callables ``value(x)`` and ``dir_deriv(x, z)``."""
     y = as_point(y)
     x = as_point(x)
-    fx = float(value(x))
+    fx = float(f.value(x))
     if not math.isfinite(fx):
         raise ValueError("B_f(y, x) needs f(x) finite")
-    fy = float(value(y))
+    fy = float(f.value(y))
     if fy == INF:
         return INF
     if math.isnan(fy):
         raise ValueError("f(y) is NaN")
-    d = dir_deriv(x, y - x)
+    d = _dir_deriv_of(f)(x, y - x)
     if d == -INF:
         return INF
     if d == INF:

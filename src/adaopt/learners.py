@@ -13,8 +13,10 @@ either way.  A term is a parameter tuple, ``regularizers.Terms``, which
 ``Regularizer`` is read into one by ``regularizers.classify``.  A family
 adds only its argmin (``_solve``) and ``carries_q``, whether q_t enters r
 (ftrl) or not (md).  The learners keep running aggregates so a T-round run
-costs T solver calls, each O(d) for the closed-form routes.  A step returns
-the metric of r_{1:t} and the round's r-divergence.
+costs T solver calls, each O(d) for the closed-form routes.  A step
+computes what x_{t+1} needs and returns the metric of r_{1:t}; the
+r-divergence B_{r_{1:t}}(x_{t+1}, x_t), a term of the forward bound only,
+is derived from the ledger's columns when read (``regret.Ledger.breg_r``).
 
 Every preset plays its rounds through one path, ``Driver.round``.  The
 preset's schedule emits the metrics of the proximal term and of q~_t; a
@@ -29,18 +31,17 @@ writes each round's parameters into the ledger's columns.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
-from .core import MetricColumn, QuadMetric, as_point, quad_norm_sq
-from .losses import anchored_bregman, is_isotropic_quadratic
+from .core import MetricColumn, QuadMetric, as_point
+from .losses import is_isotropic_quadratic
 from .regularizers import (COMPOSITE_SETTINGS, L1, Linear, Quadratic,
                            Regularizer, ScheduleState, Sum, Terms, Zero,
                            adagrad_diag_step, adagrad_full_step,
                            adagrad_initial_metric, check_proximal, classify,
                            composite_wrap, eta_increment, final_attack_eta,
-                           l1_bregman, scale_free_eta)
+                           scale_free_eta)
 from . import regret, solvers
 
 HINT_POLICIES = ("none", "prev-gradient", "custom")
@@ -74,9 +75,8 @@ PROX_PROBES = 8
 class LearnerBase:
     """Shared state: the feasible set, the iterate, whether every
     regularizer emitted so far is certified, and r_{1:t}'s quadratic metric
-    (None once a signed part makes it uncertifiable), l1 weight and
-    non-quadratic divergences.  The first iterate minimizes
-    q_0 = q~_0 + <hint_1, .> over the set.  A family supplies
+    (None once a signed part makes it uncertifiable).  The first iterate
+    minimizes q_0 = q~_0 + <hint_1, .> over the set.  A family supplies
     ``_solve(g, prox, q_t, r_metric, prox_terms, div)`` -> x_{t+1} and
     ``carries_q``, whether q_t enters r_{1:t+1}."""
 
@@ -103,13 +103,8 @@ class LearnerBase:
         self.t = 0
         q0_terms = classify(self.q0_tilde, self.dim)
         self.certified = q0_terms.certified
-        if self.carries_q:
-            self._r_metric, self._r_l1 = q0_terms.metric, q0_terms.l1
-        else:
-            self._r_metric, self._r_l1 = QuadMetric.zero(self.dim), 0.0
-        # B(y, x) of each non-quadratic divergence inside r
-        self._r_extra = [h.bregman for h in q0_terms.handles] \
-            if self.carries_q else []
+        self._r_metric = q0_terms.metric if self.carries_q \
+            else QuadMetric.zero(self.dim)
 
     def _solve_init(self, obj) -> np.ndarray:
         """x_1, the argmin of ``obj`` = q~_0 + <hint_1, .>."""
@@ -131,7 +126,7 @@ class LearnerBase:
 
     def step(self, g, prox, q_t, loss=None, f_t=None):
         """One round on the gradient g, which Driver.round has validated;
-        returns (metric of r_{1:t}, B_{r_{1:t}}(x_{t+1}, x_t)).
+        moves to x_{t+1} and returns the metric of r_{1:t}.
 
         ``prox`` and ``q_t`` are ``Terms`` or hand-built regularizers.  A
         q_t whose ``loss`` flag is set carries B_f(., x_t) for the round
@@ -143,35 +138,20 @@ class LearnerBase:
         div = (loss, f_t, g) if qt.loss else None
         r_metric = None if (self._r_metric is None or pt.metric is None) \
             else self._r_metric.add(pt.metric)
-        r_l1 = self._r_l1 + pt.l1
         x_next = self._solve(g, prox, q_t, r_metric, pt, div)
-        self._r_extra.extend(h.bregman for h in pt.handles)
-
-        breg = 0.0
-        if r_metric is not None:
-            breg += 0.5 * quad_norm_sq(r_metric, x_next - x_t)
-        if r_l1 > 0.0:
-            breg += l1_bregman(r_l1, x_next, x_t)
-        for b in self._r_extra:
-            breg += b(x_next, x_t)
-
         self.certified = (self.certified and r_metric is not None
                           and pt.certified and qt.certified)
-        self._r_metric, self._r_l1 = r_metric, r_l1
+        self._r_metric = r_metric
         if self.carries_q:
             q_metric = qt.metric
-            self._r_extra.extend(h.bregman for h in qt.handles)
             if qt.loss and is_isotropic_quadratic(loss):
                 q_metric = QuadMetric.scaled(loss.isotropic[0], self.dim).add(q_metric)
-            elif qt.loss:
-                self._r_extra.append(partial(anchored_bregman, loss, x_t, f_t, g))
             self._r_metric = None if (r_metric is None or q_metric is None) \
                 else r_metric.add(q_metric)
-            self._r_l1 = r_l1 + qt.l1
         self.solver_calls += 1
         self.t += 1
         self.x = x_next
-        return r_metric, breg
+        return r_metric
 
 
 class FtrlLearner(LearnerBase):
@@ -253,8 +233,8 @@ class Driver:
     hints, calls the family's ``step`` and returns the round's parameters.
     A ``ValueError`` or ``NumericArgminError`` raised on the way is raised
     again as the same type, its message prefixed by the round and the layer
-    (gradient, schedule, fold or step).  Preset names are read in two places
-    only: ``_parse`` and ``_emit``.
+    (gradient, loss, schedule, fold or step).  Preset names are read in two
+    places only: ``_parse`` and ``_emit``.
     """
 
     def __init__(self, preset: str, feasible_set, params: dict | None = None,
@@ -423,12 +403,10 @@ class Driver:
         """Play round t on the revealed loss: g is the gradient feedback at
         x_t; a preset that ``needs_loss`` takes g from the loss itself.
         Returns (g_t, f_t(x_t), the proximal term and q~_t as ``Terms``,
-        eta_t, the metric of r_{1:t}, B_{r_{1:t}}(x_{t+1}, x_t))."""
+        eta_t, the metric of r_{1:t})."""
         lrn = self.learner
         x_t = lrn.x
-        if self.needs_loss:
-            f_t, g = loss.value(x_t), loss.grad(x_t)
-        else:
+        if not self.needs_loss:
             # the round's one validation of g; the schedule and step trust it
             try:
                 g = as_point(g)
@@ -437,12 +415,15 @@ class Driver:
             if g.size != lrn.dim:
                 raise ValueError(f"round {t}: gradient has dim {g.size}, "
                                  f"learner has {lrn.dim}")
-            f_t = loss.value(x_t)
 
-        layer = "schedule"
-        try:
+        with _NamedRound(t, "loss") as named:
+            if self.needs_loss:
+                f_t, g = loss.value(x_t), loss.grad(x_t)
+            else:
+                f_t = loss.value(x_t)
+            named.layer = "schedule"
             prox_metric, q_metric, eta = self._emit(t, g)
-            layer = "fold"
+            named.layer = "fold"
             prox = Terms(prox_metric, center=x_t if self.prox_at_x else self._origin)
             # q~_t: the schedule's quadratic, psi when the run is composite,
             # and B_f(., x_t) for an implicit or non-linearized preset
@@ -456,14 +437,29 @@ class Driver:
                 if np.any(shift):
                     q_t = q_tilde._replace(shift=shift)
                 self.hint = hint_next.copy()
-            layer = "step"
-            r_metric, breg = lrn.step(g, prox, q_t, loss, f_t)
-        except (ValueError, solvers.NumericArgminError) as e:
-            # the same exception, its type and attributes kept
+            named.layer = "step"
+            r_metric = lrn.step(g, prox, q_t, loss, f_t)
+        return g, f_t, prox, q_tilde, eta, r_metric
+
+
+class _NamedRound:
+    """A stretch of round t spent in ``layer``: a ``ValueError`` or
+    ``NumericArgminError`` raised inside it leaves as the same exception
+    object, its type and attributes kept, its message prefixed by the round
+    and the layer last set."""
+
+    __slots__ = ("t", "layer")
+
+    def __init__(self, t: int, layer: str):
+        self.t, self.layer = t, layer
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, e, tb):
+        if isinstance(e, (ValueError, solvers.NumericArgminError)):
             head = e.args[0] if e.args else ""
-            e.args = (f"round {t}: {layer}: {head}",) + e.args[1:]
-            raise
-        return g, f_t, prox, q_tilde, eta, r_metric, breg
+            e.args = (f"round {self.t}: {self.layer}: {head}",) + e.args[1:]
 
 
 def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
@@ -472,7 +468,9 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
     The feedback order is fixed: the loss is revealed, the (possibly noisy)
     gradient is drawn at the current iterate, the learner steps.  All
     randomness comes from ``rng``, so runs are reproducible bit for bit.
-    Every round writes into the ledger's preallocated columns.
+    Every round writes into the ledger's preallocated columns.  A failure in
+    the stream (revealing the loss or drawing its gradient) names its round
+    and the layer ``loss``, as ``Driver.round`` names its own.
     """
     if T < 1:
         raise ValueError("need at least one round")
@@ -489,7 +487,6 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
     sigma = np.empty((T, d)) if seq.stochastic else None
     hint = np.empty((T + 1, d)) if driver.optimistic else None
     prox, q_metric, r_metric = (MetricColumn(T, d) for _ in range(3))
-    breg = np.empty(T)
     eta = None
     certified = np.empty(T, dtype=bool)
     x[0] = lrn.x1
@@ -499,16 +496,17 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
     lrn.x = x[0]
     for t in range(1, T + 1):
         i = t - 1
-        loss_t = losses[i] = seq.loss(t)
         if hint is not None:
             hint[i] = driver.hint
         g = None
-        if seq.stochastic:
-            g, sigma[i] = seq.gradient(t, lrn.x, rng)
-        elif not driver.needs_loss:
-            # exact feedback is the revealed loss's own gradient
-            g = loss_t.grad(lrn.x)
-        g, f, prox_t, q_t, eta_t, r_t, breg[i] = driver.round(t, loss_t, g)
+        with _NamedRound(t, "loss"):
+            loss_t = losses[i] = seq.loss(t)
+            if seq.stochastic:
+                g, sigma[i] = seq.gradient(t, lrn.x, rng)
+            elif not driver.needs_loss:
+                # exact feedback is the revealed loss's own gradient
+                g = loss_t.grad(lrn.x)
+        g, f, prox_t, q_t, eta_t, r_t = driver.round(t, loss_t, g)
         x[t], g_col[i], loss_value[i] = lrn.x, g, f
         lrn.x = x[t]
         prox.put(i, prox_t.metric)
@@ -524,7 +522,7 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
     return regret.Ledger(
         x=x, g=g_col, loss_value=loss_value, losses=losses, sigma=sigma,
         hint=hint, prox=prox, q_metric=q_metric, r_metric=r_metric,
-        breg_r=breg, eta=eta, round_certified=certified, q0=lrn.q0,
+        eta=eta, round_certified=certified, q0=lrn.q0,
         q0_tilde=lrn.q0_tilde, feasible_set=driver.feasible_set, kind=lrn.kind,
         prox_at_x=driver.prox_at_x, psi_alpha=driver.alpha,
         needs_loss=driver.needs_loss, composite=driver.composite,

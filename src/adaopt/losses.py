@@ -251,14 +251,17 @@ class BregmanAround:
         self.g_anchor = loss.grad(self.anchor)
 
     def value(self, x) -> float:
-        return _anchored_value(self.loss, self.anchor, self.f_anchor,
-                               self.g_anchor, x)
+        x = np.asarray(x, dtype=float)
+        return self.loss.value(x) - self.f_anchor - dot(self.g_anchor, x - self.anchor)
 
     def grad(self, x) -> np.ndarray:
         return self.loss.grad(x) - self.g_anchor
 
     def dir_deriv(self, x, z) -> float:
-        return _anchored_dir_deriv(self.loss, self.g_anchor, x, z)
+        base = self.loss.dir_deriv(x, z)
+        if not math.isfinite(base):
+            return base
+        return base - dot(self.g_anchor, np.asarray(z, dtype=float))
 
     def bregman(self, y, x) -> float:
         return core.bregman(self, y, x)
@@ -268,26 +271,6 @@ class BregmanAround:
 
     def __repr__(self):
         return f"BregmanAround({self.loss!r}, anchor={self.anchor!r})"
-
-
-def _anchored_value(loss, anchor, f_anchor, g_anchor, x) -> float:
-    x = np.asarray(x, dtype=float)
-    return loss.value(x) - f_anchor - dot(g_anchor, x - anchor)
-
-
-def _anchored_dir_deriv(loss, g_anchor, x, z) -> float:
-    base = loss.dir_deriv(x, z)
-    if not math.isfinite(base):
-        return base
-    return base - dot(g_anchor, np.asarray(z, dtype=float))
-
-
-def anchored_bregman(loss, anchor, f_anchor, g_anchor, y, x) -> float:
-    """``BregmanAround(loss, anchor).bregman(y, x)`` from the anchor's
-    f(a) and grad f(a), without building the handle."""
-    return core.bregman_of(
-        lambda p: _anchored_value(loss, anchor, f_anchor, g_anchor, p),
-        lambda p, z: _anchored_dir_deriv(loss, g_anchor, p, z), y, x)
 
 
 class LossColumn:

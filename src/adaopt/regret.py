@@ -13,20 +13,23 @@ the closed-form full-regret bounds for the standard schedule families.
 
 A ledger is columns that ``learners.run_rounds`` fills in place, one row
 per round (see ``Ledger``); a ``RoundRecord`` is a view of one row, whose
-regularizer handles are rebuilt from the row on demand.
+regularizer handles are rebuilt from the row on demand.  Play fills only
+what the update needs: the forward bound's B_{r_{1:t}}(x_{t+1}, x_t) is
+derived from the columns when first read (``Ledger.breg_r``).
 
 There is one accounting path.  The decomposition terms, the running
-regret, the CSV rows and the forward, Table-2 and optimistic bounds are
-column expressions over the ledger, each equal bit for bit to the loop
-over the records that it replaced: row dot products go through
+regret, the CSV rows, B_{r_{1:t}}(x_{t+1}, x_t) and the forward, Table-2
+and optimistic bounds are column expressions over the ledger, each equal
+bit for bit to the loop that it replaced: row dot products go through
 ``core.rowdot``, running sums through np.cumsum (which adds in loop
 order), the losses through ``losses.LossColumn``, and a term's parts add
 in the order of its ``Sum``.  Loops over rows remain for full metrics,
 losses outside the linear and isotropic-quadratic families, a composite or
-optimistic q_t, and mirror descent's B_{p_t} in round 1 and wherever q_t is
-not Zero.  A report carries the running sum of its terms, its value is the
-last entry, and the CSV's ``cum_bound`` column is that same running bound,
-so a report and its ledger cannot disagree.
+optimistic q_t, mirror descent's B_{p_t} in round 1 and wherever q_t is
+not Zero, and the l1 and non-isotropic loss parts of an ftrl B_r.  A
+report carries the running sum of its terms, its value is the last entry,
+and the CSV's ``cum_bound`` column is that same running bound, so a
+report and its ledger cannot disagree.
 
 All q-sums run over t = 0..T by default; since the regret never depends on
 the last emitted regularizer, each calculator can also drop the final q
@@ -39,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +50,7 @@ from .core import (INF, MetricColumn, SingularMetricError, as_point,
                    dual_norm_sq, rowdot)
 from .losses import BregmanAround, LossColumn, is_isotropic_quadratic
 from .regularizers import (L1, Difference, Quadratic, Regularizer, Sum, Zero,
-                           composite_wrap, optimistic_shift)
+                           classify, composite_wrap, optimistic_shift)
 from . import solvers
 
 TABLE2_CASES = (
@@ -69,9 +73,10 @@ class Ledger:
     quadratic, centred at the origin.  q~_t also holds
     psi = ``psi_alpha`` ||.||_1 when ``composite``, and B_{f_t}(., x_t)
     when ``needs_loss``.  ``r_metric`` holds the metric of r_{1:t},
-    ``breg_r`` B_{r_{1:t}}(x_{t+1}, x_t), ``eta`` eta_t (None for a
-    schedule without one), ``round_certified`` whether every term up to
-    round t was certified.
+    ``eta`` eta_t (None for a schedule without one), ``round_certified``
+    whether every term up to round t was certified.  ``breg_r``,
+    B_{r_{1:t}}(x_{t+1}, x_t), is no column: play does not need it, and it
+    is derived from the columns when first read.
     """
 
     x: np.ndarray
@@ -83,7 +88,6 @@ class Ledger:
     prox: MetricColumn
     q_metric: MetricColumn
     r_metric: MetricColumn
-    breg_r: np.ndarray
     eta: np.ndarray | None
     round_certified: np.ndarray
     q0: Regularizer
@@ -118,6 +122,33 @@ class Ledger:
     def final_point(self) -> np.ndarray:
         return self.x[-1]
 
+    @cached_property
+    def breg_r(self) -> np.ndarray:
+        """Row t-1: B_{r_{1:t}}(x_{t+1}, x_t), r_{1:t}'s parts added in the
+        order play added them: 0.0, the quadratic under ``r_metric`` (a
+        column), then for ftrl, whose r_{1:t} carries q_{0:t-1}, the l1
+        part wherever its running weight is positive and each earlier
+        round's loss divergence that is not isotropic (the isotropic ones
+        are in ``r_metric``); those two are loops over handles."""
+        x = self.x
+        out = 0.0 + _quad_values(self.r_metric, x[1:] - x[:-1])
+        if self.kind != "ftrl":
+            return out
+        # r_{1:t}'s l1 weight: q~_0's, then psi's from each q_s, s < t
+        l1 = np.cumsum(np.concatenate((
+            [classify(self.q0_tilde, self.dim).l1],
+            np.full(self.T - 1, self.psi_alpha))))
+        for i in np.flatnonzero(l1 > 0.0):
+            out[i] += L1(l1[i]).bregman(x[i + 1], x[i])
+        if self.needs_loss:
+            kept = []
+            for i, f in enumerate(self.losses):
+                for h in kept:
+                    out[i] += h.bregman(x[i + 1], x[i])
+                if not is_isotropic_quadratic(f):
+                    kept.append(BregmanAround(f, x[i]))
+        return out
+
     def certified(self) -> bool:
         return bool(self.round_certified.all())
 
@@ -130,7 +161,7 @@ class Ledger:
             losses=self.losses[:T], sigma=cut(self.sigma),
             hint=cut(self.hint, T + 1), prox=self.prox.cut(T),
             q_metric=self.q_metric.cut(T), r_metric=self.r_metric.cut(T),
-            breg_r=self.breg_r[:T], eta=cut(self.eta),
+            eta=cut(self.eta),
             round_certified=self.round_certified[:T])
 
 

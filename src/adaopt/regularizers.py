@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import INF, QuadMetric, as_point, bregman_of, dot, quad_norm_sq
+from .core import INF, QuadMetric, as_point, dot, quad_norm_sq
 from .losses import BregmanAround, is_isotropic_quadratic
 
 
@@ -148,39 +148,25 @@ class L1(Regularizer):
         self.alpha = alpha
 
     def value(self, x):
-        return _l1_value(self.alpha, x)
+        return self.alpha * float(np.sum(np.abs(x)))
 
     def grad(self, x):
         # sign(x) with 0 at zero coordinates is a valid local sub-gradient
         return self.alpha * np.sign(np.asarray(x, dtype=float))
 
     def dir_deriv(self, x, z):
-        return _l1_dir_deriv(self.alpha, x, z)
+        x = np.asarray(x, dtype=float)
+        z = np.asarray(z, dtype=float)
+        at_zero = x == 0.0
+        val = float(np.sum(np.sign(x[~at_zero]) * z[~at_zero]))
+        val += float(np.sum(np.abs(z[at_zero])))
+        return self.alpha * val
 
     def is_zero(self):
         return self.alpha == 0.0
 
     def __repr__(self):
         return f"L1({self.alpha})"
-
-
-def _l1_value(alpha: float, x) -> float:
-    return alpha * float(np.sum(np.abs(x)))
-
-
-def _l1_dir_deriv(alpha: float, x, z) -> float:
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    at_zero = x == 0.0
-    val = float(np.sum(np.sign(x[~at_zero]) * z[~at_zero]))
-    val += float(np.sum(np.abs(z[at_zero])))
-    return alpha * val
-
-
-def l1_bregman(alpha: float, y, x) -> float:
-    """``L1(alpha).bregman(y, x)`` without building the handle."""
-    return bregman_of(lambda p: _l1_value(alpha, p),
-                      lambda p, z: _l1_dir_deriv(alpha, p, z), y, x)
 
 
 class Indicatrix(Regularizer):
@@ -338,7 +324,7 @@ def _structurally_proximal(p, x_t: np.ndarray) -> bool:
         # an emitted p_t: one quadratic, zero or centred at x_t
         m = p.metric
         return (m is not None and p.l1 == 0.0 and p.shift is None
-                and not p.loss and not p.handles
+                and not p.loss
                 and (m.kind == "scaled" and m.gamma == 0.0 or p.center is x_t
                      or bool(np.array_equal(p.center, x_t))))
     if p.is_zero():
@@ -357,12 +343,13 @@ class Terms(NamedTuple):
     order every fold takes them: the round loss's divergence from x_t
     (``loss``), the l1 weight, the quadratic (1/2) ||x - center||_metric^2
     (centred at the origin or at x_t), the linear part <shift, x>.
-    ``classify`` reads a hand-built ``Regularizer`` into the first five
-    fields; such a term folds into an objective as the handle it is."""
+    ``classify`` reads a hand-built ``Regularizer`` into the first four
+    fields; such a term folds into an objective as the handle it is.  The
+    r-divergence B_{r_{1:t}}(x_{t+1}, x_t) needs none of this: the ledger
+    derives it from its columns (``regret.Ledger.breg_r``)."""
 
     metric: QuadMetric | None   # PSD metric of the quadratic parts, None if signed
     l1: float = 0.0             # total l1 weight
-    handles: list = ()          # non-isotropic loss divergences
     certified: bool = True      # every quadratic part has a non-negative scale
     quadratic: bool = True      # only quadratic and linear parts
     center: np.ndarray | None = None   # the emitted quadratic's centre
@@ -377,12 +364,11 @@ def classify(reg: Regularizer, dim: int) -> Terms:
     a negative-scale quadratic or a Difference makes the curvature
     uncertifiable, and the metric stays None from there on.  A quadratic
     loss's divergence is exactly (w/2)||. - x_t||^2 and enters as the
-    metric w I; any other loss divergence is a handle, collected while the
-    metric is still defined, since folding a strong-convexity estimate on
-    top of the handle would count the curvature twice."""
+    metric w I; any other loss divergence adds no metric, since folding a
+    strong-convexity estimate on top of the divergence would count the
+    curvature twice."""
     metric = QuadMetric.zero(dim)
     l1 = 0.0
-    handles = []
     certified = quadratic = True
     for part in Sum([reg]).parts:
         if isinstance(part, Quadratic):
@@ -400,12 +386,10 @@ def classify(reg: Regularizer, dim: int) -> Terms:
             l1 += part.alpha
         elif isinstance(part, Difference):
             metric = None
-        elif isinstance(part, BregmanAround) and metric is not None:
-            if is_isotropic_quadratic(part.loss):
-                metric = metric.add(QuadMetric.scaled(part.loss.isotropic[0], dim))
-            else:
-                handles.append(part)
-    return Terms(metric, l1, handles, certified, quadratic)
+        elif (isinstance(part, BregmanAround) and metric is not None
+              and is_isotropic_quadratic(part.loss)):
+            metric = metric.add(QuadMetric.scaled(part.loss.isotropic[0], dim))
+    return Terms(metric, l1, certified, quadratic)
 
 
 # -- schedules ---------------------------------------------------------------

@@ -331,16 +331,12 @@ class Objective:
 
     @classmethod
     def build(cls, feasible_set: FeasibleSet, linear=None, regularizer=None,
-              anchor=None, losses=()) -> "Objective":
+              losses=()) -> "Objective":
         d = feasible_set.dim
         obj = cls(feasible_set=feasible_set,
                   lin=np.zeros(d) if linear is None else as_point(linear).copy())
         if regularizer is not None:
             obj.add_regularizer(regularizer)
-        if anchor is not None:
-            reg, point = anchor
-            obj.add_bregman_anchor(reg, point)
-            obj.init = as_point(point)
         obj.losses.extend(losses)
         return obj
 

@@ -1,5 +1,6 @@
 """The column ledger: accounting over whole columns equals the per-round
-loops it replaced, bit for bit.
+loops it replaced, bit for bit; so does the r-divergence the ledger derives
+from its columns, against a per-round loop over the records.
 
 The references below are those loops, kept here as the specification:
 one ``dot`` per row and one running ``total`` added left to right.  The
@@ -16,8 +17,9 @@ import pytest
 from adaopt import losses, regret, solvers
 from adaopt.cli import (build_losses, build_set, replay_check, run_seed,
                         validate_run_config)
-from adaopt.core import dot, rowdot
-from adaopt.learners import Driver, run_rounds
+from adaopt.core import dot, quad_norm_sq, rowdot
+from adaopt.learners import PRESETS, Driver, run_rounds
+from adaopt.regularizers import COMPOSITE_SETTINGS, L1, Sum
 
 
 # -- the per-row references ----------------------------------------------------
@@ -335,3 +337,111 @@ def test_replay_catches_a_corrupted_value(name):
         rep = replay_check(_perturbed(csv_text, row + 1, col), cfg, x_star)
         assert rep["ok"] is False, header[col]
         assert rep["worst_error"] > 1e-9
+
+
+# -- the r-divergence ---------------------------------------------------------------
+
+def ref_breg_r(led):
+    """B_{r_{1:t}}(x_{t+1}, x_t) round by round, r_{1:t} accumulated from
+    the records' handles as an update loop accumulates it: 0.0, the
+    quadratic under r_{1:t}'s metric, then, for ftrl, whose r_{1:t}
+    carries q_{0:t-1}, the l1 part at r's running l1 weight and each
+    earlier loss divergence that is not isotropic (an isotropic one is in
+    the metric)."""
+    ftrl = led.kind == "ftrl"
+    r_l1, kept, out = 0.0, [], []
+
+    def carry(q):
+        nonlocal r_l1
+        for part in Sum([q]).parts:
+            if isinstance(part, L1):
+                r_l1 = r_l1 + part.alpha
+            elif isinstance(part, losses.BregmanAround) \
+                    and not losses.is_isotropic_quadratic(part.loss):
+                kept.append(part.bregman)
+
+    if ftrl:
+        carry(led.q0_tilde)
+    for rec in led.records:
+        breg = 0.0
+        breg += 0.5 * quad_norm_sq(rec.r_metric, rec.x_next - rec.x)
+        if r_l1 > 0.0:
+            breg += L1(r_l1).bregman(rec.x_next, rec.x)
+        for b in kept:
+            breg += b(rec.x_next, rec.x)
+        out.append(breg)
+        if ftrl:
+            carry(rec.q_tilde)
+    return np.array(out)
+
+
+class _DiagQuadratic(losses.LossSequence):
+    """(1/2) sum_j w_j (x_j - c_{t,j})^2 with unequal weights and a drifting
+    centre: a library loss that is not isotropic, so the r of nonlin-ftrl
+    carries each round's divergence as a handle."""
+
+    def __init__(self, dim, T):
+        self.dim = dim
+        self.w = np.linspace(0.5, 2.0, dim)
+        self.c = np.random.default_rng(8).uniform(-0.8, 0.8, (T, dim))
+
+    def loss(self, t):
+        w, c = self.w, self.c[t - 1]
+        return losses.Loss("diag-quadratic",
+                           value=lambda x: 0.5 * float(np.sum(w * (x - c) ** 2)),
+                           grad=lambda x: w * (x - c), smoothness=float(w.max()),
+                           strong_convexity=float(w.min()))
+
+
+_D, _T = 3, 12
+BREG_VARIANTS = [(p, {}) for p in PRESETS] + [
+    (p, {"composite_alpha": 0.1, "composite_setting": s, **extra})
+    for p, extra in (("ftrl-prox", {"gamma0": 0.5}), ("md", {}))
+    for s in COMPOSITE_SETTINGS] + [
+    # ao-ftrl-prox's q~_0 is zero, so it cannot run psi known before
+    ("ao-ftrl-prox", {"composite_alpha": 0.1}),
+    ("adagrad-da", {"metric": "full"}),
+    ("ftrl-prox", {"metric": "full", "gamma0": 0.3}),
+]
+BREG_SETS = {
+    "box": lambda: _box(_D),
+    "free": lambda: solvers.Unconstrained(_D),
+    "ball": lambda: solvers.Ball(np.zeros(_D), 1.0),
+}
+BREG_STREAMS = {
+    "linear": lambda: losses.random_stream(_D, seed=4),
+    "drifting-quadratic": lambda: losses.DriftingQuadratic(
+        lambda t: np.random.default_rng(t).uniform(-0.8, 0.8, _D), _D),
+    "stochastic": lambda: losses.StochasticLoss(
+        losses.quadratic_loss([0.3, -0.2, 0.1], 1.5), _D, noise=0.3),
+}
+
+
+@pytest.mark.parametrize("preset,params", BREG_VARIANTS)
+def test_ledger_breg_r_is_the_per_round_loop(preset, params):
+    # every set and stream the variant can run: psi needs a box or the free
+    # set, and the presets that fold the loss need exact losses
+    runs = 0
+    for set_name, make_set in BREG_SETS.items():
+        if params.get("composite_alpha") and set_name == "ball":
+            continue
+        for stream, make_seq in BREG_STREAMS.items():
+            if preset in ("implicit-md", "nonlin-ftrl") and stream == "stochastic":
+                continue
+            led = run_rounds(Driver(preset, make_set(), dict(params)),
+                             make_seq(), _T, rng=np.random.default_rng(2))
+            assert np.array_equal(led.breg_r, ref_breg_r(led)), (set_name, stream)
+            assert np.all(led.breg_r >= 0.0)
+            runs += 1
+    assert runs >= 4
+
+
+@pytest.mark.parametrize("set_name", sorted(BREG_SETS))
+def test_ledger_breg_r_carries_non_isotropic_loss_divergences(set_name):
+    led = run_rounds(Driver("nonlin-ftrl", BREG_SETS[set_name]()),
+                     _DiagQuadratic(_D, _T), _T)
+    ref = ref_breg_r(led)
+    assert np.array_equal(led.breg_r, ref)
+    # the handles are a real part: the metric alone leaves a gap
+    quad = regret._quad_values(led.r_metric, led.x[1:] - led.x[:-1])
+    assert np.all(ref[1:] > quad[1:])

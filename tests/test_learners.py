@@ -1,10 +1,13 @@
 """Preset drivers: update rules against hand recursions, call accounting,
 hint plumbing, and the composite path."""
 
+import sys
+from functools import partial
+
 import numpy as np
 import pytest
 
-from adaopt import learners, losses, solvers
+from adaopt import core, learners, losses, regret, regularizers, solvers
 from adaopt.core import QuadMetric
 from adaopt.learners import (PRESETS, Driver, FtrlLearner, MdLearner,
                              preset_defaults, run_rounds)
@@ -206,55 +209,78 @@ def _iso(scale, dim=1):
 
 def test_negative_scale_quadratic_in_q_uncertifies_and_drops_the_r_metric():
     lrn = FtrlLearner(UNC2, q0=_iso(2.0, 2))
-    r_metric, _ = lrn.step(np.array([1.0, -1.0]), Zero(), _iso(-0.5, 2))
+    r_metric = lrn.step(np.array([1.0, -1.0]), Zero(), _iso(-0.5, 2))
     assert r_metric is not None and r_metric.gamma == 2.0
     assert lrn.certified is False
     # r_2 = r_1 + q_1 has a signed part, so it has no metric
-    r_metric, breg = lrn.step(np.array([0.5, 0.5]), Zero(), Zero())
-    assert r_metric is None and breg == 0.0
+    r_metric = lrn.step(np.array([0.5, 0.5]), Zero(), Zero())
+    assert r_metric is None
     assert lrn.certified is False
+
+
+def _l1_bregman(y, x):
+    """B_{|.|}(y, x) in one dimension, |x|'s one-sided slope toward y."""
+    slope = np.sign(x) * (y - x) if x != 0.0 else abs(y - x)
+    return abs(y) - abs(x) - slope
 
 
 def test_l1_part_of_q_enters_the_next_r_divergence():
     # x_2 = argmin -1.5 x + x^2/2 + |x|/2 = 1; x_3 = argmin 1.5 x + x^2/2 + |x|/2 = -1
     lrn = FtrlLearner(solvers.Unconstrained(1), q0=_iso(1.0))
-    _, breg = lrn.step(np.array([-1.5]), Zero(), L1(0.5))
-    assert breg == 0.5      # r_{1:1} = q~_0 alone: (1/2)(x_2 - x_1)^2
-    _, breg = lrn.step(np.array([3.0]), Zero(), Zero())
-    assert lrn.x == pytest.approx([-1.0], abs=1e-12)
-    # (1/2)(x_3 - x_2)^2 plus B_{|.|/2}(-1, 1) = (1 - 1 + 2) / 2
-    assert breg == pytest.approx(2.0 + 1.0, abs=1e-12)
+    r_metric = lrn.step(np.array([-1.5]), Zero(), L1(0.5))
+    assert lrn.x == pytest.approx([1.0], abs=1e-12) and r_metric.gamma == 1.0
+    r_metric = lrn.step(np.array([3.0]), Zero(), Zero())
+    assert lrn.x == pytest.approx([-1.0], abs=1e-12) and r_metric.gamma == 1.0
+    # in a ledger, r_{1:t} carries the l1 weight of q_{0:t-1}: psi's from
+    # round 1 when known before, from round 2 when revealed after
+    # (the swings grow, so the iterate changes sign every round)
+    seq = linear_seq([[-1.0], [3.0], [-5.0], [7.0], [-9.0]])
+    for setting, first in (("known-before", 1), ("revealed-after", 0)):
+        led = run("ftrl-prox", solvers.Unconstrained(1),
+                  {"gamma0": 1.0, "composite_alpha": 0.2,
+                   "composite_setting": setting}, seq, 5)
+        x = led.x[:, 0]
+        l1 = [_l1_bregman(x[t], x[t - 1]) for t in range(1, 6)]
+        assert min(l1[1:]) > 0.1
+        for i, rec in enumerate(led.records):
+            quad = 0.5 * float(rec.r_metric.weights[0]) * (x[i + 1] - x[i]) ** 2
+            assert rec.breg_r == pytest.approx(
+                quad + 0.2 * (i + first) * l1[i], rel=1e-12, abs=1e-15)
+
+
+def _kept(f):
+    """The quadratic loss f as a plain Loss, which is not read as isotropic."""
+    return losses.Loss("quadratic-kept", value=f.value, grad=f.grad,
+                       smoothness=f.smoothness, strong_convexity=f.strong_convexity)
 
 
 def test_loss_divergence_in_q_is_carried_as_a_handle_unless_isotropic():
     f = losses.quadratic_loss(np.array([2.0]), 3.0)
-    kept = losses.Loss("quadratic-kept", value=f.value, grad=f.grad,
-                       smoothness=f.smoothness, strong_convexity=f.strong_convexity)
-    for loss in (f, kept):
+    for loss in (f, _kept(f)):
         lrn = FtrlLearner(solvers.Unconstrained(1), q0=_iso(1.0), solver_tol=1e-12)
         lrn.step(np.array([0.5]), Zero(), losses.BregmanAround(loss, lrn.x))
-        x_2 = lrn.x
-        r_metric, breg = lrn.step(np.array([-1.0]), Zero(), Zero())
-        # the isotropic divergence is the metric 3 I; the other is a handle
+        r_metric = lrn.step(np.array([-1.0]), Zero(), Zero())
+        # the isotropic divergence is the metric 3 I; the other is no metric
         assert r_metric.gamma == (4.0 if loss is f else 1.0)
-        assert breg == pytest.approx(0.5 * 4.0 * float(lrn.x[0] - x_2[0]) ** 2,
-                                     rel=1e-9)
+        # in a ledger either enters B_{r_{1:2}}(x_3, x_2): r_{1:2} is
+        # x^2/2 + B_{f_1}, so with x_2 = 3/2 and x_3 = 12/7 it is 2 (3/14)^2
+        led = run("nonlin-ftrl", solvers.Unconstrained(1), {"q0_scale": 1.0},
+                  losses.FixedLoss(loss, 1), 3, tol=1e-12)
+        assert led.records[1].r_metric.gamma == (4.0 if loss is f else 1.0)
+        assert led.x[1:3, 0] == pytest.approx([1.5, 12.0 / 7.0], rel=1e-9)
+        assert led.breg_r[1] == pytest.approx(2.0 * (3.0 / 14.0) ** 2, rel=1e-9)
 
 
-def test_loss_divergence_in_p_or_q0_enters_the_r_divergence():
-    # a 3-smooth quadratic kept as a plain Loss stays a handle; in p_1 or in
-    # q~_0 it is part of r_{1:1}, so with q~_0's x^2/2 alongside,
-    # x_2 = argmin x/2 + 2 x^2 = -1/8 and B_{r_{1:1}}(x_2, x_1) = 2 x_2^2
+def test_loss_divergence_in_p_or_q0_enters_the_r_metric_only_when_isotropic():
+    # a 3-smooth quadratic kept as a plain Loss adds no metric in p_1 or in
+    # q~_0; with q~_0's x^2/2 alongside, x_2 = argmin x/2 + 2 x^2 = -1/8
     f = losses.quadratic_loss(np.array([0.0]), 3.0)
-    kept = losses.Loss("quadratic-kept", value=f.value, grad=f.grad,
-                       smoothness=f.smoothness, strong_convexity=f.strong_convexity)
-    handle = losses.BregmanAround(kept, np.zeros(1))
+    handle = losses.BregmanAround(_kept(f), np.zeros(1))
     for q0, p_1 in ((_iso(1.0), handle), (Sum([_iso(1.0), handle]), Zero())):
         lrn = FtrlLearner(solvers.Unconstrained(1), q0=q0, solver_tol=1e-12)
-        r_metric, breg = lrn.step(np.array([0.5]), p_1, Zero())
+        r_metric = lrn.step(np.array([0.5]), p_1, Zero())
         assert lrn.x == pytest.approx([-0.125], abs=1e-9)
         assert r_metric.gamma == 1.0
-        assert breg == pytest.approx(0.03125, rel=1e-6)
 
 
 def test_md_rejects_an_r_with_an_l1_part():
@@ -276,37 +302,74 @@ _PLAY = [(p, {}) for p in PRESETS] + [
 ]
 
 
+_T = 8
+
+
+def _play_setup(preset, params, stream):
+    """(driver, stream) for a play test: d = 3 on a box, T = ``_T``."""
+    d = 3
+    centers = np.random.default_rng(5).uniform(-0.8, 0.8, (_T, d))
+    seq = losses.random_stream(d, seed=4) if stream == "random-linear" \
+        else losses.DriftingQuadratic(lambda t: centers[t - 1], d)
+    return Driver(preset, solvers.Box(-np.ones(d), np.ones(d)), params), seq
+
+
+def _spy(log, name, fn=None):
+    """``fn`` (or a no-op) that first appends ``name`` to ``log``."""
+    def call(*args, **kw):
+        log.append(name)
+        return None if fn is None else fn(*args, **kw)
+    return call
+
+
+def _handle_classes():
+    classes = [losses.BregmanAround, regret.RoundRecord, regularizers.Regularizer]
+    for cls in classes:
+        classes.extend(cls.__subclasses__())
+    return classes
+
+
 @pytest.mark.parametrize("stream", ["random-linear", "drifting-quadratic"])
 @pytest.mark.parametrize("preset,params", _PLAY)
 def test_play_builds_no_regularizer_objects(monkeypatch, preset, params, stream):
     # every term of a preset's round is a parameter tuple: during play no
     # regularizer handle, Sum, Difference, loss divergence or record is
     # built, and nothing is classified or folded as a handle
-    d, T = 3, 8
-    centers = np.random.default_rng(5).uniform(-0.8, 0.8, (T, d))
-    seq = losses.random_stream(d, seed=4) if stream == "random-linear" \
-        else losses.DriftingQuadratic(lambda t: centers[t - 1], d)
-    driver = Driver(preset, solvers.Box(-np.ones(d), np.ones(d)), params)
+    driver, seq = _play_setup(preset, params, stream)
     built = []
-
-    def spy(name, fn=None):
-        def call(*args, **kw):
-            built.append(name)
-            return None if fn is None else fn(*args, **kw)
-        return call
-
-    from adaopt import regret, regularizers
-    classes = [losses.BregmanAround, regret.RoundRecord, regularizers.Regularizer]
-    for cls in classes:
-        classes.extend(cls.__subclasses__())
-    for cls in classes:
+    spy = partial(_spy, built)
+    for cls in _handle_classes():
         monkeypatch.setattr(cls, "__init__", spy(cls.__name__, cls.__init__))
     monkeypatch.setattr(regularizers, "classify", spy("classify"))
     monkeypatch.setattr(learners, "classify", spy("classify"))
     monkeypatch.setattr(solvers.Objective, "add_regularizer",
                         spy("Objective.add_regularizer"))
-    led = run_rounds(driver, seq, T)
+    led = run_rounds(driver, seq, _T)
     monkeypatch.undo()
     assert built == []
-    assert led.T == T and led.certified()
+    assert led.T == _T and led.certified()
     assert np.isfinite(regret.bound_table2(led, led.x1, f"oo-{led.kind}").value)
+
+
+@pytest.mark.parametrize("stream", ["random-linear", "drifting-quadratic"])
+@pytest.mark.parametrize("preset,params", _PLAY)
+def test_play_evaluates_no_divergence(monkeypatch, preset, params, stream):
+    # play computes only what x_{t+1} needs: B_{r_{1:t}}(x_{t+1}, x_t) is
+    # a term of the forward bound, which the ledger derives when it is read,
+    # so during play no quadratic norm or divergence is evaluated
+    driver, seq = _play_setup(preset, params, stream)
+    called = []
+    for name in ("quad_norm_sq", "bregman"):
+        fn = getattr(core, name)
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("adaopt") \
+                    and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, _spy(called, name, fn))
+    for cls in _handle_classes() + [losses.Loss]:
+        if "bregman" in vars(cls):
+            monkeypatch.setattr(cls, "bregman", _spy(
+                called, f"{cls.__name__}.bregman", cls.bregman))
+    led = run_rounds(driver, seq, _T)
+    monkeypatch.undo()
+    assert called == []
+    assert led.T == _T and np.isfinite(led.breg_r).all()

@@ -3,7 +3,9 @@
 Every preset below is written out again as a plain per-coordinate
 recursion, with none of adaopt's regularizers, objectives or solvers.  On a
 box or the free set with a scalar or diagonal metric each argmin is closed
-form coordinatewise: soft-threshold for the l1 term, then clip.
+form coordinatewise: soft-threshold for the l1 term, then clip.  On a ball
+with an isotropic metric (ogd, da, md, ao-ftrl-prox and ao-md, without l1)
+it is the projection of the unconstrained minimizer.
 
     ftrl:  x_{t+1} = argmin <g_{1:t} + h_{t+1}, x> + p_{1:t}(x) + q_{0:t}(x)
     md:    x_{t+1} = argmin <g_t + h_{t+1} - h_t, x> + psi(x) + B_{r_{1:t}}(x, x_t)
@@ -23,6 +25,7 @@ from adaopt import losses, solvers
 from adaopt.learners import Driver, run_rounds
 
 LO, HI = -0.5, 0.75
+CENTER, RADIUS = 0.1, 0.6     # the ball: every coordinate of its centre is 0.1
 TOL = 1e-9
 
 # (preset, params); every gamma0 is positive: at gamma0 = 0 a coordinate
@@ -50,10 +53,23 @@ CASES = [
 NO_ZERO_COORDINATES = {"adagrad-md"}
 
 
-def _argmin(a, b, alpha, box):
-    """Per coordinate, argmin (a/2) x^2 - b x + alpha |x|, then clipped."""
+# the cases whose metric is a multiple of the identity in every round
+BALL_CASES = [i for i, (preset, p) in enumerate(CASES)
+              if preset in ("ogd", "da", "md", "ao-ftrl-prox", "ao-md")
+              and "composite_alpha" not in p]
+
+
+def _argmin(a, b, alpha, where):
+    """Per coordinate, argmin (a/2) x^2 - b x + alpha |x|, then clipped to
+    the box; on the ball, where a is one scale and alpha 0, the minimizer
+    projected."""
     x = np.sign(b) * np.maximum(np.abs(b) - alpha, 0.0) / a
-    return np.clip(x, LO, HI) if box else x
+    if where == "box":
+        return np.clip(x, LO, HI)
+    if where == "ball":
+        n = float(np.linalg.norm(x - CENTER))
+        return x if n <= RADIUS else CENTER + (x - CENTER) * (RADIUS / n)
+    return x
 
 
 def _l1_breg(y, x):
@@ -62,10 +78,11 @@ def _l1_breg(y, x):
     return float(np.sum(np.abs(y) - np.abs(x) - dd))
 
 
-def reference(preset, p, G, box):
-    """(iterates x_1..x_{T+1}, r-divergences) of ``preset`` on gradients G."""
+def reference(preset, p, G, where):
+    """(iterates x_1..x_{T+1}, r-divergences) of ``preset`` on gradients G
+    over ``where``: "box", "free" or "ball"."""
     T, d = G.shape
-    start = np.full(d, 0.5 * (LO + HI)) if box else np.zeros(d)
+    start = np.full(d, {"box": 0.5 * (LO + HI), "free": 0.0, "ball": CENTER}[where])
     alpha = p.get("composite_alpha", 0.0)
     known = p.get("composite_setting") == "known-before"
     eta, gamma0 = p.get("eta", 1.0), p.get("gamma0", 0.0)
@@ -75,7 +92,7 @@ def reference(preset, p, G, box):
     bregs, h = [], np.zeros(d)
     if preset in ("md", "adagrad-md", "ao-md"):
         q0 = p.get("q0_scale", 0.0) if preset != "adagrad-md" else 0.0
-        x = _argmin(q0, np.zeros(d), alpha if known else 0.0, box) if q0 else start
+        x = _argmin(q0, np.zeros(d), alpha if known else 0.0, where) if q0 else start
         xs, R = [x], np.zeros(d)
         for t in range(1, T + 1):
             g = G[t - 1]
@@ -86,7 +103,7 @@ def reference(preset, p, G, box):
             else:
                 R = R + (q0 + p["sigma_r"] if t == 1 else p["sigma_r"])
             h_next = g if hints else h
-            x_next = _argmin(R, R * x - g - (h_next - h), alpha, box)
+            x_next = _argmin(R, R * x - g - (h_next - h), alpha, where)
             bregs.append(0.5 * float(np.sum(R * (x_next - x) ** 2)))
             x, h = x_next, h_next
             xs.append(x)
@@ -98,7 +115,7 @@ def reference(preset, p, G, box):
                     "adagrad-da": root, "ftrl-prox": root}.get(preset, 0.0))
     B, lin = np.zeros(d), np.zeros(d)
     l1 = alpha if known else 0.0
-    x = _argmin(A, B, l1, box) if A.any() else start
+    x = _argmin(A, B, l1, where) if A.any() else start
     xs, eta_prev, err = [x], 0.0, 0.0
     for t in range(1, T + 1):
         g = G[t - 1]
@@ -120,7 +137,7 @@ def reference(preset, p, G, box):
         l1 += alpha
         h_next = g if hints else h
         lin = lin + g + (h_next - h)
-        x_next = _argmin(A, B - lin, l1, box)
+        x_next = _argmin(A, B - lin, l1, where)
         bregs.append(0.5 * float(np.sum(A_r * (x_next - x) ** 2))
                      + l1_r * _l1_breg(x_next, x))
         x, h = x_next, h_next
@@ -130,6 +147,19 @@ def reference(preset, p, G, box):
 
 def _close(a, b):
     return bool(np.all(np.abs(a - b) <= TOL * np.maximum(1.0, np.abs(b))))
+
+
+def _check(preset, params, G, where):
+    """Driver's iterates and ``breg_r`` against the reference over ``where``."""
+    T, d = G.shape
+    fs = {"box": lambda: solvers.Box(np.full(d, LO), np.full(d, HI)),
+          "free": lambda: solvers.Unconstrained(d),
+          "ball": lambda: solvers.Ball(np.full(d, CENTER), RADIUS)}[where]()
+    seq = losses.LinearStream(lambda t: G[t - 1], d, "scripted")
+    led = run_rounds(Driver(preset, fs, dict(params)), seq, T)
+    xs, bregs = reference(preset, params, G, where)
+    assert _close(led.x, xs), (preset, np.max(np.abs(led.x - xs)))
+    assert _close(led.breg_r, bregs), (preset, np.max(np.abs(led.breg_r - bregs)))
 
 
 @given(case=st.sampled_from(range(len(CASES))), d=st.integers(1, 5),
@@ -143,24 +173,25 @@ def test_driver_matches_the_textbook_recursion(case, d, T, box, seed, scale, zer
         # force up to d - 1 coordinates to 0 in every round, so some
         # coordinate still moves
         G[:, :min(zeros, d - 1)] = 0.0
-    fs = solvers.Box(np.full(d, LO), np.full(d, HI)) if box \
-        else solvers.Unconstrained(d)
-    seq = losses.LinearStream(lambda t: G[t - 1], d, "scripted")
-    led = run_rounds(Driver(preset, fs, dict(params)), seq, T)
-    xs, bregs = reference(preset, params, G, box)
-    assert _close(led.x, xs), (preset, np.max(np.abs(led.x - xs)))
-    breg = np.array([rec.breg_r for rec in led.records])
-    assert _close(breg, bregs), (preset, np.max(np.abs(breg - bregs)))
+    _check(preset, params, G, "box" if box else "free")
+
+
+@given(case=st.sampled_from(BALL_CASES), d=st.integers(1, 5),
+       T=st.integers(1, 25), seed=st.integers(0, 2 ** 16),
+       scale=st.sampled_from([0.1, 1.0, 4.0]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_driver_matches_the_textbook_projection_on_a_ball(case, d, T, seed, scale):
+    preset, params = CASES[case]
+    G = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, (T, d))
+    _check(preset, params, G, "ball")
 
 
 @pytest.mark.parametrize("case", range(len(CASES)))
 def test_every_case_is_reached(case):
-    # one fixed stream per case, so a case the draws miss still runs
+    # one fixed stream per case, so a case the draws miss still runs; the
+    # isotropic cases run on the ball too, with steps that reach its edge
     preset, params = CASES[case]
     G = np.random.default_rng(case).uniform(-1.0, 1.0, (12, 3))
-    seq = losses.LinearStream(lambda t: G[t - 1], 3, "scripted")
-    fs = solvers.Box(np.full(3, LO), np.full(3, HI))
-    led = run_rounds(Driver(preset, fs, dict(params)), seq, 12)
-    xs, bregs = reference(preset, params, G, True)
-    assert _close(led.x, xs)
-    assert _close(np.array([rec.breg_r for rec in led.records]), bregs)
+    _check(preset, params, G, "box")
+    if case in BALL_CASES:
+        _check(preset, params, 4.0 * G, "ball")

@@ -120,8 +120,8 @@ def test_argmin_bregman_anchor():
     # min <g, x> + B_q(x, x0) for q = 1/2 ||.||^2_diag(2,1) centered anywhere;
     # solution x0 - M^{-1} g = (1,1) - (1, -1) = (0, 2)
     q = Quadratic(np.array([9.0, -9.0]), QuadMetric.diagonal([2.0, 1.0]), 1.0)
-    obj = Objective.build(Unconstrained(2), linear=np.array([2.0, -1.0]),
-                          anchor=(q, np.array([1.0, 1.0])))
+    obj = Objective.build(Unconstrained(2), linear=np.array([2.0, -1.0]))
+    obj.add_bregman_anchor(q, np.array([1.0, 1.0]))
     assert np.allclose(argmin_quadratic(obj), [0.0, 2.0], atol=1e-12)
 
 

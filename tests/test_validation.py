@@ -45,15 +45,42 @@ def _stream_breaking_at(k: int, d: int, bad: str) -> losses.LinearStream:
 @pytest.mark.parametrize("preset,params", DRIVERS)
 def test_bad_gradient_stops_the_run_at_its_round(preset, params, bad):
     # rounds 1..k-1 were played, and round k left the learner where it was;
-    # a vector of the wrong length reaches the gradient check, which names
-    # the round (a non-finite one fails in the stream, before the round)
+    # a vector of the wrong length reaches the gradient check, and a
+    # non-finite one fails in the stream, before the round: either names it
     k, d = 4, 3
     driver = Driver(preset, solvers.Box(-np.ones(d), np.ones(d)), params)
-    match = f"^round {k}: gradient has dim" if bad in ("short", "long") else None
+    match = f"^round {k}: gradient has dim" if bad in ("short", "long") \
+        else f"^round {k}: loss: point has non-finite entries"
     with pytest.raises(ValueError, match=match):
         run_rounds(driver, _stream_breaking_at(k, d, bad), 6)
     assert driver.learner.t == k - 1
     assert np.isfinite(driver.learner.x).all()
+
+
+class _GradientFailsAt3(losses.LossSequence):
+    """A quadratic each round, whose gradient handle raises in round 3."""
+
+    dim = 2
+
+    def loss(self, t):
+        f = losses.quadratic_loss([0.3, -0.2], 1.0)
+        if t != 3:
+            return f
+
+        def grad(x):
+            raise ValueError("gradient diverged")
+
+        return losses.Loss("broken", value=f.value, grad=grad, smoothness=1.0)
+
+
+@pytest.mark.parametrize("preset", ["ogd", "implicit-md"])
+def test_a_failing_loss_names_its_round(preset):
+    # ogd's exact feedback is drawn from the loss by run_rounds, implicit-md
+    # takes it from the loss inside Driver.round: either names the round
+    driver = Driver(preset, solvers.Box(-np.ones(2), np.ones(2)))
+    with pytest.raises(ValueError, match="^round 3: loss: gradient diverged$"):
+        run_rounds(driver, _GradientFailsAt3(), 5)
+    assert driver.learner.t == 2
 
 
 @pytest.mark.parametrize("value", NON_FINITE)
