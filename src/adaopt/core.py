@@ -25,6 +25,7 @@ import numpy as np
 INF = math.inf
 
 _PSD_CLAMP = -1e-10  # eigenvalues above this are treated as rounding noise
+_EPS = float(np.finfo(float).eps)
 
 
 class DimensionMismatch(ValueError):
@@ -68,11 +69,16 @@ def rowdot(a, b) -> np.ndarray:
 class QuadMetric:
     """Symmetric PSD quadratic form in scaled-identity, diagonal, or full shape.
 
-    Full matrices are symmetrized and eigen-clamped at construction: any
-    eigenvalue in [-1e-10, 0) is treated as 0, anything below that is
-    rejected.  The dual norm additionally requires strict positive
-    definiteness and raises ``SingularMetricError`` naming the offending
-    coordinate or eigenvalue.
+    ``full`` symmetrizes and eigen-clamps its matrix: any eigenvalue in
+    [-1e-10 s, 0), s = max(1, max |eigenvalue|), is treated as 0, anything
+    below that is rejected.  The dual norm additionally requires strict
+    positive definiteness and raises ``SingularMetricError`` naming the
+    offending coordinate or eigenvalue.
+
+    A full metric carries its eigenpairs (``_evals`` ascending, ``_evecs``)
+    when ``full`` built it, ``scale`` kept them, or it is the full-matrix
+    schedule's running metric (``regularizers.adagrad_full_step``); a
+    ``psd_full`` increment or an ``add`` sum computes them when first needed.
     """
 
     __slots__ = ("kind", "gamma", "weights", "matrix", "_dim", "_evals", "_evecs")
@@ -127,6 +133,35 @@ class QuadMetric:
         a = (evecs * evals) @ evecs.T
         a = 0.5 * (a + a.T)
         return cls("full", matrix=a, dim=a.shape[0], _evals=evals, _evecs=evecs)
+
+    @classmethod
+    def psd_full(cls, matrix: np.ndarray) -> "QuadMetric":
+        """A full metric from a finite, exactly symmetric d x d matrix A,
+        proven PSD by one Cholesky factorisation of A + c s I instead of
+        ``full``'s eigendecomposition; no clamp, no eigenpairs.
+
+        s is the largest of 1, the |a_jj| and |v'Av| / v'v for v the column
+        of the largest |a_jj|: Rayleigh quotients, so at most ``full``'s
+        max |eigenvalue|, and the last one near it when A is nearly rank one,
+        as an AdaGrad increment is.  So c = 1e-10 would accept nothing that
+        ``full`` rejects in exact arithmetic; c = 1e-10 - 2 d eps keeps that
+        true under rounding (eight times the margin that matrices drawn at
+        the threshold, d up to 256, needed)."""
+        if not np.isfinite(matrix).all():
+            raise ValueError("full metric has non-finite entries")
+        d = matrix.shape[0]
+        diag = np.abs(matrix.diagonal())
+        j = int(diag.argmax())
+        v = matrix[:, j]
+        vv = float(v.dot(v))
+        s = max(1.0, float(diag[j]), abs(float(v.dot(matrix @ v))) / vv if vv else 0.0)
+        c = -_PSD_CLAMP - 2 * d * _EPS
+        try:
+            np.linalg.cholesky(matrix + (c * s) * np.eye(d))
+        except np.linalg.LinAlgError:
+            raise ValueError("full metric is not positive semidefinite: its "
+                             "shifted Cholesky factorisation fails") from None
+        return cls("full", matrix=matrix, dim=d)
 
     @classmethod
     def zero(cls, dim: int | None = None) -> "QuadMetric":
@@ -243,8 +278,9 @@ class QuadMetric:
 class MetricColumn:
     """One metric per round.  Row i is ``gamma[i]`` I where ``kind[i]`` is
     0, the diagonal ``wide[i]`` where it is 1, and the full ``QuadMetric``
-    ``wide[i]`` (its eigenpairs computed once) where it is 2.  The first row
-    that needs ``wide`` allocates it: T x d weights, or a list of T metrics."""
+    ``wide[i]`` where it is 2 (a full-matrix ftrl run's r_{1:t} rows carry
+    the schedule's eigenpairs).  The first row that needs ``wide``
+    allocates it: T x d weights, or a list of T metrics."""
 
     __slots__ = ("dim", "kind", "gamma", "wide")
 

@@ -77,8 +77,9 @@ class LearnerBase:
     regularizer emitted so far is certified, and r_{1:t}'s quadratic metric
     (None once a signed part makes it uncertifiable).  The first iterate
     minimizes q_0 = q~_0 + <hint_1, .> over the set.  A family supplies
-    ``_solve(g, prox, q_t, r_metric, prox_terms, div)`` -> x_{t+1} and
-    ``carries_q``, whether q_t enters r_{1:t+1}."""
+    ``_solve(g, prox, q_t, metric, prox_terms, div)`` -> x_{t+1}, where
+    ``metric`` is r_{1:t}'s plus q_t's when q_t enters r, and
+    ``carries_q``, whether it does."""
 
     kind = ""
     carries_q = True
@@ -136,22 +137,29 @@ class LearnerBase:
         pt = self._terms(prox, x_t, self.kind == "ftrl")
         qt = self._terms(q_t, x_t, False)
         div = (loss, f_t, g) if qt.loss else None
-        r_metric = None if (self._r_metric is None or pt.metric is None) \
-            else self._r_metric.add(pt.metric)
-        x_next = self._solve(g, prox, q_t, r_metric, pt, div)
-        self.certified = (self.certified and r_metric is not None
-                          and pt.certified and qt.certified)
-        self._r_metric = r_metric
+        r_metric = metric = _grow(self._r_metric, pt.metric, pt.total)
         if self.carries_q:
             q_metric = qt.metric
             if qt.loss and is_isotropic_quadratic(loss):
                 q_metric = QuadMetric.scaled(loss.isotropic[0], self.dim).add(q_metric)
-            self._r_metric = None if (r_metric is None or q_metric is None) \
-                else r_metric.add(q_metric)
+            metric = _grow(r_metric, q_metric, qt.total)
+        x_next = self._solve(g, prox, q_t, metric, pt, div)
+        self.certified = (self.certified and r_metric is not None
+                          and pt.certified and qt.certified)
+        self._r_metric = metric
         self.solver_calls += 1
         self.t += 1
         self.x = x_next
         return r_metric
+
+
+def _grow(m: QuadMetric | None, part: QuadMetric | None,
+          total: QuadMetric | None) -> QuadMetric | None:
+    """The running metric m plus a term's metric ``part``: the term's
+    ``total`` when it carries one, else the sum; None once m or part is."""
+    if m is None or part is None:
+        return None
+    return total if total is not None else m.add(part)
 
 
 class FtrlLearner(LearnerBase):
@@ -165,10 +173,14 @@ class FtrlLearner(LearnerBase):
         self._obj = obj     # the running objective starts at q~_0 + <hint_1, .>
         return super()._solve_init(obj)
 
-    def _solve(self, g, p_t, q_t, r_metric, p_terms, div):
+    def _solve(self, g, p_t, q_t, metric, p_terms, div):
         x_t = self.x
         self._obj.add_terms(p_t, x_t, div)
         self._obj.add_terms(q_t, x_t, div)
+        if metric is not None and metric._evals is not None:
+            # the objective's quadratic part is r_{1:t} + q_t, which this
+            # metric is; it takes it with its eigenvalues
+            self._obj.take_quadratic(metric)
         self._obj.lin = self._obj.lin + g
         self._obj.init = x_t
         return solvers.minimize(self._obj, tol=self.solver_tol)
@@ -313,11 +325,17 @@ class Driver:
                 raise ValueError(f"metric must be diag or full, got {p['metric']!r}")
             self._adagrad_step = adagrad_full_step if p["metric"] == "full" \
                 else adagrad_diag_step
-            if self.family == "md" and p["metric"] == "full" \
-                    and self.feasible_set.dim > 1:
-                # an md round has no curvature but r_1's, which is rank one
-                raise ValueError(f"preset {self.preset} with metric full needs "
-                                 "dim 1: its round-1 metric is rank one")
+            if p["metric"] == "full" and self.feasible_set.dim > 1:
+                # the first increment, (gamma0 I + g_1 g_1')^{1/2} less
+                # sqrt(gamma0) I, over eta, is rank one: an md round has no
+                # other curvature, and an ftrl round only gamma0's
+                if self.family == "md":
+                    raise ValueError(f"preset {self.preset} with metric full "
+                                     "needs dim 1: its round-1 metric is rank one")
+                if self._gamma0 <= 0:
+                    raise ValueError(f"preset {self.preset} with metric full "
+                                     "needs gamma0 > 0 above dim 1: at gamma0 = 0 "
+                                     "its round-1 metric is rank one")
             self.prox_at_x = self.preset != "adagrad-da"
             if self.preset == "adagrad-da" and self._gamma0 <= 0:
                 raise ValueError("adagrad-da needs gamma0 > 0 to keep round-1 "
@@ -424,12 +442,17 @@ class Driver:
             named.layer = "schedule"
             prox_metric, q_metric, eta = self._emit(t, g)
             named.layer = "fold"
-            prox = Terms(prox_metric, center=x_t if self.prox_at_x else self._origin)
+            # an ftrl r grows by each full-matrix increment to the schedule's
+            # running metric, which rides on the term with the increment
+            total = self._sched.total if self.family == "ftrl" else None
+            prox = Terms(prox_metric, center=x_t if self.prox_at_x else self._origin,
+                         total=None if prox_metric is self._zero else total)
             # q~_t: the schedule's quadratic, psi when the run is composite,
             # and B_f(., x_t) for an implicit or non-linearized preset
             q_tilde = Terms(q_metric, self.alpha, center=self._origin,
                             quadratic=not (self.alpha or self.needs_loss),
-                            loss=self.needs_loss)
+                            loss=self.needs_loss,
+                            total=None if q_metric is self._zero else total)
             q_t = q_tilde
             if self.optimistic:
                 hint_next = self._hint(t + 1, g)

@@ -346,7 +346,9 @@ class Terms(NamedTuple):
     ``classify`` reads a hand-built ``Regularizer`` into the first four
     fields; such a term folds into an objective as the handle it is.  The
     r-divergence B_{r_{1:t}}(x_{t+1}, x_t) needs none of this: the ledger
-    derives it from its columns (``regret.Ledger.breg_r``)."""
+    derives it from its columns (``regret.Ledger.breg_r``).  A term of a
+    full-matrix ftrl round also carries ``total``, the running metric the
+    learner's r reaches once the term is added, with its eigenpairs."""
 
     metric: QuadMetric | None   # PSD metric of the quadratic parts, None if signed
     l1: float = 0.0             # total l1 weight
@@ -355,6 +357,7 @@ class Terms(NamedTuple):
     center: np.ndarray | None = None   # the emitted quadratic's centre
     shift: np.ndarray | None = None    # the emitted linear part, or None
     loss: bool = False                 # B_{f_t}(., x_t) is a part
+    total: QuadMetric | None = None    # the running metric after this term
 
 
 def classify(reg: Regularizer, dim: int) -> Terms:
@@ -401,6 +404,8 @@ class ScheduleState:
     accum_sq: np.ndarray | None = None     # per-coordinate or full-matrix sums
     accum_hint_err: float = 0.0            # sum of ||g_t - hint_t||^2
     _prev_root: np.ndarray | None = field(default=None, repr=False)
+    # the full-matrix schedule's running metric root(G_t) / eta, with its eigenpairs
+    total: QuadMetric | None = field(default=None, repr=False)
 
 
 def adagrad_diag_step(state: ScheduleState, g, eta: float, gamma0: float):
@@ -432,10 +437,16 @@ FULL_MATRIX_MAX_DIM = 256
 
 
 def adagrad_full_step(state: ScheduleState, g, eta: float, gamma0: float):
-    """Full-matrix adaptive-metric increment (Q_{0:t}^{1/2} - Q_{0:t-1}^{1/2}) / eta.
+    """Full-matrix adaptive-metric increment (G_t^{1/2} - G_{t-1}^{1/2}) / eta
+    for G_t = gamma0 I + sum_{s <= t} g_s g_s'.
 
-    Each root comes from one eigendecomposition of the accumulator, which is
-    PSD by construction; the increment is validated as a full metric."""
+    One eigendecomposition of G_t per round gives its root (that of G_0 is
+    sqrt(gamma0) I).  The square root is operator monotone (Loewner-Heinz),
+    so the increment is PSD in exact arithmetic; one Cholesky factorisation
+    checks it (``QuadMetric.psd_full``).  ``state.total`` is left holding
+    G_t^{1/2} / eta with the eigenpairs of that decomposition: an ftrl
+    learner takes it as r's running metric, so neither its argmin nor the
+    accounting decomposes a matrix again."""
     g = as_point(g)
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
@@ -447,23 +458,19 @@ def adagrad_full_step(state: ScheduleState, g, eta: float, gamma0: float):
                          f"got {d}")
     if state.accum_sq is None:
         state.accum_sq = float(gamma0) * np.eye(d)
-        state._prev_root = None
-    if state._prev_root is None:
-        state._prev_root = _psd_root(state.accum_sq)
+        state._prev_root = math.sqrt(gamma0) * np.eye(d)
     accum = state.accum_sq + np.outer(g, g)
-    new_root = _psd_root(accum)
-    incr = QuadMetric.full((new_root - state._prev_root) / eta)
+    evals, evecs = np.linalg.eigh(accum)
+    # rounding-level negative eigenvalues of the PSD accumulator are zeros
+    roots = np.sqrt(np.maximum(evals, 0.0))
+    new_root = (evecs * roots) @ evecs.T
+    new_root = 0.5 * (new_root + new_root.T)
+    incr = QuadMetric.psd_full((new_root - state._prev_root) / eta)
     state.accum_sq = accum
     state._prev_root = new_root
+    state.total = QuadMetric("full", matrix=new_root / eta, dim=d,
+                             _evals=roots / eta, _evecs=evecs)
     return incr, state
-
-
-def _psd_root(a: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a symmetric PSD matrix (rounding-level
-    negative eigenvalues are taken as zero)."""
-    evals, evecs = np.linalg.eigh(a)
-    root = (evecs * np.sqrt(np.maximum(evals, 0.0))) @ evecs.T
-    return 0.5 * (root + root.T)
 
 
 def adagrad_initial_metric(dim: int, eta: float, gamma0: float) -> QuadMetric:

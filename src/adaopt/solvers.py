@@ -314,7 +314,9 @@ class Objective:
     linear term.  A loss divergence folded in as a regularizer (implicit and
     non-linearized updates) goes into the ``gamma`` slot when the loss is an
     isotropic quadratic, and otherwise leaves its loss in ``losses``, the
-    smooth loss handles that enter the objective directly.
+    smooth loss handles that enter the objective directly.  ``full_evals``
+    holds the ascending eigenvalues of ``full`` when they came with it
+    (``take_quadratic``); a fold that changes ``full`` drops them.
     """
 
     feasible_set: FeasibleSet
@@ -322,6 +324,7 @@ class Objective:
     gamma: float = 0.0
     diag: np.ndarray | None = None
     full: np.ndarray | None = None
+    full_evals: np.ndarray | None = None
     const: float = 0.0
     l1_alpha: float = 0.0
     losses: list = field(default_factory=list)
@@ -364,10 +367,19 @@ class Objective:
             if self.full is None:
                 self.full = np.zeros((d, d))
             self.full = self.full + (m if scale == 1.0 else scale * m)
+            self.full_evals = None
         mc = metric.matvec(center) if center.any() else None
         if mc is not None:
             self.lin = self.lin - scale * mc
             self.const += 0.5 * scale * float(np.dot(center, mc))
+
+    def take_quadratic(self, metric: QuadMetric):
+        """Make ``metric``, a full metric that carries its eigenpairs, the
+        whole quadratic part.  The caller knows the part already equals it
+        up to rounding (an ftrl objective's part is r_{1:t} + q_t); taking
+        it keeps its eigenvalues for ``quad_curvature``."""
+        self.gamma, self.diag = 0.0, None
+        self.full, self.full_evals = metric.matrix, metric._evals
 
     def _fold_isotropic(self, center: np.ndarray, gamma: float):
         """Fold gamma/2 ||x - center||^2."""
@@ -479,14 +491,16 @@ class Objective:
         return g
 
     def quad_curvature(self) -> tuple:
-        """(min, max) eigenvalue of the quadratic part, from at most one
-        eigvalsh."""
+        """(min, max) eigenvalue of the quadratic part (bounds on them when
+        it has diagonal and full parts); the full part's are ``full_evals``
+        when it carries them, else one eigvalsh."""
         lo = hi = self.gamma
         if self.diag is not None:
             lo += float(self.diag.min())
             hi += float(self.diag.max())
         if self.full is not None:
-            evals = np.linalg.eigvalsh(0.5 * (self.full + self.full.T))
+            evals = self.full_evals if self.full_evals is not None \
+                else np.linalg.eigvalsh(0.5 * (self.full + self.full.T))
             lo += float(evals[0])
             hi += float(evals[-1])
         return lo, hi

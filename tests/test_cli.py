@@ -7,6 +7,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from adaopt import regret
@@ -174,6 +175,23 @@ def test_full_metric_mirror_descent_above_dim_one_is_a_config_error(
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["where"] == "params"
     assert "adagrad-md" in err["message"] and "full" in err["message"]
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_full_metric_ftrl_prox_at_gamma0_zero_is_a_config_error(
+        tmp_path, capsys, dim):
+    # at its default gamma0 = 0, ftrl-prox's round-1 metric under metric full
+    # is (g_1 g_1')^{1/2} / eta, rank one above dim 1; the run used to exit 3
+    # in round 1 with an ill-posed argmin, or to go on when the rounding of
+    # the zero eigenvalues happened to leave them positive
+    cfg = cfg_with(preset="ftrl-prox", params={"metric": "full"},
+                   set={"kind": "box", "dim": dim},
+                   losses={"kind": "random-linear", "seed": 3}, seeds=[0])
+    assert main(["run", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["where"] == "params"
+    assert "ftrl-prox" in err["message"] and "gamma0" in err["message"]
 
 
 def test_validate_accepts_forward_and_ao_on_both_kinds():
@@ -370,6 +388,27 @@ def test_full_matrix_run_matches_recorded_values(tmp_path):
     for t, ref in GUARD_FULL["rows"].items():
         row = [float(v) for v in lines[t].split(",")[1:9]]
         assert row == pytest.approx(ref, abs=1e-9), t
+
+
+@pytest.mark.parametrize("preset,params", [
+    ("adagrad-da", {"metric": "full"}),
+    ("ftrl-prox", {"metric": "full", "gamma0": 0.5})])
+def test_full_matrix_run_decomposes_one_matrix_per_round(
+        tmp_path, monkeypatch, preset, params):
+    # the schedule's eigh of G_t is the one eigendecomposition of a whole run
+    # (play, bounds, CSV and replay): a Cholesky factorisation checks the
+    # increment, and the argmin and the dual norms read the eigenpairs that
+    # the running metric carries
+    calls = dict.fromkeys(("eigh", "eigvalsh"), 0)
+    for name in calls:
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    cfg = dict(copy.deepcopy(GUARD), preset=preset, params=params, T=20)
+    assert main(["run", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"eigh": 20, "eigvalsh": 0}
 
 
 # A smooth-loss bound whose metric cannot absorb the smoothness in round 1:

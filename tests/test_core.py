@@ -56,6 +56,62 @@ def test_metric_eigs_full_matrix():
     assert np.linalg.eigvalsh(m.matrix) == pytest.approx([1.0, 3.0], abs=1e-12)
 
 
+@st.composite
+def near_psd_boundary(draw):
+    """A symmetric matrix whose smallest eigenvalue lies near the clamp
+    -1e-10 max(1, max |eigenvalue|), on it, or within rounding of it, in a
+    random orthonormal basis or one close to the axes (where the largest
+    diagonal entry is close to the largest eigenvalue)."""
+    d = draw(st.integers(2, 12))
+    top = 10.0 ** draw(st.integers(-3, 3))
+    rest = draw(st.lists(st.floats(0.0, 1.0), min_size=d - 2, max_size=d - 2))
+    ratio = draw(st.one_of(st.floats(0.25, 4.0), st.just(1.0),
+                           st.floats(1.0 - 1e-5, 1.0 + 1e-5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    spread = draw(st.sampled_from([1e-4, 1e4]))
+    q, _ = np.linalg.qr(np.eye(d) + spread * rng.normal(size=(d, d)))
+    evals = np.array([-ratio * 1e-10 * max(1.0, top), top] + [top * r for r in rest])
+    a = (q * evals) @ q.T
+    return 0.5 * (a + a.T)
+
+
+@given(a=near_psd_boundary())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_cholesky_psd_check_is_no_looser_than_the_eigenvalue_check(a):
+    # psd_full shifts by a little under 1e-10 s, and its s, a largest
+    # Rayleigh quotient, is at most full's max(1, max |eigenvalue|), so
+    # whatever it accepts, full accepts too
+    try:
+        QuadMetric.psd_full(a)
+    except ValueError:
+        return
+    QuadMetric.full(a)
+
+
+def test_cholesky_psd_check_scales_with_a_near_rank_one_matrix():
+    # an AdaGrad increment is nearly rank one with its weight spread over
+    # the coordinates, so its diagonal lies far below its top eigenvalue;
+    # rounding noise at the top eigenvalue's scale passes full, and must
+    # pass here too
+    d = 50
+    v = np.ones(d) / np.sqrt(d)
+    w = np.eye(d)[0] - v[0] * v
+    w /= np.linalg.norm(w)
+    a = 100.0 * np.outer(v, v) - 5e-10 * np.outer(w, w)
+    a = 0.5 * (a + a.T)
+    assert np.abs(a.diagonal()).max() < 3.0
+    QuadMetric.full(a)
+    QuadMetric.psd_full(a)
+
+
+def test_cholesky_psd_check_rejects_an_indefinite_matrix():
+    # a positive diagonal does not make a matrix PSD: eigenvalues 3 and -1
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        QuadMetric.psd_full(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    m = QuadMetric.psd_full(np.diag([2.0, 0.0]))
+    assert m.kind == "full" and m._evals is None
+
+
 def test_metric_solve_roundtrip():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(4, 4))

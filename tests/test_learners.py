@@ -144,6 +144,29 @@ def test_adagrad_full_equals_diag_in_one_dim():
             assert np.allclose(a.x_next, b.x_next, atol=1e-10)
 
 
+@pytest.mark.parametrize("preset,params", [
+    ("adagrad-da", {"metric": "full"}),
+    ("ftrl-prox", {"metric": "full", "gamma0": 0.3})])
+def test_full_metric_ledger_carries_the_schedules_eigenpairs(preset, params):
+    # every full r_{1:t} row is the schedule's root(G_t) / eta with the
+    # eigenpairs of that root, carried from play: they reproduce the matrix,
+    # and the dual norm computed from them agrees with a direct solve
+    d, T = 6, 15
+    led = run(preset, solvers.Box(-np.ones(d), np.ones(d)), params,
+              losses.random_stream(d, seed=5), T)
+    rows = np.flatnonzero(led.r_metric.kind == 2)
+    assert rows.size >= T - 1
+    for i in rows:
+        m = led.r_metric[i]
+        lam, v = m._evals, m._evecs
+        assert lam is not None and v is not None, i
+        big = np.abs(m.matrix).max()
+        assert np.abs((v * lam) @ v.T - m.matrix).max() <= 1e-12 * big, i
+        g = led.g[i]
+        assert core.dual_norm_sq(m, g) == pytest.approx(
+            g.dot(np.linalg.solve(m.matrix, g)), rel=1e-12), i
+
+
 def test_schedule_info_recorded():
     seq = losses.random_stream(2, seed=7)
     led = run("ao-ftrl-prox", solvers.Box(-np.ones(2), np.ones(2)),

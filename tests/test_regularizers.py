@@ -208,6 +208,17 @@ def test_adagrad_full_increments_sum_to_root():
     assert np.allclose(total, root - np.sqrt(0.5) * np.eye(3), atol=1e-9)
 
 
+def test_adagrad_full_rejects_an_indefinite_increment():
+    # the root is operator monotone, so a real increment is PSD; a state
+    # whose last root has outgrown the next one gives an indefinite
+    # increment, and its Cholesky check stops the round
+    state = ScheduleState()
+    _, state = adagrad_full_step(state, np.array([1.0, 0.5]), eta=1.0, gamma0=1.0)
+    state._prev_root = state._prev_root + np.diag([0.0, 5.0])
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        adagrad_full_step(state, np.array([0.2, 0.1]), eta=1.0, gamma0=1.0)
+
+
 def test_ftrl_prox_increment_is_proximal():
     x_t = np.array([0.4, 0.1])
     p = ftrl_prox_increment(x_t, QuadMetric.diagonal([0.3, 0.9]))

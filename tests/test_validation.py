@@ -119,6 +119,8 @@ def test_metrics_reject_negative_curvature():
     with pytest.raises(ValueError):
         QuadMetric.full(np.diag([1.0, -1.0]))
     with pytest.raises(ValueError):
+        QuadMetric.psd_full(np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError):
         QuadMetric.scaled(-1.0)
     with pytest.raises(ValueError):
         QuadMetric.diagonal([1.0, 2.0]).scale(-1.0)
@@ -132,6 +134,10 @@ def test_metrics_reject_non_finite_entries(value):
         QuadMetric.diagonal([1.0, value])
     with pytest.raises(ValueError):
         QuadMetric.full(np.diag([1.0, value]))
+    with pytest.raises(ValueError):
+        QuadMetric.psd_full(np.diag([1.0, value]))
+    with pytest.raises(ValueError):
+        QuadMetric.psd_full(np.array([[1.0, value], [value, 1.0]]))
     with pytest.raises(ValueError):
         QuadMetric.scaled(value)
     with pytest.raises(ValueError):
