@@ -642,8 +642,10 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     except (ValueError, solvers.IllPosedError, solvers.NumericArgminError) as e:
-        print(json.dumps({"error": {"where": "runtime", "message": str(e)}}),
-              file=sys.stderr)
+        error = {"where": "runtime", "message": str(e)}
+        # an error raised inside a round names it (learners._name_round)
+        error.update((k, getattr(e, k)) for k in ("round", "layer") if hasattr(e, k))
+        print(json.dumps({"error": error}), file=sys.stderr)
         return 3
 
 

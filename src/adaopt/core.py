@@ -37,7 +37,11 @@ class SingularMetricError(ValueError):
 
 
 def as_point(x) -> np.ndarray:
-    """Validate and return a finite 1-d float64 array."""
+    """Validate and return a finite 1-d float64 array.
+
+    Called once where a vector enters the package: a public constructor or
+    function, a user's stream vector, each round's g in ``Driver.round``.
+    The layers after that check trust its result."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         if arr.ndim:

@@ -98,8 +98,9 @@ class LearnerBase:
         self.solver_tol = float(solver_tol)
         self._rng = np.random.default_rng(seed)
         self.solver_calls = 0
-        self.x1 = self._solve_init(solvers.Objective.build(
-            self.feasible_set, linear=self.hint1, regularizer=self.q0_tilde))
+        obj = solvers.Objective(self.feasible_set, lin=self.hint1.copy())
+        obj.add_regularizer(self.q0_tilde)
+        self.x1 = self._solve_init(obj)
         self.x = self.x1.copy()
         self.t = 0
         q0_terms = classify(self.q0_tilde, self.dim)
@@ -204,9 +205,10 @@ class MdLearner(LearnerBase):
         if r_metric is None:
             raise ValueError("r_t has negative curvature, anchor undefined")
         x_t = self.x
-        obj = solvers.Objective.build(self.feasible_set, linear=g)
+        # g was checked in Driver.round, x_t by the argmin that made it
+        obj = solvers.Objective(self.feasible_set, lin=g.copy())
         obj.add_terms(q_t, x_t, div)
-        obj.add_quadratic(x_t, r_metric, 1.0)
+        obj._fold_quadratic(x_t, r_metric, 1.0)
         obj.init = x_t
         return solvers.minimize(obj, tol=self.solver_tol)
 
@@ -245,7 +247,8 @@ class Driver:
     hints, calls the family's ``step`` and returns the round's parameters.
     A ``ValueError`` or ``NumericArgminError`` raised on the way is raised
     again as the same type, its message prefixed by the round and the layer
-    (gradient, loss, schedule, fold or step).  Preset names are read in two
+    (gradient, loss, schedule, fold or step), which it also carries as its
+    ``round`` and ``layer`` attributes.  Preset names are read in two
     places only: ``_parse`` and ``_emit``.
     """
 
@@ -429,10 +432,12 @@ class Driver:
             try:
                 g = as_point(g)
             except ValueError as e:
-                raise ValueError(f"round {t}: gradient: {e}") from None
+                raise _name_round(e, t, "gradient")
             if g.size != lrn.dim:
-                raise ValueError(f"round {t}: gradient has dim {g.size}, "
-                                 f"learner has {lrn.dim}")
+                e = ValueError(f"round {t}: gradient has dim {g.size}, "
+                               f"learner has {lrn.dim}")
+                e.round, e.layer = t, "gradient"
+                raise e
 
         with _NamedRound(t, "loss") as named:
             if self.needs_loss:
@@ -465,11 +470,20 @@ class Driver:
         return g, f_t, prox, q_tilde, eta, r_metric
 
 
+def _name_round(e: BaseException, t: int, layer: str) -> BaseException:
+    """e, its message prefixed by the round and the layer, which it also
+    carries as its ``round`` (int) and ``layer`` (str) attributes."""
+    head = e.args[0] if e.args else ""
+    e.args = (f"round {t}: {layer}: {head}",) + e.args[1:]
+    e.round, e.layer = t, layer
+    return e
+
+
 class _NamedRound:
     """A stretch of round t spent in ``layer``: a ``ValueError`` or
     ``NumericArgminError`` raised inside it leaves as the same exception
-    object, its type and attributes kept, its message prefixed by the round
-    and the layer last set."""
+    object, its type and attributes kept, named by the round and the layer
+    last set (``_name_round``)."""
 
     __slots__ = ("t", "layer")
 
@@ -481,8 +495,7 @@ class _NamedRound:
 
     def __exit__(self, kind, e, tb):
         if isinstance(e, (ValueError, solvers.NumericArgminError)):
-            head = e.args[0] if e.args else ""
-            e.args = (f"round {self.t}: {self.layer}: {head}",) + e.args[1:]
+            _name_round(e, self.t, self.layer)
 
 
 def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:

@@ -74,15 +74,14 @@ class Loss:
 # -- library losses ----------------------------------------------------------
 
 def linear_loss(v) -> Loss:
-    v = as_point(v)
-    return Loss(
-        "linear",
-        value=lambda x: dot(v, x),
-        grad=lambda x: v.copy(),
-        dir_deriv=lambda x, z: dot(v, z),
-        smoothness=0.0,
-        vector=v,
-    )
+    """<v, x>; v is checked to be a finite 1-d vector."""
+    return _linear(as_point(v))
+
+
+def _linear(v: np.ndarray) -> Loss:
+    """<v, x> for a checked v; its value is ``v.dot(x)``, ``core.dot``'s ddot."""
+    return Loss("linear", value=v.dot, grad=lambda x: v.copy(),
+                dir_deriv=lambda x, z: dot(v, z), smoothness=0.0, vector=v)
 
 
 def quadratic_loss(center, weight: float = 1.0) -> Loss:
@@ -394,18 +393,23 @@ class FixedLoss(LossSequence):
 
 
 class LinearStream(LossSequence):
-    """Deterministic linear losses f_t = <g_t, x> from a per-round vector rule."""
+    """Deterministic linear losses f_t = <g_t, x> from a per-round vector rule.
+
+    ``loss`` checks a user's ``vector_fn`` result every round; a row of
+    ``random_stream``'s kernel was checked with its block (``_UniformBlocks``)."""
 
     def __init__(self, vector_fn, dim: int, kind: str = "linear-stream"):
         self.vector_fn = vector_fn
         self.dim = dim
         self.kind = kind
+        self._checked = isinstance(vector_fn, _UniformBlocks)
 
     def vector(self, t: int) -> np.ndarray:
         return self.vector_fn(t)
 
     def loss(self, t):
-        return linear_loss(self.vector(t))
+        v = self.vector_fn(t)
+        return _linear(v if self._checked else as_point(v))
 
     def column(self, ts):
         vs = np.array([self.vector(t) for t in ts], dtype=float)
@@ -727,7 +731,8 @@ class _UniformBlocks:
     Blocks hold 64, 128, 256, ... rounds, capped at 2**14 // dim rounds:
     past the first block a run draws less than twice its horizon, and a
     block's temporaries stay small.  The rows handed out are read-only
-    views of the block."""
+    views of the block, checked for finiteness once, when it is drawn: a
+    non-finite row raises ``ValueError`` when it is asked for."""
 
     def __init__(self, seed: int, dim: int, scale: float):
         self.words = [seed & _MASK32]       # numpy's uint32 words of the seed
@@ -740,6 +745,7 @@ class _UniformBlocks:
         self.cap = max(1, _BLOCK_FLOATS // dim)
         self.start = 0
         self.block = np.empty((0, dim))
+        self.bad = None     # the non-finite rows of the block, if it has any
 
     def __call__(self, t: int) -> np.ndarray:
         i = t - self.start
@@ -755,8 +761,13 @@ class _UniformBlocks:
             rounds = np.arange(start, min(start + size, 2 ** 32), dtype=_U32)
             self.block = _uniform_block(self.words, rounds, self.dim, self.scale)
             self.block.flags.writeable = False
+            finite = np.isfinite(self.block).all(axis=1)
+            self.bad = None if finite.all() else ~finite
             self.start = start
             i = t - start
+        if self.bad is not None and self.bad[i]:
+            raise ValueError(f"random stream vector has non-finite entries "
+                             f"(scale {self.scale})")
         return self.block[i]
 
 

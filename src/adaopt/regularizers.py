@@ -413,22 +413,33 @@ def adagrad_diag_step(state: ScheduleState, g, eta: float, gamma0: float):
 
     The cumulative metric after t rounds is diag(sqrt(gamma0 + sum g_s^2)) / eta;
     the increment returned here is the round-t difference of those roots.
+
+    g is not checked here (``Driver.round`` checks it): a non-finite or
+    overflowing g makes the increment non-finite, and the increment's check
+    raises ``ValueError`` before ``state`` is written.  The roots only grow,
+    so a good increment is a ``QuadMetric`` as it is, with no copy or clamp.
     """
-    g = as_point(g)
+    g = np.asarray(g, dtype=float)
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
     if gamma0 < 0:
         raise ValueError(f"gamma0 must be >= 0, got {gamma0}")
-    if state.accum_sq is None:
-        state.accum_sq = np.full(g.shape, float(gamma0))
-        state._prev_root = None
-    if state._prev_root is None:
-        state._prev_root = np.sqrt(state.accum_sq)
-    prev_root = state._prev_root
-    state.accum_sq = state.accum_sq + g * g
-    new_root = np.sqrt(state.accum_sq)
-    state._prev_root = new_root
-    return QuadMetric.diagonal((new_root - prev_root) / eta), state
+    accum, prev_root = state.accum_sq, state._prev_root
+    if accum is None:
+        accum, prev_root = np.full(g.shape, float(gamma0)), None
+    if prev_root is None:
+        prev_root = np.sqrt(accum)
+    accum = accum + g * g
+    new_root = np.sqrt(accum)
+    w = (new_root - prev_root) / eta
+    # QuadMetric.diagonal's test, at 0 where its clamp would be a no-op;
+    # NaN fails both comparisons, and diagonal then names the weight
+    if w.min() >= 0.0 and w.max() < INF:
+        incr = QuadMetric("diag", weights=w, dim=w.size)
+    else:
+        incr = QuadMetric.diagonal(w)
+    state.accum_sq, state._prev_root = accum, new_root
+    return incr, state
 
 
 # the largest dimension the full-matrix schedule takes: each round costs
@@ -446,8 +457,9 @@ def adagrad_full_step(state: ScheduleState, g, eta: float, gamma0: float):
     checks it (``QuadMetric.psd_full``).  ``state.total`` is left holding
     G_t^{1/2} / eta with the eigenpairs of that decomposition: an ftrl
     learner takes it as r's running metric, so neither its argmin nor the
-    accounting decomposes a matrix again."""
-    g = as_point(g)
+    accounting decomposes a matrix again.  g is trusted as in
+    ``adagrad_diag_step``, and a bad one fails the same way."""
+    g = np.asarray(g, dtype=float)
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
     if gamma0 < 0:
@@ -457,15 +469,16 @@ def adagrad_full_step(state: ScheduleState, g, eta: float, gamma0: float):
         raise ValueError(f"full-matrix schedule capped at dim {FULL_MATRIX_MAX_DIM}, "
                          f"got {d}")
     if state.accum_sq is None:
-        state.accum_sq = float(gamma0) * np.eye(d)
-        state._prev_root = math.sqrt(gamma0) * np.eye(d)
-    accum = state.accum_sq + np.outer(g, g)
+        accum, prev_root = float(gamma0) * np.eye(d), math.sqrt(gamma0) * np.eye(d)
+    else:
+        accum, prev_root = state.accum_sq, state._prev_root
+    accum = accum + np.outer(g, g)
     evals, evecs = np.linalg.eigh(accum)
     # rounding-level negative eigenvalues of the PSD accumulator are zeros
     roots = np.sqrt(np.maximum(evals, 0.0))
     new_root = (evecs * roots) @ evecs.T
     new_root = 0.5 * (new_root + new_root.T)
-    incr = QuadMetric.psd_full((new_root - state._prev_root) / eta)
+    incr = QuadMetric.psd_full((new_root - prev_root) / eta)
     state.accum_sq = accum
     state._prev_root = new_root
     state.total = QuadMetric("full", matrix=new_root / eta, dim=d,

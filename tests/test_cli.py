@@ -265,6 +265,22 @@ def test_run_exit_codes(tmp_path, capsys):
     assert err["error"]["where"] == "runtime"
 
 
+def test_runtime_error_names_its_round_and_layer(tmp_path, capsys):
+    # g * g overflows in adagrad-da's accumulator in round 1; the error
+    # JSON names the round and the layer next to its message
+    run = cfg_with(preset="adagrad-da", params={},
+                   losses={"kind": "random-linear", "seed": 4, "scale": 1e160},
+                   seeds=[0])
+    path = write_cfg(tmp_path, run, "overflow.json")
+    with np.errstate(over="ignore"):
+        assert main(["run", "--config", path, "--out", str(tmp_path / "r")]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert list(err) == ["where", "message", "round", "layer"]
+    assert err["where"] == "runtime"
+    assert err["message"].startswith("round 1: schedule: diagonal metric weight")
+    assert err["round"] == 1 and err["layer"] == "schedule"
+
+
 def test_run_outputs_honour_the_umask(tmp_path):
     cfg_path = write_cfg(tmp_path, cfg_with(seeds=[0]))
     for mask, mode in ((0o022, 0o644), (0o027, 0o640)):

@@ -396,3 +396,24 @@ def test_play_evaluates_no_divergence(monkeypatch, preset, params, stream):
     monkeypatch.undo()
     assert called == []
     assert led.T == _T and np.isfinite(led.breg_r).all()
+
+
+def test_play_checks_each_gradient_once(monkeypatch):
+    # Driver.round is the one check of g: the stream's kernel rows, the
+    # schedule and the argmin trust it, so play calls as_point about once
+    # a round (three times a round before the schedule and the stream
+    # stopped re-checking)
+    T, d = 200, 10
+    driver = Driver("adagrad-da", solvers.Box(-np.ones(d), np.ones(d)),
+                    {"metric": "diag"})
+    seq = losses.random_stream(d, seed=3)
+    calls = []
+    fn = core.as_point
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("adaopt") \
+                and getattr(mod, "as_point", None) is fn:
+            monkeypatch.setattr(mod, "as_point", _spy(calls, "as_point", fn))
+    led = run_rounds(driver, seq, T)
+    monkeypatch.undo()
+    assert led.T == T and np.isfinite(led.x).all()
+    assert len(calls) <= T + 5, len(calls)

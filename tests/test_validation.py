@@ -103,6 +103,57 @@ def test_public_entry_points_reject_non_finite_vectors(value):
         solvers.Objective.build(obj.feasible_set, linear=bad)
 
 
+def _state_fields(state):
+    return [None if v is None else np.array(v.matrix if isinstance(v, QuadMetric)
+                                            else v, copy=True)
+            for v in (state.accum_sq, state._prev_root, state.total)] \
+        + [state.accum_hint_err]
+
+
+def _same_state(a, b):
+    return all(x is None and y is None or np.array_equal(x, y)
+               for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("step", [adagrad_diag_step, adagrad_full_step])
+@pytest.mark.parametrize("value", NON_FINITE + (1e200, -1e200))
+def test_schedules_stop_a_bad_gradient_before_they_write_their_state(step, value):
+    # the schedules trust Driver.round's check of g; called directly on a
+    # non-finite or overflowing g, their increment check raises, and the
+    # state passed in is as it was, fresh or after a good round
+    bad = np.array([0.5, value, -0.25])
+    fresh = ScheduleState()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        step(fresh, bad, 1.0, 1.0)
+    assert _same_state(_state_fields(fresh), _state_fields(ScheduleState()))
+    played = ScheduleState()
+    step(played, np.array([0.3, -0.7, 0.1]), 1.0, 1.0)
+    before = _state_fields(played)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        step(played, bad, 1.0, 1.0)
+    assert _same_state(_state_fields(played), before)
+
+
+def test_a_non_finite_kernel_row_stops_the_run_at_its_round(monkeypatch):
+    # random_stream's rows are checked once per block, when it is drawn,
+    # and not again by the loss they become; a bad row still names its round
+    draw = losses._uniform_block
+
+    def with_inf(words, rounds, dim, scale):
+        block = draw(words, rounds, dim, scale)
+        block[rounds == 5, 1] = np.inf
+        return block
+
+    monkeypatch.setattr(losses, "_uniform_block", with_inf)
+    d = 3
+    driver = Driver("adagrad-da", solvers.Box(-np.ones(d), np.ones(d)))
+    with pytest.raises(ValueError, match="^round 5: loss: random stream "
+                                         "vector has non-finite entries") as info:
+        run_rounds(driver, losses.random_stream(d, seed=2), 8)
+    assert (info.value.round, info.value.layer) == (5, "loss")
+    assert driver.learner.t == 4
+
+
 @pytest.mark.parametrize("value", NON_FINITE + (0.0, -1.0))
 def test_sets_reject_a_size_that_is_not_positive_and_finite(value):
     with pytest.raises(ValueError):
