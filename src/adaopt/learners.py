@@ -98,9 +98,8 @@ class LearnerBase:
         self.solver_tol = float(solver_tol)
         self._rng = np.random.default_rng(seed)
         self.solver_calls = 0
-        obj = solvers.Objective(self.feasible_set, lin=self.hint1.copy())
-        obj.add_regularizer(self.q0_tilde)
-        self.x1 = self._solve_init(obj)
+        self.x1 = self._solve_init(solvers.Objective.build(
+            self.feasible_set, linear=self.hint1, regularizer=self.q0_tilde))
         self.x = self.x1.copy()
         self.t = 0
         q0_terms = classify(self.q0_tilde, self.dim)
@@ -208,7 +207,7 @@ class MdLearner(LearnerBase):
         # g was checked in Driver.round, x_t by the argmin that made it
         obj = solvers.Objective(self.feasible_set, lin=g.copy())
         obj.add_terms(q_t, x_t, div)
-        obj._fold_quadratic(x_t, r_metric, 1.0)
+        obj.fold_quadratic(x_t, r_metric, 1.0)
         obj.init = x_t
         return solvers.minimize(obj, tol=self.solver_tol)
 

@@ -395,14 +395,16 @@ class FixedLoss(LossSequence):
 class LinearStream(LossSequence):
     """Deterministic linear losses f_t = <g_t, x> from a per-round vector rule.
 
-    ``loss`` checks a user's ``vector_fn`` result every round; a row of
-    ``random_stream``'s kernel was checked with its block (``_UniformBlocks``)."""
+    ``loss`` checks a user's ``vector_fn`` result every round.  The rows of
+    ``random_stream``'s kernel are finite once its scale is, which
+    ``random_stream`` checks; it marks its stream ``_checked``."""
+
+    _checked = False
 
     def __init__(self, vector_fn, dim: int, kind: str = "linear-stream"):
         self.vector_fn = vector_fn
         self.dim = dim
         self.kind = kind
-        self._checked = isinstance(vector_fn, _UniformBlocks)
 
     def vector(self, t: int) -> np.ndarray:
         return self.vector_fn(t)
@@ -437,13 +439,18 @@ def random_stream(dim: int, seed: int, scale: float = 1.0) -> LinearStream:
 
     g_t equals ``scale * np.random.default_rng((seed, t)).uniform(-1, 1, dim)``
     bit for bit, for t in [1, 2**32).  The vectors are drawn a block of
-    rounds at a time (see ``_UniformBlocks``).  A negative seed raises
-    ValueError here, a round outside that range when it is asked for.
+    rounds at a time (see ``_UniformBlocks``).  A negative seed or a
+    non-finite scale raises ValueError here, a round outside that range
+    when it is asked for.
     """
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"stream seed must be a non-negative integer, got {seed}")
-    return LinearStream(_UniformBlocks(seed, dim, scale), dim, "random")
+    if not math.isfinite(scale):
+        raise ValueError(f"stream scale must be finite, got {scale}")
+    stream = LinearStream(_UniformBlocks(seed, dim, scale), dim, "random")
+    stream._checked = True
+    return stream
 
 
 def drift_then_constant_stream(base, flips: int) -> LinearStream:
@@ -731,8 +738,9 @@ class _UniformBlocks:
     Blocks hold 64, 128, 256, ... rounds, capped at 2**14 // dim rounds:
     past the first block a run draws less than twice its horizon, and a
     block's temporaries stay small.  The rows handed out are read-only
-    views of the block, checked for finiteness once, when it is drawn: a
-    non-finite row raises ``ValueError`` when it is asked for."""
+    views of the block.  Each entry is scale times a number in [-1, 1], so
+    the rows are finite exactly when ``scale`` is, which ``random_stream``
+    checks once: they need no check of their own."""
 
     def __init__(self, seed: int, dim: int, scale: float):
         self.words = [seed & _MASK32]       # numpy's uint32 words of the seed
@@ -745,7 +753,6 @@ class _UniformBlocks:
         self.cap = max(1, _BLOCK_FLOATS // dim)
         self.start = 0
         self.block = np.empty((0, dim))
-        self.bad = None     # the non-finite rows of the block, if it has any
 
     def __call__(self, t: int) -> np.ndarray:
         i = t - self.start
@@ -761,13 +768,8 @@ class _UniformBlocks:
             rounds = np.arange(start, min(start + size, 2 ** 32), dtype=_U32)
             self.block = _uniform_block(self.words, rounds, self.dim, self.scale)
             self.block.flags.writeable = False
-            finite = np.isfinite(self.block).all(axis=1)
-            self.bad = None if finite.all() else ~finite
             self.start = start
             i = t - start
-        if self.bad is not None and self.bad[i]:
-            raise ValueError(f"random stream vector has non-finite entries "
-                             f"(scale {self.scale})")
         return self.block[i]
 
 

@@ -290,7 +290,8 @@ def _running_regret(ledger: Ledger, x_star, composite: bool | None = None,
     """Entry t: sum_{s<=t} f_s(x_s) - f_s(x*), plus psi_s(x_s) - psi_s(x*)
     after each round's loss term when ``composite`` (the run's own setting
     by default).  ``regret`` takes the per-round f_t(x_t) - f_t(x*) when
-    the caller has it.  x_star is the caller's checked point."""
+    the caller has it."""
+    x_star = as_point(x_star)
     if composite is None:
         composite = ledger.composite
     if regret is None:
@@ -322,7 +323,7 @@ def empirical_regret(ledger: Ledger, x_star, composite: bool | None = None,
     if terms is not None and composite == ledger.composite:
         running = terms["cum_regret"]
     else:
-        running = _running_regret(ledger, as_point(x_star), composite,
+        running = _running_regret(ledger, x_star, composite,
                                   None if terms is None else terms["regret"])
     return float(running[-1]) if running.size else 0.0
 
@@ -450,10 +451,10 @@ def _bp_md(ledger: Ledger, x_star) -> np.ndarray:
     ``core.bregman`` takes it of the ``Difference``.
 
     Where every q_t is Zero (no hints, psi, loss divergence or q~ metric),
-    p_t is r_t less 0.0 from round 2 on, and in round 1 too when q_0 is
-    Zero, and B_{p_t} is r_t(x*) - r_t(x_t) - r_t'(x_t; x* - x_t) as a
-    column.  Round 1 under any other q_0 (a handle) and every round of any
-    other run are a loop over the records."""
+    p_t is r_t less 0.0 from round 2 on, and B_{p_t} is
+    r_t(x*) - r_t(x_t) - r_t'(x_t; x* - x_t) as a column.  Round 1 (whose
+    q_0 is a handle) and every round of any other run are a loop over the
+    records."""
     records = ledger.records
     q = ledger.q_metric
     if (ledger.hint is not None or ledger.needs_loss or ledger.composite
@@ -464,8 +465,7 @@ def _bp_md(ledger: Ledger, x_star) -> np.ndarray:
     out = (_quad_values(ledger.prox, _from_prox_center(ledger, x_star))
            - _quad_values(ledger.prox, Dx)
            - rowdot(_matvec(ledger.prox, Dx), x_star - x))
-    if not ledger.q0.is_zero():
-        out[0] = records[0].p.bregman(x_star, x[0])
+    out[0] = records[0].p.bregman(x_star, x[0])
     return _capped(out)
 
 

@@ -414,12 +414,15 @@ def adagrad_diag_step(state: ScheduleState, g, eta: float, gamma0: float):
     The cumulative metric after t rounds is diag(sqrt(gamma0 + sum g_s^2)) / eta;
     the increment returned here is the round-t difference of those roots.
 
-    g is not checked here (``Driver.round`` checks it): a non-finite or
-    overflowing g makes the increment non-finite, and the increment's check
-    raises ``ValueError`` before ``state`` is written.  The roots only grow,
-    so a good increment is a ``QuadMetric`` as it is, with no copy or clamp.
+    g's entries are not checked here (``Driver.round`` checks them), only
+    its shape: a non-finite or overflowing g makes the increment non-finite,
+    and the increment's check raises ``ValueError`` before ``state`` is
+    written.  The roots only grow, so a good increment is a ``QuadMetric``
+    as it is, with no copy or clamp.
     """
     g = np.asarray(g, dtype=float)
+    if g.ndim != 1:
+        g = as_point(g)     # a scalar is a 1-vector; any other shape raises
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
     if gamma0 < 0:
@@ -460,6 +463,8 @@ def adagrad_full_step(state: ScheduleState, g, eta: float, gamma0: float):
     accounting decomposes a matrix again.  g is trusted as in
     ``adagrad_diag_step``, and a bad one fails the same way."""
     g = np.asarray(g, dtype=float)
+    if g.ndim != 1:
+        g = as_point(g)
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
     if gamma0 < 0:

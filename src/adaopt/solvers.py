@@ -26,9 +26,7 @@ outside their domain instead of handing it on:
 
 The exact routes share one certificate, ``_certify``: the proximal-gradient
 fixed-point residual (soft-thresholded, then projected) must stay within
-1e-8 (1 + ||lin|| + L), for the quadratic part's largest curvature L.  The
-clip route reads that test from the weights it divided by first
-(``_separable_certified``), no looser, and falls back to ``_certify``.
+1e-8 (1 + ||lin|| + L), for the quadratic part's largest curvature L.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _EPS, INF, DimensionMismatch, QuadMetric, as_point
+from .core import INF, DimensionMismatch, QuadMetric, as_point
 from .losses import BregmanAround, is_isotropic_quadratic
 from .regularizers import (L1, Indicatrix, Linear, Quadratic, Regularizer,
                            Sum, Terms)
@@ -350,9 +348,11 @@ class Objective:
 
     def add_quadratic(self, center, metric: QuadMetric, scale: float):
         """Fold scale/2 ||x - center||_M^2 into the combined form."""
-        self._fold_quadratic(as_point(center), metric, scale)
+        self.fold_quadratic(as_point(center), metric, scale)
 
-    def _fold_quadratic(self, center: np.ndarray, metric: QuadMetric, scale: float):
+    def fold_quadratic(self, center: np.ndarray, metric: QuadMetric, scale: float):
+        """``add_quadratic`` for a centre already checked, such as an
+        iterate an argmin returned."""
         if scale == 0.0:
             return
         d = self.lin.size
@@ -407,7 +407,7 @@ class Objective:
         self.l1_alpha += term.l1
         m = term.metric
         if m.kind != "scaled" or m.gamma != 0.0:
-            self._fold_quadratic(term.center, m, 1.0)
+            self.fold_quadratic(term.center, m, 1.0)
         if term.shift is not None:
             self.lin = self.lin + term.shift
 
@@ -431,7 +431,7 @@ class Objective:
                 self.add_regularizer(part, scale)
             return
         if isinstance(reg, Quadratic):
-            self._fold_quadratic(reg.center, reg.metric, scale * reg.scale)
+            self.fold_quadratic(reg.center, reg.metric, scale * reg.scale)
             return
         if isinstance(reg, Linear):
             self.lin = self.lin + scale * reg.v
@@ -463,7 +463,7 @@ class Objective:
                 self.add_bregman_anchor(part, point)
             return
         if isinstance(reg, Quadratic):
-            self._fold_quadratic(point, reg.metric, reg.scale)
+            self.fold_quadratic(point, reg.metric, reg.scale)
             return
         if isinstance(reg, Linear):
             return
@@ -540,24 +540,6 @@ def _certify(obj: Objective, x: np.ndarray, smooth: float) -> np.ndarray:
     return x
 
 
-def _separable_certified(obj: Objective, x: np.ndarray, w, sigma: float,
-                         smooth: float) -> bool:
-    """Whether x passes ``_certify``'s test, read in one vector expression
-    from the weights w = diag + gamma (or gamma) of a separable objective on
-    a box or the free set.  The residual x - P(x - (lin + w x) / L) differs
-    from ``_certify``'s only in how the gradient sums; with gamma and diag
-    >= 0 (sigma >= gamma) that moves it by under 8 eps (||lin|| + L ||x||
-    + d tol), L >= 1, which comes off the tolerance, so the test accepts
-    nothing ``_certify`` rejects.  False leaves the verdict to ``_certify``."""
-    if not (obj.gamma >= 0.0 and sigma >= obj.gamma):
-        return False
-    step = 1.0 / max(smooth, 1.0)
-    resid = _norm(x - obj.feasible_set._project(x - step * (obj.lin + w * x))) / step
-    lin_norm = _norm(obj.lin)
-    tol = 1e-8 * (1.0 + lin_norm + smooth)
-    return resid + 8.0 * _EPS * (lin_norm + _norm(x) / step + x.size * tol) <= tol
-
-
 def _quadratic_has_route(obj: Objective) -> bool:
     """True when ``argmin_quadratic`` has an exact method for the set and
     the shape of the quadratic part: any quadratic over a box is a
@@ -588,9 +570,7 @@ def argmin_quadratic(obj: Objective) -> np.ndarray:
       secular equation (``_diag_ball_argmin``).
 
     Any other objective raises ``ValueError``.  Its parts were checked when
-    they were folded; only the result is checked here, by
-    ``_separable_certified`` after a clip on a box or the free set, and
-    otherwise (or when that test fails) by ``_certify``.
+    they were folded; only the result is checked here, by ``_certify``.
     """
     if obj.has_losses() or obj.l1_alpha:
         raise ValueError("argmin_quadratic expects a pure linear-quadratic objective")
@@ -605,22 +585,18 @@ def argmin_quadratic(obj: Objective) -> np.ndarray:
     if sigma <= 0.0:
         raise IllPosedError(
             f"ill-posed argmin: quadratic part has min curvature {sigma}")
-    w = None
     if diagonal_on_ball:
         x = _diag_ball_argmin(obj.lin, obj.diag + obj.gamma, fs._center, fs.radius)
+    elif obj.is_isotropic():
+        x = -obj.lin / obj.gamma
     elif obj.full is not None and isinstance(fs, Box):
         x = _full_box_argmin(obj, 1.0 + _norm(obj.lin) + smooth)
     elif obj.full is not None:
         x = np.linalg.solve(_hessian(obj), -obj.lin)
     else:
-        # isotropic on any set, or diagonal on a box or the free set
-        w = obj.gamma if obj.diag is None else obj.diag + obj.gamma
-        x = -obj.lin / w
+        x = -obj.lin / (obj.diag + obj.gamma)
     if not unconstrained:
         x = fs._project(x)
-    if (w is not None and isinstance(fs, (Unconstrained, Box))
-            and _separable_certified(obj, x, w, sigma, smooth)):
-        return x
     return _certify(obj, x, smooth)
 
 

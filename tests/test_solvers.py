@@ -11,7 +11,7 @@ from adaopt.solvers import (
     Unconstrained, argmin_l1_composite, argmin_numeric, argmin_quadratic,
     linear_argmin, minimize, simplex_project,
 )
-from adaopt import losses, solvers, suites
+from adaopt import losses, solvers
 
 
 def pts(dim, lo=-3.0, hi=3.0):
@@ -304,96 +304,6 @@ def test_l1_composite_certifies_a_coordinate_with_lo_equal_to_hi():
     x = argmin_l1_composite(obj)
     assert np.array_equal(x, [-0.0, -1.566])
     assert np.allclose(x, argmin_numeric(obj), atol=1e-9)
-
-
-# -- the separable certificate ----------------------------------------------------
-
-# moves of x off the clip, in units of the residual tolerance
-_OFF_CLIP = (0.0, 0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0)
-
-
-def _verdicts(obj, x):
-    """(separable test, _certify) on x: True where each accepts it."""
-    sigma, smooth = obj.quad_curvature()
-    w = obj.gamma if obj.diag is None else obj.diag + obj.gamma
-    try:
-        solvers._certify(obj, x, smooth)
-        full = True
-    except IllPosedError:
-        full = False
-    return solvers._separable_certified(obj, x, w, sigma, smooth), full
-
-
-def _off_clip(obj, x, u):
-    """x moved along u (a unit vector) by each of ``_OFF_CLIP`` times the
-    distance that gives a residual of the tolerance where no bound is near."""
-    _, smooth = obj.quad_curvature()
-    w = obj.gamma if obj.diag is None else obj.diag + obj.gamma
-    tol = 1e-8 * (1.0 + np.linalg.norm(obj.lin) + smooth)
-    unit = tol / np.linalg.norm(w * u)
-    return [x + f * unit * u for f in _OFF_CLIP]
-
-
-def _separable_suite_instances(monkeypatch, n):
-    """The separable box and free-set objectives solver_suite sends to the
-    clip route, with the clip's x."""
-    seen = []
-    route = solvers.argmin_quadratic
-
-    def spy(obj):
-        x = route(obj)
-        if obj.full is None and isinstance(obj.feasible_set, (Box, Unconstrained)):
-            seen.append((obj, x))
-        return x
-
-    monkeypatch.setattr(solvers, "argmin_quadratic", spy)
-    suites.solver_suite(n=n, seed=0)
-    monkeypatch.undo()
-    return seen
-
-
-def test_separable_certificate_is_no_looser_on_solver_suite_draws(monkeypatch):
-    # the clip route's test accepts every clip it made, and off the clip
-    # nothing that _certify rejects
-    seen = _separable_suite_instances(monkeypatch, 120)
-    assert len(seen) >= 40
-    rng = np.random.default_rng(8)
-    rejected = 0
-    for obj, x in seen:
-        assert _verdicts(obj, x) == (True, True)
-        u = rng.normal(size=x.size)
-        for y in _off_clip(obj, x, u / np.linalg.norm(u)):
-            sep, full = _verdicts(obj, y)
-            assert full or not sep
-            rejected += not full
-    assert rejected > 0
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(data=st.data(), d=st.integers(1, 6), boxed=st.booleans())
-def test_separable_certificate_is_no_looser_off_the_clip(data, d, boxed):
-    # gamma and diag apart, so the two certificates sum the gradient in
-    # different orders; x moves off the clip by factors around the tolerance
-    vec = lambda lo, hi: np.array(data.draw(st.lists(
-        st.floats(lo, hi), min_size=d, max_size=d)))
-    lin = vec(-1e3, 1e3)
-    gamma = data.draw(st.sampled_from([0.0, 1e-3, 0.7, 50.0]))
-    diag = vec(0.0, 1e3) if data.draw(st.booleans()) else None
-    if diag is None and gamma == 0.0:
-        gamma = 1.0
-    if diag is not None and gamma == 0.0:
-        diag = diag + 1e-6
-    lo = vec(-10.0, 0.0)
-    fs = Box(lo, lo + vec(0.0, 20.0)) if boxed else Unconstrained(d)
-    obj = Objective(feasible_set=fs, lin=lin, gamma=gamma, diag=diag)
-    x = argmin_quadratic(obj)
-    u = vec(-1.0, 1.0)
-    if not np.linalg.norm(u) > 1e-3:
-        u = np.eye(d)[0]
-    assert _verdicts(obj, x) == (True, True)
-    for y in _off_clip(obj, x, u / np.linalg.norm(u)):
-        sep, full = _verdicts(obj, y)
-        assert full or not sep
 
 
 # -- numeric solver ---------------------------------------------------------------

@@ -134,24 +134,29 @@ def test_schedules_stop_a_bad_gradient_before_they_write_their_state(step, value
     assert _same_state(_state_fields(played), before)
 
 
-def test_a_non_finite_kernel_row_stops_the_run_at_its_round(monkeypatch):
-    # random_stream's rows are checked once per block, when it is drawn,
-    # and not again by the loss they become; a bad row still names its round
-    draw = losses._uniform_block
+@pytest.mark.parametrize("step", [adagrad_diag_step, adagrad_full_step])
+def test_schedules_check_the_shape_of_g(step):
+    # g's entries are Driver.round's to check, its shape the schedule's: a
+    # 2-d g raises before the state is written, a scalar is a 1-vector
+    for bad in (np.ones((2, 3)), np.ones((1, 3))):
+        state = ScheduleState()
+        with pytest.raises(ValueError, match="1-d"):
+            step(state, bad, 1.0, 1.0)
+        assert _same_state(_state_fields(state), _state_fields(ScheduleState()))
+    scalar, _ = step(ScheduleState(), 2.0, 1.0, 1.0)
+    vector, _ = step(ScheduleState(), np.array([2.0]), 1.0, 1.0)
+    assert scalar.dim == 1
+    assert scalar.matvec(np.ones(1)) == vector.matvec(np.ones(1))
 
-    def with_inf(words, rounds, dim, scale):
-        block = draw(words, rounds, dim, scale)
-        block[rounds == 5, 1] = np.inf
-        return block
 
-    monkeypatch.setattr(losses, "_uniform_block", with_inf)
-    d = 3
-    driver = Driver("adagrad-da", solvers.Box(-np.ones(d), np.ones(d)))
-    with pytest.raises(ValueError, match="^round 5: loss: random stream "
-                                         "vector has non-finite entries") as info:
-        run_rounds(driver, losses.random_stream(d, seed=2), 8)
-    assert (info.value.round, info.value.layer) == (5, "loss")
-    assert driver.learner.t == 4
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_random_stream_rejects_a_non_finite_scale(value):
+    # each kernel row is scale times numbers in [-1, 1], finite once the
+    # scale is, so the stream checks its scale and not its rows
+    with pytest.raises(ValueError, match="scale must be finite"):
+        losses.random_stream(3, seed=2, scale=value)
+    big = losses.random_stream(3, seed=2, scale=1e308)
+    assert np.isfinite([big.vector(t) for t in range(1, 200)]).all()
 
 
 @pytest.mark.parametrize("value", NON_FINITE + (0.0, -1.0))
