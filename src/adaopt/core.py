@@ -160,8 +160,10 @@ class QuadMetric:
         vv = float(v.dot(v))
         s = max(1.0, float(diag[j]), abs(float(v.dot(matrix @ v))) / vv if vv else 0.0)
         c = -_PSD_CLAMP - 2 * d * _EPS
+        shifted = matrix.copy()
+        shifted.flat[::d + 1] += c * s
         try:
-            np.linalg.cholesky(matrix + (c * s) * np.eye(d))
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             raise ValueError("full metric is not positive semidefinite: its "
                              "shifted Cholesky factorisation fails") from None

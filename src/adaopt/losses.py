@@ -86,19 +86,25 @@ def _linear(v: np.ndarray) -> Loss:
 
 def quadratic_loss(center, weight: float = 1.0) -> Loss:
     """(weight/2) ||x - center||_2^2: weight-smooth and weight-strongly convex."""
-    center = as_point(center)
+    return _quadratic(as_point(center), weight)
+
+
+def _quadratic(center: np.ndarray, weight: float) -> Loss:
+    """``quadratic_loss`` for a checked centre, which is also its star
+    centre; the weight is checked here."""
     weight = float(weight)
     if weight <= 0:
         raise ValueError("quadratic loss needs a positive weight")
-    return Loss(
+    loss = Loss(
         "quadratic",
         value=lambda x: 0.5 * weight * float(np.dot(x - center, x - center)),
         grad=lambda x: weight * (x - center),
         smoothness=weight,
         strong_convexity=weight,
-        star_center=center,
         isotropic=(weight, center),
     )
+    loss.star_center = center
+    return loss
 
 
 def is_isotropic_quadratic(loss: Loss) -> bool:
@@ -485,7 +491,7 @@ class DriftingQuadratic(LossSequence):
         return as_point(self.center_fn(t))
 
     def loss(self, t):
-        return quadratic_loss(self.center(t), self.weight)
+        return _quadratic(self.center(t), self.weight)
 
     def column(self, ts):
         centers = np.array([self.center(t) for t in ts])

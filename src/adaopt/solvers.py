@@ -16,7 +16,7 @@ outside their domain instead of handing it on:
 
 * ``argmin_quadratic``  - exact solve: a linear system without a set; on a
   set, projection for an isotropic quadratic, clipping for a diagonal one on
-  a box, a primal active-set method for a full one on a box, and the
+  a box, a range-space active-set method for a full one on a box, and the
   secular equation for a diagonal one on a ball,
 * ``argmin_l1_composite`` - coordinate soft-thresholding for a diagonal
   quadratic, on a box or the free set,
@@ -315,8 +315,9 @@ class Objective:
     non-linearized updates) goes into the ``gamma`` slot when the loss is an
     isotropic quadratic, and otherwise leaves its loss in ``losses``, the
     smooth loss handles that enter the objective directly.  ``full_evals``
-    holds the ascending eigenvalues of ``full`` when they came with it
-    (``take_quadratic``); a fold that changes ``full`` drops them.
+    (ascending) and ``full_evecs`` are the eigenpairs of ``full`` when they
+    came with it (``take_quadratic``), for σ, L and M^-1; a fold that
+    changes ``full`` drops both.
     """
 
     feasible_set: FeasibleSet
@@ -325,6 +326,7 @@ class Objective:
     diag: np.ndarray | None = None
     full: np.ndarray | None = None
     full_evals: np.ndarray | None = None
+    full_evecs: np.ndarray | None = None
     const: float = 0.0
     l1_alpha: float = 0.0
     losses: list = field(default_factory=list)
@@ -369,7 +371,7 @@ class Objective:
             if self.full is None:
                 self.full = np.zeros((d, d))
             self.full = self.full + (m if scale == 1.0 else scale * m)
-            self.full_evals = None
+            self.full_evals = self.full_evecs = None
         mc = metric.matvec(center) if center.any() else None
         if mc is not None:
             self.lin = self.lin - scale * mc
@@ -379,9 +381,9 @@ class Objective:
         """Make ``metric``, a full metric that carries its eigenpairs, the
         whole quadratic part.  The caller knows the part already equals it
         up to rounding (an ftrl objective's part is r_{1:t} + q_t); taking
-        it keeps its eigenvalues for ``quad_curvature``."""
+        it keeps its eigenpairs for ``quad_curvature`` and the argmin."""
         self.gamma, self.diag = 0.0, None
-        self.full, self.full_evals = metric.matrix, metric._evals
+        self.full, self.full_evals, self.full_evecs = metric.matrix, metric._evals, metric._evecs
 
     def _fold_isotropic(self, center: np.ndarray, gamma: float):
         """Fold gamma/2 ||x - center||^2."""
@@ -564,8 +566,8 @@ def argmin_quadratic(obj: Objective) -> np.ndarray:
 
     * isotropic quadratic, any set: project the unconstrained minimizer,
     * diagonal quadratic on a box: clip it (the problem is separable),
-    * full quadratic on a box: a primal active-set method
-      (``_full_box_argmin``), warm-started from ``obj.init``,
+    * full quadratic on a box: a range-space active-set method on the
+      metric's inverse (``_full_box_argmin``), warm-started from ``obj.init``,
     * diagonal quadratic on a ball: take the ball's multiplier from its
       secular equation (``_diag_ball_argmin``).
 
@@ -579,13 +581,11 @@ def argmin_quadratic(obj: Objective) -> np.ndarray:
                          f"{'full' if obj.full is not None else 'diagonal'} "
                          f"metric on {type(obj.feasible_set).__name__}")
     fs = obj.feasible_set
-    unconstrained = isinstance(fs, Unconstrained)
-    diagonal_on_ball = isinstance(fs, Ball) and not obj.is_isotropic()
     sigma, smooth = obj.quad_curvature()
     if sigma <= 0.0:
         raise IllPosedError(
             f"ill-posed argmin: quadratic part has min curvature {sigma}")
-    if diagonal_on_ball:
+    if isinstance(fs, Ball) and not obj.is_isotropic():
         x = _diag_ball_argmin(obj.lin, obj.diag + obj.gamma, fs._center, fs.radius)
     elif obj.is_isotropic():
         x = -obj.lin / obj.gamma
@@ -595,76 +595,74 @@ def argmin_quadratic(obj: Objective) -> np.ndarray:
         x = np.linalg.solve(_hessian(obj), -obj.lin)
     else:
         x = -obj.lin / (obj.diag + obj.gamma)
-    if not unconstrained:
+    if not isinstance(fs, Unconstrained):
         x = fs._project(x)
     return _certify(obj, x, smooth)
 
 
 def _hessian(obj: Objective) -> np.ndarray:
     """The dense matrix of the quadratic part: sym(full) + gamma I + diag."""
-    m = 0.5 * (obj.full + obj.full.T) + (obj.gamma * np.eye(obj.lin.size)
-                                         if obj.gamma else 0.0)
-    if obj.diag is not None:
-        m = m + np.diag(obj.diag)
-    return m
+    m = 0.5 * (obj.full + obj.full.T) + obj.gamma * np.eye(obj.lin.size)
+    return m if obj.diag is None else m + np.diag(obj.diag)
 
 
 def _full_box_argmin(obj: Objective, scale: float) -> np.ndarray:
     """argmin <lin, x> + 1/2 x'Mx over lo <= x <= hi for a positive-definite M.
 
-    A primal active-set method (Nocedal & Wright, Alg. 16.3) on the bound
-    constraints.  The iterate stays feasible.  The working set W holds the
-    coordinates fixed at a bound; it starts as the coordinates where
-    ``obj.init`` (the previous iterate; without one, the clipped
-    unconstrained minimizer) sits at one.  Each step solves the reduced
-    Newton system M_FF x_F = -(lin_F + M_FW x_W) on the free coordinates F
-    and moves towards that point until a bound blocks it, adding the
-    blocking coordinates to W.  Once the point is reached, a coordinate at
-    its lower bound with multiplier (lin + M x)_j < -1e-12 scale, or at its
-    upper bound with one > 1e-12 scale, leaves W (the worst one); if none
-    does, x is the minimizer.  The objective falls strictly between reduced minimizers, so
-    no working set repeats and the method ends after finitely many steps;
-    coordinates with lo == hi never leave W.  The loop bound is a guard
-    against rounding cycles and raises.
+    A primal active-set method (Nocedal & Wright, Alg. 16.3) on the bounds,
+    in its range-space form (§16.2): H = M^-1 is formed once, from the
+    eigenpairs the objective carries or else by inverting ``_hessian``, and
+    u = H lin.  The working set W holds the coordinates fixed at a bound; it
+    starts where ``obj.init`` (the previous iterate; without one, the clipped
+    unconstrained minimizer -u) sits at one.  With x_W fixed, the minimizer
+    is H_{:,W} mu - u (x_W on W) for H_WW mu = x_W + u_W, a |W| x |W| system
+    (H_WW is minus the Schur complement of M in the KKT matrix); the
+    gradient there is mu on W and 0 off it.  Each step moves the feasible
+    iterate towards that point until bounds block it, and they join W.  At
+    the point, the coordinate whose multiplier is wrong by more than 1e-12
+    scale (mu_j < 0 at lo, > 0 at hi) leaves W; if none is, x is the
+    minimizer.  The objective falls strictly between reduced minimizers, so
+    no working set repeats; coordinates with lo == hi never leave W.  The
+    loop bound is a guard against rounding cycles and raises.
     """
-    fs = obj.feasible_set
-    lo, hi, lin = fs.lo, fs.hi, obj.lin
-    m = _hessian(obj)
-    x = fs._project(obj.init if obj.init is not None else np.linalg.solve(m, -lin))
+    lo, hi, v = obj.feasible_set.lo, obj.feasible_set.hi, obj.full_evecs
+    h = (np.linalg.inv(_hessian(obj)) if v is None or obj.diag is not None
+         else (v / (obj.full_evals + obj.gamma)) @ v.T)
+    u = h @ obj.lin
+    x = (obj.init if obj.init is not None else -u).clip(lo, hi)
     at_lo, at_hi = x == lo, x == hi
-    mult_tol = 1e-12 * scale
-    guard = 20 * lin.size + 20
+    guard = 20 * x.size + 20
     for _ in range(guard):
-        fixed = at_lo | at_hi
-        free = np.flatnonzero(~fixed)
-        if free.size:
-            rows = m.take(free, 0)
-            target = np.linalg.solve(rows.take(free, 1),
-                                     -(lin[free] + rows @ np.where(fixed, x, 0.0)))
-            below, above = target < lo[free], target > hi[free]
-            out = below | above
-            if out.any():
-                # the bounds that the segment from x_F to the target crosses
-                # first stop the step there and join W
-                o = free[out]
-                bound = np.where(below[out], lo[o], hi[o])
-                frac = (bound - x[o]) / (target[out] - x[o])
-                alpha = float(frac.min())
-                x[free] = (x[free] + alpha * (target - x[free])).clip(lo[free], hi[free])
-                first = frac == alpha
-                hit = o[first]
-                x[hit] = bound[first]
-                at_lo[hit] = below[out][first]
-                at_hi[hit] = above[out][first]
-                continue
-            x[free] = target
-        grad = lin + m @ x
+        fixed = np.flatnonzero(at_lo | at_hi)
+        if fixed.size == x.size:                # nothing is free
+            target, mu = x, obj.smooth_grad(x)
+        elif fixed.size:
+            cols = h.take(fixed, 1)
+            mu = np.linalg.solve(cols.take(fixed, 0), x[fixed] + u[fixed])
+            target = cols @ mu - u
+            target[fixed] = x[fixed]
+        else:                                   # nothing is fixed
+            target, mu = -u, np.zeros(0)
+        below, above = target < lo, target > hi
+        out = np.flatnonzero(below | above)
+        if out.size:
+            # the bounds the segment to the target crosses first stop it
+            bound = np.where(below[out], lo[out], hi[out])
+            frac = (bound - x[out]) / (target[out] - x[out])
+            alpha = float(frac.min())
+            x = (x + alpha * (target - x)).clip(lo, hi)
+            hit = out[frac == alpha]
+            x[hit] = bound[frac == alpha]
+            at_lo[hit], at_hi[hit] = below[hit], above[hit]
+            continue
+        x = target
         # a bound's multiplier must be >= 0 at lo and <= 0 at hi; lo == hi
         # puts a coordinate at both, where its sign is free
-        wrong = np.where(at_lo ^ at_hi, np.where(at_lo, -grad, grad), 0.0)
-        j = int(np.argmax(wrong))
-        if not wrong[j] > mult_tol:
+        w_lo = at_lo[fixed]
+        wrong = np.where(w_lo ^ at_hi[fixed], np.where(w_lo, -mu, mu), 0.0)
+        if not wrong.max(initial=0.0) > 1e-12 * scale:
             return x
+        j = fixed[int(np.argmax(wrong))]
         at_lo[j] = at_hi[j] = False
     raise NumericArgminError(f"active-set argmin did not settle after {guard} steps")
 

@@ -414,17 +414,20 @@ def test_full_matrix_run_decomposes_one_matrix_per_round(
     # the schedule's eigh of G_t is the one eigendecomposition of a whole run
     # (play, bounds, CSV and replay): a Cholesky factorisation checks the
     # increment, and the argmin and the dual norms read the eigenpairs that
-    # the running metric carries
-    calls = dict.fromkeys(("eigh", "eigvalsh"), 0)
-    for name in calls:
-        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kw):
-            calls[_name] += 1
-            return _real(*args, **kw)
-        monkeypatch.setattr(np.linalg, name, counted)
+    # the running metric carries.  The argmin's active set inverts nothing
+    # and solves only systems on its working set, smaller than d x d
     cfg = dict(copy.deepcopy(GUARD), preset=preset, params=params, T=20)
+    d = cfg["set"]["dim"]
+    calls = dict.fromkeys(("eigh", "eigvalsh", "solve", "inv"), 0)
+    for name in calls:
+        def counted(a, *args, _real=getattr(np.linalg, name), _name=name, **kw):
+            if _name != "solve" or np.shape(a) == (d, d):
+                calls[_name] += 1
+            return _real(a, *args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
     assert main(["run", "--config", write_cfg(tmp_path, cfg),
                  "--out", str(tmp_path / "out")]) == 0
-    assert calls == {"eigh": 20, "eigvalsh": 0}
+    assert calls == {"eigh": 20, "eigvalsh": 0, "solve": 0, "inv": 0}
 
 
 # A smooth-loss bound whose metric cannot absorb the smoothness in round 1:

@@ -11,7 +11,7 @@ from adaopt.solvers import (
     Unconstrained, argmin_l1_composite, argmin_numeric, argmin_quadratic,
     linear_argmin, minimize, simplex_project,
 )
-from adaopt import losses, solvers
+from adaopt import losses, solvers, suites
 
 
 def pts(dim, lo=-3.0, hi=3.0):
@@ -185,6 +185,38 @@ def test_full_box_route_is_exact_and_never_numeric(monkeypatch):
     # KKT signs on the bounds; lo == hi leaves the sign free
     assert np.all(g[(x == lo) & (lo < hi)] >= -1e-12)
     assert np.all(g[(x == hi) & (lo < hi)] <= 1e-12)
+
+
+def test_full_box_route_reads_carried_eigenpairs_as_it_reads_the_matrix():
+    # the solver suite's draws: conditioning up to 1e6, coordinates with
+    # lo == hi, and warm starts that are right, wrong or absent.  The same
+    # objective gives the same minimizer whether the argmin inverts its
+    # matrix or reads the eigenpairs that take_quadratic carries, also once
+    # a scaled-identity fold, which leaves the full part alone, shifts them
+    rng = np.random.default_rng(15)
+    for n in range(300):
+        plain, _, _ = suites._full_box_instance(rng)
+        metric = QuadMetric.full(plain.full)
+        plain.full = metric.matrix
+        carried = Objective.build(plain.feasible_set, linear=plain.lin)
+        carried.take_quadratic(metric)
+        carried.init = plain.init
+        if n % 3 == 0:
+            for obj in (plain, carried):
+                obj.add_quadratic(np.zeros(plain.lin.size), QuadMetric.scaled(0.5), 1.0)
+        assert carried.full_evecs is not None and plain.full_evecs is None
+        x = argmin_quadratic(carried)
+        assert np.allclose(x, argmin_quadratic(plain), rtol=0.0, atol=1e-9)
+        lo, hi = plain.feasible_set.lo, plain.feasible_set.hi
+        g = carried.smooth_grad(x)
+        tol = 1e-8 * (1.0 + np.linalg.norm(carried.lin) + carried.quad_curvature()[1])
+        assert np.max(np.abs(g[(x > lo) & (x < hi)]), initial=0.0) <= tol
+        assert np.all(g[(x == lo) & (lo < hi)] >= -tol)
+        assert np.all(g[(x == hi) & (lo < hi)] <= tol)
+    # a fold that changes the full part drops both carried arrays
+    d = carried.lin.size
+    carried.add_quadratic(np.zeros(d), QuadMetric.full(np.eye(d)), 1.0)
+    assert carried.full_evals is None and carried.full_evecs is None
 
 
 def _ball_objective(lin, weights, center, radius):
