@@ -407,10 +407,9 @@ def replay_check(csv_text: str, cfg: dict, x_star, tol: float = 1e-9) -> dict:
     Nothing is read from the ledger: a mismatch means the export lost
     information.
     """
-    fs = build_set(cfg["set"])
-    seq = build_losses(cfg["losses"], fs.dim)
-    d = fs.dim
     x_star = as_point(x_star)
+    d = x_star.size
+    seq = build_losses(cfg["losses"], d)
     alpha = float(cfg["params"].get("composite_alpha", 0.0))
     # a list of lines, not a StringIO, which would hold the text as UCS-4;
     # the CSV has no comments, and not looking for them parses faster

@@ -18,17 +18,18 @@ what the update needs: the forward bound's B_{r_{1:t}}(x_{t+1}, x_t) is
 derived from the columns when first read (``Ledger.breg_r``).
 
 There is one accounting path.  The decomposition terms, the running
-regret, the CSV rows, B_{r_{1:t}}(x_{t+1}, x_t) and the forward, Table-2
-and optimistic bounds are column expressions over the ledger, each equal
-bit for bit to the loop that it replaced: row dot products go through
-``core.rowdot``, running sums through np.cumsum (which adds in loop
-order), the losses through ``losses.LossColumn``, and a term's parts add
-in the order of its ``Sum``.  Loops over rows remain for full metrics,
-losses outside the linear and isotropic-quadratic families, a composite or
-optimistic q_t, mirror descent's B_{p_t} in round 1 and wherever q_t is
-not Zero, and the l1 and non-isotropic loss parts of an ftrl B_r.  A
-report carries the running sum of its terms, its value is the last entry,
-and the CSV's ``cum_bound`` column is that same running bound, so a
+regret, the CSV rows, B_{r_{1:t}}(x_{t+1}, x_t) and every bound are column
+expressions over the ledger that repeat the float steps of the per-round
+handles: row dot products go through ``core.rowdot``, running sums through
+np.cumsum (which adds in loop order), the losses through
+``losses.LossColumn``, and a term's parts add in the order of its ``Sum``.
+An l1 directional derivative sums a zero-filled row where ``L1.dir_deriv``
+sums the compressed one; from 8 coordinates on numpy's pairwise sum groups
+the two differently, so that term agrees to rounding, not bit for bit.
+Loops over rows remain for full metrics, losses outside the linear and
+isotropic-quadratic families, and an ftrl B_r's non-isotropic loss parts.
+A report carries the running sum of its terms, its value is the last
+entry, and the CSV's ``cum_bound`` column is that same running bound, so a
 report and its ledger cannot disagree.
 
 All q-sums run over t = 0..T by default; since the regret never depends on
@@ -125,21 +126,21 @@ class Ledger:
     @cached_property
     def breg_r(self) -> np.ndarray:
         """Row t-1: B_{r_{1:t}}(x_{t+1}, x_t), r_{1:t}'s parts added in the
-        order play added them: 0.0, the quadratic under ``r_metric`` (a
-        column), then for ftrl, whose r_{1:t} carries q_{0:t-1}, the l1
-        part wherever its running weight is positive and each earlier
-        round's loss divergence that is not isotropic (the isotropic ones
-        are in ``r_metric``); those two are loops over handles."""
+        order play added them: 0.0, the quadratic under ``r_metric``, then
+        for ftrl, whose r_{1:t} carries q_{0:t-1}, the l1 part at its
+        running weight a, a||y||_1 - a||x||_1 - a||.||_1'(x; y - x), and
+        each earlier round's loss divergence that is not isotropic (a loop
+        over handles; the isotropic ones are in ``r_metric``)."""
         x = self.x
         out = 0.0 + _quad_values(self.r_metric, x[1:] - x[:-1])
         if self.kind != "ftrl":
             return out
         # r_{1:t}'s l1 weight: q~_0's, then psi's from each q_s, s < t
-        l1 = np.cumsum(np.concatenate((
+        a = np.cumsum(np.concatenate((
             [classify(self.q0_tilde, self.dim).l1],
             np.full(self.T - 1, self.psi_alpha))))
-        for i in np.flatnonzero(l1 > 0.0):
-            out[i] += L1(l1[i]).bregman(x[i + 1], x[i])
+        n = np.abs(x).sum(axis=1)
+        out += a * n[1:] - a * n[:-1] - a * _l1_deriv(x[:-1], x[1:] - x[:-1])
         if self.needs_loss:
             kept = []
             for i, f in enumerate(self.losses):
@@ -255,7 +256,6 @@ def _quadratic(metric, center) -> Regularizer:
 class BoundInputs:
     """Problem-level constants that bounds may need beyond the ledger."""
 
-    x_star: np.ndarray | None = None
     radius: float | None = None        # R, feasible-set width
     smoothness: float | None = None    # L
     variation: float | None = None     # D, total gradient variation
@@ -400,8 +400,8 @@ def _capped(col: np.ndarray) -> np.ndarray:
 def _matvec(m: MetricColumn, D) -> np.ndarray:
     """Row i: M_i D_i, as ``QuadMetric.matvec`` computes it.  A quadratic's
     value is then 0.5 * rowdot(D, M D) and its directional derivative
-    rowdot(M D, Z), the float steps of ``Quadratic`` (whose scale 1.0
-    leaves a product as it is); full rows are a loop."""
+    rowdot(M D, Z) (``_quad_values``), the float steps of ``Quadratic``
+    (whose scale 1.0 leaves a product as it is); full rows are a loop."""
     out = m.gamma[:, None] * D
     diag = m.kind == 1
     if diag.any():
@@ -411,34 +411,63 @@ def _matvec(m: MetricColumn, D) -> np.ndarray:
     return out
 
 
-def _quad_values(m: MetricColumn, D) -> np.ndarray:
-    return 0.5 * rowdot(D, _matvec(m, D))
+def _quad_values(m: MetricColumn, D, Z=None) -> np.ndarray:
+    MD = _matvec(m, D)
+    val = 0.5 * rowdot(D, MD)
+    return val if Z is None else np.array([val, rowdot(MD, Z)])
 
 
-def _from_prox_center(ledger: Ledger, y) -> np.ndarray:
-    """Row i: y_i (or the one point y) less the centre of round i + 1's
-    proximal term, x_t or the origin."""
-    center = ledger.x[:-1] if ledger.prox_at_x else 0.0
-    return np.broadcast_to(y - center, (ledger.T, ledger.dim))
+def _l1_deriv(y, z) -> np.ndarray:
+    """Row i: ||.||_1'(y_i; z_i) as ``L1.dir_deriv`` takes it: the signed
+    sum over y_i's non-zero coordinates, then |z_i| summed over its zeros."""
+    return ((np.sign(y) * z).sum(axis=1)
+            + np.where(y == 0.0, np.abs(z), 0.0).sum(axis=1))
 
 
-def _q_values(ledger: Ledger, y, tilde: bool) -> np.ndarray:
+def _q_values(ledger: Ledger, y, tilde: bool, z=None) -> np.ndarray:
     """Row i: q_t(y_i), or q~_t(y_i) when ``tilde``, for round t = i + 1 and
-    a column of points y (or one shared point).  A quadratic q~_t is a
-    column, and so is one with a loss divergence, whose ``Sum`` adds 0.0,
-    the divergence, then the quadratic (a dropped Zero adds 0.0, which
-    leaves a total as it is).  A composite or optimistic q_t is a loop over
-    the records' handles."""
+    a column of points y (or one shared point); given directions z, that
+    row and the row q_t'(y_i; z_i) (``part`` pairs a part's value with its
+    derivative only then).  The parts add in the order of q_t's ``Sum``,
+    from 0.0: the loss divergence, psi = alpha ||.||_1, the quadratic, then
+    the hint shift <h_{t+1} - h_t, .> + 0.0; a part the handle drops (a
+    zero metric or shift) adds 0.0, which leaves the total as it is."""
     Y = np.broadcast_to(y, (ledger.T, ledger.dim))
-    if ledger.composite or (ledger.hint is not None and not tilde):
-        return np.array([(rec.q_tilde if tilde else rec.q).value(Y[rec.i])
-                         for rec in ledger.records])
-    quad = _quad_values(ledger.q_metric, Y)
-    if not ledger.needs_loss:
-        return quad
-    # BregmanAround.value: f(y) - f(x_t) - <grad f(x_t), y - x_t>
-    return 0.0 + (_losses(ledger).value(Y) - ledger.loss_value
-                  - rowdot(ledger.g, Y - ledger.x[:-1])) + quad
+    Z = None if z is None else np.broadcast_to(z, Y.shape)
+    part = (lambda v, d: v) if Z is None else (lambda v, d: np.array([v, d()]))
+    out = 0.0
+    if ledger.needs_loss:
+        # BregmanAround: f(y) - f(x_t) - <grad f(x_t), y - x_t>
+        loss = _losses(ledger)
+        out = out + part(loss.value(Y) - ledger.loss_value
+                         - rowdot(ledger.g, Y - ledger.x[:-1]),
+                         lambda: loss.dir_deriv(Y, Z) - rowdot(ledger.g, Z))
+    if ledger.composite:
+        a = ledger.psi_alpha
+        out = out + part(a * np.abs(Y).sum(axis=1), lambda: a * _l1_deriv(Y, Z))
+    out = out + _quad_values(ledger.q_metric, Y, Z)
+    if ledger.hint is not None and not tilde:
+        shift = ledger.hint[1:] - ledger.hint[:-1]
+        out = out + part(rowdot(shift, Y) + 0.0, lambda: rowdot(shift, Z))
+    return out
+
+
+def _p_values(ledger: Ledger, y, z=None) -> np.ndarray:
+    """Row i: p_t(y_i) for round t = i + 1; given directions z, also the row
+    p_t'(y_i; z_i).  p_t is the proximal quadratic (centred at x_t or the
+    origin), for md less q_{t-1} as ``Difference`` takes it: q_0 is the
+    ledger's handle, q_1..q_{T-1} come from the run cut after round T - 1."""
+    T = ledger.T
+    Y = np.broadcast_to(y, (T, ledger.dim))
+    Z = None if z is None else np.broadcast_to(z, Y.shape)
+    out = _quad_values(ledger.prox, Y - ledger.x[:-1] if ledger.prox_at_x else Y, Z)
+    if ledger.kind == "md":
+        q0 = ledger.q0
+        head = q0.value(Y[0]) if Z is None \
+            else [[q0.value(Y[0])], [q0.dir_deriv(Y[0], Z[0])]]
+        out = out - np.hstack((head, _q_values(ledger.prefix(T - 1), Y[1:], False,
+                                               None if Z is None else Z[1:])))
+    return out
 
 
 def _diff_values(vs: np.ndarray, vx: np.ndarray) -> np.ndarray:
@@ -447,26 +476,10 @@ def _diff_values(vs: np.ndarray, vx: np.ndarray) -> np.ndarray:
 
 
 def _bp_md(ledger: Ledger, x_star) -> np.ndarray:
-    """Row i: B_{p_t}(x*, x_t) for the md p_t = r_t - q_{t-1}, as
-    ``core.bregman`` takes it of the ``Difference``.
-
-    Where every q_t is Zero (no hints, psi, loss divergence or q~ metric),
-    p_t is r_t less 0.0 from round 2 on, and B_{p_t} is
-    r_t(x*) - r_t(x_t) - r_t'(x_t; x* - x_t) as a column.  Round 1 (whose
-    q_0 is a handle) and every round of any other run are a loop over the
-    records."""
-    records = ledger.records
-    q = ledger.q_metric
-    if (ledger.hint is not None or ledger.needs_loss or ledger.composite
-            or q.kind.any() or q.gamma.any()):
-        return _capped(np.array([rec.p.bregman(x_star, rec.x) for rec in records]))
-    x = ledger.x[:-1]
-    Dx = _from_prox_center(ledger, x)
-    out = (_quad_values(ledger.prox, _from_prox_center(ledger, x_star))
-           - _quad_values(ledger.prox, Dx)
-           - rowdot(_matvec(ledger.prox, Dx), x_star - x))
-    out[0] = records[0].p.bregman(x_star, x[0])
-    return _capped(out)
+    """Row i: B_{p_t}(x*, x_t) = p_t(x*) - p_t(x_t) - p_t'(x_t; x* - x_t),
+    as ``core.bregman`` takes it of the md p_t's ``Difference``."""
+    px, dx = _p_values(ledger, ledger.x[:-1], x_star - ledger.x[:-1])
+    return _capped(_p_values(ledger, x_star) - px - dx)
 
 
 def _dual_row(v, m, shift: float):
@@ -580,9 +593,8 @@ def _bound(ledger: Ledger, x_star, case: str, inputs: BoundInputs | None = None,
     parts = {"q_sum": q_run[:-1] if optimistic or not include_final_q
              else q_run[1:]}
     if ftrl_case:
-        parts["p_sum"] = np.cumsum(_diff_values(
-            _quad_values(ledger.prox, _from_prox_center(ledger, x_star)),
-            _quad_values(ledger.prox, _from_prox_center(ledger, x))))
+        parts["p_sum"] = np.cumsum(_diff_values(_p_values(ledger, x_star),
+                                                _p_values(ledger, x)))
     elif not strong:
         parts["bp_sum"] = np.cumsum(bp)
 
@@ -686,8 +698,7 @@ def bound_variational_smooth(ledger: Ledger, x_star, inputs: BoundInputs) -> Bou
     _check_certified(ledger, report)
     q = float(np.cumsum(np.concatenate((
         [ledger.q0_tilde.value(x_star)], _q_values(ledger, x_star, True))))[-1])
-    p = float(_running(np.array([rec.p.value(x_star)
-                                 for rec in ledger.records]))[-1])
+    p = float(_running(_p_values(ledger, x_star))[-1])
     v = 2.0 * sum(term / eta for term, eta in zip(inputs.variation_terms, etas))
     report.terms = {"q_at_star": q, "p_at_star": p, "variation_sum": v}
     report.value = q + p + v
@@ -726,7 +737,7 @@ def scale_tau(report: BoundReport, tau: float, breg_reg_sum: float = 0.0) -> Bou
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
-    scaled = BoundReport(
+    return BoundReport(
         case=f"{report.case}/tau={tau}",
         value=(report.value - breg_reg_sum) / tau,
         terms=dict(report.terms, breg_reg_correction=-breg_reg_sum),
@@ -734,7 +745,6 @@ def scale_tau(report: BoundReport, tau: float, breg_reg_sum: float = 0.0) -> Bou
         quality=report.quality,
         notes=list(report.notes),
     )
-    return scaled
 
 
 def sum_sqrt_check(a) -> tuple:
@@ -807,20 +817,16 @@ def _linear_offline(fs, g_total: np.ndarray, psi_alpha: float) -> np.ndarray:
         return solvers.linear_argmin(fs, g_total)
     # piecewise-linear per coordinate: the minimum sits at a breakpoint
     if isinstance(fs, solvers.Box):
-        out = np.empty(fs.dim)
-        for j in range(fs.dim):
-            cands = [fs.lo[j], fs.hi[j]]
-            if fs.lo[j] <= 0.0 <= fs.hi[j]:
-                cands.append(0.0)
-            vals = [g_total[j] * c + psi_alpha * abs(c) for c in cands]
-            out[j] = cands[int(np.argmin(vals))]
-        return out
+        # per coordinate lo, hi, then 0 where the box holds it; the first
+        # of equal values wins
+        cands = np.array([fs.lo, fs.hi, np.zeros(fs.dim)])
+        vals = g_total * cands + psi_alpha * np.abs(cands)
+        vals[2, (fs.lo > 0.0) | (fs.hi < 0.0)] = INF
+        return cands[np.argmin(vals, axis=0), np.arange(fs.dim)]
     if isinstance(fs, solvers.Unconstrained):
-        out = np.zeros(fs.dim)
-        over = np.abs(g_total) > psi_alpha + 1e-12
-        if np.any(over):
+        if np.any(np.abs(g_total) > psi_alpha + 1e-12):
             raise ValueError("offline comparator unbounded below")
-        return out
+        return np.zeros(fs.dim)
     raise ValueError("composite offline comparator supports box and free sets")
 
 

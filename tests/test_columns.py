@@ -445,3 +445,81 @@ def test_ledger_breg_r_carries_non_isotropic_loss_divergences(set_name):
     # the handles are a real part: the metric alone leaves a gap
     quad = regret._quad_values(led.r_metric, led.x[1:] - led.x[:-1])
     assert np.all(ref[1:] > quad[1:])
+
+
+# -- the bound terms against the records' handles --------------------------------------
+
+TERM_RUNS = {
+    "composite-ftrl-revealed": ("ftrl-prox", {"gamma0": 0.5, "composite_alpha": 0.1}),
+    "composite-ftrl-known": ("ftrl-prox", {"gamma0": 0.5, "composite_alpha": 0.1,
+                                           "composite_setting": "known-before"}),
+    "composite-md-revealed": ("md", {"composite_alpha": 0.05}),
+    "composite-md-known": ("md", {"composite_alpha": 0.05,
+                                  "composite_setting": "known-before"}),
+    "ao-ftrl-prox": ("ao-ftrl-prox", {}),
+    "ao-ftrl-prox-psi": ("ao-ftrl-prox", {"composite_alpha": 0.1}),
+    "ao-md": ("ao-md", {}),
+    "implicit-md": ("implicit-md", {}),
+}
+
+
+def _term_run(name, d):
+    preset, params = TERM_RUNS[name]
+    seq = losses.sine_drift_quadratic(d, 0.6, 11.0, 1.3) \
+        if preset == "implicit-md" else losses.random_stream(d, seed=4)
+    led = run_rounds(Driver(preset, _box(d), dict(params)), seq, 40)
+    # a comparator with zero coordinates, where the l1 derivative turns
+    x_star = _comparator(led)
+    x_star[::3] = 0.0
+    return led, x_star
+
+
+def _same(col, ref, d):
+    """Bit for bit below 8 coordinates.  From 8 on, numpy's pairwise row
+    sum groups an l1 derivative's zero-filled row otherwise than the
+    handle's compressed sum, so the columns agree to 1e-12 relative."""
+    ref = np.asarray(ref, dtype=float)
+    if d < 8:
+        assert np.array_equal(col, ref)
+    else:
+        np.testing.assert_allclose(col, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [6, 20])
+@pytest.mark.parametrize("name", sorted(TERM_RUNS))
+def test_q_and_p_columns_are_the_handles(name, d):
+    led, x_star = _term_run(name, d)
+    recs, x, x_next = led.records, led.x[:-1], led.x[1:]
+    assert led.composite or led.hint is not None or led.needs_loss
+    for tilde in (False, True):
+        def q(rec):
+            return rec.q_tilde if tilde else rec.q
+        _same(regret._q_values(led, x_star, tilde),
+              [q(rec).value(x_star) for rec in recs], d)
+        _same(regret._q_values(led, x_next, tilde),
+              [q(rec).value(rec.x_next) for rec in recs], d)
+        vals, ders = regret._q_values(led, x, tilde, x_star - x)
+        _same(vals, [q(rec).value(rec.x) for rec in recs], d)
+        _same(ders, [q(rec).dir_deriv(rec.x, x_star - rec.x) for rec in recs], d)
+    # the p term of the ftrl bounds and of the variational bound
+    _same(regret._p_values(led, x_star), [rec.p.value(x_star) for rec in recs], d)
+    _same(regret._p_values(led, x), [rec.p.value(rec.x) for rec in recs], d)
+    if led.kind == "md":
+        # p_t = r_t - q_{t-1}, and q_{t-1} is not zero
+        _same(regret._bp_md(led, x_star),
+              regret._capped(np.array([rec.p.bregman(x_star, rec.x)
+                                       for rec in recs])), d)
+    else:
+        _same(led.breg_r, ref_breg_r(led), d)
+
+
+@pytest.mark.parametrize("d", [6, 20])
+@pytest.mark.parametrize("name", ["ao-ftrl-prox", "ao-ftrl-prox-psi"])
+def test_variational_p_term_is_the_handles_running_sum(name, d):
+    led, x_star = _term_run(name, d)
+    inputs = regret.BoundInputs(smoothness=0.0, variation_terms=[1.0] * led.T)
+    report = regret.bound_variational_smooth(led, x_star, inputs)
+    total = 0.0
+    for rec in led.records:
+        total += rec.p.value(x_star)
+    _same(report.terms["p_at_star"], total, d)

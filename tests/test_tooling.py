@@ -1,18 +1,21 @@
-"""Tooling: every entry point the benchmark's span recorder wraps exists.
+"""Tooling: every entry point the benchmark's span recorder wraps exists,
+and the accounting keeps to one path.
 
 ``perfbench/spans.py`` wraps the adaopt functions and methods named in its
 ``SPANS`` table when a traced benchmark run starts; a name that no longer
 resolves would crash that run.  These tests name the missing entry instead.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
 
 import pytest
 
-SPANS_PY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "perfbench", "spans.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SPANS_PY = os.path.join(ROOT, "perfbench", "spans.py")
+REGRET_PY = os.path.join(ROOT, "src", "adaopt", "regret.py")
 
 
 def _span_targets() -> list:
@@ -32,3 +35,32 @@ def test_span_target_resolves(target):
         assert attr in vars(getattr(mod, cls_name)), target
     else:
         assert callable(getattr(mod, path, None)), target
+
+
+def _accounting_functions(tree):
+    """Every function and method of regret.py but the ``RoundRecord`` view
+    and the ``Ledger.records`` property that builds it."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and node.name != "RoundRecord":
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef) and \
+                        (node.name, f.name) != ("Ledger", "records"):
+                    yield f"{node.name}.{f.name}", f
+
+
+def test_no_accounting_function_walks_the_records():
+    # the bound terms and B_r are column expressions over the ledger; a
+    # loop over per-round handles would be a second accounting path
+    with open(REGRET_PY) as fh:
+        tree = ast.parse(fh.read())
+    found = []
+    for name, fn in _accounting_functions(tree):
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Attribute) and n.attr == "records":
+                found.append(f"{name} reads .records")
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name) \
+                    and n.func.id == "RoundRecord":
+                found.append(f"{name} builds a RoundRecord")
+    assert not found, found
