@@ -25,6 +25,7 @@ import numpy as np
 INF = math.inf
 
 _PSD_CLAMP = -1e-10  # eigenvalues above this are treated as rounding noise
+_PD_FLOOR = 1e-14    # a dual norm needs eigenvalues above this, relative
 _EPS = float(np.finfo(float).eps)
 
 
@@ -82,7 +83,7 @@ class QuadMetric:
     A full metric carries its eigenpairs (``_evals`` ascending, ``_evecs``)
     when ``full`` built it, ``scale`` kept them, or it is the full-matrix
     schedule's running metric (``regularizers.adagrad_full_step``); a
-    ``psd_full`` increment or an ``add`` sum computes them when first needed.
+    ``psd_full`` increment, an ``add`` sum or a ledger row computes them lazily.
     """
 
     __slots__ = ("kind", "gamma", "weights", "matrix", "_dim", "_evals", "_evecs")
@@ -268,7 +269,7 @@ class QuadMetric:
                 f"diagonal metric is singular at coordinate {j} (weight {self.weights[j]})")
 
     def _assert_pd_full(self, evals):
-        tol = 1e-14 * max(1.0, float(evals[-1]))
+        tol = _PD_FLOOR * max(1.0, float(evals[-1]))
         if evals[0] <= tol:
             raise SingularMetricError(
                 f"full metric is singular: eigenvalue 0 is {evals[0]}")
@@ -283,29 +284,49 @@ class QuadMetric:
 
 class MetricColumn:
     """One metric per round.  Row i is ``gamma[i]`` I where ``kind[i]`` is
-    0, the diagonal ``wide[i]`` where it is 1, and the full ``QuadMetric``
-    ``wide[i]`` where it is 2 (a full-matrix ftrl run's r_{1:t} rows carry
-    the schedule's eigenpairs).  The first row that needs ``wide``
-    allocates it: T x d weights, or a list of T metrics."""
+    0, the diagonal ``wide[i]`` (T x d, allocated by the first) where it is
+    1, and a full matrix read from ``roots``, a full-matrix run's one d x d
+    per round shared by its columns, where it is 2, 3 or 4: ``roots[i]``,
+    ``roots[i + 1]`` or their difference (``matrix``).  roots[t] is the
+    learner's running metric after round t; a root row also keeps its
+    eigenvalues (``evals``) and the named vectors' projections onto its
+    eigenvectors (``proj``), which is what a dual norm under it reads."""
 
-    __slots__ = ("dim", "kind", "gamma", "wide")
+    __slots__ = ("dim", "kind", "gamma", "wide", "roots", "evals", "proj")
 
-    def __init__(self, T: int, dim: int):
+    def __init__(self, T: int, dim: int, roots: np.ndarray | None = None):
         self.dim = dim
         self.kind = np.zeros(T, dtype=np.int8)
         self.gamma = np.zeros(T)
-        self.wide = None
+        self.wide = self.evals = None
+        self.roots, self.proj = roots, {}
 
-    def put(self, i: int, m: QuadMetric) -> None:
+    def put(self, i: int, m: QuadMetric, after: bool | None = None,
+            **vectors) -> None:
+        """Row i is m.  A full m is the round's increment of ``roots``, or,
+        given ``after``, the running metric after the round (else before it),
+        whose eigenpairs play carried (or m computes now)."""
         if m.kind == "scaled":
             self.gamma[i] = m.gamma
-            return
-        full = m.kind == "full"
-        if self.wide is None:
-            T = self.kind.size
-            self.wide = [None] * T if full else np.zeros((T, self.dim))
-        self.kind[i] = 2 if full else 1
-        self.wide[i] = m if full else m.weights
+        elif m.kind == "diag":
+            if self.wide is None:
+                self.wide = np.zeros((self.kind.size, self.dim))
+            self.kind[i], self.wide[i] = 1, m.weights
+        elif after is None:
+            self.kind[i] = 4
+        else:
+            evals, evecs = m._eig()
+            if self.evals is None:
+                self.evals = np.zeros((self.kind.size, self.dim))
+                self.proj = {k: np.zeros_like(self.evals) for k in vectors}
+            self.kind[i], self.evals[i] = 2 + after, evals
+            for k, v in vectors.items():
+                self.proj[k][i] = v @ evecs
+
+    def matrix(self, i: int) -> np.ndarray:
+        """Full row i's d x d matrix."""
+        k, r = self.kind[i], self.roots
+        return r[i] if k == 2 else r[i + 1] if k == 3 else r[i + 1] - r[i]
 
     def __getitem__(self, i: int) -> QuadMetric:
         k = self.kind[i]
@@ -313,12 +334,14 @@ class MetricColumn:
             return QuadMetric("scaled", gamma=float(self.gamma[i]), dim=self.dim)
         if k == 1:
             return QuadMetric("diag", weights=self.wide[i], dim=self.dim)
-        return self.wide[i]
+        return QuadMetric("full", matrix=self.matrix(i), dim=self.dim)
 
     def cut(self, T: int) -> "MetricColumn":
-        out = MetricColumn(0, self.dim)
+        out = MetricColumn(0, self.dim, self.roots)     # rows past T go unread
         out.kind, out.gamma = self.kind[:T], self.gamma[:T]
         out.wide = None if self.wide is None else self.wide[:T]
+        out.evals = None if self.evals is None else self.evals[:T]
+        out.proj = {k: v[:T] for k, v in self.proj.items()}
         return out
 
 

@@ -175,11 +175,12 @@ class FtrlLearner(LearnerBase):
 
     def _solve(self, g, p_t, q_t, metric, p_terms, div):
         x_t = self.x
-        self._obj.add_terms(p_t, x_t, div)
-        self._obj.add_terms(q_t, x_t, div)
-        if metric is not None and metric._evals is not None:
-            # the objective's quadratic part is r_{1:t} + q_t, which this
-            # metric is; it takes it with its eigenvalues
+        # a metric with eigenpairs is the objective's whole quadratic part,
+        # r_{1:t} + q_t: the objective takes it, and the terms their centres
+        take = metric is not None and metric._evals is not None
+        self._obj.add_terms(p_t, x_t, div, quadratic=not take)
+        self._obj.add_terms(q_t, x_t, div, quadratic=not take)
+        if take:
             self._obj.take_quadratic(metric)
         self._obj.lin = self._obj.lin + g
         self._obj.init = x_t
@@ -521,7 +522,12 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
     losses = [None] * T
     sigma = np.empty((T, d)) if seq.stochastic else None
     hint = np.empty((T + 1, d)) if driver.optimistic else None
-    prox, q_metric, r_metric = (MetricColumn(T, d) for _ in range(3))
+    roots = None
+    if driver.params.get("metric") == "full":
+        # a full-matrix run's one d x d per round: r's running metric
+        roots = np.empty((T + 1, d, d))
+        roots[0] = lrn._r_metric._summand(d)
+    prox, q_metric, r_metric = (MetricColumn(T, d, roots) for _ in range(3))
     eta = None
     certified = np.empty(T, dtype=bool)
     x[0] = lrn.x1
@@ -546,7 +552,14 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
         lrn.x = x[t]
         prox.put(i, prox_t.metric)
         q_metric.put(i, q_t.metric)
-        r_metric.put(i, r_t)
+        if roots is None:
+            r_metric.put(i, r_t)
+        else:
+            roots[t] = lrn._r_metric.matrix
+            # r_{1:t} is r's running metric after the round, or before it
+            # when q_t carries the increment
+            vecs = {"g": g} if sigma is None else {"g": g, "sigma": sigma[i]}
+            r_metric.put(i, r_t, r_t is lrn._r_metric, **vecs)
         certified[i] = lrn.certified
         if eta_t is not None:
             if eta is None:

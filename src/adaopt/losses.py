@@ -494,7 +494,11 @@ class DriftingQuadratic(LossSequence):
         return _quadratic(self.center(t), self.weight)
 
     def column(self, ts):
-        centers = np.array([self.center(t) for t in ts])
+        # one check of the stacked centres; a scalar centre is a 1-vector
+        centers = np.array([self.center_fn(t) for t in ts], dtype=float)
+        centers = centers[:, None] if centers.ndim == 1 else centers
+        if centers.shape[1:] != (self.dim,) or not np.isfinite(centers).all():
+            raise ValueError(f"centres must be finite 1-d points of dim {self.dim}")
         return LossColumn(len(centers), [(slice(None), "quadratic", (
             centers, np.full(len(centers), self.weight)))])
 

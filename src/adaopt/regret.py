@@ -25,9 +25,12 @@ np.cumsum (which adds in loop order), the losses through
 ``losses.LossColumn``, and a term's parts add in the order of its ``Sum``.
 An l1 directional derivative sums a zero-filled row where ``L1.dir_deriv``
 sums the compressed one; from 8 coordinates on numpy's pairwise sum groups
-the two differently, so that term agrees to rounding, not bit for bit.
-Loops over rows remain for full metrics, losses outside the linear and
-isotropic-quadratic families, and an ftrl B_r's non-isotropic loss parts.
+the two differently, so that term agrees to rounding, not bit for bit; so
+does a full metric's dual norm, sum_j p_j^2 / (lambda_j - s) over the
+eigenvalues and projections play recorded (``core.MetricColumn``).  Loops
+over rows remain for a full row's matrix-vector product, losses outside the
+linear and isotropic-quadratic families, and an ftrl B_r's non-isotropic
+loss parts.
 A report carries the running sum of its terms, its value is the last
 entry, and the CSV's ``cum_bound`` column is that same running bound, so a
 report and its ledger cannot disagree.
@@ -47,8 +50,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (INF, MetricColumn, SingularMetricError, as_point,
-                   dual_norm_sq, rowdot)
+from .core import (_PD_FLOOR, INF, MetricColumn, QuadMetric, SingularMetricError,
+                   as_point, dual_norm_sq, rowdot)
 from .losses import BregmanAround, LossColumn, is_isotropic_quadratic
 from .regularizers import (L1, Difference, Quadratic, Regularizer, Sum, Zero,
                            classify, composite_wrap, optimistic_shift)
@@ -406,8 +409,8 @@ def _matvec(m: MetricColumn, D) -> np.ndarray:
     diag = m.kind == 1
     if diag.any():
         out[diag] = m.wide[diag] * D[diag]
-    for i in np.flatnonzero(m.kind == 2):
-        out[i] = m.wide[i].matrix @ D[i]
+    for i in np.flatnonzero(m.kind >= 2):
+        out[i] = m.matrix(i) @ D[i]
     return out
 
 
@@ -482,29 +485,18 @@ def _bp_md(ledger: Ledger, x_star) -> np.ndarray:
     return _capped(_p_values(ledger, x_star) - px - dx)
 
 
-def _dual_row(v, m, shift: float):
-    """(1/2 ||v||^2 under m - shift I, None), or (+inf, why) where that
-    metric cannot certify it."""
-    if shift:
-        try:
-            m = m.shift_identity(-shift)
-        except ValueError:
-            return INF, f"metric cannot absorb smoothness {shift}"
-    try:
-        return 0.5 * dual_norm_sq(m, v), None
-    except SingularMetricError as e:
-        return INF, str(e)
-
-
-def _dual_values(report: BoundReport, ledger: Ledger, V, shift: float) -> np.ndarray:
+def _dual_values(report: BoundReport, ledger: Ledger, V, shift: float,
+                 P=None) -> np.ndarray:
     """Row i: 1/2 ||V_i||^2 under round i's certified metric, less
     shift * identity for the smooth rows; +inf from the first round whose
     metric cannot certify it, with a note naming the round.
 
-    A zero vector costs 0.0.  Scaled and diagonal rows are the steps of
-    ``shift_identity`` and ``dual_norm_sq`` as column expressions: a row
-    is certified where every shifted weight w has 0 < w (< inf when
-    shifted).  Full rows are a loop over ``_dual_row``."""
+    A zero vector costs 0.0.  A row is 1/2 sum_j s_j / w_j over the shifted
+    weights w: a scaled row's gamma with s = ||V_i||^2, a diagonal row's
+    weights with s = V_i^2, a full row's eigenvalues with s = P_i^2, P_i the
+    projections of V_i that play recorded.  It is certified where
+    ``shift_identity`` and ``dual_norm_sq`` would take it: each w > 0
+    (< inf when shifted), a full row's least above 1e-14 max(1, its most)."""
     T = ledger.T
     if V is None:
         _uncertify(report, "round 1: missing vector for dual norm")
@@ -513,27 +505,32 @@ def _dual_values(report: BoundReport, ledger: Ledger, V, shift: float) -> np.nda
     live = V.any(axis=1)
     out = np.zeros(T)
     ok = ~live
-    for k in (0, 1):
-        rows = np.flatnonzero(live & (m.kind == k))
-        if rows.size:
-            w = m.gamma[rows, None] if k == 0 else m.wide[rows]
-            if shift:
-                w = w + (-shift)
-            Vr = V[rows]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out[rows] = 0.5 * (rowdot(Vr, Vr) / w[:, 0] if k == 0
-                                   else rowdot(Vr, Vr / w))
-            ok[rows] = (w > 0.0).all(axis=1) & ((w < INF).all(axis=1) | (not shift))
-    for i in np.flatnonzero(live & (m.kind == 2)):
-        out[i], why = _dual_row(V[i], m[i], shift)
-        ok[i] = why is None
-        if why is not None:
-            break
+    # a dual norm's full rows are r's roots (kinds 2 and 3)
+    for k, w, X in ((0, m.gamma[:, None], V), (1, m.wide, V), (2, m.evals, P)):
+        rows = np.flatnonzero(live & (np.minimum(m.kind, 2) == k))
+        if not rows.size:
+            continue
+        if X is None:
+            raise ValueError(f"round {rows[0] + 1}: no projections recorded")
+        w, X = w[rows] - shift, X[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[rows] = 0.5 * (rowdot(X, X) / w[:, 0] if k == 0
+                               else rowdot(X, X / w))
+        ok[rows] = (w[:, 0] > _PD_FLOOR * np.maximum(1.0, w[:, -1])) if k == 2 \
+            else (w > 0.0).all(axis=1) & ((w < INF).all(axis=1) | (not shift))
     stop = np.flatnonzero(~ok | (out == INF))
     if stop.size:
         i = int(stop[0])
         if not ok[i]:
-            _uncertify(report, f"round {i + 1}: {_dual_row(V[i], m[i], shift)[1]}")
+            # the note QuadMetric's own checks give (a full row's in its eigenbasis)
+            q = m[i] if m.kind[i] < 2 else QuadMetric.full(np.diag(m.evals[i]))
+            try:
+                dual_norm_sq(q.shift_identity(-shift) if shift else q, np.ones(m.dim))
+            except SingularMetricError as e:
+                note = str(e)
+            except ValueError:
+                note = f"metric cannot absorb smoothness {shift}"
+            _uncertify(report, f"round {i + 1}: {note}")
         out[i:] = INF
     return out
 
@@ -574,6 +571,7 @@ def _bound(ledger: Ledger, x_star, case: str, inputs: BoundInputs | None = None,
     report = BoundReport(case, 0.0, {})
     _check_certified(ledger, report)
     x, x_next = ledger.x[:-1], ledger.x[1:]
+    proj = ledger.r_metric.proj
     bp = None if ftrl_case else _bp_md(ledger, x_star)
     if strong:
         losses = _losses(ledger)
@@ -611,13 +609,17 @@ def _bound(ledger: Ledger, x_star, case: str, inputs: BoundInputs | None = None,
         parts["d_init"] = float(inputs.d_init)
         sigma = ledger.sigma if ledger.sigma is not None or ledger.needs_loss \
             else np.zeros_like(ledger.g)
-        parts["noise_sum"] = np.cumsum(_dual_values(report, ledger, sigma, L))
+        parts["noise_sum"] = np.cumsum(_dual_values(report, ledger, sigma, L,
+                                                    proj.get("sigma")))
     elif optimistic:
-        hint = ledger.hint[:-1] if ledger.hint is not None else 0.0
+        # play records the projections of g, and g - hint is g without hints
+        hint, p = (0.0, proj.get("g")) if ledger.hint is None \
+            else (ledger.hint[:-1], None)
         parts["hint_err_sum"] = np.cumsum(_dual_values(
-            report, ledger, ledger.g - hint, 0.0))
+            report, ledger, ledger.g - hint, 0.0, p))
     elif not forward:
-        parts["grad_sum"] = np.cumsum(_dual_values(report, ledger, ledger.g, 0.0))
+        parts["grad_sum"] = np.cumsum(_dual_values(report, ledger, ledger.g, 0.0,
+                                                   proj.get("g")))
 
     running = 0.0
     for part in parts.values():

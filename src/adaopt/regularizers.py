@@ -459,9 +459,10 @@ def adagrad_full_step(state: ScheduleState, g, eta: float, gamma0: float):
     so the increment is PSD in exact arithmetic; one Cholesky factorisation
     checks it (``QuadMetric.psd_full``).  ``state.total`` is left holding
     G_t^{1/2} / eta with the eigenpairs of that decomposition: an ftrl
-    learner takes it as r's running metric, so neither its argmin nor the
-    accounting decomposes a matrix again.  g is trusted as in
-    ``adagrad_diag_step``, and a bad one fails the same way."""
+    learner takes it as r's running metric, so its argmin does not decompose
+    a matrix again, and the ledger keeps that root, not the increment, with
+    the eigenvalues and g_t's projections (``core.MetricColumn``).  g is
+    trusted as in ``adagrad_diag_step``, and a bad one fails the same way."""
     g = np.asarray(g, dtype=float)
     if g.ndim != 1:
         g = as_point(g)

@@ -352,21 +352,23 @@ class Objective:
         """Fold scale/2 ||x - center||_M^2 into the combined form."""
         self.fold_quadratic(as_point(center), metric, scale)
 
-    def fold_quadratic(self, center: np.ndarray, metric: QuadMetric, scale: float):
+    def fold_quadratic(self, center: np.ndarray, metric: QuadMetric, scale: float,
+                       quadratic: bool = True):
         """``add_quadratic`` for a centre already checked, such as an
-        iterate an argmin returned."""
+        iterate an argmin returned; without ``quadratic`` only the centre's
+        linear and constant parts, for a caller about to ``take_quadratic``."""
         if scale == 0.0:
             return
         d = self.lin.size
         if metric.kind == "scaled":
-            self._fold_isotropic(center, scale * metric.gamma)
+            self._fold_isotropic(center, scale * metric.gamma, quadratic)
             return
-        if metric.kind == "diag":
+        if quadratic and metric.kind == "diag":
             w = metric.weights
             if self.diag is None:
                 self.diag = np.zeros(d)
             self.diag = self.diag + (w if scale == 1.0 else scale * w)
-        else:
+        elif quadratic:
             m = metric.matrix
             if self.full is None:
                 self.full = np.zeros((d, d))
@@ -385,22 +387,24 @@ class Objective:
         self.gamma, self.diag = 0.0, None
         self.full, self.full_evals, self.full_evecs = metric.matrix, metric._evals, metric._evecs
 
-    def _fold_isotropic(self, center: np.ndarray, gamma: float):
-        """Fold gamma/2 ||x - center||^2."""
+    def _fold_isotropic(self, center: np.ndarray, gamma: float,
+                        quadratic: bool = True):
+        """Fold gamma/2 ||x - center||^2 (see ``fold_quadratic``)."""
         if center.any():
             # a shifted isotropic quadratic is no longer pure gamma*I in
             # x'Mx form; fold the cross term into lin and keep gamma
             self.lin = self.lin - gamma * center
             self.const += 0.5 * gamma * float(np.dot(center, center))
-        self.gamma += gamma
+        if quadratic:
+            self.gamma += gamma
 
-    def add_terms(self, term, anchor: np.ndarray, div=None):
+    def add_terms(self, term, anchor: np.ndarray, div=None, quadratic: bool = True):
         """Fold one round term.  A ``Terms`` tuple folds its parts in order:
         the loss divergence, when flagged, from ``div`` = (loss, f(anchor),
         grad f(anchor)) at the anchor x_t; the l1 weight; the quadratic
-        around its centre (a zero scaled metric is no part); the linear
-        shift.  A hand-built ``Regularizer`` folds through
-        ``add_regularizer``."""
+        around its centre (a zero scaled metric is no part; see
+        ``fold_quadratic`` for ``quadratic``); the linear shift.  A
+        hand-built ``Regularizer`` folds through ``add_regularizer``."""
         if not isinstance(term, Terms):
             self.add_regularizer(term)
             return
@@ -409,7 +413,7 @@ class Objective:
         self.l1_alpha += term.l1
         m = term.metric
         if m.kind != "scaled" or m.gamma != 0.0:
-            self.fold_quadratic(term.center, m, 1.0)
+            self.fold_quadratic(term.center, m, 1.0, quadratic)
         if term.shift is not None:
             self.lin = self.lin + term.shift
 
@@ -700,8 +704,13 @@ def _diag_ball_argmin(lin: np.ndarray, w: np.ndarray, z: np.ndarray,
 
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm, computed as np.linalg.norm computes it for a vector
-    but without its dispatch overhead."""
-    return math.sqrt(v.dot(v))
+    but without its dispatch overhead; only where v.v overflows, from v
+    scaled by its largest |entry| (inf or NaN once v holds one)."""
+    ss = v.dot(v)
+    if ss < INF:
+        return math.sqrt(ss)
+    big = float(np.abs(v).max())
+    return big * math.sqrt((v / big).dot(v / big)) if big < INF else big
 
 
 def _soft_threshold(v: np.ndarray, thresh) -> np.ndarray:

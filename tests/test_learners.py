@@ -1,6 +1,7 @@
 """Preset drivers: update rules against hand recursions, call accounting,
 hint plumbing, and the composite path."""
 
+import math
 import sys
 from functools import partial
 
@@ -144,27 +145,111 @@ def test_adagrad_full_equals_diag_in_one_dim():
             assert np.allclose(a.x_next, b.x_next, atol=1e-10)
 
 
-@pytest.mark.parametrize("preset,params", [
-    ("adagrad-da", {"metric": "full"}),
-    ("ftrl-prox", {"metric": "full", "gamma0": 0.3})])
-def test_full_metric_ledger_carries_the_schedules_eigenpairs(preset, params):
-    # every full r_{1:t} row is the schedule's root(G_t) / eta with the
-    # eigenpairs of that root, carried from play: they reproduce the matrix,
-    # and the dual norm computed from them agrees with a direct solve
+_FULL_RUNS = [("adagrad-da", {"metric": "full"}),
+              ("ftrl-prox", {"metric": "full", "gamma0": 0.3})]
+
+
+def _full_run(preset, params, d, T, seq=None, steps=None):
+    """A full-matrix run on a box; ``steps`` collects what each round's
+    schedule step returned: its Cholesky-checked increment and root / eta."""
+    drv = Driver(preset, solvers.Box(-np.ones(d), np.ones(d)), params)
+    if steps is not None:
+        def step(state, g, eta, gamma0, _real=drv._adagrad_step):
+            incr, state = _real(state, g, eta, gamma0)
+            steps.append((incr.matrix, state.total.matrix))
+            return incr, state
+        drv._adagrad_step = step
+    seq = seq or losses.random_stream(d, seed=5)
+    return run_rounds(drv, seq, T, rng=np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("preset,params", _FULL_RUNS)
+def test_full_metric_ledger_keeps_the_schedules_eigenvalues_and_projections(
+        preset, params):
+    # every full r_{1:t} row is the schedule's root(G_t) / eta, and keeps
+    # the eigenvalues of that root and the projections of g_t onto its
+    # eigenvectors, carried from play: they reproduce the quadratic form
+    # and the norm of g_t, and the dual norm computed from them agrees with
+    # a direct solve
     d, T = 6, 15
-    led = run(preset, solvers.Box(-np.ones(d), np.ones(d)), params,
-              losses.random_stream(d, seed=5), T)
-    rows = np.flatnonzero(led.r_metric.kind == 2)
+    led = _full_run(preset, params, d, T)
+    m = led.r_metric
+    rows = np.flatnonzero(m.kind >= 2)
     assert rows.size >= T - 1
     for i in rows:
-        m = led.r_metric[i]
-        lam, v = m._evals, m._evecs
-        assert lam is not None and v is not None, i
-        big = np.abs(m.matrix).max()
-        assert np.abs((v * lam) @ v.T - m.matrix).max() <= 1e-12 * big, i
-        g = led.g[i]
-        assert core.dual_norm_sq(m, g) == pytest.approx(
-            g.dot(np.linalg.solve(m.matrix, g)), rel=1e-12), i
+        a, lam, p, g = m[i].matrix, m.evals[i], m.proj["g"][i], led.g[i]
+        big = np.abs(a).max()
+        assert np.all(np.diff(lam) >= 0.0), i
+        assert np.abs(lam - np.linalg.eigvalsh(a)).max() <= 1e-12 * big, i
+        assert p.dot(p) == pytest.approx(g.dot(g), rel=1e-12), i
+        assert (p * lam).dot(p) == pytest.approx(g.dot(a @ g), rel=1e-12), i
+        assert (p / lam).dot(p) == pytest.approx(
+            g.dot(np.linalg.solve(a, g)), rel=1e-12), i
+
+
+@pytest.mark.parametrize("preset,params", _FULL_RUNS)
+def test_full_metric_ledger_stores_plays_roots_and_derives_its_increments(
+        preset, params):
+    # the ledger's one d x d per round is play's root / eta, bit for bit;
+    # the increment column (q for adagrad-da, the proximal term for
+    # ftrl-prox) is the difference of consecutive roots, which agrees with
+    # play's Cholesky-checked increment to rounding
+    d, T, steps = 6, 15, []
+    led = _full_run(preset, params, d, T, steps=steps)
+    roots = led.r_metric.roots
+    assert roots.shape == (T + 1, d, d) and len(steps) == T
+    assert np.array_equal(roots[0], math.sqrt(led.schedule["params"]["gamma0"])
+                          / led.schedule["params"]["eta"] * np.eye(d))
+    incr_col = led.q_metric if preset == "adagrad-da" else led.prox
+    for t, (incr, root) in enumerate(steps, start=1):
+        assert np.array_equal(roots[t], root), t
+        derived = incr_col[t - 1].matrix
+        assert np.abs(derived - incr).max() <= 1e-12 * np.abs(root).max(), t
+    # r row t is round t - 1's root for adagrad-da (q_t is not in r_{1:t})
+    # and round t's for ftrl-prox
+    lag = 1 if preset == "adagrad-da" else 0
+    for i in range(lag, T):
+        assert np.array_equal(led.r_metric[i].matrix, roots[i + 1 - lag]), i
+    assert led.prox.roots is roots and led.q_metric.roots is roots
+
+
+def _ledger_floats(led) -> int:
+    """Float64 values the ledger holds: every float array reachable from
+    it, counted once per buffer, and every float."""
+    seen, bufs, total, todo = set(), set(), 0, [led]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            if obj.dtype.kind == "f" and id(obj) not in bufs:
+                bufs.add(id(obj))
+                total += obj.size
+        elif isinstance(obj, float):
+            total += 1
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            todo.extend(c.cell_contents for c in obj.__closure__)
+        elif not isinstance(obj, (type, str, int, bool)) and obj is not None:
+            todo.extend(getattr(obj, "__dict__", {}).values())
+            todo.extend(getattr(obj, k, None)
+                        for k in getattr(type(obj), "__slots__", ()))
+    return total
+
+
+def test_full_metric_ledger_keeps_one_matrix_per_round():
+    # at d = 128 three d x d per round would be 384 d floats per round; the
+    # ledger keeps r's root, its eigenvalues and g's projections
+    d, T = 128, 40
+    led = _full_run("adagrad-da", {"metric": "full"}, d, T,
+                    seq=losses.random_stream(d, seed=3))
+    assert _ledger_floats(led) <= (d + 10) * d * T
 
 
 def test_schedule_info_recorded():

@@ -181,6 +181,39 @@ def test_drift_then_constant_variation_saturates():
     assert np.array_equal(seq.vector(17), seq.vector(1600))
 
 
+def test_drifting_quadratic_column_checks_its_centres_once(monkeypatch):
+    # the stacked centres are checked together, not round by round, and
+    # the column's values are the per-round losses' bit for bit
+    T, d = 60, 3
+    centers = np.random.default_rng(0).uniform(-1.0, 1.0, (T, d))
+    seq = losses.DriftingQuadratic(lambda t: centers[t - 1], d, weight=1.5)
+    ts = list(range(1, T + 1))
+    x = np.random.default_rng(1).uniform(-1.0, 1.0, (T, d))
+    ref = [seq.loss(t).value(x[t - 1]) for t in ts]
+    calls = []
+    real = losses.as_point
+    monkeypatch.setattr(losses, "as_point", lambda v: calls.append(1) or real(v))
+    col = seq.column(ts)
+    assert len(calls) <= 1
+    assert np.array_equal(col.value(x), ref)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_drifting_quadratic_column_rejects_a_bad_centre_at_any_round(bad):
+    T, d = 20, 3
+    centers = np.random.default_rng(0).uniform(-1.0, 1.0, (T, d))
+    centers[13, 1] = bad
+    seq = losses.DriftingQuadratic(lambda t: centers[t - 1], d)
+    with pytest.raises(ValueError, match="finite"):
+        seq.column(range(1, T + 1))
+    for wrong in (lambda t: np.zeros(d + 1), lambda t: np.zeros((d, 1))):
+        with pytest.raises(ValueError):
+            losses.DriftingQuadratic(wrong, d).column(range(1, T + 1))
+    # a scalar centre is a 1-vector, as as_point takes it
+    col = losses.DriftingQuadratic(lambda t: 0.5 * t, 1).column([1, 2])
+    assert np.array_equal(col.value(np.zeros((2, 1))), [0.125, 0.5])
+
+
 def test_sine_drift_quadratic_variation_is_exact():
     seq = losses.sine_drift_quadratic(3, amplitude=0.5, period=8.0, weight=1.5)
     fs = solvers.Ball(np.zeros(3), 1.0)

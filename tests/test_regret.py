@@ -15,7 +15,7 @@ from adaopt.regret import (
     bound_forward_ftrl, bound_forward_md, bound_table2,
     bound_variational_smooth, decomposition_residual, decomposition_terms,
     empirical_regret, forward_regret, ledger_header, ledger_rows, scale_tau,
-    select_comparator, sum_sqrt_check,
+    BoundReport, _dual_values, select_comparator, sum_sqrt_check,
 )
 
 
@@ -220,6 +220,54 @@ def test_scale_tau_formula_and_guards():
         scale_tau(rep, 0.0)
     with pytest.raises(ValueError):
         scale_tau(rep, 1.5)
+
+
+@pytest.mark.parametrize("preset,params", [
+    ("adagrad-da", {"metric": "full"}),
+    ("ftrl-prox", {"metric": "full", "gamma0": 0.3})])
+def test_full_metric_dual_norms_are_the_direct_solves(preset, params):
+    # a full row's dual norm is sum_j p_j^2 / (lam_j - s) over the
+    # eigenvalues and projections play recorded: for g and for the noise
+    # sigma it agrees with a solve under the stored root less s I, and the
+    # first round whose metric cannot absorb s is named as the metric's own
+    # check names it
+    d, T = 5, 12
+    seq = losses.StochasticLoss(losses.quadratic_loss(np.full(d, 0.2), 1.0), d,
+                                noise=0.3)
+    led = run_rounds(Driver(preset, solvers.Box(-np.ones(d), np.ones(d)), params),
+                     seq, T, rng=np.random.default_rng(4))
+    m = led.r_metric
+
+    def direct(V, s):
+        # adagrad-da's first row is q~_0's scaled identity
+        return np.array([0.5 * v.dot(np.linalg.solve(
+            m[i]._summand(d) - s * np.eye(d), v)) for i, v in enumerate(V)])
+
+    def dual(name, s):
+        rep = BoundReport("test", 0.0, {})
+        return rep, _dual_values(rep, led, getattr(led, name), s, m.proj[name])
+
+    for name in ("g", "sigma"):
+        rep, got = dual(name, 0.0)
+        assert rep.certified and rep.notes == []
+        assert got == pytest.approx(direct(getattr(led, name), 0.0), rel=1e-12)
+    # halve a middle round's root, and its eigenvalues with it: a shift
+    # every other round absorbs uncertifies that round and those after it
+    k = T // 2
+    m.matrix(k)[...] *= 0.5
+    m.evals[k] *= 0.5
+    low = np.array([np.linalg.eigvalsh(m[i]._summand(d))[0] for i in range(T)])
+    s = 0.5 * (low[k] + np.delete(low, k).min())
+    assert low[k] < s < np.delete(low, k).min()
+    with pytest.raises(ValueError):
+        m[k].shift_identity(-s)
+    for name in ("g", "sigma"):
+        rep, got = dual(name, s)
+        assert not rep.certified
+        assert rep.notes == [f"round {k + 1}: metric cannot absorb smoothness {s}"]
+        V = getattr(led, name)
+        assert got[:k] == pytest.approx(direct(V[:k], s), rel=1e-12)
+        assert np.all(got[k:] == INF)
 
 
 def test_uncertified_metric_reports_inf_not_a_number():
@@ -467,12 +515,16 @@ def test_bound_terms_are_the_loops_over_the_record_handles(preset, params):
     q0, q0_tilde = (q.value(x_star) - q.value(led.x1)
                     for q in (led.q0, led.q0_tilde))
     comp = "p_sum" if led.kind == "ftrl" else "bp_sum"
+    # a full row's dual norm reads the eigenpairs play recorded, where the
+    # handle's solve decomposes the stored root again: those agree to rounding
+    dual = (lambda v: v) if led.r_metric.evals is None \
+        else (lambda v: pytest.approx(v, rel=1e-12))
     oo = bound_table2(led, x_star, f"oo-{led.kind}")
     assert oo.terms == {"q_sum": float(np.cumsum([q0] + loop["q"])[-1]),
-                        comp: total["p"], "grad_sum": total["grad"]}
+                        comp: total["p"], "grad_sum": dual(total["grad"])}
     fwd = (bound_forward_ftrl if led.kind == "ftrl" else bound_forward_md)(led, x_star)
     assert fwd.terms == {"q_sum": oo.terms["q_sum"], comp: total["p"],
                          "breg_r_sum": total["breg"]}
     ao = (bound_ao_ftrl if led.kind == "ftrl" else bound_ao_md)(led, x_star)
     assert ao.terms == {"q_sum": float(np.cumsum([q0_tilde] + loop["q~"])[-2]),
-                        comp: total["p"], "hint_err_sum": total["hint_err"]}
+                        comp: total["p"], "hint_err_sum": dual(total["hint_err"])}

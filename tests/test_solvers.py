@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adaopt.core import QuadMetric
-from adaopt.regularizers import L1, Linear, Quadratic, Sum
+from adaopt.regularizers import L1, Linear, Quadratic, Sum, Terms
 from adaopt.solvers import (
     Ball, Box, IllPosedError, NumericArgminError, Objective, Simplex,
     Unconstrained, argmin_l1_composite, argmin_numeric, argmin_quadratic,
@@ -451,3 +451,41 @@ def test_objective_curvature_summaries():
     assert obj.quad_curvature() == pytest.approx((0.5, 2.0))
     assert obj.curvature() == pytest.approx((0.5, 2.0))
     assert not obj.is_isotropic()
+
+
+def test_certificate_rejects_a_wrong_point_at_an_overflowing_scale():
+    # ||lin|| and the residual of a wrong point overflow v.v at 1e160; the
+    # norms rescale there, so the tolerance stays finite and the wrong point
+    # fails while the minimizer passes
+    fs = Unconstrained(4)
+    obj = Objective.build(fs, linear=np.full(4, 1e160),
+                          regularizer=Quadratic(np.zeros(4), QuadMetric.scaled(1.0, 4)))
+    with np.errstate(over="ignore"):
+        with pytest.raises(IllPosedError):
+            solvers._certify(obj, np.array([1.0, 1.0, 0.5, -0.3]), 1.0)
+        assert np.array_equal(solvers._certify(obj, -obj.lin, 1.0), -obj.lin)
+        assert solvers._norm(np.full(4, 1e160)) == pytest.approx(2e160, rel=1e-15)
+        v = np.array([3.0, -4.0])
+        assert solvers._norm(v) == 5.0
+        assert solvers._norm(v * 1e200) == pytest.approx(5e200, rel=1e-15)
+        assert solvers._norm(np.array([1.0, np.inf])) == np.inf
+        assert np.isnan(solvers._norm(np.array([1e200, np.nan])))
+
+
+def test_folding_only_the_centre_leaves_the_quadratic_part():
+    # a term folded without its quadratic part moves the linear term and the
+    # constant exactly as the whole fold does, and leaves the part as it was
+    rng = np.random.default_rng(3)
+    d = 4
+    a = rng.standard_normal((d, d))
+    metrics = (QuadMetric.scaled(0.7, d), QuadMetric.diagonal(rng.uniform(0.1, 1.0, d)),
+               QuadMetric.full(a @ a.T))
+    center = rng.uniform(-1.0, 1.0, d)
+    for m in metrics:
+        whole, part = (Objective.build(Box(-np.ones(d), np.ones(d)),
+                                       linear=np.ones(d)) for _ in range(2))
+        term = Terms(m, center=center)
+        whole.add_terms(term, center)
+        part.add_terms(term, center, quadratic=False)
+        assert np.array_equal(part.lin, whole.lin) and part.const == whole.const
+        assert part.gamma == 0.0 and part.diag is None and part.full is None
