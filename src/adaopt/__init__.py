@@ -29,8 +29,8 @@ from .losses import (BregmanAround, DriftingQuadratic, FixedLoss, LinearStream,
                      sine_drift_quadratic, sqrt_abs, two_slope_abs,
                      variation_estimate, verify_star_convex,
                      verify_tau_star_strong)
-from .learners import (Driver, FtrlLearner, HINT_POLICIES, MdLearner, PRESETS,
-                       preset_defaults, run_rounds)
+from .learners import (Driver, HINT_POLICIES, PRESETS, preset_defaults,
+                       run_rounds)
 from .regret import (BoundInputs, BoundReport, Ledger, RoundRecord,
                      TABLE2_CASES, bound_ao_ftrl, bound_ao_md,
                      bound_final_attack, bound_forward_ftrl, bound_forward_md,

@@ -329,8 +329,7 @@ def run_seed(cfg: dict, seed: int, solver_tol: float) -> dict:
     """Play one seeded run and return the JSON-ready result plus CSV text."""
     fs = build_set(cfg["set"])
     seq = build_losses(cfg["losses"], fs.dim)
-    driver = Driver(cfg["preset"], fs, dict(cfg["params"]),
-                    solver_tol=solver_tol, seed=seed)
+    driver = Driver(cfg["preset"], fs, dict(cfg["params"]), solver_tol=solver_tol)
     led = run_rounds(driver, seq, cfg["T"], rng=np.random.default_rng(seed))
 
     comp = cfg["comparator"]

@@ -288,7 +288,7 @@ class MetricColumn:
     1, and a full matrix read from ``roots``, a full-matrix run's one d x d
     per round shared by its columns, where it is 2, 3 or 4: ``roots[i]``,
     ``roots[i + 1]`` or their difference (``matrix``).  roots[t] is the
-    learner's running metric after round t; a root row also keeps its
+    driver's running metric after round t; a root row also keeps its
     eigenvalues (``evals``) and the named vectors' projections onto its
     eigenvectors (``proj``), which is what a dual norm under it reads."""
 

@@ -1,31 +1,28 @@
-"""Learner state machines and preset schedules.
+"""Preset schedules and the round driver.
 
 Two update families, both reduced to one argmin per round:
 
     ftrl:  x_{t+1} = argmin_X <g_{1:t}, x> + p_{1:t}(x) + q_{0:t}(x)
     md:    x_{t+1} = argmin_X <g_t, x> + q_t(x) + B_{r_{1:t}}(x, x_t)
 
-Both families play a round through ``LearnerBase.step(g, prox, q_t)``; the
-proximal term is p_t for ftrl and r_t for md, what r_{1:t} adds to r_{1:t-1}
-either way.  A term is a parameter tuple, ``regularizers.Terms``, which
-``step`` folds into the argmin's objective once
-(``solvers.Objective.add_terms``) and adds to r; a hand-built
-``Regularizer`` is read into one by ``regularizers.classify``.  A family
-adds only its argmin (``_solve``) and ``carries_q``, whether q_t enters r
-(ftrl) or not (md).  The learners keep running aggregates so a T-round run
-costs T solver calls, each O(d) for the closed-form routes.  A step
+``Driver`` plays both, every preset through one path, ``Driver.round``.
+The preset's schedule emits the metrics of the proximal term and of q~_t;
+the proximal term is p_t for ftrl and r_t for md, what r_{1:t} adds to
+r_{1:t-1} either way.  A composite l1 weight and an implicit or
+non-linearized preset's loss divergence from x_t join q~_t; an optimistic
+preset shifts q~_t by the hint change.  So the composite, implicit,
+non-linearized and optimistic variants are the plain updates with one more
+part in q_t: the claimed equivalences hold by construction and tests only
+have to confirm them.  Each term is a parameter tuple,
+``regularizers.Terms``, which ``Driver._step`` folds into the argmin's
+objective once (``solvers.Objective.add_terms``) and adds to r.  The
+families differ only in that objective: ftrl's runs over all rounds and
+its r carries q_t, md's is fresh each round and anchored at x_t.  A T-round
+run costs T solver calls, each O(d) for the closed-form routes.  A round
 computes what x_{t+1} needs and returns the metric of r_{1:t}; the
 r-divergence B_{r_{1:t}}(x_{t+1}, x_t), a term of the forward bound only,
 is derived from the ledger's columns when read (``regret.Ledger.breg_r``).
-
-Every preset plays its rounds through one path, ``Driver.round``.  The
-preset's schedule emits the metrics of the proximal term and of q~_t; a
-composite l1 weight and an implicit or non-linearized preset's loss
-divergence from x_t join q~_t; an optimistic preset shifts q~_t by the hint
-change.  So the composite, implicit, non-linearized and optimistic variants
-are the plain updates with one more part in q_t: the claimed equivalences
-hold by construction and tests only have to confirm them.  ``run_rounds``
-writes each round's parameters into the ledger's columns.
+``run_rounds`` writes each round's parameters into the ledger's columns.
 """
 
 from __future__ import annotations
@@ -68,151 +65,6 @@ PRESET_TABLE = {
 PRESETS = tuple(PRESET_TABLE)
 
 
-# probes of the proximal condition for a p_t not centered at x_t
-PROX_PROBES = 8
-
-
-class LearnerBase:
-    """Shared state: the feasible set, the iterate, whether every
-    regularizer emitted so far is certified, and r_{1:t}'s quadratic metric
-    (None once a signed part makes it uncertifiable).  The first iterate
-    minimizes q_0 = q~_0 + <hint_1, .> over the set.  A family supplies
-    ``_solve(g, prox, q_t, metric, prox_terms, div)`` -> x_{t+1}, where
-    ``metric`` is r_{1:t}'s plus q_t's when q_t enters r, and
-    ``carries_q``, whether it does."""
-
-    kind = ""
-    carries_q = True
-
-    def __init__(self, feasible_set, q0: Regularizer | None = None, hint1=None,
-                 solver_tol: float = 1e-10, seed: int = 0):
-        self.feasible_set = feasible_set
-        self.dim = feasible_set.dim
-        self.q0_tilde = q0 if q0 is not None else Zero()
-        self.hint1 = (np.zeros(self.dim) if hint1 is None
-                      else as_point(hint1).copy())
-        if np.any(self.hint1):
-            self.q0 = Sum([self.q0_tilde, Linear(self.hint1)])
-        else:
-            self.q0 = self.q0_tilde
-        self.solver_tol = float(solver_tol)
-        self._rng = np.random.default_rng(seed)
-        self.solver_calls = 0
-        self.x1 = self._solve_init(solvers.Objective.build(
-            self.feasible_set, linear=self.hint1, regularizer=self.q0_tilde))
-        self.x = self.x1.copy()
-        self.t = 0
-        q0_terms = classify(self.q0_tilde, self.dim)
-        self.certified = q0_terms.certified
-        self._r_metric = q0_terms.metric if self.carries_q \
-            else QuadMetric.zero(self.dim)
-
-    def _solve_init(self, obj) -> np.ndarray:
-        """x_1, the argmin of ``obj`` = q~_0 + <hint_1, .>."""
-        if self.q0_tilde.is_zero():
-            if not np.any(self.hint1):
-                return self.feasible_set.center()
-            return solvers.linear_argmin(self.feasible_set, self.hint1)
-        x1 = solvers.minimize(obj, tol=self.solver_tol)
-        self.solver_calls += 1
-        return x1
-
-    def _terms(self, term, x_t, proximal: bool) -> Terms:
-        """An emitted tuple as it is, a hand-built regularizer classified;
-        either passes the proximal check first when it is an ftrl p_t."""
-        if proximal:
-            check_proximal(term, x_t, self.feasible_set, rng=self._rng,
-                           n_probes=PROX_PROBES)
-        return term if isinstance(term, Terms) else classify(term, self.dim)
-
-    def step(self, g, prox, q_t, loss=None, f_t=None):
-        """One round on the gradient g, which Driver.round has validated;
-        moves to x_{t+1} and returns the metric of r_{1:t}.
-
-        ``prox`` and ``q_t`` are ``Terms`` or hand-built regularizers.  A
-        q_t whose ``loss`` flag is set carries B_f(., x_t) for the round
-        loss f = ``loss``, with f_t = f(x_t) and g = grad f(x_t): the
-        implicit or non-linearized update."""
-        x_t = self.x
-        pt = self._terms(prox, x_t, self.kind == "ftrl")
-        qt = self._terms(q_t, x_t, False)
-        div = (loss, f_t, g) if qt.loss else None
-        r_metric = metric = _grow(self._r_metric, pt.metric, pt.total)
-        if self.carries_q:
-            q_metric = qt.metric
-            if qt.loss and is_isotropic_quadratic(loss):
-                q_metric = QuadMetric.scaled(loss.isotropic[0], self.dim).add(q_metric)
-            metric = _grow(r_metric, q_metric, qt.total)
-        x_next = self._solve(g, prox, q_t, metric, pt, div)
-        self.certified = (self.certified and r_metric is not None
-                          and pt.certified and qt.certified)
-        self._r_metric = metric
-        self.solver_calls += 1
-        self.t += 1
-        self.x = x_next
-        return r_metric
-
-
-def _grow(m: QuadMetric | None, part: QuadMetric | None,
-          total: QuadMetric | None) -> QuadMetric | None:
-    """The running metric m plus a term's metric ``part``: the term's
-    ``total`` when it carries one, else the sum; None once m or part is."""
-    if m is None or part is None:
-        return None
-    return total if total is not None else m.add(part)
-
-
-class FtrlLearner(LearnerBase):
-    """Follow-the-regularized-leader over accumulated linear and
-    regularizer terms.  r_{1:t} = p_{1:t} + q_{0:t-1}: the round-t metric
-    snapshot includes p_t but not q_t."""
-
-    kind = "ftrl"
-
-    def _solve_init(self, obj):
-        self._obj = obj     # the running objective starts at q~_0 + <hint_1, .>
-        return super()._solve_init(obj)
-
-    def _solve(self, g, p_t, q_t, metric, p_terms, div):
-        x_t = self.x
-        # a metric with eigenpairs is the objective's whole quadratic part,
-        # r_{1:t} + q_t: the objective takes it, and the terms their centres
-        take = metric is not None and metric._evals is not None
-        self._obj.add_terms(p_t, x_t, div, quadratic=not take)
-        self._obj.add_terms(q_t, x_t, div, quadratic=not take)
-        if take:
-            self._obj.take_quadratic(metric)
-        self._obj.lin = self._obj.lin + g
-        self._obj.init = x_t
-        return solvers.minimize(self._obj, tol=self.solver_tol)
-
-
-class MdLearner(LearnerBase):
-    """Mirror descent anchored at the running iterate.
-
-    Each round solves argmin <g_t, x> + q_t(x) + B_{r_{1:t}}(x, x_t) in one
-    call; r_t must be quadratic-family so the anchor divergence is exact.
-    r_t already carries q_{t-1}'s share of r, so q_t does not enter r.  The
-    ledger reports p_t := r_t - q_{t-1} for the bound calculators.
-    """
-
-    kind = "md"
-    carries_q = False
-
-    def _solve(self, g, r_t, q_t, r_metric, r_terms, div):
-        if not r_terms.quadratic:
-            raise ValueError("mirror-descent rounds need quadratic-family r_t")
-        if r_metric is None:
-            raise ValueError("r_t has negative curvature, anchor undefined")
-        x_t = self.x
-        # g was checked in Driver.round, x_t by the argmin that made it
-        obj = solvers.Objective(self.feasible_set, lin=g.copy())
-        obj.add_terms(q_t, x_t, div)
-        obj.fold_quadratic(x_t, r_metric, 1.0)
-        obj.init = x_t
-        return solvers.minimize(obj, tol=self.solver_tol)
-
-
 # -- preset schedules ----------------------------------------------------------
 
 def preset_defaults(preset: str) -> dict:
@@ -236,20 +88,25 @@ def _non_negative(params, key):
 
 
 class Driver:
-    """Binds a learner to a preset schedule and plays its rounds.
+    """A preset schedule and the play state of its run.
 
-    ``__init__`` parses the preset's parameters once, and q~_0 with them.
+    ``__init__`` parses the preset's parameters once, and q~_0 with them,
+    and solves x_1, the argmin of q_0 = q~_0 + <hint_1, .> over the set.
+    The state is the iterate ``x`` (x_t before round t), ``x1``, the rounds
+    played ``t``, ``solver_calls``, whether every term so far is
+    ``certified``, r's running metric and ftrl's running objective.
+    ``seed`` is accepted for callers that pass one; play draws nothing.
     ``round`` is the one round path of every preset: it validates g_t (a
     preset that ``needs_loss`` takes g_t = grad f_t(x_t) and
     q~_t = B_f(., x_t) instead), asks the schedule for the metrics of the
     proximal term and of q~_t and for eta_t, adds the composite weight when
     the run is composite, shifts q~_t by the hint change when the preset has
-    hints, calls the family's ``step`` and returns the round's parameters.
-    A ``ValueError`` or ``NumericArgminError`` raised on the way is raised
-    again as the same type, its message prefixed by the round and the layer
-    (gradient, loss, schedule, fold or step), which it also carries as its
-    ``round`` and ``layer`` attributes.  Preset names are read in two
-    places only: ``_parse`` and ``_emit``.
+    hints, folds the terms through ``_step`` and returns the round's
+    parameters.  A ``ValueError`` or ``NumericArgminError`` raised on the
+    way is raised again as the same type, its message prefixed by the round
+    and the layer (gradient, loss, schedule, fold or step), which it also
+    carries as its ``round`` and ``layer`` attributes.  Preset names are
+    read in two places only: ``_parse`` and ``_emit``.
     """
 
     def __init__(self, preset: str, feasible_set, params: dict | None = None,
@@ -301,9 +158,27 @@ class Driver:
                     "none")
             q0 = composite_wrap(q0, L1(alpha))
         self.hint = self._hint(1, None).copy()
-        cls = MdLearner if self.family == "md" else FtrlLearner
-        self.learner = cls(feasible_set, q0=q0, hint1=self.hint,
-                           solver_tol=solver_tol, seed=seed)
+        self.dim = feasible_set.dim
+        self.q0_tilde = q0
+        self.q0 = Sum([q0, Linear(self.hint)]) if np.any(self.hint) else q0
+        self.solver_tol = float(solver_tol)
+        self.solver_calls = 0
+        # ftrl's running objective starts at q~_0 + <hint_1, .>
+        self._obj = solvers.Objective.build(feasible_set, linear=self.hint,
+                                            regularizer=q0)
+        if not q0.is_zero():
+            self.x1 = solvers.minimize(self._obj, tol=self.solver_tol)
+            self.solver_calls += 1
+        elif np.any(self.hint):
+            self.x1 = solvers.linear_argmin(feasible_set, self.hint)
+        else:
+            self.x1 = feasible_set.center()
+        self.x = self.x1.copy()
+        self.t = 0
+        q0_terms = classify(q0, self.dim)
+        self.certified = q0_terms.certified
+        # r_{1:t}'s metric, which carries q_{0:t-1} in an ftrl run only
+        self._r_metric = q0_terms.metric if self.family == "ftrl" else self._zero
 
     # -- schedule pieces ------------------------------------------------
 
@@ -425,17 +300,16 @@ class Driver:
         x_t; a preset that ``needs_loss`` takes g from the loss itself.
         Returns (g_t, f_t(x_t), the proximal term and q~_t as ``Terms``,
         eta_t, the metric of r_{1:t})."""
-        lrn = self.learner
-        x_t = lrn.x
+        x_t = self.x
         if not self.needs_loss:
             # the round's one validation of g; the schedule and step trust it
             try:
                 g = as_point(g)
             except ValueError as e:
                 raise _name_round(e, t, "gradient")
-            if g.size != lrn.dim:
+            if g.size != self.dim:
                 e = ValueError(f"round {t}: gradient has dim {g.size}, "
-                               f"learner has {lrn.dim}")
+                               f"the set has {self.dim}")
                 e.round, e.layer = t, "gradient"
                 raise e
 
@@ -455,7 +329,6 @@ class Driver:
             # q~_t: the schedule's quadratic, psi when the run is composite,
             # and B_f(., x_t) for an implicit or non-linearized preset
             q_tilde = Terms(q_metric, self.alpha, center=self._origin,
-                            quadratic=not (self.alpha or self.needs_loss),
                             loss=self.needs_loss,
                             total=None if q_metric is self._zero else total)
             q_t = q_tilde
@@ -466,8 +339,49 @@ class Driver:
                     q_t = q_tilde._replace(shift=shift)
                 self.hint = hint_next.copy()
             named.layer = "step"
-            r_metric = lrn.step(g, prox, q_t, loss, f_t)
+            r_metric = self._step(g, prox, q_t, loss, f_t)
         return g, f_t, prox, q_tilde, eta, r_metric
+
+    def _step(self, g, prox: Terms, q_t: Terms, loss, f_t) -> QuadMetric:
+        """Fold round t's proximal term and q_t into the argmin, move to
+        x_{t+1} and return the metric of r_{1:t}.  A q_t whose ``loss`` flag
+        is set carries B_f(., x_t) for the round loss f = ``loss``, with
+        f_t = f(x_t) and g = grad f(x_t): the implicit or non-linearized
+        update.  ftrl's objective runs on, and its r_{1:t} + q_t becomes
+        r_{1:t+1}; md's objective is fresh, anchored at x_t by
+        B_{r_{1:t}}(., x_t), and q_t does not enter its r."""
+        x_t = self.x
+        div = (loss, f_t, g) if q_t.loss else None
+        r_metric = metric = prox.total if prox.total is not None \
+            else self._r_metric.add(prox.metric)
+        if self.family == "ftrl":
+            check_proximal(prox, x_t, self.feasible_set)
+            q_metric = q_t.metric
+            if q_t.loss and is_isotropic_quadratic(loss):
+                q_metric = QuadMetric.scaled(loss.isotropic[0], self.dim).add(q_metric)
+            metric = q_t.total if q_t.total is not None else r_metric.add(q_metric)
+            # a metric with eigenpairs is the objective's whole quadratic
+            # part, r_{1:t} + q_t: the objective takes it, and the terms
+            # their centres
+            obj, take = self._obj, metric._evals is not None
+            obj.add_terms(prox, x_t, div, quadratic=not take)
+            obj.add_terms(q_t, x_t, div, quadratic=not take)
+            if take:
+                obj.take_quadratic(metric)
+            obj.lin = obj.lin + g
+        else:
+            # g was checked in round, x_t by the argmin that made it
+            obj = solvers.Objective(self.feasible_set, lin=g.copy())
+            obj.add_terms(q_t, x_t, div)
+            obj.fold_quadratic(x_t, r_metric, 1.0)
+        obj.init = x_t
+        x_next = solvers.minimize(obj, tol=self.solver_tol)
+        self.certified = self.certified and prox.certified and q_t.certified
+        self._r_metric = metric
+        self.solver_calls += 1
+        self.t += 1
+        self.x = x_next
+        return r_metric
 
 
 def _name_round(e: BaseException, t: int, layer: str) -> BaseException:
@@ -502,7 +416,7 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
     """Play T rounds and return the full ledger.
 
     The feedback order is fixed: the loss is revealed, the (possibly noisy)
-    gradient is drawn at the current iterate, the learner steps.  All
+    gradient is drawn at the current iterate, the driver plays the round.  All
     randomness comes from ``rng``, so runs are reproducible bit for bit.
     Every round writes into the ledger's preallocated columns.  A failure in
     the stream (revealing the loss or drawing its gradient) names its round
@@ -514,8 +428,7 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
         raise ValueError(f"preset {driver.preset} needs exact losses")
     if rng is None:
         rng = np.random.default_rng(0)
-    lrn = driver.learner
-    d = lrn.dim
+    d = driver.dim
     x = np.empty((T + 1, d))
     g_col = np.empty((T, d))
     loss_value = np.empty(T)
@@ -526,15 +439,15 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
     if driver.params.get("metric") == "full":
         # a full-matrix run's one d x d per round: r's running metric
         roots = np.empty((T + 1, d, d))
-        roots[0] = lrn._r_metric._summand(d)
+        roots[0] = driver._r_metric._summand(d)
     prox, q_metric, r_metric = (MetricColumn(T, d, roots) for _ in range(3))
     eta = None
     certified = np.empty(T, dtype=bool)
-    x[0] = lrn.x1
-    # the learner plays on from the column's rows, so whatever a round
+    x[0] = driver.x1
+    # the driver plays on from the column's rows, so whatever a round
     # centres at x_t (a proximal term, a divergence anchor) shares the
     # ledger's copy
-    lrn.x = x[0]
+    driver.x = x[0]
     for t in range(1, T + 1):
         i = t - 1
         if hint is not None:
@@ -543,24 +456,24 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
         with _NamedRound(t, "loss"):
             loss_t = losses[i] = seq.loss(t)
             if seq.stochastic:
-                g, sigma[i] = seq.gradient(t, lrn.x, rng)
+                g, sigma[i] = seq.gradient(t, driver.x, rng)
             elif not driver.needs_loss:
                 # exact feedback is the revealed loss's own gradient
-                g = loss_t.grad(lrn.x)
+                g = loss_t.grad(driver.x)
         g, f, prox_t, q_t, eta_t, r_t = driver.round(t, loss_t, g)
-        x[t], g_col[i], loss_value[i] = lrn.x, g, f
-        lrn.x = x[t]
+        x[t], g_col[i], loss_value[i] = driver.x, g, f
+        driver.x = x[t]
         prox.put(i, prox_t.metric)
         q_metric.put(i, q_t.metric)
         if roots is None:
             r_metric.put(i, r_t)
         else:
-            roots[t] = lrn._r_metric.matrix
+            roots[t] = driver._r_metric.matrix
             # r_{1:t} is r's running metric after the round, or before it
             # when q_t carries the increment
             vecs = {"g": g} if sigma is None else {"g": g, "sigma": sigma[i]}
-            r_metric.put(i, r_t, r_t is lrn._r_metric, **vecs)
-        certified[i] = lrn.certified
+            r_metric.put(i, r_t, r_t is driver._r_metric, **vecs)
+        certified[i] = driver.certified
         if eta_t is not None:
             if eta is None:
                 eta = np.empty(T)
@@ -570,9 +483,9 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
     return regret.Ledger(
         x=x, g=g_col, loss_value=loss_value, losses=losses, sigma=sigma,
         hint=hint, prox=prox, q_metric=q_metric, r_metric=r_metric,
-        eta=eta, round_certified=certified, q0=lrn.q0,
-        q0_tilde=lrn.q0_tilde, feasible_set=driver.feasible_set, kind=lrn.kind,
-        prox_at_x=driver.prox_at_x, psi_alpha=driver.alpha,
+        eta=eta, round_certified=certified, q0=driver.q0,
+        q0_tilde=driver.q0_tilde, feasible_set=driver.feasible_set,
+        kind=driver.family, prox_at_x=driver.prox_at_x, psi_alpha=driver.alpha,
         needs_loss=driver.needs_loss, composite=driver.composite,
         stochastic=bool(seq.stochastic), schedule=driver.schedule_info(),
-        solver_calls=lrn.solver_calls)
+        solver_calls=driver.solver_calls)

@@ -24,7 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import INF, QuadMetric, as_point, dot, quad_norm_sq
-from .losses import BregmanAround, is_isotropic_quadratic
 
 
 class ProximalConditionError(ValueError):
@@ -343,17 +342,16 @@ class Terms(NamedTuple):
     order every fold takes them: the round loss's divergence from x_t
     (``loss``), the l1 weight, the quadratic (1/2) ||x - center||_metric^2
     (centred at the origin or at x_t), the linear part <shift, x>.
-    ``classify`` reads a hand-built ``Regularizer`` into the first four
-    fields; such a term folds into an objective as the handle it is.  The
-    r-divergence B_{r_{1:t}}(x_{t+1}, x_t) needs none of this: the ledger
-    derives it from its columns (``regret.Ledger.breg_r``).  A term of a
-    full-matrix ftrl round also carries ``total``, the running metric the
-    learner's r reaches once the term is added, with its eigenpairs."""
+    ``classify`` reads q~_0, the one term built as a ``Regularizer``, into
+    the first three fields.  The r-divergence B_{r_{1:t}}(x_{t+1}, x_t)
+    needs none of this: the ledger derives it from its columns
+    (``regret.Ledger.breg_r``).  A term of a full-matrix ftrl round also
+    carries ``total``, the running metric the driver's r reaches once the
+    term is added, with its eigenpairs."""
 
     metric: QuadMetric | None   # PSD metric of the quadratic parts, None if signed
     l1: float = 0.0             # total l1 weight
     certified: bool = True      # every quadratic part has a non-negative scale
-    quadratic: bool = True      # only quadratic and linear parts
     center: np.ndarray | None = None   # the emitted quadratic's centre
     shift: np.ndarray | None = None    # the emitted linear part, or None
     loss: bool = False                 # B_{f_t}(., x_t) is a part
@@ -361,38 +359,25 @@ class Terms(NamedTuple):
 
 
 def classify(reg: Regularizer, dim: int) -> Terms:
-    """One pass over the parts of ``reg`` (sums are flat, zeros dropped).
-
-    Unit-scale quadratic parts enter the metric as they are, others scaled;
-    a negative-scale quadratic or a Difference makes the curvature
-    uncertifiable, and the metric stays None from there on.  A quadratic
-    loss's divergence is exactly (w/2)||. - x_t||^2 and enters as the
-    metric w I; any other loss divergence adds no metric, since folding a
-    strong-convexity estimate on top of the divergence would count the
-    curvature twice."""
+    """One pass over the parts of q~_0 = ``reg`` (sums are flat, zeros
+    dropped): the metric that starts an ftrl run's r, the l1 weight, and
+    whether it is certified.  Unit-scale quadratic parts enter the metric
+    as they are, others scaled; a negative-scale quadratic makes the
+    curvature uncertifiable, and the metric stays None from there on."""
     metric = QuadMetric.zero(dim)
     l1 = 0.0
-    certified = quadratic = True
+    certified = True
     for part in Sum([reg]).parts:
-        if isinstance(part, Quadratic):
+        if isinstance(part, L1):
+            l1 += part.alpha
+        elif isinstance(part, Quadratic):
             certified = certified and part.certified()
             if part.scale < 0:
                 metric = None
             elif metric is not None:
                 metric = metric.add(part.metric if part.scale == 1.0
                                     else part.metric.scale(part.scale))
-            continue
-        if isinstance(part, Linear):
-            continue
-        quadratic = False
-        if isinstance(part, L1):
-            l1 += part.alpha
-        elif isinstance(part, Difference):
-            metric = None
-        elif (isinstance(part, BregmanAround) and metric is not None
-              and is_isotropic_quadratic(part.loss)):
-            metric = metric.add(QuadMetric.scaled(part.loss.isotropic[0], dim))
-    return Terms(metric, l1, certified, quadratic)
+    return Terms(metric, l1, certified)
 
 
 # -- schedules ---------------------------------------------------------------
@@ -459,7 +444,7 @@ def adagrad_full_step(state: ScheduleState, g, eta: float, gamma0: float):
     so the increment is PSD in exact arithmetic; one Cholesky factorisation
     checks it (``QuadMetric.psd_full``).  ``state.total`` is left holding
     G_t^{1/2} / eta with the eigenpairs of that decomposition: an ftrl
-    learner takes it as r's running metric, so its argmin does not decompose
+    round takes it as r's running metric, so its argmin does not decompose
     a matrix again, and the ledger keeps that root, not the increment, with
     the eigenvalues and g_t's projections (``core.MetricColumn``).  g is
     trusted as in ``adagrad_diag_step``, and a bad one fails the same way."""

@@ -398,16 +398,13 @@ class Objective:
         if quadratic:
             self.gamma += gamma
 
-    def add_terms(self, term, anchor: np.ndarray, div=None, quadratic: bool = True):
-        """Fold one round term.  A ``Terms`` tuple folds its parts in order:
-        the loss divergence, when flagged, from ``div`` = (loss, f(anchor),
+    def add_terms(self, term: Terms, anchor: np.ndarray, div=None,
+                  quadratic: bool = True):
+        """Fold one round term, a ``Terms`` tuple, its parts in order: the
+        loss divergence, when flagged, from ``div`` = (loss, f(anchor),
         grad f(anchor)) at the anchor x_t; the l1 weight; the quadratic
         around its centre (a zero scaled metric is no part; see
-        ``fold_quadratic`` for ``quadratic``); the linear shift.  A
-        hand-built ``Regularizer`` folds through ``add_regularizer``."""
-        if not isinstance(term, Terms):
-            self.add_regularizer(term)
-            return
+        ``fold_quadratic`` for ``quadratic``); the linear shift."""
         if term.loss:
             self._fold_divergence(div[0], anchor, div[1], div[2])
         self.l1_alpha += term.l1

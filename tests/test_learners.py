@@ -9,10 +9,7 @@ import numpy as np
 import pytest
 
 from adaopt import core, learners, losses, regret, regularizers, solvers
-from adaopt.core import QuadMetric
-from adaopt.learners import (PRESETS, Driver, FtrlLearner, MdLearner,
-                             preset_defaults, run_rounds)
-from adaopt.regularizers import L1, Quadratic, Sum, Zero
+from adaopt.learners import PRESETS, Driver, preset_defaults, run_rounds
 
 
 UNC2 = solvers.Unconstrained(2)
@@ -308,22 +305,16 @@ def test_ledger_shape_and_kinds():
     assert led.certified()
 
 
-# -- one round on hand-built terms ----------------------------------------------
+# -- the driver's state and r's running metric ----------------------------------
 
-def _iso(scale, dim=1):
-    """(scale/2) ||x||^2."""
-    return Quadratic(np.zeros(dim), QuadMetric.scaled(1.0, dim), scale)
-
-
-def test_negative_scale_quadratic_in_q_uncertifies_and_drops_the_r_metric():
-    lrn = FtrlLearner(UNC2, q0=_iso(2.0, 2))
-    r_metric = lrn.step(np.array([1.0, -1.0]), Zero(), _iso(-0.5, 2))
-    assert r_metric is not None and r_metric.gamma == 2.0
-    assert lrn.certified is False
-    # r_2 = r_1 + q_1 has a signed part, so it has no metric
-    r_metric = lrn.step(np.array([0.5, 0.5]), Zero(), Zero())
-    assert r_metric is None
-    assert lrn.certified is False
+def test_run_rounds_leaves_the_driver_at_the_ledgers_last_row():
+    for preset, params in (("adagrad-da", {}), ("md", {}), ("ftrl-prox",
+                           {"gamma0": 0.5, "composite_alpha": 0.1})):
+        driver = Driver(preset, solvers.Box(-np.ones(3), np.ones(3)), params)
+        led = run_rounds(driver, losses.random_stream(3, seed=2), 6)
+        assert driver.t == 6
+        assert np.array_equal(driver.x, led.x[6])
+        assert driver.solver_calls == led.solver_calls
 
 
 def _l1_bregman(y, x):
@@ -333,12 +324,6 @@ def _l1_bregman(y, x):
 
 
 def test_l1_part_of_q_enters_the_next_r_divergence():
-    # x_2 = argmin -1.5 x + x^2/2 + |x|/2 = 1; x_3 = argmin 1.5 x + x^2/2 + |x|/2 = -1
-    lrn = FtrlLearner(solvers.Unconstrained(1), q0=_iso(1.0))
-    r_metric = lrn.step(np.array([-1.5]), Zero(), L1(0.5))
-    assert lrn.x == pytest.approx([1.0], abs=1e-12) and r_metric.gamma == 1.0
-    r_metric = lrn.step(np.array([3.0]), Zero(), Zero())
-    assert lrn.x == pytest.approx([-1.0], abs=1e-12) and r_metric.gamma == 1.0
     # in a ledger, r_{1:t} carries the l1 weight of q_{0:t-1}: psi's from
     # round 1 when known before, from round 2 when revealed after
     # (the swings grow, so the iterate changes sign every round)
@@ -365,37 +350,14 @@ def _kept(f):
 def test_loss_divergence_in_q_is_carried_as_a_handle_unless_isotropic():
     f = losses.quadratic_loss(np.array([2.0]), 3.0)
     for loss in (f, _kept(f)):
-        lrn = FtrlLearner(solvers.Unconstrained(1), q0=_iso(1.0), solver_tol=1e-12)
-        lrn.step(np.array([0.5]), Zero(), losses.BregmanAround(loss, lrn.x))
-        r_metric = lrn.step(np.array([-1.0]), Zero(), Zero())
-        # the isotropic divergence is the metric 3 I; the other is no metric
-        assert r_metric.gamma == (4.0 if loss is f else 1.0)
-        # in a ledger either enters B_{r_{1:2}}(x_3, x_2): r_{1:2} is
+        # the isotropic divergence is the metric 3 I; the other is no
+        # metric.  Either enters B_{r_{1:2}}(x_3, x_2): r_{1:2} is
         # x^2/2 + B_{f_1}, so with x_2 = 3/2 and x_3 = 12/7 it is 2 (3/14)^2
         led = run("nonlin-ftrl", solvers.Unconstrained(1), {"q0_scale": 1.0},
                   losses.FixedLoss(loss, 1), 3, tol=1e-12)
         assert led.records[1].r_metric.gamma == (4.0 if loss is f else 1.0)
         assert led.x[1:3, 0] == pytest.approx([1.5, 12.0 / 7.0], rel=1e-9)
         assert led.breg_r[1] == pytest.approx(2.0 * (3.0 / 14.0) ** 2, rel=1e-9)
-
-
-def test_loss_divergence_in_p_or_q0_enters_the_r_metric_only_when_isotropic():
-    # a 3-smooth quadratic kept as a plain Loss adds no metric in p_1 or in
-    # q~_0; with q~_0's x^2/2 alongside, x_2 = argmin x/2 + 2 x^2 = -1/8
-    f = losses.quadratic_loss(np.array([0.0]), 3.0)
-    handle = losses.BregmanAround(_kept(f), np.zeros(1))
-    for q0, p_1 in ((_iso(1.0), handle), (Sum([_iso(1.0), handle]), Zero())):
-        lrn = FtrlLearner(solvers.Unconstrained(1), q0=q0, solver_tol=1e-12)
-        r_metric = lrn.step(np.array([0.5]), p_1, Zero())
-        assert lrn.x == pytest.approx([-0.125], abs=1e-9)
-        assert r_metric.gamma == 1.0
-
-
-def test_md_rejects_an_r_with_an_l1_part():
-    lrn = MdLearner(UNC2)
-    r_t = Sum([_iso(1.0, 2), L1(0.1)])
-    with pytest.raises(ValueError, match="quadratic-family"):
-        lrn.step(np.array([1.0, 0.0]), r_t, Zero())
 
 
 # -- play emits parameters, not objects ----------------------------------------

@@ -44,7 +44,7 @@ def _stream_breaking_at(k: int, d: int, bad: str) -> losses.LinearStream:
 @pytest.mark.parametrize("bad", ["nan", "+inf", "-inf", "short", "long"])
 @pytest.mark.parametrize("preset,params", DRIVERS)
 def test_bad_gradient_stops_the_run_at_its_round(preset, params, bad):
-    # rounds 1..k-1 were played, and round k left the learner where it was;
+    # rounds 1..k-1 were played, and round k left the driver where it was;
     # a vector of the wrong length reaches the gradient check, and a
     # non-finite one fails in the stream, before the round: either names it
     k, d = 4, 3
@@ -53,8 +53,8 @@ def test_bad_gradient_stops_the_run_at_its_round(preset, params, bad):
         else f"^round {k}: loss: point has non-finite entries"
     with pytest.raises(ValueError, match=match):
         run_rounds(driver, _stream_breaking_at(k, d, bad), 6)
-    assert driver.learner.t == k - 1
-    assert np.isfinite(driver.learner.x).all()
+    assert driver.t == k - 1
+    assert np.isfinite(driver.x).all()
 
 
 class _GradientFailsAt3(losses.LossSequence):
@@ -80,7 +80,7 @@ def test_a_failing_loss_names_its_round(preset):
     driver = Driver(preset, solvers.Box(-np.ones(2), np.ones(2)))
     with pytest.raises(ValueError, match="^round 3: loss: gradient diverged$"):
         run_rounds(driver, _GradientFailsAt3(), 5)
-    assert driver.learner.t == 2
+    assert driver.t == 2
 
 
 @pytest.mark.parametrize("value", NON_FINITE)
@@ -257,7 +257,7 @@ def test_errors_raised_in_a_round_name_it(preset, scale, error, prefix):
         run_rounds(driver, seq, 20)
     assert type(info.value) is error
     assert str(info.value).startswith(prefix), str(info.value)
-    assert driver.learner.t == int(prefix.split()[1][:-1]) - 1
+    assert driver.t == int(prefix.split()[1][:-1]) - 1
 
 
 class _CodedError(ValueError):
