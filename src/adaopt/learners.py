@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .core import MetricColumn, QuadMetric, as_point
-from .losses import is_isotropic_quadratic
+from .losses import LinearLoss, is_isotropic_quadratic
 from .regularizers import (COMPOSITE_SETTINGS, L1, Linear, Quadratic,
                            Regularizer, ScheduleState, Sum, Terms, Zero,
                            adagrad_diag_step, adagrad_full_step,
@@ -93,8 +93,8 @@ class Driver:
     ``__init__`` parses the preset's parameters once, and q~_0 with them,
     and solves x_1, the argmin of q_0 = q~_0 + <hint_1, .> over the set.
     The state is the iterate ``x`` (x_t before round t), ``x1``, the rounds
-    played ``t``, ``solver_calls``, whether every term so far is
-    ``certified``, r's running metric and ftrl's running objective.
+    played ``t``, ``solver_calls``, whether q~_0 is ``certified`` (every
+    emitted term is), r's running metric and ftrl's running objective.
     ``seed`` is accepted for callers that pass one; play draws nothing.
     ``round`` is the one round path of every preset: it validates g_t (a
     preset that ``needs_loss`` takes g_t = grad f_t(x_t) and
@@ -102,11 +102,12 @@ class Driver:
     proximal term and of q~_t and for eta_t, adds the composite weight when
     the run is composite, shifts q~_t by the hint change when the preset has
     hints, folds the terms through ``_step`` and returns the round's
-    parameters.  A ``ValueError`` or ``NumericArgminError`` raised on the
-    way is raised again as the same type, its message prefixed by the round
-    and the layer (gradient, loss, schedule, fold or step), which it also
-    carries as its ``round`` and ``layer`` attributes.  Preset names are
-    read in two places only: ``_parse`` and ``_emit``.
+    parameters (a zero metric is ``_zero``; a term with no part is not
+    built or folded).  A ``ValueError`` or ``NumericArgminError`` raised on
+    the way is raised again, its message prefixed by the round and the
+    layer (gradient, loss, schedule, fold or step), which it also carries as
+    its ``round`` and ``layer`` attributes.  Preset names are read in two
+    places only: ``_parse`` and ``_emit``.
     """
 
     def __init__(self, preset: str, feasible_set, params: dict | None = None,
@@ -120,6 +121,7 @@ class Driver:
         self.params = merged
         self.family = PRESET_TABLE[preset][0]
         self.feasible_set = feasible_set
+        self.dim = feasible_set.dim
         self.hint_fn = hint_fn
         self._sched = ScheduleState()
         self._eta_prev = 0.0
@@ -127,8 +129,6 @@ class Driver:
         # whether the proximal term is centred at x_t (else at the origin)
         self.prox_at_x = False
 
-        # the center of every origin-centered quadratic the schedules emit
-        self._origin = np.zeros(feasible_set.dim)
         self._zero = QuadMetric.zero(feasible_set.dim)
         self.optimistic = "hints" in merged
         self.hint_policy = merged.get("hints", "none")
@@ -147,6 +147,10 @@ class Driver:
             raise ValueError("composite runs support box and free sets only")
         self.composite = alpha > 0
         self.alpha = alpha if self.composite else 0.0
+        # a term with no part, and q~_t's where its metric is zero
+        self._no_term = Terms(self._zero)
+        self._q_zero = Terms(self._zero, self.alpha, loss=self.needs_loss) \
+            if self.alpha or self.needs_loss else self._no_term
 
         q0 = self._parse(merged)
         if self.composite and self.composite_setting == "known-before":
@@ -158,7 +162,6 @@ class Driver:
                     "none")
             q0 = composite_wrap(q0, L1(alpha))
         self.hint = self._hint(1, None).copy()
-        self.dim = feasible_set.dim
         self.q0_tilde = q0
         self.q0 = Sum([q0, Linear(self.hint)]) if np.any(self.hint) else q0
         self.solver_tol = float(solver_tol)
@@ -186,7 +189,7 @@ class Driver:
         """(scale/2) ||x||^2, or Zero for scale 0."""
         if scale == 0.0:
             return Zero()
-        return Quadratic(self._origin, QuadMetric.scaled(scale, self.feasible_set.dim))
+        return Quadratic(np.zeros(self.dim), QuadMetric.scaled(scale, self.dim))
 
     def _parse(self, p: dict) -> Regularizer:
         """Check and store the preset's numeric parameters; return q~_0."""
@@ -219,8 +222,8 @@ class Driver:
                 raise ValueError("adagrad-da needs gamma0 > 0 to keep round-1 "
                                  "regularization non-degenerate")
             if self._gamma0 > 0 and self.family == "ftrl":
-                return Quadratic(self._origin, adagrad_initial_metric(
-                    self.feasible_set.dim, self._eta, self._gamma0))
+                return Quadratic(np.zeros(self.dim), adagrad_initial_metric(
+                    self.dim, self._eta, self._gamma0))
             return Zero()
         if self.preset == "ao-ftrl-prox":
             self.prox_at_x = True
@@ -246,9 +249,7 @@ class Driver:
         zero = self._zero
         if self.preset in ("adagrad-da", "ftrl-prox", "adagrad-md"):
             incr, _ = self._adagrad_step(self._sched, g, self._eta, self._gamma0)
-            if self.preset == "adagrad-da":
-                return zero, incr, None
-            return incr, zero, None
+            return (zero, incr, None) if self.preset == "adagrad-da" else (incr, zero, None)
         if self.preset == "ao-ftrl-prox":
             if self.params["eta_schedule"] == "scale-free":
                 eta_t = scale_free_eta(self._sched, g, self.hint, self._eta0)
@@ -298,8 +299,8 @@ class Driver:
     def round(self, t: int, loss, g=None) -> tuple:
         """Play round t on the revealed loss: g is the gradient feedback at
         x_t; a preset that ``needs_loss`` takes g from the loss itself.
-        Returns (g_t, f_t(x_t), the proximal term and q~_t as ``Terms``,
-        eta_t, the metric of r_{1:t})."""
+        Returns (g_t, f_t(x_t), the metric of the proximal term, that of
+        q~_t's quadratic, eta_t, the metric of r_{1:t})."""
         x_t = self.x
         if not self.needs_loss:
             # the round's one validation of g; the schedule and step trust it
@@ -313,34 +314,36 @@ class Driver:
                 e.round, e.layer = t, "gradient"
                 raise e
 
-        with _NamedRound(t, "loss") as named:
+        layer = "loss"
+        try:
             if self.needs_loss:
                 f_t, g = loss.value(x_t), loss.grad(x_t)
             else:
                 f_t = loss.value(x_t)
-            named.layer = "schedule"
+            layer = "schedule"
             prox_metric, q_metric, eta = self._emit(t, g)
-            named.layer = "fold"
+            layer = "fold"
             # an ftrl r grows by each full-matrix increment to the schedule's
             # running metric, which rides on the term with the increment
             total = self._sched.total if self.family == "ftrl" else None
-            prox = Terms(prox_metric, center=x_t if self.prox_at_x else self._origin,
-                         total=None if prox_metric is self._zero else total)
+            prox = self._no_term if prox_metric is self._zero else Terms(
+                prox_metric, center=x_t if self.prox_at_x else None, total=total)
             # q~_t: the schedule's quadratic, psi when the run is composite,
             # and B_f(., x_t) for an implicit or non-linearized preset
-            q_tilde = Terms(q_metric, self.alpha, center=self._origin,
-                            loss=self.needs_loss,
-                            total=None if q_metric is self._zero else total)
-            q_t = q_tilde
+            q_t = self._q_zero if q_metric is self._zero else Terms(
+                q_metric, self.alpha, loss=self.needs_loss, total=total)
             if self.optimistic:
                 hint_next = self._hint(t + 1, g)
                 shift = hint_next - self.hint
                 if np.any(shift):
-                    q_t = q_tilde._replace(shift=shift)
+                    q_t = q_t._replace(shift=shift)
                 self.hint = hint_next.copy()
-            named.layer = "step"
+            layer = "step"
             r_metric = self._step(g, prox, q_t, loss, f_t)
-        return g, f_t, prox, q_tilde, eta, r_metric
+        except (ValueError, solvers.NumericArgminError) as e:
+            _name_round(e, t, layer)
+            raise
+        return g, f_t, prox_metric, q_metric, eta, r_metric
 
     def _step(self, g, prox: Terms, q_t: Terms, loss, f_t) -> QuadMetric:
         """Fold round t's proximal term and q_t into the argmin, move to
@@ -350,33 +353,37 @@ class Driver:
         update.  ftrl's objective runs on, and its r_{1:t} + q_t becomes
         r_{1:t+1}; md's objective is fresh, anchored at x_t by
         B_{r_{1:t}}(., x_t), and q_t does not enter its r."""
-        x_t = self.x
+        x_t, zero, none = self.x, self._zero, self._no_term
         div = (loss, f_t, g) if q_t.loss else None
         r_metric = metric = prox.total if prox.total is not None \
+            else self._r_metric if prox.metric is zero \
             else self._r_metric.add(prox.metric)
         if self.family == "ftrl":
             check_proximal(prox, x_t, self.feasible_set)
             q_metric = q_t.metric
             if q_t.loss and is_isotropic_quadratic(loss):
                 q_metric = QuadMetric.scaled(loss.isotropic[0], self.dim).add(q_metric)
-            metric = q_t.total if q_t.total is not None else r_metric.add(q_metric)
+            metric = q_t.total if q_t.total is not None else r_metric \
+                if q_metric is zero else r_metric.add(q_metric)
             # a metric with eigenpairs is the objective's whole quadratic
             # part, r_{1:t} + q_t: the objective takes it, and the terms
             # their centres
             obj, take = self._obj, metric._evals is not None
-            obj.add_terms(prox, x_t, div, quadratic=not take)
-            obj.add_terms(q_t, x_t, div, quadratic=not take)
+            if prox is not none:
+                obj.add_terms(prox, x_t, div, quadratic=not take)
+            if q_t is not none:
+                obj.add_terms(q_t, x_t, div, quadratic=not take)
             if take:
                 obj.take_quadratic(metric)
             obj.lin = obj.lin + g
         else:
             # g was checked in round, x_t by the argmin that made it
-            obj = solvers.Objective(self.feasible_set, lin=g.copy())
-            obj.add_terms(q_t, x_t, div)
+            obj = solvers.Objective(self.feasible_set, lin=g)
+            if q_t is not none:
+                obj.add_terms(q_t, x_t, div)
             obj.fold_quadratic(x_t, r_metric, 1.0)
         obj.init = x_t
         x_next = solvers.minimize(obj, tol=self.solver_tol)
-        self.certified = self.certified and prox.certified and q_t.certified
         self._r_metric = metric
         self.solver_calls += 1
         self.t += 1
@@ -393,34 +400,17 @@ def _name_round(e: BaseException, t: int, layer: str) -> BaseException:
     return e
 
 
-class _NamedRound:
-    """A stretch of round t spent in ``layer``: a ``ValueError`` or
-    ``NumericArgminError`` raised inside it leaves as the same exception
-    object, its type and attributes kept, named by the round and the layer
-    last set (``_name_round``)."""
-
-    __slots__ = ("t", "layer")
-
-    def __init__(self, t: int, layer: str):
-        self.t, self.layer = t, layer
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, e, tb):
-        if isinstance(e, (ValueError, solvers.NumericArgminError)):
-            _name_round(e, self.t, self.layer)
-
-
 def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
     """Play T rounds and return the full ledger.
 
     The feedback order is fixed: the loss is revealed, the (possibly noisy)
     gradient is drawn at the current iterate, the driver plays the round.  All
     randomness comes from ``rng``, so runs are reproducible bit for bit.
-    Every round writes into the ledger's preallocated columns.  A failure in
-    the stream (revealing the loss or drawing its gradient) names its round
-    and the layer ``loss``, as ``Driver.round`` names its own.
+    Every round writes into the ledger's preallocated columns (a zero metric
+    is their initial row), and keeps a linear loss under exact feedback, its
+    round's g, as a ``LinearLoss`` of its g row.  A failure in the stream
+    (revealing the loss or drawing its gradient) names its round and the
+    layer ``loss``, as ``Driver.round`` names its own.
     """
     if T < 1:
         raise ValueError("need at least one round")
@@ -442,7 +432,6 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
         roots[0] = driver._r_metric._summand(d)
     prox, q_metric, r_metric = (MetricColumn(T, d, roots) for _ in range(3))
     eta = None
-    certified = np.empty(T, dtype=bool)
     x[0] = driver.x1
     # the driver plays on from the column's rows, so whatever a round
     # centres at x_t (a proximal term, a divergence anchor) shares the
@@ -453,18 +442,25 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
         if hint is not None:
             hint[i] = driver.hint
         g = None
-        with _NamedRound(t, "loss"):
+        try:
             loss_t = losses[i] = seq.loss(t)
-            if seq.stochastic:
+            if sigma is not None:
                 g, sigma[i] = seq.gradient(t, driver.x, rng)
             elif not driver.needs_loss:
                 # exact feedback is the revealed loss's own gradient
                 g = loss_t.grad(driver.x)
+        except (ValueError, solvers.NumericArgminError) as e:
+            _name_round(e, t, "loss")
+            raise
         g, f, prox_t, q_t, eta_t, r_t = driver.round(t, loss_t, g)
         x[t], g_col[i], loss_value[i] = driver.x, g, f
         driver.x = x[t]
-        prox.put(i, prox_t.metric)
-        q_metric.put(i, q_t.metric)
+        if type(loss_t) is LinearLoss and sigma is None:
+            losses[i] = LinearLoss(g_col[i])
+        if prox_t is not driver._zero:
+            prox.put(i, prox_t)
+        if q_t is not driver._zero:
+            q_metric.put(i, q_t)
         if roots is None:
             r_metric.put(i, r_t)
         else:
@@ -473,7 +469,6 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
             # when q_t carries the increment
             vecs = {"g": g} if sigma is None else {"g": g, "sigma": sigma[i]}
             r_metric.put(i, r_t, r_t is driver._r_metric, **vecs)
-        certified[i] = driver.certified
         if eta_t is not None:
             if eta is None:
                 eta = np.empty(T)
@@ -483,7 +478,7 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
     return regret.Ledger(
         x=x, g=g_col, loss_value=loss_value, losses=losses, sigma=sigma,
         hint=hint, prox=prox, q_metric=q_metric, r_metric=r_metric,
-        eta=eta, round_certified=certified, q0=driver.q0,
+        eta=eta, round_certified=np.full(T, driver.certified), q0=driver.q0,
         q0_tilde=driver.q0_tilde, feasible_set=driver.feasible_set,
         kind=driver.family, prox_at_x=driver.prox_at_x, psi_alpha=driver.alpha,
         needs_loss=driver.needs_loss, composite=driver.composite,

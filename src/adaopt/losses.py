@@ -75,13 +75,23 @@ class Loss:
 
 def linear_loss(v) -> Loss:
     """<v, x>; v is checked to be a finite 1-d vector."""
-    return _linear(as_point(v))
+    return LinearLoss(as_point(v))
 
 
-def _linear(v: np.ndarray) -> Loss:
-    """<v, x> for a checked v; its value is ``v.dot(x)``, ``core.dot``'s ddot."""
-    return Loss("linear", value=v.dot, grad=lambda x: v.copy(),
-                dir_deriv=lambda x, z: dot(v, z), smoothness=0.0, vector=v)
+class LinearLoss(Loss):
+    """<v, x> for a checked v = ``vector``; its value is ``core.dot``'s ddot."""
+
+    name, isotropic, star_center, _dir = "linear", None, None, None
+    smoothness = strong_convexity = 0.0
+
+    def __init__(self, v: np.ndarray):
+        self.vector = v
+
+    def value(self, x) -> float:
+        return float(self.vector.dot(x))
+
+    def grad(self, x) -> np.ndarray:
+        return self.vector.copy()
 
 
 def quadratic_loss(center, weight: float = 1.0) -> Loss:
@@ -417,7 +427,7 @@ class LinearStream(LossSequence):
 
     def loss(self, t):
         v = self.vector_fn(t)
-        return _linear(v if self._checked else as_point(v))
+        return LinearLoss(v if self._checked else as_point(v))
 
     def column(self, ts):
         vs = np.array([self.vector(t) for t in ts], dtype=float)

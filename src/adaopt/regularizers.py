@@ -341,7 +341,7 @@ class Terms(NamedTuple):
     ``Driver.round`` emits each term in this form, with its parts in the
     order every fold takes them: the round loss's divergence from x_t
     (``loss``), the l1 weight, the quadratic (1/2) ||x - center||_metric^2
-    (centred at the origin or at x_t), the linear part <shift, x>.
+    (centred at x_t, or at the origin: None), the linear part <shift, x>.
     ``classify`` reads q~_0, the one term built as a ``Regularizer``, into
     the first three fields.  The r-divergence B_{r_{1:t}}(x_{t+1}, x_t)
     needs none of this: the ledger derives it from its columns
@@ -352,7 +352,7 @@ class Terms(NamedTuple):
     metric: QuadMetric | None   # PSD metric of the quadratic parts, None if signed
     l1: float = 0.0             # total l1 weight
     certified: bool = True      # every quadratic part has a non-negative scale
-    center: np.ndarray | None = None   # the emitted quadratic's centre
+    center: np.ndarray | None = None   # the quadratic's centre; None: the origin
     shift: np.ndarray | None = None    # the emitted linear part, or None
     loss: bool = False                 # B_{f_t}(., x_t) is a part
     total: QuadMetric | None = None    # the running metric after this term
@@ -399,21 +399,21 @@ def adagrad_diag_step(state: ScheduleState, g, eta: float, gamma0: float):
     The cumulative metric after t rounds is diag(sqrt(gamma0 + sum g_s^2)) / eta;
     the increment returned here is the round-t difference of those roots.
 
-    g's entries are not checked here (``Driver.round`` checks them), only
-    its shape: a non-finite or overflowing g makes the increment non-finite,
-    and the increment's check raises ``ValueError`` before ``state`` is
-    written.  The roots only grow, so a good increment is a ``QuadMetric``
-    as it is, with no copy or clamp.
+    eta and gamma0 are checked where ``state`` starts, g only for its shape
+    (``Driver.round`` checks its entries): a later bad eta or a non-finite or
+    overflowing g makes the increment negative or non-finite, and its check
+    raises ``ValueError`` before ``state`` is written.  The roots only grow,
+    so a good increment is a ``QuadMetric`` as it is, with no copy or clamp.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 1:
         g = as_point(g)     # a scalar is a 1-vector; any other shape raises
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if gamma0 < 0:
-        raise ValueError(f"gamma0 must be >= 0, got {gamma0}")
     accum, prev_root = state.accum_sq, state._prev_root
     if accum is None:
+        if eta <= 0:
+            raise ValueError(f"eta must be positive, got {eta}")
+        if gamma0 < 0:
+            raise ValueError(f"gamma0 must be >= 0, got {gamma0}")
         accum, prev_root = np.full(g.shape, float(gamma0)), None
     if prev_root is None:
         prev_root = np.sqrt(accum)

@@ -305,19 +305,19 @@ def linear_argmin(feasible_set: FeasibleSet, v) -> np.ndarray:
 
 # -- objectives --------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Objective:
     """Collected minimization problem for one learner round.
 
     The quadratic part is stored pre-combined: ``gamma`` (scaled identity),
-    ``diag`` and ``full`` slots add up, with centers already folded into the
-    linear term.  A loss divergence folded in as a regularizer (implicit and
-    non-linearized updates) goes into the ``gamma`` slot when the loss is an
-    isotropic quadratic, and otherwise leaves its loss in ``losses``, the
-    smooth loss handles that enter the objective directly.  ``full_evals``
-    (ascending) and ``full_evecs`` are the eigenpairs of ``full`` when they
-    came with it (``take_quadratic``), for σ, L and M^-1; a fold that
-    changes ``full`` drops both.
+    ``diag`` and ``full`` slots add up, with centers (None is the origin)
+    already folded into the linear term.  A loss divergence folded in as a
+    regularizer (implicit and non-linearized updates) goes into the
+    ``gamma`` slot when the loss is an isotropic quadratic, and otherwise
+    leaves its loss in ``losses``, the smooth loss handles that enter the
+    objective directly.  ``full_evals`` (ascending) and ``full_evecs`` are
+    the eigenpairs of ``full`` when they came with it (``take_quadratic``),
+    for σ, L and M^-1; a fold that changes ``full`` drops both.
     """
 
     feasible_set: FeasibleSet
@@ -337,9 +337,8 @@ class Objective:
     @classmethod
     def build(cls, feasible_set: FeasibleSet, linear=None, regularizer=None,
               losses=()) -> "Objective":
-        d = feasible_set.dim
-        obj = cls(feasible_set=feasible_set,
-                  lin=np.zeros(d) if linear is None else as_point(linear).copy())
+        obj = cls(feasible_set=feasible_set, lin=np.zeros(feasible_set.dim)
+                  if linear is None else as_point(linear).copy())
         if regularizer is not None:
             obj.add_regularizer(regularizer)
         obj.losses.extend(losses)
@@ -352,30 +351,26 @@ class Objective:
         """Fold scale/2 ||x - center||_M^2 into the combined form."""
         self.fold_quadratic(as_point(center), metric, scale)
 
-    def fold_quadratic(self, center: np.ndarray, metric: QuadMetric, scale: float,
-                       quadratic: bool = True):
+    def fold_quadratic(self, center: np.ndarray | None, metric: QuadMetric,
+                       scale: float, quadratic: bool = True):
         """``add_quadratic`` for a centre already checked, such as an
-        iterate an argmin returned; without ``quadratic`` only the centre's
-        linear and constant parts, for a caller about to ``take_quadratic``."""
+        iterate an argmin returned, or None, the origin; without ``quadratic``
+        only its linear and constant parts, for ``take_quadratic``'s caller."""
         if scale == 0.0:
             return
-        d = self.lin.size
         if metric.kind == "scaled":
             self._fold_isotropic(center, scale * metric.gamma, quadratic)
             return
+        # an empty slot starts at 0.0: part + 0.0 is 0.0 + part, bit for bit
         if quadratic and metric.kind == "diag":
-            w = metric.weights
-            if self.diag is None:
-                self.diag = np.zeros(d)
-            self.diag = self.diag + (w if scale == 1.0 else scale * w)
+            w = metric.weights if scale == 1.0 else scale * metric.weights
+            self.diag = w + 0.0 if self.diag is None else self.diag + w
         elif quadratic:
-            m = metric.matrix
-            if self.full is None:
-                self.full = np.zeros((d, d))
-            self.full = self.full + (m if scale == 1.0 else scale * m)
+            m = metric.matrix if scale == 1.0 else scale * metric.matrix
+            self.full = m + 0.0 if self.full is None else self.full + m
             self.full_evals = self.full_evecs = None
-        mc = metric.matvec(center) if center.any() else None
-        if mc is not None:
+        if center is not None and center.any():
+            mc = metric.matvec(center)
             self.lin = self.lin - scale * mc
             self.const += 0.5 * scale * float(np.dot(center, mc))
 
@@ -387,10 +382,9 @@ class Objective:
         self.gamma, self.diag = 0.0, None
         self.full, self.full_evals, self.full_evecs = metric.matrix, metric._evals, metric._evecs
 
-    def _fold_isotropic(self, center: np.ndarray, gamma: float,
-                        quadratic: bool = True):
+    def _fold_isotropic(self, center, gamma: float, quadratic: bool = True):
         """Fold gamma/2 ||x - center||^2 (see ``fold_quadratic``)."""
-        if center.any():
+        if center is not None and center.any():
             # a shifted isotropic quadratic is no longer pure gamma*I in
             # x'Mx form; fold the cross term into lin and keep gamma
             self.lin = self.lin - gamma * center
@@ -523,18 +517,16 @@ class Objective:
     def is_isotropic(self) -> bool:
         return self.diag is None and self.full is None
 
-    def has_losses(self) -> bool:
-        return bool(self.losses)
-
 
 # -- solvers -----------------------------------------------------------------
 
-def _certify(obj: Objective, x: np.ndarray, smooth: float) -> np.ndarray:
+def _certify(obj: Objective, x: np.ndarray, smooth: float, w=None) -> np.ndarray:
     """x, if its projected-gradient fixed-point residual at step 1/L, for
     the objective's smoothness L, is within 1e-8 (1 + ||lin|| + L); the
-    residual also rejects non-finite values.  Otherwise raise."""
+    residual also rejects non-finite values.  Otherwise raise.  Given a
+    separable part's weights ``w``, the gradient is lin + w x."""
     step = 1.0 / max(smooth, 1.0)
-    ahead = x - step * obj.smooth_grad(x)
+    ahead = x - step * (obj.smooth_grad(x) if w is None else obj.lin + w * x)
     if obj.l1_alpha:
         ahead = _soft_threshold(ahead, step * obj.l1_alpha)
     resid = _norm(x - obj.feasible_set._project(ahead)) / step
@@ -572,33 +564,36 @@ def argmin_quadratic(obj: Objective) -> np.ndarray:
     * diagonal quadratic on a ball: take the ball's multiplier from its
       secular equation (``_diag_ball_argmin``).
 
-    Any other objective raises ``ValueError``.  Its parts were checked when
-    they were folded; only the result is checked here, by ``_certify``.
+    A separable part is formed once, w = diag + gamma, for all of these
+    (min(w) is gamma + min(diag) exactly: rounding is monotone).  Any other
+    objective raises ``ValueError``.  Its parts were checked when they were
+    folded; only the result is checked here, by ``_certify``.
     """
-    if obj.has_losses() or obj.l1_alpha:
+    if obj.losses or obj.l1_alpha:
         raise ValueError("argmin_quadratic expects a pure linear-quadratic objective")
     if not _quadratic_has_route(obj):
         raise ValueError(f"argmin_quadratic has no exact route for a "
                          f"{'full' if obj.full is not None else 'diagonal'} "
                          f"metric on {type(obj.feasible_set).__name__}")
-    fs = obj.feasible_set
-    sigma, smooth = obj.quad_curvature()
+    fs, diag = obj.feasible_set, obj.diag
+    if obj.full is not None:
+        w, (sigma, smooth) = None, obj.quad_curvature()
+    else:
+        w = obj.gamma if diag is None else diag + obj.gamma
+        sigma, smooth = (w, w) if diag is None else (float(w.min()), float(w.max()))
     if sigma <= 0.0:
         raise IllPosedError(
             f"ill-posed argmin: quadratic part has min curvature {sigma}")
-    if isinstance(fs, Ball) and not obj.is_isotropic():
-        x = _diag_ball_argmin(obj.lin, obj.diag + obj.gamma, fs._center, fs.radius)
-    elif obj.is_isotropic():
-        x = -obj.lin / obj.gamma
-    elif obj.full is not None and isinstance(fs, Box):
-        x = _full_box_argmin(obj, 1.0 + _norm(obj.lin) + smooth)
-    elif obj.full is not None:
-        x = np.linalg.solve(_hessian(obj), -obj.lin)
+    if w is None:
+        x = (_full_box_argmin(obj, 1.0 + _norm(obj.lin) + smooth)
+             if isinstance(fs, Box) else np.linalg.solve(_hessian(obj), -obj.lin))
+    elif diag is not None and isinstance(fs, Ball):
+        x = _diag_ball_argmin(obj.lin, w, fs._center, fs.radius)
     else:
-        x = -obj.lin / (obj.diag + obj.gamma)
+        x = -obj.lin / w
     if not isinstance(fs, Unconstrained):
         x = fs._project(x)
-    return _certify(obj, x, smooth)
+    return _certify(obj, x, smooth, w)
 
 
 def _hessian(obj: Objective) -> np.ndarray:
@@ -724,7 +719,7 @@ def argmin_l1_composite(obj: Objective) -> np.ndarray:
     ``ValueError``; a diagonal entry that is not positive and finite raises
     ``IllPosedError``.  The result is certified by ``_certify``.
     """
-    if obj.has_losses() or obj.l1_alpha < 0 or not _l1_has_route(obj):
+    if obj.losses or obj.l1_alpha < 0 or not _l1_has_route(obj):
         raise ValueError("argmin_l1_composite expects a diagonal quadratic "
                          "and a non-negative l1 term on a box or the free set")
     w = np.full(obj.lin.size, obj.gamma) if obj.diag is None else obj.diag + obj.gamma
@@ -733,7 +728,7 @@ def argmin_l1_composite(obj: Objective) -> np.ndarray:
         j = int(np.argmin(positive))
         raise IllPosedError(f"ill-posed argmin: curvature {w[j]} at coordinate {j}")
     x = obj.feasible_set._project(_soft_threshold(-obj.lin, obj.l1_alpha) / w)
-    return _certify(obj, x, float(w.max()))
+    return _certify(obj, x, float(w.max()), w)
 
 
 # the iteration budget of argmin_numeric; reaching it raises
@@ -812,7 +807,7 @@ def minimize(obj: Objective, tol: float = 1e-10) -> np.ndarray:
       an l1 term with a full metric or on a ball or simplex, a full metric
       on a ball, and a full or diagonal one on a simplex.
     """
-    if obj.has_losses():
+    if obj.losses:
         return argmin_numeric(obj, tol=tol)
     if obj.l1_alpha:
         if _l1_has_route(obj):

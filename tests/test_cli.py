@@ -296,9 +296,12 @@ def test_run_outputs_honour_the_umask(tmp_path):
 
 # Reference outputs of fixed runs: ogd and adagrad-da were recorded before
 # the per-round path was reworked for speed, the others before every preset
-# went through one round path.  Each entry is (preset, params, config
-# overrides, JSON SHA-256, CSV SHA-256); every run takes a closed-form
-# route, so the outputs must stay bit for bit the same.  The full-matrix
+# went through one round path, and the four off the box or on a stochastic
+# stream (the ball's secular route, a folded quadratic loss projected onto a
+# ball, the free set, noisy gradients) before the separable round was made
+# lean.  Each entry is (preset, params, config overrides, JSON SHA-256, CSV
+# SHA-256); every run takes an exact route, so the outputs must stay bit for
+# bit the same.  The full-matrix
 # run's values were recorded from the numeric argmin; it now takes the
 # active-set route and matches at the acceptance tolerances (c07: iterates
 # to 1e-9, c01: 1e-8 * (1 + |regret|)).
@@ -344,6 +347,27 @@ GUARD_SHA256 = {
     "nonlin-ftrl": ("nonlin-ftrl", {}, _SINE,
                     "088b3ec7ff7c9c2df371f17f249a1fa8830a90a8813ac4e42d418ba8148958c5",
                     "09cea945a5a2bb81deb4d23e2d2d18fd11481de8223a5a94630f8b6c38967eaa"),
+    "adagrad-md-ball": (
+        "adagrad-md", {"metric": "diag", "gamma0": 0.0},
+        dict(_MD, set={"kind": "ball", "dim": 6}),
+        "89fd16cf692e24cf8d116a3d35f4328153df766dc3b69ac5a2f6afd064752f85",
+        "a8670858406ee0381414e74f5345a7fd556a2f4e867e0d1c4ba2044e2703adcf"),
+    "nonlin-ftrl-ball": (
+        "nonlin-ftrl", {}, dict(_SINE, set={"kind": "ball", "dim": 6, "radius": 0.3}),
+        "aafc8a3692341d49e1947fc93c5e6382fca9e452cc529d488f553de1e2d29ae9",
+        "d5bbdf558999b25bdc22c01e9eaff379fb48e59fbbd5d784e2af170e47765229"),
+    "ogd-unconstrained": (
+        "ogd", {"eta": 0.2},
+        {"set": {"kind": "unconstrained", "dim": 6},
+         "comparator": {"policy": "explicit",
+                        "point": [0.5, -0.5, 0.25, 0.0, 0.1, -0.2]}},
+        "af8ea7913a073333a5f23a314bffdc8b838e0c7c937a5db63da24b2db63fbb79",
+        "fedcb4b0417750c6e63fb954ae83f4461e1d20e75e245071ffba9f66864d22dd"),
+    "adagrad-da-stochastic": (
+        "adagrad-da", {"metric": "diag"},
+        {"losses": {"kind": "fixed-quadratic", "center": 0.3, "noise": 0.5}},
+        "bce0d6d3ce2693bca8989e2692c7350b05072ccb84316d7b471952bfaab1f059",
+        "4c59d77214958f97999aee2fe8ce5cf47ed8710faf20d511a0bb5dfc163b195b"),
 }
 GUARD_FULL = {
     "regret": 20.143480789673188,

@@ -464,3 +464,82 @@ def test_play_checks_each_gradient_once(monkeypatch):
     monkeypatch.undo()
     assert led.T == T and np.isfinite(led.x).all()
     assert len(calls) <= T + 5, len(calls)
+
+
+def test_closed_form_round_builds_only_what_its_update_needs(monkeypatch):
+    # the closed-form benchmark config: a round builds the schedule's
+    # increment and r's new metric, the stream's loss and the ledger's (a
+    # LinearLoss of its g row), writes the q~_t and r rows and checks g
+    # once.  A zero proximal metric is neither added to r nor written (its
+    # row is the column's initial value): the round built 2T + 1 metrics
+    # and wrote 3T rows before
+    T, d = 400, 10
+    driver = Driver("adagrad-da", solvers.Box(-np.ones(d), np.ones(d)),
+                    {"metric": "diag"})
+    seq = losses.random_stream(d, seed=11)
+    calls = []
+    monkeypatch.setattr(core.QuadMetric, "__init__",
+                        _spy(calls, "QuadMetric", core.QuadMetric.__init__))
+    for cls in [losses.Loss] + losses.Loss.__subclasses__():
+        if "__init__" in vars(cls):
+            monkeypatch.setattr(cls, "__init__",
+                                _spy(calls, "Loss", vars(cls)["__init__"]))
+    monkeypatch.setattr(core.MetricColumn, "put",
+                        _spy(calls, "put", core.MetricColumn.put))
+    fn = core.as_point
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("adaopt") \
+                and getattr(mod, "as_point", None) is fn:
+            monkeypatch.setattr(mod, "as_point", _spy(calls, "as_point", fn))
+    led = run_rounds(driver, seq, T)
+    monkeypatch.undo()
+    assert led.T == T and led.certified()
+    counts = {k: calls.count(k) for k in set(calls)}
+    assert counts == {"QuadMetric": 2 * T, "Loss": 2 * T, "as_point": T,
+                      "put": 2 * T}, counts
+
+
+def _float_buffers(root) -> list:
+    """The float buffers (array bases) reachable from ``root`` through
+    containers, object attributes and closures."""
+    seen, found, todo = set(), {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, type(sys))):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            base = obj
+            while isinstance(base.base, np.ndarray):
+                base = base.base
+            if base.dtype.kind == "f":
+                found[id(base)] = base
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            todo.extend(c.cell_contents for c in obj.__closure__)
+        elif hasattr(obj, "__dict__"):
+            todo.extend(vars(obj).values())
+    return list(found.values())
+
+
+@pytest.mark.parametrize("preset,params", [
+    ("adagrad-da", {"metric": "diag"}), ("ogd", {}), ("implicit-md", {}),
+    ("adagrad-da", {"metric": "full"})])
+def test_random_linear_ledger_losses_read_the_ledgers_g_column(preset, params):
+    # exact feedback from a linear loss is its vector, so the ledger's
+    # losses read the rows of its g column: no buffer reachable from them
+    # is the stream's block of rounds or any other copy of g
+    T, d = 150, 6
+    led = run(preset, solvers.Box(-np.ones(d), np.ones(d)), params,
+              losses.random_stream(d, seed=9), T)
+    bufs = _float_buffers(led.losses)
+    assert bufs and all(b is led.g for b in bufs), [b.shape for b in bufs]
+    stream = losses.random_stream(d, seed=9)
+    for t in (1, 64, 65, T):
+        f = led.losses[t - 1]
+        assert np.array_equal(f.vector, stream.vector(t))
+        assert f.value(led.x[t - 1]) == led.loss_value[t - 1]
+    assert len(led.prefix(70).losses) == 70

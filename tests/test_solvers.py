@@ -418,7 +418,7 @@ def test_minimize_routes_loss_objectives_numerically():
     obj = Objective.build(Unconstrained(1), losses=[f])
     obj.add_quadratic(np.zeros(1), QuadMetric.scaled(1.0), 1.0)
     obj.init = np.zeros(1)
-    assert obj.has_losses()
+    assert obj.losses
     assert np.allclose(minimize(obj, tol=1e-11), [1.0], atol=1e-8)
 
 
