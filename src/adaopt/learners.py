@@ -33,12 +33,10 @@ import numpy as np
 
 from .core import MetricColumn, QuadMetric, as_point
 from .losses import LinearLoss, is_isotropic_quadratic
-from .regularizers import (COMPOSITE_SETTINGS, L1, Linear, Quadratic,
-                           Regularizer, ScheduleState, Sum, Terms, Zero,
+from .regularizers import (COMPOSITE_SETTINGS, ScheduleState, Terms,
                            adagrad_diag_step, adagrad_full_step,
-                           adagrad_initial_metric, check_proximal, classify,
-                           composite_wrap, eta_increment, final_attack_eta,
-                           scale_free_eta)
+                           adagrad_initial_metric, check_proximal,
+                           eta_increment, final_attack_eta, scale_free_eta)
 from . import regret, solvers
 
 HINT_POLICIES = ("none", "prev-gradient", "custom")
@@ -90,11 +88,11 @@ def _non_negative(params, key):
 class Driver:
     """A preset schedule and the play state of its run.
 
-    ``__init__`` parses the preset's parameters once, and q~_0 with them,
-    and solves x_1, the argmin of q_0 = q~_0 + <hint_1, .> over the set.
-    The state is the iterate ``x`` (x_t before round t), ``x1``, the rounds
-    played ``t``, ``solver_calls``, whether q~_0 is ``certified`` (every
-    emitted term is), r's running metric and ftrl's running objective.
+    ``__init__`` parses the preset's parameters once, and q~_0 with them
+    as a ``Terms`` (``q0_term``), and folds it to solve x_1, the argmin of
+    q_0 = q~_0 + <hint_1, .> over the set.  The state is the iterate ``x``
+    (x_t before round t), ``x1``, the rounds played ``t``,
+    ``solver_calls``, r's running metric and ftrl's running objective.
     ``seed`` is accepted for callers that pass one; play draws nothing.
     ``round`` is the one round path of every preset: it validates g_t (a
     preset that ``needs_loss`` takes g_t = grad f_t(x_t) and
@@ -153,23 +151,20 @@ class Driver:
             if self.alpha or self.needs_loss else self._no_term
 
         q0 = self._parse(merged)
-        if self.composite and self.composite_setting == "known-before":
-            if q0.is_zero():
-                # x_1 would minimize psi alone, which has no unique minimizer
-                raise ValueError(
-                    f"preset {preset} with composite_setting known-before needs "
-                    "a q~_0 with quadratic curvature, and its parameters give "
-                    "none")
-            q0 = composite_wrap(q0, L1(alpha))
+        known = self.composite and self.composite_setting == "known-before"
+        if known and q0 is self._zero:
+            # x_1 would minimize psi alone, which has no unique minimizer
+            raise ValueError(
+                f"preset {preset} with composite_setting known-before needs "
+                "a q~_0 with quadratic curvature, and its parameters give none")
+        self.q0_term = Terms(q0, alpha if known else 0.0)
         self.hint = self._hint(1, None).copy()
-        self.q0_tilde = q0
-        self.q0 = Sum([q0, Linear(self.hint)]) if np.any(self.hint) else q0
         self.solver_tol = float(solver_tol)
         self.solver_calls = 0
         # ftrl's running objective starts at q~_0 + <hint_1, .>
-        self._obj = solvers.Objective.build(feasible_set, linear=self.hint,
-                                            regularizer=q0)
-        if not q0.is_zero():
+        self._obj = solvers.Objective(feasible_set, lin=self.hint)
+        self._obj.add_terms(self.q0_term, None)
+        if q0 is not self._zero:
             self.x1 = solvers.minimize(self._obj, tol=self.solver_tol)
             self.solver_calls += 1
         elif np.any(self.hint):
@@ -178,21 +173,20 @@ class Driver:
             self.x1 = feasible_set.center()
         self.x = self.x1.copy()
         self.t = 0
-        q0_terms = classify(q0, self.dim)
-        self.certified = q0_terms.certified
         # r_{1:t}'s metric, which carries q_{0:t-1} in an ftrl run only
-        self._r_metric = q0_terms.metric if self.family == "ftrl" else self._zero
+        self._r_metric = q0 if self.family == "ftrl" else self._zero
 
     # -- schedule pieces ------------------------------------------------
 
-    def _iso(self, scale: float) -> Regularizer:
-        """(scale/2) ||x||^2, or Zero for scale 0."""
+    def _iso(self, scale: float) -> QuadMetric:
+        """scale * I, or ``_zero`` for scale 0."""
         if scale == 0.0:
-            return Zero()
-        return Quadratic(np.zeros(self.dim), QuadMetric.scaled(scale, self.dim))
+            return self._zero
+        return QuadMetric.scaled(scale, self.dim)
 
-    def _parse(self, p: dict) -> Regularizer:
-        """Check and store the preset's numeric parameters; return q~_0."""
+    def _parse(self, p: dict) -> QuadMetric:
+        """Check and store the preset's numeric parameters; return the
+        metric of q~_0's quadratic (``_zero`` when it has none)."""
         if self.preset == "ogd":
             return self._iso(1.0 / _positive(p, "eta"))
         if self.preset == "da":
@@ -222,9 +216,8 @@ class Driver:
                 raise ValueError("adagrad-da needs gamma0 > 0 to keep round-1 "
                                  "regularization non-degenerate")
             if self._gamma0 > 0 and self.family == "ftrl":
-                return Quadratic(np.zeros(self.dim), adagrad_initial_metric(
-                    self.dim, self._eta, self._gamma0))
-            return Zero()
+                return adagrad_initial_metric(self.dim, self._eta, self._gamma0)
+            return self._zero
         if self.preset == "ao-ftrl-prox":
             self.prox_at_x = True
             if p["eta_schedule"] == "scale-free":
@@ -234,7 +227,7 @@ class Driver:
                 self._smooth_l = _non_negative(p, "smooth_l")
             else:
                 raise ValueError(f"unknown eta schedule {p['eta_schedule']!r}")
-            return Zero()
+            return self._zero
         # md, ao-md, implicit-md, nonlin-ftrl
         self._q0_scale = _non_negative(p, "q0_scale")
         if "sigma_r" in p:
@@ -478,8 +471,7 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
     return regret.Ledger(
         x=x, g=g_col, loss_value=loss_value, losses=losses, sigma=sigma,
         hint=hint, prox=prox, q_metric=q_metric, r_metric=r_metric,
-        eta=eta, round_certified=np.full(T, driver.certified), q0=driver.q0,
-        q0_tilde=driver.q0_tilde, feasible_set=driver.feasible_set,
+        eta=eta, q0_term=driver.q0_term, feasible_set=driver.feasible_set,
         kind=driver.family, prox_at_x=driver.prox_at_x, psi_alpha=driver.alpha,
         needs_loss=driver.needs_loss, composite=driver.composite,
         stochastic=bool(seq.stochastic), schedule=driver.schedule_info(),

@@ -53,8 +53,8 @@ import numpy as np
 from .core import (_PD_FLOOR, INF, MetricColumn, QuadMetric, SingularMetricError,
                    as_point, dual_norm_sq, rowdot)
 from .losses import BregmanAround, LossColumn, is_isotropic_quadratic
-from .regularizers import (L1, Difference, Quadratic, Regularizer, Sum, Zero,
-                           classify, composite_wrap, optimistic_shift)
+from .regularizers import (L1, Difference, Linear, Quadratic, Regularizer, Sum,
+                           Terms, Zero, composite_wrap, optimistic_shift)
 from . import solvers
 
 TABLE2_CASES = (
@@ -77,10 +77,10 @@ class Ledger:
     quadratic, centred at the origin.  q~_t also holds
     psi = ``psi_alpha`` ||.||_1 when ``composite``, and B_{f_t}(., x_t)
     when ``needs_loss``.  ``r_metric`` holds the metric of r_{1:t},
-    ``eta`` eta_t (None for a schedule without one), ``round_certified``
-    whether every term up to round t was certified.  ``breg_r``,
-    B_{r_{1:t}}(x_{t+1}, x_t), is no column: play does not need it, and it
-    is derived from the columns when first read.
+    ``eta`` eta_t (None for a schedule without one).  ``q0_term`` is q~_0
+    as the driver emitted it; ``q0_tilde`` and ``q0`` are its handle views.
+    ``breg_r``, B_{r_{1:t}}(x_{t+1}, x_t), is no column: play does not need
+    it, and it is derived from the columns when first read.
     """
 
     x: np.ndarray
@@ -93,9 +93,7 @@ class Ledger:
     q_metric: MetricColumn
     r_metric: MetricColumn
     eta: np.ndarray | None
-    round_certified: np.ndarray
-    q0: Regularizer
-    q0_tilde: Regularizer
+    q0_term: Terms
     feasible_set: object
     kind: str                      # "ftrl" or "md"
     prox_at_x: bool
@@ -126,6 +124,22 @@ class Ledger:
     def final_point(self) -> np.ndarray:
         return self.x[-1]
 
+    @property
+    def q0_tilde(self) -> Regularizer:
+        """q~_0: psi_1 when it was known before, then the origin-centred
+        quadratic, the parts in the order ``composite_wrap`` folds them."""
+        term = self.q0_term
+        q = _quadratic(term.metric, np.zeros(self.dim))
+        return Sum([L1(term.l1), q]) if term.l1 else q
+
+    @property
+    def q0(self) -> Regularizer:
+        """q_0 = q~_0 + <hint_1, .>."""
+        q = self.q0_tilde
+        if self.hint is None or not self.hint[0].any():
+            return q
+        return Sum([q, Linear(self.hint[0])])
+
     @cached_property
     def breg_r(self) -> np.ndarray:
         """Row t-1: B_{r_{1:t}}(x_{t+1}, x_t), r_{1:t}'s parts added in the
@@ -140,7 +154,7 @@ class Ledger:
             return out
         # r_{1:t}'s l1 weight: q~_0's, then psi's from each q_s, s < t
         a = np.cumsum(np.concatenate((
-            [classify(self.q0_tilde, self.dim).l1],
+            [self.q0_term.l1],
             np.full(self.T - 1, self.psi_alpha))))
         n = np.abs(x).sum(axis=1)
         out += a * n[1:] - a * n[:-1] - a * _l1_deriv(x[:-1], x[1:] - x[:-1])
@@ -153,9 +167,6 @@ class Ledger:
                     kept.append(BregmanAround(f, x[i]))
         return out
 
-    def certified(self) -> bool:
-        return bool(self.round_certified.all())
-
     def prefix(self, T: int) -> "Ledger":
         """The run cut after round T."""
         def cut(col, n=T):
@@ -165,8 +176,7 @@ class Ledger:
             losses=self.losses[:T], sigma=cut(self.sigma),
             hint=cut(self.hint, T + 1), prox=self.prox.cut(T),
             q_metric=self.q_metric.cut(T), r_metric=self.r_metric.cut(T),
-            eta=cut(self.eta),
-            round_certified=self.round_certified[:T])
+            eta=cut(self.eta))
 
 
 class RoundRecord:
@@ -194,7 +204,6 @@ class RoundRecord:
     loss = property(lambda self: self.ledger.losses[self.i])
     loss_value = property(lambda self: float(self.ledger.loss_value[self.i]))
     breg_r = property(lambda self: float(self.ledger.breg_r[self.i]))
-    certified = property(lambda self: bool(self.ledger.round_certified[self.i]))
     r_metric = property(lambda self: self.ledger.r_metric[self.i])
 
     @property
@@ -542,11 +551,6 @@ def _uncertify(report: BoundReport, note: str) -> float:
     return INF
 
 
-def _check_certified(ledger: Ledger, report: BoundReport):
-    if not ledger.certified():
-        _uncertify(report, "run emitted uncertified regularizers")
-
-
 def _bound(ledger: Ledger, x_star, case: str, inputs: BoundInputs | None = None,
            include_final_q: bool = True) -> BoundReport:
     """Every bound of this module except the variational and schedule ones.
@@ -569,7 +573,6 @@ def _bound(ledger: Ledger, x_star, case: str, inputs: BoundInputs | None = None,
     x_star = as_point(x_star)
     inputs = inputs or BoundInputs()
     report = BoundReport(case, 0.0, {})
-    _check_certified(ledger, report)
     x, x_next = ledger.x[:-1], ledger.x[1:]
     proj = ledger.r_metric.proj
     bp = None if ftrl_case else _bp_md(ledger, x_star)
@@ -697,7 +700,6 @@ def bound_variational_smooth(ledger: Ledger, x_star, inputs: BoundInputs) -> Bou
         raise ValueError("variational bound needs per-round variation terms")
     report = BoundReport("variational-smooth", 0.0, {},
                          quality=inputs.variation_quality)
-    _check_certified(ledger, report)
     q = float(np.cumsum(np.concatenate((
         [ledger.q0_tilde.value(x_star)], _q_values(ledger, x_star, True))))[-1])
     p = float(_running(_p_values(ledger, x_star))[-1])
@@ -720,7 +722,6 @@ def bound_final_attack(ledger: Ledger, inputs: BoundInputs) -> BoundReport:
     if D is None or D < 0:
         raise ValueError("needs a non-negative total gradient variation")
     report = BoundReport("final-attack", 0.0, {}, quality=inputs.variation_quality)
-    _check_certified(ledger, report)
     report.terms = {
         "curvature": 2.0 * R ** 3 * L ** 2,
         "width": R,

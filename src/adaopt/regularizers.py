@@ -84,7 +84,7 @@ class Quadratic(Regularizer):
     """(scale / 2) * ||x - center||_M^2.
 
     ``scale`` may be negative: the algebra allows decreasing regularization,
-    but bound calculators treat any negative-scale quadratic as uncertified.
+    and ``check_proximal`` rejects such a quadratic as p_t.
     """
 
     def __init__(self, center, metric: QuadMetric, scale: float = 1.0):
@@ -106,9 +106,6 @@ class Quadratic(Regularizer):
     def bregman(self, y, x):
         d = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
         return 0.5 * self.scale * quad_norm_sq(self.metric, d)
-
-    def certified(self) -> bool:
-        return self.scale >= 0.0
 
     def __repr__(self):
         return f"Quadratic(center={self.center!r}, metric={self.metric!r}, scale={self.scale})"
@@ -322,8 +319,7 @@ def _structurally_proximal(p, x_t: np.ndarray) -> bool:
     if isinstance(p, Terms):
         # an emitted p_t: one quadratic, zero or centred at x_t
         m = p.metric
-        return (m is not None and p.l1 == 0.0 and p.shift is None
-                and not p.loss
+        return (p.l1 == 0.0 and p.shift is None and not p.loss
                 and (m.kind == "scaled" and m.gamma == 0.0 or p.center is x_t
                      or bool(np.array_equal(p.center, x_t))))
     if p.is_zero():
@@ -338,46 +334,22 @@ def _structurally_proximal(p, x_t: np.ndarray) -> bool:
 class Terms(NamedTuple):
     """One round term as parameters: what it adds to the objective and to r.
 
-    ``Driver.round`` emits each term in this form, with its parts in the
-    order every fold takes them: the round loss's divergence from x_t
-    (``loss``), the l1 weight, the quadratic (1/2) ||x - center||_metric^2
-    (centred at x_t, or at the origin: None), the linear part <shift, x>.
-    ``classify`` reads q~_0, the one term built as a ``Regularizer``, into
-    the first three fields.  The r-divergence B_{r_{1:t}}(x_{t+1}, x_t)
-    needs none of this: the ledger derives it from its columns
-    (``regret.Ledger.breg_r``).  A term of a full-matrix ftrl round also
-    carries ``total``, the running metric the driver's r reaches once the
-    term is added, with its eigenpairs."""
+    ``Driver`` emits each term in this form, q~_0 included, with its parts
+    in the order every fold takes them: the round loss's divergence from
+    x_t (``loss``), the l1 weight, the quadratic
+    (1/2) ||x - center||_metric^2 (centred at x_t, or at the origin: None),
+    the linear part <shift, x>.  The r-divergence
+    B_{r_{1:t}}(x_{t+1}, x_t) needs none of this: the ledger derives it
+    from its columns (``regret.Ledger.breg_r``).  A term of a full-matrix
+    ftrl round also carries ``total``, the running metric the driver's r
+    reaches once the term is added, with its eigenpairs."""
 
-    metric: QuadMetric | None   # PSD metric of the quadratic parts, None if signed
-    l1: float = 0.0             # total l1 weight
-    certified: bool = True      # every quadratic part has a non-negative scale
+    metric: QuadMetric                 # PSD metric of the quadratic part
+    l1: float = 0.0                    # total l1 weight
     center: np.ndarray | None = None   # the quadratic's centre; None: the origin
     shift: np.ndarray | None = None    # the emitted linear part, or None
     loss: bool = False                 # B_{f_t}(., x_t) is a part
     total: QuadMetric | None = None    # the running metric after this term
-
-
-def classify(reg: Regularizer, dim: int) -> Terms:
-    """One pass over the parts of q~_0 = ``reg`` (sums are flat, zeros
-    dropped): the metric that starts an ftrl run's r, the l1 weight, and
-    whether it is certified.  Unit-scale quadratic parts enter the metric
-    as they are, others scaled; a negative-scale quadratic makes the
-    curvature uncertifiable, and the metric stays None from there on."""
-    metric = QuadMetric.zero(dim)
-    l1 = 0.0
-    certified = True
-    for part in Sum([reg]).parts:
-        if isinstance(part, L1):
-            l1 += part.alpha
-        elif isinstance(part, Quadratic):
-            certified = certified and part.certified()
-            if part.scale < 0:
-                metric = None
-            elif metric is not None:
-                metric = metric.add(part.metric if part.scale == 1.0
-                                    else part.metric.scale(part.scale))
-    return Terms(metric, l1, certified)
 
 
 # -- schedules ---------------------------------------------------------------

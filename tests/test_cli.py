@@ -413,6 +413,15 @@ def test_reported_regret_is_the_last_cum_regret(tmp_path, case):
     assert json.loads(doc)["results"][0]["regret"] == last
 
 
+def test_explicit_comparator_given_as_one_number_runs(tmp_path):
+    # a number is every coordinate of the point, as in the set's bounds
+    doc, _ = _guard_run(tmp_path, "ogd", {"eta": 0.2},
+                        comparator={"policy": "explicit", "point": 0.5})
+    res = json.loads(doc)["results"][0]
+    assert res["comparator"] == [0.5] * 6
+    assert res["replay"]["ok"] is True
+
+
 def test_full_matrix_run_matches_recorded_values(tmp_path):
     doc, csv = _guard_run(tmp_path, "adagrad-da", {"metric": "full"},
                           set={"kind": "box", "dim": 8}, T=30)

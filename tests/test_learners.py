@@ -8,7 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from adaopt import core, learners, losses, regret, regularizers, solvers
+from adaopt import core, losses, regret, regularizers, solvers
 from adaopt.learners import PRESETS, Driver, preset_defaults, run_rounds
 
 
@@ -302,7 +302,6 @@ def test_ledger_shape_and_kinds():
     assert led.T == 5 and led.dim == 2
     assert np.array_equal(led.final_point(), led.records[-1].x_next)
     assert not led.stochastic
-    assert led.certified()
 
 
 # -- the driver's state and r's running metric ----------------------------------
@@ -402,23 +401,65 @@ def _handle_classes():
 @pytest.mark.parametrize("stream", ["random-linear", "drifting-quadratic"])
 @pytest.mark.parametrize("preset,params", _PLAY)
 def test_play_builds_no_regularizer_objects(monkeypatch, preset, params, stream):
-    # every term of a preset's round is a parameter tuple: during play no
-    # regularizer handle, Sum, Difference, loss divergence or record is
-    # built, and nothing is classified or folded as a handle
-    driver, seq = _play_setup(preset, params, stream)
+    # every term of a preset, q~_0 included, is a parameter tuple: while
+    # the driver is built and played no regularizer handle, Sum,
+    # Difference, loss divergence or record is built, and nothing is
+    # folded as a handle
     built = []
     spy = partial(_spy, built)
     for cls in _handle_classes():
         monkeypatch.setattr(cls, "__init__", spy(cls.__name__, cls.__init__))
-    monkeypatch.setattr(regularizers, "classify", spy("classify"))
-    monkeypatch.setattr(learners, "classify", spy("classify"))
     monkeypatch.setattr(solvers.Objective, "add_regularizer",
                         spy("Objective.add_regularizer"))
+    driver, seq = _play_setup(preset, params, stream)
     led = run_rounds(driver, seq, _T)
     monkeypatch.undo()
     assert built == []
-    assert led.T == _T and led.certified()
+    assert led.T == _T
     assert np.isfinite(regret.bound_table2(led, led.x1, f"oo-{led.kind}").value)
+
+
+def _q0_scale(preset, p):
+    """The scale of q~_0's quadratic (1/2) s ||x||^2, from the parameters."""
+    if preset == "ogd":
+        return 1.0 / p["eta"]
+    if preset == "da":
+        return p["alpha0"]
+    if preset in ("adagrad-da", "ftrl-prox"):
+        return math.sqrt(p["gamma0"]) / p["eta"]
+    return p.get("q0_scale", 0.0)     # adagrad-md and ao-ftrl-prox: none
+
+
+_HINTED = [("ao-ftrl-prox", {"hints": "custom"}),
+           ("ao-md", {"hints": "custom", "q0_scale": 2.0})]
+
+
+@pytest.mark.parametrize("preset,params", _PLAY + _HINTED)
+def test_first_iterate_matches_the_handle_fold_of_q0(preset, params):
+    # x_1 and ftrl's running objective, folded from q~_0's Terms, equal
+    # the fold of the ledger's q~_0 handle plus <hint_1, .>, bit for bit;
+    # q_0's handle is (1/2) s ||y||^2 + l1 ||y||_1 + <hint_1, y>
+    d = 3
+    fs = solvers.Box(-np.ones(d), np.ones(d))
+    hint_fn = (lambda t: np.array([0.3, -0.2, 0.1]) / t) \
+        if params.get("hints") == "custom" else None
+    driver = Driver(preset, fs, params, hint_fn=hint_fn)
+    obj = driver._obj
+    lin, gamma, l1 = obj.lin, obj.gamma, obj.l1_alpha
+    led = run_rounds(driver, losses.random_stream(d, seed=4), 3)
+    hint_1 = np.zeros(d) if led.hint is None else led.hint[0]
+    ref = solvers.Objective.build(fs, linear=hint_1, regularizer=led.q0_tilde)
+    assert np.array_equal(lin, ref.lin)
+    assert (gamma, l1) == (ref.gamma, ref.l1_alpha)
+    p = dict(preset_defaults(preset), **params)
+    if _q0_scale(preset, p):
+        assert np.array_equal(led.x1, solvers.minimize(ref, tol=driver.solver_tol))
+    known = p.get("composite_setting") == "known-before"
+    alpha = p["composite_alpha"] if known else 0.0
+    for y in np.random.default_rng(8).uniform(-1.0, 1.0, (5, d)):
+        want = 0.5 * _q0_scale(preset, p) * float(y @ y) \
+            + alpha * float(np.abs(y).sum()) + float(hint_1 @ y)
+        assert led.q0.value(y) == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
 @pytest.mark.parametrize("stream", ["random-linear", "drifting-quadratic"])
@@ -493,7 +534,7 @@ def test_closed_form_round_builds_only_what_its_update_needs(monkeypatch):
             monkeypatch.setattr(mod, "as_point", _spy(calls, "as_point", fn))
     led = run_rounds(driver, seq, T)
     monkeypatch.undo()
-    assert led.T == T and led.certified()
+    assert led.T == T
     counts = {k: calls.count(k) for k in set(calls)}
     assert counts == {"QuadMetric": 2 * T, "Loss": 2 * T, "as_point": T,
                       "put": 2 * T}, counts

@@ -39,12 +39,6 @@ def test_quadratic_hand_values():
     assert q.bregman(y, x) == pytest.approx(1.5 * (2 * 4 + 1 * 1), abs=1e-12)
 
 
-def test_quadratic_certification_follows_scale_sign():
-    m = QuadMetric.scaled(1.0, 2)
-    assert Quadratic(np.zeros(2), m, 0.5).certified()
-    assert not Quadratic(np.zeros(2), m, -0.5).certified()
-
-
 def test_linear_has_no_curvature():
     lin = Linear(np.array([2.0, -1.0]), 3.0)
     x = np.array([1.0, 1.0])
@@ -160,9 +154,6 @@ def test_check_proximal_rejects_negative_scale():
     with pytest.raises(ProximalConditionError):
         check_proximal(Quadratic(x_t, QuadMetric.scaled(1.0), -1.0), x_t, BOX,
                        rng=np.random.default_rng(0))
-    # as q_t it only drops the certificate
-    assert Quadratic(x_t, QuadMetric.scaled(1.0), 1.0).certified()
-    assert not Quadratic(x_t, QuadMetric.scaled(1.0), -0.5).certified()
 
 
 # -- adaptive schedules ----------------------------------------------------------
