@@ -401,9 +401,12 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
     randomness comes from ``rng``, so runs are reproducible bit for bit.
     Every round writes into the ledger's preallocated columns (a zero metric
     is their initial row), and keeps a linear loss under exact feedback, its
-    round's g, as a ``LinearLoss`` of its g row.  A failure in the stream
-    (revealing the loss or drawing its gradient) names its round and the
-    layer ``loss``, as ``Driver.round`` names its own.
+    round's g, as a ``LinearLoss`` of its g row.  A stream that gives its
+    g column before play (``g_column``) gives the ledger's: round t reads
+    g_t there, and one ``LinearLoss`` of it is the revealed loss and the
+    ledger's.  A failure in any other stream (revealing the loss or drawing
+    its gradient) names its round and the layer ``loss``, as
+    ``Driver.round`` names its own.
     """
     if T < 1:
         raise ValueError("need at least one round")
@@ -413,7 +416,10 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
         rng = np.random.default_rng(0)
     d = driver.dim
     x = np.empty((T + 1, d))
-    g_col = np.empty((T, d))
+    g_col = seq.g_column(T)
+    by_round = g_col is None
+    if by_round:
+        g_col = np.empty((T, d))
     loss_value = np.empty(T)
     losses = [None] * T
     sigma = np.empty((T, d)) if seq.stochastic else None
@@ -434,22 +440,28 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
         i = t - 1
         if hint is not None:
             hint[i] = driver.hint
-        g = None
-        try:
-            loss_t = losses[i] = seq.loss(t)
-            if sigma is not None:
-                g, sigma[i] = seq.gradient(t, driver.x, rng)
-            elif not driver.needs_loss:
-                # exact feedback is the revealed loss's own gradient
-                g = loss_t.grad(driver.x)
-        except (ValueError, solvers.NumericArgminError) as e:
-            _name_round(e, t, "loss")
-            raise
+        if by_round:
+            g = None
+            try:
+                loss_t = losses[i] = seq.loss(t)
+                if sigma is not None:
+                    g, sigma[i] = seq.gradient(t, driver.x, rng)
+                elif not driver.needs_loss:
+                    # exact feedback is the revealed loss's own gradient
+                    g = loss_t.grad(driver.x)
+            except (ValueError, solvers.NumericArgminError) as e:
+                _name_round(e, t, "loss")
+                raise
+        else:
+            g = g_col[i]
+            loss_t = losses[i] = LinearLoss(g)
         g, f, prox_t, q_t, eta_t, r_t = driver.round(t, loss_t, g)
-        x[t], g_col[i], loss_value[i] = driver.x, g, f
+        x[t], loss_value[i] = driver.x, f
         driver.x = x[t]
-        if type(loss_t) is LinearLoss and sigma is None:
-            losses[i] = LinearLoss(g_col[i])
+        if by_round:
+            g_col[i] = g
+            if type(loss_t) is LinearLoss and sigma is None:
+                losses[i] = LinearLoss(g_col[i])
         if prox_t is not driver._zero:
             prox.put(i, prox_t)
         if q_t is not driver._zero:

@@ -7,8 +7,8 @@ center).  Sequences generate one loss per round and, for stochastic ones,
 a noisy gradient whose deviation from the conditional mean is recorded so
 bound calculators can use it.
 
-The seeded ``random_stream`` draws its vectors a block of rounds at a time
-with a numpy port of SeedSequence and PCG64; round t equals
+The seeded ``random_stream`` draws its vectors many rounds at a time with
+a numpy port of SeedSequence and PCG64; round t equals
 ``scale * np.random.default_rng((seed, t)).uniform(-1, 1, d)`` bit for bit.
 """
 
@@ -387,6 +387,12 @@ class LossSequence:
         """The losses of rounds ``ts`` as one ``LossColumn``."""
         return LossColumn.of(self.loss(t) for t in ts)
 
+    def g_column(self, T: int):
+        """g_1..g_T under exact feedback as one read-only (T, dim) array,
+        for a stream whose rows are known before play and need no check;
+        None for any other, which play reads round by round."""
+        return None
+
     def per_round_variation(self, T: int, feasible_set):
         """Exact per-round sup ||grad f_t - grad f_{t-1}||^2 terms, or None."""
         return None
@@ -411,9 +417,11 @@ class FixedLoss(LossSequence):
 class LinearStream(LossSequence):
     """Deterministic linear losses f_t = <g_t, x> from a per-round vector rule.
 
-    ``loss`` checks a user's ``vector_fn`` result every round.  The rows of
-    ``random_stream``'s kernel are finite once its scale is, which
-    ``random_stream`` checks; it marks its stream ``_checked``."""
+    ``loss`` checks a user's ``vector_fn`` result every round, and play
+    reads such a stream round by round.  The rows of ``random_stream``'s
+    kernel are finite once its scale is, which ``random_stream`` checks; it
+    marks its stream ``_checked``, whose columns are drawn in chunks and
+    whose rounds 1..T play reads as one (``g_column``)."""
 
     _checked = False
 
@@ -430,18 +438,18 @@ class LinearStream(LossSequence):
         return LinearLoss(v if self._checked else as_point(v))
 
     def column(self, ts):
-        vs = np.array([self.vector(t) for t in ts], dtype=float)
+        vs = self.vector_fn.rows(ts) if self._checked else np.array(
+            [self.vector(t) for t in ts], dtype=float)
         return LossColumn(len(vs), [(slice(None), "linear", vs)])
 
+    def g_column(self, T):
+        return self.vector_fn.head(T) if self._checked else None
+
     def per_round_variation(self, T, feasible_set):
-        out = []
-        prev = np.zeros(self.dim)
-        for t in range(1, T + 1):
-            g = self.vector(t)
-            d = g - prev
-            out.append(float(np.dot(d, d)))
-            prev = g
-        return out
+        # row t: g_t - g_{t-1}, with g_0 = 0, from the column's one group
+        vs = self.column(range(1, T + 1)).groups[0][2]
+        d = np.diff(vs, axis=0, prepend=0.0)
+        return core.rowdot(d, d).tolist()
 
 
 def alternating_stream(base, dim=None) -> LinearStream:
@@ -454,10 +462,10 @@ def random_stream(dim: int, seed: int, scale: float = 1.0) -> LinearStream:
     """Seeded oblivious stream: g_t uniform in [-scale, scale]^d, regenerable.
 
     g_t equals ``scale * np.random.default_rng((seed, t)).uniform(-1, 1, dim)``
-    bit for bit, for t in [1, 2**32).  The vectors are drawn a block of
-    rounds at a time (see ``_UniformBlocks``).  A negative seed or a
-    non-finite scale raises ValueError here, a round outside that range
-    when it is asked for.
+    bit for bit, for t in [1, 2**32).  The vectors are drawn many rounds at
+    a time, play's 1..T once as its g column (see ``_UniformBlocks``).  A
+    negative seed or a non-finite scale raises ValueError here, a round
+    outside that range when it is asked for.
     """
     seed = operator.index(seed)
     if seed < 0:
@@ -516,11 +524,9 @@ class DriftingQuadratic(LossSequence):
         first = _sup_grad_norm_sq(self.loss(1), feasible_set)
         if first is None:
             return None
-        out = [first]
-        for t in range(2, T + 1):
-            d = self.weight * (self.center(t) - self.center(t - 1))
-            out.append(float(np.dot(d, d)))
-        return out
+        c = self.column(range(1, T + 1)).groups[0][2][0]     # the centres
+        d = self.weight * (c[1:] - c[:-1])
+        return [first] + core.rowdot(d, d).tolist()
 
 
 def sine_drift_quadratic(dim: int, amplitude: float, period: float,
@@ -752,15 +758,16 @@ _BLOCK_FLOATS = 2 ** 14      # until rounds x dim would pass this
 
 
 class _UniformBlocks:
-    """t -> scale * default_rng((seed, t)).uniform(-1, 1, dim), looked up in
-    the one cached block that holds round t.
+    """t -> scale * default_rng((seed, t)).uniform(-1, 1, dim).
 
-    Blocks hold 64, 128, 256, ... rounds, capped at 2**14 // dim rounds:
-    past the first block a run draws less than twice its horizon, and a
-    block's temporaries stay small.  The rows handed out are read-only
-    views of the block.  Each entry is scale times a number in [-1, 1], so
-    the rows are finite exactly when ``scale`` is, which ``random_stream``
-    checks once: they need no check of their own."""
+    ``rows`` draws any rounds, one kernel call per ``cap`` = 2**14 // dim
+    rounds so its temporaries stay small: play's g column (``head``), the
+    replay's and the variation terms'.  A lookup of round t reads the
+    cached block, ``head``'s or else one of 64, 128, 256, ... rounds up to
+    ``cap`` drawn when t leaves it.  The arrays handed out are read-only.
+    Each entry is scale times a number in [-1, 1], so the rows are finite
+    exactly when ``scale`` is, which ``random_stream`` checks once: they
+    need no check of their own."""
 
     def __init__(self, seed: int, dim: int, scale: float):
         self.words = [seed & _MASK32]       # numpy's uint32 words of the seed
@@ -785,12 +792,29 @@ class _UniformBlocks:
                 start += size
                 size = min(2 * size, self.cap)
             start += (t - start) // size * size
-            rounds = np.arange(start, min(start + size, 2 ** 32), dtype=_U32)
-            self.block = _uniform_block(self.words, rounds, self.dim, self.scale)
-            self.block.flags.writeable = False
+            self.block = self.rows(np.arange(start, min(start + size, 2 ** 32)))
             self.start = start
             i = t - start
         return self.block[i]
+
+    def rows(self, ts) -> np.ndarray:
+        """Rounds ``ts`` as one read-only (len(ts), dim) array."""
+        ts = np.asarray(ts)     # a round past int64 makes an object array
+        bad = ts[~((ts >= 1) & (ts < 2 ** 32))]
+        if bad.size:
+            raise ValueError(f"random stream round t={bad[0]} is outside "
+                             "[1, 2**32)")
+        out = np.empty((ts.size, self.dim))
+        for k in range(0, ts.size, self.cap):
+            out[k:k + self.cap] = _uniform_block(
+                self.words, ts[k:k + self.cap].astype(_U32), self.dim, self.scale)
+        out.flags.writeable = False
+        return out
+
+    def head(self, T: int) -> np.ndarray:
+        """Rounds 1..T (``rows``), kept as the cached block."""
+        self.block, self.start = self.rows(np.arange(1, T + 1)), 1
+        return self.block
 
 
 def _uniform_block(words, rounds, dim: int, scale: float) -> np.ndarray:

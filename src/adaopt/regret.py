@@ -52,7 +52,7 @@ import numpy as np
 
 from .core import (_PD_FLOOR, INF, MetricColumn, QuadMetric, SingularMetricError,
                    as_point, dual_norm_sq, rowdot)
-from .losses import BregmanAround, LossColumn, is_isotropic_quadratic
+from .losses import BregmanAround, LinearLoss, LossColumn, is_isotropic_quadratic
 from .regularizers import (L1, Difference, Linear, Quadratic, Regularizer, Sum,
                            Terms, Zero, composite_wrap, optimistic_shift)
 from . import solvers
@@ -139,6 +139,15 @@ class Ledger:
         if self.hint is None or not self.hint[0].any():
             return q
         return Sum([q, Linear(self.hint[0])])
+
+    @cached_property
+    def loss_column(self) -> LossColumn:
+        """The losses as one ``LossColumn``, built when first read.  Under
+        exact feedback play keeps a linear loss as a ``LinearLoss`` of its
+        g row, so a run of them is the column ``g`` itself."""
+        if self.sigma is None and all(type(f) is LinearLoss for f in self.losses):
+            return LossColumn(self.T, [(slice(None), "linear", self.g)])
+        return LossColumn.of(self.losses)
 
     @cached_property
     def breg_r(self) -> np.ndarray:
@@ -307,7 +316,7 @@ def _running_regret(ledger: Ledger, x_star, composite: bool | None = None,
     if composite is None:
         composite = ledger.composite
     if regret is None:
-        regret = ledger.loss_value - _losses(ledger).value(x_star)
+        regret = ledger.loss_value - ledger.loss_column.value(x_star)
     if not composite:
         return _running(regret)
     # an uncomposite ledger has alpha 0, whose +0.0 leaves a total as it is
@@ -315,10 +324,6 @@ def _running_regret(ledger: Ledger, x_star, composite: bool | None = None,
     psi = (alpha * np.abs(ledger.x[:-1]).sum(axis=1)
            - alpha * float(np.sum(np.abs(x_star))))
     return _running(regret, psi)
-
-
-def _losses(ledger: Ledger) -> LossColumn:
-    return LossColumn.of(ledger.losses)
 
 
 def _lin_fwd(ledger: Ledger, x_star) -> np.ndarray:
@@ -361,7 +366,7 @@ def decomposition_terms(ledger: Ledger, x_star) -> dict:
     x_star = as_point(x_star)
     x, x_next, g = ledger.x[:-1], ledger.x[1:], ledger.g
     to_star = x_star - x
-    losses = _losses(ledger)
+    losses = ledger.loss_column
     f_star = losses.value(x_star)
     d = losses.dir_deriv(x, to_star)
     bad = np.flatnonzero(~np.isfinite(d))
@@ -450,7 +455,7 @@ def _q_values(ledger: Ledger, y, tilde: bool, z=None) -> np.ndarray:
     out = 0.0
     if ledger.needs_loss:
         # BregmanAround: f(y) - f(x_t) - <grad f(x_t), y - x_t>
-        loss = _losses(ledger)
+        loss = ledger.loss_column
         out = out + part(loss.value(Y) - ledger.loss_value
                          - rowdot(ledger.g, Y - ledger.x[:-1]),
                          lambda: loss.dir_deriv(Y, Z) - rowdot(ledger.g, Z))
@@ -577,7 +582,7 @@ def _bound(ledger: Ledger, x_star, case: str, inputs: BoundInputs | None = None,
     proj = ledger.r_metric.proj
     bp = None if ftrl_case else _bp_md(ledger, x_star)
     if strong:
-        losses = _losses(ledger)
+        losses = ledger.loss_column
         breg_loss = (losses.value(x_star) - ledger.loss_value
                      - losses.dir_deriv(x, x_star - x))
         if np.any(breg_loss < bp - 1e-9):
@@ -787,20 +792,20 @@ def select_comparator(ledger: Ledger, policy: str = "offline-best",
 
 def _offline_best(ledger: Ledger) -> np.ndarray:
     fs = ledger.feasible_set
-    losses = ledger.losses
     # the run's psi_t are all alpha ||.||_1: their total, added round by round
     psi_alpha = float(_running(np.full(ledger.T, ledger.psi_alpha))[-1]) \
         if ledger.composite else 0.0
-    if all(f.vector is not None for f in losses):
-        g_total = np.sum([f.grad(ledger.x1) for f in losses], axis=0)
-        return _linear_offline(fs, g_total, psi_alpha)
+    # one group holds every loss when they are all of one kind
+    (_, kind, data), *more = ledger.loss_column.groups
+    kind = None if more else kind
+    if kind == "linear":
+        return _linear_offline(fs, data.sum(axis=0), psi_alpha)
     if ledger.composite:
         raise ValueError("offline comparator for composite runs needs linear losses")
-    if all(is_isotropic_quadratic(f) for f in losses):
-        centers = np.array([f.isotropic[1] for f in losses])
-        weights = np.array([f.isotropic[0] for f in losses])
-        mean = np.average(centers, axis=0, weights=weights)
-        return fs.project(mean)
+    if kind == "quadratic":
+        centers, weights = data
+        return fs.project(np.average(centers, axis=0, weights=weights))
+    losses = ledger.losses
     center = losses[0].star_center
     if center is not None and all(
             f.star_center is not None and np.array_equal(f.star_center, center)

@@ -1,18 +1,23 @@
 """Command line harness: config validation, the run/sweep/verify/presets
 commands, on-disk artifacts, and cross-process determinism."""
 
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import math
 import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from adaopt import regret
+from adaopt import cli, losses, regret
 from adaopt.cli import ConfigError, main, validate_run_config
-from adaopt.learners import PRESETS
+from adaopt.learners import PRESET_TABLE, PRESETS
 
 
 BASE = {
@@ -437,6 +442,81 @@ def test_full_matrix_run_matches_recorded_values(tmp_path):
     for t, ref in GUARD_FULL["rows"].items():
         row = [float(v) for v in lines[t].split(",")[1:9]]
         assert row == pytest.approx(ref, abs=1e-9), t
+
+
+_RANDOM_STREAM = losses.random_stream
+
+
+def _round_by_round_stream(dim, seed, scale=1.0):
+    """``random_stream``'s vectors as an unchecked ``LinearStream``, which
+    play reads round by round."""
+    checked = _RANDOM_STREAM(dim, seed, scale)
+    return losses.LinearStream(checked.vector_fn, dim, checked.kind)
+
+
+def _run_keeping_the_ledger(cfg, stream):
+    """``adaopt run`` on ``cfg`` with ``stream`` as its random-linear
+    stream: (exit code, its ledger, the JSON and CSV bytes)."""
+    kept = []
+
+    def play(*args, **kw):
+        kept.append(real(*args, **kw))
+        return kept[-1]
+
+    real = cli.run_rounds
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            mock.patch.object(losses, "random_stream", stream), \
+            mock.patch.object(cli, "run_rounds", play):
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        rc = main(["run", "--config", path, "--out", os.path.join(tmp, "out")])
+        with open(os.path.join(tmp, "out", "cell.json"), "rb") as fh:
+            doc = fh.read()
+        with open(os.path.join(tmp, "out", "cell.seed0.csv"), "rb") as fh:
+            csv = fh.read()
+    return rc, kept[0], doc, csv
+
+
+def _ledger_arrays(led):
+    cols = {k: getattr(led, k) for k in ("x", "g", "loss_value", "hint", "eta")}
+    for name in ("prox", "q_metric", "r_metric"):
+        m = getattr(led, name)
+        cols.update({f"{name}.{k}": getattr(m, k)
+                     for k in ("kind", "gamma", "wide", "evals")})
+    cols["losses"] = np.array([f.vector for f in led.losses])
+    return cols
+
+
+@given(preset=st.sampled_from(PRESETS),
+       kind=st.sampled_from(["box", "ball", "unconstrained", "simplex"]),
+       d=st.one_of(st.integers(1, 12), st.just(256)),
+       T=st.sampled_from([1, 63, 64, 65, 127, 128, 129, 200]),
+       seed=st.integers(0, 2 ** 70))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_column_play_matches_round_by_round_play(preset, kind, d, T, seed):
+    # a random stream's play reads g_t from its column of rounds 1..T (at
+    # d = 256, drawn 64 rounds a kernel call); an unchecked stream of the
+    # same vectors is played round by round.  The ledgers and the run's
+    # output bytes are the same
+    cfg = {"name": "cell", "preset": preset, "params": {},
+           "set": {"kind": kind, "dim": d},
+           "losses": {"kind": "random-linear", "seed": seed}, "T": T,
+           "seeds": [0], "bounds": [f"oo-{PRESET_TABLE[preset][0]}", "forward"]}
+    if kind == "unconstrained":
+        cfg["comparator"] = {"policy": "explicit", "point": 0.0}
+    rc, led, doc, csv = _run_keeping_the_ledger(cfg, losses.random_stream)
+    rc_rows, led_rows, doc_rows, csv_rows = _run_keeping_the_ledger(
+        cfg, _round_by_round_stream)
+    assert rc == rc_rows == 0
+    assert not led.g.flags.writeable and led_rows.g.flags.writeable
+    cols, cols_rows = _ledger_arrays(led), _ledger_arrays(led_rows)
+    for k, v in cols.items():
+        assert (v is None) == (cols_rows[k] is None), k
+        if v is not None:
+            assert v.dtype == cols_rows[k].dtype and np.array_equal(v, cols_rows[k]), k
+    assert doc == doc_rows and csv == csv_rows
 
 
 @pytest.mark.parametrize("preset,params", [

@@ -509,11 +509,14 @@ def test_play_checks_each_gradient_once(monkeypatch):
 
 def test_closed_form_round_builds_only_what_its_update_needs(monkeypatch):
     # the closed-form benchmark config: a round builds the schedule's
-    # increment and r's new metric, the stream's loss and the ledger's (a
-    # LinearLoss of its g row), writes the q~_t and r rows and checks g
-    # once.  A zero proximal metric is neither added to r nor written (its
-    # row is the column's initial value): the round built 2T + 1 metrics
-    # and wrote 3T rows before
+    # increment and r's new metric and one LinearLoss of its g row, which
+    # is both the revealed loss and the ledger's, writes the q~_t and r
+    # rows and checks g once.  A zero proximal metric is neither added to r
+    # nor written (its row is the column's initial value): the round built
+    # 2T + 1 metrics and wrote 3T rows before.  The stream's rows 1..T are
+    # the ledger's g column, drawn by one kernel call (2**14 // d = 1638
+    # rounds a call); play built two losses a round, and drew blocks of
+    # 64, 128 and 256 rounds, before
     T, d = 400, 10
     driver = Driver("adagrad-da", solvers.Box(-np.ones(d), np.ones(d)),
                     {"metric": "diag"})
@@ -527,6 +530,8 @@ def test_closed_form_round_builds_only_what_its_update_needs(monkeypatch):
                                 _spy(calls, "Loss", vars(cls)["__init__"]))
     monkeypatch.setattr(core.MetricColumn, "put",
                         _spy(calls, "put", core.MetricColumn.put))
+    monkeypatch.setattr(losses, "_uniform_block",
+                        _spy(calls, "kernel", losses._uniform_block))
     fn = core.as_point
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("adaopt") \
@@ -536,8 +541,8 @@ def test_closed_form_round_builds_only_what_its_update_needs(monkeypatch):
     monkeypatch.undo()
     assert led.T == T
     counts = {k: calls.count(k) for k in set(calls)}
-    assert counts == {"QuadMetric": 2 * T, "Loss": 2 * T, "as_point": T,
-                      "put": 2 * T}, counts
+    assert counts == {"QuadMetric": 2 * T, "Loss": T, "as_point": T,
+                      "put": 2 * T, "kernel": 1}, counts
 
 
 def _float_buffers(root) -> list:

@@ -163,6 +163,87 @@ def test_random_stream_rejects_negative_seeds_and_rounds_out_of_range():
             stream.vector(t)
 
 
+def _column_rows(stream, ts):
+    """The rows of ``stream.column(ts)``, whose one group is linear."""
+    (rows, kind, vs), = stream.column(ts).groups
+    assert rows == slice(None) and kind == "linear"
+    return vs
+
+
+# seeds of 1, 2, 3, 4 and 5 uint32 words
+_WORD_SEEDS = [3, 2 ** 32 + 1, 2 ** 64 + 5, 2 ** 96 + 7, 2 ** 128 + 9]
+
+
+@pytest.mark.parametrize("seed", _WORD_SEEDS)
+def test_random_stream_column_matches_its_vectors_across_chunks(seed, monkeypatch):
+    # at d = 256 a kernel call draws at most 2**14 // 256 = 64 rounds, so
+    # 300 rounds are 5 chunks; every row is the round's vector bit for bit
+    d, T = 256, 300
+    calls = []
+    real = losses._uniform_block
+    monkeypatch.setattr(losses, "_uniform_block",
+                        lambda *a: calls.append(a[1].size) or real(*a))
+    vs = _column_rows(losses.random_stream(d, seed, 0.75), range(1, T + 1))
+    monkeypatch.undo()
+    assert calls == [64] * 4 + [44]
+    assert vs.shape == (T, d) and not vs.flags.writeable
+    ref = losses.random_stream(d, seed, 0.75)
+    for t in range(1, T + 1):
+        assert np.array_equal(vs[t - 1], ref.vector(t)), t
+    for t in (1, 64, 65, 300):
+        assert np.array_equal(vs[t - 1], _rng_vector(seed, t, d, 0.75)), t
+
+
+@pytest.mark.parametrize("d", [1, 10, 256])
+def test_random_stream_column_matches_its_vectors_near_the_last_round(d):
+    stream = losses.random_stream(d, 1734586549, 0.5)
+    ts = list(range(2 ** 32 - 70, 2 ** 32)) + [5, 1, 2 ** 31]
+    vs = _column_rows(stream, ts)
+    for t, v in zip(ts, vs):
+        assert np.array_equal(v, losses.random_stream(d, 1734586549, 0.5).vector(t)), t
+    assert np.array_equal(vs[-4], _rng_vector(1734586549, 2 ** 32 - 1, d, 0.5))
+
+
+@pytest.mark.parametrize("t", [0, -1, 2 ** 32, 2 ** 40, 2 ** 70])
+def test_random_stream_column_names_a_round_out_of_range(t):
+    stream = losses.random_stream(3, 2)
+    with pytest.raises(ValueError, match=f"t={t} "):
+        stream.column([1, 2, t, 3])
+
+
+def test_random_stream_g_column_is_the_cached_block():
+    # play's column of rounds 1..T is what a later lookup of those rounds
+    # reads; past it the stream draws its own blocks again
+    stream = losses.random_stream(4, 9)
+    g = stream.g_column(100)
+    assert stream.vector(1).base is g and stream.vector(100).base is g
+    assert np.array_equal(stream.vector(101), _rng_vector(9, 101, 4))
+    assert np.array_equal(stream.vector(1), g[0])
+    assert losses.LinearStream(stream.vector_fn, 4).g_column(100) is None
+
+
+@pytest.mark.parametrize("d", [1, 7, 256])
+def test_stream_variation_is_the_per_round_dot_bit_for_bit(d):
+    # the column's row differences and rowdot give each term as the loop
+    # float(np.dot(g_t - g_{t-1}, g_t - g_{t-1})), g_0 = 0, gave it
+    T = 300
+    vs = np.random.default_rng(d).uniform(-2.0, 2.0, (T, d))
+    box = solvers.Box(-np.ones(d), np.ones(d))
+    for seq in (losses.LinearStream(lambda t: vs[t - 1], d),
+                losses.random_stream(d, 5, 1.5)):
+        ref, prev = [], np.zeros(d)
+        for t in range(1, T + 1):
+            diff = seq.vector(t) - prev
+            ref.append(float(np.dot(diff, diff)))
+            prev = seq.vector(t)
+        assert seq.per_round_variation(T, box) == ref
+    seq = losses.DriftingQuadratic(lambda t: vs[t - 1], d, weight=1.5)
+    per = seq.per_round_variation(T, box)
+    for t in range(2, T + 1):
+        diff = seq.weight * (seq.center(t) - seq.center(t - 1))
+        assert per[t - 1] == float(np.dot(diff, diff)), t
+
+
 def test_alternating_stream_variation():
     b = np.array([1.0, -2.0])
     seq = losses.alternating_stream(b)
