@@ -22,11 +22,10 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import __version__, losses, regret, solvers, suites
+from . import __version__, losses, regret, solvers
 from .core import as_point, rowdot
 from .learners import PRESET_TABLE, PRESETS, Driver, preset_defaults, run_rounds
 from .regret import TABLE2_CASES, BoundInputs
@@ -472,6 +471,8 @@ def _worker(task):
 def _run_config(cfg: dict, out_dir: str, jobs: int, solver_tol: float) -> dict:
     tasks = [(cfg, seed, solver_tol) for seed in cfg["seeds"]]
     if jobs > 1 and len(tasks) > 1:
+        # imported here: a one-process run does not need it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_worker, tasks))
     else:
@@ -567,6 +568,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import suites     # only this command reads the suites
     names = args.suite or sorted(suites.SUITES)
     for n in names:
         if n not in suites.SUITES:

@@ -71,6 +71,15 @@ def rowdot(a, b) -> np.ndarray:
     return np.matmul(a[:, None, :], b[..., :, None])[:, 0, 0]
 
 
+def running(start, rows: np.ndarray) -> np.ndarray:
+    """Row k: start + rows[0] + ... + rows[k-1], added left to right, as a
+    loop adds them: np.cumsum adds in loop order."""
+    out = np.empty((len(rows) + 1,) + rows.shape[1:])
+    out[0] = start
+    out[1:] = rows
+    return np.cumsum(out, axis=0, out=out)
+
+
 class QuadMetric:
     """Symmetric PSD quadratic form in scaled-identity, diagonal, or full shape.
 
@@ -322,6 +331,18 @@ class MetricColumn:
             self.kind[i], self.evals[i] = 2 + after, evals
             for k, v in vectors.items():
                 self.proj[k][i] = v @ evecs
+
+    def put_rows(self, rows: slice, values: np.ndarray) -> None:
+        """``put`` of rows ``rows`` at once: their gammas (1-d ``values``)
+        or diagonals (2-d)."""
+        if not len(values):
+            return
+        if values.ndim == 1:
+            self.gamma[rows] = values
+            return
+        if self.wide is None:
+            self.wide = np.zeros((self.kind.size, self.dim))
+        self.kind[rows], self.wide[rows] = 1, values
 
     def matrix(self, i: int) -> np.ndarray:
         """Full row i's d x d matrix."""

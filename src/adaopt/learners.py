@@ -23,18 +23,26 @@ computes what x_{t+1} needs and returns the metric of r_{1:t}; the
 r-divergence B_{r_{1:t}}(x_{t+1}, x_t), a term of the forward bound only,
 is derived from the ledger's columns when read (``regret.Ledger.breg_r``).
 ``run_rounds`` writes each round's parameters into the ledger's columns.
+
+Column play: an ftrl run whose terms are all centred at the origin and
+whose q~_t reads g alone (ogd, da, diagonal adagrad-da) reads x_t only as
+its argmin's warm start, so, given its g column, ``run_rounds`` computes
+its objectives and metrics as prefix scans and makes one certified
+``solvers.minimize`` call a round on the floats ``round`` would compute.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
 
-from .core import MetricColumn, QuadMetric, as_point
+from .core import MetricColumn, QuadMetric, as_point, rowdot, running
 from .losses import LinearLoss, is_isotropic_quadratic
 from .regularizers import (COMPOSITE_SETTINGS, ScheduleState, Terms,
-                           adagrad_diag_step, adagrad_full_step,
+                           adagrad_diag_rows, adagrad_diag_step,
+                           adagrad_full_step,
                            adagrad_initial_metric, check_proximal,
                            eta_increment, final_attack_eta, scale_free_eta)
 from . import regret, solvers
@@ -104,8 +112,9 @@ class Driver:
     built or folded).  A ``ValueError`` or ``NumericArgminError`` raised on
     the way is raised again, its message prefixed by the round and the
     layer (gradient, loss, schedule, fold or step), which it also carries as
-    its ``round`` and ``layer`` attributes.  Preset names are read in two
-    places only: ``_parse`` and ``_emit``.
+    its ``round`` and ``layer`` attributes.  Preset names are read in
+    three places only: ``_parse``, ``_emit`` and ``_emit_rows``, its
+    column form.
     """
 
     def __init__(self, preset: str, feasible_set, params: dict | None = None,
@@ -175,6 +184,10 @@ class Driver:
         self.t = 0
         # r_{1:t}'s metric, which carries q_{0:t-1} in an ftrl run only
         self._r_metric = q0 if self.family == "ftrl" else self._zero
+        # whether ``_play_columns`` can play a g column (module docstring)
+        self.column_play = (self.family == "ftrl" and not self.prox_at_x
+                            and not self.needs_loss and not self.composite
+                            and not self.optimistic and merged.get("metric") != "full")
 
     # -- schedule pieces ------------------------------------------------
 
@@ -383,6 +396,17 @@ class Driver:
         self.x = x_next
         return r_metric
 
+    def _emit_rows(self, t: int, G: np.ndarray):
+        """``_emit``'s q~ metrics of rounds t, t+1, ... from their g rows
+        G, as a column of gammas or diagonals: (the column, how many rows
+        ``_emit`` accepts, adagrad-da's sums and roots after k rounds)."""
+        if self.preset == "adagrad-da":
+            return adagrad_diag_rows(self._sched, G, self._eta, self._gamma0)
+        # da's alpha_t; ogd's q~_t is 0
+        growth = self._alpha_growth if self.preset == "da" else 0.0
+        ts = np.arange(t, t + len(G), dtype=float)
+        return growth * (np.sqrt(ts + 1.0) - np.sqrt(ts)), len(G), None, None
+
 
 def _name_round(e: BaseException, t: int, layer: str) -> BaseException:
     """e, its message prefixed by the round and the layer, which it also
@@ -391,6 +415,58 @@ def _name_round(e: BaseException, t: int, layer: str) -> BaseException:
     e.args = (f"round {t}: {layer}: {head}",) + e.args[1:]
     e.round, e.layer = t, layer
     return e
+
+
+def _play_columns(driver: Driver, G, x, loss_value, losses, q_col, r_col) -> int:
+    """Column play (module docstring) of the g column G, checked once, in
+    chunks of at most 2**14 // d rounds, the stream kernel's; each scan
+    starts from what the driver holds.  Writes the ledger's rows, leaves
+    the driver as per-round play would and returns the rounds played:
+    fewer than T before a round with a non-finite g, a schedule row
+    ``_emit`` rejects or an argmin that raises, which ``Driver.round`` plays."""
+    finite = np.isfinite(G).all(axis=1)
+    stop = len(G) if finite.all() else int(finite.argmin())
+    d = driver.dim
+    cap, i = max(1, 2 ** 14 // d), 0
+    while i < stop:
+        j, r_held = min(i + cap, stop), driver._r_metric
+        # a copy: the driver takes it only once a round is played
+        obj = copy.copy(driver._obj)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q, n, sums, roots = driver._emit_rows(i + 1, G[i:j])
+            slot = "diag" if q.ndim == 2 else "gamma"
+            held = getattr(obj, slot)
+            lin = running(obj.lin, G[i:i + n])
+            quad = running(0.0 if held is None else held, q[:n])
+            r = running(r_held._summand(), q[:n])
+        rows, m = quad if q.ndim == 2 else quad.tolist(), n
+        for k in range(n):
+            obj.lin, obj.init = lin[k + 1], x[i + k]
+            setattr(obj, slot, rows[k + 1])
+            try:
+                x[i + k + 1] = solvers.minimize(obj, tol=driver.solver_tol)
+            except (ValueError, solvers.NumericArgminError):
+                m = k
+                break
+        if m:
+            obj.lin, obj.init = lin[m], x[i + m - 1]
+            setattr(obj, slot, rows[m])
+            driver._obj, driver.x = obj, x[i + m]
+            driver._r_metric = QuadMetric("diag", weights=r[m], dim=d) \
+                if q.ndim == 2 else QuadMetric("scaled", gamma=float(r[m]), dim=d)
+            if sums is not None:
+                driver._sched.accum_sq, driver._sched._prev_root = sums[m], roots[m]
+            driver.t += m
+            driver.solver_calls += m
+            loss_value[i:i + m] = rowdot(G[i:i + m], x[i:i + m])
+            losses[i:i + m] = map(LinearLoss, G[i:i + m])
+            q_col.put_rows(slice(i, i + m), q[:m])
+            r_col.put(i, r_held)
+            r_col.put_rows(slice(i + 1, i + m), r[1:m])
+        i += m
+        if i < j:
+            break
+    return i
 
 
 def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
@@ -404,9 +480,10 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
     round's g, as a ``LinearLoss`` of its g row.  A stream that gives its
     g column before play (``g_column``) gives the ledger's: round t reads
     g_t there, and one ``LinearLoss`` of it is the revealed loss and the
-    ledger's.  A failure in any other stream (revealing the loss or drawing
-    its gradient) names its round and the layer ``loss``, as
-    ``Driver.round`` names its own.
+    ledger's, and a ``column_play`` driver plays it by column play.  A
+    failure in any other stream (revealing the loss or drawing its
+    gradient) names its round and the layer ``loss``, as ``Driver.round``
+    names its own.
     """
     if T < 1:
         raise ValueError("need at least one round")
@@ -436,7 +513,11 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
     # centres at x_t (a proximal term, a divergence anchor) shares the
     # ledger's copy
     driver.x = x[0]
-    for t in range(1, T + 1):
+    played = 0
+    if not by_round and not seq.stochastic and driver.column_play:
+        played = _play_columns(driver, g_col, x, loss_value, losses,
+                               q_metric, r_metric)
+    for t in range(played + 1, T + 1):
         i = t - 1
         if hint is not None:
             hint[i] = driver.hint

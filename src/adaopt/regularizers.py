@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import INF, QuadMetric, as_point, dot, quad_norm_sq
+from .core import INF, QuadMetric, as_point, dot, quad_norm_sq, running
 
 
 class ProximalConditionError(ValueError):
@@ -400,6 +400,23 @@ def adagrad_diag_step(state: ScheduleState, g, eta: float, gamma0: float):
         incr = QuadMetric.diagonal(w)
     state.accum_sq, state._prev_root = accum, new_root
     return incr, state
+
+
+def adagrad_diag_rows(state: ScheduleState, G: np.ndarray, eta: float,
+                      gamma0: float):
+    """``adagrad_diag_step`` over the g rows G, one round a row, as one
+    cumsum/sqrt/diff scan; ``state`` is not written.  Returns (W, n, sums,
+    roots): row k of W is round k+1's increment, bit for bit the step's,
+    and the step accepts W's first n rows; row k of sums and roots is the
+    state after k rounds.  Rows past n may overflow (call it under
+    np.errstate).  A one-row scan costs more than the step, which stays."""
+    sums = running(gamma0 if state.accum_sq is None else state.accum_sq, G * G)
+    roots = np.sqrt(sums)
+    W = (roots[1:] - roots[:-1]) / eta
+    n = len(W)
+    if not (W.min() >= 0.0 and W.max() < INF):
+        n = int(np.argmin((W.min(axis=1) >= 0.0) & (W.max(axis=1) < INF)))
+    return W, n, sums, roots
 
 
 # the largest dimension the full-matrix schedule takes: each round costs

@@ -8,12 +8,15 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adaopt import cli, losses, regret
 from adaopt.cli import ConfigError, main, validate_run_config
@@ -250,6 +253,19 @@ def test_run_is_deterministic_across_processes(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def test_importing_the_cli_leaves_the_suites_and_the_process_pool_out():
+    # `adaopt run --jobs 1` needs neither: `verify` imports the suites and a
+    # run with jobs > 1 the process pool, when they start
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import sys, adaopt.cli; print(sorted(m for m in ('adaopt.suites', "
+            "'concurrent.futures.process') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
+
+
 def test_run_exit_codes(tmp_path, capsys):
     # missing file and invalid config come back as exit 2 with a JSON error
     assert main(["run", "--config", str(tmp_path / "nope.json"),
@@ -456,27 +472,40 @@ def _round_by_round_stream(dim, seed, scale=1.0):
 
 def _run_keeping_the_ledger(cfg, stream):
     """``adaopt run`` on ``cfg`` with ``stream`` as its random-linear
-    stream: (exit code, its ledger, the JSON and CSV bytes)."""
+    stream: (exit code, its ledger or None, its driver, the JSON and CSV
+    bytes or None, the stderr text, each warning's category, message and
+    place, in order)."""
     kept = []
 
-    def play(*args, **kw):
-        kept.append(real(*args, **kw))
+    def play(driver, *args, **kw):
+        kept.append(driver)
+        kept.append(real(driver, *args, **kw))
         return kept[-1]
 
     real = cli.run_rounds
+    err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught, \
             mock.patch.object(losses, "random_stream", stream), \
             mock.patch.object(cli, "run_rounds", play):
+        warnings.simplefilter("always")
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
         rc = main(["run", "--config", path, "--out", os.path.join(tmp, "out")])
-        with open(os.path.join(tmp, "out", "cell.json"), "rb") as fh:
-            doc = fh.read()
-        with open(os.path.join(tmp, "out", "cell.seed0.csv"), "rb") as fh:
-            csv = fh.read()
-    return rc, kept[0], doc, csv
+        outputs = []
+        for name in ("cell.json", "cell.seed0.csv"):
+            out = os.path.join(tmp, "out", name)
+            if os.path.exists(out):
+                with open(out, "rb") as fh:
+                    outputs.append(fh.read())
+            else:
+                outputs.append(None)
+    led = kept[1] if len(kept) > 1 else None
+    warned = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    return rc, led, kept[0], *outputs, err.getvalue(), warned
 
 
 def _ledger_arrays(led):
@@ -489,33 +518,87 @@ def _ledger_arrays(led):
     return cols
 
 
+def _driver_state(driver):
+    """What a driver holds after play: its iterate and counts, the
+    schedule's sums, r's running metric and the running ftrl objective."""
+    r, obj, sched = driver._r_metric, driver._obj, driver._sched
+    return {"x": driver.x, "t": driver.t, "solver_calls": driver.solver_calls,
+            "hint": driver.hint, "accum_sq": sched.accum_sq,
+            "prev_root": sched._prev_root, "r.kind": r.kind, "r.gamma": r.gamma,
+            "r.weights": r.weights, "r.matrix": r.matrix, "r.dim": r.dim,
+            **{f"obj.{k}": getattr(obj, k) for k in (
+                "lin", "gamma", "diag", "full", "const", "l1_alpha", "init")}}
+
+
+def _assert_same(a, b):
+    for k, v in a.items():
+        w = b[k]
+        assert (v is None) == (w is None), k
+        if isinstance(v, np.ndarray):
+            assert v.dtype == w.dtype and np.array_equal(v, w), k
+        elif v is not None:
+            assert type(v) is type(w) and v == w, k
+
+
+# the presets that column play serves, each with its parameters drawn
+COLUMN_PARAMS = {
+    "ogd": st.fixed_dictionaries({"eta": st.floats(0.01, 10.0)}),
+    "da": st.fixed_dictionaries({"alpha0": st.floats(0.1, 5.0),
+                                 "alpha_growth": st.floats(1e-3, 5.0)}),
+    "adagrad-da": st.fixed_dictionaries({
+        "eta": st.floats(0.05, 5.0),
+        "gamma0": st.sampled_from([1e-300, 1e-12, 0.5, 1.0, 4.0])}),
+}
+
+
 @given(preset=st.sampled_from(PRESETS),
        kind=st.sampled_from(["box", "ball", "unconstrained", "simplex"]),
        d=st.one_of(st.integers(1, 12), st.just(256)),
        T=st.sampled_from([1, 63, 64, 65, 127, 128, 129, 200]),
-       seed=st.integers(0, 2 ** 70))
-@settings(max_examples=40, deadline=None, derandomize=True)
-def test_column_play_matches_round_by_round_play(preset, kind, d, T, seed):
+       seed=st.integers(0, 2 ** 70), scale=st.just(1.0), data=st.data())
+@example(preset="adagrad-da", kind="box", d=3, T=40, seed=4, scale=1e160,
+         data=None)
+@example(preset="adagrad-da", kind="box", d=3, T=40, seed=4, scale=1e154,
+         data=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_column_play_matches_round_by_round_play(preset, kind, d, T, seed,
+                                                 scale, data):
     # a random stream's play reads g_t from its column of rounds 1..T (at
-    # d = 256, drawn 64 rounds a kernel call); an unchecked stream of the
-    # same vectors is played round by round.  The ledgers and the run's
-    # output bytes are the same
-    cfg = {"name": "cell", "preset": preset, "params": {},
+    # d = 256, drawn 64 rounds a kernel call), and an ogd, da or diagonal
+    # adagrad-da run plays it as prefix scans in chunks of 2**14 // d
+    # rounds (64 at d = 256); an unchecked stream of the same vectors is
+    # played round by round.  The ledgers, the drivers' end states and the
+    # run's output bytes are the same.  A run that fails fails alike, with
+    # the same exit code and error JSON: at scale 1e160, g * g overflows in
+    # round 1's schedule; at 1e154, adagrad-da's sums overflow in round 4,
+    # after column play has solved rounds 1 to 3.  Column play's scans warn
+    # of no overflow that per-round play does not warn of
+    params = data.draw(COLUMN_PARAMS[preset]) \
+        if data is not None and preset in COLUMN_PARAMS else {}
+    cfg = {"name": "cell", "preset": preset, "params": params,
            "set": {"kind": kind, "dim": d},
-           "losses": {"kind": "random-linear", "seed": seed}, "T": T,
-           "seeds": [0], "bounds": [f"oo-{PRESET_TABLE[preset][0]}", "forward"]}
+           "losses": {"kind": "random-linear", "seed": seed, "scale": scale},
+           "T": T, "seeds": [0],
+           "bounds": [f"oo-{PRESET_TABLE[preset][0]}", "forward"]}
     if kind == "unconstrained":
         cfg["comparator"] = {"policy": "explicit", "point": 0.0}
-    rc, led, doc, csv = _run_keeping_the_ledger(cfg, losses.random_stream)
-    rc_rows, led_rows, doc_rows, csv_rows = _run_keeping_the_ledger(
-        cfg, _round_by_round_stream)
-    assert rc == rc_rows == 0
+    rc, led, driver, doc, csv, err, warned = _run_keeping_the_ledger(
+        cfg, losses.random_stream)
+    rc_rows, led_rows, driver_rows, doc_rows, csv_rows, err_rows, warned_rows = \
+        _run_keeping_the_ledger(cfg, _round_by_round_stream)
+    assert rc == rc_rows and err == err_rows and warned == warned_rows
+    _assert_same(_driver_state(driver), _driver_state(driver_rows))
+    if scale != 1.0:
+        e = json.loads(err)["error"]
+        assert rc == 3 and (e["round"], e["layer"]) == (
+            1 if scale == 1e160 else 4, "schedule"), e
+    if rc:
+        # adagrad-md on the simplex at d = 256 also fails, in round 1: its
+        # numeric argmin reaches no certificate
+        return
+    assert err == ""
     assert not led.g.flags.writeable and led_rows.g.flags.writeable
-    cols, cols_rows = _ledger_arrays(led), _ledger_arrays(led_rows)
-    for k, v in cols.items():
-        assert (v is None) == (cols_rows[k] is None), k
-        if v is not None:
-            assert v.dtype == cols_rows[k].dtype and np.array_equal(v, cols_rows[k]), k
+    _assert_same(_ledger_arrays(led), _ledger_arrays(led_rows))
     assert doc == doc_rows and csv == csv_rows
 
 

@@ -507,42 +507,62 @@ def test_play_checks_each_gradient_once(monkeypatch):
     assert len(calls) <= T + 5, len(calls)
 
 
+# T = 400 rounds of the closed-form benchmark config (adagrad-da) and of
+# adagrad-md on the same stream: what play calls and builds
+T_BUILDS = 400
+BUILDS = {
+    # column play: one minimize call a round and no Driver.round; the
+    # schedule, objective rows and metric columns are scans, so no round
+    # builds a QuadMetric (r's running metric is built once) or puts a
+    # ledger row (one put of r's first row, one block put per column),
+    # and g, checked once, needs no as_point.  The one LinearLoss of each
+    # g row is the ledger's
+    "adagrad-da": {"minimize": T_BUILDS, "Loss": T_BUILDS, "QuadMetric": 1,
+                   "put": 1, "put_rows": 2, "kernel": 1},
+    # per-round play: each round checks g once, builds the schedule's
+    # increment and r's new metric (round 1's r is the increment itself)
+    # and writes the prox and r rows
+    "adagrad-md": {"minimize": T_BUILDS, "round": T_BUILDS, "Loss": T_BUILDS,
+                   "QuadMetric": 2 * T_BUILDS - 1, "as_point": T_BUILDS,
+                   "put": 2 * T_BUILDS, "kernel": 1},
+}
+
+
 def test_closed_form_round_builds_only_what_its_update_needs(monkeypatch):
-    # the closed-form benchmark config: a round builds the schedule's
-    # increment and r's new metric and one LinearLoss of its g row, which
-    # is both the revealed loss and the ledger's, writes the q~_t and r
-    # rows and checks g once.  A zero proximal metric is neither added to r
-    # nor written (its row is the column's initial value): the round built
-    # 2T + 1 metrics and wrote 3T rows before.  The stream's rows 1..T are
-    # the ledger's g column, drawn by one kernel call (2**14 // d = 1638
-    # rounds a call); play built two losses a round, and drew blocks of
-    # 64, 128 and 256 rounds, before
-    T, d = 400, 10
-    driver = Driver("adagrad-da", solvers.Box(-np.ones(d), np.ones(d)),
-                    {"metric": "diag"})
-    seq = losses.random_stream(d, seed=11)
-    calls = []
-    monkeypatch.setattr(core.QuadMetric, "__init__",
-                        _spy(calls, "QuadMetric", core.QuadMetric.__init__))
-    for cls in [losses.Loss] + losses.Loss.__subclasses__():
-        if "__init__" in vars(cls):
-            monkeypatch.setattr(cls, "__init__",
-                                _spy(calls, "Loss", vars(cls)["__init__"]))
-    monkeypatch.setattr(core.MetricColumn, "put",
-                        _spy(calls, "put", core.MetricColumn.put))
-    monkeypatch.setattr(losses, "_uniform_block",
-                        _spy(calls, "kernel", losses._uniform_block))
-    fn = core.as_point
-    for mod in list(sys.modules.values()):
-        if getattr(mod, "__name__", "").startswith("adaopt") \
-                and getattr(mod, "as_point", None) is fn:
-            monkeypatch.setattr(mod, "as_point", _spy(calls, "as_point", fn))
-    led = run_rounds(driver, seq, T)
-    monkeypatch.undo()
-    assert led.T == T
-    counts = {k: calls.count(k) for k in set(calls)}
-    assert counts == {"QuadMetric": 2 * T, "Loss": T, "as_point": T,
-                      "put": 2 * T, "kernel": 1}, counts
+    # the stream's rows 1..T are the ledger's g column, drawn by one kernel
+    # call (2**14 // d = 1638 rounds a call).  The closed-form config played
+    # each round through Driver.round before column play, with the counts
+    # adagrad-md keeps: 2T QuadMetrics, 2T puts and T as_point calls
+    T, d = T_BUILDS, 10
+    for preset, expected in BUILDS.items():
+        driver = Driver(preset, solvers.Box(-np.ones(d), np.ones(d)),
+                        {"metric": "diag"})
+        seq = losses.random_stream(d, seed=11)
+        calls = []
+        monkeypatch.setattr(core.QuadMetric, "__init__",
+                            _spy(calls, "QuadMetric", core.QuadMetric.__init__))
+        for cls in [losses.Loss] + losses.Loss.__subclasses__():
+            if "__init__" in vars(cls):
+                monkeypatch.setattr(cls, "__init__",
+                                    _spy(calls, "Loss", vars(cls)["__init__"]))
+        for name in ("put", "put_rows"):
+            monkeypatch.setattr(core.MetricColumn, name, _spy(
+                calls, name, getattr(core.MetricColumn, name)))
+        monkeypatch.setattr(losses, "_uniform_block",
+                            _spy(calls, "kernel", losses._uniform_block))
+        monkeypatch.setattr(solvers, "minimize",
+                            _spy(calls, "minimize", solvers.minimize))
+        monkeypatch.setattr(Driver, "round", _spy(calls, "round", Driver.round))
+        fn = core.as_point
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("adaopt") \
+                    and getattr(mod, "as_point", None) is fn:
+                monkeypatch.setattr(mod, "as_point", _spy(calls, "as_point", fn))
+        led = run_rounds(driver, seq, T)
+        monkeypatch.undo()
+        assert led.T == T
+        counts = {k: calls.count(k) for k in set(calls)}
+        assert counts == expected, (preset, counts)
 
 
 def _float_buffers(root) -> list:

@@ -5,7 +5,8 @@ recursion, with none of adaopt's regularizers, objectives or solvers.  On a
 box or the free set with a scalar or diagonal metric each argmin is closed
 form coordinatewise: soft-threshold for the l1 term, then clip.  On a ball
 with an isotropic metric (ogd, da, md, ao-ftrl-prox and ao-md, without l1)
-it is the projection of the unconstrained minimizer.
+it is the projection of the unconstrained minimizer.  ogd, da and adagrad-da
+are also played through column play, from a stream that gives its g column.
 
     ftrl:  x_{t+1} = argmin <g_{1:t} + h_{t+1}, x> + p_{1:t}(x) + q_{0:t}(x)
     md:    x_{t+1} = argmin <g_t + h_{t+1} - h_t, x> + psi(x) + B_{r_{1:t}}(x, x_t)
@@ -145,6 +146,21 @@ def reference(preset, p, G, where):
     return np.array(xs), np.array(bregs)
 
 
+COLUMN_PRESETS = ("ogd", "da", "adagrad-da")
+
+
+class ColumnStream(losses.LinearStream):
+    """The scripted stream G that gives play its g column, G read-only."""
+
+    def __init__(self, G):
+        super().__init__(lambda t: G[t - 1], G.shape[1], "scripted")
+        self.G = G.copy()
+        self.G.flags.writeable = False
+
+    def g_column(self, T):
+        return self.G[:T]
+
+
 def _close(a, b):
     return bool(np.all(np.abs(a - b) <= TOL * np.maximum(1.0, np.abs(b))))
 
@@ -155,11 +171,18 @@ def _check(preset, params, G, where):
     fs = {"box": lambda: solvers.Box(np.full(d, LO), np.full(d, HI)),
           "free": lambda: solvers.Unconstrained(d),
           "ball": lambda: solvers.Ball(np.full(d, CENTER), RADIUS)}[where]()
-    seq = losses.LinearStream(lambda t: G[t - 1], d, "scripted")
-    led = run_rounds(Driver(preset, fs, dict(params)), seq, T)
     xs, bregs = reference(preset, params, G, where)
-    assert _close(led.x, xs), (preset, np.max(np.abs(led.x - xs)))
-    assert _close(led.breg_r, bregs), (preset, np.max(np.abs(led.breg_r - bregs)))
+    # every preset plays the scripted stream round by round; ogd, da and
+    # adagrad-da also take column play where the stream gives its g column
+    streams = [losses.LinearStream(lambda t: G[t - 1], d, "scripted")]
+    if preset in COLUMN_PRESETS:
+        streams.append(ColumnStream(G))
+    for seq in streams:
+        driver = Driver(preset, fs, dict(params))
+        assert driver.column_play == (preset in COLUMN_PRESETS)
+        led = run_rounds(driver, seq, T)
+        assert _close(led.x, xs), (preset, np.max(np.abs(led.x - xs)))
+        assert _close(led.breg_r, bregs), (preset, np.max(np.abs(led.breg_r - bregs)))
 
 
 @given(case=st.sampled_from(range(len(CASES))), d=st.integers(1, 5),
