@@ -24,11 +24,15 @@ r-divergence B_{r_{1:t}}(x_{t+1}, x_t), a term of the forward bound only,
 is derived from the ledger's columns when read (``regret.Ledger.breg_r``).
 ``run_rounds`` writes each round's parameters into the ledger's columns.
 
-Column play: an ftrl run whose terms are all centred at the origin and
-whose q~_t reads g alone (ogd, da, diagonal adagrad-da) reads x_t only as
-its argmin's warm start, so, given its g column, ``run_rounds`` computes
-its objectives and metrics as prefix scans and makes one certified
-``solvers.minimize`` call a round on the floats ``round`` would compute.
+Column play: in an ftrl run whose terms are all centred at the origin and
+whose q~_t reads g alone (ogd, da, diagonal adagrad-da), and in an md run
+whose r_t reads g alone (md, composite or not, and diagonal adagrad-md),
+the schedule, r_{1:t} and ftrl's objective depend on the g column only; x_t
+is the argmin's warm start and md's Bregman anchor.  So, given that
+column, ``run_rounds`` computes them as prefix scans, and a round only
+points ftrl's objective at its rows, or anchors its row of r_{1:t} at x_t
+in md's fresh objective, and makes one certified ``solvers.minimize`` call
+on the floats ``round`` would compute.
 """
 
 from __future__ import annotations
@@ -185,9 +189,10 @@ class Driver:
         # r_{1:t}'s metric, which carries q_{0:t-1} in an ftrl run only
         self._r_metric = q0 if self.family == "ftrl" else self._zero
         # whether ``_play_columns`` can play a g column (module docstring)
-        self.column_play = (self.family == "ftrl" and not self.prox_at_x
-                            and not self.needs_loss and not self.composite
-                            and not self.optimistic and merged.get("metric") != "full")
+        self.column_play = (not self.needs_loss and not self.optimistic
+                            and merged.get("metric") != "full"
+                            and (self.family == "md"
+                                 or not (self.prox_at_x or self.composite)))
 
     # -- schedule pieces ------------------------------------------------
 
@@ -397,11 +402,18 @@ class Driver:
         return r_metric
 
     def _emit_rows(self, t: int, G: np.ndarray):
-        """``_emit``'s q~ metrics of rounds t, t+1, ... from their g rows
-        G, as a column of gammas or diagonals: (the column, how many rows
-        ``_emit`` accepts, adagrad-da's sums and roots after k rounds)."""
-        if self.preset == "adagrad-da":
+        """``_emit``'s metrics of rounds t, t+1, ... that grow r (q~_t's
+        for ftrl, r_t for md) from their g rows G, as a column of gammas or
+        diagonals: (the column, how many rows ``_emit`` accepts, adagrad's
+        sums and roots after k rounds)."""
+        if self.preset in ("adagrad-da", "adagrad-md"):
             return adagrad_diag_rows(self._sched, G, self._eta, self._gamma0)
+        if self.family == "md":
+            # r_1 also carries q~_0's scale, whose sum may overflow
+            q = np.full(len(G), self._sigma_r)
+            if t == 1:
+                q[0] = self._q0_scale + self._sigma_r
+            return q, len(G) if q[0] < math.inf else 0, None, None
         # da's alpha_t; ogd's q~_t is 0
         growth = self._alpha_growth if self.preset == "da" else 0.0
         ts = np.arange(t, t + len(G), dtype=float)
@@ -417,52 +429,76 @@ def _name_round(e: BaseException, t: int, layer: str) -> BaseException:
     return e
 
 
-def _play_columns(driver: Driver, G, x, loss_value, losses, q_col, r_col) -> int:
+def _play_columns(driver: Driver, G, x, loss_value, losses, sched_col, r_col) -> int:
     """Column play (module docstring) of the g column G, checked once, in
     chunks of at most 2**14 // d rounds, the stream kernel's; each scan
-    starts from what the driver holds.  Writes the ledger's rows, leaves
-    the driver as per-round play would and returns the rounds played:
-    fewer than T before a round with a non-finite g, a schedule row
-    ``_emit`` rejects or an argmin that raises, which ``Driver.round`` plays."""
+    starts from what the driver holds.  An ftrl round points its running
+    objective at its rows; an md round folds its row of r_{1:t}, anchored
+    at x_t, into a fresh objective over g_t, as ``Driver._step`` does.
+    Writes the ledger's rows (``sched_col`` is the column the schedule
+    fills: q~'s for ftrl, the proximal term's for md), leaves the driver as
+    per-round play would and returns the rounds played: fewer than T before
+    a round with a non-finite g, a schedule row ``_emit`` rejects, an
+    argmin that raises or any step that would warn of overflow or an
+    invalid value, which ``Driver.round`` plays, raising and warning as it
+    does."""
     finite = np.isfinite(G).all(axis=1)
     stop = len(G) if finite.all() else int(finite.argmin())
-    d = driver.dim
+    d, fs, md = driver.dim, driver.feasible_set, driver.family == "md"
     cap, i = max(1, 2 ** 14 // d), 0
     while i < stop:
         j, r_held = min(i + cap, stop), driver._r_metric
-        # a copy: the driver takes it only once a round is played
-        obj = copy.copy(driver._obj)
         with np.errstate(over="ignore", invalid="ignore"):
             q, n, sums, roots = driver._emit_rows(i + 1, G[i:j])
-            slot = "diag" if q.ndim == 2 else "gamma"
-            held = getattr(obj, slot)
-            lin = running(obj.lin, G[i:i + n])
-            quad = running(0.0 if held is None else held, q[:n])
-            r = running(r_held._summand(), q[:n])
-        rows, m = quad if q.ndim == 2 else quad.tolist(), n
-        for k in range(n):
-            obj.lin, obj.init = lin[k + 1], x[i + k]
-            setattr(obj, slot, rows[k + 1])
-            try:
-                x[i + k + 1] = solvers.minimize(obj, tol=driver.solver_tol)
-            except (ValueError, solvers.NumericArgminError):
-                m = k
-                break
+            r = rows = running(r_held._summand(), q[:n])
+            if not md:
+                # a copy: the driver takes it only once a round is played
+                obj = copy.copy(driver._obj)
+                slot = "diag" if q.ndim == 2 else "gamma"
+                held = getattr(obj, slot)
+                lin = running(obj.lin, G[i:i + n])
+                rows = running(0.0 if held is None else held, q[:n])
+        rows, m = rows if q.ndim == 2 else rows.tolist(), n
+        # a round that would warn raises here instead, and Driver.round
+        # plays it; a row past an overflow in a scan is such a round, since
+        # its fold or argmin meets the inf
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for k in range(n):
+                try:
+                    if md:
+                        obj = solvers.Objective(fs, lin=G[i + k], l1_alpha=driver.alpha)
+                        obj.fold_row(x[i + k], rows[k + 1])
+                    else:
+                        obj.lin = lin[k + 1]
+                        setattr(obj, slot, rows[k + 1])
+                    obj.init = x[i + k]
+                    x[i + k + 1] = solvers.minimize(obj, tol=driver.solver_tol)
+                except (ValueError, FloatingPointError, solvers.NumericArgminError):
+                    m = k
+                    break
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = rowdot(G[i:i + m], x[i:i + m])
+        if not np.isfinite(f).all():
+            # f_t = <g_t, x_t> overflows: Driver.round warns of it
+            m = int(np.isfinite(f).argmin())
         if m:
-            obj.lin, obj.init = lin[m], x[i + m - 1]
-            setattr(obj, slot, rows[m])
-            driver._obj, driver.x = obj, x[i + m]
+            if not md:
+                obj.lin, obj.init = lin[m], x[i + m - 1]
+                setattr(obj, slot, rows[m])
+                driver._obj = obj
+                r_col.put(i, r_held)
+            driver.x = x[i + m]
             driver._r_metric = QuadMetric("diag", weights=r[m], dim=d) \
                 if q.ndim == 2 else QuadMetric("scaled", gamma=float(r[m]), dim=d)
             if sums is not None:
                 driver._sched.accum_sq, driver._sched._prev_root = sums[m], roots[m]
             driver.t += m
             driver.solver_calls += m
-            loss_value[i:i + m] = rowdot(G[i:i + m], x[i:i + m])
+            loss_value[i:i + m] = f[:m]
             losses[i:i + m] = map(LinearLoss, G[i:i + m])
-            q_col.put_rows(slice(i, i + m), q[:m])
-            r_col.put(i, r_held)
-            r_col.put_rows(slice(i + 1, i + m), r[1:m])
+            sched_col.put_rows(slice(i, i + m), q[:m])
+            # ftrl's r_{1:t} is r's running metric before round t, md's after
+            r_col.put_rows(slice(i + 1 - md, i + m), r[1:m + md])
         i += m
         if i < j:
             break
@@ -480,7 +516,8 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
     round's g, as a ``LinearLoss`` of its g row.  A stream that gives its
     g column before play (``g_column``) gives the ledger's: round t reads
     g_t there, and one ``LinearLoss`` of it is the revealed loss and the
-    ledger's, and a ``column_play`` driver plays it by column play.  A
+    ledger's, and a ``column_play`` driver, ftrl or md, plays it by column
+    play (module docstring).  A
     failure in any other stream (revealing the loss or drawing its
     gradient) names its round and the layer ``loss``, as ``Driver.round``
     names its own.
@@ -516,7 +553,8 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
     played = 0
     if not by_round and not seq.stochastic and driver.column_play:
         played = _play_columns(driver, g_col, x, loss_value, losses,
-                               q_metric, r_metric)
+                               prox if driver.family == "md" else q_metric,
+                               r_metric)
     for t in range(played + 1, T + 1):
         i = t - 1
         if hint is not None:

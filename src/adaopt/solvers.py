@@ -374,6 +374,20 @@ class Objective:
             self.lin = self.lin - scale * mc
             self.const += 0.5 * scale * float(np.dot(center, mc))
 
+    def fold_row(self, center: np.ndarray, row):
+        """``fold_quadratic(center, m, 1.0)`` on the same floats, for the
+        metric m whose gamma (a float ``row``) or weights (an array) are
+        ``row``: a column-play round folds a row of r_{1:t} and builds no
+        ``QuadMetric``."""
+        if type(row) is float:
+            self._fold_isotropic(center, row)
+            return
+        self.diag = row + 0.0 if self.diag is None else self.diag + row
+        if center.any():
+            mc = row * center
+            self.lin = self.lin - mc
+            self.const += 0.5 * float(np.dot(center, mc))
+
     def take_quadratic(self, metric: QuadMetric):
         """Make ``metric``, a full metric that carries its eigenpairs, the
         whole quadratic part.  The caller knows the part already equals it

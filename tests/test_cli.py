@@ -540,7 +540,9 @@ def _assert_same(a, b):
             assert type(v) is type(w) and v == w, k
 
 
-# the presets that column play serves, each with its parameters drawn
+# the presets that column play serves, each with its parameters drawn; md
+# draws an l1 weight on the box and the free set, where a composite run is
+# accepted
 COLUMN_PARAMS = {
     "ogd": st.fixed_dictionaries({"eta": st.floats(0.01, 10.0)}),
     "da": st.fixed_dictionaries({"alpha0": st.floats(0.1, 5.0),
@@ -548,6 +550,13 @@ COLUMN_PARAMS = {
     "adagrad-da": st.fixed_dictionaries({
         "eta": st.floats(0.05, 5.0),
         "gamma0": st.sampled_from([1e-300, 1e-12, 0.5, 1.0, 4.0])}),
+    "adagrad-md": st.fixed_dictionaries({
+        "eta": st.floats(0.05, 5.0), "gamma0": st.sampled_from([0.0, 1e-12, 1.0])}),
+    "md": st.fixed_dictionaries(
+        {"q0_scale": st.floats(0.0, 5.0), "sigma_r": st.floats(0.0, 5.0)},
+        optional={"composite_alpha": st.floats(0.01, 2.0),
+                  "composite_setting": st.sampled_from(["revealed-after",
+                                                        "known-before"])}),
 }
 
 
@@ -555,26 +564,51 @@ COLUMN_PARAMS = {
        kind=st.sampled_from(["box", "ball", "unconstrained", "simplex"]),
        d=st.one_of(st.integers(1, 12), st.just(256)),
        T=st.sampled_from([1, 63, 64, 65, 127, 128, 129, 200]),
-       seed=st.integers(0, 2 ** 70), scale=st.just(1.0), data=st.data())
+       seed=st.integers(0, 2 ** 70), scale=st.just(1.0), data=st.data(),
+       params=st.none(), fails=st.none())
 @example(preset="adagrad-da", kind="box", d=3, T=40, seed=4, scale=1e160,
-         data=None)
+         data=None, params={}, fails=(1, "schedule"))
 @example(preset="adagrad-da", kind="box", d=3, T=40, seed=4, scale=1e154,
-         data=None)
+         data=None, params={}, fails=(4, "schedule"))
+@example(preset="adagrad-md", kind="box", d=3, T=40, seed=4, scale=1e160,
+         data=None, params={}, fails=(1, "schedule"))
+@example(preset="adagrad-md", kind="simplex", d=3, T=40, seed=4, scale=1.0,
+         data=None, params={"eta": 1e-308, "gamma0": 0.0}, fails=(7, "step"))
+@example(preset="md", kind="box", d=3, T=40, seed=4, scale=1.0, data=None,
+         params={"q0_scale": 1e308, "sigma_r": 5e307, "composite_alpha": 0.01},
+         fails=(2, "step"))
+@example(preset="ogd", kind="ball", d=2, T=40, seed=4, scale=1e150, data=None,
+         params={"eta": 1e200}, fails=(1, "step"))
+@example(preset="ogd", kind="unconstrained", d=2, T=40, seed=4, scale=1e150,
+         data=None, params={"eta": 1e60}, fails=None)
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_column_play_matches_round_by_round_play(preset, kind, d, T, seed,
-                                                 scale, data):
+                                                 scale, data, params, fails):
     # a random stream's play reads g_t from its column of rounds 1..T (at
-    # d = 256, drawn 64 rounds a kernel call), and an ogd, da or diagonal
-    # adagrad-da run plays it as prefix scans in chunks of 2**14 // d
-    # rounds (64 at d = 256); an unchecked stream of the same vectors is
-    # played round by round.  The ledgers, the drivers' end states and the
-    # run's output bytes are the same.  A run that fails fails alike, with
-    # the same exit code and error JSON: at scale 1e160, g * g overflows in
-    # round 1's schedule; at 1e154, adagrad-da's sums overflow in round 4,
-    # after column play has solved rounds 1 to 3.  Column play's scans warn
-    # of no overflow that per-round play does not warn of
-    params = data.draw(COLUMN_PARAMS[preset]) \
-        if data is not None and preset in COLUMN_PARAMS else {}
+    # d = 256, drawn 64 rounds a kernel call), and an ogd, da, diagonal
+    # adagrad-da, diagonal adagrad-md or md run plays it as prefix scans in
+    # chunks of 2**14 // d rounds (64 at d = 256); an unchecked stream of
+    # the same vectors is played round by round.  The ledgers, the drivers'
+    # end states and the run's output bytes are the same.  A run that fails
+    # fails alike, with the same exit code, error JSON and warnings:
+    # - at scale 1e160, g * g overflows in round 1's schedule;
+    # - at 1e154, adagrad-da's sums overflow in round 4, after column play
+    #   has solved rounds 1 to 3;
+    # - adagrad-md's r_{1:t} at eta = 1e-308 overflows in round 7, whose
+    #   numeric argmin (on the simplex) finds no finite smoothness;
+    # - md's r_{1:2} = 1e308 + 2 * 5e307 overflows, and the l1 argmin
+    #   rejects round 2's infinite curvature;
+    # - ogd's round-1 argmin on the ball warns of an overflow and of an
+    #   invalid value, and fails;
+    # - ogd's f_t = <g_t, x_t> on the free set overflows from round 2 on,
+    #   once a round, and the accounting then fails.
+    # Column play's scans warn of no overflow that per-round play does not
+    # warn of, and a round that would warn (its fold, argmin or f_t) is
+    # played by Driver.round, so each warning comes once, in order
+    if params is None:
+        params = data.draw(COLUMN_PARAMS[preset]) if preset in COLUMN_PARAMS else {}
+    if kind in ("ball", "simplex"):
+        params.pop("composite_alpha", None)
     cfg = {"name": "cell", "preset": preset, "params": params,
            "set": {"kind": kind, "dim": d},
            "losses": {"kind": "random-linear", "seed": seed, "scale": scale},
@@ -588,10 +622,9 @@ def test_column_play_matches_round_by_round_play(preset, kind, d, T, seed,
         _run_keeping_the_ledger(cfg, _round_by_round_stream)
     assert rc == rc_rows and err == err_rows and warned == warned_rows
     _assert_same(_driver_state(driver), _driver_state(driver_rows))
-    if scale != 1.0:
+    if fails is not None:
         e = json.loads(err)["error"]
-        assert rc == 3 and (e["round"], e["layer"]) == (
-            1 if scale == 1e160 else 4, "schedule"), e
+        assert rc == 3 and (e["round"], e["layer"]) == fails, e
     if rc:
         # adagrad-md on the simplex at d = 256 also fails, in round 1: its
         # numeric argmin reaches no certificate

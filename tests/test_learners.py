@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from adaopt import core, losses, regret, regularizers, solvers
-from adaopt.learners import PRESETS, Driver, preset_defaults, run_rounds
+from adaopt.learners import (HINT_POLICIES, PRESETS, Driver, preset_defaults,
+                             run_rounds)
 
 
 UNC2 = solvers.Unconstrained(2)
@@ -507,8 +508,8 @@ def test_play_checks_each_gradient_once(monkeypatch):
     assert len(calls) <= T + 5, len(calls)
 
 
-# T = 400 rounds of the closed-form benchmark config (adagrad-da) and of
-# adagrad-md on the same stream: what play calls and builds
+# T = 400 rounds of the closed-form benchmark config (adagrad-da), and of
+# adagrad-md and ftrl-prox on the same stream: what play calls and builds
 T_BUILDS = 400
 BUILDS = {
     # column play: one minimize call a round and no Driver.round; the
@@ -519,20 +520,26 @@ BUILDS = {
     # g row is the ledger's
     "adagrad-da": {"minimize": T_BUILDS, "Loss": T_BUILDS, "QuadMetric": 1,
                    "put": 1, "put_rows": 2, "kernel": 1},
-    # per-round play: each round checks g once, builds the schedule's
-    # increment and r's new metric (round 1's r is the increment itself)
-    # and writes the prox and r rows
-    "adagrad-md": {"minimize": T_BUILDS, "round": T_BUILDS, "Loss": T_BUILDS,
-                   "QuadMetric": 2 * T_BUILDS - 1, "as_point": T_BUILDS,
-                   "put": 2 * T_BUILDS, "kernel": 1},
+    # column play of md: each round folds its row of r_{1:t} into a fresh
+    # objective anchored at x_t; r's rows are all scanned, so no row is put
+    # alone (the prox and r columns are block puts)
+    "adagrad-md": {"minimize": T_BUILDS, "Loss": T_BUILDS, "QuadMetric": 1,
+                   "put_rows": 2, "kernel": 1},
+    # per-round play (a proximal term centred at x_t): each round checks g
+    # once, builds the schedule's increment and r's new metric (round 1's
+    # r is the increment itself) and writes the prox and r rows
+    "ftrl-prox": {"minimize": T_BUILDS, "round": T_BUILDS, "Loss": T_BUILDS,
+                  "QuadMetric": 2 * T_BUILDS - 1, "as_point": T_BUILDS,
+                  "put": 2 * T_BUILDS, "kernel": 1},
 }
 
 
 def test_closed_form_round_builds_only_what_its_update_needs(monkeypatch):
     # the stream's rows 1..T are the ledger's g column, drawn by one kernel
-    # call (2**14 // d = 1638 rounds a call).  The closed-form config played
-    # each round through Driver.round before column play, with the counts
-    # adagrad-md keeps: 2T QuadMetrics, 2T puts and T as_point calls
+    # call (2**14 // d = 1638 rounds a call).  The closed-form config and
+    # adagrad-md played each round through Driver.round before column play,
+    # with the counts ftrl-prox keeps: 2T QuadMetrics, 2T puts and T
+    # as_point calls
     T, d = T_BUILDS, 10
     for preset, expected in BUILDS.items():
         driver = Driver(preset, solvers.Box(-np.ones(d), np.ones(d)),
@@ -563,6 +570,47 @@ def test_closed_form_round_builds_only_what_its_update_needs(monkeypatch):
         assert led.T == T
         counts = {k: calls.count(k) for k in set(calls)}
         assert counts == expected, (preset, counts)
+
+
+# Driver.column_play per preset x metric x composite (an l1 weight) x hint
+# policy, "-" where the preset takes no such parameter: a run plays its g
+# column by column play unless it needs its loss, is optimistic, keeps a
+# full metric, or is an ftrl run with a term centred at x_t or an l1 weight
+COLUMN_PLAY = {
+    ("ogd", "-", "-", "-"): True,
+    ("da", "-", "-", "-"): True,
+    ("adagrad-da", "diag", "-", "-"): True,
+    ("adagrad-da", "full", "-", "-"): False,
+    ("ftrl-prox", "diag", False, "-"): False,
+    ("ftrl-prox", "diag", True, "-"): False,
+    ("ftrl-prox", "full", False, "-"): False,
+    ("ftrl-prox", "full", True, "-"): False,
+    ("adagrad-md", "diag", "-", "-"): True,
+    ("adagrad-md", "full", "-", "-"): False,
+    ("md", "-", False, "-"): True,
+    ("md", "-", True, "-"): True,
+    **{("ao-ftrl-prox", "-", l1, hints): False
+       for l1 in (False, True) for hints in HINT_POLICIES},
+    **{("ao-md", "-", "-", hints): False for hints in HINT_POLICIES},
+    ("implicit-md", "-", "-", "-"): False,
+    ("nonlin-ftrl", "-", "-", "-"): False,
+}
+
+
+def test_column_play_eligibility_table():
+    got = {}
+    for preset in PRESETS:
+        defaults = preset_defaults(preset)
+        for metric in ("diag", "full") if "metric" in defaults else ("-",):
+            for l1 in (False, True) if "composite_alpha" in defaults else ("-",):
+                for hints in HINT_POLICIES if "hints" in defaults else ("-",):
+                    params = {"metric": metric, "hints": hints,
+                              "composite_alpha": "-" if l1 == "-" else 0.5 * l1}
+                    params = {k: v for k, v in params.items() if v != "-"}
+                    driver = Driver(preset, solvers.Box(-np.ones(1), np.ones(1)),
+                                    params, hint_fn=lambda t: np.zeros(1))
+                    got[preset, metric, l1, hints] = driver.column_play
+    assert got == COLUMN_PLAY
 
 
 def _float_buffers(root) -> list:

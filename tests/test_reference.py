@@ -5,8 +5,9 @@ recursion, with none of adaopt's regularizers, objectives or solvers.  On a
 box or the free set with a scalar or diagonal metric each argmin is closed
 form coordinatewise: soft-threshold for the l1 term, then clip.  On a ball
 with an isotropic metric (ogd, da, md, ao-ftrl-prox and ao-md, without l1)
-it is the projection of the unconstrained minimizer.  ogd, da and adagrad-da
-are also played through column play, from a stream that gives its g column.
+it is the projection of the unconstrained minimizer.  ogd, da, adagrad-da,
+adagrad-md and md (with and without l1) are also played through column
+play, from a stream that gives its g column.
 
     ftrl:  x_{t+1} = argmin <g_{1:t} + h_{t+1}, x> + p_{1:t}(x) + q_{0:t}(x)
     md:    x_{t+1} = argmin <g_t + h_{t+1} - h_t, x> + psi(x) + B_{r_{1:t}}(x, x_t)
@@ -146,7 +147,7 @@ def reference(preset, p, G, where):
     return np.array(xs), np.array(bregs)
 
 
-COLUMN_PRESETS = ("ogd", "da", "adagrad-da")
+COLUMN_PRESETS = ("ogd", "da", "adagrad-da", "adagrad-md", "md")
 
 
 class ColumnStream(losses.LinearStream):
@@ -172,8 +173,9 @@ def _check(preset, params, G, where):
           "free": lambda: solvers.Unconstrained(d),
           "ball": lambda: solvers.Ball(np.full(d, CENTER), RADIUS)}[where]()
     xs, bregs = reference(preset, params, G, where)
-    # every preset plays the scripted stream round by round; ogd, da and
-    # adagrad-da also take column play where the stream gives its g column
+    # every preset plays the scripted stream round by round; ogd, da,
+    # adagrad-da, adagrad-md and md also take column play where the stream
+    # gives its g column
     streams = [losses.LinearStream(lambda t: G[t - 1], d, "scripted")]
     if preset in COLUMN_PRESETS:
         streams.append(ColumnStream(G))
