@@ -32,7 +32,10 @@ is the argmin's warm start and md's Bregman anchor.  So, given that
 column, ``run_rounds`` computes them as prefix scans, and a round only
 points ftrl's objective at its rows, or anchors its row of r_{1:t} at x_t
 in md's fresh objective, and makes one certified ``solvers.minimize`` call
-on the floats ``round`` would compute.
+on the floats ``round`` would compute.  A run that needs its loss
+(nonlin-ftrl, implicit-md) plays isotropic quadratics from their centre
+column alike: a round computes g_t = w (x_t - c_t) and folds
+B_{f_t}(., x_t) in closed form, and f_t and ftrl's constant are scans.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import math
 import numpy as np
 
 from .core import MetricColumn, QuadMetric, as_point, rowdot, running
-from .losses import LinearLoss, is_isotropic_quadratic
+from .losses import LinearLoss, QuadraticLoss, is_isotropic_quadratic
 from .regularizers import (COMPOSITE_SETTINGS, ScheduleState, Terms,
                            adagrad_diag_rows, adagrad_diag_step,
                            adagrad_full_step,
@@ -188,9 +191,9 @@ class Driver:
         self.t = 0
         # r_{1:t}'s metric, which carries q_{0:t-1} in an ftrl run only
         self._r_metric = q0 if self.family == "ftrl" else self._zero
-        # whether ``_play_columns`` can play a g column (module docstring)
-        self.column_play = (not self.needs_loss and not self.optimistic
-                            and merged.get("metric") != "full"
+        # whether ``_play_columns`` can play a g column, or a centre column
+        # if the preset needs its loss (module docstring)
+        self.column_play = (not self.optimistic and merged.get("metric") != "full"
                             and (self.family == "md"
                                  or not (self.prox_at_x or self.composite)))
 
@@ -429,62 +432,102 @@ def _name_round(e: BaseException, t: int, layer: str) -> BaseException:
     return e
 
 
-def _play_columns(driver: Driver, G, x, loss_value, losses, sched_col, r_col) -> int:
+def _play_columns(driver: Driver, G, x, loss_value, losses, sched_col, r_col,
+                  quad=None) -> int:
     """Column play (module docstring) of the g column G, checked once, in
     chunks of at most 2**14 // d rounds, the stream kernel's; each scan
     starts from what the driver holds.  An ftrl round points its running
     objective at its rows; an md round folds its row of r_{1:t}, anchored
     at x_t, into a fresh objective over g_t, as ``Driver._step`` does.
-    Writes the ledger's rows (``sched_col`` is the column the schedule
-    fills: q~'s for ftrl, the proximal term's for md), leaves the driver as
-    per-round play would and returns the rounds played: fewer than T before
-    a round with a non-finite g, a schedule row ``_emit`` rejects, an
-    argmin that raises or any step that would warn of overflow or an
-    invalid value, which ``Driver.round`` plays, raising and warning as it
-    does."""
-    finite = np.isfinite(G).all(axis=1)
-    stop = len(G) if finite.all() else int(finite.argmin())
+    Given ``quad``, a centre column's (centres, weights), a round computes
+    its g row into G and folds B_{f_t}(., x_t) first (``fold_loss``), and
+    f_t and ftrl's constant are scanned after the rounds.  Writes the
+    ledger's rows (``sched_col`` is the column the schedule fills: q~'s for
+    ftrl, the proximal term's for md), leaves the driver as per-round play
+    would and returns the rounds played: fewer than T before a round with a
+    non-finite g, a schedule row ``_emit`` rejects, an argmin that raises or
+    any step that would warn of overflow or an invalid value, which
+    ``Driver.round`` plays, raising and warning as it does."""
+    if quad is None:
+        finite = np.isfinite(G).all(axis=1)
+        stop = len(G) if finite.all() else int(finite.argmin())
+    else:
+        (C, W), stop = quad, len(G)
     d, fs, md = driver.dim, driver.feasible_set, driver.family == "md"
     cap, i = max(1, 2 ** 14 // d), 0
     while i < stop:
         j, r_held = min(i + cap, stop), driver._r_metric
         with np.errstate(over="ignore", invalid="ignore"):
+            # a needs_loss preset's schedule reads no g, only the row count
             q, n, sums, roots = driver._emit_rows(i + 1, G[i:j])
-            r = rows = running(r_held._summand(), q[:n])
+            # r grows by the schedule's metric, or in nonlin-ftrl, whose
+            # q~_t is B_{f_t}(., x_t) alone, by f_t's weight
+            grow = q[:n] if quad is None or md else W[i:i + n]
+            r = rows = running(r_held._summand(), grow)
             if not md:
                 # a copy: the driver takes it only once a round is played
                 obj = copy.copy(driver._obj)
                 slot = "diag" if q.ndim == 2 else "gamma"
                 held = getattr(obj, slot)
-                lin = running(obj.lin, G[i:i + n])
-                rows = running(0.0 if held is None else held, q[:n])
-        rows, m = rows if q.ndim == 2 else rows.tolist(), n
+                lin = [obj.lin] if quad else running(obj.lin, G[i:i + n])
+                rows = running(0.0 if held is None else held, grow)
+        rows, m, k = rows if q.ndim == 2 else rows.tolist(), n, 0
         # a round that would warn raises here instead, and Driver.round
         # plays it; a row past an overflow in a scan is such a round, since
         # its fold or argmin meets the inf
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            for k in range(n):
-                try:
-                    if md:
-                        obj = solvers.Objective(fs, lin=G[i + k], l1_alpha=driver.alpha)
-                        obj.fold_row(x[i + k], rows[k + 1])
-                    else:
-                        obj.lin = lin[k + 1]
-                        setattr(obj, slot, rows[k + 1])
-                    obj.init = x[i + k]
-                    x[i + k + 1] = solvers.minimize(obj, tol=driver.solver_tol)
-                except (ValueError, FloatingPointError, solvers.NumericArgminError):
-                    m = k
-                    break
+            try:
+                if quad is None:
+                    for k in range(n):
+                        if md:
+                            obj = solvers.Objective(fs, lin=G[i + k], l1_alpha=driver.alpha)
+                            obj.fold_row(x[i + k], rows[k + 1])
+                        else:
+                            obj.lin = lin[k + 1]
+                            setattr(obj, slot, rows[k + 1])
+                        obj.init = x[i + k]
+                        x[i + k + 1] = solvers.minimize(obj, tol=driver.solver_tol)
+                else:
+                    ws = W[i:i + n].tolist()
+                    for k in range(n):
+                        g = G[i + k] = ws[k] * (x[i + k] - C[i + k])
+                        if md:
+                            obj = solvers.Objective(fs, lin=g)
+                        obj.fold_loss((ws[k], C[i + k]), g, const=False)
+                        if md:
+                            obj.fold_row(x[i + k], rows[k + 1])
+                        else:
+                            obj.lin = obj.lin + g
+                            lin.append(obj.lin)
+                        obj.init = x[i + k]
+                        x[i + k + 1] = solvers.minimize(obj, tol=driver.solver_tol)
+            except (ValueError, FloatingPointError, solvers.NumericArgminError):
+                m = k
+        s = slice(i, i + m)
         with np.errstate(over="ignore", invalid="ignore"):
-            f = rowdot(G[i:i + m], x[i:i + m])
-        if not np.isfinite(f).all():
-            # f_t = <g_t, x_t> overflows: Driver.round warns of it
-            m = int(np.isfinite(f).argmin())
+            # <g_t, x_t>: f_t, or with |x_t - c_t|^2 and |c_t|^2 the dots
+            # of f_t and the fold's constant
+            dots = [rowdot(G[s], x[s])]
+            f = dots[0]
+            if quad is not None:
+                D = x[s] - C[s]
+                dots += [rowdot(D, D), rowdot(C[s], C[s])]
+                f = 0.5 * W[s] * dots[1]
+                # ftrl's constant after each fold: a round adds (w/2)|c_t|^2
+                # (0.0 for c_t = 0, which leaves the constant, never -0.0,
+                # as it is), then <g_t, x_t> - f_t
+                const = running(driver._obj.const, np.stack(
+                    (0.5 * W[s] * dots[2], dots[0] - f), axis=1).ravel())
+        finite = np.isfinite(dots).all(axis=0)
+        if not finite.all():
+            # a dot product overflows: Driver.round warns of it
+            m = int(finite.argmin())
         if m:
             if not md:
                 obj.lin, obj.init = lin[m], x[i + m - 1]
                 setattr(obj, slot, rows[m])
+                if quad:
+                    obj.const = float(const[2 * m])
                 driver._obj = obj
                 r_col.put(i, r_held)
             driver.x = x[i + m]
@@ -495,7 +538,8 @@ def _play_columns(driver: Driver, G, x, loss_value, losses, sched_col, r_col) ->
             driver.t += m
             driver.solver_calls += m
             loss_value[i:i + m] = f[:m]
-            losses[i:i + m] = map(LinearLoss, G[i:i + m])
+            losses[i:i + m] = map(LinearLoss, G[i:i + m]) if quad is None else \
+                map(QuadraticLoss, C[i:i + m], ws)
             sched_col.put_rows(slice(i, i + m), q[:m])
             # ftrl's r_{1:t} is r's running metric before round t, md's after
             r_col.put_rows(slice(i + 1 - md, i + m), r[1:m + md])
@@ -517,7 +561,9 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
     g column before play (``g_column``) gives the ledger's: round t reads
     g_t there, and one ``LinearLoss`` of it is the revealed loss and the
     ledger's, and a ``column_play`` driver, ftrl or md, plays it by column
-    play (module docstring).  A
+    play (module docstring).  A stream of isotropic quadratics gives its
+    centre column (``quadratic_column``), whose rows the ledger's losses
+    view, and a ``column_play`` driver that needs its loss plays it.  A
     failure in any other stream (revealing the loss or drawing its
     gradient) names its round and the layer ``loss``, as ``Driver.round``
     names its own.
@@ -534,6 +580,7 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
     by_round = g_col is None
     if by_round:
         g_col = np.empty((T, d))
+    quad = seq.quadratic_column(T) if by_round else None
     loss_value = np.empty(T)
     losses = [None] * T
     sigma = np.empty((T, d)) if seq.stochastic else None
@@ -551,10 +598,11 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
     # ledger's copy
     driver.x = x[0]
     played = 0
-    if not by_round and not seq.stochastic and driver.column_play:
+    if driver.column_play and not seq.stochastic and (
+            quad is not None if driver.needs_loss else not by_round):
         played = _play_columns(driver, g_col, x, loss_value, losses,
                                prox if driver.family == "md" else q_metric,
-                               r_metric)
+                               r_metric, quad)
     for t in range(played + 1, T + 1):
         i = t - 1
         if hint is not None:
@@ -562,7 +610,8 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
         if by_round:
             g = None
             try:
-                loss_t = losses[i] = seq.loss(t)
+                loss_t = losses[i] = seq.loss(t) if quad is None \
+                    else QuadraticLoss(quad[0][i], quad[1][i])
                 if sigma is not None:
                     g, sigma[i] = seq.gradient(t, driver.x, rng)
                 elif not driver.needs_loss:
@@ -606,4 +655,4 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
         kind=driver.family, prox_at_x=driver.prox_at_x, psi_alpha=driver.alpha,
         needs_loss=driver.needs_loss, composite=driver.composite,
         stochastic=bool(seq.stochastic), schedule=driver.schedule_info(),
-        solver_calls=driver.solver_calls)
+        solver_calls=driver.solver_calls, quadratic=quad)

@@ -33,17 +33,16 @@ class Loss:
     differentiable that is the gradient.  ``vector`` is the v of a linear
     loss <v, x>, which ``LossColumn`` evaluates as a matrix row, and
     ``isotropic`` the (w, c) of a quadratic (w/2) ||x - c||_2^2, which the
-    accounting and the argmin fold in closed form.  Only ``linear_loss`` and
-    ``quadratic_loss`` set them: a loss is what its handles compute, whatever
+    accounting and the argmin fold in closed form.  Only ``LinearLoss`` and
+    ``QuadraticLoss`` set them: a loss is what its handles compute, whatever
     its name.
     """
 
+    vector = isotropic = None
+
     def __init__(self, name, value, grad, dir_deriv=None, smoothness=None,
-                 strong_convexity=0.0, star_center=None, vector=None,
-                 isotropic=None):
+                 strong_convexity=0.0, star_center=None):
         self.name = name
-        self.vector = vector
-        self.isotropic = isotropic
         self._value = value
         self._grad = grad
         self._dir = dir_deriv
@@ -81,7 +80,7 @@ def linear_loss(v) -> Loss:
 class LinearLoss(Loss):
     """<v, x> for a checked v = ``vector``; its value is ``core.dot``'s ddot."""
 
-    name, isotropic, star_center, _dir = "linear", None, None, None
+    name, star_center, _dir = "linear", None, None
     smoothness = strong_convexity = 0.0
 
     def __init__(self, v: np.ndarray):
@@ -96,25 +95,31 @@ class LinearLoss(Loss):
 
 def quadratic_loss(center, weight: float = 1.0) -> Loss:
     """(weight/2) ||x - center||_2^2: weight-smooth and weight-strongly convex."""
-    return _quadratic(as_point(center), weight)
+    return QuadraticLoss(as_point(center), weight)
 
 
-def _quadratic(center: np.ndarray, weight: float) -> Loss:
-    """``quadratic_loss`` for a checked centre, which is also its star
-    centre; the weight is checked here."""
-    weight = float(weight)
-    if weight <= 0:
-        raise ValueError("quadratic loss needs a positive weight")
-    loss = Loss(
-        "quadratic",
-        value=lambda x: 0.5 * weight * float(np.dot(x - center, x - center)),
-        grad=lambda x: weight * (x - center),
-        smoothness=weight,
-        strong_convexity=weight,
-        isotropic=(weight, center),
-    )
-    loss.star_center = center
-    return loss
+class QuadraticLoss(Loss):
+    """``quadratic_loss`` for a checked centre, such as a row of a stream's
+    centre column, which the loss views and which is also its star centre;
+    the weight is checked here."""
+
+    name, _dir = "quadratic", None
+
+    def __init__(self, center: np.ndarray, weight: float):
+        weight = float(weight)
+        if weight <= 0:
+            raise ValueError("quadratic loss needs a positive weight")
+        self.isotropic, self.star_center = (weight, center), center
+        self.smoothness = self.strong_convexity = weight
+
+    def value(self, x) -> float:
+        weight, center = self.isotropic
+        x = np.asarray(x, dtype=float)
+        return 0.5 * weight * float(np.dot(x - center, x - center))
+
+    def grad(self, x) -> np.ndarray:
+        weight, center = self.isotropic
+        return weight * (np.asarray(x, dtype=float) - center)
 
 
 def is_isotropic_quadratic(loss: Loss) -> bool:
@@ -393,6 +398,12 @@ class LossSequence:
         None for any other, which play reads round by round."""
         return None
 
+    def quadratic_column(self, T: int):
+        """(centres (T, dim), weights (T,)) of rounds 1..T, checked once,
+        for a stream of isotropic quadratics (w_t/2) ||x - c_t||^2; None for
+        any other, or where a check fails, which play reads round by round."""
+        return None
+
     def per_round_variation(self, T: int, feasible_set):
         """Exact per-round sup ||grad f_t - grad f_{t-1}||^2 terms, or None."""
         return None
@@ -509,7 +520,7 @@ class DriftingQuadratic(LossSequence):
         return as_point(self.center_fn(t))
 
     def loss(self, t):
-        return _quadratic(self.center(t), self.weight)
+        return QuadraticLoss(self.center(t), self.weight)
 
     def column(self, ts):
         # one check of the stacked centres; a scalar centre is a 1-vector
@@ -517,8 +528,18 @@ class DriftingQuadratic(LossSequence):
         centers = centers[:, None] if centers.ndim == 1 else centers
         if centers.shape[1:] != (self.dim,) or not np.isfinite(centers).all():
             raise ValueError(f"centres must be finite 1-d points of dim {self.dim}")
+        # the one weight, stored once
         return LossColumn(len(centers), [(slice(None), "quadratic", (
-            centers, np.full(len(centers), self.weight)))])
+            centers, np.broadcast_to(self.weight, (len(centers),))))])
+
+    def quadratic_column(self, T):
+        # a centre or weight that a round's loss, or its folded metric,
+        # rejects is left to per-round play, which names the round it fails
+        try:
+            return self.column(range(1, T + 1)).groups[0][2] \
+                if 0 < self.weight < INF else None
+        except ValueError:
+            return None
 
     def per_round_variation(self, T, feasible_set):
         first = _sup_grad_norm_sq(self.loss(1), feasible_set)

@@ -80,7 +80,8 @@ class Ledger:
     ``eta`` eta_t (None for a schedule without one).  ``q0_term`` is q~_0
     as the driver emitted it; ``q0_tilde`` and ``q0`` are its handle views.
     ``breg_r``, B_{r_{1:t}}(x_{t+1}, x_t), is no column: play does not need
-    it, and it is derived from the columns when first read.
+    it, and it is derived from the columns when first read.  ``quadratic``
+    is the centre column whose rows the losses view, or None.
     """
 
     x: np.ndarray
@@ -103,6 +104,7 @@ class Ledger:
     stochastic: bool = False
     schedule: dict = field(default_factory=dict)
     solver_calls: int = 0
+    quadratic: tuple | None = None
 
     @property
     def T(self) -> int:
@@ -144,7 +146,10 @@ class Ledger:
     def loss_column(self) -> LossColumn:
         """The losses as one ``LossColumn``, built when first read.  Under
         exact feedback play keeps a linear loss as a ``LinearLoss`` of its
-        g row, so a run of them is the column ``g`` itself."""
+        g row, so a run of them is the column ``g`` itself; a run of
+        quadratics from one centre column is that column."""
+        if self.quadratic is not None:
+            return LossColumn(self.T, [(slice(None), "quadratic", self.quadratic)])
         if self.sigma is None and all(type(f) is LinearLoss for f in self.losses):
             return LossColumn(self.T, [(slice(None), "linear", self.g)])
         return LossColumn.of(self.losses)
@@ -185,7 +190,8 @@ class Ledger:
             losses=self.losses[:T], sigma=cut(self.sigma),
             hint=cut(self.hint, T + 1), prox=self.prox.cut(T),
             q_metric=self.q_metric.cut(T), r_metric=self.r_metric.cut(T),
-            eta=cut(self.eta))
+            eta=cut(self.eta), quadratic=self.quadratic and tuple(
+                cut(col) for col in self.quadratic))
 
 
 class RoundRecord:

@@ -273,6 +273,10 @@ def simplex_project(v: np.ndarray, scale: float = 1.0) -> np.ndarray:
     css = np.cumsum(u) - scale
     idx = np.arange(1, v.size + 1)
     cond = u - css / idx > 0
+    if not cond.any():
+        # rounding fails k = 1 on an input spanning over 2**53; v less its
+        # largest entry has the same projection, and there k = 1 holds
+        return simplex_project(v - u[0], scale)
     k = int(np.max(idx[cond]))
     theta = css[k - 1] / k
     return np.maximum(v - theta, 0.0)
@@ -369,7 +373,7 @@ class Objective:
             m = metric.matrix if scale == 1.0 else scale * metric.matrix
             self.full = m + 0.0 if self.full is None else self.full + m
             self.full_evals = self.full_evecs = None
-        if center is not None and center.any():
+        if center is not None and np.count_nonzero(center):
             mc = metric.matvec(center)
             self.lin = self.lin - scale * mc
             self.const += 0.5 * scale * float(np.dot(center, mc))
@@ -383,7 +387,7 @@ class Objective:
             self._fold_isotropic(center, row)
             return
         self.diag = row + 0.0 if self.diag is None else self.diag + row
-        if center.any():
+        if np.count_nonzero(center):
             mc = row * center
             self.lin = self.lin - mc
             self.const += 0.5 * float(np.dot(center, mc))
@@ -396,13 +400,16 @@ class Objective:
         self.gamma, self.diag = 0.0, None
         self.full, self.full_evals, self.full_evecs = metric.matrix, metric._evals, metric._evecs
 
-    def _fold_isotropic(self, center, gamma: float, quadratic: bool = True):
-        """Fold gamma/2 ||x - center||^2 (see ``fold_quadratic``)."""
-        if center is not None and center.any():
+    def _fold_isotropic(self, center, gamma: float, quadratic: bool = True,
+                        const: bool = True):
+        """Fold gamma/2 ||x - center||^2 (see ``fold_quadratic``), its
+        constant only with ``const``."""
+        if center is not None and np.count_nonzero(center):
             # a shifted isotropic quadratic is no longer pure gamma*I in
             # x'Mx form; fold the cross term into lin and keep gamma
             self.lin = self.lin - gamma * center
-            self.const += 0.5 * gamma * float(np.dot(center, center))
+            if const:
+                self.const += 0.5 * gamma * float(np.dot(center, center))
         if quadratic:
             self.gamma += gamma
 
@@ -423,16 +430,21 @@ class Objective:
             self.lin = self.lin + term.shift
 
     def _fold_divergence(self, loss, anchor, f_anchor, g_anchor):
-        """Fold B_f(., anchor) = f - f(a) - <grad f(a), . - a>: the loss (in
-        closed form when isotropic), its anchor gradient out of the linear
-        slot, the rest into the constant."""
-        if is_isotropic_quadratic(loss):
-            weight, center = loss.isotropic
-            self._fold_isotropic(center, weight)
-        else:
-            self.losses.append(loss)
-        self.lin = self.lin - g_anchor
+        """Fold B_f(., anchor) = f - f(a) - <grad f(a), . - a>: f less its
+        anchor gradient (``fold_loss``), the rest into the constant."""
+        self.fold_loss(loss.isotropic if is_isotropic_quadratic(loss) else loss,
+                       g_anchor)
         self.const += float(np.dot(g_anchor, anchor)) - f_anchor
+
+    def fold_loss(self, f, g_anchor, const: bool = True):
+        """Fold f - <g_anchor, .> for f a loss handle, or the (w, c) of
+        (w/2) ||. - c||^2, folded in closed form, its constant only with
+        ``const`` (column play scans the constants)."""
+        if type(f) is tuple:
+            self._fold_isotropic(f[1], f[0], const=const)
+        else:
+            self.losses.append(f)
+        self.lin = self.lin - g_anchor
 
     def add_regularizer(self, reg: Regularizer, scale: float = 1.0):
         if reg.is_zero():
@@ -537,8 +549,12 @@ class Objective:
 def _certify(obj: Objective, x: np.ndarray, smooth: float, w=None) -> np.ndarray:
     """x, if its projected-gradient fixed-point residual at step 1/L, for
     the objective's smoothness L, is within 1e-8 (1 + ||lin|| + L); the
-    residual also rejects non-finite values.  Otherwise raise.  Given a
-    separable part's weights ``w``, the gradient is lin + w x."""
+    residual also rejects non-finite values.  Otherwise, or when L is not
+    finite and the step would be 0, raise.  Given a separable part's
+    weights ``w``, the gradient is lin + w x."""
+    if not smooth < INF:
+        raise IllPosedError(
+            f"ill-posed argmin: quadratic part has max curvature {smooth}")
     step = 1.0 / max(smooth, 1.0)
     ahead = x - step * (obj.smooth_grad(x) if w is None else obj.lin + w * x)
     if obj.l1_alpha:

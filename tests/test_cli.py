@@ -302,6 +302,22 @@ def test_runtime_error_names_its_round_and_layer(tmp_path, capsys):
     assert err["round"] == 1 and err["layer"] == "schedule"
 
 
+def test_infinite_curvature_is_an_ill_posed_round(tmp_path, capsys):
+    # md's r_{1:2} = 1e308 + 2 * 5e307 overflows to inf, so round 2's
+    # certificate would take a step of 0; it raised ZeroDivisionError with a
+    # traceback, and now names the round and the layer, exit code 3
+    run = cfg_with(preset="md", params={"q0_scale": 1e308, "sigma_r": 5e307},
+                   set={"kind": "box", "dim": 3}, T=4, seeds=[0],
+                   bounds=["oo-md", "forward"])
+    path = write_cfg(tmp_path, run, "inf.json")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", path, "--out", str(tmp_path / "r")]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert (err["round"], err["layer"]) == (2, "step")
+    assert err["message"] == ("round 2: step: ill-posed argmin: quadratic part "
+                              "has max curvature inf")
+
+
 def test_run_outputs_honour_the_umask(tmp_path):
     cfg_path = write_cfg(tmp_path, cfg_with(seeds=[0]))
     for mask, mode in ((0o022, 0o644), (0o027, 0o640)):

@@ -3,10 +3,13 @@ hint plumbing, and the composite path."""
 
 import math
 import sys
+import warnings
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from adaopt import core, losses, regret, regularizers, solvers
 from adaopt.learners import (HINT_POLICIES, PRESETS, Driver, preset_defaults,
@@ -574,8 +577,9 @@ def test_closed_form_round_builds_only_what_its_update_needs(monkeypatch):
 
 # Driver.column_play per preset x metric x composite (an l1 weight) x hint
 # policy, "-" where the preset takes no such parameter: a run plays its g
-# column by column play unless it needs its loss, is optimistic, keeps a
-# full metric, or is an ftrl run with a term centred at x_t or an l1 weight
+# column (a run that needs its loss, its centre column) by column play
+# unless it is optimistic, keeps a full metric, or is an ftrl run with a
+# term centred at x_t or an l1 weight
 COLUMN_PLAY = {
     ("ogd", "-", "-", "-"): True,
     ("da", "-", "-", "-"): True,
@@ -592,8 +596,8 @@ COLUMN_PLAY = {
     **{("ao-ftrl-prox", "-", l1, hints): False
        for l1 in (False, True) for hints in HINT_POLICIES},
     **{("ao-md", "-", "-", hints): False for hints in HINT_POLICIES},
-    ("implicit-md", "-", "-", "-"): False,
-    ("nonlin-ftrl", "-", "-", "-"): False,
+    ("implicit-md", "-", "-", "-"): True,
+    ("nonlin-ftrl", "-", "-", "-"): True,
 }
 
 
@@ -657,3 +661,141 @@ def test_random_linear_ledger_losses_read_the_ledgers_g_column(preset, params):
         assert np.array_equal(f.vector, stream.vector(t))
         assert f.value(led.x[t - 1]) == led.loss_value[t - 1]
     assert len(led.prefix(70).losses) == 70
+
+
+@pytest.mark.parametrize("preset,params", [
+    ("nonlin-ftrl", {}), ("implicit-md", {}), ("ogd", {})])
+def test_drifting_quadratic_ledger_stores_its_centres_once(preset, params):
+    # a stream of quadratics gives its centres as one checked column: the
+    # round losses view its rows and the accounting reads it as it is, so
+    # no buffer reachable from the ledger's losses or their column is a
+    # second copy of the centres (the weight is one float)
+    T, d = 150, 6
+    seq = losses.sine_drift_quadratic(d, 0.6, 11.0, 1.3)
+    led = run(preset, solvers.Ball(np.zeros(d), 1.0), params, seq, T)
+    centres, weights = led.quadratic
+    assert weights.size == T and weights.base.size == 1
+    for root in (led.losses, led.loss_column):
+        bufs = _float_buffers(root)
+        assert all(b is centres or b.size == 1 for b in bufs), [b.shape for b in bufs]
+    for t in (1, 64, T):
+        f = led.losses[t - 1]
+        assert np.array_equal(f.isotropic[1], seq.center(t))
+        assert f.value(led.x[t - 1]) == led.loss_value[t - 1]
+    assert np.array_equal(led.loss_column.value(led.x[:-1]), led.loss_value)
+    assert led.prefix(70).loss_column.groups[0][2][0].shape == (70, d)
+
+
+class _CentresRoundByRound(losses.DriftingQuadratic):
+    """The same quadratics without their centre column: play reads them
+    round by round, through ``Driver.round``."""
+
+    def quadratic_column(self, T):
+        return None
+
+
+def _play_quadratics(stream, preset, params, fs, C, weight):
+    """Play ``preset`` on the quadratics of ``weight`` centred at C's rows:
+    (ledger or None, driver, the failure's type, message, round and layer
+    or None, each warning's category, message and place, the rounds
+    ``Driver.round`` played)."""
+    driver, calls, led, failed = Driver(preset, fs, dict(params)), [], None, None
+    with warnings.catch_warnings(record=True) as caught, mock.patch.object(
+            Driver, "round", _spy(calls, "round", Driver.round)):
+        warnings.simplefilter("always")
+        try:
+            led = run_rounds(driver, stream(lambda t: C[t - 1], C.shape[1], weight),
+                             len(C))
+        except (ValueError, solvers.NumericArgminError) as e:
+            failed = (type(e), str(e), e.round, e.layer)
+    warned = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    return led, driver, failed, warned, len(calls)
+
+
+def _bits(v):
+    """v as bytes, so NaN matches NaN and 0.0 does not match -0.0; None,
+    ints and strings as they are."""
+    if isinstance(v, np.ndarray):
+        return v.dtype, v.shape, v.tobytes()
+    return (type(v), np.float64(v).tobytes()) if type(v) is float else v
+
+
+def _quadratic_state(driver, led):
+    """The driver's end state and, after a run, its ledger's columns and
+    losses, each as ``_bits``."""
+    r, obj = driver._r_metric, driver._obj
+    out = {"x": driver.x, "t": driver.t, "solver_calls": driver.solver_calls,
+           "r.kind": r.kind, "r.gamma": r.gamma, "r.dim": r.dim,
+           **{f"obj.{k}": getattr(obj, k)
+              for k in ("lin", "gamma", "diag", "const", "l1_alpha", "init")}}
+    if led is not None:
+        out.update({k: getattr(led, k) for k in ("x", "g", "loss_value")})
+        for name in ("prox", "q_metric", "r_metric"):
+            m = getattr(led, name)
+            out.update({f"{name}.{k}": getattr(m, k) for k in ("kind", "gamma", "wide")})
+        out["centres"] = np.array([f.isotropic[1] for f in led.losses])
+        out["weights"] = np.array([f.isotropic[0] for f in led.losses])
+        with np.errstate(over="ignore", invalid="ignore"):
+            out["f"] = led.loss_column.value(led.x[:-1])
+    return {k: _bits(v) for k, v in out.items()}
+
+
+@given(preset=st.sampled_from(["nonlin-ftrl", "implicit-md"]),
+       kind=st.sampled_from(["box", "ball", "unconstrained"]),
+       d=st.one_of(st.integers(1, 6), st.just(256)), T=st.integers(1, 70),
+       q0=st.sampled_from([0.0, 1e-3, 1.0, 4.0, 1e308]),
+       sigma_r=st.sampled_from([0.0, 0.5, 2.0, 1e308]),
+       weight=st.sampled_from([1e-3, 0.5, 1.0, 3.0, 1e150, 1e308]),
+       seed=st.integers(0, 2 ** 16), zero=st.integers(0, 2 ** 16),
+       big=st.sampled_from([None, 1e155, 1e160, 1e300]), at=st.integers(0, 2 ** 16))
+# a centre of norm ~1e160: |c_t|^2 in round 4's fold constant overflows,
+# and Driver.round plays rounds 4 to 12, warning, after column play's three
+@example(preset="nonlin-ftrl", kind="ball", d=3, T=12, q0=1.0, sigma_r=0.0,
+         weight=1.0, seed=1, zero=0, big=1e160, at=3)
+# |x_t - c_t|^2 and |c_t|^2 overflow in round 6's f_t and fold constant, and
+# nothing in its fold or argmin does: the dots, scanned after the rounds,
+# hand rounds 6 to 12 to Driver.round
+@example(preset="nonlin-ftrl", kind="box", d=3, T=12, q0=1.0, sigma_r=0.0,
+         weight=1e-3, seed=1, zero=0, big=1e155, at=5)
+# w (x_t - c_t) overflows in round 2's g: Driver.round warns, then fails
+# in its argmin after column play's round 1
+@example(preset="implicit-md", kind="box", d=2, T=12, q0=0.0, sigma_r=1.0,
+         weight=1e150, seed=1, zero=5, big=1e300, at=1)
+# r_1 = 1e308: round 1's certificate warns of a norm's overflow, and
+# r_{1:2} = 2e308 overflows: round 2's argmin fails on infinite curvature
+@example(preset="implicit-md", kind="ball", d=2, T=12, q0=0.0, sigma_r=1e308,
+         weight=1.0, seed=2, zero=0, big=None, at=0)
+# q~_0 + w = 2e308 overflows in round 1: its argmin fails on infinite
+# curvature, without a warning, in column play and again in Driver.round
+@example(preset="nonlin-ftrl", kind="unconstrained", d=2, T=12, q0=1e308,
+         sigma_r=0.0, weight=1e308, seed=3, zero=0, big=None, at=0)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_quadratic_column_play_matches_round_by_round_play(
+        preset, kind, d, T, q0, sigma_r, weight, seed, zero, big, at):
+    # nonlin-ftrl and implicit-md play a drifting-quadratic stream from its
+    # centre column (at d = 256 in chunks of 2**14 // d = 64 rounds), and
+    # the same stream without its column round by round: their ledgers, the
+    # drivers' end states (ftrl's running objective with its constant
+    # included), failures and warnings are the same bit for bit.  A centre
+    # row is all zeros, and one may be large enough that a round warns or
+    # fails; a round that would warn is played by Driver.round
+    fs = {"box": lambda: solvers.Box(-np.ones(d), np.ones(d)),
+          "ball": lambda: solvers.Ball(np.full(d, 0.1), 0.7),
+          "unconstrained": lambda: solvers.Unconstrained(d)}[kind]()
+    C = np.random.default_rng(seed).uniform(-1.5, 1.5, (T, d))
+    C[zero % T] = 0.0
+    if big is not None:
+        C[at % T] *= big
+    params = {"q0_scale": q0}
+    if preset == "implicit-md":
+        params["sigma_r"] = sigma_r
+    led, driver, failed, warned, rounds = _play_quadratics(
+        losses.DriftingQuadratic, preset, params, fs, C, weight)
+    led_r, driver_r, failed_r, warned_r, rounds_r = _play_quadratics(
+        _CentresRoundByRound, preset, params, fs, C, weight)
+    assert failed == failed_r and warned == warned_r
+    assert _quadratic_state(driver, led) == _quadratic_state(driver_r, led_r)
+    assert rounds_r == driver_r.t + (failed_r is not None)
+    if failed is None and not warned:
+        # no round was left to Driver.round
+        assert rounds == 0 and led.quadratic is not None

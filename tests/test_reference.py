@@ -7,7 +7,14 @@ form coordinatewise: soft-threshold for the l1 term, then clip.  On a ball
 with an isotropic metric (ogd, da, md, ao-ftrl-prox and ao-md, without l1)
 it is the projection of the unconstrained minimizer.  ogd, da, adagrad-da,
 adagrad-md and md (with and without l1) are also played through column
-play, from a stream that gives its g column.
+play, from a stream that gives its g column.  The presets that need their
+loss, nonlin-ftrl and implicit-md, are written out on drifting quadratics
+f_t = (w/2) ||x - c_t||^2, played from their centre column and round by
+round:
+
+    nonlin-ftrl:  x_{t+1} = Proj((sum_{s<=t} w c_s) / (q0 + t w))
+    implicit-md:  x_{t+1} = Proj((w c_t + gamma_t x_t) / (w + gamma_t)),
+                  gamma_t = q0 + t sigma_r
 
     ftrl:  x_{t+1} = argmin <g_{1:t} + h_{t+1}, x> + p_{1:t}(x) + q_{0:t}(x)
     md:    x_{t+1} = argmin <g_t + h_{t+1} - h_t, x> + psi(x) + B_{r_{1:t}}(x, x_t)
@@ -209,6 +216,69 @@ def test_driver_matches_the_textbook_projection_on_a_ball(case, d, T, seed, scal
     preset, params = CASES[case]
     G = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, (T, d))
     _check(preset, params, G, "ball")
+
+
+# (preset, params) of the presets that need their loss
+QUADRATIC_CASES = [
+    ("nonlin-ftrl", {"q0_scale": 0.0}),
+    ("nonlin-ftrl", {"q0_scale": 1.3}),
+    ("implicit-md", {"q0_scale": 0.0, "sigma_r": 0.8}),
+    ("implicit-md", {"q0_scale": 0.7, "sigma_r": 0.4}),
+]
+
+
+def quadratic_reference(preset, p, C, w, where):
+    """(iterates x_1..x_{T+1}, r-divergences) of ``preset`` on the
+    quadratics of weight w centred at C's rows, over ``where``."""
+    T, d = C.shape
+    q0 = p["q0_scale"]
+    start = np.full(d, {"box": 0.5 * (LO + HI), "free": 0.0, "ball": CENTER}[where])
+    x = _argmin(q0, np.zeros(d), 0.0, where) if q0 else start
+    xs, bregs, total = [x], [], np.zeros(d)
+    for t in range(1, T + 1):
+        if preset == "nonlin-ftrl":
+            # r_{1:t} = q~_0 and the quadratics of rounds before t
+            r = q0 + (t - 1) * w
+            total = total + w * C[t - 1]
+            x_next = _argmin(q0 + t * w, total, 0.0, where)
+        else:
+            r = q0 + t * p["sigma_r"]
+            x_next = _argmin(w + r, w * C[t - 1] + r * x, 0.0, where)
+        bregs.append(0.5 * r * float(np.sum((x_next - x) ** 2)))
+        x = x_next
+        xs.append(x)
+    return np.array(xs), np.array(bregs)
+
+
+class RoundByRoundQuadratics(losses.DriftingQuadratic):
+    """The quadratics without their centre column, which play reads round
+    by round."""
+
+    def quadratic_column(self, T):
+        return None
+
+
+@given(case=st.sampled_from(range(len(QUADRATIC_CASES))), d=st.integers(1, 5),
+       T=st.integers(1, 25), where=st.sampled_from(["box", "free", "ball"]),
+       seed=st.integers(0, 2 ** 16), w=st.sampled_from([0.3, 1.0, 2.5]),
+       zero=st.integers(0, 24))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_loss_carrying_presets_match_the_textbook_recursion(case, d, T, where,
+                                                            seed, w, zero):
+    preset, params = QUADRATIC_CASES[case]
+    C = np.random.default_rng(seed).uniform(-1.0, 1.0, (T, d))
+    C[zero % T] = 0.0
+    fs = {"box": lambda: solvers.Box(np.full(d, LO), np.full(d, HI)),
+          "free": lambda: solvers.Unconstrained(d),
+          "ball": lambda: solvers.Ball(np.full(d, CENTER), RADIUS)}[where]()
+    xs, bregs = quadratic_reference(preset, params, C, w, where)
+    for stream in (losses.DriftingQuadratic, RoundByRoundQuadratics):
+        driver = Driver(preset, fs, dict(params))
+        assert driver.column_play
+        led = run_rounds(driver, stream(lambda t: C[t - 1], d, w), T)
+        assert (led.quadratic is not None) == (stream is losses.DriftingQuadratic)
+        assert _close(led.x, xs), (preset, np.max(np.abs(led.x - xs)))
+        assert _close(led.breg_r, bregs), (preset, np.max(np.abs(led.breg_r - bregs)))
 
 
 @pytest.mark.parametrize("case", range(len(CASES)))

@@ -57,6 +57,35 @@ def test_simplex_project_matches_grid():
         assert np.sqrt(d_grid) <= np.sqrt(d_proj) + h * np.sqrt(3.0)
 
 
+def test_simplex_project_past_2_53_projects_the_shifted_input():
+    # u_1 - (u_1 - scale) / 1 rounds to 0 once the input spans more than
+    # 2**53, so no k meets the water-filling condition in floats (it raised
+    # "zero-size array" here); the same input less its largest entry has
+    # the same projection, and there k = 1 meets it
+    assert np.array_equal(simplex_project(np.array([1e20, 0.0, -1e20])),
+                          [1.0, 0.0, 0.0])
+    assert np.array_equal(simplex_project(np.array([1e20, 1e20, 0.0]), 2.0),
+                          [1.0, 1.0, 0.0])
+    # an isotropic argmin there is certified on that point
+    obj = Objective(Simplex(3), lin=np.array([-1e20, 0.0, 1e20]), gamma=1.0)
+    assert np.array_equal(minimize(obj), [1.0, 0.0, 0.0])
+
+
+def test_a_diagonal_simplex_argmin_past_2_53_fails_as_a_typed_error():
+    # adagrad-md at gamma0 = 0 on a 3-simplex: round 3's numeric argmin
+    # projects iterates that span more than 2**53 and reaches no
+    # certificate; the error names its round and layer
+    from adaopt.learners import Driver, run_rounds
+    G = np.array([[-4.2e10, -2.4e-148, 2.9e-155], [0.0, 7.3e-140, 5.9e106],
+                  [0.0, -8.9e47, -8.9e115]])
+    seq = losses.LinearStream(lambda t: G[t - 1], 3, "scripted")
+    driver = Driver("adagrad-md", Simplex(3), {"gamma0": 0.0, "eta": 1.0})
+    with np.errstate(all="ignore"), pytest.raises(NumericArgminError) as info:
+        run_rounds(driver, seq, 3)
+    assert (info.value.round, info.value.layer) == (3, "step")
+    assert driver.t == 2
+
+
 @given(y=pts(3), z=pts(3))
 @settings(max_examples=150, deadline=None)
 def test_projections_idempotent_and_nonexpansive(y, z):
