@@ -24,18 +24,21 @@ r-divergence B_{r_{1:t}}(x_{t+1}, x_t), a term of the forward bound only,
 is derived from the ledger's columns when read (``regret.Ledger.breg_r``).
 ``run_rounds`` writes each round's parameters into the ledger's columns.
 
-Column play: in an ftrl run whose terms are all centred at the origin and
-whose q~_t reads g alone (ogd, da, diagonal adagrad-da), and in an md run
-whose r_t reads g alone (md, composite or not, and diagonal adagrad-md),
-the schedule, r_{1:t} and ftrl's objective depend on the g column only; x_t
-is the argmin's warm start and md's Bregman anchor.  So, given that
-column, ``run_rounds`` computes them as prefix scans, and a round only
-points ftrl's objective at its rows, or anchors its row of r_{1:t} at x_t
-in md's fresh objective, and makes one certified ``solvers.minimize`` call
-on the floats ``round`` would compute.  A run that needs its loss
-(nonlin-ftrl, implicit-md) plays isotropic quadratics from their centre
-column alike: a round computes g_t = w (x_t - c_t) and folds
-B_{f_t}(., x_t) in closed form, and f_t and ftrl's constant are scans.
+A separable schedule (all but ao-ftrl-prox's and a full metric's) is one
+scan over g rows, ``Driver._emit_rows``, and a round that ``round`` plays
+reads row 0 of a one-row scan.  Column play: in an ftrl run whose terms are
+all centred at the origin and whose q~_t reads g alone (ogd, da, diagonal
+adagrad-da), and in an md run whose r_t reads g alone (md, composite or
+not, and diagonal adagrad-md), the schedule, r_{1:t} and ftrl's objective
+depend on the g column only; x_t is the argmin's warm start and md's
+Bregman anchor.  So, given that column, ``run_rounds`` computes them as
+prefix scans, and a round only points ftrl's objective at its rows, or
+anchors its row of r_{1:t} at x_t in md's fresh objective, and makes one
+certified ``solvers.minimize`` call on the floats ``round`` would compute.
+A run that needs its loss (nonlin-ftrl, implicit-md) plays isotropic
+quadratics from their centre column alike: a round computes
+g_t = w (x_t - c_t) and folds B_{f_t}(., x_t) in closed form, and f_t and
+ftrl's constant are scans.
 """
 
 from __future__ import annotations
@@ -120,8 +123,8 @@ class Driver:
     the way is raised again, its message prefixed by the round and the
     layer (gradient, loss, schedule, fold or step), which it also carries as
     its ``round`` and ``layer`` attributes.  Preset names are read in
-    three places only: ``_parse``, ``_emit`` and ``_emit_rows``, its
-    column form.
+    ``_parse``, in ``_emit_rows``, the one form of every separable
+    schedule, and in ``_emit``'s adagrad and ao-ftrl-prox branches.
     """
 
     def __init__(self, preset: str, feasible_set, params: dict | None = None,
@@ -258,12 +261,10 @@ class Driver:
     def _emit(self, t: int, g):
         """Round t's (metric of the proximal term, metric of q~_t's
         quadratic, eta_t): the proximal term is p_t for ftrl and r_t for md,
-        centred where ``prox_at_x`` says; eta_t is recorded for the
-        optimistic step-size schedules and None elsewhere."""
+        centred where ``prox_at_x`` says; eta_t is the optimistic schedules'
+        (else None).  A separable schedule's is row 0 of a one-row scan,
+        which ``_iso``'s checking constructor raises on where it rejects it."""
         zero = self._zero
-        if self.preset in ("adagrad-da", "ftrl-prox", "adagrad-md"):
-            incr, _ = self._adagrad_step(self._sched, g, self._eta, self._gamma0)
-            return (zero, incr, None) if self.preset == "adagrad-da" else (incr, zero, None)
         if self.preset == "ao-ftrl-prox":
             if self.params["eta_schedule"] == "scale-free":
                 eta_t = scale_free_eta(self._sched, g, self.hint, self._eta0)
@@ -273,14 +274,11 @@ class Driver:
             gamma = eta_increment(eta_t, self._eta_prev)
             self._eta_prev = eta_t
             return QuadMetric.scaled(gamma, self.feasible_set.dim), zero, eta_t
-        if self.preset == "da":
-            alpha_t = self._alpha_growth * (math.sqrt(t + 1.0) - math.sqrt(float(t)))
-            return zero, QuadMetric.scaled(alpha_t, self.feasible_set.dim), None
-        if self.family == "md":
-            # md, ao-md, implicit-md: r_1 also carries q~_0's scale
-            scale = self._q0_scale + self._sigma_r if t == 1 else self._sigma_r
-            return QuadMetric.scaled(scale, self.feasible_set.dim), zero, None
-        return zero, zero, None     # ogd, nonlin-ftrl
+        if self.preset in ("adagrad-da", "ftrl-prox", "adagrad-md"):
+            m, _ = self._adagrad_step(self._sched, g, self._eta, self._gamma0)
+        else:
+            m = self._iso(float(self._emit_rows(t, g[None])[0][0]))
+        return (m, zero, None) if self.prox_at_x or self.family == "md" else (zero, m, None)
 
     def _hint(self, t: int, g_prev):
         """The hint for round t's gradient, decided before g_t arrives."""

@@ -160,8 +160,9 @@ class Ledger:
         order play added them: 0.0, the quadratic under ``r_metric``, then
         for ftrl, whose r_{1:t} carries q_{0:t-1}, the l1 part at its
         running weight a, a||y||_1 - a||x||_1 - a||.||_1'(x; y - x), and
-        each earlier round's loss divergence that is not isotropic (a loop
-        over handles; the isotropic ones are in ``r_metric``)."""
+        each earlier round's loss divergence that is neither isotropic nor
+        linear (a loop over handles; the isotropic ones are in
+        ``r_metric``, the linear ones are 0)."""
         x = self.x
         out = 0.0 + _quad_values(self.r_metric, x[1:] - x[:-1])
         if self.kind != "ftrl":
@@ -177,7 +178,7 @@ class Ledger:
             for i, f in enumerate(self.losses):
                 for h in kept:
                     out[i] += h.bregman(x[i + 1], x[i])
-                if not is_isotropic_quadratic(f):
+                if not (is_isotropic_quadratic(f) or type(f) is LinearLoss):
                     kept.append(BregmanAround(f, x[i]))
         return out
 
@@ -447,49 +448,66 @@ def _l1_deriv(y, z) -> np.ndarray:
             + np.where(y == 0.0, np.abs(z), 0.0).sum(axis=1))
 
 
-def _q_values(ledger: Ledger, y, tilde: bool, z=None) -> np.ndarray:
-    """Row i: q_t(y_i), or q~_t(y_i) when ``tilde``, for round t = i + 1 and
-    a column of points y (or one shared point); given directions z, that
-    row and the row q_t'(y_i; z_i) (``part`` pairs a part's value with its
-    derivative only then).  The parts add in the order of q_t's ``Sum``,
-    from 0.0: the loss divergence, psi = alpha ||.||_1, the quadratic, then
-    the hint shift <h_{t+1} - h_t, .> + 0.0; a part the handle drops (a
+def _term_values(Y, Z, metric: MetricColumn, l1: float, shift=None,
+                 loss=None) -> np.ndarray:
+    """Row i: a term's value at Y_i, and given directions Z its derivative
+    along Z_i (``part`` pairs the two only then), its parts added as the
+    handle's ``Sum`` adds them, from 0.0: the loss divergence (a value
+    column and a thunk of the derivative column), l1 ||.||_1, the quadratic
+    under ``metric``, then <shift_i, .> + 0.0.  A part the handle drops (a
     zero metric or shift) adds 0.0, which leaves the total as it is."""
-    Y = np.broadcast_to(y, (ledger.T, ledger.dim))
-    Z = None if z is None else np.broadcast_to(z, Y.shape)
     part = (lambda v, d: v) if Z is None else (lambda v, d: np.array([v, d()]))
     out = 0.0
-    if ledger.needs_loss:
-        # BregmanAround: f(y) - f(x_t) - <grad f(x_t), y - x_t>
-        loss = ledger.loss_column
-        out = out + part(loss.value(Y) - ledger.loss_value
-                         - rowdot(ledger.g, Y - ledger.x[:-1]),
-                         lambda: loss.dir_deriv(Y, Z) - rowdot(ledger.g, Z))
-    if ledger.composite:
-        a = ledger.psi_alpha
-        out = out + part(a * np.abs(Y).sum(axis=1), lambda: a * _l1_deriv(Y, Z))
-    out = out + _quad_values(ledger.q_metric, Y, Z)
-    if ledger.hint is not None and not tilde:
-        shift = ledger.hint[1:] - ledger.hint[:-1]
+    if loss is not None:
+        out = out + part(*loss)
+    if l1:
+        out = out + part(l1 * np.abs(Y).sum(axis=1), lambda: l1 * _l1_deriv(Y, Z))
+    out = out + _quad_values(metric, Y, Z)
+    if shift is not None:
         out = out + part(rowdot(shift, Y) + 0.0, lambda: rowdot(shift, Z))
     return out
+
+
+def _q_values(ledger: Ledger, y, tilde: bool, z=None, head: bool = False) -> np.ndarray:
+    """Row i: q_t(y_i), or q~_t(y_i) when ``tilde``, for round t = i + 1 and
+    a column of points y (or one shared point); given directions z, that
+    row and the row q_t'(y_i; z_i).  With ``head``, row 0 is q_0 (q~_0 when
+    ``tilde``) and round t is row t.  q_t's parts are B_{f_t}(., x_t), psi,
+    q~_t's quadratic and the hint shift <h_{t+1} - h_t, .>; q_0's are
+    q~_0's l1 weight (psi_1 known before) and quadratic, then <h_1, .>."""
+    T, hint = ledger.T, ledger.hint
+    Y = np.broadcast_to(y, (T + head, ledger.dim))
+    Z = None if z is None else np.broadcast_to(z, Y.shape)
+    out = []
+    if head:
+        term, m0 = ledger.q0_term, MetricColumn(1, ledger.dim)
+        m0.put(0, term.metric)
+        out.append(_term_values(Y[:1], None if Z is None else Z[:1], m0, term.l1,
+                                None if hint is None or tilde else hint[:1]))
+        Y, Z = Y[1:], None if Z is None else Z[1:]
+    loss = None
+    if ledger.needs_loss:
+        # BregmanAround: f(y) - f(x_t) - <grad f(x_t), y - x_t>
+        col = ledger.loss_column
+        loss = (col.value(Y) - ledger.loss_value - rowdot(ledger.g, Y - ledger.x[:-1]),
+                lambda: col.dir_deriv(Y, Z) - rowdot(ledger.g, Z))
+    out.append(_term_values(
+        Y, Z, ledger.q_metric, ledger.psi_alpha if ledger.composite else 0.0,
+        None if hint is None or tilde else hint[1:] - hint[:-1], loss))
+    return np.concatenate(out, axis=-1) if head else out[0]
 
 
 def _p_values(ledger: Ledger, y, z=None) -> np.ndarray:
     """Row i: p_t(y_i) for round t = i + 1; given directions z, also the row
     p_t'(y_i; z_i).  p_t is the proximal quadratic (centred at x_t or the
-    origin), for md less q_{t-1} as ``Difference`` takes it: q_0 is the
-    ledger's handle, q_1..q_{T-1} come from the run cut after round T - 1."""
+    origin), for md less q_{t-1} as ``Difference`` takes it: q_0..q_{T-1}
+    are the columns of the run cut after round T - 1, headed by q_0."""
     T = ledger.T
     Y = np.broadcast_to(y, (T, ledger.dim))
     Z = None if z is None else np.broadcast_to(z, Y.shape)
     out = _quad_values(ledger.prox, Y - ledger.x[:-1] if ledger.prox_at_x else Y, Z)
     if ledger.kind == "md":
-        q0 = ledger.q0
-        head = q0.value(Y[0]) if Z is None \
-            else [[q0.value(Y[0])], [q0.dir_deriv(Y[0], Z[0])]]
-        out = out - np.hstack((head, _q_values(ledger.prefix(T - 1), Y[1:], False,
-                                               None if Z is None else Z[1:])))
+        out = out - _q_values(ledger.prefix(T - 1), Y, False, Z, head=True)
     return out
 
 
@@ -584,7 +602,7 @@ def _bound(ledger: Ledger, x_star, case: str, inputs: BoundInputs | None = None,
     x_star = as_point(x_star)
     inputs = inputs or BoundInputs()
     report = BoundReport(case, 0.0, {})
-    x, x_next = ledger.x[:-1], ledger.x[1:]
+    x = ledger.x[:-1]
     proj = ledger.r_metric.proj
     bp = None if ftrl_case else _bp_md(ledger, x_star)
     if strong:
@@ -596,11 +614,8 @@ def _bound(ledger: Ledger, x_star, case: str, inputs: BoundInputs | None = None,
 
     # q_0 term, then one per round; the optimistic bounds use q~ and, like
     # include_final_q=False, stop one q term short of each row
-    q0 = ledger.q0_tilde if optimistic else ledger.q0
-    q_terms = np.concatenate((
-        [q0.value(x_star) - q0.value(ledger.x1)],
-        _diff_values(_q_values(ledger, x_star, optimistic),
-                     _q_values(ledger, x_next, optimistic))))
+    q_terms = _diff_values(_q_values(ledger, x_star, optimistic, head=True),
+                           _q_values(ledger, ledger.x, optimistic, head=True))
     q_run = np.cumsum(q_terms)
     parts = {"q_sum": q_run[:-1] if optimistic or not include_final_q
              else q_run[1:]}
@@ -711,8 +726,7 @@ def bound_variational_smooth(ledger: Ledger, x_star, inputs: BoundInputs) -> Bou
         raise ValueError("variational bound needs per-round variation terms")
     report = BoundReport("variational-smooth", 0.0, {},
                          quality=inputs.variation_quality)
-    q = float(np.cumsum(np.concatenate((
-        [ledger.q0_tilde.value(x_star)], _q_values(ledger, x_star, True))))[-1])
+    q = float(np.cumsum(_q_values(ledger, x_star, True, head=True))[-1])
     p = float(_running(_p_values(ledger, x_star))[-1])
     v = 2.0 * sum(term / eta for term, eta in zip(inputs.variation_terms, etas))
     report.terms = {"q_at_star": q, "p_at_star": p, "variation_sum": v}

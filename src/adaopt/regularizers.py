@@ -366,50 +366,33 @@ class ScheduleState:
 
 
 def adagrad_diag_step(state: ScheduleState, g, eta: float, gamma0: float):
-    """Diagonal adaptive-metric increment for round t.
-
-    The cumulative metric after t rounds is diag(sqrt(gamma0 + sum g_s^2)) / eta;
-    the increment returned here is the round-t difference of those roots.
-
-    eta and gamma0 are checked where ``state`` starts, g only for its shape
-    (``Driver.round`` checks its entries): a later bad eta or a non-finite or
-    overflowing g makes the increment negative or non-finite, and its check
-    raises ``ValueError`` before ``state`` is written.  The roots only grow,
-    so a good increment is a ``QuadMetric`` as it is, with no copy or clamp.
-    """
+    """Diagonal adaptive-metric increment for round t: row 0 of a one-row
+    ``adagrad_diag_rows``, the round-t difference of the roots of
+    diag(sqrt(gamma0 + sum g_s^2)) / eta.  eta and gamma0 are checked where
+    ``state`` starts, g only for its shape (``Driver.round`` checks its
+    entries); a row the scan rejects goes to ``QuadMetric.diagonal``, which
+    names its weight in a ``ValueError`` before ``state`` is written."""
     g = np.asarray(g, dtype=float)
     if g.ndim != 1:
         g = as_point(g)     # a scalar is a 1-vector; any other shape raises
-    accum, prev_root = state.accum_sq, state._prev_root
-    if accum is None:
+    if state.accum_sq is None:
         if eta <= 0:
             raise ValueError(f"eta must be positive, got {eta}")
         if gamma0 < 0:
             raise ValueError(f"gamma0 must be >= 0, got {gamma0}")
-        accum, prev_root = np.full(g.shape, float(gamma0)), None
-    if prev_root is None:
-        prev_root = np.sqrt(accum)
-    accum = accum + g * g
-    new_root = np.sqrt(accum)
-    w = (new_root - prev_root) / eta
-    # QuadMetric.diagonal's test, at 0 where its clamp would be a no-op;
-    # NaN fails both comparisons, and diagonal then names the weight
-    if w.min() >= 0.0 and w.max() < INF:
-        incr = QuadMetric("diag", weights=w, dim=w.size)
-    else:
-        incr = QuadMetric.diagonal(w)
-    state.accum_sq, state._prev_root = accum, new_root
+    W, n, sums, roots = adagrad_diag_rows(state, g[None], eta, gamma0)
+    incr = QuadMetric("diag", weights=W[0], dim=g.size) if n else QuadMetric.diagonal(W[0])
+    state.accum_sq, state._prev_root = sums[1], roots[1]
     return incr, state
 
 
 def adagrad_diag_rows(state: ScheduleState, G: np.ndarray, eta: float,
                       gamma0: float):
-    """``adagrad_diag_step`` over the g rows G, one round a row, as one
-    cumsum/sqrt/diff scan; ``state`` is not written.  Returns (W, n, sums,
-    roots): row k of W is round k+1's increment, bit for bit the step's,
-    and the step accepts W's first n rows; row k of sums and roots is the
-    state after k rounds.  Rows past n may overflow (call it under
-    np.errstate).  A one-row scan costs more than the step, which stays."""
+    """The diagonal AdaGrad schedule over the g rows G, one round a row, as
+    one cumsum/sqrt/diff scan that writes no ``state``: (W, n, sums, roots),
+    row k of W round k+1's increment, its first n rows accepted (each weight
+    >= 0 and finite), row k of sums and roots the state after k rounds.
+    Rows past n may overflow (call it under np.errstate)."""
     sums = running(gamma0 if state.accum_sq is None else state.accum_sq, G * G)
     roots = np.sqrt(sums)
     W = (roots[1:] - roots[:-1]) / eta

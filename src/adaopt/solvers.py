@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import INF, DimensionMismatch, QuadMetric, as_point
-from .losses import BregmanAround, is_isotropic_quadratic
+from .losses import BregmanAround, LinearLoss, is_isotropic_quadratic
 from .regularizers import (L1, Indicatrix, Linear, Quadratic, Regularizer,
                            Sum, Terms)
 
@@ -431,7 +431,10 @@ class Objective:
 
     def _fold_divergence(self, loss, anchor, f_anchor, g_anchor):
         """Fold B_f(., anchor) = f - f(a) - <grad f(a), . - a>: f less its
-        anchor gradient (``fold_loss``), the rest into the constant."""
+        anchor gradient (``fold_loss``), the rest into the constant; nothing
+        for a linear f, whose B_f is 0."""
+        if type(loss) is LinearLoss:
+            return
         self.fold_loss(loss.isotropic if is_isotropic_quadratic(loss) else loss,
                        g_anchor)
         self.const += float(np.dot(g_anchor, anchor)) - f_anchor

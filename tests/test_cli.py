@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from adaopt import cli, losses, regret
+from adaopt import cli, losses, regret, solvers
 from adaopt.cli import ConfigError, main, validate_run_config
 from adaopt.learners import PRESET_TABLE, PRESETS
 
@@ -336,9 +336,14 @@ def test_run_outputs_honour_the_umask(tmp_path):
 # went through one round path, and the four off the box or on a stochastic
 # stream (the ball's secular route, a folded quadratic loss projected onto a
 # ball, the free set, noisy gradients) before the separable round was made
-# lean.  Each entry is (preset, params, config overrides, JSON SHA-256, CSV
-# SHA-256); every run takes an exact route, so the outputs must stay bit for
-# bit the same.  The full-matrix
+# lean.  The four on a noisy fixed-quadratic stream (da with a growing
+# alpha_t, composite md, diagonal adagrad-md, ogd) play round by round, as
+# a stochastic stream is played, and were recorded before the per-round
+# schedule became row 0 of the column scan: column play reaches these
+# schedules too, but a test that compares the two paths cannot see a bit
+# change in the scan they share.  Each entry is (preset, params, config
+# overrides, JSON SHA-256, CSV SHA-256); every run takes an exact route, so
+# the outputs must stay bit for bit the same.  The full-matrix
 # run's values were recorded from the numeric argmin; it now takes the
 # active-set route and matches at the acceptance tolerances (c07: iterates
 # to 1e-9, c01: 1e-8 * (1 + |regret|)).
@@ -347,6 +352,7 @@ GUARD = {"name": "guard", "set": {"kind": "box", "dim": 6},
          "seeds": [3], "bounds": ["oo-ftrl", "forward"]}
 _MD = {"bounds": ["oo-md", "forward"]}
 _SINE = {"losses": {"kind": "sine-quadratic", "amplitude": 0.5, "period": 8}}
+_NOISY = {"losses": {"kind": "fixed-quadratic", "center": 0.3, "noise": 0.5}}
 GUARD_SHA256 = {
     "ogd": ("ogd", {"eta": 0.2}, {},
             "087ec6ee4eabe27ebb09e34db897fc5d45feb46941d8bd50dcdf44e886b9ab20",
@@ -405,6 +411,25 @@ GUARD_SHA256 = {
         {"losses": {"kind": "fixed-quadratic", "center": 0.3, "noise": 0.5}},
         "bce0d6d3ce2693bca8989e2692c7350b05072ccb84316d7b471952bfaab1f059",
         "4c59d77214958f97999aee2fe8ce5cf47ed8710faf20d511a0bb5dfc163b195b"),
+    "da-stochastic": (
+        "da", {"alpha_growth": 1.0}, _NOISY,
+        "cd793bf5a7947fd036b166bbbd07af37af456dbc0df9c81ceee58963eb97ae12",
+        "9e4357805338fb9dc0e59bae84cd01c148969a130b14cc84580de288d4d20bdb"),
+    "md-stochastic": (
+        # the offline comparator of a composite run needs linear losses
+        "md", {"composite_alpha": 0.05},
+        dict(_MD, **_NOISY, comparator={"policy": "explicit",
+                                        "point": [0.3, 0.3, 0.25, 0.0, 0.1, -0.2]}),
+        "a3c3be9c85c0f59d9e6a824378f194e3f6f494750341b28bbfd7643e4800e3f6",
+        "4252cba4f80e5053f899bea694ea906ed5cc294d5cc586f5ae29d258da0c4648"),
+    "adagrad-md-stochastic": (
+        "adagrad-md", {"metric": "diag"}, dict(_MD, **_NOISY),
+        "611aa10a8e8e034ee47a692475d0d15bf09c4471aa4744ad6c676be02d52bf39",
+        "f3fd01dbadddc55db69fc6a96f9f2a383189a54c36e78b5a17142fa1c61e1c05"),
+    "ogd-stochastic": (
+        "ogd", {"eta": 0.2}, _NOISY,
+        "88af259384239240a1303245137beb173736f3d084258ae5a2778253d9b0162a",
+        "a738a09d7b4cc3861dc2481f33bf724c5beeb18448810a302d68c9d7ee9073e9"),
 }
 GUARD_FULL = {
     "regret": 20.143480789673188,
@@ -474,6 +499,51 @@ def test_full_matrix_run_matches_recorded_values(tmp_path):
     for t, ref in GUARD_FULL["rows"].items():
         row = [float(v) for v in lines[t].split(",")[1:9]]
         assert row == pytest.approx(ref, abs=1e-9), t
+
+
+# nonlin-ftrl and implicit-md on a random-linear stream, recorded when each
+# round folded its linear loss as a handle and took the numeric argmin.
+# B_f is 0 for a linear f: a round folds nothing and takes an exact route,
+# and the values hold at the acceptance tolerances (c07: iterates to 1e-9,
+# c01: 1e-8 * (1 + |regret|)).  Rows are x_t of rounds 10 and 30.
+GUARD_LINEAR_LOSS = {
+    "nonlin-ftrl": ({}, {
+        "regret": 26.122399311329758, "forward_regret": -19.167488515515686,
+        "bounds": [61.796345894268185, -17.570969810367853],
+        "final_point": [1.0, -1.0, 1.0, -1.0, 1.0, 1.0],
+        "rows": {10: [0.2211497157221025, -0.312759965450512, 0.04321954541053463,
+                      0.9953234252199017, 1.0, 0.9904328962642099],
+                 30: [0.8481890489733679, 0.4769132975888779, 1.0, -1.0,
+                      -0.3446434972682082, 1.0]}}),
+    "implicit-md": (_MD, {
+        "regret": 26.51444226922486, "forward_regret": 18.052803604021822,
+        "bounds": [220.65987910044822, 212.19824043524517],
+        "final_point": [-0.21188592033321083, 0.586123659377091, 0.7612237995736759,
+                        0.3359186539890885, 0.5624612066915957, 0.326259772102551],
+        "rows": {10: [-0.3097906752965227, 0.5677652925998972, 0.3224381590278459,
+                      0.4912887570615285, 0.7085407197318973, 0.15707199972225905],
+                 30: [-0.27676869542766575, 0.6357448096360784, 0.588838207386646,
+                      0.3067238122439333, 0.5289666663220065, 0.2894136652836854]}}),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GUARD_LINEAR_LOSS))
+def test_a_linear_loss_folds_nothing_and_keeps_its_values(tmp_path, preset):
+    over, ref = GUARD_LINEAR_LOSS[preset]
+    with mock.patch.object(solvers, "argmin_numeric",
+                           wraps=solvers.argmin_numeric) as numeric:
+        doc, csv = _guard_run(tmp_path, preset, {}, **over)
+    assert numeric.call_count == 0
+    res = json.loads(doc)["results"][0]
+    c01 = 1e-8 * (1.0 + abs(ref["regret"]))
+    assert abs(res["regret"] - ref["regret"]) <= c01
+    assert abs(res["forward_regret"] - ref["forward_regret"]) <= c01
+    assert [b["value"] for b in res["bounds"]] == pytest.approx(ref["bounds"], abs=c01)
+    assert res["final_point"] == pytest.approx(ref["final_point"], abs=1e-9)
+    lines = csv.decode().strip().split("\n")
+    for t, row in ref["rows"].items():
+        assert [float(v) for v in lines[t].split(",")[1:7]] == pytest.approx(
+            row, abs=1e-9), t
 
 
 _RANDOM_STREAM = losses.random_stream

@@ -346,8 +346,8 @@ def ref_breg_r(led):
     the records' handles as an update loop accumulates it: 0.0, the
     quadratic under r_{1:t}'s metric, then, for ftrl, whose r_{1:t}
     carries q_{0:t-1}, the l1 part at r's running l1 weight and each
-    earlier loss divergence that is not isotropic (an isotropic one is in
-    the metric)."""
+    earlier loss divergence that is neither isotropic (it is in the metric)
+    nor linear (it is 0, and play folds nothing for it)."""
     ftrl = led.kind == "ftrl"
     r_l1, kept, out = 0.0, [], []
 
@@ -356,8 +356,9 @@ def ref_breg_r(led):
         for part in Sum([q]).parts:
             if isinstance(part, L1):
                 r_l1 = r_l1 + part.alpha
-            elif isinstance(part, losses.BregmanAround) \
-                    and not losses.is_isotropic_quadratic(part.loss):
+            elif isinstance(part, losses.BregmanAround) and not (
+                    losses.is_isotropic_quadratic(part.loss)
+                    or type(part.loss) is losses.LinearLoss):
                 kept.append(part.bregman)
 
     if ftrl:

@@ -37,29 +37,33 @@ def test_span_target_resolves(target):
         assert callable(getattr(mod, path, None)), target
 
 
+# the ledger's handle views: its rounds and q_0, q~_0
+_VIEWS = {("Ledger", "records"), ("Ledger", "q0"), ("Ledger", "q0_tilde")}
+
+
 def _accounting_functions(tree):
     """Every function and method of regret.py but the ``RoundRecord`` view
-    and the ``Ledger.records`` property that builds it."""
+    and the ledger's handle views."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             yield node.name, node
         elif isinstance(node, ast.ClassDef) and node.name != "RoundRecord":
             for f in node.body:
-                if isinstance(f, ast.FunctionDef) and \
-                        (node.name, f.name) != ("Ledger", "records"):
+                if isinstance(f, ast.FunctionDef) and (node.name, f.name) not in _VIEWS:
                     yield f"{node.name}.{f.name}", f
 
 
 def test_no_accounting_function_walks_the_records():
-    # the bound terms and B_r are column expressions over the ledger; a
-    # loop over per-round handles would be a second accounting path
+    # the bound terms and B_r are column expressions over the ledger, q_0
+    # their row 0; a loop over per-round handles, or q_0's handle, would be
+    # a second accounting path
     with open(REGRET_PY) as fh:
         tree = ast.parse(fh.read())
     found = []
     for name, fn in _accounting_functions(tree):
         for n in ast.walk(fn):
-            if isinstance(n, ast.Attribute) and n.attr == "records":
-                found.append(f"{name} reads .records")
+            if isinstance(n, ast.Attribute) and n.attr in ("records", "q0", "q0_tilde"):
+                found.append(f"{name} reads .{n.attr}")
             elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name) \
                     and n.func.id == "RoundRecord":
                 found.append(f"{name} builds a RoundRecord")
