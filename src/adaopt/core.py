@@ -93,6 +93,12 @@ class QuadMetric:
     when ``full`` built it, ``scale`` kept them, or it is the full-matrix
     schedule's running metric (``regularizers.adagrad_full_step``); a
     ``psd_full`` increment, an ``add`` sum or a ledger row computes them lazily.
+    The schedule's metric of a round its Gram serves carries all d
+    eigenvalues but the eigenvectors of only the top k: ``_evecs`` is d x k, and the d - k
+    smallest eigenvalues are one floor ``_evals[0]`` whose eigenvectors span
+    the complement of ``_evecs``' columns.  Its readers (``solve``,
+    ``MetricColumn.put`` and the argmin's box route) add that complement's
+    term when k < d.
     """
 
     __slots__ = ("kind", "gamma", "weights", "matrix", "_dim", "_evals", "_evecs")
@@ -269,7 +275,13 @@ class QuadMetric:
             return b / self.weights
         evals, evecs = self._eig()
         self._assert_pd_full(evals)
-        return evecs @ ((evecs.T @ b) / evals)
+        d, k = evecs.shape
+        p = evecs.T @ b
+        x = evecs @ (p / evals[d - k:])
+        if k < d:
+            # the floor on the complement of evecs' columns
+            x += (b - evecs @ p) / evals[0]
+        return x
 
     def _assert_pd_diag(self):
         if not (self.weights > 0.0).all():
@@ -299,7 +311,12 @@ class MetricColumn:
     ``roots[i + 1]`` or their difference (``matrix``).  roots[t] is the
     driver's running metric after round t; a root row also keeps its
     eigenvalues (``evals``) and the named vectors' projections onto its
-    eigenvectors (``proj``), which is what a dual norm under it reads."""
+    eigenvectors (``proj``), which is what a dual norm under it reads.  A
+    root that carries only its top k eigenvectors (``QuadMetric``) keeps the
+    projections onto them in the last k slots; its floor eigenvalue fills
+    the first d - k, and so does v's part off their span: its norm in the
+    first slot, 0 in the others, so that a dual norm is still
+    sum P^2 / evals."""
 
     __slots__ = ("dim", "kind", "gamma", "wide", "roots", "evals", "proj")
 
@@ -329,8 +346,16 @@ class MetricColumn:
                 self.evals = np.zeros((self.kind.size, self.dim))
                 self.proj = {k: np.zeros_like(self.evals) for k in vectors}
             self.kind[i], self.evals[i] = 2 + after, evals
-            for k, v in vectors.items():
-                self.proj[k][i] = v @ evecs
+            d, k = evecs.shape
+            for name, v in vectors.items():
+                p = v @ evecs
+                if k < d:
+                    # ||v||^2 - ||p||^2, not ||v - V p||^2: a dual norm then
+                    # agrees with ``QuadMetric.solve`` also where rounding
+                    # leaves V's columns slightly off orthonormal
+                    off = math.sqrt(max(float(v.dot(v) - p.dot(p)), 0.0))
+                    p = np.concatenate(([off], np.zeros(d - k - 1), p))
+                self.proj[name][i] = p
 
     def put_rows(self, rows: slice, values: np.ndarray) -> None:
         """``put`` of rows ``rows`` at once: their gammas (1-d ``values``)

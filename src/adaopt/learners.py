@@ -5,12 +5,12 @@ Two update families, both reduced to one argmin per round:
     ftrl:  x_{t+1} = argmin_X <g_{1:t}, x> + p_{1:t}(x) + q_{0:t}(x)
     md:    x_{t+1} = argmin_X <g_t, x> + q_t(x) + B_{r_{1:t}}(x, x_t)
 
-``Driver`` plays both, every preset through one path, ``Driver.round``.
-The preset's schedule emits the metrics of the proximal term and of q~_t;
-the proximal term is p_t for ftrl and r_t for md, what r_{1:t} adds to
-r_{1:t-1} either way.  A composite l1 weight and an implicit or
-non-linearized preset's loss divergence from x_t join q~_t; an optimistic
-preset shifts q~_t by the hint change.  So the composite, implicit,
+``Driver`` plays both, a round at a time through ``Driver.round``, or a
+run at a time by column play (below).  The preset's schedule emits the
+metrics of the proximal term and of q~_t; the proximal term is p_t for ftrl
+and r_t for md, what r_{1:t} adds to r_{1:t-1} either way.  A composite l1
+weight and an implicit or non-linearized preset's loss divergence from x_t
+join q~_t; an optimistic preset shifts q~_t by the hint change.  So the composite, implicit,
 non-linearized and optimistic variants are the plain updates with one more
 part in q_t: the claimed equivalences hold by construction and tests only
 have to confirm them.  Each term is a parameter tuple,
@@ -112,8 +112,12 @@ class Driver:
     (x_t before round t), ``x1``, the rounds played ``t``,
     ``solver_calls``, r's running metric and ftrl's running objective.
     ``seed`` is accepted for callers that pass one; play draws nothing.
-    ``round`` is the one round path of every preset: it validates g_t (a
-    preset that ``needs_loss`` takes g_t = grad f_t(x_t) and
+    ``round`` plays what column play (module docstring) does not: every
+    round of ftrl-prox, of a composite ftrl run, of ao-ftrl-prox and ao-md
+    and of a full-metric run, every round on a stochastic stream or on one
+    that gives neither a g column nor, for nonlin-ftrl and implicit-md, a
+    centre column, and a round that column play hands back.  It validates
+    g_t (a preset that ``needs_loss`` takes g_t = grad f_t(x_t) and
     q~_t = B_f(., x_t) instead), asks the schedule for the metrics of the
     proximal term and of q~_t and for eta_t, adds the composite weight when
     the run is composite, shifts q~_t by the hint change when the preset has
@@ -266,14 +270,18 @@ class Driver:
         which ``_iso``'s checking constructor raises on where it rejects it."""
         zero = self._zero
         if self.preset == "ao-ftrl-prox":
+            # eta_t accumulates into a copy: the driver's state is written
+            # once the round's metric is built
+            sched = ScheduleState(accum_hint_err=self._sched.accum_hint_err)
             if self.params["eta_schedule"] == "scale-free":
-                eta_t = scale_free_eta(self._sched, g, self.hint, self._eta0)
+                eta_t = scale_free_eta(sched, g, self.hint, self._eta0)
             else:
-                eta_t = final_attack_eta(self._sched, g, self.hint,
+                eta_t = final_attack_eta(sched, g, self.hint,
                                          self._radius, self._smooth_l)
-            gamma = eta_increment(eta_t, self._eta_prev)
-            self._eta_prev = eta_t
-            return QuadMetric.scaled(gamma, self.feasible_set.dim), zero, eta_t
+            m = QuadMetric.scaled(eta_increment(eta_t, self._eta_prev),
+                                  self.feasible_set.dim)
+            self._sched.accum_hint_err, self._eta_prev = sched.accum_hint_err, eta_t
+            return m, zero, eta_t
         if self.preset in ("adagrad-da", "ftrl-prox", "adagrad-md"):
             m, _ = self._adagrad_step(self._sched, g, self._eta, self._gamma0)
         else:

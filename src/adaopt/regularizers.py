@@ -363,6 +363,10 @@ class ScheduleState:
     _prev_root: np.ndarray | None = field(default=None, repr=False)
     # the full-matrix schedule's running metric root(G_t) / eta, with its eigenpairs
     total: QuadMetric | None = field(default=None, repr=False)
+    # while the Gram serves the full-matrix schedule, its g rows A (t x d)
+    # and their Gram A A'
+    rows: np.ndarray | None = field(default=None, repr=False)
+    gram: np.ndarray | None = field(default=None, repr=False)
 
 
 def adagrad_diag_step(state: ScheduleState, g, eta: float, gamma0: float):
@@ -402,24 +406,48 @@ def adagrad_diag_rows(state: ScheduleState, G: np.ndarray, eta: float,
     return W, n, sums, roots
 
 
-# the largest dimension the full-matrix schedule takes: each round costs
-# O(d^3) for the accumulator's eigendecomposition
+# the largest dimension the full-matrix schedule takes: a round the Gram
+# does not serve costs O(d^3) for the accumulator's eigendecomposition
 FULL_MATRIX_MAX_DIM = 256
+
+# The Gram serves round t while 4 t < 3 d, from dimension GRAM_MIN_DIM up:
+# there its t x t eigh undercuts the d x d one by more than its extra
+# products cost.  Timed per round (numpy 2.4 with OpenBLAS, 2 vCPUs, uniform
+# gradients), the Gram gained up to t = 25 of d = 36, t = 32 of d = 44,
+# t = 38 of d = 50 and t = 48 of d = 64, and lost in every round of d = 20
+GRAM_MIN_DIM = 26
+
+# Gram eigenvalues s <= GRAM_FLOOR max(s) join the root's floor sqrt(gamma0):
+# eigh's rounding noise on a Gram of t < 256 rows is about t eps max(s)
+# < 5.7e-14 max(s), so a repeated or dependent row's s is dropped, and a
+# dropped pair moves the root by sqrt(gamma0 + s) - sqrt(gamma0) <= s / (2
+# sqrt(gamma0))
+GRAM_FLOOR = 1e-13
 
 
 def adagrad_full_step(state: ScheduleState, g, eta: float, gamma0: float):
     """Full-matrix adaptive-metric increment (G_t^{1/2} - G_{t-1}^{1/2}) / eta
     for G_t = gamma0 I + sum_{s <= t} g_s g_s'.
 
-    One eigendecomposition of G_t per round gives its root (that of G_0 is
-    sqrt(gamma0) I).  The square root is operator monotone (Loewner-Heinz),
-    so the increment is PSD in exact arithmetic; one Cholesky factorisation
-    checks it (``QuadMetric.psd_full``).  ``state.total`` is left holding
-    G_t^{1/2} / eta with the eigenpairs of that decomposition: an ftrl
-    round takes it as r's running metric, so its argmin does not decompose
-    a matrix again, and the ledger keeps that root, not the increment, with
-    the eigenvalues and g_t's projections (``core.MetricColumn``).  g is
-    trusted as in ``adagrad_diag_step``, and a bad one fails the same way."""
+    G_t is gamma0 I plus A'A for the t x d rows A of g_1..g_t.  In a round
+    the Gram serves (t < 3d/4 from dimension ``GRAM_MIN_DIM`` up), the root
+    comes from the t x t Gram K = A A' (grown by a row and a column a
+    round): for K = W diag(s) W', U = A' W / sqrt(s) holds the top
+    eigenvectors of G_t and G_t^{1/2} = sqrt(gamma0) I
+    + U diag(sqrt(gamma0 + s) - sqrt(gamma0)) U'; the floor sqrt(gamma0) is
+    the eigenvalue of the complement of U's columns, and an s below
+    ``GRAM_FLOOR`` max(s) joins it.  In every later round, one
+    eigendecomposition of G_t (accumulated every round) gives the root.
+    The square root is operator monotone (Loewner-Heinz), so the increment
+    is PSD in exact arithmetic; one Cholesky factorisation checks it
+    (``QuadMetric.psd_full``).  ``state.total`` is left holding
+    G_t^{1/2} / eta with its eigenvalues (all d, ascending) and the
+    eigenvectors of the non-floor ones (d x k, all d once the Gram stops): an
+    ftrl round takes it as r's running metric, so its argmin does not
+    decompose a matrix again, and the ledger keeps that root, not the
+    increment, with the eigenvalues and g_t's projections
+    (``core.MetricColumn``).  g is trusted as in ``adagrad_diag_step``, and
+    a bad one fails the same way."""
     g = np.asarray(g, dtype=float)
     if g.ndim != 1:
         g = as_point(g)
@@ -433,17 +461,41 @@ def adagrad_full_step(state: ScheduleState, g, eta: float, gamma0: float):
                          f"got {d}")
     if state.accum_sq is None:
         accum, prev_root = float(gamma0) * np.eye(d), math.sqrt(gamma0) * np.eye(d)
+        rows = np.empty((0, d)) if d >= GRAM_MIN_DIM else None
+        gram = np.empty((0, 0))
     else:
         accum, prev_root = state.accum_sq, state._prev_root
+        rows, gram = state.rows, state.gram
     accum = accum + np.outer(g, g)
-    evals, evecs = np.linalg.eigh(accum)
-    # rounding-level negative eigenvalues of the PSD accumulator are zeros
-    roots = np.sqrt(np.maximum(evals, 0.0))
-    new_root = (evecs * roots) @ evecs.T
+    if rows is not None and 4 * (len(rows) + 1) < 3 * d:
+        t = len(rows)
+        grown = np.empty((t + 1, t + 1))
+        grown[:t, :t] = gram
+        grown[t, :t] = grown[:t, t] = rows @ g
+        grown[t, t] = g.dot(g)
+        gram, rows = grown, np.concatenate((rows, g[None]))
+        s, w = np.linalg.eigh(gram)
+        if not s[-1] < INF:
+            raise ValueError("full metric has non-finite entries")
+        # s ascends: the kept pairs are its tail
+        n = int(np.searchsorted(s, GRAM_FLOOR * s[-1], "right"))
+        evecs = rows.T @ (w[:, n:] / np.sqrt(s[n:]))
+        floor = math.sqrt(gamma0)
+        roots = np.full(d, floor)
+        top = roots[d - t - 1 + n:] = np.sqrt(gamma0 + s[n:])
+        new_root = (evecs * (top - floor)) @ evecs.T
+        new_root.flat[::d + 1] += floor
+    else:
+        evals, evecs = np.linalg.eigh(accum)
+        # rounding-level negative eigenvalues of the PSD accumulator are zeros
+        roots = np.sqrt(np.maximum(evals, 0.0))
+        new_root = (evecs * roots) @ evecs.T
+        rows = gram = None
     new_root = 0.5 * (new_root + new_root.T)
     incr = QuadMetric.psd_full((new_root - prev_root) / eta)
     state.accum_sq = accum
     state._prev_root = new_root
+    state.rows, state.gram = rows, gram
     state.total = QuadMetric("full", matrix=new_root / eta, dim=d,
                              _evals=roots / eta, _evecs=evecs)
     return incr, state

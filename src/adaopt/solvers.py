@@ -321,7 +321,8 @@ class Objective:
     leaves its loss in ``losses``, the smooth loss handles that enter the
     objective directly.  ``full_evals`` (ascending) and ``full_evecs`` are
     the eigenpairs of ``full`` when they came with it (``take_quadratic``),
-    for σ, L and M^-1; a fold that changes ``full`` drops both.
+    for σ, L and M^-1, ``full_evecs`` perhaps only the top ones (see
+    ``QuadMetric``); a fold that changes ``full`` drops both.
     """
 
     feasible_set: FeasibleSet
@@ -635,13 +636,31 @@ def _hessian(obj: Objective) -> np.ndarray:
     return m if obj.diag is None else m + np.diag(obj.diag)
 
 
+def _inverse(obj: Objective) -> np.ndarray:
+    """H = M^-1 for the quadratic part M: from the eigenpairs the objective
+    carries, V diag(1/lam) V' shifted by gamma, or else by inverting
+    ``_hessian``.  Where V holds only the top k < d eigenvectors, the floor
+    evals[0] (+ gamma) acts on the complement of V's columns, and
+    H = V diag(1/lam - 1/floor) V' + I / floor: one d x k product."""
+    v = obj.full_evecs
+    if v is None or obj.diag is not None:
+        return np.linalg.inv(_hessian(obj))
+    d, k = v.shape
+    lam = obj.full_evals[d - k:] + obj.gamma
+    if k == d:
+        return (v / lam) @ v.T
+    floor = obj.full_evals[0] + obj.gamma
+    h = (v * (1.0 / lam - 1.0 / floor)) @ v.T
+    h.flat[::d + 1] += 1.0 / floor
+    return h
+
+
 def _full_box_argmin(obj: Objective, scale: float) -> np.ndarray:
     """argmin <lin, x> + 1/2 x'Mx over lo <= x <= hi for a positive-definite M.
 
     A primal active-set method (Nocedal & Wright, Alg. 16.3) on the bounds,
-    in its range-space form (§16.2): H = M^-1 is formed once, from the
-    eigenpairs the objective carries or else by inverting ``_hessian``, and
-    u = H lin.  The working set W holds the coordinates fixed at a bound; it
+    in its range-space form (§16.2): H = M^-1 is formed once (``_inverse``)
+    and u = H lin.  The working set W holds the coordinates fixed at a bound; it
     starts where ``obj.init`` (the previous iterate; without one, the clipped
     unconstrained minimizer -u) sits at one.  With x_W fixed, the minimizer
     is H_{:,W} mu - u (x_W on W) for H_WW mu = x_W + u_W, a |W| x |W| system
@@ -654,9 +673,8 @@ def _full_box_argmin(obj: Objective, scale: float) -> np.ndarray:
     no working set repeats; coordinates with lo == hi never leave W.  The
     loop bound is a guard against rounding cycles and raises.
     """
-    lo, hi, v = obj.feasible_set.lo, obj.feasible_set.hi, obj.full_evecs
-    h = (np.linalg.inv(_hessian(obj)) if v is None or obj.diag is not None
-         else (v / (obj.full_evals + obj.gamma)) @ v.T)
+    lo, hi = obj.feasible_set.lo, obj.feasible_set.hi
+    h = _inverse(obj)
     u = h @ obj.lin
     x = (obj.init if obj.init is not None else -u).clip(lo, hi)
     at_lo, at_hi = x == lo, x == hi

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from adaopt import cli, losses, regret, solvers
+from adaopt import cli, losses, regret, regularizers, solvers
 from adaopt.cli import ConfigError, main, validate_run_config
 from adaopt.learners import PRESET_TABLE, PRESETS
 
@@ -501,6 +501,14 @@ def test_full_matrix_run_matches_recorded_values(tmp_path):
         assert row == pytest.approx(ref, abs=1e-9), t
 
 
+def test_full_matrix_run_from_the_gram_matches_recorded_values(tmp_path, monkeypatch):
+    # the same run with its rounds t < 3d/4 (1..5 of d = 8) rooted from the
+    # Gram, the dimension floor lifted, holds the values recorded when every
+    # round took the eigh of G_t
+    monkeypatch.setattr(regularizers, "GRAM_MIN_DIM", 0)
+    test_full_matrix_run_matches_recorded_values(tmp_path)
+
+
 # nonlin-ftrl and implicit-md on a random-linear stream, recorded when each
 # round folded its linear loss as a handle and took the numeric argmin.
 # B_f is 0 for a linear f: a round folds nothing and takes an exact route,
@@ -726,23 +734,30 @@ def test_column_play_matches_round_by_round_play(preset, kind, d, T, seed,
     ("ftrl-prox", {"metric": "full", "gamma0": 0.5})])
 def test_full_matrix_run_decomposes_one_matrix_per_round(
         tmp_path, monkeypatch, preset, params):
-    # the schedule's eigh of G_t is the one eigendecomposition of a whole run
-    # (play, bounds, CSV and replay): a Cholesky factorisation checks the
-    # increment, and the argmin and the dual norms read the eigenpairs that
-    # the running metric carries.  The argmin's active set inverts nothing
-    # and solves only systems on its working set, smaller than d x d
+    # the schedule's one eigh a round is the only eigendecomposition of a
+    # whole run (play, bounds, CSV and replay): of the t x t Gram of the
+    # gradients while t < 3d/4 (the Gram's dimension floor is lifted for
+    # d = 6), of G_t in every later round.  A Cholesky factorisation checks
+    # the increment, and the argmin and the dual norms read the eigenpairs
+    # that the running metric carries.  The argmin's active set inverts
+    # nothing and solves only systems on its working set, smaller than d x d
+    monkeypatch.setattr(regularizers, "GRAM_MIN_DIM", 0)
     cfg = dict(copy.deepcopy(GUARD), preset=preset, params=params, T=20)
     d = cfg["set"]["dim"]
     calls = dict.fromkeys(("eigh", "eigvalsh", "solve", "inv"), 0)
+    eigh_shapes = []
     for name in calls:
         def counted(a, *args, _real=getattr(np.linalg, name), _name=name, **kw):
             if _name != "solve" or np.shape(a) == (d, d):
                 calls[_name] += 1
+            if _name == "eigh":
+                eigh_shapes.append(np.shape(a))
             return _real(a, *args, **kw)
         monkeypatch.setattr(np.linalg, name, counted)
     assert main(["run", "--config", write_cfg(tmp_path, cfg),
                  "--out", str(tmp_path / "out")]) == 0
     assert calls == {"eigh": 20, "eigvalsh": 0, "solve": 0, "inv": 0}
+    assert eigh_shapes == [(t if 4 * t < 3 * d else d,) * 2 for t in range(1, 21)]
 
 
 # A smooth-loss bound whose metric cannot absorb the smoothness in round 1:

@@ -214,6 +214,19 @@ def test_full_metric_ledger_stores_plays_roots_and_derives_its_increments(
     assert led.prox.roots is roots and led.q_metric.roots is roots
 
 
+@pytest.mark.parametrize("preset,params", _FULL_RUNS)
+def test_full_metric_ledger_from_the_gram_keeps_its_values(preset, params,
+                                                           monkeypatch):
+    # the two ledger checks above with the dimension floor lifted, so that
+    # the Gram serves rounds 1..4 of d = 6: their rows keep the top
+    # eigenvectors' projections and the floor's share in one slot
+    monkeypatch.setattr(regularizers, "GRAM_MIN_DIM", 0)
+    test_full_metric_ledger_keeps_the_schedules_eigenvalues_and_projections(
+        preset, params)
+    test_full_metric_ledger_stores_plays_roots_and_derives_its_increments(
+        preset, params)
+
+
 def _ledger_floats(led) -> int:
     """Float64 values the ledger holds: every float array reachable from
     it, counted once per buffer, and every float."""

@@ -14,7 +14,7 @@ from adaopt.regularizers import (
     composite_wrap, final_attack_eta, ftrl_prox_increment, optimistic_shift,
     proximal_eta_increment, scale_free_eta, validate_psi_sequence,
 )
-from adaopt import solvers
+from adaopt import losses, regularizers, solvers
 
 
 BOX = solvers.Box(-np.ones(2), np.ones(2))
@@ -197,6 +197,86 @@ def test_adagrad_full_increments_sum_to_root():
     evals, evecs = np.linalg.eigh(gram)
     root = (evecs * np.sqrt(evals)) @ evecs.T
     assert np.allclose(total, root - np.sqrt(0.5) * np.eye(3), atol=1e-9)
+
+
+_EPS = np.finfo(float).eps
+
+
+def _gram_stream(kind, d, T):
+    rng = np.random.default_rng(11)
+    if kind == "random":
+        return rng.uniform(-1.0, 1.0, (T, d))
+    # +-b, so every Gram of two or more rows is singular
+    stream = losses.alternating_stream(rng.uniform(-1.0, 1.0, d))
+    return np.array([stream.vector(t) for t in range(1, T + 1)])
+
+
+@pytest.mark.parametrize("kind,gamma0,d", [
+    ("random", 1.0, 8), ("alternating", 1.0, 8), ("random", 1e-8, 8),
+    ("alternating", 1e-8, 8), ("random", 1.0, 32), ("random", 1e-8, 32)])
+def test_full_matrix_gram_root_matches_the_accumulators_eigh(
+        kind, gamma0, d, monkeypatch):
+    # the Gram serves rounds t < 3d/4 (t <= 5 of d = 8, with the dimension
+    # floor lifted, and t <= 23 of d = 32), the eigh of G_t every later
+    # round, as it did every round before.  Each Gram round's root,
+    # eigenvalues and inverse H (the box argmin's) agree with those of the
+    # eigh of the accumulator to 1e-12 relative, or, where larger, to
+    # 64 eps kappa (eps kappa^2 for H), the eigh's own error for the root's
+    # condition number kappa (up to 1e5 at gamma0 = 1e-8); every later root
+    # is the eigh's bit for bit, across t = d too.  A Gram round's metric
+    # carries the top k <= t eigenvectors; the alternating stream's repeated
+    # rows join the floor: k = 1, and the root is the closed form
+    # sqrt(gamma0) I + (sqrt(gamma0 + t ||b||^2) - sqrt(gamma0)) bb' / ||b||^2.
+    # The alternating run of d = 8 at gamma0 = 1e-8 stops at T = 16: from
+    # round 25 the eigh's rounding in the floor, about
+    # eps ||G_t|| / sqrt(gamma0), makes an increment fail its PSD check, in
+    # rounds the Gram does not serve
+    if d < regularizers.GRAM_MIN_DIM:
+        monkeypatch.setattr(regularizers, "GRAM_MIN_DIM", 0)
+    eta = 1.5
+    T = 16 if (kind, gamma0, d) == ("alternating", 1e-8, 8) else d + 8
+    G = _gram_stream(kind, d, T)
+    state = ScheduleState()
+    for t in range(1, T + 1):
+        _, state = adagrad_full_step(state, G[t - 1], eta, gamma0)
+        m = state.total
+        evals, evecs = np.linalg.eigh(state.accum_sq)
+        lam = np.sqrt(np.maximum(evals, 0.0))
+        root = (evecs * lam) @ evecs.T
+        root = 0.5 * (root + root.T)
+        k = m._evecs.shape[1]
+        if 4 * t >= 3 * d:
+            assert k == d and state.rows is None, t
+            assert np.array_equal(m.matrix, root / eta), t
+            assert np.array_equal(m._evals, lam / eta), t
+            continue
+        assert state.rows.shape == (t, d) and state.gram.shape == (t, t), t
+        assert k == (t if kind == "random" else 1), t
+        kappa = lam[-1] / lam[0]
+        tol = max(1e-12, 64 * _EPS * kappa)
+        assert np.abs(m.matrix - root / eta).max() <= tol * lam[-1] / eta, t
+        assert np.abs(m._evals - lam / eta).max() <= tol * lam[-1] / eta, t
+        obj = solvers.Objective(solvers.Box(-np.ones(d), np.ones(d)), lin=np.zeros(d))
+        obj.take_quadratic(m)
+        h, ref = solvers._inverse(obj), np.linalg.inv(root / eta)
+        tol_h = max(1e-12, 64 * _EPS * kappa ** 2)
+        assert np.abs(h - ref).max() <= tol_h * np.abs(ref).max(), t
+        if kind == "alternating":
+            b = G[0] / np.linalg.norm(G[0])
+            top = math.sqrt(gamma0 + t * G[0].dot(G[0]))
+            exact = (math.sqrt(gamma0) * np.eye(d)
+                     + (top - math.sqrt(gamma0)) * np.outer(b, b)) / eta
+            assert np.abs(m.matrix - exact).max() <= 1e-12 * top / eta, t
+
+
+def test_the_gram_serves_no_round_below_its_dimension_floor():
+    # below GRAM_MIN_DIM the d x d eigh is cheaper than the Gram's route, so
+    # every round takes it and carries all d eigenvectors
+    d = regularizers.GRAM_MIN_DIM - 1
+    state = ScheduleState()
+    for g in np.random.default_rng(3).uniform(-1.0, 1.0, (3, d)):
+        _, state = adagrad_full_step(state, g, 1.0, 1.0)
+        assert state.rows is None and state.total._evecs.shape == (d, d)
 
 
 def test_adagrad_full_rejects_an_indefinite_increment():

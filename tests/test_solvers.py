@@ -248,6 +248,56 @@ def test_full_box_route_reads_carried_eigenpairs_as_it_reads_the_matrix():
     assert carried.full_evals is None and carried.full_evecs is None
 
 
+def test_partial_eigenpairs_read_as_the_matrix_they_carry(monkeypatch):
+    # in a round the Gram serves (t < 3d/4; the dimension floor is lifted
+    # for d = 8), the full-matrix schedule's running metric carries its top
+    # k < d eigenvectors and one floor eigenvalue for their complement.
+    # solve, a ledger row's dual norm (sum P^2 / evals) and the box argmin
+    # (its H, then its minimizer) agree to 1e-12 relative with a direct
+    # solve on the matrix and with the same matrix read without eigenpairs
+    from adaopt import regularizers
+    from adaopt.core import MetricColumn
+    from adaopt.regularizers import ScheduleState, adagrad_full_step
+    monkeypatch.setattr(regularizers, "GRAM_MIN_DIM", 0)
+
+    def close(a, ref):
+        return np.abs(a - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    d, eta, rng = 8, 0.7, np.random.default_rng(4)
+    state = ScheduleState()
+    col, plain_col = MetricColumn(5, d), MetricColumn(5, d)
+    box = Box(-0.3 * np.ones(d), 0.3 * np.ones(d))
+    for t in range(1, 6):
+        _, state = adagrad_full_step(state, rng.uniform(-1.0, 1.0, d), eta, 0.5)
+        m = state.total
+        assert m._evecs.shape == (d, t)
+        plain = QuadMetric("full", matrix=m.matrix, dim=d)
+        b = rng.normal(size=d)
+        x = np.linalg.solve(m.matrix, b)
+        assert close(m.solve(b), x) and close(plain.solve(b), x)
+        col.put(t - 1, m, True, g=b)
+        plain_col.put(t - 1, plain, True, g=b)
+        assert close(col.evals[t - 1], plain_col.evals[t - 1])
+        for c in (col, plain_col):
+            p = c.proj["g"][t - 1]
+            assert (p / c.evals[t - 1]).dot(p) == pytest.approx(b.dot(x), rel=1e-12)
+        assert np.all(col.proj["g"][t - 1][1:d - t] == 0.0)
+        objs = []
+        for carried in (True, False):
+            obj = Objective.build(box, linear=b)
+            if carried:
+                obj.take_quadratic(m)
+            else:
+                obj.full = m.matrix
+            obj.add_quadratic(np.zeros(d), QuadMetric.scaled(0.25), 1.0)
+            objs.append(obj)
+        assert objs[0].full_evecs is m._evecs and objs[1].full_evecs is None
+        ref = np.linalg.inv(m.matrix + 0.25 * np.eye(d))
+        assert close(solvers._inverse(objs[0]), ref)
+        assert close(solvers._inverse(objs[1]), ref)
+        assert close(argmin_quadratic(objs[0]), argmin_quadratic(objs[1]))
+
+
 def _ball_objective(lin, weights, center, radius):
     obj = Objective.build(Ball(np.asarray(center, float), radius),
                           linear=np.asarray(lin, float))

@@ -5,7 +5,7 @@ bad input when they are called directly."""
 import numpy as np
 import pytest
 
-from adaopt import losses, solvers
+from adaopt import losses, regularizers, solvers
 from adaopt.core import QuadMetric
 from adaopt.learners import Driver, run_rounds
 from adaopt.regularizers import (Linear, Quadratic, ScheduleState,
@@ -106,7 +106,8 @@ def test_public_entry_points_reject_non_finite_vectors(value):
 def _state_fields(state):
     return [None if v is None else np.array(v.matrix if isinstance(v, QuadMetric)
                                             else v, copy=True)
-            for v in (state.accum_sq, state._prev_root, state.total)] \
+            for v in (state.accum_sq, state._prev_root, state.total,
+                      state.rows, state.gram)] \
         + [state.accum_hint_err]
 
 
@@ -132,6 +133,15 @@ def test_schedules_stop_a_bad_gradient_before_they_write_their_state(step, value
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
         step(played, bad, 1.0, 1.0)
     assert _same_state(_state_fields(played), before)
+
+
+@pytest.mark.parametrize("value", NON_FINITE + (1e200, -1e200))
+def test_the_gram_stops_a_bad_gradient_before_it_writes_the_state(value, monkeypatch):
+    # the same, with the Gram's dimension floor lifted, so that both rounds
+    # of d = 3 take their root from the Gram, whose rows and Gram are state
+    monkeypatch.setattr(regularizers, "GRAM_MIN_DIM", 0)
+    test_schedules_stop_a_bad_gradient_before_they_write_their_state(
+        adagrad_full_step, value)
 
 
 @pytest.mark.parametrize("step", [adagrad_diag_step, adagrad_full_step])
@@ -266,6 +276,29 @@ def test_errors_raised_in_a_round_name_it(preset, scale, error, prefix):
         # the rejected schedule row wrote nothing
         assert _same_state(_state_fields(driver._sched),
                            _state_fields(ScheduleState()))
+
+
+@pytest.mark.parametrize("schedule", ["scale-free", "final-attack"])
+def test_a_rejected_ao_ftrl_prox_round_leaves_its_schedule_state(schedule):
+    # round 4's gradient overflows eta_t: the round raises when the metric
+    # of its increment is built, and the driver's hint-error sum and
+    # eta_{t-1} are those after round 3, as a run of three rounds leaves them
+    d = 4
+    G = np.random.default_rng(2).uniform(-1.0, 1.0, (20, d))
+    G[3] *= 1e160
+    seq = losses.LinearStream(lambda t: G[t - 1], d)
+    box = solvers.Box(-np.ones(d), np.ones(d))
+    before = Driver("ao-ftrl-prox", box, {"eta_schedule": schedule})
+    run_rounds(before, seq, 3)
+    driver = Driver("ao-ftrl-prox", box, {"eta_schedule": schedule})
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^round 4: schedule: scaled-identity metric "
+                              "needs a finite gamma >= 0, got inf$"):
+        run_rounds(driver, seq, 20)
+    assert driver.t == 3
+    assert 0.0 < before._sched.accum_hint_err < np.inf
+    assert driver._sched.accum_hint_err == before._sched.accum_hint_err
+    assert driver._eta_prev == before._eta_prev
 
 
 class _CodedError(ValueError):
