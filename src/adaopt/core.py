@@ -96,9 +96,9 @@ class QuadMetric:
     The schedule's metric of a round its Gram serves carries all d
     eigenvalues but the eigenvectors of only the top k: ``_evecs`` is d x k, and the d - k
     smallest eigenvalues are one floor ``_evals[0]`` whose eigenvectors span
-    the complement of ``_evecs``' columns.  Its readers (``solve``,
-    ``MetricColumn.put`` and the argmin's box route) add that complement's
-    term when k < d.
+    the complement of ``_evecs``' columns.  ``inverse_parts`` writes the
+    inverse of that form for ``solve`` and the argmin's box route;
+    ``MetricColumn.put`` stores the complement's share of a projection.
     """
 
     __slots__ = ("kind", "gamma", "weights", "matrix", "_dim", "_evals", "_evecs")
@@ -275,13 +275,25 @@ class QuadMetric:
             return b / self.weights
         evals, evecs = self._eig()
         self._assert_pd_full(evals)
-        d, k = evecs.shape
-        p = evecs.T @ b
-        x = evecs @ (p / evals[d - k:])
-        if k < d:
-            # the floor on the complement of evecs' columns
-            x += (b - evecs @ p) / evals[0]
+        v, c, f = self.inverse_parts(evals, evecs)
+        x = v @ (c * (v.T @ b))
+        if f:
+            x += f * b
         return x
+
+    @staticmethod
+    def inverse_parts(evals, evecs, shift: float = 0.0):
+        """(V, c, f) with (M + shift I)^-1 = V diag(c) V' + f I for the full
+        M of ascending eigenvalues ``evals`` (all d) and top eigenvectors
+        ``evecs`` (d x k): c = 1/lam and f = 0 when k = d, else, the floor
+        evals[0] acting on the complement of V's columns, c = 1/lam - 1/floor
+        and f = 1/floor."""
+        d, k = evecs.shape
+        c = 1.0 / (evals[d - k:] + shift)
+        if k == d:
+            return evecs, c, 0.0
+        f = 1.0 / (evals[0] + shift)
+        return evecs, c - f, f
 
     def _assert_pd_diag(self):
         if not (self.weights > 0.0).all():

@@ -419,10 +419,20 @@ GRAM_MIN_DIM = 26
 
 # Gram eigenvalues s <= GRAM_FLOOR max(s) join the root's floor sqrt(gamma0):
 # eigh's rounding noise on a Gram of t < 256 rows is about t eps max(s)
-# < 5.7e-14 max(s), so a repeated or dependent row's s is dropped, and a
-# dropped pair moves the root by sqrt(gamma0 + s) - sqrt(gamma0) <= s / (2
-# sqrt(gamma0))
+# < 5.7e-14 max(s), so the noise s of a repeated or dependent row, whose U
+# column is undetermined, is dropped.  So is a real pair that small, which
+# the Gram's eigh cannot resolve; ``adagrad_full_step`` tells the two apart
+# by q = ||A'w||^2, the part of G_t the pair carries
 GRAM_FLOOR = 1e-13
+
+# A round may drop only pairs with q <= GRAM_NULL t max(s), null directions
+# of A up to the rounding of A'w (q of dependent rows read below
+# t eps^2 max(s)); the n <= t it drops then move the root by at most
+# sqrt(sum q) <= 4 t eps ||G_t^{1/2}||, the order of the root's own
+# rounding.  A round that would drop more takes the d x d eigh, as does
+# every round after it: the Gram must not let the root shrink where a real
+# pair was kept before
+GRAM_NULL = (4 * np.finfo(float).eps) ** 2
 
 
 def adagrad_full_step(state: ScheduleState, g, eta: float, gamma0: float):
@@ -436,8 +446,9 @@ def adagrad_full_step(state: ScheduleState, g, eta: float, gamma0: float):
     eigenvectors of G_t and G_t^{1/2} = sqrt(gamma0) I
     + U diag(sqrt(gamma0 + s) - sqrt(gamma0)) U'; the floor sqrt(gamma0) is
     the eigenvalue of the complement of U's columns, and an s below
-    ``GRAM_FLOOR`` max(s) joins it.  In every later round, one
-    eigendecomposition of G_t (accumulated every round) gives the root.
+    ``GRAM_FLOOR`` max(s) joins it if A'w shows it null (``GRAM_NULL``).
+    In every later round, and from a round whose small s is not null on,
+    one eigendecomposition of G_t (accumulated every round) gives the root.
     The square root is operator monotone (Loewner-Heinz), so the increment
     is PSD in exact arithmetic; one Cholesky factorisation checks it
     (``QuadMetric.psd_full``).  ``state.total`` is left holding
@@ -467,6 +478,7 @@ def adagrad_full_step(state: ScheduleState, g, eta: float, gamma0: float):
         accum, prev_root = state.accum_sq, state._prev_root
         rows, gram = state.rows, state.gram
     accum = accum + np.outer(g, g)
+    new_root = None
     if rows is not None and 4 * (len(rows) + 1) < 3 * d:
         t = len(rows)
         grown = np.empty((t + 1, t + 1))
@@ -479,13 +491,15 @@ def adagrad_full_step(state: ScheduleState, g, eta: float, gamma0: float):
             raise ValueError("full metric has non-finite entries")
         # s ascends: the kept pairs are its tail
         n = int(np.searchsorted(s, GRAM_FLOOR * s[-1], "right"))
-        evecs = rows.T @ (w[:, n:] / np.sqrt(s[n:]))
-        floor = math.sqrt(gamma0)
-        roots = np.full(d, floor)
-        top = roots[d - t - 1 + n:] = np.sqrt(gamma0 + s[n:])
-        new_root = (evecs * (top - floor)) @ evecs.T
-        new_root.flat[::d + 1] += floor
-    else:
+        if not n or (np.square(rows.T @ w[:, :n]).sum(axis=0).max()
+                     <= GRAM_NULL * (t + 1) * s[-1]):
+            evecs = rows.T @ (w[:, n:] / np.sqrt(s[n:]))
+            floor = math.sqrt(gamma0)
+            roots = np.full(d, floor)
+            top = roots[d - t - 1 + n:] = np.sqrt(gamma0 + s[n:])
+            new_root = (evecs * (top - floor)) @ evecs.T
+            new_root.flat[::d + 1] += floor
+    if new_root is None:
         evals, evecs = np.linalg.eigh(accum)
         # rounding-level negative eigenvalues of the PSD accumulator are zeros
         roots = np.sqrt(np.maximum(evals, 0.0))

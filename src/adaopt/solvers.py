@@ -638,20 +638,13 @@ def _hessian(obj: Objective) -> np.ndarray:
 
 def _inverse(obj: Objective) -> np.ndarray:
     """H = M^-1 for the quadratic part M: from the eigenpairs the objective
-    carries, V diag(1/lam) V' shifted by gamma, or else by inverting
-    ``_hessian``.  Where V holds only the top k < d eigenvectors, the floor
-    evals[0] (+ gamma) acts on the complement of V's columns, and
-    H = V diag(1/lam - 1/floor) V' + I / floor: one d x k product."""
-    v = obj.full_evecs
-    if v is None or obj.diag is not None:
+    carries, shifted by gamma (``QuadMetric.inverse_parts``, one d x k
+    product), or else by inverting ``_hessian``."""
+    if obj.full_evecs is None or obj.diag is not None:
         return np.linalg.inv(_hessian(obj))
-    d, k = v.shape
-    lam = obj.full_evals[d - k:] + obj.gamma
-    if k == d:
-        return (v / lam) @ v.T
-    floor = obj.full_evals[0] + obj.gamma
-    h = (v * (1.0 / lam - 1.0 / floor)) @ v.T
-    h.flat[::d + 1] += 1.0 / floor
+    v, c, f = QuadMetric.inverse_parts(obj.full_evals, obj.full_evecs, obj.gamma)
+    h = (v * c) @ v.T
+    h.flat[::v.shape[0] + 1] += f
     return h
 
 

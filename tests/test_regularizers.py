@@ -269,6 +269,32 @@ def test_full_matrix_gram_root_matches_the_accumulators_eigh(
             assert np.abs(m.matrix - exact).max() <= 1e-12 * top / eta, t
 
 
+@pytest.mark.parametrize("a,b", [(0.01, 1e5), (0.1, 1e7)])
+def test_the_gram_hands_a_pair_it_cannot_resolve_to_the_eigh(a, b):
+    # g = a e1, b e2, a e3, b e2, a e1: round 2's Gram eigenvalue a^2 is
+    # below GRAM_FLOOR b^2, but the pair is real, ||A'w||^2 = a^2, not a
+    # null direction of A.  Dropping it would shrink the root round 1 grew
+    # by about a^2 / 2, more than the PSD check forgives.  So round 2 and
+    # every later round take the eigh of the accumulator, exact on this
+    # diagonal one, and the run has its roots bit for bit.  (Off the axes,
+    # the eigh's own rounding, about eps b^2, fails the check by round 3.)
+    d = 32
+    G = np.zeros((5, d))
+    G[[0, 1, 2, 3, 4], [0, 1, 2, 1, 0]] = a, b, a, b, a
+    state = ScheduleState()
+    for t, g in enumerate(G, 1):
+        _, state = adagrad_full_step(state, g, 1.5, 1.0)
+        evals, evecs = np.linalg.eigh(state.accum_sq)
+        lam = np.sqrt(np.maximum(evals, 0.0))
+        root = (evecs * lam) @ evecs.T
+        root = 0.5 * (root + root.T) / 1.5
+        assert (state.rows is None) == (t > 1), t
+        if t == 1:
+            assert np.abs(state.total.matrix - root).max() <= 1e-12 * root.max()
+        else:
+            assert np.array_equal(state.total.matrix, root), t
+
+
 def test_the_gram_serves_no_round_below_its_dimension_floor():
     # below GRAM_MIN_DIM the d x d eigh is cheaper than the Gram's route, so
     # every round takes it and carries all d eigenvectors
