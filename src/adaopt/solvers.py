@@ -16,8 +16,9 @@ outside their domain instead of handing it on:
 
 * ``argmin_quadratic``  - exact solve: a linear system without a set; on a
   set, projection for an isotropic quadratic, clipping for a diagonal one on
-  a box, a range-space active-set method for a full one on a box, and the
-  secular equation for a diagonal one on a ball,
+  a box, a range-space active-set method for a full one on a box (primal-
+  dual steps that move every wrong bound at once, then one bound a step),
+  and the secular equation for a diagonal one on a ball,
 * ``argmin_l1_composite`` - coordinate soft-thresholding for a diagonal
   quadratic, on a box or the free set,
 * ``argmin_numeric``    - proximal gradient with backtracking and an
@@ -594,7 +595,8 @@ def argmin_quadratic(obj: Objective) -> np.ndarray:
     * isotropic quadratic, any set: project the unconstrained minimizer,
     * diagonal quadratic on a box: clip it (the problem is separable),
     * full quadratic on a box: a range-space active-set method on the
-      metric's inverse (``_full_box_argmin``), warm-started from ``obj.init``,
+      metric's inverse (``_full_box_argmin``), warm-started from ``obj.init``;
+      its first 8 passes move every wrong bound at once, later ones one,
     * diagonal quadratic on a ball: take the ball's multiplier from its
       secular equation (``_diag_ball_argmin``).
 
@@ -648,22 +650,42 @@ def _inverse(obj: Objective) -> np.ndarray:
     return h
 
 
+# passes of _full_box_argmin that move every wrong bound at once before the
+# one-bound-a-time rule takes over, chosen from measured pass counts
+# (CHANGES.md)
+_WHOLESALE_PASSES = 8
+
+
 def _full_box_argmin(obj: Objective, scale: float) -> np.ndarray:
     """argmin <lin, x> + 1/2 x'Mx over lo <= x <= hi for a positive-definite M.
 
-    A primal active-set method (Nocedal & Wright, Alg. 16.3) on the bounds,
-    in its range-space form (§16.2): H = M^-1 is formed once (``_inverse``)
-    and u = H lin.  The working set W holds the coordinates fixed at a bound; it
-    starts where ``obj.init`` (the previous iterate; without one, the clipped
-    unconstrained minimizer -u) sits at one.  With x_W fixed, the minimizer
-    is H_{:,W} mu - u (x_W on W) for H_WW mu = x_W + u_W, a |W| x |W| system
+    An active-set method on the bounds in its range-space form (Nocedal &
+    Wright §16.2): H = M^-1 is formed once (``_inverse``) and u = H lin.
+    The working set W holds the coordinates fixed at a bound; it starts
+    where ``obj.init`` (the previous iterate; without one, the clipped
+    unconstrained minimizer -u) sits at one.  Every pass solves the same
+    system: with x_W at its bounds, the minimizer on W is the target
+    H_{:,W} mu - u (x_W on W) for H_WW mu = x_W + u_W, a |W| x |W| system
     (H_WW is minus the Schur complement of M in the KKT matrix); the
-    gradient there is mu on W and 0 off it.  Each step moves the feasible
-    iterate towards that point until bounds block it, and they join W.  At
-    the point, the coordinate whose multiplier is wrong by more than 1e-12
-    scale (mu_j < 0 at lo, > 0 at hi) leaves W; if none is, x is the
-    minimizer.  The objective falls strictly between reduced minimizers, so
-    no working set repeats; coordinates with lo == hi never leave W.  The
+    gradient there is mu on W and 0 off it.  A multiplier is wrong when it
+    is below -1e-12 scale at lo or above 1e-12 scale at hi; lo == hi puts a
+    coordinate at both, where its sign is free, so it never leaves W.  A
+    target within its bounds with no wrong multiplier is the minimizer.  A
+    pass that fails moves W by one of two rules:
+
+    * the first ``_WHOLESALE_PASSES`` (8) passes take a primal-dual
+      active-set step (Hintermueller, Ito & Kunisch 2002): every free
+      coordinate out of bounds joins W at the bound it crosses, and every
+      wrong multiplier leaves W, all at once;
+    * later passes take primal active-set steps (Alg. 16.3) from the last
+      clipped target: the iterate moves towards the target until bounds
+      block it, and they join W; at a target within its bounds, the most
+      wrong multiplier alone leaves W.  The objective falls strictly
+      between reduced minimizers, so no working set repeats.
+
+    From the previous iterate the primal-dual step mostly settles in one or
+    two passes, but it can cycle; the primal rule finishes what 8 passes
+    leave.  Either rule returns the same formula on the same sorted W.  The
     loop bound is a guard against rounding cycles and raises.
     """
     lo, hi = obj.feasible_set.lo, obj.feasible_set.hi
@@ -671,19 +693,31 @@ def _full_box_argmin(obj: Objective, scale: float) -> np.ndarray:
     u = h @ obj.lin
     x = (obj.init if obj.init is not None else -u).clip(lo, hi)
     at_lo, at_hi = x == lo, x == hi
+    tol = 1e-12 * scale
     guard = 20 * x.size + 20
-    for _ in range(guard):
-        fixed = np.flatnonzero(at_lo | at_hi)
+    for step in range(guard):
+        fixed = (at_lo | at_hi).nonzero()[0]
         if fixed.size == x.size:                # nothing is free
             target, mu = x, obj.smooth_grad(x)
         elif fixed.size:
-            cols = h.take(fixed, 1)
-            mu = np.linalg.solve(cols.take(fixed, 0), x[fixed] + u[fixed])
+            cols, x_w = h.take(fixed, 1), x[fixed]
+            mu = np.linalg.solve(cols.take(fixed, 0), x_w + u[fixed])
             target = cols @ mu - u
-            target[fixed] = x[fixed]
+            target[fixed] = x_w
         else:                                   # nothing is fixed
             target, mu = -u, np.zeros(0)
         below, above = target < lo, target > hi
+        # how wrong each multiplier is: -mu at lo, mu at hi, 0 at both
+        wrong = (at_hi * 1.0 - at_lo)[fixed] * mu
+        if step < _WHOLESALE_PASSES:
+            drop = fixed[wrong > tol]
+            if not (drop.size or below.any() or above.any()):
+                return target
+            at_lo |= below
+            at_hi |= above
+            at_lo[drop] = at_hi[drop] = False
+            x = target.clip(lo, hi)
+            continue
         out = np.flatnonzero(below | above)
         if out.size:
             # the bounds the segment to the target crosses first stop it
@@ -695,13 +729,9 @@ def _full_box_argmin(obj: Objective, scale: float) -> np.ndarray:
             x[hit] = bound[frac == alpha]
             at_lo[hit], at_hi[hit] = below[hit], above[hit]
             continue
+        if not wrong.max(initial=0.0) > tol:
+            return target
         x = target
-        # a bound's multiplier must be >= 0 at lo and <= 0 at hi; lo == hi
-        # puts a coordinate at both, where its sign is free
-        w_lo = at_lo[fixed]
-        wrong = np.where(w_lo ^ at_hi[fixed], np.where(w_lo, -mu, mu), 0.0)
-        if not wrong.max(initial=0.0) > 1e-12 * scale:
-            return x
         j = fixed[int(np.argmax(wrong))]
         at_lo[j] = at_hi[j] = False
     raise NumericArgminError(f"active-set argmin did not settle after {guard} steps")

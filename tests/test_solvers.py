@@ -1,5 +1,7 @@
 """Feasible sets, closed-form argmins, and the certified numeric fallback."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -246,6 +248,176 @@ def test_full_box_route_reads_carried_eigenpairs_as_it_reads_the_matrix():
     d = carried.lin.size
     carried.add_quadratic(np.zeros(d), QuadMetric.full(np.eye(d)), 1.0)
     assert carried.full_evals is None and carried.full_evecs is None
+
+
+def _one_bound_a_step(obj, scale):
+    """The box route's minimizer by the primal active-set method alone
+    (Nocedal & Wright, Alg. 16.3), the reference for its primal-dual
+    passes: from the clipped warm start, each step moves towards the working
+    set's minimizer until the first bounds block it, or, at that minimizer,
+    releases the one most wrong multiplier."""
+    lo, hi = obj.feasible_set.lo, obj.feasible_set.hi
+    h = solvers._inverse(obj)
+    u = h @ obj.lin
+    x = (obj.init if obj.init is not None else -u).clip(lo, hi)
+    at_lo, at_hi = x == lo, x == hi
+    guard = 20 * x.size + 20
+    for _ in range(guard):
+        fixed = np.flatnonzero(at_lo | at_hi)
+        if fixed.size == x.size:
+            target, mu = x, obj.smooth_grad(x)
+        elif fixed.size:
+            cols = h.take(fixed, 1)
+            mu = np.linalg.solve(cols.take(fixed, 0), x[fixed] + u[fixed])
+            target = cols @ mu - u
+            target[fixed] = x[fixed]
+        else:
+            target, mu = -u, np.zeros(0)
+        below, above = target < lo, target > hi
+        out = np.flatnonzero(below | above)
+        if out.size:
+            bound = np.where(below[out], lo[out], hi[out])
+            frac = (bound - x[out]) / (target[out] - x[out])
+            alpha = float(frac.min())
+            x = (x + alpha * (target - x)).clip(lo, hi)
+            hit = out[frac == alpha]
+            x[hit] = bound[frac == alpha]
+            at_lo[hit], at_hi[hit] = below[hit], above[hit]
+            continue
+        x = target
+        w_lo = at_lo[fixed]
+        wrong = np.where(w_lo ^ at_hi[fixed], np.where(w_lo, -mu, mu), 0.0)
+        if not wrong.max(initial=0.0) > 1e-12 * scale:
+            return x
+        j = fixed[int(np.argmax(wrong))]
+        at_lo[j] = at_hi[j] = False
+    raise AssertionError("the reference did not settle")
+
+
+def _box_scale(obj):
+    """The scale argmin_quadratic hands the box route."""
+    return 1.0 + np.linalg.norm(obj.lin) + obj.quad_curvature()[1]
+
+
+def _full_matrix_run(d=50, T=40, seed=0):
+    from adaopt.learners import Driver, run_rounds
+    drv = Driver("adagrad-da", Box(-np.ones(d), np.ones(d)), {"metric": "full"})
+    return run_rounds(drv, losses.random_stream(d, seed), T)
+
+
+def test_full_box_route_returns_the_reference_point_on_a_full_matrix_run(monkeypatch):
+    # on a full-matrix AdaGrad run each round's warm start is the previous
+    # iterate; where the primal-dual passes end on the working set the
+    # reference ends on, the point is the same formula: bit for bit
+    seen = []
+
+    def both(obj, scale, _real=solvers._full_box_argmin):
+        ref = _one_bound_a_step(obj, scale)
+        x = _real(obj, scale)
+        seen.append((np.array_equal(x, ref), int(np.sum(np.abs(x) == 1.0))))
+        return x
+
+    monkeypatch.setattr(solvers, "_full_box_argmin", both)
+    _full_matrix_run()
+    assert len(seen) == 40 and all(same for same, _ in seen)
+    # the iterates sit at bounds, so the working sets are not empty
+    assert sum(on_bound for _, on_bound in seen) > 40
+
+
+def test_full_box_route_agrees_with_the_reference_on_the_suites_draws():
+    # the solver suite's draws: conditioning up to 1e6, coordinates with
+    # lo == hi, multipliers exactly zero on a third of the bound coordinates
+    # and warm starts that are right, wrong or absent.  Such a zero
+    # multiplier makes two working sets optimal, whose points differ by the
+    # rounding of different systems, below 1e-13 cond here (2e-15 cond
+    # measured); on the draws with one optimal working set the points are
+    # the same bits (1879 of the 2000 draws)
+    rng = np.random.default_rng(15)
+    same = 0
+    for _ in range(2000):
+        obj, x_star, cond = suites._full_box_instance(rng)
+        x = argmin_quadratic(obj)
+        ref = _one_bound_a_step(obj, _box_scale(obj))
+        assert np.max(np.abs(x - ref)) <= 1e-12 + 1e-13 * cond
+        same += np.array_equal(x, ref)
+        assert np.allclose(x, x_star, rtol=0.0, atol=1e-9)
+        lo, hi = obj.feasible_set.lo, obj.feasible_set.hi
+        g = obj.smooth_grad(x)
+        tol = 1e-8 * _box_scale(obj)
+        assert np.max(np.abs(g[(x > lo) & (x < hi)]), initial=0.0) <= tol
+        assert np.all(g[(x == lo) & (lo < hi)] >= -tol)
+        assert np.all(g[(x == hi) & (lo < hi)] <= tol)
+    assert same >= 1800
+
+
+def test_full_box_route_hands_a_cycling_instance_to_the_primal_rule(monkeypatch):
+    # draw 1991 of the suite's generator at seed 15 (d = 5, cond 5e5): its
+    # primal-dual steps cycle.  After 8 of them the primal rule settles it,
+    # certified, at the reference's point
+    rng = np.random.default_rng(15)
+    for _ in range(1992):
+        obj, x_star, cond = suites._full_box_instance(rng)
+    scale = _box_scale(obj)
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_WHOLESALE_PASSES", 10 ** 6)
+        with pytest.raises(NumericArgminError, match="did not settle"):
+            solvers._full_box_argmin(obj, scale)
+    # each pass of the primal rule, and no primal-dual pass, looks for the
+    # bounds its target crosses with flatnonzero
+    primal = []
+
+    def counted(a, _real=np.flatnonzero):
+        primal.append(a)
+        return _real(a)
+
+    monkeypatch.setattr(np, "flatnonzero", counted)
+    x = argmin_quadratic(obj)                   # certifies, or raises
+    assert primal                               # 4 passes here
+    monkeypatch.undo()
+    assert np.max(np.abs(x - _one_bound_a_step(obj, scale))) <= 1e-13 * cond
+    assert np.allclose(x, x_star, rtol=0.0, atol=1e-9)
+
+
+def test_full_box_route_with_nothing_free(monkeypatch):
+    # every coordinate ends at a bound, and the warm start has each at the
+    # other one: the first pass releases them all, the second, with
+    # nothing fixed, puts each at the bound it crosses, and the third
+    # returns; no pass solves a system
+    m = 2.0 * np.eye(3) + 0.5
+    x_star = np.array([1.0, -1.0, 1.0])
+    obj = Objective.build(Box(-np.ones(3), np.ones(3)),
+                          linear=np.array([-3.0, 3.0, -3.0]) - m @ x_star)
+    obj.full = m
+    obj.init = -x_star
+    pin = np.array([-0.5, 0.2, 0.3])
+    pinned = Objective.build(Box(pin, pin.copy()), linear=obj.lin)
+    pinned.full = m
+
+    def refuse(*args):
+        raise AssertionError("a working-set system was solved")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "solve", refuse)
+        x = argmin_quadratic(obj)
+        # nor is a coordinate with lo == hi ever free
+        assert np.array_equal(argmin_quadratic(pinned), pin)
+    assert np.array_equal(x, x_star)
+    assert np.array_equal(_one_bound_a_step(obj, _box_scale(obj)), x_star)
+
+
+def test_full_matrix_run_takes_at_most_its_recorded_box_steps(monkeypatch):
+    # the box route's working-set solves over a d = 50, T = 40 full-matrix
+    # AdaGrad run: 59 with primal-dual passes, 86 by one bound a step
+    solves = []
+
+    def counted(a, b, _real=np.linalg.solve):
+        if sys._getframe(1).f_globals["__name__"] == "adaopt.solvers":
+            solves.append(np.shape(a))
+        return _real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    _full_matrix_run()
+    assert len(solves) <= 59
 
 
 def test_partial_eigenpairs_read_as_the_matrix_they_carry(monkeypatch):
