@@ -92,26 +92,33 @@ class QuadMetric:
     A full metric carries its eigenpairs (``_evals`` ascending, ``_evecs``)
     when ``full`` built it, ``scale`` kept them, or it is the full-matrix
     schedule's running metric (``regularizers.adagrad_full_step``); a
-    ``psd_full`` increment, an ``add`` sum or a ledger row computes them lazily.
+    ``psd_full`` increment or an ``add`` sum computes them lazily.
     The schedule's metric of a round its Gram serves carries all d
     eigenvalues but the eigenvectors of only the top k: ``_evecs`` is d x k, and the d - k
     smallest eigenvalues are one floor ``_evals[0]`` whose eigenvectors span
-    the complement of ``_evecs``' columns.  ``inverse_parts`` writes the
-    inverse of that form for ``solve`` and the argmin's box route;
-    ``MetricColumn.put`` stores the complement's share of a projection.
+    the complement of ``_evecs``' columns.  ``parts`` writes that form as
+    V diag(c) V' + f I, and ``inverse_parts`` its inverse for ``solve`` and
+    the argmin's box route; ``MetricColumn.put`` stores the complement's
+    share of a projection.  Such a metric, and the increment from one to
+    the next (``psd_difference``, which holds the pair), has no d x d
+    matrix: ``matvec`` reads the factors, and ``matrix`` is formed, and
+    kept, only when something reads it.
     """
 
-    __slots__ = ("kind", "gamma", "weights", "matrix", "_dim", "_evals", "_evecs")
+    __slots__ = ("kind", "gamma", "weights", "_matrix", "_dim", "_evals", "_evecs",
+                 "_pair", "_parts_of")
 
     def __init__(self, kind, *, gamma=None, weights=None, matrix=None, dim=None,
-                 _evals=None, _evecs=None):
+                 _evals=None, _evecs=None, _pair=None):
         self.kind = kind
         self.gamma = gamma
         self.weights = weights
-        self.matrix = matrix
+        self._matrix = matrix
         self._dim = dim
         self._evals = _evals
         self._evecs = _evecs
+        self._pair = _pair
+        self._parts_of = None
 
     # -- constructors --------------------------------------------------
 
@@ -186,6 +193,73 @@ class QuadMetric:
         return cls("full", matrix=matrix, dim=d)
 
     @classmethod
+    def eigen(cls, evals: np.ndarray, evecs: np.ndarray) -> "QuadMetric":
+        """The full metric of ascending eigenvalues ``evals`` (all d) and
+        top eigenvectors ``evecs`` (d x k, k = 0 for floor * I), trusted
+        as given; its matrix is formed only if read."""
+        return cls("full", dim=evecs.shape[0], _evals=evals, _evecs=evecs)
+
+    @classmethod
+    def psd_difference(cls, new: "QuadMetric", old: "QuadMetric"):
+        """new - old for two ``eigen`` metrics of one floor, proven PSD on
+        its k x k core, or None where the proof fails.
+
+        With new = V diag(a) V' + f I and old = Z Z' + f I (``parts``; Z is
+        old's eigenvectors scaled by the root of their c), Z = V Y + E for
+        Y = V'Z and E old's part off V's span: the increment M is
+        V C V' - (V Y E' + E Y'V') - E E' for the core C = diag(a) - Y Y'.
+        Let c be psd_full's, beta^2 = ||E||_F^2 and rho = max(a) + c s,
+        above ||Y Y'|| once the core passes.  For V with orthonormal columns
+        and x = V u + y, y off V's span, Young's inequality gives
+        x'(M + c s I)x >= u'(C + (c s - slack) I)u + (c s / 2 - beta^2)||y||^2,
+        slack = 2 rho beta^2 / (c s).  So a Cholesky factorisation of
+        C + (c s - slack) I, with beta^2 < c s / 2, proves on a k x k matrix
+        that M + c s I is positive definite: what ``psd_full`` of the formed
+        d x d increment accepts, for its s, read off that matrix (its
+        largest |diagonal| and the Rayleigh quotient of that column).  That
+        s is at least 1, and a proof at a smaller s is one at a larger, so
+        s = 1 is tried first; psd_full's s, read off V C V', only where that
+        fails.  The two conditions keep ||M - V C V'|| below 2 c s, so this s
+        is psd_full's to a relative 1e-9, far inside the 2 d eps by which c
+        undercuts 1e-10; with E at rounding level the slack is below
+        1e-20 c s.  Where the proof fails the caller decides on a d x d
+        matrix."""
+        v, a, f = new.parts()
+        w, b, f_old = old.parts()
+        if f != f_old:
+            return None
+        d, k = v.shape
+        z = w * np.sqrt(b)
+        y = v.T @ z
+        off = z - v @ y
+        beta2 = float(np.vdot(off, off))
+        yy = y @ y.T
+        c, top = -_PSD_CLAMP - 2 * d * _EPS, float(a.max(initial=0.0))
+        s = 1.0
+        while True:
+            cs = c * s
+            slack = 2 * (top + cs) * beta2 / cs
+            if 2 * beta2 < cs and slack < cs:
+                try:
+                    if k:
+                        np.linalg.cholesky(np.diag(a + (cs - slack)) - yy)
+                    return cls("full", dim=d, _pair=(new, old))
+                except np.linalg.LinAlgError:
+                    pass
+            if s > 1.0:
+                return None
+            # psd_full's s: column j of V C V' for its largest |diagonal|
+            core = np.diag(a) - yy
+            vc = v @ core
+            diag = np.abs(np.einsum("ij,ij->i", vc, v))
+            j = int(diag.argmax())
+            u = vc[j]
+            uu = float(u.dot(u))
+            s = max(float(diag[j]), abs(float(u.dot(core @ u))) / uu if uu else 0.0)
+            if not s > 1.0:
+                return None
+
+    @classmethod
     def zero(cls, dim: int | None = None) -> "QuadMetric":
         return cls("scaled", gamma=0.0, dim=dim)
 
@@ -195,21 +269,68 @@ class QuadMetric:
     def dim(self) -> int | None:
         return self._dim
 
+    @property
+    def matrix(self) -> np.ndarray | None:
+        """A full metric's d x d matrix, formed when first read: a
+        ``psd_difference`` increment's from its pair, an ``eigen`` metric's
+        as the full-matrix schedule formed its root, sym((V c) V' + f I)."""
+        if self._matrix is None and self.kind == "full":
+            if self._pair is not None:
+                new, old = self._pair
+                self._matrix = new._summand(self._dim) - old._summand(self._dim)
+            else:
+                v, c, f = self.parts()
+                m = (v * c) @ v.T
+                if v.shape[1] < v.shape[0]:
+                    m.flat[::v.shape[0] + 1] += f
+                self._matrix = 0.5 * (m + m.T)
+        return self._matrix
+
     def _eig(self):
         if self._evals is None:
             self._evals, self._evecs = np.linalg.eigh(self.matrix)
         return self._evals, self._evecs
+
+    def parts(self):
+        """(V, c, f) with M = V diag(c) V' + f I for a full metric of
+        eigenpairs: c the top k eigenvalues and f = 0 when k = d, else c
+        their excess over the floor f = ``_evals[0]``; kept once formed."""
+        if self._parts_of is None:
+            evals, evecs = self._eig()
+            d, k = evecs.shape
+            f = evals[0] if k < d else 0.0
+            self._parts_of = evecs, evals[d - k:] - f, f
+        return self._parts_of
 
     # -- algebra ---------------------------------------------------------
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "scaled":
             return self.gamma * x
-        if self.kind == "diag":
-            self._check(x)
-            return self.weights * x
         self._check(x)
-        return self.matrix @ x
+        if self.kind == "diag":
+            return self.weights * x
+        if self._matrix is not None:
+            return self._matrix @ x
+        if self._pair is not None:
+            new, old = self._pair
+            if (new._matrix is not None or old._matrix is not None) \
+                    and new._at_hand() and old._at_hand():
+                # between roots of the d x d route, or one and the floor f I
+                # a run starts at: the difference of their matrices
+                return self.matrix @ x
+            return new.matvec(x) - old.matvec(x)
+        return self._eigen_matvec(x)
+
+    def _at_hand(self) -> bool:
+        """Whether the matrix is kept, or costs nothing to form: f I."""
+        return self._matrix is not None or self._evecs is not None and not self._evecs.size
+
+    def _eigen_matvec(self, x: np.ndarray) -> np.ndarray:
+        """M x from the eigenpairs, for x a vector or a block of rows."""
+        v, c, f = self.parts()
+        out = ((x @ v) * c) @ v.T
+        return out + f * x if f else out
 
     def _check(self, x):
         if self._dim is not None and x.shape[0] != self._dim:
@@ -315,15 +436,37 @@ class QuadMetric:
         return f"QuadMetric.full({self.matrix!r})"
 
 
+class Roots(list):
+    """A full-matrix run's running metric of r after each round t = 0..T,
+    as play left it, shared by the run's metric columns: a root the Gram
+    served keeps its eigenvalues and top eigenvectors (``QuadMetric.eigen``),
+    one of the d x d route its matrix alone.  The Gram's roots come first;
+    root 0 is the floor f I a run starts at."""
+
+    __slots__ = ()
+
+    def append(self, m: QuadMetric) -> None:
+        super().append(m if m._matrix is None
+                       else QuadMetric("full", matrix=m._matrix, dim=m._dim))
+
+    def gram(self) -> int:
+        """How many roots, from root 0, carry no matrix."""
+        return next((t for t, m in enumerate(self) if m._matrix is not None), len(self))
+
+
 class MetricColumn:
     """One metric per round.  Row i is ``gamma[i]`` I where ``kind[i]`` is
     0, the diagonal ``wide[i]`` (T x d, allocated by the first) where it is
-    1, and a full matrix read from ``roots``, a full-matrix run's one d x d
-    per round shared by its columns, where it is 2, 3 or 4: ``roots[i]``,
-    ``roots[i + 1]`` or their difference (``matrix``).  roots[t] is the
-    driver's running metric after round t; a root row also keeps its
-    eigenvalues (``evals``) and the named vectors' projections onto its
-    eigenvectors (``proj``), which is what a dual norm under it reads.  A
+    1, and a full metric read from ``roots``, a full-matrix run's T + 1
+    running metrics shared by its columns, where it is 2, 3 or 4:
+    ``roots[i]``, ``roots[i + 1]`` or the increment from one to the other.
+    ``roots`` (``Roots``) keeps r's running metric after each round as
+    play left it: the eigenvalues and top eigenvectors of a root the Gram
+    served, the matrix of one the d x d eigh made, so a row's ``matvec``
+    reads what play formed and the column forms no d x d of its own.  A
+    root row also keeps its eigenvalues (``evals``) and the named vectors'
+    projections onto its eigenvectors (``proj``), which is what a dual
+    norm under it reads.  A
     root that carries only its top k eigenvectors (``QuadMetric``) keeps the
     projections onto them in the last k slots; its floor eigenvalue fills
     the first d - k, and so does v's part off their span: its norm in the
@@ -332,7 +475,7 @@ class MetricColumn:
 
     __slots__ = ("dim", "kind", "gamma", "wide", "roots", "evals", "proj")
 
-    def __init__(self, T: int, dim: int, roots: np.ndarray | None = None):
+    def __init__(self, T: int, dim: int, roots: Roots | None = None):
         self.dim = dim
         self.kind = np.zeros(T, dtype=np.int8)
         self.gamma = np.zeros(T)
@@ -381,18 +524,14 @@ class MetricColumn:
             self.wide = np.zeros((self.kind.size, self.dim))
         self.kind[rows], self.wide[rows] = 1, values
 
-    def matrix(self, i: int) -> np.ndarray:
-        """Full row i's d x d matrix."""
-        k, r = self.kind[i], self.roots
-        return r[i] if k == 2 else r[i + 1] if k == 3 else r[i + 1] - r[i]
-
     def __getitem__(self, i: int) -> QuadMetric:
-        k = self.kind[i]
+        k, r = self.kind[i], self.roots
         if k == 0:
             return QuadMetric("scaled", gamma=float(self.gamma[i]), dim=self.dim)
         if k == 1:
             return QuadMetric("diag", weights=self.wide[i], dim=self.dim)
-        return QuadMetric("full", matrix=self.matrix(i), dim=self.dim)
+        return r[i] if k == 2 else r[i + 1] if k == 3 \
+            else QuadMetric("full", dim=self.dim, _pair=(r[i + 1], r[i]))
 
     def cut(self, T: int) -> "MetricColumn":
         out = MetricColumn(0, self.dim, self.roots)     # rows past T go unread

@@ -48,7 +48,7 @@ import math
 
 import numpy as np
 
-from .core import MetricColumn, QuadMetric, as_point, rowdot, running
+from .core import MetricColumn, QuadMetric, Roots, as_point, rowdot, running
 from .losses import LinearLoss, QuadraticLoss, is_isotropic_quadratic
 from .regularizers import (COMPOSITE_SETTINGS, ScheduleState, Terms,
                            adagrad_diag_rows, adagrad_diag_step,
@@ -593,9 +593,9 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
     hint = np.empty((T + 1, d)) if driver.optimistic else None
     roots = None
     if driver.params.get("metric") == "full":
-        # a full-matrix run's one d x d per round: r's running metric
-        roots = np.empty((T + 1, d, d))
-        roots[0] = driver._r_metric._summand(d)
+        # a full-matrix run's running metric of r after each round, from
+        # the scaled identity it starts at
+        roots = Roots([QuadMetric.eigen(np.full(d, driver._r_metric.gamma), np.empty((d, 0)))])
     prox, q_metric, r_metric = (MetricColumn(T, d, roots) for _ in range(3))
     eta = None
     x[0] = driver.x1
@@ -643,7 +643,7 @@ def run_rounds(driver: Driver, seq, T: int, rng=None) -> regret.Ledger:
         if roots is None:
             r_metric.put(i, r_t)
         else:
-            roots[t] = driver._r_metric.matrix
+            roots.append(driver._r_metric)
             # r_{1:t} is r's running metric after the round, or before it
             # when q_t carries the increment
             vecs = {"g": g} if sigma is None else {"g": g, "sigma": sigma[i]}

@@ -27,8 +27,10 @@ An l1 directional derivative sums a zero-filled row where ``L1.dir_deriv``
 sums the compressed one; from 8 coordinates on numpy's pairwise sum groups
 the two differently, so that term agrees to rounding, not bit for bit; so
 does a full metric's dual norm, sum_j p_j^2 / (lambda_j - s) over the
-eigenvalues and projections play recorded (``core.MetricColumn``).  Loops
-over rows remain for a full row's matrix-vector product, losses outside the
+eigenvalues and projections play recorded (``core.MetricColumn``), and a
+quadratic under a root the Gram served, read from the roots'
+eigenvectors, all such rows at once (``_quad_values``).  Loops over rows
+remain for a d x d root's matrix-vector product, losses outside the
 linear and isotropic-quadratic families, and an ftrl B_r's non-isotropic
 loss parts.
 A report carries the running sum of its terms, its value is the last
@@ -421,24 +423,67 @@ def _capped(col: np.ndarray) -> np.ndarray:
     return col
 
 
-def _matvec(m: MetricColumn, D) -> np.ndarray:
-    """Row i: M_i D_i, as ``QuadMetric.matvec`` computes it.  A quadratic's
-    value is then 0.5 * rowdot(D, M D) and its directional derivative
-    rowdot(M D, Z) (``_quad_values``), the float steps of ``Quadratic``
-    (whose scale 1.0 leaves a product as it is); full rows are a loop."""
+def _matvec(m: MetricColumn, D, skip: np.ndarray) -> np.ndarray:
+    """Row i: M_i D_i, as ``QuadMetric.matvec`` computes it, for every row
+    but those in ``skip`` (left 0).  A quadratic's value is then
+    0.5 * rowdot(D, M D) and its directional derivative rowdot(M D, Z)
+    (``_quad_values``), the float steps of ``Quadratic`` (whose scale 1.0
+    leaves a product as it is); full rows are a loop."""
     out = m.gamma[:, None] * D
     diag = m.kind == 1
     if diag.any():
         out[diag] = m.wide[diag] * D[diag]
-    for i in np.flatnonzero(m.kind >= 2):
-        out[i] = m.matrix(i) @ D[i]
+    full = m.kind >= 2
+    full[skip] = False
+    for i in np.flatnonzero(full):
+        out[i] = m[i].matvec(D[i])
     return out
 
 
 def _quad_values(m: MetricColumn, D, Z=None) -> np.ndarray:
-    MD = _matvec(m, D)
+    """Row i: 0.5 D_i'M_i D_i, and given directions Z the row Z_i'M_i D_i.
+    A full row whose roots the Gram served reads them as
+    R_j = V diag(c) V' + f I (``QuadMetric.parts``): 0.5 D'R_j D is
+    0.5 (f ||D||^2 + c.(V'D)^2), an increment's the new root's less the
+    old's, every such row at once from the projections of D (and Z) onto
+    the roots' V, stacked and zero-padded to the widest; no d x d is
+    formed.  Every other row goes through M_i D_i (``_matvec``)."""
+    R, full = m.roots, np.zeros(0, dtype=int)
+    n = 0 if R is None else R.gram()
+    if n > 1:                           # the Gram served a round
+        full = np.flatnonzero(m.kind >= 2)
+        kind = m.kind[full]
+        new = full + (kind > 2)
+        full, kind, new = full[new < n], kind[new < n], new[new < n]
+    MD = _matvec(m, D, full)
     val = 0.5 * rowdot(D, MD)
-    return val if Z is None else np.array([val, rowdot(MD, Z)])
+    out = val if Z is None else np.array([val, rowdot(MD, Z)])
+    if full.size:
+        parts = [R[j].parts() for j in range(new.max() + 1)]
+        V = np.zeros((len(parts), m.dim, max(c.size for _, c, _ in parts)))
+        C = np.zeros(V.shape[::2])
+        for j, (v, c, _) in enumerate(parts):
+            V[j, :, :c.size], C[j, :c.size] = v, c
+        F = np.array([f for _, _, f in parts], dtype=float)
+        Dr = D[full]
+        Zr = None if Z is None else Z[full]
+
+        def forms(js):
+            # the roots js, a view of the stack where they run on
+            Vj = V[js[0]:js[-1] + 1] if np.all(np.diff(js) == 1) else V[js]
+            P = np.matmul(Dr[:, None], Vj)[:, 0]
+            f, c = F[js], C[js]
+            val = 0.5 * (f * rowdot(Dr, Dr) + rowdot(P * P, c))
+            if Zr is None:
+                return val
+            Q = np.matmul(Zr[:, None], Vj)[:, 0]
+            return np.array([val, f * rowdot(Zr, Dr) + rowdot(Q * P, c)])
+
+        vals, inc = forms(new), kind == 4
+        if inc.any():
+            vals = vals - inc * forms(full)
+        out[..., full] = vals
+    return out
 
 
 def _l1_deriv(y, z) -> np.ndarray:

@@ -356,15 +356,20 @@ class Terms(NamedTuple):
 
 @dataclass
 class ScheduleState:
-    """Mutable accumulator a schedule threads through the rounds."""
+    """Mutable accumulator a schedule threads through the rounds.
+
+    While the Gram serves the full-matrix schedule (``adagrad_full_step``)
+    its state is factored: ``rows`` and ``gram`` hold the g rows A (t x d)
+    and A A', ``_prev_root`` the root G_t^{1/2} as an ``eigen`` metric
+    (floor, U, D) and ``total`` that over eta; no accumulator is kept.
+    From the round the d x d route takes over, ``accum_sq`` is G_t and
+    ``_prev_root`` its root as a d x d matrix."""
 
     accum_sq: np.ndarray | None = None     # per-coordinate or full-matrix sums
     accum_hint_err: float = 0.0            # sum of ||g_t - hint_t||^2
-    _prev_root: np.ndarray | None = field(default=None, repr=False)
+    _prev_root: np.ndarray | QuadMetric | None = field(default=None, repr=False)
     # the full-matrix schedule's running metric root(G_t) / eta, with its eigenpairs
     total: QuadMetric | None = field(default=None, repr=False)
-    # while the Gram serves the full-matrix schedule, its g rows A (t x d)
-    # and their Gram A A'
     rows: np.ndarray | None = field(default=None, repr=False)
     gram: np.ndarray | None = field(default=None, repr=False)
 
@@ -410,11 +415,14 @@ def adagrad_diag_rows(state: ScheduleState, G: np.ndarray, eta: float,
 # does not serve costs O(d^3) for the accumulator's eigendecomposition
 FULL_MATRIX_MAX_DIM = 256
 
-# The Gram serves round t while 4 t < 3 d, from dimension GRAM_MIN_DIM up:
-# there its t x t eigh undercuts the d x d one by more than its extra
-# products cost.  Timed per round (numpy 2.4 with OpenBLAS, 2 vCPUs, uniform
-# gradients), the Gram gained up to t = 25 of d = 36, t = 32 of d = 44,
-# t = 38 of d = 50 and t = 48 of d = 64, and lost in every round of d = 20
+# The Gram serves round t while 6 t < 5 d, from dimension GRAM_MIN_DIM up:
+# there its t x t eigh and k x k increment check undercut the d x d eigh,
+# the d x d root and psd_full's d x d Cholesky.  Timed per round against a
+# d x d round that also adds g g' to its accumulator (numpy 2.4 with
+# OpenBLAS, 2 vCPUs, uniform gradients, 40 to 60 interleaved runs), the
+# Gram gained in every round up to t = 19 of d = 26, 22 of 30, 28 of 36,
+# 32 of 40, 34 of 44, 40 of 50 and 57 of 64, and about broke even at
+# d = 20 (mean 88.8 against 88.2 us a round, losing from t = 11)
 GRAM_MIN_DIM = 26
 
 # Gram eigenvalues s <= GRAM_FLOOR max(s) join the root's floor sqrt(gamma0):
@@ -435,30 +443,42 @@ GRAM_FLOOR = 1e-13
 GRAM_NULL = (4 * np.finfo(float).eps) ** 2
 
 
+def gram_rounds(d: int) -> int:
+    """The rounds t = 1.. the Gram may serve at dimension d: 6 t < 5 d, from
+    ``GRAM_MIN_DIM`` up."""
+    return (5 * d - 1) // 6 if d >= GRAM_MIN_DIM else 0
+
+
 def adagrad_full_step(state: ScheduleState, g, eta: float, gamma0: float):
     """Full-matrix adaptive-metric increment (G_t^{1/2} - G_{t-1}^{1/2}) / eta
     for G_t = gamma0 I + sum_{s <= t} g_s g_s'.
 
     G_t is gamma0 I plus A'A for the t x d rows A of g_1..g_t.  In a round
-    the Gram serves (t < 3d/4 from dimension ``GRAM_MIN_DIM`` up), the root
+    the Gram serves (``gram_rounds``: t < 5d/6 from dimension
+    ``GRAM_MIN_DIM`` up), the root
     comes from the t x t Gram K = A A' (grown by a row and a column a
     round): for K = W diag(s) W', U = A' W / sqrt(s) holds the top
-    eigenvectors of G_t and G_t^{1/2} = sqrt(gamma0) I
-    + U diag(sqrt(gamma0 + s) - sqrt(gamma0)) U'; the floor sqrt(gamma0) is
-    the eigenvalue of the complement of U's columns, and an s below
+    eigenvectors of G_t and G_t^{1/2} = sqrt(gamma0) I + U diag(D) U' for
+    D = sqrt(gamma0 + s) - sqrt(gamma0); the floor sqrt(gamma0) is the
+    eigenvalue of the complement of U's columns, and an s below
     ``GRAM_FLOOR`` max(s) joins it if A'w shows it null (``GRAM_NULL``).
-    In every later round, and from a round whose small s is not null on,
-    one eigendecomposition of G_t (accumulated every round) gives the root.
-    The square root is operator monotone (Loewner-Heinz), so the increment
-    is PSD in exact arithmetic; one Cholesky factorisation checks it
-    (``QuadMetric.psd_full``).  ``state.total`` is left holding
-    G_t^{1/2} / eta with its eigenvalues (all d, ascending) and the
-    eigenvectors of the non-floor ones (d x k, all d once the Gram stops): an
-    ftrl round takes it as r's running metric, so its argmin does not
-    decompose a matrix again, and the ledger keeps that root, not the
-    increment, with the eigenvalues and g_t's projections
-    (``core.MetricColumn``).  g is trusted as in ``adagrad_diag_step``, and
-    a bad one fails the same way."""
+    Such a round stays factored: the root is (floor, U, D) and nothing
+    d x d is formed.  The square root is operator monotone (Loewner-Heinz),
+    so the increment is PSD in exact arithmetic; ``QuadMetric.psd_difference``
+    proves it on its k x k core, D_t - P D_{t-1} P' for P = U_t' U_{t-1},
+    with ``psd_full``'s shift, and bounds U_{t-1}'s part off U_t's span.
+    A round whose proof fails, every round past 5d/6, and every round from
+    one whose small s is not null on, take the d x d route: one
+    eigendecomposition of the accumulator G_t (summed from the kept rows,
+    in round order, where the Gram hands over) gives the root, and one
+    Cholesky factorisation checks the increment (``QuadMetric.psd_full``).
+    ``state.total`` is left holding G_t^{1/2} / eta with its eigenvalues
+    (all d, ascending) and the eigenvectors of the non-floor ones (d x k,
+    all d once the Gram stops): an ftrl round takes it as r's running
+    metric, so its argmin does not decompose a matrix again, and the ledger
+    keeps that root as play left it, not the increment, with the
+    eigenvalues and g_t's projections (``core.MetricColumn``).  g is
+    trusted as in ``adagrad_diag_step``, and a bad one fails the same way."""
     g = np.asarray(g, dtype=float)
     if g.ndim != 1:
         g = as_point(g)
@@ -470,48 +490,61 @@ def adagrad_full_step(state: ScheduleState, g, eta: float, gamma0: float):
     if d > FULL_MATRIX_MAX_DIM:
         raise ValueError(f"full-matrix schedule capped at dim {FULL_MATRIX_MAX_DIM}, "
                          f"got {d}")
-    if state.accum_sq is None:
-        accum, prev_root = float(gamma0) * np.eye(d), math.sqrt(gamma0) * np.eye(d)
-        rows = np.empty((0, d)) if d >= GRAM_MIN_DIM else None
-        gram = np.empty((0, 0))
+    floor = math.sqrt(gamma0)
+    if state._prev_root is None:
+        if d >= GRAM_MIN_DIM:
+            accum, rows, gram = None, np.empty((0, d)), np.empty((0, 0))
+            prev_root = QuadMetric.eigen(np.full(d, floor), np.empty((d, 0)))
+            prev_total = QuadMetric.eigen(prev_root._evals / eta, prev_root._evecs)
+        else:
+            accum, rows = float(gamma0) * np.eye(d), None
+            prev_root = floor * np.eye(d)
     else:
-        accum, prev_root = state.accum_sq, state._prev_root
+        accum, prev_root, prev_total = state.accum_sq, state._prev_root, state.total
         rows, gram = state.rows, state.gram
-    accum = accum + np.outer(g, g)
-    new_root = None
-    if rows is not None and 4 * (len(rows) + 1) < 3 * d:
+    incr = None
+    if rows is not None and len(rows) < gram_rounds(d):
         t = len(rows)
         grown = np.empty((t + 1, t + 1))
         grown[:t, :t] = gram
         grown[t, :t] = grown[:t, t] = rows @ g
         grown[t, t] = g.dot(g)
-        gram, rows = grown, np.concatenate((rows, g[None]))
+        gram, kept = grown, np.concatenate((rows, g[None]))
         s, w = np.linalg.eigh(gram)
         if not s[-1] < INF:
             raise ValueError("full metric has non-finite entries")
         # s ascends: the kept pairs are its tail
         n = int(np.searchsorted(s, GRAM_FLOOR * s[-1], "right"))
-        if not n or (np.square(rows.T @ w[:, :n]).sum(axis=0).max()
+        if not n or (np.square(kept.T @ w[:, :n]).sum(axis=0).max()
                      <= GRAM_NULL * (t + 1) * s[-1]):
-            evecs = rows.T @ (w[:, n:] / np.sqrt(s[n:]))
-            floor = math.sqrt(gamma0)
+            evecs = kept.T @ (w[:, n:] / np.sqrt(s[n:]))
             roots = np.full(d, floor)
-            top = roots[d - t - 1 + n:] = np.sqrt(gamma0 + s[n:])
-            new_root = (evecs * (top - floor)) @ evecs.T
-            new_root.flat[::d + 1] += floor
-    if new_root is None:
+            roots[d - t - 1 + n:] = np.sqrt(gamma0 + s[n:])
+            new_root = QuadMetric.eigen(roots, evecs)
+            total = QuadMetric.eigen(roots / eta, evecs)
+            incr = QuadMetric.psd_difference(total, prev_total)
+    if incr is None:
+        if accum is None:
+            # the Gram hands over: G_t summed in round order, as a round
+            # adds its g g' below, bit for bit
+            accum, outer = float(gamma0) * np.eye(d), np.empty((d, d))
+            for row in rows:
+                accum += np.multiply(row[:, None], row, out=outer)
+        accum = accum + np.outer(g, g)
         evals, evecs = np.linalg.eigh(accum)
         # rounding-level negative eigenvalues of the PSD accumulator are zeros
         roots = np.sqrt(np.maximum(evals, 0.0))
         new_root = (evecs * roots) @ evecs.T
-        rows = gram = None
-    new_root = 0.5 * (new_root + new_root.T)
-    incr = QuadMetric.psd_full((new_root - prev_root) / eta)
+        new_root = 0.5 * (new_root + new_root.T)
+        prev = prev_root.matrix if type(prev_root) is QuadMetric else prev_root
+        incr = QuadMetric.psd_full((new_root - prev) / eta)
+        total = QuadMetric("full", matrix=new_root / eta, dim=d,
+                           _evals=roots / eta, _evecs=evecs)
+        kept = gram = None
     state.accum_sq = accum
     state._prev_root = new_root
-    state.rows, state.gram = rows, gram
-    state.total = QuadMetric("full", matrix=new_root / eta, dim=d,
-                             _evals=roots / eta, _evecs=evecs)
+    state.rows, state.gram = kept, gram
+    state.total = total
     return incr, state
 
 

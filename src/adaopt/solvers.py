@@ -320,19 +320,19 @@ class Objective:
     regularizer (implicit and non-linearized updates) goes into the
     ``gamma`` slot when the loss is an isotropic quadratic, and otherwise
     leaves its loss in ``losses``, the smooth loss handles that enter the
-    objective directly.  ``full_evals`` (ascending) and ``full_evecs`` are
-    the eigenpairs of ``full`` when they came with it (``take_quadratic``),
-    for σ, L and M^-1, ``full_evecs`` perhaps only the top ones (see
-    ``QuadMetric``); a fold that changes ``full`` drops both.
+    objective directly.  ``full`` is a matrix, or the metric
+    ``take_quadratic`` made the whole part, which carries its eigenpairs
+    (``full_evals`` ascending, ``full_evecs`` perhaps only the top ones, see
+    ``QuadMetric``) for σ, L and M^-1, and whose matrix is formed only if a
+    fold or ``_hessian`` reads it (``full_matrix``); a fold that changes
+    ``full`` makes it a matrix again.
     """
 
     feasible_set: FeasibleSet
     lin: np.ndarray
     gamma: float = 0.0
     diag: np.ndarray | None = None
-    full: np.ndarray | None = None
-    full_evals: np.ndarray | None = None
-    full_evecs: np.ndarray | None = None
+    full: np.ndarray | QuadMetric | None = None
     const: float = 0.0
     l1_alpha: float = 0.0
     losses: list = field(default_factory=list)
@@ -373,8 +373,7 @@ class Objective:
             self.diag = w + 0.0 if self.diag is None else self.diag + w
         elif quadratic:
             m = metric.matrix if scale == 1.0 else scale * metric.matrix
-            self.full = m + 0.0 if self.full is None else self.full + m
-            self.full_evals = self.full_evecs = None
+            self.full = m + 0.0 if self.full is None else self.full_matrix() + m
         if center is not None and np.count_nonzero(center):
             mc = metric.matvec(center)
             self.lin = self.lin - scale * mc
@@ -398,9 +397,21 @@ class Objective:
         """Make ``metric``, a full metric that carries its eigenpairs, the
         whole quadratic part.  The caller knows the part already equals it
         up to rounding (an ftrl objective's part is r_{1:t} + q_t); taking
-        it keeps its eigenpairs for ``quad_curvature`` and the argmin."""
-        self.gamma, self.diag = 0.0, None
-        self.full, self.full_evals, self.full_evecs = metric.matrix, metric._evals, metric._evecs
+        it keeps its eigenpairs for ``quad_curvature`` and the argmin, and
+        ``quad_matvec`` reads its factors, not a d x d matrix."""
+        self.gamma, self.diag, self.full = 0.0, None, metric
+
+    @property
+    def full_evals(self) -> np.ndarray | None:
+        return self.full._evals if type(self.full) is QuadMetric else None
+
+    @property
+    def full_evecs(self) -> np.ndarray | None:
+        return self.full._evecs if type(self.full) is QuadMetric else None
+
+    def full_matrix(self) -> np.ndarray | None:
+        """The full part as a d x d matrix."""
+        return self.full.matrix if type(self.full) is QuadMetric else self.full
 
     def _fold_isotropic(self, center, gamma: float, quadratic: bool = True,
                         const: bool = True):
@@ -501,11 +512,16 @@ class Objective:
     # -- calculus -------------------------------------------------------
 
     def quad_matvec(self, x: np.ndarray) -> np.ndarray:
+        full = self.full
+        if full is not None and type(full) is QuadMetric and full._matrix is None \
+                and not self.gamma and self.diag is None:
+            # the whole part, a metric the Gram served: from its factors
+            return full._eigen_matvec(x)
         out = self.gamma * x
         if self.diag is not None:
             out = out + self.diag * x
-        if self.full is not None:
-            out = out + self.full @ x
+        if full is not None:
+            out = out + (full.matvec(x) if type(full) is QuadMetric else full @ x)
         return out
 
     def smooth_value(self, x: np.ndarray) -> float:
@@ -634,7 +650,8 @@ def argmin_quadratic(obj: Objective) -> np.ndarray:
 
 def _hessian(obj: Objective) -> np.ndarray:
     """The dense matrix of the quadratic part: sym(full) + gamma I + diag."""
-    m = 0.5 * (obj.full + obj.full.T) + obj.gamma * np.eye(obj.lin.size)
+    full = obj.full_matrix()
+    m = 0.5 * (full + full.T) + obj.gamma * np.eye(obj.lin.size)
     return m if obj.diag is None else m + np.diag(obj.diag)
 
 

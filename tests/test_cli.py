@@ -502,7 +502,7 @@ def test_full_matrix_run_matches_recorded_values(tmp_path):
 
 
 def test_full_matrix_run_from_the_gram_matches_recorded_values(tmp_path, monkeypatch):
-    # the same run with its rounds t < 3d/4 (1..5 of d = 8) rooted from the
+    # the same run with its rounds t < 5d/6 (1..6 of d = 8) rooted from the
     # Gram, the dimension floor lifted, holds the values recorded when every
     # round took the eigh of G_t
     monkeypatch.setattr(regularizers, "GRAM_MIN_DIM", 0)
@@ -736,7 +736,7 @@ def test_full_matrix_run_decomposes_one_matrix_per_round(
         tmp_path, monkeypatch, preset, params):
     # the schedule's one eigh a round is the only eigendecomposition of a
     # whole run (play, bounds, CSV and replay): of the t x t Gram of the
-    # gradients while t < 3d/4 (the Gram's dimension floor is lifted for
+    # gradients while t < 5d/6 (the Gram's dimension floor is lifted for
     # d = 6), of G_t in every later round.  A Cholesky factorisation checks
     # the increment, and the argmin and the dual norms read the eigenpairs
     # that the running metric carries.  The argmin's active set inverts
@@ -757,7 +757,8 @@ def test_full_matrix_run_decomposes_one_matrix_per_round(
     assert main(["run", "--config", write_cfg(tmp_path, cfg),
                  "--out", str(tmp_path / "out")]) == 0
     assert calls == {"eigh": 20, "eigvalsh": 0, "solve": 0, "inv": 0}
-    assert eigh_shapes == [(t if 4 * t < 3 * d else d,) * 2 for t in range(1, 21)]
+    assert eigh_shapes == [(t if t <= regularizers.gram_rounds(d) else d,) * 2
+                           for t in range(1, 21)]
 
 
 # A smooth-loss bound whose metric cannot absorb the smoothness in round 1:

@@ -104,6 +104,77 @@ def test_cholesky_psd_check_scales_with_a_near_rank_one_matrix():
     QuadMetric.psd_full(a)
 
 
+def _psd_full_scale(m):
+    """psd_full's s, read off a formed matrix as psd_full reads it."""
+    diag = np.abs(m.diagonal())
+    j = int(diag.argmax())
+    v = m[:, j]
+    return max(1.0, diag[j], abs(v @ m @ v) / (v @ v))
+
+
+def _eigen(evecs, c, floor):
+    """The eigen metric floor I + evecs diag(c) evecs', pairs ascending."""
+    order = np.argsort(c)
+    d, k = evecs.shape
+    return QuadMetric.eigen(np.concatenate((np.full(d - k, floor), floor + c[order])),
+                            evecs[:, order])
+
+
+def _psd_full_verdict(m):
+    try:
+        QuadMetric.psd_full(m)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def test_factored_increment_check_is_no_looser_than_psd_full():
+    # from two factored roots of one floor at d = 50, the increment's k x k
+    # core C gets its least eigenvalue pushed to -(1 -+ 1e-3) 1e-10 s inside
+    # the new root's span (s psd_full's, near 3 here, so the check's first
+    # try at s = 1 fails and it reads s), or the old root's top eigenvector
+    # is tilted off that span by sin(theta).  psd_difference proves an
+    # increment PSD only where psd_full of the formed d x d increment
+    # accepts it; where it proves nothing, psd_full decides, so every case
+    # ends as psd_full ends it, with its message
+    rng = np.random.default_rng(5)
+    d, k, floor = 50, 20, 0.7
+    v = np.linalg.qr(rng.normal(size=(d, k)))[0]
+    q = np.linalg.qr(rng.normal(size=(k, k)))[0]
+    a = rng.uniform(5.0, 6.0, k)
+    new = _eigen(v, a, floor)
+
+    def old_of(lam, tilt=0.0):
+        # old = floor I + W diag(b) W' with W b W' = V (diag(a) - C) V'
+        b, w = np.linalg.eigh(np.diag(a) - (q * lam) @ q.T)
+        w = v @ w
+        off = rng.normal(size=d)
+        off -= v @ (v.T @ off)
+        w[:, -1] = np.sqrt(1.0 - tilt ** 2) * w[:, -1] + tilt * off / np.linalg.norm(off)
+        return _eigen(w, b, floor)
+
+    def cases(lam, tilt=0.0):
+        old = old_of(lam, tilt)
+        proved = QuadMetric.psd_difference(new, old) is not None
+        full = _psd_full_verdict(new.matrix - old.matrix)
+        return proved, full
+
+    lam = np.concatenate(([3.0], rng.uniform(0.01, 0.5, k - 2), [0.0]))
+    s = _psd_full_scale(new.matrix - old_of(lam).matrix)
+    assert 2.5 < s < 3.5
+    for sign, accepted in ((-1.0, True), (1.0, False)):
+        lam[-1] = -(1.0 + sign * 1e-3) * 1e-10 * s
+        proved, full = cases(lam)
+        assert proved == accepted and (full is None) == accepted, sign
+    assert "not positive semidefinite" in full
+    lam[-1] = 0.05
+    for tilt, how in ((1e-12, "proved"), (1e-6, "psd_full accepts"),
+                      (1e-3, "psd_full rejects")):
+        proved, full = cases(lam, tilt)
+        assert proved == (how == "proved"), tilt
+        assert (full is None) == (how != "psd_full rejects"), tilt
+
+
 def test_cholesky_psd_check_rejects_an_indefinite_matrix():
     # a positive diagonal does not make a matrix PSD: eigenvalues 3 and -1
     with pytest.raises(ValueError, match="positive semidefinite"):

@@ -191,26 +191,28 @@ def test_full_metric_ledger_keeps_the_schedules_eigenvalues_and_projections(
 @pytest.mark.parametrize("preset,params", _FULL_RUNS)
 def test_full_metric_ledger_stores_plays_roots_and_derives_its_increments(
         preset, params):
-    # the ledger's one d x d per round is play's root / eta, bit for bit;
+    # the ledger's one root per round is play's root / eta, bit for bit
+    # (a metric the Gram served keeps its factors, and its matrix is formed
+    # once, when read);
     # the increment column (q for adagrad-da, the proximal term for
     # ftrl-prox) is the difference of consecutive roots, which agrees with
     # play's Cholesky-checked increment to rounding
     d, T, steps = 6, 15, []
     led = _full_run(preset, params, d, T, steps=steps)
     roots = led.r_metric.roots
-    assert roots.shape == (T + 1, d, d) and len(steps) == T
-    assert np.array_equal(roots[0], math.sqrt(led.schedule["params"]["gamma0"])
+    assert len(roots) == T + 1 and len(steps) == T
+    assert np.array_equal(roots[0].matrix, math.sqrt(led.schedule["params"]["gamma0"])
                           / led.schedule["params"]["eta"] * np.eye(d))
     incr_col = led.q_metric if preset == "adagrad-da" else led.prox
     for t, (incr, root) in enumerate(steps, start=1):
-        assert np.array_equal(roots[t], root), t
+        assert np.array_equal(roots[t].matrix, root), t
         derived = incr_col[t - 1].matrix
         assert np.abs(derived - incr).max() <= 1e-12 * np.abs(root).max(), t
     # r row t is round t - 1's root for adagrad-da (q_t is not in r_{1:t})
     # and round t's for ftrl-prox
     lag = 1 if preset == "adagrad-da" else 0
     for i in range(lag, T):
-        assert np.array_equal(led.r_metric[i].matrix, roots[i + 1 - lag]), i
+        assert np.array_equal(led.r_metric[i].matrix, roots[i + 1 - lag].matrix), i
     assert led.prox.roots is roots and led.q_metric.roots is roots
 
 
@@ -264,6 +266,68 @@ def test_full_metric_ledger_keeps_one_matrix_per_round():
     led = _full_run("adagrad-da", {"metric": "full"}, d, T,
                     seq=losses.random_stream(d, seed=3))
     assert _ledger_floats(led) <= (d + 10) * d * T
+
+
+def test_full_matrix_gram_rounds_build_no_d_by_d(monkeypatch):
+    # a d = 50, T = 49 adagrad-da run: rounds 1..41 take the Gram, 42..49
+    # the d x d eigh.  No Gram round forms a d x d through np.outer,
+    # np.linalg.cholesky or a metric's matrix, and nor does the accounting
+    # of its rows; the ledger keeps a Gram root's eigenvalues and top
+    # eigenvectors, and a d x d root's matrix alone; and
+    # every root agrees with the eigh of gamma0 I + A'A for the rows A of
+    # g_1..g_t to 1e-12 relative
+    d, T = 50, 49
+    gram = regularizers.gram_rounds(d)
+    assert gram == 41
+    formed, now = {}, [0]
+
+    def count(name, fn):
+        def counted(*args, **kw):
+            out = fn(*args, **kw)
+            if np.shape(out) == (d, d):
+                formed.setdefault(now[0], []).append(name)
+            return out
+        return counted
+
+    monkeypatch.setattr(np, "outer", count("outer", np.outer))
+    monkeypatch.setattr(np.linalg, "cholesky", count("cholesky", np.linalg.cholesky))
+    matrix = core.QuadMetric.matrix.fget
+
+    def form(m):
+        # a metric's matrix counts where the read forms it
+        if m._matrix is None and m.kind == "full" and m.dim == d:
+            formed.setdefault(now[0], []).append("matrix")
+        return matrix(m)
+
+    monkeypatch.setattr(core.QuadMetric, "matrix", property(form))
+    play = Driver.round
+
+    def round_t(self, t, *args):
+        now[0] = t
+        return play(self, t, *args)
+
+    monkeypatch.setattr(Driver, "round", round_t)
+    led = _full_run("adagrad-da", {"metric": "full"}, d, T,
+                    seq=losses.random_stream(d, seed=4))
+    now[0] = "accounting"
+    regret.bound_table2(led, led.x[-1], "oo-ftrl")
+    led.breg_r
+    assert not any(t in formed for t in range(1, gram + 1)), formed
+    assert all(t in formed for t in range(gram + 1, T + 1)), formed
+    roots = led.r_metric.roots
+    assert len(roots) == T + 1 and roots.gram() == gram + 1
+    for t in range(gram + 1):
+        m = roots[t]
+        assert m._matrix is None and m._evecs.shape == (d, t), t
+    assert all(roots[t]._evecs is None for t in range(gram + 1, T + 1))
+    # the accounting formed only the d x d rows' matrices
+    assert set(formed.get("accounting", ())) <= {"matrix"}
+    monkeypatch.undo()
+    p = led.schedule["params"]
+    for t in range(T + 1):
+        evals, evecs = np.linalg.eigh(p["gamma0"] * np.eye(d) + led.g[:t].T @ led.g[:t])
+        ref = (evecs * np.sqrt(evals)) @ evecs.T / p["eta"]
+        assert np.abs(roots[t].matrix - ref).max() <= 1e-12 * np.abs(ref).max(), t
 
 
 def test_schedule_info_recorded():

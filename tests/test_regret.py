@@ -254,7 +254,7 @@ def test_full_metric_dual_norms_are_the_direct_solves(preset, params):
     # halve a middle round's root, and its eigenvalues with it: a shift
     # every other round absorbs uncertifies that round and those after it
     k = T // 2
-    m.matrix(k)[...] *= 0.5
+    m[k].matrix[...] *= 0.5
     m.evals[k] *= 0.5
     low = np.array([np.linalg.eigvalsh(m[i]._summand(d))[0] for i in range(T)])
     s = 0.5 * (low[k] + np.delete(low, k).min())

@@ -216,8 +216,8 @@ def _gram_stream(kind, d, T):
     ("alternating", 1e-8, 8), ("random", 1.0, 32), ("random", 1e-8, 32)])
 def test_full_matrix_gram_root_matches_the_accumulators_eigh(
         kind, gamma0, d, monkeypatch):
-    # the Gram serves rounds t < 3d/4 (t <= 5 of d = 8, with the dimension
-    # floor lifted, and t <= 23 of d = 32), the eigh of G_t every later
+    # the Gram serves rounds t < 5d/6 (t <= 6 of d = 8, with the dimension
+    # floor lifted, and t <= 26 of d = 32), the eigh of G_t every later
     # round, as it did every round before.  Each Gram round's root,
     # eigenvalues and inverse H (the box argmin's) agree with those of the
     # eigh of the accumulator to 1e-12 relative, or, where larger, to
@@ -230,22 +230,24 @@ def test_full_matrix_gram_root_matches_the_accumulators_eigh(
     # The alternating run of d = 8 at gamma0 = 1e-8 stops at T = 16: from
     # round 25 the eigh's rounding in the floor, about
     # eps ||G_t|| / sqrt(gamma0), makes an increment fail its PSD check, in
-    # rounds the Gram does not serve
+    # rounds the Gram does not serve.  A Gram round keeps no accumulator:
+    # the reference G_t is the rows' outer products summed in round order
     if d < regularizers.GRAM_MIN_DIM:
         monkeypatch.setattr(regularizers, "GRAM_MIN_DIM", 0)
     eta = 1.5
     T = 16 if (kind, gamma0, d) == ("alternating", 1e-8, 8) else d + 8
     G = _gram_stream(kind, d, T)
-    state = ScheduleState()
+    state, accum = ScheduleState(), gamma0 * np.eye(d)
     for t in range(1, T + 1):
         _, state = adagrad_full_step(state, G[t - 1], eta, gamma0)
         m = state.total
-        evals, evecs = np.linalg.eigh(state.accum_sq)
+        accum = accum + np.outer(G[t - 1], G[t - 1])
+        evals, evecs = np.linalg.eigh(accum)
         lam = np.sqrt(np.maximum(evals, 0.0))
         root = (evecs * lam) @ evecs.T
         root = 0.5 * (root + root.T)
         k = m._evecs.shape[1]
-        if 4 * t >= 3 * d:
+        if t > regularizers.gram_rounds(d):
             assert k == d and state.rows is None, t
             assert np.array_equal(m.matrix, root / eta), t
             assert np.array_equal(m._evals, lam / eta), t
@@ -278,13 +280,15 @@ def test_the_gram_hands_a_pair_it_cannot_resolve_to_the_eigh(a, b):
     # every later round take the eigh of the accumulator, exact on this
     # diagonal one, and the run has its roots bit for bit.  (Off the axes,
     # the eigh's own rounding, about eps b^2, fails the check by round 3.)
+    # Round 1 keeps no accumulator: the reference sums the rows
     d = 32
     G = np.zeros((5, d))
     G[[0, 1, 2, 3, 4], [0, 1, 2, 1, 0]] = a, b, a, b, a
-    state = ScheduleState()
+    state, accum = ScheduleState(), np.eye(d)
     for t, g in enumerate(G, 1):
         _, state = adagrad_full_step(state, g, 1.5, 1.0)
-        evals, evecs = np.linalg.eigh(state.accum_sq)
+        accum = accum + np.outer(g, g)
+        evals, evecs = np.linalg.eigh(accum)
         lam = np.sqrt(np.maximum(evals, 0.0))
         root = (evecs * lam) @ evecs.T
         root = 0.5 * (root + root.T) / 1.5
@@ -314,6 +318,26 @@ def test_adagrad_full_rejects_an_indefinite_increment():
     state._prev_root = state._prev_root + np.diag([0.0, 5.0])
     with pytest.raises(ValueError, match="positive semidefinite"):
         adagrad_full_step(state, np.array([0.2, 0.1]), eta=1.0, gamma0=1.0)
+
+
+def test_a_gram_round_hands_an_unproven_increment_to_psd_full():
+    # a round the Gram serves checks its increment on the k x k core; where
+    # that proves nothing, as for a state whose last root has outgrown the
+    # next one, the round takes the d x d route, whose psd_full rejects the
+    # indefinite increment with its message and writes no state
+    d = regularizers.GRAM_MIN_DIM
+    rng = np.random.default_rng(2)
+    state = ScheduleState()
+    _, state = adagrad_full_step(state, rng.uniform(-1.0, 1.0, d), 1.0, 1.0)
+    for name in ("_prev_root", "total"):
+        m = getattr(state, name)
+        setattr(state, name, QuadMetric.eigen(m._evals * np.r_[np.ones(d - 1), 5.0],
+                                              m._evecs))
+    before = [state.accum_sq, state._prev_root, state.total, state.rows, state.gram]
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        adagrad_full_step(state, rng.uniform(-1.0, 1.0, d), 1.0, 1.0)
+    assert all(a is b for a, b in zip(
+        before, [state.accum_sq, state._prev_root, state.total, state.rows, state.gram]))
 
 
 def test_ftrl_prox_increment_is_proximal():

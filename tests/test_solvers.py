@@ -421,7 +421,7 @@ def test_full_matrix_run_takes_at_most_its_recorded_box_steps(monkeypatch):
 
 
 def test_partial_eigenpairs_read_as_the_matrix_they_carry(monkeypatch):
-    # in a round the Gram serves (t < 3d/4; the dimension floor is lifted
+    # in a round the Gram serves (t < 5d/6; the dimension floor is lifted
     # for d = 8), the full-matrix schedule's running metric carries its top
     # k < d eigenvectors and one floor eigenvalue for their complement.
     # solve, a ledger row's dual norm (sum P^2 / evals) and the box argmin
