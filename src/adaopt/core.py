@@ -205,25 +205,30 @@ class QuadMetric:
         its k x k core, or None where the proof fails.
 
         With new = V diag(a) V' + f I and old = Z Z' + f I (``parts``; Z is
-        old's eigenvectors scaled by the root of their c), Z = V Y + E for
-        Y = V'Z and E old's part off V's span: the increment M is
-        V C V' - (V Y E' + E Y'V') - E E' for the core C = diag(a) - Y Y'.
-        Let c be psd_full's, beta^2 = ||E||_F^2 and rho = max(a) + c s,
-        above ||Y Y'|| once the core passes.  For V with orthonormal columns
-        and x = V u + y, y off V's span, Young's inequality gives
-        x'(M + c s I)x >= u'(C + (c s - slack) I)u + (c s / 2 - beta^2)||y||^2,
-        slack = 2 rho beta^2 / (c s).  So a Cholesky factorisation of
-        C + (c s - slack) I, with beta^2 < c s / 2, proves on a k x k matrix
-        that M + c s I is positive definite: what ``psd_full`` of the formed
-        d x d increment accepts, for its s, read off that matrix (its
-        largest |diagonal| and the Rayleigh quotient of that column).  That
-        s is at least 1, and a proof at a smaller s is one at a larger, so
-        s = 1 is tried first; psd_full's s, read off V C V', only where that
-        fails.  The two conditions keep ||M - V C V'|| below 2 c s, so this s
-        is psd_full's to a relative 1e-9, far inside the 2 d eps by which c
-        undercuts 1e-10; with E at rounding level the slack is below
-        1e-20 c s.  Where the proof fails the caller decides on a d x d
-        matrix."""
+        old's eigenvectors scaled by the root of their c), the increment is
+        M = V A V' - Z Z', A = diag(a) >= 0.  V's columns are orthonormal
+        only to within delta = ||V'V - I||_F: a Gram root's eigenvector of
+        a small Gram eigenvalue s is about eps max(s) / s off.  So let
+        V = Q R with orthonormal Q, G = R'R = V'V, W = Q'Z and E old's part
+        off V's span, with beta^2 = ||E||_F^2 at most that of Z - V Y for
+        Y = V'Z = R'W (a projection leaves the least residual).  For
+        x = Q u + y, y off the span, and c s psd_full's shift, Young's
+        inequality gives
+        x'(M + c s I)x >= u'(C' + (c s - slack) I)u + (c s / 2 - beta^2)||y||^2
+        for the core C' = R A R' - W W' and slack = 2 rho beta^2 / (c s),
+        where rho = (1 + delta) max(a) + c s bounds ||W W'|| once C' passes.
+        R'(C' + t I)R = G A G - Y Y' + t G, and G A G - A + t (G - I) has
+        norm at most eta = delta ((2 + delta) max(a) + c s) for 0 < t <= c s.
+        So a Cholesky factorisation of A - Y Y' + (c s - slack - eta) I, with
+        beta^2 < c s / 2 and slack + eta < c s, proves on a k x k matrix that
+        M + c s I is positive definite: what ``psd_full`` of the formed d x d
+        increment accepts, for its s (the largest of 1, M's largest
+        |diagonal| and the Rayleigh quotient of that column), which M's
+        factors give in O(d k).  A proof at a smaller s is one at a larger,
+        so s = 1 is tried first; psd_full's s only where that fails.  With
+        V and E to rounding, eta is about 2 delta max(a) and the slack
+        smaller still.  Where the proof fails (a V far from orthonormal
+        among them) the caller decides on a d x d matrix."""
         v, a, f = new.parts()
         w, b, f_old = old.parts()
         if f != f_old:
@@ -233,31 +238,35 @@ class QuadMetric:
         y = v.T @ z
         off = z - v @ y
         beta2 = float(np.vdot(off, off))
+        gap = v.T @ v
+        gap.flat[::k + 1] -= 1.0
+        delta = math.sqrt(float(np.vdot(gap, gap)))
         yy = y @ y.T
         c, top = -_PSD_CLAMP - 2 * d * _EPS, float(a.max(initial=0.0))
         s = 1.0
-        while True:
+        while delta < 1.0:
             cs = c * s
-            slack = 2 * (top + cs) * beta2 / cs
-            if 2 * beta2 < cs and slack < cs:
+            slack = 2 * ((1 + delta) * top + cs) * beta2 / cs
+            eta = delta * ((2 + delta) * top + cs)
+            if 2 * beta2 < cs and slack + eta < cs:
                 try:
                     if k:
-                        np.linalg.cholesky(np.diag(a + (cs - slack)) - yy)
+                        np.linalg.cholesky(np.diag(a + (cs - slack - eta)) - yy)
                     return cls("full", dim=d, _pair=(new, old))
                 except np.linalg.LinAlgError:
                     pass
             if s > 1.0:
-                return None
-            # psd_full's s: column j of V C V' for its largest |diagonal|
-            core = np.diag(a) - yy
-            vc = v @ core
-            diag = np.abs(np.einsum("ij,ij->i", vc, v))
+                break
+            # psd_full's s: column j of M for its largest |diagonal|
+            diag = np.abs((v * v) @ a - np.einsum("ij,ij->i", z, z))
             j = int(diag.argmax())
-            u = vc[j]
+            u = v @ (a * v[j]) - z @ z[j]
             uu = float(u.dot(u))
-            s = max(float(diag[j]), abs(float(u.dot(core @ u))) / uu if uu else 0.0)
+            uMu = float(np.square(u @ v).dot(a) - np.square(u @ z).sum())
+            s = max(float(diag[j]), abs(uMu) / uu if uu else 0.0)
             if not s > 1.0:
-                return None
+                break
+        return None
 
     @classmethod
     def zero(cls, dim: int | None = None) -> "QuadMetric":
@@ -438,20 +447,33 @@ class QuadMetric:
 
 class Roots(list):
     """A full-matrix run's running metric of r after each round t = 0..T,
-    as play left it, shared by the run's metric columns: a root the Gram
-    served keeps its eigenvalues and top eigenvectors (``QuadMetric.eigen``),
-    one of the d x d route its matrix alone.  The Gram's roots come first;
-    root 0 is the floor f I a run starts at."""
+    shared by the run's metric columns: a root the Gram served keeps its
+    eigenvalues and top eigenvectors (``QuadMetric.eigen``), one of the
+    d x d route its matrix alone.  Root 0 is the floor f I a run starts at.
+    Which a root keeps is read off its factors, not off whether play read
+    its matrix; ``at`` hands out root j as a fresh metric over the kept
+    arrays, so what a reader forms on it (a matrix, eigenpairs) is not
+    kept here."""
 
     __slots__ = ()
 
     def append(self, m: QuadMetric) -> None:
-        super().append(m if m._matrix is None
-                       else QuadMetric("full", matrix=m._matrix, dim=m._dim))
+        evecs = m._evecs
+        if evecs is not None and evecs.shape[1] < evecs.shape[0]:
+            root = QuadMetric.eigen(m._evals, evecs)
+            root._parts_of = m._parts_of
+            super().append(root)
+        else:
+            super().append(QuadMetric("full", matrix=m.matrix, dim=m._dim))
+
+    def at(self, j: int) -> QuadMetric:
+        m = self[j]
+        return QuadMetric("full", matrix=m._matrix, dim=m._dim,
+                          _evals=m._evals, _evecs=m._evecs)
 
     def gram(self) -> int:
-        """How many roots, from root 0, carry no matrix."""
-        return next((t for t, m in enumerate(self) if m._matrix is not None), len(self))
+        """How many roots, from root 0, the Gram served: their factors."""
+        return next((t for t, m in enumerate(self) if m._evecs is None), len(self))
 
 
 class MetricColumn:
@@ -460,10 +482,11 @@ class MetricColumn:
     1, and a full metric read from ``roots``, a full-matrix run's T + 1
     running metrics shared by its columns, where it is 2, 3 or 4:
     ``roots[i]``, ``roots[i + 1]`` or the increment from one to the other.
-    ``roots`` (``Roots``) keeps r's running metric after each round as
-    play left it: the eigenvalues and top eigenvectors of a root the Gram
-    served, the matrix of one the d x d eigh made, so a row's ``matvec``
-    reads what play formed and the column forms no d x d of its own.  A
+    ``roots`` (``Roots``) keeps r's running metric after each round: the
+    eigenvalues and top eigenvectors of a root the Gram served, the matrix
+    of one the d x d eigh made.  A row is a fresh metric over them, so its
+    ``matvec`` reads a Gram root's factors, the column forms no d x d of
+    its own, and what a reader forms on a row is not kept.  A
     root row also keeps its eigenvalues (``evals``) and the named vectors'
     projections onto its eigenvectors (``proj``), which is what a dual
     norm under it reads.  A
@@ -530,8 +553,8 @@ class MetricColumn:
             return QuadMetric("scaled", gamma=float(self.gamma[i]), dim=self.dim)
         if k == 1:
             return QuadMetric("diag", weights=self.wide[i], dim=self.dim)
-        return r[i] if k == 2 else r[i + 1] if k == 3 \
-            else QuadMetric("full", dim=self.dim, _pair=(r[i + 1], r[i]))
+        return r.at(i) if k == 2 else r.at(i + 1) if k == 3 \
+            else QuadMetric("full", dim=self.dim, _pair=(r.at(i + 1), r.at(i)))
 
     def cut(self, T: int) -> "MetricColumn":
         out = MetricColumn(0, self.dim, self.roots)     # rows past T go unread

@@ -466,7 +466,8 @@ def adagrad_full_step(state: ScheduleState, g, eta: float, gamma0: float):
     d x d is formed.  The square root is operator monotone (Loewner-Heinz),
     so the increment is PSD in exact arithmetic; ``QuadMetric.psd_difference``
     proves it on its k x k core, D_t - P D_{t-1} P' for P = U_t' U_{t-1},
-    with ``psd_full``'s shift, and bounds U_{t-1}'s part off U_t's span.
+    with ``psd_full``'s shift, bounding U_{t-1}'s part off U_t's span and
+    how far U_t's columns are from orthonormal.
     A round whose proof fails, every round past 5d/6, and every round from
     one whose small s is not null on, take the d x d route: one
     eigendecomposition of the accumulator G_t (summed from the kept rows,
@@ -476,8 +477,8 @@ def adagrad_full_step(state: ScheduleState, g, eta: float, gamma0: float):
     (all d, ascending) and the eigenvectors of the non-floor ones (d x k,
     all d once the Gram stops): an ftrl round takes it as r's running
     metric, so its argmin does not decompose a matrix again, and the ledger
-    keeps that root as play left it, not the increment, with the
-    eigenvalues and g_t's projections (``core.MetricColumn``).  g is
+    keeps that root (a Gram root's factors alone), not the increment, with
+    the eigenvalues and g_t's projections (``core.MetricColumn``).  g is
     trusted as in ``adagrad_diag_step``, and a bad one fails the same way."""
     g = np.asarray(g, dtype=float)
     if g.ndim != 1:

@@ -513,10 +513,6 @@ class Objective:
 
     def quad_matvec(self, x: np.ndarray) -> np.ndarray:
         full = self.full
-        if full is not None and type(full) is QuadMetric and full._matrix is None \
-                and not self.gamma and self.diag is None:
-            # the whole part, a metric the Gram served: from its factors
-            return full._eigen_matvec(x)
         out = self.gamma * x
         if self.diag is not None:
             out = out + self.diag * x

@@ -175,6 +175,46 @@ def test_factored_increment_check_is_no_looser_than_psd_full():
         assert (full is None) == (how != "psd_full rejects"), tilt
 
 
+def test_factored_increment_check_reads_how_far_v_is_from_orthonormal():
+    # the check's V need not have orthonormal columns: a Gram root's
+    # U = A'W / sqrt(s) is about eps max(s) / s off for a small s.  First
+    # two columns with V'V = I + delta (e1 e2' + e2 e1') and the core
+    # pushed to -(1 -+ 1e-3) c in the direction where A - V'V A V'V is
+    # +2 delta: a check that took V as orthonormal proved both, and
+    # psd_full of the formed increment rejects the second
+    rng = np.random.default_rng(11)
+    d, floor = 50, 0.7
+    c = 1e-10 - 2 * d * np.finfo(float).eps
+    q = np.linalg.qr(rng.normal(size=(d, 2)))[0]
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    a = np.ones(2)
+    for delta in (1e-12, 3e-11):
+        v = q @ np.linalg.cholesky(np.array([[1.0, delta], [delta, 1.0]])).T
+        new = _eigen(v, a, floor)
+        for sign, accepted in ((-1.0, True), (1.0, False)):
+            core = (h * [0.5, -(1.0 + sign * 1e-3) * c]) @ h.T
+            b, w = np.linalg.eigh(np.diag(a) - core)
+            old = _eigen(v @ w, b, floor)
+            proved = QuadMetric.psd_difference(new, old) is not None
+            full = _psd_full_verdict(new.matrix - old.matrix)
+            assert (full is None) == accepted, (delta, sign)
+            assert not proved or accepted, (delta, sign)
+    # and the Gram root of near-dependent rows b, b + eps r at d = 50, whose
+    # U is far off orthonormal (1e-8 to 1e-3), proves nothing: psd_full decides
+    for eps in (1e-6, 1e-5):
+        rows = np.vstack([rng.normal(size=(3, d)), rng.normal(size=d)])
+        rows = np.vstack([rows, rows[-1] + eps * rng.normal(size=d)])
+        roots = []
+        for t in (4, 5):
+            s, w = np.linalg.eigh(rows[:t] @ rows[:t].T)
+            u = rows[:t].T @ (w / np.sqrt(s))
+            roots.append(_eigen(u, np.sqrt(floor ** 2 + s) - floor, floor))
+        u = roots[1]._evecs
+        assert np.abs(u.T @ u - np.eye(5)).max() > 1e-9
+        assert QuadMetric.psd_difference(roots[1], roots[0]) is None
+        assert _psd_full_verdict(roots[1].matrix - roots[0].matrix) is None
+
+
 def test_cholesky_psd_check_rejects_an_indefinite_matrix():
     # a positive diagonal does not make a matrix PSD: eigenvalues 3 and -1
     with pytest.raises(ValueError, match="positive semidefinite"):

@@ -328,6 +328,17 @@ def test_full_matrix_gram_rounds_build_no_d_by_d(monkeypatch):
         evals, evecs = np.linalg.eigh(p["gamma0"] * np.eye(d) + led.g[:t].T @ led.g[:t])
         ref = (evecs * np.sqrt(evals)) @ evecs.T / p["eta"]
         assert np.abs(roots[t].matrix - ref).max() <= 1e-12 * np.abs(ref).max(), t
+    # an unconstrained run forms the running metric's matrix in play (its
+    # argmin's Hessian) every round; the ledger still keeps a Gram root's
+    # factors alone, and a row read as a matrix leaves its root without one
+    drv = Driver("adagrad-da", solvers.Unconstrained(d), {"metric": "full"})
+    led = run_rounds(drv, losses.random_stream(d, seed=4), gram)
+    assert drv._r_metric._matrix is not None
+    roots = led.r_metric.roots
+    assert all(m._matrix is None and m._evecs.shape[1] < d for m in roots)
+    assert roots.gram() == gram + 1
+    led.r_metric[gram - 1].matrix
+    assert roots[gram]._matrix is None
 
 
 def test_schedule_info_recorded():
