@@ -431,7 +431,14 @@ def replay_check(csv_text: str, cfg: dict, x_star, tol: float = 1e-9) -> dict:
         np.abs(breg_loss - (f_star - f_x - dd)),
         np.abs(delta - (rowdot(g, to_star) - dd)),
         np.abs(np.diff(cum, prepend=0.0) - inc)], axis=0)
-    scale = 1.0 + np.abs(cum) + np.sqrt(rowdot(g, g)) * np.sqrt(rowdot(off, off))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = 1.0 + np.abs(cum) + np.sqrt(rowdot(g, g)) * np.sqrt(rowdot(off, off))
+    big = ~np.isfinite(scale)
+    if big.any():
+        # g.g overflows at a large gradient scale (and inf * 0 is NaN where
+        # x_t = x*): those rows' norms are taken by hypot, which does not
+        scale[big] = 1.0 + np.abs(cum[big]) + (np.hypot.reduce(g[big], axis=1)
+                                                * np.hypot.reduce(off[big], axis=1))
     worst = float(np.max(err / scale, initial=0.0))
     return {"ok": worst <= tol, "worst_error": worst, "rows": len(table)}
 

@@ -534,7 +534,7 @@ class DriftingQuadratic(LossSequence):
 
     def quadratic_column(self, T):
         # a centre or weight that a round's loss, or its folded metric,
-        # rejects is left to per-round play, which names the round it fails
+        # rejects is left to row-by-row play, which names the round it fails
         try:
             return self.column(range(1, T + 1)).groups[0][2] \
                 if 0 < self.weight < INF else None

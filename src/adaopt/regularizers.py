@@ -295,13 +295,10 @@ def check_proximal(p, x_t, feasible_set, rng=None, n_probes: int = 50,
 
     Quadratics centered at x_t with PSD metric and non-negative scale are
     proximal by construction and skip the probe loop; x_t is only validated
-    when the probes need its value.  An emitted ``Terms`` p_t has no value
-    to probe: it passes only by its structure.
+    when the probes need its value.
     """
     if _structurally_proximal(p, x_t):
         return
-    if isinstance(p, Terms):
-        raise ProximalConditionError("p_t is a quadratic not centred at x_t")
     x_t = as_point(x_t)
     if rng is None:
         rng = np.random.default_rng(0)
@@ -316,12 +313,6 @@ def check_proximal(p, x_t, feasible_set, rng=None, n_probes: int = 50,
 
 
 def _structurally_proximal(p, x_t: np.ndarray) -> bool:
-    if isinstance(p, Terms):
-        # an emitted p_t: one quadratic, zero or centred at x_t
-        m = p.metric
-        return (p.l1 == 0.0 and p.shift is None and not p.loss
-                and (m.kind == "scaled" and m.gamma == 0.0 or p.center is x_t
-                     or bool(np.array_equal(p.center, x_t))))
     if p.is_zero():
         return True
     if isinstance(p, Quadratic):
@@ -332,24 +323,12 @@ def _structurally_proximal(p, x_t: np.ndarray) -> bool:
 
 
 class Terms(NamedTuple):
-    """One round term as parameters: what it adds to the objective and to r.
-
-    ``Driver`` emits each term in this form, q~_0 included, with its parts
-    in the order every fold takes them: the round loss's divergence from
-    x_t (``loss``), the l1 weight, the quadratic
-    (1/2) ||x - center||_metric^2 (centred at x_t, or at the origin: None),
-    the linear part <shift, x>.  The r-divergence
-    B_{r_{1:t}}(x_{t+1}, x_t) needs none of this: the ledger derives it
-    from its columns (``regret.Ledger.breg_r``).  A term of a full-matrix
-    ftrl round also carries ``total``, the running metric the driver's r
-    reaches once the term is added, with its eigenpairs."""
+    """q~_0 as parameters, as ``Driver`` emits it and the ledger keeps it:
+    the quadratic (1/2) ||x||_metric^2, centred at the origin, and the l1
+    weight of psi_1 when it is known before the first round."""
 
     metric: QuadMetric                 # PSD metric of the quadratic part
     l1: float = 0.0                    # total l1 weight
-    center: np.ndarray | None = None   # the quadratic's centre; None: the origin
-    shift: np.ndarray | None = None    # the emitted linear part, or None
-    loss: bool = False                 # B_{f_t}(., x_t) is a part
-    total: QuadMetric | None = None    # the running metric after this term
 
 
 # -- schedules ---------------------------------------------------------------

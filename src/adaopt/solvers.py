@@ -39,8 +39,7 @@ import numpy as np
 
 from .core import INF, DimensionMismatch, QuadMetric, as_point
 from .losses import BregmanAround, LinearLoss, is_isotropic_quadratic
-from .regularizers import (L1, Indicatrix, Linear, Quadratic, Regularizer,
-                           Sum, Terms)
+from .regularizers import L1, Indicatrix, Linear, Quadratic, Regularizer, Sum
 
 _FEAS_TOL = 1e-9
 
@@ -382,8 +381,8 @@ class Objective:
     def fold_row(self, center: np.ndarray, row):
         """``fold_quadratic(center, m, 1.0)`` on the same floats, for the
         metric m whose gamma (a float ``row``) or weights (an array) are
-        ``row``: a column-play round folds a row of r_{1:t} and builds no
-        ``QuadMetric``."""
+        ``row``: a round folds a scanned row (md's r_{1:t}, a proximal term
+        centred at x_t) and builds no ``QuadMetric``."""
         if type(row) is float:
             self._fold_isotropic(center, row)
             return
@@ -413,51 +412,28 @@ class Objective:
         """The full part as a d x d matrix."""
         return self.full.matrix if type(self.full) is QuadMetric else self.full
 
-    def _fold_isotropic(self, center, gamma: float, quadratic: bool = True,
-                        const: bool = True):
-        """Fold gamma/2 ||x - center||^2 (see ``fold_quadratic``), its
-        constant only with ``const``."""
+    def _fold_isotropic(self, center, gamma: float, quadratic: bool = True):
+        """Fold gamma/2 ||x - center||^2 (see ``fold_quadratic``)."""
         if center is not None and np.count_nonzero(center):
             # a shifted isotropic quadratic is no longer pure gamma*I in
             # x'Mx form; fold the cross term into lin and keep gamma
             self.lin = self.lin - gamma * center
-            if const:
-                self.const += 0.5 * gamma * float(np.dot(center, center))
+            self.const += 0.5 * gamma * float(np.dot(center, center))
         if quadratic:
             self.gamma += gamma
 
-    def add_terms(self, term: Terms, anchor: np.ndarray, div=None,
-                  quadratic: bool = True):
-        """Fold one round term, a ``Terms`` tuple, its parts in order: the
-        loss divergence, when flagged, from ``div`` = (loss, f(anchor),
-        grad f(anchor)) at the anchor x_t; the l1 weight; the quadratic
-        around its centre (a zero scaled metric is no part; see
-        ``fold_quadratic`` for ``quadratic``); the linear shift."""
-        if term.loss:
-            self._fold_divergence(div[0], anchor, div[1], div[2])
-        self.l1_alpha += term.l1
-        m = term.metric
-        if m.kind != "scaled" or m.gamma != 0.0:
-            self.fold_quadratic(term.center, m, 1.0, quadratic)
-        if term.shift is not None:
-            self.lin = self.lin + term.shift
-
-    def _fold_divergence(self, loss, anchor, f_anchor, g_anchor):
-        """Fold B_f(., anchor) = f - f(a) - <grad f(a), . - a>: f less its
-        anchor gradient (``fold_loss``), the rest into the constant; nothing
-        for a linear f, whose B_f is 0."""
-        if type(loss) is LinearLoss:
-            return
-        self.fold_loss(loss.isotropic if is_isotropic_quadratic(loss) else loss,
-                       g_anchor)
+    def fold_divergence(self, f, anchor, f_anchor: float, g_anchor):
+        """Fold B_f(., a) = f - f(a) - <grad f(a), . - a> at the anchor a,
+        for f a loss handle or the (w, c) of (w/2) ||. - c||^2: f less its
+        anchor gradient (``fold_loss``), the rest into the constant."""
+        self.fold_loss(f, g_anchor)
         self.const += float(np.dot(g_anchor, anchor)) - f_anchor
 
-    def fold_loss(self, f, g_anchor, const: bool = True):
+    def fold_loss(self, f, g_anchor):
         """Fold f - <g_anchor, .> for f a loss handle, or the (w, c) of
-        (w/2) ||. - c||^2, folded in closed form, its constant only with
-        ``const`` (column play scans the constants)."""
+        (w/2) ||. - c||^2, folded in closed form."""
         if type(f) is tuple:
-            self._fold_isotropic(f[1], f[0], const=const)
+            self._fold_isotropic(f[1], f[0])
         else:
             self.losses.append(f)
         self.lin = self.lin - g_anchor
@@ -488,7 +464,11 @@ class Objective:
         if isinstance(reg, BregmanAround):
             if scale != 1.0:
                 raise ValueError("a loss divergence enters an objective unscaled")
-            self._fold_divergence(reg.loss, reg.anchor, reg.f_anchor, reg.g_anchor)
+            # a linear f's divergence is 0
+            f = reg.loss
+            if type(f) is not LinearLoss:
+                self.fold_divergence(f.isotropic if is_isotropic_quadratic(f) else f,
+                                     reg.anchor, reg.f_anchor, reg.g_anchor)
             return
         raise TypeError(f"cannot collect {type(reg).__name__} into an objective")
 

@@ -634,9 +634,12 @@ def _assert_same(a, b):
             assert type(v) is type(w) and v == w, k
 
 
-# the presets that column play serves, each with its parameters drawn; md
-# draws an l1 weight on the box and the free set, where a composite run is
-# accepted
+# each preset's parameters, drawn; md and ftrl-prox draw an l1 weight in
+# either composite setting on the box and the free set, where a composite
+# run is accepted
+_COMPOSITE = {"composite_alpha": st.floats(0.01, 2.0),
+              "composite_setting": st.sampled_from(["revealed-after", "known-before"])}
+_HINTS = st.sampled_from(["none", "prev-gradient"])
 COLUMN_PARAMS = {
     "ogd": st.fixed_dictionaries({"eta": st.floats(0.01, 10.0)}),
     "da": st.fixed_dictionaries({"alpha0": st.floats(0.1, 5.0),
@@ -648,9 +651,23 @@ COLUMN_PARAMS = {
         "eta": st.floats(0.05, 5.0), "gamma0": st.sampled_from([0.0, 1e-12, 1.0])}),
     "md": st.fixed_dictionaries(
         {"q0_scale": st.floats(0.0, 5.0), "sigma_r": st.floats(0.0, 5.0)},
-        optional={"composite_alpha": st.floats(0.01, 2.0),
-                  "composite_setting": st.sampled_from(["revealed-after",
-                                                        "known-before"])}),
+        optional=_COMPOSITE),
+    # known-before needs q~_0's curvature, gamma0 > 0
+    "ftrl-prox": st.one_of(
+        st.fixed_dictionaries({"eta": st.floats(0.05, 5.0), "gamma0": st.just(0.0)},
+                              optional={"composite_alpha": st.floats(0.01, 2.0)}),
+        st.fixed_dictionaries({"eta": st.floats(0.05, 5.0),
+                               "gamma0": st.sampled_from([1e-12, 1.0])},
+                              optional=_COMPOSITE)),
+    # final-attack's radius, given, also serves the free set
+    "ao-ftrl-prox": st.fixed_dictionaries(
+        {"eta_schedule": st.sampled_from(["scale-free", "final-attack"]),
+         "hints": _HINTS, "radius": st.floats(0.5, 5.0)},
+        optional={"eta0": st.floats(0.05, 5.0), "smooth_l": st.floats(0.0, 2.0),
+                  **_COMPOSITE}),
+    "ao-md": st.fixed_dictionaries(
+        {"hints": _HINTS, "q0_scale": st.floats(0.0, 5.0),
+         "sigma_r": st.floats(0.01, 5.0)}),
 }
 
 
@@ -675,19 +692,25 @@ COLUMN_PARAMS = {
          params={"eta": 1e200}, fails=(1, "step"))
 @example(preset="ogd", kind="unconstrained", d=2, T=40, seed=4, scale=1e150,
          data=None, params={"eta": 1e60}, fails=None)
+@example(preset="ao-ftrl-prox", kind="box", d=3, T=40, seed=4, scale=1e154,
+         data=None, params={}, fails=(2, "schedule"))
+@example(preset="ftrl-prox", kind="box", d=3, T=40, seed=4, scale=1e154,
+         data=None, params={"composite_alpha": 0.1}, fails=(4, "schedule"))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_column_play_matches_round_by_round_play(preset, kind, d, T, seed,
                                                  scale, data, params, fails):
     # a random stream's play reads g_t from its column of rounds 1..T (at
-    # d = 256, drawn 64 rounds a kernel call), and an ogd, da, diagonal
-    # adagrad-da, diagonal adagrad-md or md run plays it as prefix scans in
-    # chunks of 2**14 // d rounds (64 at d = 256); an unchecked stream of
-    # the same vectors is played round by round.  The ledgers, the drivers'
-    # end states and the run's output bytes are the same.  A run that fails
-    # fails alike, with the same exit code, error JSON and warnings:
+    # d = 256, drawn 64 rounds a kernel call), and every preset plays it in
+    # chunks of 2**14 // d rounds (64 at d = 256; a full metric's rows one
+    # a chunk); an unchecked stream of the same vectors reveals a round at a
+    # time, and each is played as a one-row chunk.  The ledgers, the
+    # drivers' end states and the run's output bytes are the same.  A run
+    # that fails fails alike, with the same exit code, error JSON and
+    # warnings:
     # - at scale 1e160, g * g overflows in round 1's schedule;
-    # - at 1e154, adagrad-da's sums overflow in round 4, after column play
-    #   has solved rounds 1 to 3;
+    # - at 1e154, adagrad-da's sums overflow in round 4, after rounds 1 to 3
+    #   of the chunk are played, and so do composite ftrl-prox's;
+    # - ao-ftrl-prox's sum of ||g_t - h_t||^2 overflows in round 2 at 1e154;
     # - adagrad-md's r_{1:t} at eta = 1e-308 overflows in round 7, whose
     #   numeric argmin (on the simplex) finds no finite smoothness;
     # - md's r_{1:2} = 1e308 + 2 * 5e307 overflows, and the l1 argmin
@@ -696,9 +719,9 @@ def test_column_play_matches_round_by_round_play(preset, kind, d, T, seed,
     #   invalid value, and fails;
     # - ogd's f_t = <g_t, x_t> on the free set overflows from round 2 on,
     #   once a round, and the accounting then fails.
-    # Column play's scans warn of no overflow that per-round play does not
-    # warn of, and a round that would warn (its fold, argmin or f_t) is
-    # played by Driver.round, so each warning comes once, in order
+    # The scans are silent, a row the schedule rejects is scanned again
+    # alone to warn and raise, and every row operation runs once a row, so
+    # each warning comes once, in its round
     if params is None:
         params = data.draw(COLUMN_PARAMS[preset]) if preset in COLUMN_PARAMS else {}
     if kind in ("ball", "simplex"):

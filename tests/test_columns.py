@@ -10,13 +10,14 @@ np.cumsum (which adds in loop order); both are numpy implementation
 details, so these tests also run on the oldest numpy the package accepts.
 """
 
+import json
 
 import numpy as np
 import pytest
 
 from adaopt import losses, regret, solvers
-from adaopt.cli import (build_losses, build_set, replay_check, run_seed,
-                        validate_run_config)
+from adaopt.cli import (build_losses, build_set, main, replay_check,
+                        run_seed, validate_run_config)
 from adaopt.core import dot, quad_norm_sq, rowdot
 from adaopt.learners import PRESETS, Driver, run_rounds
 from adaopt.regularizers import COMPOSITE_SETTINGS, L1, Sum
@@ -337,6 +338,34 @@ def test_replay_catches_a_corrupted_value(name):
         rep = replay_check(_perturbed(csv_text, row + 1, col), cfg, x_star)
         assert rep["ok"] is False, header[col]
         assert rep["worst_error"] > 1e-9
+
+
+@pytest.mark.parametrize("kind", ["box", "ball", "simplex"])
+def test_replay_checks_the_rows_whose_norms_overflow(tmp_path, kind):
+    # at gradient scale 1e300 g.g overflows: a row's scale
+    # ||g_t|| ||x_t - x*|| was inf, so the row went unchecked, or inf * 0 =
+    # NaN where x_t = x*, which failed the replay of a valid run.  The run
+    # now replays and exits 0, and a corrupted gradient entry is caught
+    raw = {"name": "big", "preset": "md", "set": {"kind": kind, "dim": 3},
+           "losses": {"kind": "random-linear", "seed": 2, "scale": 1e300},
+           "T": 30, "seeds": [0]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(raw))
+    with np.errstate(over="ignore"):
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        res = json.loads((tmp_path / "out" / "big.json").read_text())["results"][0]
+        assert res["replay"]["ok"] is True and res["replay"]["worst_error"] < 1e-15
+        cfg = validate_run_config(dict(raw))
+        csv_text = (tmp_path / "out" / "big.seed0.csv").read_text()
+        x_star = np.array(res["comparator"])
+        d = len(x_star)
+        # the gradient entry that moves <g_t, x_t - x*> most
+        table = np.array([[float(v) for v in line.split(",")]
+                          for line in csv_text.strip().split("\n")[1:]])
+        x, g = table[:, 1:1 + d], table[:, 1 + d:1 + 2 * d]
+        i, j = np.unravel_index(np.argmax(np.abs(g * (x - x_star))), g.shape)
+        rep = replay_check(_perturbed(csv_text, i + 1, 1 + d + j), cfg, x_star)
+        assert rep["ok"] is False and rep["worst_error"] > 1e-9
 
 
 # -- the r-divergence ---------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from adaopt import core, losses, regret, regularizers, solvers
-from adaopt.learners import (HINT_POLICIES, PRESETS, Driver, preset_defaults,
+from adaopt.learners import (PRESETS, Driver, preset_defaults,
                              run_rounds)
 
 
@@ -300,13 +300,14 @@ def test_full_matrix_gram_rounds_build_no_d_by_d(monkeypatch):
         return matrix(m)
 
     monkeypatch.setattr(core.QuadMetric, "matrix", property(form))
-    play = Driver.round
+    play = Driver._chunk
 
-    def round_t(self, t, *args):
-        now[0] = t
-        return play(self, t, *args)
+    def round_t(self, i, *args):
+        # a full-metric run plays one row, round i + 1, a chunk
+        now[0] = i + 1
+        return play(self, i, *args)
 
-    monkeypatch.setattr(Driver, "round", round_t)
+    monkeypatch.setattr(Driver, "_chunk", round_t)
     led = _full_run("adagrad-da", {"metric": "full"}, d, T,
                     seq=losses.random_stream(d, seed=4))
     now[0] = "accounting"
@@ -603,34 +604,30 @@ def test_play_checks_each_gradient_once(monkeypatch):
 # adagrad-md and ftrl-prox on the same stream: what play calls and builds
 T_BUILDS = 400
 BUILDS = {
-    # column play: one minimize call a round and no Driver.round; the
-    # schedule, objective rows and metric columns are scans, so no round
-    # builds a QuadMetric (r's running metric is built once) or puts a
-    # ledger row (one put of r's first row, one block put per column),
-    # and g, checked once, needs no as_point.  The one LinearLoss of each
-    # g row is the ledger's
+    # one minimize call a round and no Driver.round; the schedule, objective
+    # rows and metric columns are scans, so no round builds a QuadMetric
+    # (r's running metric is built once) or puts a ledger row (one put of
+    # r's first row, one block put per column), and g, checked once, needs
+    # no as_point.  The one LinearLoss of each g row is the ledger's
     "adagrad-da": {"minimize": T_BUILDS, "Loss": T_BUILDS, "QuadMetric": 1,
                    "put": 1, "put_rows": 2, "kernel": 1},
-    # column play of md: each round folds its row of r_{1:t} into a fresh
-    # objective anchored at x_t; r's rows are all scanned, so no row is put
-    # alone (the prox and r columns are block puts)
+    # md: each round folds its row of r_{1:t} into a fresh objective
+    # anchored at x_t; r's rows are all scanned, so no row is put alone
+    # (the prox and r columns are block puts)
     "adagrad-md": {"minimize": T_BUILDS, "Loss": T_BUILDS, "QuadMetric": 1,
                    "put_rows": 2, "kernel": 1},
-    # per-round play (a proximal term centred at x_t): each round checks g
-    # once, builds the schedule's increment and r's new metric (round 1's
-    # r is the increment itself) and writes the prox and r rows
-    "ftrl-prox": {"minimize": T_BUILDS, "round": T_BUILDS, "Loss": T_BUILDS,
-                  "QuadMetric": 2 * T_BUILDS - 1, "as_point": T_BUILDS,
-                  "put": 2 * T_BUILDS, "kernel": 1},
+    # a proximal term centred at x_t: each round folds its scanned row at
+    # x_t, and builds and puts nothing more than md's
+    "ftrl-prox": {"minimize": T_BUILDS, "Loss": T_BUILDS, "QuadMetric": 1,
+                  "put_rows": 2, "kernel": 1},
 }
 
 
 def test_closed_form_round_builds_only_what_its_update_needs(monkeypatch):
     # the stream's rows 1..T are the ledger's g column, drawn by one kernel
-    # call (2**14 // d = 1638 rounds a call).  The closed-form config and
-    # adagrad-md played each round through Driver.round before column play,
-    # with the counts ftrl-prox keeps: 2T QuadMetrics, 2T puts and T
-    # as_point calls
+    # call (2**14 // d = 1638 rounds a call).  Played a round at a time
+    # through Driver.round, each config built 2T QuadMetrics, put 2T rows
+    # and made T as_point calls
     T, d = T_BUILDS, 10
     for preset, expected in BUILDS.items():
         driver = Driver(preset, solvers.Box(-np.ones(d), np.ones(d)),
@@ -661,48 +658,6 @@ def test_closed_form_round_builds_only_what_its_update_needs(monkeypatch):
         assert led.T == T
         counts = {k: calls.count(k) for k in set(calls)}
         assert counts == expected, (preset, counts)
-
-
-# Driver.column_play per preset x metric x composite (an l1 weight) x hint
-# policy, "-" where the preset takes no such parameter: a run plays its g
-# column (a run that needs its loss, its centre column) by column play
-# unless it is optimistic, keeps a full metric, or is an ftrl run with a
-# term centred at x_t or an l1 weight
-COLUMN_PLAY = {
-    ("ogd", "-", "-", "-"): True,
-    ("da", "-", "-", "-"): True,
-    ("adagrad-da", "diag", "-", "-"): True,
-    ("adagrad-da", "full", "-", "-"): False,
-    ("ftrl-prox", "diag", False, "-"): False,
-    ("ftrl-prox", "diag", True, "-"): False,
-    ("ftrl-prox", "full", False, "-"): False,
-    ("ftrl-prox", "full", True, "-"): False,
-    ("adagrad-md", "diag", "-", "-"): True,
-    ("adagrad-md", "full", "-", "-"): False,
-    ("md", "-", False, "-"): True,
-    ("md", "-", True, "-"): True,
-    **{("ao-ftrl-prox", "-", l1, hints): False
-       for l1 in (False, True) for hints in HINT_POLICIES},
-    **{("ao-md", "-", "-", hints): False for hints in HINT_POLICIES},
-    ("implicit-md", "-", "-", "-"): True,
-    ("nonlin-ftrl", "-", "-", "-"): True,
-}
-
-
-def test_column_play_eligibility_table():
-    got = {}
-    for preset in PRESETS:
-        defaults = preset_defaults(preset)
-        for metric in ("diag", "full") if "metric" in defaults else ("-",):
-            for l1 in (False, True) if "composite_alpha" in defaults else ("-",):
-                for hints in HINT_POLICIES if "hints" in defaults else ("-",):
-                    params = {"metric": metric, "hints": hints,
-                              "composite_alpha": "-" if l1 == "-" else 0.5 * l1}
-                    params = {k: v for k, v in params.items() if v != "-"}
-                    driver = Driver(preset, solvers.Box(-np.ones(1), np.ones(1)),
-                                    params, hint_fn=lambda t: np.zeros(1))
-                    got[preset, metric, l1, hints] = driver.column_play
-    assert got == COLUMN_PLAY
 
 
 def _float_buffers(root) -> list:

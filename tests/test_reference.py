@@ -5,12 +5,11 @@ recursion, with none of adaopt's regularizers, objectives or solvers.  On a
 box or the free set with a scalar or diagonal metric each argmin is closed
 form coordinatewise: soft-threshold for the l1 term, then clip.  On a ball
 with an isotropic metric (ogd, da, md, ao-ftrl-prox and ao-md, without l1)
-it is the projection of the unconstrained minimizer.  ogd, da, adagrad-da,
-adagrad-md and md (with and without l1) are also played through column
-play, from a stream that gives its g column.  The presets that need their
-loss, nonlin-ftrl and implicit-md, are written out on drifting quadratics
-f_t = (w/2) ||x - c_t||^2, played from their centre column and round by
-round:
+it is the projection of the unconstrained minimizer.  Every preset is
+played both round by round and in chunks, from a stream that gives its g
+column.  The presets that need their loss, nonlin-ftrl and implicit-md,
+are written out on drifting quadratics f_t = (w/2) ||x - c_t||^2, played
+from their centre column and round by round:
 
     nonlin-ftrl:  x_{t+1} = Proj((sum_{s<=t} w c_s) / (q0 + t w))
     implicit-md:  x_{t+1} = Proj((w c_t + gamma_t x_t) / (w + gamma_t)),
@@ -154,9 +153,6 @@ def reference(preset, p, G, where):
     return np.array(xs), np.array(bregs)
 
 
-COLUMN_PRESETS = ("ogd", "da", "adagrad-da", "adagrad-md", "md")
-
-
 class ColumnStream(losses.LinearStream):
     """The scripted stream G that gives play its g column, G read-only."""
 
@@ -180,15 +176,11 @@ def _check(preset, params, G, where):
           "free": lambda: solvers.Unconstrained(d),
           "ball": lambda: solvers.Ball(np.full(d, CENTER), RADIUS)}[where]()
     xs, bregs = reference(preset, params, G, where)
-    # every preset plays the scripted stream round by round; ogd, da,
-    # adagrad-da, adagrad-md and md also take column play where the stream
-    # gives its g column
-    streams = [losses.LinearStream(lambda t: G[t - 1], d, "scripted")]
-    if preset in COLUMN_PRESETS:
-        streams.append(ColumnStream(G))
-    for seq in streams:
+    # every preset plays the scripted stream round by round, and its g
+    # column in chunks
+    for seq in (losses.LinearStream(lambda t: G[t - 1], d, "scripted"),
+                ColumnStream(G)):
         driver = Driver(preset, fs, dict(params))
-        assert driver.column_play == (preset in COLUMN_PRESETS)
         led = run_rounds(driver, seq, T)
         assert _close(led.x, xs), (preset, np.max(np.abs(led.x - xs)))
         assert _close(led.breg_r, bregs), (preset, np.max(np.abs(led.breg_r - bregs)))
@@ -274,7 +266,6 @@ def test_loss_carrying_presets_match_the_textbook_recursion(case, d, T, where,
     xs, bregs = quadratic_reference(preset, params, C, w, where)
     for stream in (losses.DriftingQuadratic, RoundByRoundQuadratics):
         driver = Driver(preset, fs, dict(params))
-        assert driver.column_play
         led = run_rounds(driver, stream(lambda t: C[t - 1], d, w), T)
         assert (led.quadratic is not None) == (stream is losses.DriftingQuadratic)
         assert _close(led.x, xs), (preset, np.max(np.abs(led.x - xs)))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from adaopt.core import INF, QuadMetric, bregman
 from adaopt.regularizers import (
     L1, Difference, Indicatrix, Linear, ProximalConditionError, Quadratic,
-    ScheduleState, Sum, Terms, Zero, adagrad_diag_step,
+    ScheduleState, Sum, Zero, adagrad_diag_step,
     adagrad_full_step, adagrad_initial_metric, affine_shift, check_proximal,
     composite_wrap, final_attack_eta, ftrl_prox_increment, optimistic_shift,
     proximal_eta_increment, scale_free_eta, validate_psi_sequence,
@@ -125,21 +125,6 @@ def test_check_proximal_rejects_offcenter_minimum():
     wrong = Quadratic(np.array([-0.9, 0.9]), QuadMetric.scaled(1.0), 1.0)
     with pytest.raises(ProximalConditionError):
         check_proximal(wrong, x_t, BOX, rng=np.random.default_rng(0))
-
-
-def test_check_proximal_reads_an_emitted_term_by_its_structure():
-    x_t = np.array([0.3, -0.2])
-    metric = QuadMetric.scaled(2.0, 2)
-    check_proximal(Terms(metric, center=x_t), x_t, BOX)
-    check_proximal(Terms(metric, center=x_t.copy()), x_t, BOX)
-    check_proximal(Terms(QuadMetric.zero(2), center=np.zeros(2)), x_t, BOX)
-    # a non-zero quadratic centred elsewhere, or any l1, linear or loss part
-    for bad in (Terms(metric, center=np.zeros(2)),
-                Terms(metric, 0.1, center=x_t),
-                Terms(metric, center=x_t, shift=np.ones(2)),
-                Terms(metric, center=x_t, loss=True)):
-        with pytest.raises(ProximalConditionError):
-            check_proximal(bad, x_t, BOX)
 
 
 def test_check_proximal_rejects_linear():

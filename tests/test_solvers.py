@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adaopt.core import QuadMetric
-from adaopt.regularizers import L1, Linear, Quadratic, Sum, Terms
+from adaopt.regularizers import L1, Linear, Quadratic, Sum
 from adaopt.solvers import (
     Ball, Box, IllPosedError, NumericArgminError, Objective, Simplex,
     Unconstrained, argmin_l1_composite, argmin_numeric, argmin_quadratic,
@@ -735,8 +735,7 @@ def test_folding_only_the_centre_leaves_the_quadratic_part():
     for m in metrics:
         whole, part = (Objective.build(Box(-np.ones(d), np.ones(d)),
                                        linear=np.ones(d)) for _ in range(2))
-        term = Terms(m, center=center)
-        whole.add_terms(term, center)
-        part.add_terms(term, center, quadratic=False)
+        whole.fold_quadratic(center, m, 1.0)
+        part.fold_quadratic(center, m, 1.0, quadratic=False)
         assert np.array_equal(part.lin, whole.lin) and part.const == whole.const
         assert part.gamma == 0.0 and part.diag is None and part.full is None

@@ -68,3 +68,38 @@ def test_no_accounting_function_walks_the_records():
                     and n.func.id == "RoundRecord":
                 found.append(f"{name} builds a RoundRecord")
     assert not found, found
+
+
+LEARNERS_PY = os.path.join(ROOT, "src", "adaopt", "learners.py")
+
+
+def _dotted(node) -> str:
+    """'a.b.c' for a Name or a chain of Attributes, else ''."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id] + parts[::-1]) if isinstance(node, ast.Name) else ""
+
+
+def test_round_play_has_one_argmin_call_site():
+    # every preset plays its rounds through one loop: outside x_1's argmin
+    # in Driver.__init__, learners.py names solvers.minimize once, and no
+    # np.errstate turns a warning into an error that hands a round to a
+    # second path
+    with open(LEARNERS_PY) as fh:
+        tree = ast.parse(fh.read())
+    driver = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Driver")
+    init = next(f for f in driver.body if isinstance(f, ast.FunctionDef)
+                and f.name == "__init__")
+    in_init = {id(n) for n in ast.walk(init)}
+    named = [n.lineno for n in ast.walk(tree) if id(n) not in in_init and (
+        isinstance(n, ast.Attribute) and n.attr == "minimize"
+        or isinstance(n, ast.Name) and n.id == "minimize"
+        or isinstance(n, ast.alias) and n.name == "minimize")]
+    assert len(named) == 1, named
+    raising = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+               and _dotted(n.func).rsplit(".", 1)[-1] in ("errstate", "seterr")
+               and any(isinstance(k.value, ast.Constant) and k.value.value == "raise"
+                       for k in n.keywords)]
+    assert not raising, raising
