@@ -73,11 +73,19 @@ def rowdot(a, b) -> np.ndarray:
 
 def running(start, rows: np.ndarray) -> np.ndarray:
     """Row k: start + rows[0] + ... + rows[k-1], added left to right, as a
-    loop adds them: np.cumsum adds in loop order."""
+    loop adds them: np.add.accumulate adds in loop order.  One row is added
+    as a round adds it: a scalar as a float, which overflows silently, a
+    vector by np.add."""
     out = np.empty((len(rows) + 1,) + rows.shape[1:])
     out[0] = start
-    out[1:] = rows
-    return np.cumsum(out, axis=0, out=out)
+    if len(rows) != 1:
+        out[1:] = rows
+        return np.add.accumulate(out, axis=0, out=out)
+    if rows.ndim == 1:
+        out[1] = float(start) + float(rows[0])
+    else:
+        np.add(out[0], rows[0], out=out[1])
+    return out
 
 
 class QuadMetric:

@@ -5,7 +5,7 @@ Two update families, both reduced to one argmin per round:
     ftrl:  x_{t+1} = argmin_X <g_{1:t}, x> + p_{1:t}(x) + q_{0:t}(x)
     md:    x_{t+1} = argmin_X <g_t, x> + q_t(x) + B_{r_{1:t}}(x, x_t)
 
-``Driver`` plays both through one loop, ``Driver._play``.  The preset's
+``Driver`` plays both through one loop, ``Driver._chunk``.  The preset's
 schedule emits the metric of the proximal term, p_t for ftrl and r_t for md
 (what r_{1:t} adds to r_{1:t-1} either way), or of q~_t's quadratic.  A
 composite l1 weight and an implicit or non-linearized preset's loss
@@ -38,19 +38,21 @@ increment, and ftrl's objective takes r's running metric
 (``Objective.take_quadratic``).  So a chunk and its rows played one at a
 time write the same ledger, bit for bit.
 
-The scans run silenced.  A row the schedule rejects, or whose diagonal or
-linear running sum overflows, ends its chunk and is scanned again alone,
-unsilenced, so it warns in its round, and the schedule's checking
-constructor raises on the row it rejects.  A scalar running sum overflows
-silently, as a float sum does.  Row
-operations run unsilenced, once a row, so each of their warnings comes
-once, in its round.  An error names its round and its layer (gradient,
-loss, schedule, fold or step).
+The scans of a chunk of more than one row run silenced.  A row the
+schedule rejects, or whose diagonal or linear running sum overflows, ends
+its chunk and is scanned again alone.  A one-row scan runs unsilenced, so
+such a row warns in its round, and the schedule's checking constructor
+raises on the row it rejects; its one row is added as a round adds it
+(``core.running``), and a scalar running sum overflows silently, as a
+float sum does.  Row operations run unsilenced, once a row, so each of
+their warnings comes once, in its round.  An error names its round and its
+layer (gradient, loss, schedule, fold or step).
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -59,7 +61,7 @@ from .core import MetricColumn, QuadMetric, Roots, as_point, rowdot, running
 from .losses import LinearLoss, QuadraticLoss
 from .regularizers import (COMPOSITE_SETTINGS, ScheduleState, Terms,
                            adagrad_diag_rows, adagrad_full_step,
-                           adagrad_initial_metric)
+                           adagrad_initial_metric, hint_eta_rows)
 from . import regret, solvers
 
 HINT_POLICIES = ("none", "prev-gradient", "custom")
@@ -118,8 +120,9 @@ class Driver:
     ``solver_calls``, the schedule's sums, r's running metric, ftrl's
     running objective and an optimistic preset's ``hint``.  ``seed`` is
     accepted for callers that pass one; play draws nothing.  ``run_rounds``
-    gives the driver its run's columns, which ``_play`` fills (module
-    docstring); ``round`` is its one-row call.  Preset names are read in
+    gives the driver its run's columns, which ``_chunk`` fills (module
+    docstring), a column's chunks in turn (``_play``) or one row
+    (``round``).  Preset names are read in
     ``_parse`` and in ``_emit_rows``, the one form of every separable
     schedule.
     """
@@ -237,10 +240,11 @@ class Driver:
         if self.preset == "ao-ftrl-prox":
             self.prox_at_x = True
             if p["eta_schedule"] == "scale-free":
-                self._eta0 = _positive(p, "eta0")
+                self._eta_schedule = {"eta0": _positive(p, "eta0")}
             elif p["eta_schedule"] == "final-attack":
                 self._radius = self._schedule_radius()
-                self._smooth_l = _non_negative(p, "smooth_l")
+                self._eta_schedule = {"radius": self._radius,
+                                      "smooth_l": _non_negative(p, "smooth_l")}
             else:
                 raise ValueError(f"unknown eta schedule {p['eta_schedule']!r}")
             return self._zero
@@ -289,36 +293,27 @@ class Driver:
             W, n, sums, roots = adagrad_diag_rows(self._sched, G, self._eta, self._gamma0)
             return W, n, (sums, roots)
         if self.preset == "ao-ftrl-prox":
-            # eta_t of ``scale_free_eta`` or ``final_attack_eta`` for the
-            # running sum of ||g_t - h_t||^2, whose increment over
-            # eta_{t-1} is the proximal scale; the sum never falls
             err = G - H
-            sq = rowdot(err, err)
-            with np.errstate(over="ignore"):
-                # a round added its float to the sum without a warning
-                acc = running(self._sched.accum_hint_err, sq)
-            root = np.sqrt(acc[1:])
-            eta = self._eta0 * root if self.params["eta_schedule"] == "scale-free" \
-                else 4.0 * self._radius * self._smooth_l ** 2 + (2.0 / self._radius) * root
-            gam = np.maximum(eta - np.concatenate(([self._eta_prev], eta[:-1])), 0.0)
-            ok = gam < math.inf
-            return gam, len(gam) if ok.all() else int(ok.argmin()), (acc, eta)
+            gam, n, acc, eta = hint_eta_rows(self._sched, rowdot(err, err),
+                                             self._eta_prev, **self._eta_schedule)
+            return gam, n, (acc, eta)
         if self.family == "md":
             # r_1 also carries q~_0's scale, whose sum may overflow
             q = np.full(len(G), self._sigma_r)
             if t == 1:
                 q[0] = self._q0_scale + self._sigma_r
             return q, len(G) if q[0] < math.inf else 0, None
-        # da's alpha_t; ogd's and nonlin-ftrl's q~_t is 0
-        growth = self._alpha_growth if self.preset == "da" else 0.0
+        if self.preset != "da":
+            # ogd's and nonlin-ftrl's q~_t is 0
+            return np.zeros(len(G)), len(G), None
         ts = np.arange(t, t + len(G), dtype=float)
-        return growth * (np.sqrt(ts + 1.0) - np.sqrt(ts)), len(G), None
+        return self._alpha_growth * (np.sqrt(ts + 1.0) - np.sqrt(ts)), len(G), None
 
     # -- the round loop ----------------------------------------------------
 
     def round(self, t: int, loss, g=None) -> None:
-        """Play round t of a stream that gives no column as a one-row chunk
-        of ``_play``: ``loss`` is the revealed loss and g the gradient
+        """Play round t of a stream that gives no column as a one-row
+        ``_chunk``: ``loss`` is the revealed loss and g the gradient
         feedback drawn at x_t, checked here once (the row's scans and argmin
         trust it); a preset that ``needs_loss`` takes g = grad f_t(x_t) in
         the row instead."""
@@ -333,16 +328,16 @@ class Driver:
                 e.round, e.layer = t, "gradient"
                 raise e
             self._run.g[t - 1] = g
-        self._play(t - 1, t, loss)
+        self._chunk(t - 1, t, loss)
 
-    def _play(self, i: int, j: int, loss=None) -> None:
+    def _play(self, i: int, j: int) -> None:
         """Play rows i..j-1, rounds i+1..j, of the run's columns in chunks
-        of at most 2**14 // d rows, the stream kernel's, or one row, whose
-        revealed ``loss`` ``round`` passes.  A full-metric run plays a row a
-        chunk, and so does a custom hint, which is drawn in its round."""
+        of at most 2**14 // d rows, the stream kernel's.  A full-metric run
+        plays a row a chunk, and so does a custom hint, which is drawn in its
+        round."""
         cap = 1 if self._full or self.hint_policy == "custom" else max(1, 2 ** 14 // self.dim)
         while i < j:
-            i = self._chunk(i, min(i + cap, j), loss)
+            i = self._chunk(i, min(i + cap, j), None)
 
     def _chunk(self, i: int, k: int, loss) -> int:
         """Play rows i..k-1 up to the first that the schedule rejects, and
@@ -398,7 +393,7 @@ class Driver:
                         obj.fold_row(xt, p if p.ndim else float(p))
                 if self.needs_loss and v is None:
                     obj.fold_divergence(iso or loss, xt, f, g)
-                if self.optimistic and np.any(shift):
+                if self.optimistic and shift.any():
                     obj.lin = obj.lin + shift
                 if md:
                     if full:
@@ -424,45 +419,53 @@ class Driver:
             self._commit(sc, i, r, loss)
         return r
 
-    def _scan(self, i: int, k: int, weights, loud: bool = False):
+    def _scan(self, i: int, k: int, weights):
         """The scans of rows i..k-1 (module docstring): the schedule's rows
         ``q`` and how many it accepts, ``n``; r_{1:t}'s rows ``R`` from r's
         running metric, grown by q, or in nonlin-ftrl, whose q~_t is
         B_{f_t}(., x_t) alone, by its isotropic losses' ``weights`` (None:
         no isotropic loss); and ftrl's objective rows: its quadratic
         ``slot``'s ``S`` and its ``LIN`` where no term centred at x_t or
-        loss moves them, and ``L1`` when it is composite.  The scans are
-        silenced unless ``loud``.  A row whose diagonal or linear sum
-        overflows is not accepted either; where row i is not, its one-row
-        scan is made again, loud, for its warnings, and the schedule's
-        checking constructor raises on a row it rejects.  A full-metric
-        row is ``adagrad_full_step``'s increment ``incr`` and r's running
-        metric after it, ``r_next``."""
+        loss moves them, and ``L1`` when it is composite.  The scans of more
+        than one row are silenced.  A row whose diagonal or linear sum
+        overflows is not accepted there either; where row i is not, its
+        one-row scan is made, unsilenced, for its warnings, and the
+        schedule's checking constructor raises on a row it rejects.  A
+        full-metric row is ``adagrad_full_step``'s increment ``incr`` and
+        r's running metric after it, ``r_next``."""
         G, md, obj = self._run.g[i:k], self.family == "md", self._obj
-        sc = SimpleNamespace(n=k - i, S=None, L1=None, LIN=None)
-        if self.composite and not md:
-            sc.L1 = running(obj.l1_alpha, np.full(k - i, self.alpha)).tolist()
-        if self._full:
-            sc.incr = self._adagrad_step(self._sched, G[0], self._eta, self._gamma0)[0]
-            sc.r_next = self._r_metric.add(sc.incr) if md else self._sched.total
-            return sc
-        H = None
-        if self.preset == "ao-ftrl-prox":
-            H = np.concatenate((self.hint[None], G[:-1])) \
-                if self.hint_policy == "prev-gradient" else np.broadcast_to(self.hint, G.shape)
-        quiet = {} if loud else {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
-        with np.errstate(**quiet):
+        sc, one = SimpleNamespace(n=k - i, S=None, L1=None, LIN=None), k - i == 1
+        with nullcontext() if one else np.errstate(over="ignore", invalid="ignore",
+                                                   divide="ignore"):
+            if self.composite and not md:
+                sc.L1 = running(obj.l1_alpha, np.full(k - i, self.alpha)).tolist()
+            if self._full:
+                sc.incr = adagrad_full_step(self._sched, G[0], self._eta, self._gamma0)[0]
+                sc.r_next = self._r_metric.add(sc.incr) if md else self._sched.total
+                return sc
+            H = None
+            if self.preset == "ao-ftrl-prox":
+                H = np.concatenate((self.hint[None], G[:-1])) \
+                    if self.hint_policy == "prev-gradient" else np.broadcast_to(self.hint, G.shape)
             sc.q, sc.n, sc.state = self._emit_rows(i + 1, G, H)
             grow = sc.q if md or not self.needs_loss \
                 else np.zeros(k - i) if weights is None else np.array(weights)
             sc.R = running(self._r_metric._summand(), grow)
             sc.rows = sc.R if sc.R.ndim == 2 else sc.R.tolist()
             if not (md or self.prox_at_x or self.needs_loss):
-                sc.slot = "diag" if sc.q.ndim == 2 else "gamma"
-                held = getattr(obj, sc.slot)
-                S = running(0.0 if held is None else held, sc.q)
-                sc.S = S if sc.q.ndim == 2 else S.tolist()
+                if sc.q.ndim == 2:
+                    sc.slot = "diag"
+                    sc.S = running(0.0 if obj.diag is None else obj.diag, sc.q)
+                else:
+                    # the gamma slot holds r_{1:t+1}'s scale, summed as r's
+                    sc.slot, sc.S = "gamma", sc.rows
                 sc.LIN = running(obj.lin, G)
+        if one:
+            if not sc.n:
+                # the scans accept what the checking constructors accept
+                QuadMetric.diagonal(sc.q[0]) if sc.q.ndim == 2 else QuadMetric.scaled(sc.q[0])
+                sc.n = 1
+            return sc
         # a round added a diagonal or linear part as an array, which warns
         # of its overflow (a scalar one as a float, which does not)
         for A in (sc.R, sc.S, sc.LIN):
@@ -470,13 +473,7 @@ class Driver:
                 ok = np.isfinite(A).all(axis=1)
                 if ok[0] and not ok[-1]:
                     sc.n = min(sc.n, int(ok.argmin()) - 1)
-        if not sc.n and not loud:
-            return self._scan(i, i + 1, weights and weights[:1], loud=True)
-        if not sc.n:
-            # the scans accept what the checking constructors accept
-            QuadMetric.diagonal(sc.q[0]) if sc.q.ndim == 2 else QuadMetric.scaled(sc.q[0])
-            sc.n = 1
-        return sc
+        return sc if sc.n else self._scan(i, i + 1, weights and weights[:1])
 
     def _commit(self, sc, i: int, m: int, loss) -> None:
         """Write the driver's state and the ledger's rows after rows i..m-1:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import INF, QuadMetric, as_point, dot, quad_norm_sq, running
+from .core import INF, QuadMetric, as_point, dot, quad_norm_sq, rowdot, running
 
 
 class ProximalConditionError(ValueError):
@@ -553,23 +553,20 @@ def optimistic_shift(q_tilde: Regularizer, hint_prev, hint_next) -> Regularizer:
 
 
 def scale_free_eta(state: ScheduleState, g, hint, eta0: float) -> float:
-    """eta_t = eta0 * sqrt(sum_s ||g_s - hint_s||^2), updating the accumulator.
+    """eta_t = eta0 * sqrt(sum_s ||g_s - hint_s||^2), updating the accumulator:
+    row 0 of a one-row ``hint_eta_rows``.
 
     Positively homogeneous in the gradient/hint stream, which is what makes
     the proximal schedule built on it scale-free.
     """
-    g = as_point(g)
-    hint = as_point(hint)
     if eta0 <= 0:
         raise ValueError(f"eta0 must be positive, got {eta0}")
-    err = g - hint
-    state.accum_hint_err += float(np.dot(err, err))
-    eta = eta0 * math.sqrt(state.accum_hint_err)
-    return eta
+    return _hint_eta_step(state, g, hint, eta0=eta0)
 
 
 def final_attack_eta(state: ScheduleState, g, hint, radius: float, smooth_l: float) -> float:
-    """eta_t = 4 R L^2 + (2/R) sqrt(sum_s ||g_s - hint_s||^2).
+    """eta_t = 4 R L^2 + (2/R) sqrt(sum_s ||g_s - hint_s||^2): row 0 of a
+    one-row ``hint_eta_rows``.
 
     The additive floor keeps the schedule usable for smooth losses; with
     L = 0 it degenerates to the scale-free schedule with eta0 = 2/R.
@@ -578,12 +575,34 @@ def final_attack_eta(state: ScheduleState, g, hint, radius: float, smooth_l: flo
         raise ValueError(f"needs a finite positive set radius, got {radius}")
     if smooth_l < 0:
         raise ValueError(f"smoothness constant must be >= 0, got {smooth_l}")
-    g = as_point(g)
-    hint = as_point(hint)
-    err = g - hint
-    state.accum_hint_err += float(np.dot(err, err))
-    eta = 4.0 * radius * smooth_l ** 2 + (2.0 / radius) * math.sqrt(state.accum_hint_err)
-    return eta
+    return _hint_eta_step(state, g, hint, radius=radius, smooth_l=smooth_l)
+
+
+def _hint_eta_step(state: ScheduleState, g, hint, **schedule) -> float:
+    err = (as_point(g) - as_point(hint))[None]
+    acc, eta = hint_eta_rows(state, rowdot(err, err), 0.0, **schedule)[2:]
+    state.accum_hint_err = float(acc[1])
+    return float(eta[0])
+
+
+def hint_eta_rows(state: ScheduleState, sq: np.ndarray, eta_prev: float,
+                  eta0: float | None = None, radius: float = 1.0,
+                  smooth_l: float = 0.0):
+    """The eta schedule over the rows' ||g_s - hint_s||^2 ``sq``, one round a
+    row, as one cumsum/sqrt/diff scan that writes no ``state``:
+    (gam, n, acc, eta), row k of eta round k+1's eta_t (``scale_free_eta``'s
+    given eta0, else ``final_attack_eta``'s), of gam its increment over the
+    round before (over ``eta_prev`` first), the first n rows accepted
+    (finite), row k of acc the sum after k rounds.  The sum never falls, so
+    neither does eta_t.  Rows past n may overflow (call it under
+    np.errstate; one row's sum overflows silently, as a float sum does)."""
+    acc = running(state.accum_hint_err, sq)
+    root = np.sqrt(acc[1:])
+    eta = eta0 * root if eta0 is not None \
+        else 4.0 * radius * smooth_l ** 2 + (2.0 / radius) * root
+    gam = np.maximum(eta - np.concatenate(([eta_prev], eta[:-1])), 0.0)
+    ok = gam < INF
+    return gam, len(gam) if ok.all() else int(ok.argmin()), acc, eta
 
 
 def eta_increment(eta_t: float, eta_prev: float) -> float:

@@ -367,6 +367,26 @@ def test_final_attack_eta_floor_and_errors():
                          radius=1.0, smooth_l=-1.0)
 
 
+@pytest.mark.parametrize("schedule", [{"eta0": 0.7}, {"radius": 2.0, "smooth_l": 0.5}])
+def test_hint_eta_rows_is_the_one_round_schedule_row_by_row(schedule):
+    # a scan over 6 rounds gives, bit for bit, the eta_t and the sums that
+    # six calls of the one-round schedule give, and each increment is
+    # eta_t less eta_{t-1} (less the eta_prev given, first)
+    rng = np.random.default_rng(3)
+    G, H = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+    one = scale_free_eta if "eta0" in schedule else final_attack_eta
+    state = ScheduleState()
+    etas, sums = [], []
+    for g, h in zip(G, H):
+        etas.append(one(state, g, h, **schedule))
+        sums.append(state.accum_hint_err)
+    err = G - H
+    sq = np.array([e.dot(e) for e in err])
+    gam, n, acc, eta = regularizers.hint_eta_rows(ScheduleState(), sq, 0.25, **schedule)
+    assert n == 6 and eta.tolist() == etas and acc[1:].tolist() == sums
+    assert gam.tolist() == [max(a - b, 0.0) for a, b in zip(etas, [0.25] + etas[:-1])]
+
+
 def test_proximal_eta_increment_schedule_rules():
     x_t = np.array([0.5, 0.5])
     p = proximal_eta_increment(x_t, 3.0, 1.0)
