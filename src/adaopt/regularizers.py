@@ -586,7 +586,7 @@ def _hint_eta_step(state: ScheduleState, g, hint, **schedule) -> float:
 
 
 def hint_eta_rows(state: ScheduleState, sq: np.ndarray, eta_prev: float,
-                  eta0: float | None = None, radius: float = 1.0,
+                  eta0: float | None = None, radius: float | None = None,
                   smooth_l: float = 0.0):
     """The eta schedule over the rows' ||g_s - hint_s||^2 ``sq``, one round a
     row, as one cumsum/sqrt/diff scan that writes no ``state``:
