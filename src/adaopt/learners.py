@@ -28,15 +28,17 @@ running objective that no term centred at x_t moves (its quadratic part,
 its l1 weight and <g_{1:t}, .>).  What depends on x_t is a row operation:
 f_t (and g_t for a preset that needs its loss), a proximal term centred at
 x_t (lin gains -P_t x_t), the loss divergence, the hint change, md's anchor
-B_{r_{1:t}}(., x_t) and the one certified ``solvers.minimize`` call.  A
-stream that gives its g column, or its centre column of isotropic
-quadratics to a preset that needs its loss, is played in chunks of at most
-2**14 // d rows; any other stream reveals a round's loss and draws g_t at
-x_t, and ``Driver.round`` plays that row as a one-row chunk.  A full-metric
-row is a one-row chunk too: its schedule row is ``adagrad_full_step``'s
-increment, and ftrl's objective takes r's running metric
-(``Objective.take_quadratic``).  So a chunk and its rows played one at a
-time write the same ledger, bit for bit.
+B_{r_{1:t}}(., x_t) and the one ``solvers.minimize`` call.  A one-row chunk
+certifies its argmin in the call; a longer chunk's separable argmins leave
+their certificate to one ``solvers._certify_rows`` pass over the chunk's
+rows (``_chunk``).  A stream that gives its g column, or its centre column
+of isotropic quadratics to a preset that needs its loss, is played in
+chunks of at most 2**14 // d rows; any other stream reveals a round's loss
+and draws g_t at x_t, and ``Driver.round`` plays that row as a one-row
+chunk.  A full-metric row is a one-row chunk too: its schedule row is
+``adagrad_full_step``'s increment, and ftrl's objective takes r's running
+metric (``Objective.take_quadratic``).  So a chunk and its rows played one
+at a time write the same ledger, bit for bit.
 
 The scans of a chunk of more than one row run silenced.  A row the
 schedule rejects, or whose diagonal or linear running sum overflows, ends
@@ -44,9 +46,13 @@ its chunk and is scanned again alone.  A one-row scan runs unsilenced, so
 such a row warns in its round, and the schedule's checking constructor
 raises on the row it rejects; its one row is added as a round adds it
 (``core.running``), and a scalar running sum overflows silently, as a
-float sum does.  Row operations run unsilenced, once a row, so each of
-their warnings comes once, in its round.  An error names its round and its
-layer (gradient, loss, schedule, fold or step).
+float sum does.  Row operations run unsilenced, but a longer chunk
+records the floating-point errors they meet in place of their warnings;
+where a row meets one, raises or fails the batched certificate, the chunk
+is played again as one-row chunks from the state it started from, so each
+warning comes once, in its round, and an error in its round.
+An error names its round and its layer (gradient, loss, schedule, fold or
+step).
 """
 
 from __future__ import annotations
@@ -217,8 +223,6 @@ class Driver:
             self._gamma0 = _non_negative(p, "gamma0")
             if p["metric"] not in ("diag", "full"):
                 raise ValueError(f"metric must be diag or full, got {p['metric']!r}")
-            # a full metric's schedule row (a diagonal one's is ``_emit_rows``')
-            self._adagrad_step = adagrad_full_step
             if p["metric"] == "full" and self.feasible_set.dim > 1:
                 # the first increment, (gamma0 I + g_1 g_1')^{1/2} less
                 # sqrt(gamma0) I, over eta, is rank one: an md round has no
@@ -341,6 +345,39 @@ class Driver:
 
     def _chunk(self, i: int, k: int, loss) -> int:
         """Play rows i..k-1 up to the first that the schedule rejects, and
+        return the row after the last one played (``_rows``).  A chunk of
+        more than one row defers its argmins' certificate to one
+        ``solvers._certify_rows`` pass over its rows, with the floating-point
+        errors they meet recorded, not warned of.  Where a row fails it, a
+        row raises or meets one, the chunk restores ftrl's running objective
+        and the hint it started from, and plays its rows again as one-row
+        chunks, each certified in its round; so its error, warnings, state
+        and ledger rows are theirs."""
+        if k - i == 1:
+            return self._rows(i, k, loss)
+        obj, hint = self._obj, self.hint
+        kept, kept_losses = [getattr(obj, f) for f in obj.__slots__], obj.losses[:]
+        # each floating-point error the caller's errstate would warn of or
+        # raise is recorded instead, so the one-row chunks meet it afresh
+        caught = []
+        modes = {e: "ignore" if mode == "ignore" else "call" for e, mode in np.geterr().items()}
+        with np.errstate(call=lambda err, flag: caught.append(err), **modes):
+            try:
+                m = self._rows(i, k, loss, caught)
+            except Exception:
+                # whatever a row raised, its one-row chunk raises it again
+                m = None
+        if m is not None:
+            return m
+        for f, v in zip(obj.__slots__, kept):
+            setattr(obj, f, v)
+        obj.losses, self.hint = kept_losses, hint
+        for r in range(i, k):
+            self._rows(r, r + 1, loss)
+        return k
+
+    def _rows(self, i: int, k: int, loss, caught: list | None = None) -> int | None:
+        """Play rows i..k-1 up to the first that the schedule rejects, and
         return the row after the last one played.  A row is its loss layer
         (f_t, and g_t for a preset that needs its loss, from a linear loss's
         vector, an isotropic quadratic's (w, c) or else the loss handle);
@@ -348,11 +385,17 @@ class Driver:
         of its hint change and of its terms into ftrl's running objective or
         md's fresh one; and the step.  The driver's state and the ledger's
         rows are written for the rows played (``_commit``), also when a row
-        raises."""
+        raises.  Given the list ``caught`` of the chunk's recorded
+        floating-point errors, the argmins defer their certificate, and the
+        rows are written only once ``solvers._certify_rows`` passes them,
+        from the X column, their linear parts (ftrl's ``LIN`` rows, else
+        each objective's), the routes' weights and the l1 weights, and no
+        error was recorded; else None is returned."""
         run, md, full = self._run, self.family == "md", self._full
         G, X, quad = run.g, run.x, run.quad if loss is None else None
         ws = None if quad is None else quad[1][i:k].tolist()
         obj, sc, r, t, layer = self._obj, None, i, i + 1, "loss"
+        held, lins = (None, None) if caught is None else ([], [])
         try:
             while r < k:
                 t, xt, layer = r + 1, X[r], "loss"
@@ -410,13 +453,28 @@ class Driver:
                     obj.lin = obj.lin + g if sc.LIN is None else sc.LIN[r - i + 1]
                 layer = "step"
                 obj.init = xt
-                X[r + 1] = solvers.minimize(obj, tol=self.solver_tol)
+                X[r + 1] = solvers.minimize(obj, tol=self.solver_tol, _defer=held)
+                if lins is not None and sc.LIN is None:
+                    lins.append(obj.lin)
                 r += 1
         except (ValueError, solvers.NumericArgminError) as e:
             _name_round(e, t, layer)
             raise
         finally:
-            self._commit(sc, i, r, loss)
+            if caught is None:
+                self._commit(sc, i, r, loss)
+        if caught is None:
+            return r
+        if held:
+            # a chunk's rows share their route: each row left its weights
+            n = r - i
+            solvers._certify_rows(
+                self.feasible_set, X[i + 1:r + 1],
+                np.array(lins) if sc.LIN is None else sc.LIN[1:n + 1], np.array(held),
+                self.alpha if sc.L1 is None else np.array(sc.L1[1:n + 1]))
+        if caught:
+            return None
+        self._commit(sc, i, r, loss)
         return r
 
     def _scan(self, i: int, k: int, weights):

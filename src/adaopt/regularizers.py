@@ -380,10 +380,17 @@ def adagrad_diag_rows(state: ScheduleState, G: np.ndarray, eta: float,
     one cumsum/sqrt/diff scan that writes no ``state``: (W, n, sums, roots),
     row k of W round k+1's increment, its first n rows accepted (each weight
     >= 0 and finite), row k of sums and roots the state after k rounds.
-    Rows past n may overflow (call it under np.errstate)."""
-    sums = running(gamma0 if state.accum_sq is None else state.accum_sq, G * G)
+    Where g_j^2 > 0 is lost to the sum's rounding (sqrt(1 + 1e-300) - 1 is
+    0.0), the weight is g_j^2 / (root_t + root_{t-1}) / eta, the same
+    difference without the cancellation.  Rows past n may overflow (call it
+    under np.errstate)."""
+    sq = G * G
+    sums = running(gamma0 if state.accum_sq is None else state.accum_sq, sq)
     roots = np.sqrt(sums)
     W = (roots[1:] - roots[:-1]) / eta
+    if not W.all():
+        lost = (W == 0.0) & (sq > 0.0)
+        W[lost] = sq[lost] / (roots[1:][lost] + roots[:-1][lost]) / eta
     n = len(W)
     if not (W.min() >= 0.0 and W.max() < INF):
         n = int(np.argmin((W.min(axis=1) >= 0.0) & (W.max(axis=1) < INF)))

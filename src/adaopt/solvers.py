@@ -27,7 +27,13 @@ outside their domain instead of handing it on:
 
 The exact routes share one certificate, ``_certify``: the proximal-gradient
 fixed-point residual (soft-thresholded, then projected) must stay within
-1e-8 (1 + ||lin|| + L), for the quadratic part's largest curvature L.
+1e-8 (1 + ||lin|| + L), for the quadratic part's largest curvature L.  A
+call checks its own result, except where ``learners.Driver._chunk`` plays a
+chunk of more than one row: there the separable exact routes (a diagonal or
+isotropic quadratic, with or without l1) check curvature only and leave the
+residual to ``_certify_rows``, which tests every row of the chunk at once
+with the same formula and tolerance.  A one-row chunk, x_1, a full metric,
+``argmin_numeric`` and every library call certify per call.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import INF, DimensionMismatch, QuadMetric, as_point
+from .core import INF, DimensionMismatch, QuadMetric, as_point, rowdot
 from .losses import BregmanAround, LinearLoss, is_isotropic_quadratic
 from .regularizers import L1, Indicatrix, Linear, Quadratic, Regularizer, Sum
 
@@ -69,6 +75,10 @@ class FeasibleSet:
         one; the solvers call it on iterates they computed themselves."""
         raise NotImplementedError
 
+    def _project_rows(self, Y: np.ndarray) -> np.ndarray:
+        """Row j: ``_project(Y[j])``, bit for bit."""
+        return np.array([self._project(y) for y in Y])
+
     def center(self) -> np.ndarray:
         raise NotImplementedError
 
@@ -96,6 +106,9 @@ class Unconstrained(FeasibleSet):
 
     def _project(self, y):
         return y.copy()
+
+    def _project_rows(self, Y):
+        return Y
 
     def center(self):
         return np.zeros(self.dim)
@@ -132,6 +145,8 @@ class Box(FeasibleSet):
 
     def _project(self, y):
         return y.clip(self.lo, self.hi)
+
+    _project_rows = _project
 
     def center(self):
         return 0.5 * (self.lo + self.hi)
@@ -177,6 +192,14 @@ class Ball(FeasibleSet):
         if n <= self.radius:
             return y.copy()
         return self._center + d * (self.radius / n)
+
+    def _project_rows(self, Y):
+        D = Y - self._center
+        n = _norm_rows(D)
+        out = Y.copy()
+        far = ~(n <= self.radius)
+        out[far] = self._center + D[far] * (self.radius / n[far])[:, None]
+        return out
 
     def center(self):
         return self._center.copy()
@@ -543,15 +566,21 @@ class Objective:
 
 # -- solvers -----------------------------------------------------------------
 
-def _certify(obj: Objective, x: np.ndarray, smooth: float, w=None) -> np.ndarray:
+def _certify(obj: Objective, x: np.ndarray, smooth: float, w=None,
+             defer: list | None = None) -> np.ndarray:
     """x, if its projected-gradient fixed-point residual at step 1/L, for
     the objective's smoothness L, is within 1e-8 (1 + ||lin|| + L); the
     residual also rejects non-finite values.  Otherwise, or when L is not
     finite and the step would be 0, raise.  Given a separable part's
-    weights ``w``, the gradient is lin + w x."""
+    weights ``w``, the gradient is lin + w x.  Given them and a list
+    ``defer``, only L is checked here: w joins the list and the residual is
+    left to ``_certify_rows``."""
     if not smooth < INF:
         raise IllPosedError(
             f"ill-posed argmin: quadratic part has max curvature {smooth}")
+    if defer is not None and w is not None:
+        defer.append(w)
+        return x
     step = 1.0 / max(smooth, 1.0)
     ahead = x - step * (obj.smooth_grad(x) if w is None else obj.lin + w * x)
     if obj.l1_alpha:
@@ -560,6 +589,30 @@ def _certify(obj: Objective, x: np.ndarray, smooth: float, w=None) -> np.ndarray
     if not resid <= 1e-8 * (1.0 + _norm(obj.lin) + smooth):
         raise IllPosedError(f"argmin residual {resid:.3e} exceeds tolerance")
     return x
+
+
+def _certify_rows(fs: FeasibleSet, X: np.ndarray, LIN: np.ndarray,
+                  W: np.ndarray, L1) -> None:
+    """``_certify``'s test of n separable rows at once: row j is the point
+    X[j] of the objective on ``fs`` with linear part LIN[j], weights W[j]
+    (a row, or a float for an isotropic part), smoothness max W[j] and l1
+    weight L1[j] (a float L1 is every row's).  Each step is ``_certify``'s
+    as an array operation, and each norm ``_norm``'s (``_norm_rows``), so a
+    row passes exactly where ``_certify`` passes it; raise its
+    ``IllPosedError`` for the first row that fails.  It runs under the
+    caller's errstate: ``Driver._chunk`` records its floating-point errors
+    and, if there are any, plays its rows again one at a time."""
+    L = W.max(axis=1) if W.ndim == 2 else W
+    step = 1.0 / np.maximum(L, 1.0)
+    ahead = X - step[:, None] * (LIN + (W if W.ndim == 2 else W[:, None]) * X)
+    if np.any(L1):
+        # a row of l1 weight 0 comes through as it is, but for a zero's sign
+        ahead = _soft_threshold(ahead, (step * L1)[:, None])
+    resid = _norm_rows(X - fs._project_rows(ahead)) / step
+    bad = ~(resid <= 1e-8 * (1.0 + _norm_rows(LIN) + L))
+    if bad.any():
+        raise IllPosedError(
+            f"argmin residual {float(resid[bad.argmax()]):.3e} exceeds tolerance")
 
 
 def _quadratic_has_route(obj: Objective) -> bool:
@@ -579,7 +632,7 @@ def _l1_has_route(obj: Objective) -> bool:
     return obj.full is None and isinstance(obj.feasible_set, (Unconstrained, Box))
 
 
-def argmin_quadratic(obj: Objective) -> np.ndarray:
+def argmin_quadratic(obj: Objective, _defer: list | None = None) -> np.ndarray:
     """Exact minimizer of a strictly convex linear-plus-quadratic objective.
 
     Without a set it solves the linear system.  On a set:
@@ -595,7 +648,8 @@ def argmin_quadratic(obj: Objective) -> np.ndarray:
     A separable part is formed once, w = diag + gamma, for all of these
     (min(w) is gamma + min(diag) exactly: rounding is monotone).  Any other
     objective raises ``ValueError``.  Its parts were checked when they were
-    folded; only the result is checked here, by ``_certify``.
+    folded; only the result is checked here, by ``_certify`` (which a
+    separable part's ``_defer`` list defers, see the module docstring).
     """
     if obj.losses or obj.l1_alpha:
         raise ValueError("argmin_quadratic expects a pure linear-quadratic objective")
@@ -621,7 +675,7 @@ def argmin_quadratic(obj: Objective) -> np.ndarray:
         x = -obj.lin / w
     if not isinstance(fs, Unconstrained):
         x = fs._project(x)
-    return _certify(obj, x, smooth, w)
+    return _certify(obj, x, smooth, w, _defer)
 
 
 def _hessian(obj: Objective) -> np.ndarray:
@@ -772,11 +826,21 @@ def _norm(v: np.ndarray) -> float:
     return big * math.sqrt((v / big).dot(v / big)) if big < INF else big
 
 
+def _norm_rows(V: np.ndarray) -> np.ndarray:
+    """Row j: ``_norm(V[j])``, bit for bit: ``rowdot`` is a vector dot's,
+    and a row whose v.v is not finite takes ``_norm`` itself."""
+    ss = rowdot(V, V)
+    n = np.sqrt(ss)
+    for j in np.flatnonzero(~(ss < INF)):
+        n[j] = _norm(V[j])
+    return n
+
+
 def _soft_threshold(v: np.ndarray, thresh) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
 
 
-def argmin_l1_composite(obj: Objective) -> np.ndarray:
+def argmin_l1_composite(obj: Objective, _defer: list | None = None) -> np.ndarray:
     """Coordinate-wise minimizer of <lin, x> + 1/2 x'Wx + alpha ||x||_1 for
     the objective's diagonal (or scaled-identity) quadratic W.
 
@@ -784,7 +848,8 @@ def argmin_l1_composite(obj: Objective) -> np.ndarray:
     each 1-d piece is convex.  Objectives with loss handles or a full
     metric, and sets other than a box or the free set, raise
     ``ValueError``; a diagonal entry that is not positive and finite raises
-    ``IllPosedError``.  The result is certified by ``_certify``.
+    ``IllPosedError``.  The result is certified by ``_certify``, or left
+    to ``_certify_rows`` as ``argmin_quadratic`` leaves it.
     """
     if obj.losses or obj.l1_alpha < 0 or not _l1_has_route(obj):
         raise ValueError("argmin_l1_composite expects a diagonal quadratic "
@@ -795,7 +860,7 @@ def argmin_l1_composite(obj: Objective) -> np.ndarray:
         j = int(np.argmin(positive))
         raise IllPosedError(f"ill-posed argmin: curvature {w[j]} at coordinate {j}")
     x = obj.feasible_set._project(_soft_threshold(-obj.lin, obj.l1_alpha) / w)
-    return _certify(obj, x, float(w.max()), w)
+    return _certify(obj, x, float(w.max()), w, _defer)
 
 
 # the iteration budget of argmin_numeric; reaching it raises
@@ -860,7 +925,7 @@ def argmin_numeric(obj: Objective, tol: float = 1e-10) -> np.ndarray:
         f"no certificate after {NUMERIC_MAX_ITER} iterations (tol {tol})")
 
 
-def minimize(obj: Objective, tol: float = 1e-10) -> np.ndarray:
+def minimize(obj: Objective, tol: float = 1e-10, _defer: list | None = None) -> np.ndarray:
     """The one router: send an objective to the exact route that covers it,
     else to ``argmin_numeric``.
 
@@ -873,12 +938,16 @@ def minimize(obj: Objective, tol: float = 1e-10) -> np.ndarray:
       handles (every loss but an isotropic quadratic, see ``Objective``),
       an l1 term with a full metric or on a ball or simplex, a full metric
       on a ball, and a full or diagonal one on a simplex.
+
+    ``_defer``, which only ``learners.Driver._chunk`` passes, is a list for
+    the separable exact routes' weights: given one, they leave their
+    residual to ``_certify_rows``.
     """
     if obj.losses:
         return argmin_numeric(obj, tol=tol)
     if obj.l1_alpha:
         if _l1_has_route(obj):
-            return argmin_l1_composite(obj)
+            return argmin_l1_composite(obj, _defer)
     elif _quadratic_has_route(obj):
-        return argmin_quadratic(obj)
+        return argmin_quadratic(obj, _defer)
     return argmin_numeric(obj, tol=tol)

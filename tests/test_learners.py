@@ -844,3 +844,80 @@ def test_quadratic_column_play_matches_round_by_round_play(
     assert rounds_r == driver_r.t + (failed_r is not None)
     assert rounds == 0
     assert failed is not None or led.quadratic is not None
+
+
+def _played_rows(driver) -> dict:
+    """The driver's end state and its run's ledger rows for the rounds it
+    played, each as ``_bits``."""
+    run, t, sched, obj = driver._run, driver.t, driver._sched, driver._obj
+    out = {"x": driver.x, "t": t, "solver_calls": driver.solver_calls,
+           "hint": driver.hint, "accum_sq": sched.accum_sq,
+           "prev_root": sched._prev_root, "r.kind": driver._r_metric.kind,
+           "r.gamma": driver._r_metric.gamma, "r.weights": driver._r_metric.weights,
+           **{f"obj.{k}": getattr(obj, k) for k in (
+               "lin", "gamma", "diag", "const", "l1_alpha", "init")},
+           "led.x": run.x[:t + 1], "led.g": run.g[:t],
+           "led.loss_value": run.loss_value[:t],
+           "led.losses": np.array([f.vector for f in run.losses[:t]])}
+    for name in ("prox", "q", "r"):
+        m = getattr(run, name)
+        out.update({f"led.{name}.kind": m.kind[:t], f"led.{name}.gamma": m.gamma[:t],
+                    f"led.{name}.wide": None if m.wide is None else m.wide[:t]})
+    return {k: _bits(v) for k, v in out.items()}
+
+
+@pytest.mark.parametrize("wrong,warn", [(True, False), (True, True), (False, True)])
+@pytest.mark.parametrize("preset,params,kind", [
+    ("adagrad-da", {"metric": "diag"}, "box"), ("adagrad-md", {}, "box"),
+    ("adagrad-md", {}, "ball"), ("ftrl-prox", {"composite_alpha": 0.1}, "box"),
+    ("md", {"composite_alpha": 0.1}, "unconstrained"), ("ogd", {}, "ball"),
+    ("nonlin-ftrl", {}, "box"), ("ao-ftrl-prox", {}, "box")])
+def test_a_chunk_that_fails_its_certificate_plays_as_one_row_chunks(
+        preset, params, kind, wrong, warn):
+    # a 40-row chunk defers its certificate to one pass over its rows.  Here
+    # the certificate of round 18 is handed a wrong point (x_19 moved by 0.25
+    # in every coordinate), and, or, round 5's overflows.  The chunk's batched
+    # test fails round 18, or it recorded round 5's overflow: it restores the
+    # state it started from and plays its rows again as one-row chunks.  So
+    # the error (round 18, layer step), the warnings, the driver's end state
+    # and the ledger's rows are those of the same vectors revealed round by
+    # round, each played as a one-row chunk and certified in its round
+    d, T = 3, 40
+    fs = {"box": lambda: solvers.Box(-np.ones(d), np.ones(d)),
+          "ball": lambda: solvers.Ball(np.full(d, 0.1), 0.7),
+          "unconstrained": lambda: solvers.Unconstrained(d)}[kind]()
+    checked = losses.random_stream(d, seed=7)
+    real = solvers._certify
+
+    def play(seq):
+        driver, calls, failed = Driver(preset, fs, dict(params)), [], None
+
+        def tampered(obj, x, smooth, w=None, defer=None):
+            X = driver._run.x
+            r = (obj.init.ctypes.data - X.ctypes.data) // X.strides[0]
+            if warn and r == 4:
+                np.float64(1e300) * np.float64(1e300)
+            return real(obj, x + 0.25 if wrong and r == 17 else x, smooth, w, defer)
+
+        with warnings.catch_warnings(record=True) as caught, \
+                mock.patch.object(Driver, "round", _spy(calls, "round", Driver.round)):
+            warnings.simplefilter("always")
+            with mock.patch.object(solvers, "_certify", tampered):
+                try:
+                    run_rounds(driver, seq, T)
+                except ValueError as e:
+                    failed = (type(e), str(e), e.round, e.layer)
+        warned = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+        return failed, warned, _played_rows(driver), len(calls)
+
+    failed, warned, rows, rounds = play(checked)
+    failed_r, warned_r, rows_r, rounds_r = play(
+        losses.LinearStream(checked.vector_fn, d, checked.kind))
+    assert rounds == 0 and rounds_r == T - 22 * wrong
+    assert failed == failed_r and warned == warned_r and rows == rows_r
+    if wrong:
+        assert failed[0] is solvers.IllPosedError and failed[2:] == (18, "step")
+        assert failed[1].startswith("round 18: step: argmin residual")
+    else:
+        assert failed is None and rows["t"] == T
+    assert len(warned) == warn and all(w[0] is RuntimeWarning for w in warned)

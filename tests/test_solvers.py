@@ -739,3 +739,71 @@ def test_folding_only_the_centre_leaves_the_quadratic_part():
         part.fold_quadratic(center, m, 1.0, quadratic=False)
         assert np.array_equal(part.lin, whole.lin) and part.const == whole.const
         assert part.gamma == 0.0 and part.diag is None and part.full is None
+
+
+def _per_call_verdict(fs, x, lin, w, l1):
+    """``_certify``'s verdict on one separable row: None, or its message."""
+    obj = Objective(fs, lin=lin, gamma=w if type(w) is float else 0.0,
+                    diag=None if type(w) is float else w, l1_alpha=l1)
+    try:
+        solvers._certify(obj, x, w if type(w) is float else float(w.max()), w)
+    except IllPosedError as e:
+        return str(e)
+    return None
+
+
+@given(kind=st.sampled_from(["box", "ball", "unconstrained", "simplex"]),
+       d=st.integers(1, 6), n=st.integers(1, 12), l1=st.booleans(),
+       iso=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_batched_certificate_agrees_with_the_per_call_one(kind, d, n, l1, iso, seed):
+    # _certify_rows passes and fails exactly the rows _certify does, with
+    # its message: exact argmins; rows with one coordinate moved by 1e-6 of
+    # the set's diameter (on the free set, of the point's largest entry, or
+    # 1e-6); rows whose linear part, and so ||lin||^2, overflows (on the free
+    # set, a moved one's residual^2 too, and only the rescaled norms tell
+    # that it fails, and with which residual); on a box,
+    # a ball, the free set and an isotropic simplex, with and without l1 (on
+    # a box and the free set, where the l1 route runs)
+    rng = np.random.default_rng(seed)
+    fs = {"box": lambda: Box(-np.ones(d), np.ones(d)),
+          "ball": lambda: Ball(np.full(d, 0.2), 1.5),
+          "unconstrained": lambda: Unconstrained(d),
+          "simplex": lambda: Simplex(d, 2.0)}[kind]()
+    iso = iso or kind == "simplex"
+    l1 = l1 and kind in ("box", "unconstrained")
+    LIN = rng.uniform(-3.0, 3.0, (n, d))
+    LIN[rng.uniform(size=n) < 0.2] *= 1e160
+    W = rng.uniform(0.1, 4.0, n) if iso else rng.uniform(0.1, 4.0, (n, d))
+    L1 = rng.uniform(0.01, 2.0, n) if l1 else 0.0
+    ws = [float(w) if iso else w for w in W]
+    l1s = L1 if l1 else np.zeros(n)
+    X = np.empty((n, d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            obj = Objective(fs, lin=LIN[j].copy(), gamma=ws[j] if iso else 0.0,
+                            diag=None if iso else ws[j], l1_alpha=float(l1s[j]))
+            X[j] = minimize(obj, _defer=[])
+        moved = np.flatnonzero(rng.uniform(size=n) < 0.3)
+        scale = fs.diameter() if kind != "unconstrained" \
+            else np.maximum(1.0, np.abs(X[moved]).max(axis=1))
+        X[moved, rng.integers(0, d, moved.size)] += 1e-6 * scale
+        expected = [_per_call_verdict(fs, X[j], LIN[j], ws[j], float(l1s[j]))
+                    for j in range(n)]
+
+        def batch(a, b):
+            try:
+                solvers._certify_rows(fs, X[a:b], LIN[a:b], W[a:b],
+                                      L1[a:b] if l1 else L1)
+            except IllPosedError as e:
+                return str(e)
+            return None
+
+        # rows start..j-1 pass together, and a batch from start that holds
+        # row j, the next that _certify fails, fails with row j's message
+        start = 0
+        for j in [j for j in range(n) if expected[j] is not None] + [n]:
+            assert j == start or batch(start, j) is None
+            if j < n:
+                assert batch(start, j + 1) == batch(start, n) == expected[j]
+            start = j + 1

@@ -2,10 +2,16 @@
 round it enters, and the public constructors and schedule functions reject
 bad input when they are called directly."""
 
+import contextlib
+import io
+import json
+import warnings
+
 import numpy as np
 import pytest
 
 from adaopt import losses, regularizers, solvers
+from adaopt.cli import main
 from adaopt.core import QuadMetric
 from adaopt.learners import Driver, run_rounds
 from adaopt.regularizers import (Linear, Quadratic, ScheduleState,
@@ -290,7 +296,6 @@ _PROBES = [
     ("adagrad-da", 1e160, ValueError, _OVERFLOW),
     ("adagrad-md", 1e160, ValueError, _OVERFLOW),
     ("ftrl-prox", 1e160, ValueError, _OVERFLOW),
-    ("adagrad-md", 1e-150, solvers.IllPosedError, "round 1: step: "),
     ("ftrl-prox", 0.0, solvers.IllPosedError, "round 1: step: "),
 ]
 
@@ -316,6 +321,29 @@ def test_errors_raised_in_a_round_name_it(preset, scale, error, prefix):
         # the rejected schedule row wrote nothing
         assert _same_state(_state_fields(driver._sched),
                            _state_fields(ScheduleState()))
+
+
+def test_adagrad_md_at_a_tiny_gradient_scale_certifies(tmp_path):
+    # at gradient scale 1e-150 and the default gamma0 = 1, sqrt(1 + g_j^2) - 1
+    # cancels to 0.0: the schedule takes g_j^2 / (root_t + root_{t-1}) / eta
+    # there, so round 1's metric has curvature, and the run certifies every
+    # round and its bounds and passes the CSV replay, with no warning
+    cfg = {"name": "cell", "preset": "adagrad-md", "params": {},
+           "set": {"kind": "box", "dim": 4},
+           "losses": {"kind": "random-linear", "seed": 0, "scale": 1e-150},
+           "T": 20, "seeds": [0], "bounds": ["oo-md", "forward"]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    res = json.loads((tmp_path / "out" / "cell.json").read_text())["results"][0]
+    assert res["certified"] and res["replay"]["ok"] and res["solver_calls"] == 20
+    assert all(b["certified"] for b in res["bounds"])
+    W, n, _, _ = regularizers.adagrad_diag_rows(
+        ScheduleState(), losses.random_stream(4, seed=0, scale=1e-150).g_column(20), 1.0, 1.0)
+    assert n == 20 and (W > 0.0).all()
 
 
 @pytest.mark.parametrize("schedule", ["scale-free", "final-attack"])
